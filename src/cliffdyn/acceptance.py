@@ -284,23 +284,8 @@ def run_criterion(key: str, seed: int = 0, tols: Tolerances = DEFAULT) -> Criter
     raise KeyError(f"unknown criterion {key!r}")
 
 
-def run_all(seed: int = 0, tols: Tolerances = DEFAULT, max_workers: int | None = None
-            ) -> list[CriterionResult]:
-    """Run every criterion; independent criteria may run on a thread pool.
-
-    Results are returned in the canonical CRITERIA order regardless of
-    completion order, so output is deterministic.
-    """
-    import concurrent.futures as cf
-    import os
-
-    if max_workers is None:
-        env = os.environ.get("CLIFFDYN_THREADS")
-        max_workers = max(1, int(env)) if env else min(4, os.cpu_count() or 1)
+def run_all(seed: int = 0, tols: Tolerances = DEFAULT) -> list[CriterionResult]:
+    """Run every criterion serially, in the canonical CRITERIA order."""
     rngs = np.random.default_rng(seed).spawn(len(CRITERIA))
     seeds = [int(r.integers(0, 2 ** 63 - 1)) for r in rngs]
-    if max_workers == 1:
-        return [fn(s, tols) for (name, fn), s in zip(CRITERIA, seeds)]
-    with cf.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(fn, s, tols) for (name, fn), s in zip(CRITERIA, seeds)]
-        return [f.result() for f in futures]
+    return [fn(s, tols) for (name, fn), s in zip(CRITERIA, seeds)]

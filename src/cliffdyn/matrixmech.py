@@ -220,10 +220,20 @@ def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> MatrixT
     return _rk4_matrix(sys.x_matrices(), sys.p_matrices(), rhs, tau_end, steps)
 
 
-def _free_hamiltonian(P: np.ndarray, mass: float) -> np.ndarray:
-    """(P.P - m^2 1)/(2m) for a single matrix P (one momentum component)."""
-    n = P.shape[0]
-    return (P @ P - mass ** 2 * np.eye(n)) / (2.0 * mass)
+def _free_hamiltonian(mass: float) -> Callable[[np.ndarray], np.ndarray]:
+    """P -> (P.P - m^2 1)/(2m) for a single matrix P (one momentum component).
+
+    m^2 1 is built once per matrix size, not on every call.
+    """
+    mass_terms: dict[int, np.ndarray] = {}
+
+    def hamiltonian(P: np.ndarray) -> np.ndarray:
+        n = P.shape[0]
+        if n not in mass_terms:
+            mass_terms[n] = mass ** 2 * np.eye(n)
+        return (P @ P - mass_terms[n]) / (2.0 * mass)
+
+    return hamiltonian
 
 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -231,9 +241,10 @@ def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar) on one matrix pair."""
     if hbar <= 0:
         raise PreconditionError("evolve_heisenberg requires hbar > 0")
+    hamiltonian = _free_hamiltonian(mass)
 
     def rhs(t, X, P):
-        H = _free_hamiltonian(P, mass)
+        H = hamiltonian(P)
         return (X @ H - H @ X) / (1j * hbar), (P @ H - H @ P) / (1j * hbar)
 
     return _rk4_matrix(X0, P0, rhs, tau_end, steps)
@@ -250,9 +261,10 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     """
     if hbar <= 0:
         raise PreconditionError("covariant_evolve requires hbar > 0")
+    hamiltonian = _free_hamiltonian(mass)
 
     def rhs(t, X, P):
-        H = _free_hamiltonian(P, mass)
+        H = hamiltonian(P)
         G = gamma(t, X, P)
         dX = 1j * (G @ X - X @ G) + (X @ H - H @ X) / (1j * hbar)
         dP = 1j * (G @ P - P @ G) + (P @ H - H @ P) / (1j * hbar)
@@ -263,7 +275,8 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
 def schrodinger_gauge(hbar: float, mass: float):
     """The connection Gamma = -H/hbar that makes X and P stationary."""
-    return lambda t, X, P: -_free_hamiltonian(P, mass) / hbar
+    hamiltonian = _free_hamiltonian(mass)
+    return lambda t, X, P: -hamiltonian(P) / hbar
 
 
 def expectation(s: np.ndarray, target, which: str = "X"):

@@ -240,13 +240,13 @@ class ParticleState:
 
 
 def _gram_xc(C: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """bullet(v_A, conj(v_B)) over a (2, G) coefficient stack."""
-    return (C * signs) @ C.conj().T
+    """bullet(v_A, conj(v_B)) over a (..., 2, G) coefficient stack."""
+    return (C * signs) @ np.swapaxes(C.conj(), -1, -2)
 
 
 def _gram_cd(C: np.ndarray, D: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """bullet(c_A, d_B): bilinear, no conjugation."""
-    return (C * signs) @ D.T
+    return (C * signs) @ np.swapaxes(D, -1, -2)
 
 
 def build_state(x: np.ndarray, p: np.ndarray, M, mass: float,
@@ -308,28 +308,37 @@ def hamiltonian_c5(state: ParticleState, e: float) -> float:
     return e * state.mass_shell()
 
 
-def _rhs_packed(Y: np.ndarray, signs: np.ndarray, e_val: float, mass: float
-                ) -> tuple[np.ndarray, float]:
-    """Flow of the packed (4, G) coefficients plus dtaubar/dtau."""
-    C, D = Y[:2], Y[2:]
+def _free_flow(D: np.ndarray, signs: np.ndarray, mass: float
+               ) -> Callable[[np.ndarray, float], tuple[np.ndarray, float]]:
+    """Flow of the packed (2, G) c rows for the fixed (2, G) d* rows D.
+
+    dd*/dtau vanishes (dH/dx = 0 for the free constraint Hamiltonian), so D
+    and the momentum gradient built from it are the same at every RK4
+    stage.  Returns ``flow(C, e) -> (dc/dtau, dtaubar/dtau)``.
+    """
     P = _gram_cd(D, D.conj(), signs)          # p_{AB} = bullet(d*_A, conj(d*_B))
-    p_cov = spinor_down_to_covec(P)
-    grad_p = 2.0 * e_val * (ETA @ p_cov)      # dH/dp_mu for H = e (p.p - m^2)
-    Gp = np.einsum("m,mab->ab", grad_p, DP_DOWN)
-    dC = Gp @ D.conj()
-    dD = np.zeros_like(D)                     # dH/dx = 0 for the free constraint Hamiltonian
-    mu = 0.5 * np.trace(_gram_cd(C, D, signs)).real
-    dtaubar = 2.0 * mass * mu * e_val
-    return np.vstack([dC, dD]), dtaubar
+    eta_p = ETA @ spinor_down_to_covec(P)
+    D_conj, D_T = D.conj(), D.T
+
+    def flow(C: np.ndarray, e_val: float) -> tuple[np.ndarray, float]:
+        grad_p = 2.0 * e_val * eta_p          # dH/dp_mu for H = e (p.p - m^2)
+        Gp = np.einsum("m,mab->ab", grad_p, DP_DOWN)
+        cd = (C * signs) @ D_T                # bullet(c_A, d*_B)
+        mu = 0.5 * (cd[0, 0] + cd[1, 1]).real
+        return Gp @ D_conj, 2.0 * mass * mu * e_val
+
+    return flow
 
 
 def canonical_rhs(state: ParticleState, e: float
                   ) -> tuple[list[ClVector], list[ClVector]]:
     """(dc/dtau, dd*/dtau) for the constraint Hamiltonian H = e (p.p - m^2)."""
-    dY, _ = _rhs_packed(state.packed(), state.space.signs, e, state.mass)
+    Y = state.packed()
     space = state.space
-    return ([ClVector(space, dY[0]), ClVector(space, dY[1])],
-            [ClVector(space, dY[2]), ClVector(space, dY[3])])
+    dC, _ = _free_flow(Y[2:], space.signs, state.mass)(Y[:2], e)
+    zero = np.zeros(space.size, dtype=complex)
+    return ([ClVector(space, dC[0]), ClVector(space, dC[1])],
+            [ClVector(space, zero), ClVector(space, zero)])
 
 
 @dataclass
@@ -354,7 +363,10 @@ class Trajectory:
         return self.state(len(self.tau) - 1)
 
     def constraint_drift(self) -> float:
-        shell = np.array([self.state(k).mass_shell() for k in range(len(self.tau))])
+        """Largest change of p.p - m^2 along the run, read from the p column."""
+        p = self.p
+        shell = (p[:, 0] * p[:, 0] - p[:, 1] * p[:, 1] - p[:, 2] * p[:, 2]
+                 - p[:, 3] * p[:, 3] - self.mass ** 2)
         return float(np.abs(shell - shell[0]).max())
 
     def charge_drift(self) -> float:
@@ -386,6 +398,8 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
 
     taubar accumulates dtaubar/dtau = 2 m mu(tau) e(tau) through the same RK4
     stages, so the reparametrized columns are consistent to integrator order.
+    Only the c rows move: every stage sees the same d* rows, so the momentum
+    gradient is computed once.
     """
     if steps < 1:
         raise InputError("steps must be >= 1")
@@ -394,40 +408,57 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
     tau0 = state0.tau
     h = (tau_end - tau0) / steps
     n = steps + 1
-    Y = state0.packed().astype(complex)
+    Y0 = state0.packed().astype(complex)
+    C, D = Y0[:2], Y0[2:]
+    flow = _free_flow(D, signs, mass)
     taubar = 0.0
-    out_Y = np.empty((n, 4, Y.shape[1]), dtype=complex)
+    out_Y = np.empty((n, 4, Y0.shape[1]), dtype=complex)
     out_tau = np.empty(n)
     out_taubar = np.empty(n)
-    out_Y[0] = Y
+    out_Y[0] = Y0
+    out_Y[1:, 2:] = D
     out_tau[0] = tau0
     out_taubar[0] = 0.0
     for k in range(steps):
         tau = tau0 + k * h
-        k1, b1 = _rhs_packed(Y, signs, e(tau), mass)
-        k2, b2 = _rhs_packed(Y + 0.5 * h * k1, signs, e(tau + 0.5 * h), mass)
-        k3, b3 = _rhs_packed(Y + 0.5 * h * k2, signs, e(tau + 0.5 * h), mass)
-        k4, b4 = _rhs_packed(Y + h * k3, signs, e(tau + h), mass)
-        Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1, b1 = flow(C, e(tau))
+        k2, b2 = flow(C + 0.5 * h * k1, e(tau + 0.5 * h))
+        k3, b3 = flow(C + 0.5 * h * k2, e(tau + 0.5 * h))
+        k4, b4 = flow(C + h * k3, e(tau + h))
+        C = C + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         taubar = taubar + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-        if not np.all(np.isfinite(Y)):
+        if not np.all(np.isfinite(C)):
             raise ArithmeticError(f"integration produced non-finite values at step {k}")
-        out_Y[k + 1] = Y
+        out_Y[k + 1, :2] = C
         out_tau[k + 1] = tau0 + (k + 1) * h
         out_taubar[k + 1] = taubar
-    # derived columns
     x = np.empty((n, 4))
     p = np.empty((n, 4))
     J = np.empty((n, 2, 2), dtype=complex)
     jq = np.empty(n)
     mu = np.empty(n)
-    for k in range(n):
-        st = ParticleState.from_packed(out_Y[k], state0.space, mass, float(out_tau[k]))
-        x[k] = st.x_vec()
-        p[k] = st.p_vec()
-        J[k], jq[k] = noether_charges(st)
-        mu[k] = st.mu_charge()
+    for lo in range(0, n, _COLUMN_BLOCK):
+        rows = slice(lo, lo + _COLUMN_BLOCK)
+        x[rows], p[rows], J[rows], jq[rows], mu[rows] = _derived_columns(out_Y[rows], signs)
     return Trajectory(state0.space, mass, out_tau, out_taubar, out_Y, x, p, J, jq, mu)
+
+
+# Rows per batch of derived columns; bounds the (rows, 2, 2, G) temporaries.
+_COLUMN_BLOCK = 1024
+
+
+def _derived_columns(Y: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x, p, J, j and mu of a (rows, 4, G) stack, row by row as ParticleState
+    and :func:`noether_charges` compute them."""
+    C, D = Y[:, :2], Y[:, 2:]
+    x = spinor_to_vec(_gram_xc(C, signs)).real
+    p = spinor_down_to_covec(_gram_xc(D, signs)).real
+    c_low = np.stack(eps_flip_pair([C[:, 0], C[:, 1]]), axis=1)
+    dcl = np.sum(D[:, :, None, :] * c_low[:, None, :, :] * signs, axis=-1)
+    J = dcl + np.swapaxes(dcl, 1, 2)          # bullet(d*_A, c_B) + bullet(d*_B, c_A)
+    trace_cd = np.trace(_gram_cd(C, D, signs), axis1=1, axis2=2)
+    j = (1j * (trace_cd - np.conj(trace_cd))).real
+    return x, p, J, j, 0.5 * trace_cd.real
 
 
 def noether_charges(state: ParticleState) -> tuple[np.ndarray, float]:

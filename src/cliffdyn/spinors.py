@@ -64,9 +64,9 @@ def vec_to_spinor(v) -> np.ndarray:
 
 
 def spinor_to_vec(S) -> np.ndarray:
-    """V^mu = tr(sigma_mu S) / 2; exact left inverse of vec_to_spinor."""
+    """V^mu = tr(sigma_mu S) / 2 per matrix of a stack; exact left inverse of vec_to_spinor."""
     S = np.asarray(S, dtype=complex)
-    return 0.5 * np.einsum("mab,ba->m", SIGMA, S)
+    return 0.5 * np.einsum("mab,...ba->...m", SIGMA, S)
 
 
 def minkowski_dot(u, v) -> complex:
@@ -83,8 +83,8 @@ def minkowski_norm(S) -> float:
 
 
 def eta_flip(v) -> np.ndarray:
-    """Raise or lower a four-vector index (self-inverse)."""
-    return ETA @ np.asarray(v, dtype=complex)
+    """Raise or lower a four-vector index (self-inverse), row-wise on a stack."""
+    return np.asarray(v, dtype=complex) @ ETA          # ETA is symmetric
 
 
 def flip_first(S) -> np.ndarray:

@@ -119,9 +119,7 @@ def test_outputs_byte_identical_for_same_config(tmp_path):
         == (tmp_path / "b" / "conservation.json").read_bytes()
 
 
-def test_verify_all_smoke(tmp_path, monkeypatch, capsys):
-    # single criterion worth of smoke: run the full table single-threaded
-    monkeypatch.setenv("CLIFFDYN_THREADS", "1")
+def test_verify_all_smoke(tmp_path, capsys):
     code = main(["verify-all", "--seed", "7", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
@@ -131,8 +129,7 @@ def test_verify_all_smoke(tmp_path, monkeypatch, capsys):
     assert payload["seed"] == 7
 
 
-def test_verify_all_json_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLIFFDYN_THREADS", "2")
+def test_verify_all_json_deterministic(tmp_path):
     assert main(["verify-all", "--seed", "3", "--out", str(tmp_path / "x")]) == 0
     assert main(["verify-all", "--seed", "3", "--out", str(tmp_path / "y")]) == 0
     assert (tmp_path / "x" / "verify.json").read_bytes() \

@@ -22,6 +22,7 @@ from cliffdyn.particle import (
     poisson_bracket,
     polyakov_lagrangian,
     polynomial_observable,
+    Trajectory,
 )
 from cliffdyn.spinors import vec_to_spinor, spinor_to_vec, minkowski_dot, eta_flip, flip_both
 
@@ -203,6 +204,39 @@ def test_integrate_rejects_bad_steps():
     st = _state()
     with pytest.raises(InputError):
         integrate(st, constant_einbein(1.0), 1.0, 0)
+
+
+@pytest.mark.parametrize("e", [constant_einbein(0.5), linear_einbein(0.6, 0.3)],
+                         ids=["const", "linear"])
+def test_integrate_columns_match_per_state_path(e):
+    # 2501 rows span several blocks of the batched derived columns; a mixed
+    # Gram off the identity, with a complex trace, keeps J and j away from zero
+    M = np.array([[0.7 + 0.02j, 0.05 + 0.01j], [0.05 - 0.01j, 0.6]])
+    st = build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), M, MASS)
+    traj = integrate(st, e, 1.5, 2500)
+    states = [traj.state(k) for k in range(len(traj.tau))]
+    charges = [noether_charges(s) for s in states]
+    assert np.array_equal(traj.x, np.array([s.x_vec() for s in states]))
+    assert np.array_equal(traj.p, np.array([s.p_vec() for s in states]))
+    assert np.array_equal(traj.J, np.array([J for J, _ in charges]))
+    assert np.array_equal(traj.j, np.array([j for _, j in charges]))
+    assert np.array_equal(traj.mu, np.array([s.mu_charge() for s in states]))
+    shell = np.array([s.mass_shell() for s in states])
+    assert traj.constraint_drift() == np.abs(shell - shell[0]).max()
+
+
+def test_constraint_drift_matches_per_state_shell():
+    # the free flow freezes p, so stitch runs of off-shell states together
+    # to make the shell vary along the p column
+    runs = [integrate(build_state(np.zeros(4), scale * _onshell_p(), 0.7, MASS),
+                      constant_einbein(0.5), 0.1, 1) for scale in (1.0, 1.1, 0.95)]
+    traj = Trajectory(runs[0].space, MASS, *(
+        np.concatenate([getattr(r, col) for r in runs])
+        for col in ("tau", "taubar", "Y", "x", "p", "J", "j", "mu")))
+    shell = np.array([traj.state(k).mass_shell() for k in range(len(traj.tau))])
+    drift = np.abs(shell - shell[0]).max()
+    assert drift > 0.1
+    assert traj.constraint_drift() == drift
 
 
 # -- charges ------------------------------------------------------------------
