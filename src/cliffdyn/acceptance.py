@@ -187,18 +187,7 @@ def _acceptance_mode_spec(mass=1.1):
 def string_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     """Wave-solution residuals, convergence order, trace, total momentum, spinning."""
     st = worldsheet.build_wave_state(_acceptance_mode_spec())
-    h = tols.h_grid
-    residuals = {}
-    orders = {}
-    for name, fn in (("box", worldsheet.wave_residual),
-                     ("f51", worldsheet.residual_f51),
-                     ("f52", worldsheet.residual_f52),
-                     ("f90", worldsheet.dilaton_residual)):
-        residuals[name] = float(fn(st, h=h).max())
-        # order estimated where truncation dominates roundoff
-        r1 = float(fn(st, h=2e-3).max())
-        r2 = float(fn(st, h=1e-3).max())
-        orders[name] = worldsheet.estimate_order(r1, r2)
+    residuals, orders = worldsheet.residual_suite(st, h=tols.h_grid)
     rng = np.random.default_rng(seed)
     trace = 0.0
     for _ in range(10):

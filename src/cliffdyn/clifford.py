@@ -239,6 +239,8 @@ def validate_hermitian(H, atol: float | None = None) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"expected a square matrix, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise InputError("matrix has non-finite entries")
     if atol is None:
         atol = DEFAULT.hermitian_input * max(1.0, float(np.abs(H).max(initial=0.0)))
     dev = float(np.abs(H - H.conj().T).max(initial=0.0))
@@ -247,57 +249,14 @@ def validate_hermitian(H, atol: float | None = None) -> np.ndarray:
     return 0.5 * (H + H.conj().T)
 
 
-def hermitian_eig(H, *, tol: float | None = None, max_sweeps: int = 50
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi sweeps.
+def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
     Returns ``(U, lam)`` with ``U`` unitary, ``lam`` real, ``U diag(lam) U^dagger = H``.
-    Eigenvalues are ordered descending, ties broken by original index, so
-    resolutions downstream are reproducible.
+    Eigenvalues are ordered descending, ties broken by LAPACK's ascending
+    order, so resolutions downstream are reproducible.
     """
-    A = validate_hermitian(H)
-    n = A.shape[0]
-    U = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(A))
-    if tol is None:
-        tol = DEFAULT.eig_offdiag * max(1.0, scale)
-    tiny = np.finfo(float).eps * max(1.0, scale)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(A - np.diag(np.diag(A))) ** 2))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                b = abs(apq)
-                if b <= tiny:
-                    continue
-                phi = apq / b
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * b)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # G restricted to (p,q): [[c, s], [-conj(phi) s, conj(phi) c]]
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - (phi.conjugate() * s) * col_q
-                A[:, q] = s * col_p + (phi.conjugate() * c) * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - (phi * s) * row_q
-                A[q, :] = s * row_p + (phi * c) * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                ucol_p = U[:, p].copy()
-                ucol_q = U[:, q].copy()
-                U[:, p] = c * ucol_p - (phi.conjugate() * s) * ucol_q
-                U[:, q] = s * ucol_p + (phi.conjugate() * c) * ucol_q
-    lam = np.diag(A).real.copy()
+    lam, U = np.linalg.eigh(validate_hermitian(H))
     order = np.argsort(-lam, kind="stable")
     return U[:, order], lam[order]
 

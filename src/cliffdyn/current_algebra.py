@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import DP_DOWN, EPS_LO, ETA
-from .worldsheet import Curve, StringState, _eval_c_packed, dstar_upper
+from .worldsheet import Curve, StringState, dstar_upper, eval_c_packed, simpson_weights
 
 __all__ = [
     "CurrentSample",
@@ -90,15 +90,6 @@ class CurrentSample:
         return (dt * self.signs) @ dt.conj().T
 
 
-def _simpson_weights(n_nodes: int, du: float) -> np.ndarray:
-    if n_nodes % 2 == 0 or n_nodes < 3:
-        raise InputError("composite Simpson needs an odd node count >= 3")
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * du / 3.0
-
-
 def _make_sample(us, du, c, dproj, signs) -> CurrentSample:
     n = len(us)
     j = np.empty((n, 2, 2), dtype=complex)
@@ -109,7 +100,7 @@ def _make_sample(us, du, c, dproj, signs) -> CurrentSample:
         j[m] = jm + jm.T
         tr = np.trace((c[m] * signs) @ dproj[m].T)
         icur[m] = 1j * (tr - np.conj(tr))
-    return CurrentSample(us, du, _simpson_weights(n, du), c, dproj, signs, j, icur)
+    return CurrentSample(us, du, simpson_weights(n, du), c, dproj, signs, j, icur)
 
 
 def sample_currents(state: StringState, curve: Curve, n_points: int = 128
@@ -126,7 +117,7 @@ def sample_currents(state: StringState, curve: Curve, n_points: int = 128
         if vs ** 2 - vt ** 2 <= 0:
             raise PreconditionError(f"curve is not spacelike at u = {u}")
         ds = dstar_upper(state, t, s)
-        c[m] = _eval_c_packed(state, t, s)
+        c[m] = eval_c_packed(state, t, s)
         dproj[m] = vs * ds[0] - vt * ds[1]
     return _make_sample(us, du, c, dproj, state.space.signs)
 

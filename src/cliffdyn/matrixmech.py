@@ -31,7 +31,7 @@ import numpy as np
 
 from .clifford import ClVector
 from .errors import InputError, PreconditionError
-from .particle import ParticleState
+from .particle import ParticleState, rk4
 from .spinors import DP_DOWN, DX_UP, ETA
 
 __all__ = [
@@ -56,15 +56,13 @@ __all__ = [
 class NSystem:
     """Kets C^A and bras D_A for N particles plus derived matrix caches.
 
-    ``gamma``, when set, is the gauge connection tau -> N x N Hermitian
-    matrix (the i sits in the covariant derivative); ``phi`` is the diagonal
-    real weight matrix, which the equations of motion never see.
+    ``phi`` is the diagonal real weight matrix, which the equations of motion
+    never see.
     """
 
     def __init__(self, kets: Sequence[Sequence[ClVector]],
                  bras: Sequence[Sequence[ClVector]], mass: float,
-                 hbar: float = 0.0, phi: np.ndarray | None = None,
-                 gamma=None):
+                 hbar: float = 0.0, phi: np.ndarray | None = None):
         if len(kets) != 2 or len(bras) != 2:
             raise InputError("kets and bras carry two spinor components each")
         self.kets = [list(kets[0]), list(kets[1])]
@@ -78,7 +76,6 @@ class NSystem:
         if phi is None:
             phi = np.ones(self.n)
         self.phi = np.asarray(phi, dtype=float)
-        self.gamma = gamma
         self._xs = None
         self._ps = None
 
@@ -162,8 +159,7 @@ def gauge_transform(sys: NSystem, U: np.ndarray) -> NSystem:
         raise InputError("U is not unitary within 1e-12")
     kets = [[_combine(sys.kets[a], U[i, :]) for i in range(n)] for a in range(2)]
     bras = [[_combine(sys.bras[a], U.conj()[i, :]) for i in range(n)] for a in range(2)]
-    phi = None if sys.phi is None else sys.phi
-    return NSystem(kets, bras, sys.mass, hbar=sys.hbar, phi=phi)
+    return NSystem(kets, bras, sys.mass, hbar=sys.hbar, phi=sys.phi)
 
 
 def _combine(vectors: Sequence[ClVector], weights: np.ndarray) -> ClVector:
@@ -187,24 +183,16 @@ class MatrixTrajectory:
 
 
 def _rk4_matrix(X0, P0, rhs, tau_end, steps, t0=0.0):
+    """RK4 on the stacked pair Y = (X, P); ``rhs(t, Y)`` returns dY/dt."""
     h = (tau_end - t0) / steps
-    X = np.array(X0, dtype=complex)
-    P = np.array(P0, dtype=complex)
-    n = steps + 1
-    Xs = np.empty((n, *X.shape), dtype=complex)
-    Ps = np.empty((n, *P.shape), dtype=complex)
-    ts = np.empty(n)
-    Xs[0], Ps[0], ts[0] = X, P, t0
-    for k in range(steps):
-        t = t0 + k * h
-        k1x, k1p = rhs(t, X, P)
-        k2x, k2p = rhs(t + h / 2, X + h / 2 * k1x, P + h / 2 * k1p)
-        k3x, k3p = rhs(t + h / 2, X + h / 2 * k2x, P + h / 2 * k2p)
-        k4x, k4p = rhs(t + h, X + h * k3x, P + h * k3p)
-        X = X + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        P = P + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        Xs[k + 1], Ps[k + 1], ts[k + 1] = X, P, t0 + (k + 1) * h
-    return MatrixTrajectory(ts, Xs, Ps)
+    Y0 = np.stack((X0, P0)).astype(complex)
+    Ys = np.empty((steps + 1, *Y0.shape), dtype=complex)
+    Ys[0] = Y0
+    for k, Y in enumerate(rk4(rhs, Y0, t0, h, steps), start=1):
+        Ys[k] = Y
+    ts = t0 + np.arange(steps + 1) * h
+    ts[0] = t0
+    return MatrixTrajectory(ts, Ys[:, 0], Ys[:, 1])
 
 
 def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> MatrixTrajectory:
@@ -213,9 +201,10 @@ def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> MatrixT
         raise PreconditionError("classical evolution requires hbar = 0")
     m = sys.mass
 
-    def rhs(t, X, P):
-        dX = np.einsum("mn,nij->mij", ETA, P) / m     # P^mu / m
-        return dX, np.zeros_like(P)
+    def rhs(t, Y):
+        dY = np.zeros_like(Y)
+        dY[0] = np.einsum("mn,nij->mij", ETA, Y[1]) / m     # P^mu / m
+        return dY
 
     return _rk4_matrix(sys.x_matrices(), sys.p_matrices(), rhs, tau_end, steps)
 
@@ -243,9 +232,9 @@ def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
         raise PreconditionError("evolve_heisenberg requires hbar > 0")
     hamiltonian = _free_hamiltonian(mass)
 
-    def rhs(t, X, P):
-        H = hamiltonian(P)
-        return (X @ H - H @ X) / (1j * hbar), (P @ H - H @ P) / (1j * hbar)
+    def rhs(t, Y):
+        H = hamiltonian(Y[1])
+        return (Y @ H - H @ Y) / (1j * hbar)
 
     return _rk4_matrix(X0, P0, rhs, tau_end, steps)
 
@@ -263,12 +252,10 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
         raise PreconditionError("covariant_evolve requires hbar > 0")
     hamiltonian = _free_hamiltonian(mass)
 
-    def rhs(t, X, P):
-        H = hamiltonian(P)
-        G = gamma(t, X, P)
-        dX = 1j * (G @ X - X @ G) + (X @ H - H @ X) / (1j * hbar)
-        dP = 1j * (G @ P - P @ G) + (P @ H - H @ P) / (1j * hbar)
-        return dX, dP
+    def rhs(t, Y):
+        H = hamiltonian(Y[1])
+        G = gamma(t, *Y)
+        return 1j * (G @ Y - Y @ G) + (Y @ H - H @ Y) / (1j * hbar)
 
     return _rk4_matrix(X0, P0, rhs, tau_end, steps)
 
@@ -305,16 +292,9 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
                  tau_end: float, steps: int, t0: float = 0.0) -> np.ndarray:
     """Integrate (d/dtau - i Gamma(tau)) |s> = 0 with RK4; norm is preserved."""
-    s = np.asarray(s, dtype=complex).copy()
     h = (tau_end - t0) / steps
-    for k in range(steps):
-        t = t0 + k * h
-        f = lambda tt, v: 1j * (gamma(tt) @ v)
-        k1 = f(t, s)
-        k2 = f(t + h / 2, s + h / 2 * k1)
-        k3 = f(t + h / 2, s + h / 2 * k2)
-        k4 = f(t + h, s + h * k3)
-        s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for s in rk4(lambda t, v: 1j * (gamma(t) @ v), np.asarray(s, dtype=complex), t0, h, steps):
+        pass
     return s
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "conjugate_momentum_norm",
     "hamiltonian_c5",
     "canonical_rhs",
+    "rk4",
     "integrate",
     "Trajectory",
     "noether_charges",
@@ -308,26 +309,47 @@ def hamiltonian_c5(state: ParticleState, e: float) -> float:
     return e * state.mass_shell()
 
 
-def _free_flow(D: np.ndarray, signs: np.ndarray, mass: float
-               ) -> Callable[[np.ndarray, float], tuple[np.ndarray, float]]:
-    """Flow of the packed (2, G) c rows for the fixed (2, G) d* rows D.
+def rk4(f: Callable, y, t0: float, h: float, steps: int):
+    """Classic fixed-step RK4 for dy/dt = f(t, y); yields y after each step."""
+    for k in range(steps):
+        t = t0 + k * h
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield y
 
-    dd*/dtau vanishes (dH/dx = 0 for the free constraint Hamiltonian), so D
-    and the momentum gradient built from it are the same at every RK4
-    stage.  Returns ``flow(C, e) -> (dc/dtau, dtaubar/dtau)``.
+
+def _free_flow(Y: np.ndarray, signs: np.ndarray, mass: float,
+               e: Callable[[float], float]) -> tuple[Callable, np.ndarray]:
+    """Flow of the c rows of a packed (4, G) state, with taubar riding along.
+
+    The flow state is (2, G + 1): the c rows plus one column whose row-0
+    entry is taubar, so one RK4 step advances both.  dd*/dtau vanishes
+    (dH/dx = 0 for the free constraint Hamiltonian), so the d* rows and the
+    momentum gradient built from them are the same at every RK4 stage.
+    Returns ``(flow, y0)``: ``flow(tau, y) -> dy/dtau`` and the flow state of
+    Y at taubar = 0.
     """
+    C, D = Y[:2], Y[2:]
+    G = Y.shape[1]
     P = _gram_cd(D, D.conj(), signs)          # p_{AB} = bullet(d*_A, conj(d*_B))
     eta_p = ETA @ spinor_down_to_covec(P)
-    D_conj, D_T = D.conj(), D.T
+    signed_D_T = (D * signs).T
+    D_conj = np.concatenate((D.conj(), np.zeros((2, 1))), axis=1)   # zero taubar column
 
-    def flow(C: np.ndarray, e_val: float) -> tuple[np.ndarray, float]:
+    def flow(tau: float, y: np.ndarray) -> np.ndarray:
+        e_val = e(tau)
         grad_p = 2.0 * e_val * eta_p          # dH/dp_mu for H = e (p.p - m^2)
         Gp = np.einsum("m,mab->ab", grad_p, DP_DOWN)
-        cd = (C * signs) @ D_T                # bullet(c_A, d*_B)
+        cd = y[:, :G] @ signed_D_T            # bullet(c_A, d*_B)
         mu = 0.5 * (cd[0, 0] + cd[1, 1]).real
-        return Gp @ D_conj, 2.0 * mass * mu * e_val
+        dy = Gp @ D_conj
+        dy[0, G] = 2.0 * mass * mu * e_val    # dtaubar/dtau
+        return dy
 
-    return flow
+    return flow, np.concatenate((C, np.zeros((2, 1))), axis=1)
 
 
 def canonical_rhs(state: ParticleState, e: float
@@ -335,9 +357,10 @@ def canonical_rhs(state: ParticleState, e: float
     """(dc/dtau, dd*/dtau) for the constraint Hamiltonian H = e (p.p - m^2)."""
     Y = state.packed()
     space = state.space
-    dC, _ = _free_flow(Y[2:], space.signs, state.mass)(Y[:2], e)
+    flow, y0 = _free_flow(Y, space.signs, state.mass, lambda tau: e)
+    dY = flow(state.tau, y0)
     zero = np.zeros(space.size, dtype=complex)
-    return ([ClVector(space, dC[0]), ClVector(space, dC[1])],
+    return ([ClVector(space, dY[0, :-1]), ClVector(space, dY[1, :-1])],
             [ClVector(space, zero), ClVector(space, zero)])
 
 
@@ -358,9 +381,6 @@ class Trajectory:
 
     def state(self, k: int) -> ParticleState:
         return ParticleState.from_packed(self.Y[k], self.space, self.mass, float(self.tau[k]))
-
-    def final_state(self) -> ParticleState:
-        return self.state(len(self.tau) - 1)
 
     def constraint_drift(self) -> float:
         """Largest change of p.p - m^2 along the run, read from the p column."""
@@ -394,12 +414,11 @@ class Trajectory:
 
 def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
               steps: int) -> Trajectory:
-    """Classic fixed-step RK4 on the coefficient flow, tracking taubar.
+    """Classic fixed-step :func:`rk4` on the coefficient flow, tracking taubar.
 
-    taubar accumulates dtaubar/dtau = 2 m mu(tau) e(tau) through the same RK4
-    stages, so the reparametrized columns are consistent to integrator order.
-    Only the c rows move: every stage sees the same d* rows, so the momentum
-    gradient is computed once.
+    taubar accumulates dtaubar/dtau = 2 m mu(tau) e(tau) in the flow state, so
+    it goes through the same RK4 stages as c and the reparametrized columns
+    are consistent to integrator order.
     """
     if steps < 1:
         raise InputError("steps must be >= 1")
@@ -409,29 +428,19 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
     h = (tau_end - tau0) / steps
     n = steps + 1
     Y0 = state0.packed().astype(complex)
-    C, D = Y0[:2], Y0[2:]
-    flow = _free_flow(D, signs, mass)
-    taubar = 0.0
-    out_Y = np.empty((n, 4, Y0.shape[1]), dtype=complex)
-    out_tau = np.empty(n)
+    flow, y0 = _free_flow(Y0, signs, mass, e)
+    out_Y = np.empty((n, *Y0.shape), dtype=complex)
     out_taubar = np.empty(n)
     out_Y[0] = Y0
-    out_Y[1:, 2:] = D
-    out_tau[0] = tau0
+    out_Y[1:, 2:] = Y0[2:]
     out_taubar[0] = 0.0
-    for k in range(steps):
-        tau = tau0 + k * h
-        k1, b1 = flow(C, e(tau))
-        k2, b2 = flow(C + 0.5 * h * k1, e(tau + 0.5 * h))
-        k3, b3 = flow(C + 0.5 * h * k2, e(tau + 0.5 * h))
-        k4, b4 = flow(C + h * k3, e(tau + h))
-        C = C + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        taubar = taubar + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-        if not np.all(np.isfinite(C)):
+    for k, y in enumerate(rk4(flow, y0, tau0, h, steps)):
+        if not np.all(np.isfinite(y)):
             raise ArithmeticError(f"integration produced non-finite values at step {k}")
-        out_Y[k + 1, :2] = C
-        out_tau[k + 1] = tau0 + (k + 1) * h
-        out_taubar[k + 1] = taubar
+        out_Y[k + 1, :2] = y[:, :-1]
+        out_taubar[k + 1] = y[0, -1].real
+    out_tau = tau0 + np.arange(n) * h
+    out_tau[0] = tau0
     x = np.empty((n, 4))
     p = np.empty((n, 4))
     J = np.empty((n, 2, 2), dtype=complex)

@@ -12,15 +12,12 @@ from dataclasses import dataclass, replace
 class Tolerances:
     # clifford core
     hermitian_input: float = 1e-14      # allowed |H - H^dagger| per entry (scaled by matrix size)
-    eig_offdiag: float = 1e-13          # Jacobi sweep target, relative to Frobenius norm
-    eig_reconstruct: float = 1e-11
     gram_residual: float = 1e-10
     gram_null: float = 1e-12
     eig_zero_rel: float = 1e-9          # |lambda| below this times max|lambda| counts as zero
 
     # spinor identities
     c30_identity: float = 1e-12         # relative
-    roundtrip: float = 1e-14
 
     # particle
     bracket_reduction: float = 1e-9     # scaled by (1 + |PB|)
@@ -28,16 +25,12 @@ class Tolerances:
     constraint_drift: float = 1e-8
     mu_match: float = 1e-8
     charge_drift: float = 1e-9
-    reparam_residual: float = 1e-7
-    grad_check_rel: float = 1e-6
 
     # matrix mechanics
     unitary_covariance: float = 1e-10
     constraint_invariance: float = 1e-11
     picture_equivalence: float = 1e-8
     stationarity: float = 1e-9
-    commutator_drift: float = 1e-9
-    norm_drift: float = 1e-10
 
     # string
     fd_residual: float = 1e-6           # at h_grid = 1e-3
@@ -45,14 +38,11 @@ class Tolerances:
     trace_vanish: float = 1e-9
     total_momentum: float = 1e-8
     spinning_match: float = 1e-10
-    path_agreement: float = 1e-11       # dual-route x evaluation
     mode_gram_residual: float = 1e-9    # build_wave_state feasibility gate
 
     # current algebra
     g1_identity: float = 1e-9           # relative
     algebra_closure: float = 1e-10
-    jacobi_residual: float = 1e-10
-    grid_independence: float = 1e-8
     unitary_brackets: float = 1e-10
 
     h_grid: float = 1e-3

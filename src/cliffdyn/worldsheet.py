@@ -45,6 +45,7 @@ __all__ = [
     "StringState",
     "build_wave_state",
     "eval_c",
+    "eval_c_packed",
     "eval_dc",
     "eval_x",
     "eval_x_from_vectors",
@@ -59,10 +60,12 @@ __all__ = [
     "Curve",
     "constant_time_curve",
     "arc_curve",
+    "simpson_weights",
     "total_momentum",
     "spinning_mode_spec",
     "spinning_string",
     "estimate_order",
+    "residual_suite",
     "mode_spec_to_json",
     "mode_spec_from_json",
 ]
@@ -241,7 +244,8 @@ def build_wave_state(spec: ModeSpec) -> StringState:
 
 # -- field evaluation (packed (2, G) arrays internally) -------------------------
 
-def _eval_c_packed(state: StringState, tau: float, sigma: float) -> np.ndarray:
+def eval_c_packed(state: StringState, tau: float, sigma: float) -> np.ndarray:
+    """c^A(tau, sigma) as a packed (2, G) coefficient array."""
     out = state._K + tau * state._L
     for n in state.spec.modes:
         out = out + np.exp(0.5j * n * (tau + sigma)) * state._A[n]
@@ -266,7 +270,7 @@ def _eval_dc_packed(state: StringState, tau: float, sigma: float, beta: int) -> 
 
 
 def eval_c(state: StringState, tau: float, sigma: float) -> list[ClVector]:
-    C = _eval_c_packed(state, tau, sigma)
+    C = eval_c_packed(state, tau, sigma)
     return [ClVector(state.space, C[A]) for A in range(2)]
 
 
@@ -289,7 +293,7 @@ def eval_x(state: StringState, tau: float, sigma: float) -> np.ndarray:
 
 def eval_x_from_vectors(state: StringState, tau: float, sigma: float) -> np.ndarray:
     """Independent route: bullet(c^A, conj(c^B)) from the realized vectors."""
-    C = _eval_c_packed(state, tau, sigma)
+    C = eval_c_packed(state, tau, sigma)
     return (C * state.space.signs) @ C.conj().T
 
 
@@ -369,9 +373,9 @@ def residual_f51(state: StringState, points=None, h: float | None = None) -> np.
         ds = dstar_upper(state, t, s)
         for alpha in range(2):
             if alpha == 0:
-                fd = (_eval_c_packed(state, t + h, s) - _eval_c_packed(state, t - h, s)) / (2 * h)
+                fd = (eval_c_packed(state, t + h, s) - eval_c_packed(state, t - h, s)) / (2 * h)
             else:
-                fd = (_eval_c_packed(state, t, s + h) - _eval_c_packed(state, t, s - h)) / (2 * h)
+                fd = (eval_c_packed(state, t, s + h) - eval_c_packed(state, t, s - h)) / (2 * h)
             lowered = ETA_WS[alpha, alpha] * ds[alpha].conj()
             rhs = state.p_up @ lowered
             worst = max(worst, float(np.abs(fd - rhs).max()))
@@ -521,7 +525,8 @@ def arc_curve(tau0: float, amp: float, k: int = 2) -> Curve:
         lambda u: (amp * k * math.pi * math.sin(2 * k * math.pi * u) * 1.0, math.pi))
 
 
-def _simpson_weights(n_nodes: int, du: float) -> np.ndarray:
+def simpson_weights(n_nodes: int, du: float) -> np.ndarray:
+    """Composite Simpson weights for n_nodes equally spaced nodes du apart."""
     if n_nodes % 2 == 0 or n_nodes < 3:
         raise InputError("composite Simpson needs an odd node count >= 3")
     w = np.ones(n_nodes)
@@ -544,7 +549,7 @@ def total_momentum(state: StringState, curve: Curve, n_nodes: int = 257
     t1, s1 = curve(1.0)
     if abs(s0) > 1e-9 or abs(s1 - math.pi) > 1e-9:
         raise PreconditionError("curve endpoints must sit on sigma = 0 and sigma = pi")
-    w = _simpson_weights(n_nodes, us[1] - us[0])
+    w = simpson_weights(n_nodes, us[1] - us[0])
     signs = state.space.signs
     acc = np.zeros((2, state.space.size), dtype=complex)
     for u, wu in zip(us, w):
@@ -596,6 +601,27 @@ def estimate_order(res_h: float, res_h2: float) -> float:
     if res_h2 <= 0 or res_h <= 0:
         raise InputError("residuals must be positive to estimate an order")
     return math.log2(res_h / res_h2)
+
+
+def residual_suite(state: StringState, h: float | None = None
+                   ) -> tuple[dict[str, float], dict[str, float]]:
+    """Worst residual of each finite-difference suite at step h, and its order.
+
+    Returns ``(residuals, orders)`` keyed "box", "f51", "f52", "f90".  Orders
+    come from the steps 2e-3 and 1e-3, where truncation dominates roundoff;
+    each distinct step is evaluated once.
+    """
+    if h is None:
+        h = state.h_grid
+    coarse, fine = 2e-3, 1e-3
+    residuals = {}
+    orders = {}
+    for name, fn in (("box", wave_residual), ("f51", residual_f51),
+                     ("f52", residual_f52), ("f90", dilaton_residual)):
+        worst = {step: float(fn(state, h=step).max()) for step in {h, coarse, fine}}
+        residuals[name] = worst[h]
+        orders[name] = estimate_order(worst[coarse], worst[fine])
+    return residuals, orders
 
 
 # -- JSON interface ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from cliffdyn.acceptance import _acceptance_mode_spec, string_suite
 from cliffdyn.cli import main
 from cliffdyn.clifford import hermitian_to_json
 from cliffdyn.sampling import random_hermitian
@@ -39,6 +41,19 @@ def test_resolve_rejects_non_hermitian(tmp_path):
     code = main(["resolve", "--input", str(tmp_path / "H.json"),
                  "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_resolve_rejects_non_finite(tmp_path, capsys, bad):
+    _write_json(tmp_path / "H.json",
+                {"n": 2, "re": [[1.0, bad], [bad, 0.0]], "im": [[0, 0], [0, 0]]})
+    code = main(["resolve", "--input", str(tmp_path / "H.json"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _particle_config(mu=0.7):
@@ -99,6 +114,17 @@ def test_string_run_with_residuals(tmp_path):
     report = json.loads((tmp_path / "out" / "residuals.json").read_text())
     assert report["f51_max_residual"] < 1e-6
     assert 1.8 <= report["f90_order"] <= 2.2
+
+
+def test_string_residuals_match_string_suite(tmp_path):
+    _write_json(tmp_path / "s.json", mode_spec_to_json(_acceptance_mode_spec()))
+    assert main(["string", "--config", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "out"), "--residuals"]) == 0
+    report = json.loads((tmp_path / "out" / "residuals.json").read_text())
+    details = string_suite(0).details
+    for name in ("box", "f51", "f52", "f90"):
+        assert report[f"{name}_max_residual"] == details[f"{name}_residual"]
+        assert report[f"{name}_order"] == details[f"{name}_order"]
 
 
 def test_string_rejects_bad_spec(tmp_path):

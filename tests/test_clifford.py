@@ -18,7 +18,7 @@ from cliffdyn.clifford import (
     validate_hermitian,
 )
 from cliffdyn.errors import InputError, PreconditionError
-from cliffdyn.sampling import random_hermitian
+from cliffdyn.sampling import random_hermitian, random_unitary
 
 
 def test_allocate_generator_norms():
@@ -144,6 +144,26 @@ def test_hermitian_eig_random_reconstruction():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(InputError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermitian_eig_rejects_non_finite(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        hermitian_eig(np.array([[1.0, bad], [bad, 0.0]]))
+
+
+def test_resolve_degenerate_spectrum_n8():
+    rng = np.random.default_rng(8)
+    U = random_unitary(rng, 8)
+    H = (U * [2.0, 2.0, 2.0, -1.0, -1.0, 0.0, 0.0, 0.0]) @ U.conj().T
+    H = 0.5 * (H + H.conj().T)
+    V, lam = hermitian_eig(H)
+    assert np.abs((V * lam) @ V.conj().T - H).max() < 1e-11
+    assert np.all(np.diff(lam) <= 0.0)
+    assert np.allclose(lam, [2, 2, 2, 0, 0, 0, -1, -1], atol=1e-12)
+    res = resolve_hermitian(H, allocate(16, 16))
+    assert res.gram_residual() < 1e-10
+    assert res.null_residual() < 1e-12
 
 
 def test_resolve_diag_plus_minus():
