@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clifford, current_algebra, matrixmech, particle, worldsheet
+from .errors import VerificationError
 from .sampling import random_fourvector, random_hermitian, random_timelike, random_unitary
 from .spinors import eta_flip, flip_both, spinor_to_vec, vec_to_spinor
 from .tolerances import DEFAULT, Tolerances
@@ -231,11 +232,16 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
                 g1 = max(g1, abs(lhs - rhs) / max(1.0, abs(rhs)))
                 g1 = max(g1, abs(current_algebra.current_bracket_dotted(
                     sample, A, B, E, F, k, k)))
-    pres, charge_report = current_algebra.charge_algebra(sample)
+    try:
+        charge = current_algebra.charge_algebra(sample)
+        _, _, su2_report = current_algebra.nk_decomposition(charge[0])
+        poincare = current_algebra.poincare_check(sample, charge=charge)
+        unitary = current_algebra.unitary_current_check(sample)
+    except VerificationError as exc:
+        return CriterionResult("algebra suite", False,
+                               {"g1_residual": g1, "error": str(exc), **exc.details})
+    pres, charge_report = charge
     dagger_cross = float(np.abs(pres.f[:3, 3:, :]).max())
-    _, _, su2_report = current_algebra.nk_decomposition(pres)
-    poincare = current_algebra.poincare_check(sample)
-    unitary = current_algebra.unitary_current_check(sample)
     passed = (g1 < tols.g1_identity
               and dagger_cross == 0.0
               and su2_report["max_residual"] < tols.algebra_closure

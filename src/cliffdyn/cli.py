@@ -80,12 +80,13 @@ def cmd_resolve(args) -> int:
 
 def _einbein_from_config(spec: dict, tau0: float) -> particle.EinbeinFn:
     kind = spec.get("type", "const")
-    params = spec.get("params", {})
+    params = {key: float(value) for key, value in spec.get("params", {}).items()}
+    if not all(math.isfinite(value) for value in params.values()):
+        raise InputError(f"einbein parameters must be finite, got {params}")
     if kind == "const":
-        return particle.constant_einbein(float(params.get("e0", 1.0)), tau0=tau0)
+        return particle.constant_einbein(params.get("e0", 1.0), tau0=tau0)
     if kind == "linear":
-        return particle.linear_einbein(float(params.get("a", 1.0)),
-                                       float(params.get("b", 0.0)), tau0=tau0)
+        return particle.linear_einbein(params.get("a", 1.0), params.get("b", 0.0), tau0=tau0)
     raise InputError(f"unknown einbein type {kind!r}")
 
 

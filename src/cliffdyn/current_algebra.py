@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import DP_DOWN, EPS_LO, ETA
-from .worldsheet import Curve, StringState, dstar_upper, eval_c_packed, simpson_weights
+from .worldsheet import Curve, StringState, curve_polymomenta, eval_c_packed, simpson_weights
 
 __all__ = [
     "CurrentSample",
@@ -45,11 +45,22 @@ __all__ = [
 ]
 
 _SYM = ((0, 0), (0, 1), (1, 1))        # independent symmetric index pairs
+_SYM_INDEX = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+_PAIRS4 = ((0, 0), (0, 1), (1, 0), (1, 1))   # momentum entries, row-major
 
 
-def _eps_lower(pair: np.ndarray) -> np.ndarray:
-    """Right-lower a doublet stack (2, ...): v_A = v^B eps_{BA}."""
-    return np.stack([pair[1], -pair[0]])
+@dataclass
+class _ChargeRecord:
+    """Functional derivatives of one charge, sampled on the grid.
+
+    Each field is None or an (n, 2, G) array: the derivative with respect to
+    c^A(u_m), d*_A(u_m), conj(c)^A(u_m), conj(d*)_A(u_m) respectively.
+    """
+
+    dc: np.ndarray | None = None
+    dds: np.ndarray | None = None
+    dcs: np.ndarray | None = None
+    dd: np.ndarray | None = None
 
 
 @dataclass
@@ -60,6 +71,8 @@ class CurrentSample:
     momentum density (the epsilon projection along the curve); ``j`` are the
     symmetric SL(2, C) current scalars and ``icur`` the U(1) current.
     ``weights`` are composite Simpson weights for the total charges.
+    ``j_records[_SYM_INDEX[A, B]]`` holds the functional derivatives of j_(AB)
+    and ``jd_records`` those of the dagger currents.
     """
 
     us: np.ndarray
@@ -70,6 +83,8 @@ class CurrentSample:
     signs: np.ndarray
     j: np.ndarray          # (n, 2, 2) complex, symmetric per point
     icur: np.ndarray       # (n,) complex
+    j_records: tuple[_ChargeRecord, ...]
+    jd_records: tuple[_ChargeRecord, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -90,78 +105,44 @@ class CurrentSample:
         return (dt * self.signs) @ dt.conj().T
 
 
+def _j_record(c_low: np.ndarray, dproj: np.ndarray, A: int, B: int) -> _ChargeRecord:
+    """Derivatives of j_(AB) = bullet(c_A, d*_B) + bullet(c_B, d*_A) at every node."""
+    dc = EPS_LO[:, A][None, :, None] * dproj[:, B][:, None, :] \
+        + EPS_LO[:, B][None, :, None] * dproj[:, A][:, None, :]
+    dds = np.zeros_like(dproj)
+    dds[:, B] += c_low[:, A]
+    dds[:, A] += c_low[:, B]
+    return _ChargeRecord(dc=dc, dds=dds)
+
+
 def _make_sample(us, du, c, dproj, signs) -> CurrentSample:
-    n = len(us)
-    j = np.empty((n, 2, 2), dtype=complex)
-    icur = np.empty(n, dtype=complex)
-    for m in range(n):
-        c_low = _eps_lower(c[m])
-        jm = (c_low * signs) @ dproj[m].T          # bullet(c_A, d*_B)
-        j[m] = jm + jm.T
-        tr = np.trace((c[m] * signs) @ dproj[m].T)
-        icur[m] = 1j * (tr - np.conj(tr))
-    return CurrentSample(us, du, simpson_weights(n, du), c, dproj, signs, j, icur)
+    c_low = np.stack([c[:, 1], -c[:, 0]], axis=1)      # v_A = v^B eps_{BA} per node
+    dproj_t = np.swapaxes(dproj, 1, 2)
+    jm = (c_low * signs) @ dproj_t                     # bullet(c_A, d*_B)
+    j = jm + np.swapaxes(jm, 1, 2)
+    tr = np.trace((c * signs) @ dproj_t, axis1=1, axis2=2)
+    icur = 1j * (tr - np.conj(tr))
+    recs = tuple(_j_record(c_low, dproj, A, B) for A, B in _SYM)
+    recs_d = tuple(_ChargeRecord(dcs=r.dc.conj(), dd=r.dds.conj()) for r in recs)
+    return CurrentSample(us, du, simpson_weights(len(us), du), c, dproj, signs, j, icur,
+                         recs, recs_d)
 
 
 def sample_currents(state: StringState, curve: Curve, n_points: int = 128
                     ) -> CurrentSample:
     """Evaluate the currents at n_points + 1 nodes along a spacelike curve."""
     us = np.linspace(0.0, 1.0, n_points + 1)
-    du = float(us[1] - us[0])
-    G = state.space.size
-    c = np.empty((len(us), 2, G), dtype=complex)
-    dproj = np.empty((len(us), 2, G), dtype=complex)
-    for m, u in enumerate(us):
-        t, s = curve(float(u))
-        vt, vs = curve.velocity(float(u))
-        if vs ** 2 - vt ** 2 <= 0:
-            raise PreconditionError(f"curve is not spacelike at u = {u}")
-        ds = dstar_upper(state, t, s)
-        c[m] = eval_c_packed(state, t, s)
-        dproj[m] = vs * ds[0] - vt * ds[1]
-    return _make_sample(us, du, c, dproj, state.space.signs)
+    points, dproj = curve_polymomenta(state, curve, us)
+    c = np.stack([eval_c_packed(state, t, s) for t, s in points])
+    return _make_sample(us, float(us[1] - us[0]), c, dproj, state.space.signs)
 
 
-# -- functional-derivative records and the bracket engine ------------------------
-
-@dataclass
-class _ChargeRecord:
-    """Functional derivatives of one charge, sampled on the grid.
-
-    Each field is None or an (n, 2, G) array: the derivative with respect to
-    c^A(u_m), d*_A(u_m), conj(c)^A(u_m), conj(d*)_A(u_m) respectively.
-    """
-
-    dc: np.ndarray | None = None
-    dds: np.ndarray | None = None
-    dcs: np.ndarray | None = None
-    dd: np.ndarray | None = None
-
-
-def _j_record(sample: CurrentSample, A: int, B: int) -> _ChargeRecord:
-    n, _, G = sample.c.shape
-    dc = np.zeros((n, 2, G), dtype=complex)
-    dds = np.zeros((n, 2, G), dtype=complex)
-    for m in range(n):
-        c_low = _eps_lower(sample.c[m])
-        for Gi in range(2):
-            dc[m, Gi] = EPS_LO[Gi, A] * sample.dproj[m, B] \
-                + EPS_LO[Gi, B] * sample.dproj[m, A]
-        dds[m, B] += c_low[A]
-        dds[m, A] += c_low[B]
-    return _ChargeRecord(dc=dc, dds=dds)
-
-
-def _j_dagger_record(sample: CurrentSample, A: int, B: int) -> _ChargeRecord:
-    rec = _j_record(sample, A, B)
-    return _ChargeRecord(dcs=rec.dc.conj(), dd=rec.dds.conj())
-
+# -- the bracket engine ------------------------------------------------------------
 
 def _p_record(sample: CurrentSample, E: int, F: int) -> _ChargeRecord:
-    n, _, G = sample.c.shape
     dt = sample.dstar_total()
-    dds = np.zeros((n, 2, G), dtype=complex)
-    dd = np.zeros((n, 2, G), dtype=complex)
+    dds = np.zeros_like(sample.dproj)
+    dd = np.zeros_like(sample.dproj)
     dds[:, E, :] = dt[F].conj()
     dd[:, F, :] = dt[E]
     return _ChargeRecord(dds=dds, dd=dd)
@@ -175,46 +156,48 @@ def _i_record(sample: CurrentSample) -> _ChargeRecord:
         dd=-1j * sample.c.conj())
 
 
-def _contract(sample: CurrentSample, X: np.ndarray | None, Y: np.ndarray | None
-              ) -> complex:
-    if X is None or Y is None:
-        return 0.0
-    return complex(np.einsum("m,mag,g,mag->", sample.weights, X, sample.signs, Y))
+def _pairings(sample: CurrentSample, F1: _ChargeRecord, F2: _ChargeRecord) -> np.ndarray:
+    """The derivative pairings of {F1, F2} at every node, before any measure."""
+    def contract(X, Y):
+        if X is None or Y is None:
+            return np.zeros(sample.n_nodes, dtype=complex)
+        return np.einsum("mag,g,mag->m", X, sample.signs, Y)
+
+    return (contract(F1.dc, F2.dds) + contract(F1.dcs, F2.dd)
+            - contract(F2.dc, F1.dds) - contract(F2.dcs, F1.dd))
 
 
 def _charge_bracket(sample: CurrentSample, F1: _ChargeRecord, F2: _ChargeRecord
                     ) -> complex:
-    return (_contract(sample, F1.dc, F2.dds) + _contract(sample, F1.dcs, F2.dd)
-            - _contract(sample, F2.dc, F1.dds) - _contract(sample, F2.dcs, F1.dd))
+    """{F1, F2} of integrated charges: the pairings summed with the Simpson weights."""
+    return complex(sample.weights @ _pairings(sample, F1, F2))
 
 
-def _point_contract(sample, X, Y, k) -> complex:
-    if X is None or Y is None:
-        return 0.0
-    return complex(np.einsum("ag,g,ag->", X[k], sample.signs, Y[k]))
-
-
-def _point_bracket(sample, F1, F2, k, l) -> complex:
-    if k != l:
-        return 0.0
-    val = (_point_contract(sample, F1.dc, F2.dds, k)
-           + _point_contract(sample, F1.dcs, F2.dd, k)
-           - _point_contract(sample, F2.dc, F1.dds, k)
-           - _point_contract(sample, F2.dcs, F1.dd, k))
-    return val / sample.du
+def _node_brackets(sample: CurrentSample, F1: _ChargeRecord, F2: _ChargeRecord
+                   ) -> np.ndarray:
+    """{F1(u_m), F2(u_m)} at every node m, with the lattice delta 1/du."""
+    val = _pairings(sample, F1, F2)
+    # divide each part by du, as Python's complex / float does; numpy's
+    # complex division multiplies by a rounded reciprocal instead
+    return (val.view(float) / sample.du).view(complex)
 
 
 def current_bracket(sample: CurrentSample, A: int, B: int, E: int, F: int,
                     k: int, l: int) -> complex:
     """Discretized {j_AB(u_k), j_EF(u_l)}; supported on k = l with weight 1/du."""
-    return _point_bracket(sample, _j_record(sample, A, B), _j_record(sample, E, F), k, l)
+    if k != l:
+        return 0.0
+    recs = sample.j_records
+    return complex(_node_brackets(sample, recs[_SYM_INDEX[A, B]], recs[_SYM_INDEX[E, F]])[k])
 
 
 def current_bracket_dotted(sample: CurrentSample, A: int, B: int, E: int, F: int,
                            k: int, l: int) -> complex:
     """{j_AB(u_k), conj-current j_EF(u_l)}: vanishes identically."""
-    return _point_bracket(sample, _j_record(sample, A, B),
-                          _j_dagger_record(sample, E, F), k, l)
+    if k != l:
+        return 0.0
+    return complex(_node_brackets(sample, sample.j_records[_SYM_INDEX[A, B]],
+                                  sample.jd_records[_SYM_INDEX[E, F]])[k])
 
 
 def g1_pattern(sample: CurrentSample, A: int, B: int, E: int, F: int,
@@ -259,12 +242,11 @@ def _jj_pattern_constants() -> np.ndarray:
     {J_(AB), J_(EF)} follows from the epsilon pattern.
     """
     f = np.zeros((3, 3, 3), dtype=complex)
-    index = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
     for ia, (A, B) in enumerate(_SYM):
         for ie, (E, F) in enumerate(_SYM):
             # ((j_AE eps_FB + A<->B) + E<->F)
             for (a, e, fb, eb) in ((A, E, F, B), (B, E, F, A), (A, F, E, B), (B, F, E, A)):
-                f[ia, ie, index[(a, e)]] += EPS_LO[fb, eb]
+                f[ia, ie, _SYM_INDEX[(a, e)]] += EPS_LO[fb, eb]
     return f
 
 
@@ -282,8 +264,7 @@ def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
     jt = sample.j_total()
     f_cl = _jj_pattern_constants()
     jvec = np.array([jt[0, 0], jt[0, 1], jt[1, 1]])
-    recs = [_j_record(sample, *p) for p in _SYM]
-    recs_d = [_j_dagger_record(sample, *p) for p in _SYM]
+    recs, recs_d = sample.j_records, sample.jd_records
     scale = max(1.0, float(np.abs(jvec).max()))
     worst_fit = 0.0
     worst_cross = 0.0
@@ -298,9 +279,11 @@ def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
             cross = _charge_bracket(sample, recs[ia], recs_d[ie])
             worst_cross = max(worst_cross, abs(cross) / scale)
     if worst_fit > rel_tol:
-        raise VerificationError(f"charge algebra closure off by {worst_fit:.3e}")
+        raise VerificationError(f"charge algebra closure off by {worst_fit:.3e}",
+                                closure_rel_residual=worst_fit)
     if worst_cross > rel_tol:
-        raise VerificationError(f"dotted-undotted brackets nonzero: {worst_cross:.3e}")
+        raise VerificationError(f"dotted-undotted brackets nonzero: {worst_cross:.3e}",
+                                dagger_cross_residual=worst_cross)
     # the dagger charges close with the same real epsilon pattern (their
     # values conjugate, the coefficients do not); i hbar multiplies uniformly
     f = np.zeros((6, 6, 6), dtype=complex)
@@ -316,7 +299,8 @@ def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
     }
     if report["jacobi_residual"] > rel_tol:
         raise VerificationError(
-            f"Jacobi residual {report['jacobi_residual']:.3e} signals discretization error")
+            f"Jacobi residual {report['jacobi_residual']:.3e} signals discretization error",
+            jacobi_residual=report["jacobi_residual"])
     return pres, report
 
 
@@ -339,13 +323,11 @@ def fit_structure_constants(samples: Sequence[CurrentSample]) -> np.ndarray:
             "current components are linearly dependent on the sampled curves; "
             "add another slice to pin the structure constants")
     f_fit = np.zeros((3, 3, 3), dtype=complex)
-    for ia, pa in enumerate(_SYM):
-        for ie, pe in enumerate(_SYM):
+    for ia in range(3):
+        for ie in range(3):
             target = np.concatenate([
-                np.array([s.du * _point_bracket(s, _j_record(s, *pa), _j_record(s, *pe), k, k)
-                          for k in range(s.n_nodes)]) for s in samples])
-            sol, *_ = np.linalg.lstsq(rows, target, rcond=None)
-            f_fit[ia, ie] = sol
+                s.du * _node_brackets(s, s.j_records[ia], s.j_records[ie]) for s in samples])
+            f_fit[ia, ie] = np.linalg.lstsq(rows, target, rcond=None)[0]
     return f_fit
 
 
@@ -397,9 +379,10 @@ def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
             worst_cross = float(np.abs(pres.bracket(N[i], Nd[j])).max())
             worst = max(worst, worst_cross)
     if worst > tol:
-        raise VerificationError(f"su(2) decomposition residual {worst:.3e}")
+        raise VerificationError(f"su(2) decomposition residual {worst:.3e}",
+                                su2_residual=worst)
     if abs(abs(s) - hbar) > tol:
-        raise VerificationError(f"closure constant |{s}| != hbar")
+        raise VerificationError(f"closure constant |{s}| != hbar", closure_constant=s)
     f_su2 = s * eps3.astype(complex)
     suA = LiePresentation(("N1", "N2", "N3"), f_su2)
     suB = LiePresentation(("Nd1", "Nd2", "Nd3"), f_su2.copy())
@@ -407,7 +390,8 @@ def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
     casimir = float(np.abs(f_su2 + np.swapaxes(f_su2, 0, 2)).max())
     report = {"closure_constant": s, "max_residual": worst, "casimir_residual": casimir}
     if casimir > tol:
-        raise VerificationError(f"Casimir fails to be central: {casimir:.3e}")
+        raise VerificationError(f"Casimir fails to be central: {casimir:.3e}",
+                                casimir_residual=casimir)
     return suA, suB, report
 
 
@@ -418,7 +402,7 @@ def _pj_pattern(p_tot: np.ndarray) -> np.ndarray:
     the symmetric charge pairs; entries are complex bracket values.
     """
     out = np.zeros((4, 3), dtype=complex)
-    for r, (E, F) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+    for r, (E, F) in enumerate(_PAIRS4):
         for coli, (A, B) in enumerate(_SYM):
             out[r, coli] = -(EPS_LO[E, A] * p_tot[B, F] + EPS_LO[E, B] * p_tot[A, F])
     return out
@@ -426,48 +410,43 @@ def _pj_pattern(p_tot: np.ndarray) -> np.ndarray:
 
 def poincare_check(sample: CurrentSample, hbar: float = 1.0,
                    tol: float = 1e-10,
-                   pres: LiePresentation | None = None) -> dict:
+                   charge: tuple[LiePresentation, dict] | None = None) -> dict:
     """Verify the full Poincare algebra of (M_munu, P_mu) against a matrix oracle.
 
     Builds the ten-generator structure table from the verified bracket
-    patterns: charge algebra on (J, Jdagger) (assembled here unless a
-    presentation is passed in), vanishing [P, P], and the mixed
+    patterns: charge algebra on (J, Jdagger) (assembled here unless the
+    ``charge_algebra(sample, hbar)`` result is passed in as ``charge``),
+    vanishing [P, P], and the mixed
     momentum-charge pattern; maps (J, Jdagger) -> N -> (M_munu) and the
     momentum entries -> P_mu; compares every structure constant against an
     independent 5x5 affine matrix representation.
     """
-    if pres is None:
-        pres, charge_report = charge_algebra(sample, hbar=hbar)
-    else:
-        _, charge_report = charge_algebra(sample, hbar=hbar)
+    pres, charge_report = charge if charge is not None else charge_algebra(sample, hbar=hbar)
     p_tot = sample.p_total()
     scale = max(1.0, float(np.abs(p_tot).max()))
     # verify the mixed pattern and [P, P] = 0 through the bracket engine
-    p_recs = {pair: _p_record(sample, *pair) for pair in
-              ((0, 0), (0, 1), (1, 0), (1, 1))}
+    p_recs = {pair: _p_record(sample, *pair) for pair in _PAIRS4}
     pat = _pj_pattern(p_tot)
     worst_pj = 0.0
-    for r, pair in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        for coli, sym in enumerate(_SYM):
-            num = _charge_bracket(sample, p_recs[pair], _j_record(sample, *sym))
+    for r, pair in enumerate(_PAIRS4):
+        for coli, jrec in enumerate(sample.j_records):
+            num = _charge_bracket(sample, p_recs[pair], jrec)
             worst_pj = max(worst_pj, abs(num - pat[r, coli]) / scale)
     worst_pp = 0.0
-    pairs4 = ((0, 0), (0, 1), (1, 0), (1, 1))
-    for pa in pairs4:
-        for pb in pairs4:
+    for pa in _PAIRS4:
+        for pb in _PAIRS4:
             worst_pp = max(worst_pp, abs(_charge_bracket(sample, p_recs[pa], p_recs[pb])))
     if worst_pj > 1e-9:
-        raise VerificationError(f"momentum-charge bracket pattern off by {worst_pj:.3e}")
+        raise VerificationError(f"momentum-charge bracket pattern off by {worst_pj:.3e}",
+                                pj_pattern_residual=worst_pj)
     if worst_pp != 0.0:
-        raise VerificationError("[P, P] failed to vanish exactly")
+        raise VerificationError("[P, P] failed to vanish exactly", pp_residual=worst_pp)
 
     # ten-generator table over (J(3), Jd(3), P entries(4)); every constant is
     # the quantum i hbar times the classical pattern
-    nbasis = 10
-    f = np.zeros((nbasis, nbasis, nbasis), dtype=complex)
+    f = np.zeros((10, 10, 10), dtype=complex)
     f[:6, :6, :6] = pres.f
-    index_p = {pair: 6 + r for r, pair in enumerate(pairs4)}
-    sym_index = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+    index_p = {pair: 6 + r for r, pair in enumerate(_PAIRS4)}
     for (E, F), rp in index_p.items():
         for coli, (A, B) in enumerate(_SYM):
             # {p_EF, j_AB} = -(eps_EA p_BF + eps_EB p_AF)
@@ -498,10 +477,10 @@ def poincare_check(sample: CurrentSample, hbar: float = 1.0,
     S[4] = K[1]                               # M_20
     S[5] = K[2]                               # M_30
     for mu in range(4):
-        for r, (A, B) in enumerate(pairs4):
+        for r, (A, B) in enumerate(_PAIRS4):
             S[6 + mu, 6 + r] = DP_DOWN[mu, A, B]
     Sinv = np.linalg.inv(S)
-    F_mine = np.einsum("ia,jb,abc,ck->ijk", S, S, f, Sinv)
+    F_mine = np.einsum("ia,jb,abc,ck->ijk", S, S, f, Sinv, optimize=True)
 
     F_oracle, oracle_labels = poincare_matrix_oracle(hbar)
     diff = float(np.abs(F_mine - F_oracle).max())
@@ -516,7 +495,8 @@ def poincare_check(sample: CurrentSample, hbar: float = 1.0,
         worst_idx = np.unravel_index(np.argmax(np.abs(F_mine - F_oracle)), F_mine.shape)
         report["offending_triple"] = tuple(oracle_labels[i] for i in worst_idx)
         raise VerificationError(
-            f"Poincare structure constants mismatch {diff:.3e} at {report['offending_triple']}")
+            f"Poincare structure constants mismatch {diff:.3e} at {report['offending_triple']}",
+            poincare_mismatch=diff, offending_triple=report["offending_triple"])
     return report
 
 
@@ -530,17 +510,15 @@ def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ..
     """
     gens = []
     labels = []
+    eye = np.eye(4)
     for (mu, nu) in ((1, 2), (1, 3), (2, 3), (1, 0), (2, 0), (3, 0)):
         g = np.zeros((5, 5), dtype=complex)
-        for a in range(4):
-            for b in range(4):
-                g[a, b] = 1j * hbar * (ETA[nu, b] * (a == mu) - ETA[mu, b] * (a == nu))
+        g[:4, :4] = 1j * hbar * (np.outer(eye[mu], ETA[nu]) - np.outer(eye[nu], ETA[mu]))
         gens.append(g)
         labels.append(f"M{mu}{nu}")
     for mu in range(4):
         g = np.zeros((5, 5), dtype=complex)
-        for a in range(4):
-            g[a, 4] = 1j * hbar * ETA[mu, a]      # P_mu, covariant components
+        g[:4, 4] = 1j * hbar * ETA[mu]      # P_mu, covariant components
         gens.append(g)
         labels.append(f"P{mu}")
     basis = np.stack([g.reshape(-1) for g in gens])           # (10, 25)
@@ -564,20 +542,17 @@ def unitary_current_check(sample: CurrentSample, tol: float = 1e-10) -> dict:
     integrated charge (zero for states whose mixed Gram trace is real).
     """
     irec = _i_record(sample)
-    worst_ii = 0.0
-    worst_ij = 0.0
-    nodes = range(0, sample.n_nodes, max(1, sample.n_nodes // 16))
-    for k in nodes:
-        worst_ii = max(worst_ii, abs(_point_bracket(sample, irec, irec, k, k)))
-        for pair in _SYM:
-            jrec = _j_record(sample, *pair)
-            worst_ij = max(worst_ij, abs(_point_bracket(sample, irec, jrec, k, k)))
+    nodes = slice(0, None, max(1, sample.n_nodes // 16))
+    worst_ii = float(np.abs(_node_brackets(sample, irec, irec)[nodes]).max())
+    worst_ij = max(float(np.abs(_node_brackets(sample, irec, jrec)[nodes]).max())
+                   for jrec in sample.j_records)
     report = {
         "ii_residual": worst_ii,
         "ij_residual": worst_ij,
         "i_total": sample.i_total(),
     }
-    if worst_ii > tol or worst_ij > tol:
+    if not (worst_ii <= tol and worst_ij <= tol):
         raise VerificationError(
-            f"unitary current brackets nonzero: {worst_ii:.3e}, {worst_ij:.3e}")
+            f"unitary current brackets nonzero: {worst_ii:.3e}, {worst_ij:.3e}",
+            ii_residual=worst_ii, ij_residual=worst_ij)
     return report

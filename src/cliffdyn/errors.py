@@ -18,4 +18,8 @@ class PreconditionError(CliffdynError, ValueError):
 
 
 class VerificationError(CliffdynError, ArithmeticError):
-    """A numerical identity failed beyond its tolerance."""
+    """A numerical identity failed beyond its tolerance; ``details`` holds the offending values."""
+
+    def __init__(self, message: str, **details):
+        super().__init__(message)
+        self.details = details

@@ -83,7 +83,7 @@ class EinbeinFn:
 
     def __call__(self, tau: float) -> float:
         value = float(self.fn(tau))
-        if value <= 0.0:
+        if not value > 0.0:
             raise PreconditionError(f"einbein must stay positive, got e({tau}) = {value}")
         return value
 

@@ -24,7 +24,6 @@ class Tolerances:
     straight_line: float = 1e-8
     constraint_drift: float = 1e-8
     mu_match: float = 1e-8
-    charge_drift: float = 1e-9
 
     # matrix mechanics
     unitary_covariance: float = 1e-10

@@ -61,6 +61,7 @@ __all__ = [
     "constant_time_curve",
     "arc_curve",
     "simpson_weights",
+    "curve_polymomenta",
     "total_momentum",
     "spinning_mode_spec",
     "spinning_string",
@@ -212,6 +213,9 @@ class StringState:
         self.L_up = spec.l_block()
         self.L_down = flip_both(self.L_up)
         self.p_up = self.L_up / self.p2 if abs(self.p2) > 1e-12 else None
+        # l_A . conj(l)_B against every allowed Gram block: the dilaton's mode coefficients
+        self.l_contractions = {pair: _l_contract(self, spec.block(*pair))
+                               for pair in spec._allowed_pairs()}
 
     def bullet_gram_residual(self) -> float:
         vecs = [self.vectors[(lab, A)] for lab in self.spec.labels for A in range(2)]
@@ -438,19 +442,16 @@ def dilaton(state: StringState, tau: float, sigma: float,
     zero.
     """
     spec = state.spec
+    lc = state.l_contractions
     m2 = spec.mass ** 2
     phi = k_const + k_lin[0] * tau + k_lin[1] * sigma + 0.5 * m2 * (tau ** 2 + sigma ** 2)
     mode_sum = 0.0 + 0.0j
     for n in spec.modes:
-        mode_sum += 0.5 * n ** 2 * _l_contract(state, spec.block(f"a{n}", f"a{n}")) \
-            * (tau + sigma) ** 2
-        mode_sum += 0.5 * n ** 2 * _l_contract(state, spec.block(f"b{n}", f"b{n}")) \
-            * (tau - sigma) ** 2
+        mode_sum += 0.5 * n ** 2 * lc[f"a{n}", f"a{n}"] * (tau + sigma) ** 2
+        mode_sum += 0.5 * n ** 2 * lc[f"b{n}", f"b{n}"] * (tau - sigma) ** 2
         if -n in spec.modes:
-            mode_sum += _l_contract(state, spec.block(f"a{n}", f"a{-n}")) \
-                * np.exp(1j * n * (tau + sigma))
-            mode_sum += _l_contract(state, spec.block(f"b{n}", f"b{-n}")) \
-                * np.exp(1j * n * (tau - sigma))
+            mode_sum += lc[f"a{n}", f"a{-n}"] * np.exp(1j * n * (tau + sigma))
+            mode_sum += lc[f"b{n}", f"b{-n}"] * np.exp(1j * n * (tau - sigma))
     phi += 0.25 / m2 ** 2 * mode_sum
     if abs(np.imag(phi)) > 1e-10 * max(1.0, abs(phi)):
         raise VerificationError("dilaton came out non-real")
@@ -535,6 +536,26 @@ def simpson_weights(n_nodes: int, du: float) -> np.ndarray:
     return w * du / 3.0
 
 
+def curve_polymomenta(state: StringState, curve: Curve, us: np.ndarray
+                      ) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """Node points and projected polymomenta along a spacelike curve.
+
+    Returns the (tau, sigma) points at ``us`` and, as an (n, 2, G) array,
+    dsigma^a eps_{ba} d*^b = sigma' d*^tau - tau' d*^sigma (eps_{01} = +1).
+    """
+    points = []
+    dproj = np.empty((len(us), 2, state.space.size), dtype=complex)
+    for m, u in enumerate(us):
+        t, s = curve(float(u))
+        vt, vs = curve.velocity(float(u))
+        if vs ** 2 - vt ** 2 <= 0:
+            raise PreconditionError(f"curve is not spacelike at u = {u}")
+        ds = dstar_upper(state, t, s)
+        points.append((t, s))
+        dproj[m] = vs * ds[0] - vt * ds[1]
+    return points, dproj
+
+
 def total_momentum(state: StringState, curve: Curve, n_nodes: int = 257
                    ) -> tuple[list[ClVector], np.ndarray]:
     """Total Clifford momentum and the induced total space-time momentum.
@@ -550,17 +571,11 @@ def total_momentum(state: StringState, curve: Curve, n_nodes: int = 257
     if abs(s0) > 1e-9 or abs(s1 - math.pi) > 1e-9:
         raise PreconditionError("curve endpoints must sit on sigma = 0 and sigma = pi")
     w = simpson_weights(n_nodes, us[1] - us[0])
-    signs = state.space.signs
+    _, dproj = curve_polymomenta(state, curve, us)
     acc = np.zeros((2, state.space.size), dtype=complex)
-    for u, wu in zip(us, w):
-        t, s = curve(float(u))
-        vt, vs = curve.velocity(float(u))
-        if vs ** 2 - vt ** 2 <= 0:
-            raise PreconditionError(f"curve is not spacelike at u = {u}")
-        ds = dstar_upper(state, t, s)
-        # dsigma^a eps_{ba} d*^b = sigma' d*^tau - tau' d*^sigma (eps_{01} = +1)
-        acc += wu * (vs * ds[0] - vt * ds[1])
-    p_tot = (acc * signs) @ acc.conj().T
+    for wu, row in zip(w, dproj):    # sequential: another order moves p_tot's last digits
+        acc += wu * row
+    p_tot = (acc * state.space.signs) @ acc.conj().T
     dtot = [ClVector(state.space, acc[A]) for A in range(2)]
     return dtot, p_tot
 

@@ -96,6 +96,20 @@ def test_particle_rejects_bad_config(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_particle_rejects_non_finite_einbein(tmp_path, capsys, bad):
+    cfg = _particle_config()
+    cfg["einbein"]["params"]["e0"] = bad
+    _write_json(tmp_path / "p.json", cfg)
+    code = main(["particle", "--config", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _string_config():
     spec = make_mode_spec(mass=1.1, modes=(1, -1),
                           k_block=0.2 * np.eye(2),
@@ -153,6 +167,30 @@ def test_verify_all_smoke(tmp_path, capsys):
     payload = json.loads((tmp_path / "verify.json").read_text())
     assert payload["passed"] is True
     assert payload["seed"] == 7
+
+
+def test_verify_all_reports_failed_algebra_check(capsys, monkeypatch):
+    from cliffdyn import current_algebra
+    from cliffdyn.errors import VerificationError
+
+    def broken(*args, **kwargs):
+        raise VerificationError("Poincare structure constants mismatch 1.000e-03",
+                                poincare_mismatch=1e-3, offending_triple=("M12", "P1", "P2"))
+
+    monkeypatch.setattr(current_algebra, "poincare_check", broken)
+    code = main(["verify-all", "--seed", "7", "--json"])
+    captured = capsys.readouterr()
+    rows = [line for line in captured.out.splitlines() if line.startswith("[")]
+    assert code == 1
+    assert len(rows) == 8
+    assert [r for r in rows if r.startswith("[FAIL]")] == [rows[-1]]
+    assert rows[-1].startswith("[FAIL] algebra suite")
+    assert "offending_triple=('M12', 'P1', 'P2')" in rows[-1]
+    payload = json.loads(captured.out[captured.out.index("{"):])
+    details = payload["criteria"][-1]["details"]
+    assert details["poincare_mismatch"] == 1e-3
+    assert details["error"].startswith("Poincare structure constants mismatch")
+    assert "1 criteria FAILED" in captured.err
 
 
 def test_verify_all_json_deterministic(tmp_path):

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from cliffdyn.errors import PreconditionError
+from cliffdyn.spinors import EPS_LO
 from cliffdyn.current_algebra import (
     LiePresentation,
+    _SYM_INDEX,
+    _ChargeRecord,
+    _charge_bracket,
+    _i_record,
     _make_sample,
+    _node_brackets,
+    _p_record,
     charge_algebra,
     current_bracket,
     current_bracket_dotted,
@@ -76,6 +83,109 @@ def test_no_mode_currents_constant_along_curve():
     st = build_wave_state(make_mode_spec(mass=MASS, k_block=0.4 * np.eye(2)))
     s = sample_currents(st, constant_time_curve(0.4), 32)
     assert np.abs(s.j - s.j[0]).max() < 1e-13
+
+
+# -- whole-sample engine against the per-node reference ---------------------------
+#
+# The reference is the per-node engine the whole-sample one replaced: records
+# built one node at a time and brackets contracted one node at a time.  The
+# engine must agree with it bit for bit.
+
+def _ref_j_record(sample, A, B):
+    n, _, G = sample.c.shape
+    dc = np.zeros((n, 2, G), dtype=complex)
+    dds = np.zeros((n, 2, G), dtype=complex)
+    for m in range(n):
+        c_low = np.stack([sample.c[m, 1], -sample.c[m, 0]])
+        for Gi in range(2):
+            dc[m, Gi] = EPS_LO[Gi, A] * sample.dproj[m, B] \
+                + EPS_LO[Gi, B] * sample.dproj[m, A]
+        dds[m, B] += c_low[A]
+        dds[m, A] += c_low[B]
+    return _ChargeRecord(dc=dc, dds=dds)
+
+
+def _ref_point_bracket(sample, F1, F2, k):
+    def contract(X, Y):
+        if X is None or Y is None:
+            return 0.0
+        return complex(np.einsum("ag,g,ag->", X[k], sample.signs, Y[k]))
+
+    val = (contract(F1.dc, F2.dds) + contract(F1.dcs, F2.dd)
+           - contract(F2.dc, F1.dds) - contract(F2.dcs, F1.dd))
+    return val / sample.du
+
+
+@pytest.fixture(scope="module", params=[16, 24, 128])
+def sized_sample(request, rich_state, sample):
+    if request.param == 128:
+        return sample
+    return sample_currents(rich_state, constant_time_curve(0.4), request.param)
+
+
+def test_sample_matches_per_node_reference(sized_sample):
+    s = sized_sample
+    for m in range(s.n_nodes):
+        c_low = np.stack([s.c[m, 1], -s.c[m, 0]])
+        jm = (c_low * s.signs) @ s.dproj[m].T
+        assert np.array_equal(s.j[m], jm + jm.T)
+        tr = np.trace((s.c[m] * s.signs) @ s.dproj[m].T)
+        assert s.icur[m] == 1j * (tr - np.conj(tr))
+    for A, B in SYM + ((1, 0),):
+        ref = _ref_j_record(s, A, B)
+        rec, rec_d = s.j_records[_SYM_INDEX[A, B]], s.jd_records[_SYM_INDEX[A, B]]
+        assert np.array_equal(rec.dc, ref.dc) and np.array_equal(rec.dds, ref.dds)
+        assert rec.dcs is None and rec.dd is None
+        assert np.array_equal(rec_d.dcs, ref.dc.conj())
+        assert np.array_equal(rec_d.dd, ref.dds.conj())
+        assert rec_d.dc is None and rec_d.dds is None
+
+
+def test_node_brackets_match_per_node_reference(sized_sample):
+    s = sized_sample
+    irec = _i_record(s)
+    pairs = [(F1, F2) for F1 in s.j_records for F2 in s.j_records + s.jd_records]
+    pairs += [(irec, irec)] + [(irec, F) for F in s.j_records]
+    for F1, F2 in pairs:
+        ref = np.array([_ref_point_bracket(s, F1, F2, k) for k in range(s.n_nodes)])
+        assert np.array_equal(_node_brackets(s, F1, F2), ref)
+
+
+def test_charge_bracket_matches_weighted_reference(sample):
+    """The engine weights the pairings summed per node; the reference contracts
+    each pairing with the weights in one sum.  The sums run in another order,
+    so they agree to the float64 summation bound n * eps * sum |terms|.
+    """
+    irec = _i_record(sample)
+    p_recs = [_p_record(sample, E, F) for E, F in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    pairs = [(F1, F2) for F1 in sample.j_records for F2 in sample.j_records + sample.jd_records]
+    pairs += [(irec, irec)] + [(P, F) for P in p_recs for F in sample.j_records]
+    for F1, F2 in pairs:
+        ref = 0.0
+        bound = 0.0
+        for sign, X, Y in ((1, F1.dc, F2.dds), (1, F1.dcs, F2.dd),
+                           (-1, F2.dc, F1.dds), (-1, F2.dcs, F1.dd)):
+            if X is None or Y is None:
+                continue
+            ref += sign * complex(np.einsum("m,mag,g,mag->", sample.weights, X, sample.signs, Y))
+            t = np.einsum("m,mag,g,mag->mag", sample.weights, X, sample.signs, Y)
+            bound += 4 * t.size * np.finfo(float).eps * float(np.abs(t).sum())
+        assert abs(_charge_bracket(sample, F1, F2) - ref) <= bound
+
+
+def test_fit_matches_per_node_reference(rich_state):
+    samples = [sample_currents(rich_state, constant_time_curve(t), 16) for t in (0.4, 0.9)]
+    rows = np.concatenate([
+        np.stack([s.j[:, 0, 0], s.j[:, 0, 1], s.j[:, 1, 1]], axis=1) for s in samples])
+    refs = [[_ref_j_record(s, *p) for p in SYM] for s in samples]
+    expect = np.zeros((3, 3, 3), dtype=complex)
+    for ia in range(3):
+        for ie in range(3):
+            target = np.concatenate([
+                np.array([s.du * _ref_point_bracket(s, r[ia], r[ie], k)
+                          for k in range(s.n_nodes)]) for s, r in zip(samples, refs)])
+            expect[ia, ie] = np.linalg.lstsq(rows, target, rcond=None)[0]
+    assert np.array_equal(fit_structure_constants(samples), expect)
 
 
 # -- pointwise brackets -----------------------------------------------------------
@@ -206,6 +316,18 @@ def test_poincare_structure_constants_match_oracle(sample):
     assert report["max_structure_mismatch"] < 1e-10
     assert report["pp_residual"] == 0.0
     assert report["pj_pattern_residual"] < 1e-10
+
+
+def test_poincare_check_reuses_given_charge_algebra(sample, monkeypatch):
+    import cliffdyn.current_algebra as ca
+    charge = charge_algebra(sample)
+    expect = poincare_check(sample)
+
+    def twice(*args, **kwargs):
+        raise AssertionError("charge_algebra recomputed")
+
+    monkeypatch.setattr(ca, "charge_algebra", twice)
+    assert poincare_check(sample, charge=charge) == expect
 
 
 def test_poincare_oracle_self_consistent():

@@ -298,6 +298,11 @@ def test_mu_against_scipy_oracle():
     assert val == pytest.approx(ref, rel=1e-11)
 
 
+def test_nan_einbein_rejected():
+    with pytest.raises(PreconditionError):
+        constant_einbein(float("nan"))(0.0)
+
+
 def test_mu_before_turning_point_rejected():
     with pytest.raises(PreconditionError):
         mu_of_tau(constant_einbein(1.0, tau0=0.0), MASS, -0.5)

@@ -13,7 +13,9 @@ from cliffdyn.worldsheet import (
     arc_curve,
     build_wave_state,
     constant_time_curve,
+    curve_polymomenta,
     dilaton,
+    dstar_upper,
     dilaton_residual,
     energy_momentum,
     estimate_order,
@@ -27,6 +29,7 @@ from cliffdyn.worldsheet import (
     momentum_and_polymomenta,
     residual_f51,
     residual_f52,
+    simpson_weights,
     spinning_mode_spec,
     spinning_string,
     total_momentum,
@@ -226,6 +229,34 @@ def test_dilaton_no_mode_closed_form(plain_state):
     assert dilaton_residual(plain_state, h=1e-3).max() < 1e-6
 
 
+def _ref_dilaton(state, tau, sigma):
+    """The dilaton with every mode's l contraction taken afresh, one mode at a time."""
+    spec = state.spec
+
+    def l_contract(block):
+        return complex(np.sum(state.L_down * block))
+
+    m2 = spec.mass ** 2
+    phi = 0.5 * m2 * (tau ** 2 + sigma ** 2)
+    mode_sum = 0.0 + 0.0j
+    for n in spec.modes:
+        mode_sum += 0.5 * n ** 2 * l_contract(spec.block(f"a{n}", f"a{n}")) * (tau + sigma) ** 2
+        mode_sum += 0.5 * n ** 2 * l_contract(spec.block(f"b{n}", f"b{n}")) * (tau - sigma) ** 2
+        if -n in spec.modes:
+            mode_sum += l_contract(spec.block(f"a{n}", f"a{-n}")) * np.exp(1j * n * (tau + sigma))
+            mode_sum += l_contract(spec.block(f"b{n}", f"b{-n}")) * np.exp(1j * n * (tau - sigma))
+    phi += 0.25 / m2 ** 2 * mode_sum
+    return float(np.real(phi))
+
+
+def test_dilaton_matches_per_mode_reference(rich_state):
+    assert len(rich_state.spec.modes) == 4
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        t, s = rng.uniform(-1.5, 1.5), rng.uniform(0.0, math.pi)
+        assert dilaton(rich_state, t, s) == _ref_dilaton(rich_state, t, s)
+
+
 def test_dilaton_residual_second_order(rich_state):
     r1 = dilaton_residual(rich_state, h=2e-3).max()
     r2 = dilaton_residual(rich_state, h=1e-3).max()
@@ -260,6 +291,23 @@ def test_total_momentum_nonvibrating_pi_squared_identity(plain_state):
     # and the straight curve equals the plain sigma integral of d*^tau
     assert bullet(dtot[0], dtot[0].conj()) == pytest.approx(
         math.pi ** 2 * p_down[0, 0], abs=1e-10)
+
+
+def test_total_momentum_matches_per_node_reference(rich_state):
+    curve = arc_curve(0.5, 0.2)
+    us = np.linspace(0.0, 1.0, 257)
+    points, dproj = curve_polymomenta(rich_state, curve, us)
+    w = simpson_weights(257, us[1] - us[0])
+    acc = np.zeros_like(dproj[0])
+    for m, (u, wu) in enumerate(zip(us, w)):
+        t, s = curve(float(u))
+        vt, vs = curve.velocity(float(u))
+        ds = dstar_upper(rich_state, t, s)
+        assert points[m] == (t, s)
+        assert np.array_equal(dproj[m], vs * ds[0] - vt * ds[1])
+        acc += wu * (vs * ds[0] - vt * ds[1])
+    _, p_tot = total_momentum(rich_state, curve)
+    assert np.array_equal(p_tot, (acc * rich_state.space.signs) @ acc.conj().T)
 
 
 def test_total_momentum_path_independent(rich_state):
