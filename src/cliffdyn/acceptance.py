@@ -234,9 +234,11 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
                     sample, A, B, E, F, k, k)))
     try:
         charge = current_algebra.charge_algebra(sample)
-        _, _, su2_report = current_algebra.nk_decomposition(charge[0])
-        poincare = current_algebra.poincare_check(sample, charge=charge)
-        unitary = current_algebra.unitary_current_check(sample)
+        _, _, su2_report = current_algebra.nk_decomposition(charge[0],
+                                                            tol=tols.algebra_closure)
+        poincare = current_algebra.poincare_check(sample, tol=tols.algebra_closure,
+                                                  charge=charge)
+        unitary = current_algebra.unitary_current_check(sample, tol=tols.unitary_brackets)
     except VerificationError as exc:
         return CriterionResult("algebra suite", False,
                                {"g1_residual": g1, "error": str(exc), **exc.details})

@@ -62,8 +62,7 @@ def cmd_resolve(args) -> int:
     out = {
         "n": n,
         "generator_signs": space.signs.tolist(),
-        "vectors": [{"re": v.coeffs.real.tolist(), "im": v.coeffs.imag.tolist()}
-                    for v in res.vectors],
+        "vectors": [{"re": row.real.tolist(), "im": row.imag.tolist()} for row in res.coeffs],
         "residual_matrix": {"re": residual_matrix.real.tolist(),
                             "im": residual_matrix.imag.tolist()},
         "gram_residual": gram_res,
@@ -97,6 +96,8 @@ def cmd_particle(args) -> int:
         tau0 = float(cfg["tau0"])
         tau_end = float(cfg["tau_end"])
         steps = int(cfg["steps"])
+        if not all(math.isfinite(v) for v in (mass, tau0, tau_end)):
+            raise InputError(f"mass, tau0 and tau_end must be finite, got {mass, tau0, tau_end}")
         gram = cfg["gram"]
         x = np.asarray(gram["x"], dtype=float)
         p = np.asarray(gram["p"], dtype=float)
@@ -116,10 +117,8 @@ def cmd_particle(args) -> int:
         return EXIT_INPUT
     # proper time is undefined wherever mu vanishes; refuse such windows
     mu0 = st.mu_charge()
-    mu_min = mu0
-    for t in np.linspace(tau0, tau_end, 64):
-        mu_min = min(mu_min, mu0 + particle.mu_of_tau(
-            particle.EinbeinFn(e.fn, tau0=tau0), mass, float(t)))
+    mu_min = min([mu0] + [mu0 + particle.mu_of_tau(e, mass, float(t))
+                          for t in np.linspace(tau0, tau_end, 64)])
     if mu_min <= 1e-12:
         print(f"refusing window containing mu = 0 (min mu = {mu_min:.3e}): "
               "proper time is undefined there", file=sys.stderr)

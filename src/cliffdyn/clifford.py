@@ -6,6 +6,11 @@ complex coefficient array over an orthogonal generator basis.  Generators are
 normalized to ``bullet(g, g) = +2`` (positive class) or ``-2`` (negative
 class).
 
+The package stores vectors as coefficient stacks, complex arrays of shape
+``(..., k, G)`` over a space of G generators, and takes their bullet Gram
+matrices with :func:`bullet_gram`.  :class:`ClVector` is the public view of
+one row; :func:`pack` and :func:`unpack` convert between the two.
+
 The complexified basis built by :func:`standard_basis` packages generator
 pairs into vectors ``E_i`` and ``F_i`` with
 
@@ -32,11 +37,15 @@ __all__ = [
     "allocate",
     "allocate_blocks",
     "bullet",
+    "bullet_gram",
+    "pack",
+    "unpack",
     "conj",
     "standard_basis",
     "hermitian_eig",
     "resolve_hermitian",
     "resolve_pair",
+    "resolve_pair_packed",
     "pair_space",
     "GramResolution",
     "validate_hermitian",
@@ -130,9 +139,6 @@ class ClVector:
     def conj(self) -> "ClVector":
         return ClVector(self.space, self.coeffs.conj())
 
-    def support(self) -> np.ndarray:
-        return np.nonzero(self.coeffs)[0]
-
     def __add__(self, other: "ClVector") -> "ClVector":
         _check_space(self, other)
         return ClVector(self.space, self.coeffs + other.coeffs)
@@ -153,8 +159,8 @@ class ClVector:
         return ClVector(self.space, -self.coeffs)
 
     def __repr__(self):
-        nz = self.support()
-        return f"ClVector({len(nz)} of {self.space.size} coefficients nonzero)"
+        nz = np.count_nonzero(self.coeffs)
+        return f"ClVector({nz} of {self.space.size} coefficients nonzero)"
 
 
 def _check_space(a: ClVector, b: ClVector) -> None:
@@ -195,6 +201,27 @@ def bullet(a: ClVector, b: ClVector) -> complex:
     return complex(np.sum(a.coeffs * b.coeffs * a.space.signs))
 
 
+def bullet_gram(V: np.ndarray, W: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """bullet(V_i, W_j) of coefficient stacks (..., k, G) and (..., l, G): shape (..., k, l).
+
+    Bilinear like :func:`bullet`; pass ``W.conj()`` for the Hermitian Gram
+    bullet(V_i, conj(W_j)).
+    """
+    return (V * signs) @ np.swapaxes(W, -1, -2)
+
+
+def pack(vectors: Sequence[ClVector]) -> np.ndarray:
+    """Coefficient stack (k, G) of vectors that share one generator space."""
+    for v in vectors[1:]:
+        _check_space(vectors[0], v)
+    return np.stack([v.coeffs for v in vectors])
+
+
+def unpack(space: GeneratorSpace, rows: np.ndarray) -> tuple[ClVector, ...]:
+    """The rows of a (k, G) coefficient stack as vectors of ``space``."""
+    return tuple(ClVector(space, row) for row in rows)
+
+
 def conj(v: ClVector) -> ClVector:
     return v.conj()
 
@@ -211,26 +238,30 @@ def standard_basis(space: GeneratorSpace, block: str | None = None
     The resulting product table (verified by unit test, not assumed):
     E.conj(E) = -delta, F.conj(F) = +delta, all other combinations zero.
     """
+    E, F = _standard_rows(space, _only_block(space, block))
+    return list(unpack(space, E)), list(unpack(space, F))
+
+
+def _only_block(space: GeneratorSpace, block: str | None) -> str:
     if block is None:
         if len(space.blocks) != 1:
             raise PreconditionError("space has several blocks; pass one explicitly")
         block = next(iter(space.blocks))
+    return block
+
+
+def _standard_rows(space: GeneratorSpace, block: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (E, F) basis of :func:`standard_basis` as two (n, G) stacks."""
     n_pos, n_neg = space.block_signature(block)
     if n_pos != n_neg or n_pos % 2 != 0:
         raise PreconditionError(
             f"block {block!r} has signature ({n_pos},{n_neg}); need (2n, 2n)")
     offset = space.blocks[block][0]
     n = n_pos // 2
-    E, F = [], []
-    for i in range(n):
-        f = np.zeros(space.size, dtype=complex)
-        f[offset + 2 * i] = -0.5j
-        f[offset + 2 * i + 1] = 0.5
-        F.append(ClVector(space, f))
-        e = np.zeros(space.size, dtype=complex)
-        e[offset + n_pos + 2 * i] = -0.5j
-        e[offset + n_pos + 2 * i + 1] = 0.5
-        E.append(ClVector(space, e))
+    E, F = np.zeros((2, n, space.size), dtype=complex)
+    rows, cols = np.arange(n), offset + 2 * np.arange(n)
+    F[rows, cols], F[rows, cols + 1] = -0.5j, 0.5
+    E[rows, n_pos + cols], E[rows, n_pos + cols + 1] = -0.5j, 0.5
     return E, F
 
 
@@ -263,28 +294,30 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class GramResolution:
-    """Vectors whose bullet Gram matrix reproduces a target Hermitian matrix."""
+    """Vectors whose bullet Gram matrix reproduces a target Hermitian matrix.
 
-    vectors: tuple[ClVector, ...]
+    ``coeffs`` is the (n, G) coefficient stack, one row per vector.
+    """
+
+    coeffs: np.ndarray
     target: np.ndarray
     space: GeneratorSpace
     block: str
 
+    @property
+    def vectors(self) -> tuple[ClVector, ...]:
+        return unpack(self.space, self.coeffs)
+
+    def _bullet_table(self, W: np.ndarray) -> np.ndarray:
+        # bullet(v_i, w_j) as the same elementwise sum :func:`bullet` takes,
+        # so each entry matches it bit for bit
+        return np.sum(self.coeffs[:, None] * W[None] * self.space.signs, axis=-1)
+
     def realized_gram(self) -> np.ndarray:
-        n = len(self.vectors)
-        G = np.empty((n, n), dtype=complex)
-        for i, vi in enumerate(self.vectors):
-            for j, vj in enumerate(self.vectors):
-                G[i, j] = bullet(vi, vj.conj())
-        return G
+        return self._bullet_table(self.coeffs.conj())
 
     def null_gram(self) -> np.ndarray:
-        n = len(self.vectors)
-        G = np.empty((n, n), dtype=complex)
-        for i, vi in enumerate(self.vectors):
-            for j, vj in enumerate(self.vectors):
-                G[i, j] = bullet(vi, vj)
-        return G
+        return self._bullet_table(self.coeffs)
 
     def gram_residual(self) -> float:
         return float(np.abs(self.realized_gram() - self.target).max())
@@ -294,10 +327,10 @@ class GramResolution:
 
     def verify(self, tols: Tolerances = DEFAULT) -> None:
         res = self.gram_residual()
-        if res > tols.gram_residual:
+        if not res <= tols.gram_residual:
             raise VerificationError(f"Gram residual {res:.3e} > {tols.gram_residual:.1e}")
         res = self.null_residual()
-        if res > tols.gram_null:
+        if not res <= tols.gram_null:
             raise VerificationError(f"same-kind residual {res:.3e} > {tols.gram_null:.1e}")
 
 
@@ -314,36 +347,30 @@ def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None,
     """
     H = validate_hermitian(H)
     n = H.shape[0]
-    if block is None:
-        if len(space.blocks) != 1:
-            raise PreconditionError("space has several blocks; pass one explicitly")
-        block = next(iter(space.blocks))
+    block = _only_block(space, block)
     n_pos, n_neg = space.block_signature(block)
     if n_pos < 2 * n or n_neg < 2 * n:
         raise PreconditionError(
             f"block {block!r} signature ({n_pos},{n_neg}) too small for a {n}x{n} matrix; "
             f"need at least ({2 * n},{2 * n})")
-    E, F = standard_basis(space, block)
+    E, F = _standard_rows(space, block)
     U, lam = hermitian_eig(H)
     if zero_rel is None:
         zero_rel = DEFAULT.eig_zero_rel
     zero_cut = zero_rel * (np.abs(lam).max(initial=0.0))
-    vectors = []
-    for i in range(n):
-        acc = np.zeros(space.size, dtype=complex)
-        for k in range(n):
-            if abs(lam[k]) <= zero_cut:
-                basis = E[k].coeffs + F[k].coeffs
-                weight = 1.0
-            elif lam[k] > 0:
-                basis = F[k].coeffs
-                weight = np.sqrt(lam[k])
-            else:
-                basis = E[k].coeffs
-                weight = np.sqrt(-lam[k])
-            acc = acc + U[i, k] * weight * basis
-        vectors.append(ClVector(space, acc))
-    return GramResolution(tuple(vectors), H.copy(), space, block)
+    rows = np.zeros((n, space.size), dtype=complex)
+    for k in range(n):                   # eigendirections in order, as the sum runs
+        if abs(lam[k]) <= zero_cut:
+            basis = E[k] + F[k]
+            weight = 1.0
+        elif lam[k] > 0:
+            basis = F[k]
+            weight = np.sqrt(lam[k])
+        else:
+            basis = E[k]
+            weight = np.sqrt(-lam[k])
+        rows = rows + (U[:, k] * weight)[:, None] * basis
+    return GramResolution(rows, H.copy(), space, block)
 
 
 def pair_space() -> GeneratorSpace:
@@ -354,7 +381,17 @@ def pair_space() -> GeneratorSpace:
 def resolve_pair(x, p, M, space: GeneratorSpace | None = None,
                  labels: tuple[str, str, str] = ("c", "d", "h")
                  ) -> tuple[list[ClVector], list[ClVector], GeneratorSpace]:
+    """:func:`resolve_pair_packed` with the doublets as vector lists."""
+    C, D, space = resolve_pair_packed(x, p, M, space, labels)
+    return list(unpack(space, C)), list(unpack(space, D)), space
+
+
+def resolve_pair_packed(x, p, M, space: GeneratorSpace | None = None,
+                        labels: tuple[str, str, str] = ("c", "d", "h")
+                        ) -> tuple[np.ndarray, np.ndarray, GeneratorSpace]:
     """Build spinor doublets c^A, d*_A with prescribed mutual Gram matrices.
+
+    Returns the (2, G) stacks of c and d* and the space they live on.
 
     Postconditions (all exact up to eigensolver residual):
 
@@ -374,6 +411,8 @@ def resolve_pair(x, p, M, space: GeneratorSpace | None = None,
     M = np.asarray(M, dtype=complex)
     if x.shape != (2, 2) or p.shape != (2, 2) or M.shape != (2, 2):
         raise InputError("resolve_pair expects 2x2 matrices")
+    if not np.all(np.isfinite(M)):
+        raise InputError(f"mixed Gram M must be finite, got {M.tolist()}")
     c_label, d_label, h_label = labels
     if space is None:
         space = pair_space()
@@ -385,19 +424,13 @@ def resolve_pair(x, p, M, space: GeneratorSpace | None = None,
         raise PreconditionError("h block needs at least two standard pairs (4,4)")
     res_x = resolve_hermitian(x, space, c_label)
     res_p = resolve_hermitian(p, space, d_label)
-    Eh, Fh = standard_basis(space, h_label)
-    c = list(res_x.vectors)
-    dstar = list(res_p.vectors)
-    for A in range(2):
-        shift = Eh[A] + Fh[A]                      # h_A, null, paired with A = identity
-        c[A] = c[A] + shift
-    for B in range(2):
-        acc = dstar[B]
-        for i in range(2):
-            hstar = (Eh[i] - Fh[i]).conj() * (-0.5)  # null partner with bullet(h_i, h_j*) = delta
-            acc = acc + complex(M[i, B]) * hstar
-        dstar[B] = acc
-    return c, dstar, space
+    E, F = _standard_rows(space, h_label)
+    C = res_x.coeffs + (E[:2] + F[:2])        # c_A + h_A: h_A null, paired with A
+    hstar = (E[:2] - F[:2]).conj() * complex(-0.5)   # null partners: bullet(h_i, h_j*) = delta
+    D = res_p.coeffs
+    for i in range(2):
+        D = D + hstar[i] * M[i, :, None]         # d*_B += M[i, B] h_i*
+    return C, D, space
 
 
 def hermitian_to_json(H) -> dict:

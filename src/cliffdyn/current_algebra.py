@@ -21,11 +21,13 @@ pointwise bracket identity holds with the sign pattern above.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .clifford import bullet_gram
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import DP_DOWN, EPS_LO, ETA
 from .worldsheet import Curve, StringState, curve_polymomenta, eval_c_packed, simpson_weights
@@ -102,7 +104,7 @@ class CurrentSample:
     def p_total(self) -> np.ndarray:
         """p_{AB} = bullet(d*tot_A, conj(d*tot_B))."""
         dt = self.dstar_total()
-        return (dt * self.signs) @ dt.conj().T
+        return bullet_gram(dt, dt.conj(), self.signs)
 
 
 def _j_record(c_low: np.ndarray, dproj: np.ndarray, A: int, B: int) -> _ChargeRecord:
@@ -266,22 +268,19 @@ def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
     jvec = np.array([jt[0, 0], jt[0, 1], jt[1, 1]])
     recs, recs_d = sample.j_records, sample.jd_records
     scale = max(1.0, float(np.abs(jvec).max()))
-    worst_fit = 0.0
-    worst_cross = 0.0
+    fit, cross = [], []                  # worst values taken by np.max, which keeps NaN
     for ia in range(3):
         for ie in range(3):
             num = _charge_bracket(sample, recs[ia], recs[ie])
-            pat = complex(f_cl[ia, ie] @ jvec)
-            worst_fit = max(worst_fit, abs(num - pat) / scale)
+            fit.append(abs(num - complex(f_cl[ia, ie] @ jvec)) / scale)
             num_d = _charge_bracket(sample, recs_d[ia], recs_d[ie])
-            pat_d = complex(np.conj(f_cl[ia, ie] @ jvec))
-            worst_fit = max(worst_fit, abs(num_d - pat_d) / scale)
-            cross = _charge_bracket(sample, recs[ia], recs_d[ie])
-            worst_cross = max(worst_cross, abs(cross) / scale)
-    if worst_fit > rel_tol:
+            fit.append(abs(num_d - complex(np.conj(f_cl[ia, ie] @ jvec))) / scale)
+            cross.append(abs(_charge_bracket(sample, recs[ia], recs_d[ie])) / scale)
+    worst_fit, worst_cross = float(np.max(fit)), float(np.max(cross))
+    if not worst_fit <= rel_tol:
         raise VerificationError(f"charge algebra closure off by {worst_fit:.3e}",
                                 closure_rel_residual=worst_fit)
-    if worst_cross > rel_tol:
+    if not worst_cross <= rel_tol:
         raise VerificationError(f"dotted-undotted brackets nonzero: {worst_cross:.3e}",
                                 dagger_cross_residual=worst_cross)
     # the dagger charges close with the same real epsilon pattern (their
@@ -297,7 +296,7 @@ def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
         "jacobi_residual": pres.jacobi_residual(),
         "antisymmetry_residual": pres.antisymmetry_residual(),
     }
-    if report["jacobi_residual"] > rel_tol:
+    if not report["jacobi_residual"] <= rel_tol:
         raise VerificationError(
             f"Jacobi residual {report['jacobi_residual']:.3e} signals discretization error",
             jacobi_residual=report["jacobi_residual"])
@@ -361,27 +360,26 @@ def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
     Nd = np.zeros((3, 6), dtype=complex)
     Nd[:, 3:] = np.conj(_n_basis())
     eps3 = np.zeros((3, 3, 3))
-    for i, j, k, v in ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
-                       (1, 0, 2, -1.0), (2, 1, 0, -1.0), (0, 2, 1, -1.0)):
-        eps3[i, j, k] = v
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps3[i, j, k], eps3[j, i, k] = 1.0, -1.0
     # fit the closure constant from [N_1, N_2] = s N_3; the dagger triple
     # closes with the same s (same pattern constants, conjugated coefficients)
     comm12 = pres.bracket(N[0], N[1])
     denom = N[2][np.argmax(np.abs(N[2]))]
     s = complex(comm12[np.argmax(np.abs(N[2]))] / denom)
-    worst = 0.0
+    residuals = []
     for i in range(3):
         for j in range(3):
             expect = s * np.einsum("k,kc->c", eps3[i, j], N)
-            worst = max(worst, float(np.abs(pres.bracket(N[i], N[j]) - expect).max()))
+            residuals.append(np.abs(pres.bracket(N[i], N[j]) - expect).max())
             expect_d = s * np.einsum("k,kc->c", eps3[i, j], Nd)
-            worst = max(worst, float(np.abs(pres.bracket(Nd[i], Nd[j]) - expect_d).max()))
-            worst_cross = float(np.abs(pres.bracket(N[i], Nd[j])).max())
-            worst = max(worst, worst_cross)
-    if worst > tol:
+            residuals.append(np.abs(pres.bracket(Nd[i], Nd[j]) - expect_d).max())
+            residuals.append(np.abs(pres.bracket(N[i], Nd[j])).max())
+    worst = float(np.max(residuals))
+    if not worst <= tol:
         raise VerificationError(f"su(2) decomposition residual {worst:.3e}",
                                 su2_residual=worst)
-    if abs(abs(s) - hbar) > tol:
+    if not abs(abs(s) - hbar) <= tol:
         raise VerificationError(f"closure constant |{s}| != hbar", closure_constant=s)
     f_su2 = s * eps3.astype(complex)
     suA = LiePresentation(("N1", "N2", "N3"), f_su2)
@@ -389,7 +387,7 @@ def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
     # Casimir N.N central <=> f antisymmetric in (first, last) slots
     casimir = float(np.abs(f_su2 + np.swapaxes(f_su2, 0, 2)).max())
     report = {"closure_constant": s, "max_residual": worst, "casimir_residual": casimir}
-    if casimir > tol:
+    if not casimir <= tol:
         raise VerificationError(f"Casimir fails to be central: {casimir:.3e}",
                                 casimir_residual=casimir)
     return suA, suB, report
@@ -427,16 +425,12 @@ def poincare_check(sample: CurrentSample, hbar: float = 1.0,
     # verify the mixed pattern and [P, P] = 0 through the bracket engine
     p_recs = {pair: _p_record(sample, *pair) for pair in _PAIRS4}
     pat = _pj_pattern(p_tot)
-    worst_pj = 0.0
-    for r, pair in enumerate(_PAIRS4):
-        for coli, jrec in enumerate(sample.j_records):
-            num = _charge_bracket(sample, p_recs[pair], jrec)
-            worst_pj = max(worst_pj, abs(num - pat[r, coli]) / scale)
-    worst_pp = 0.0
-    for pa in _PAIRS4:
-        for pb in _PAIRS4:
-            worst_pp = max(worst_pp, abs(_charge_bracket(sample, p_recs[pa], p_recs[pb])))
-    if worst_pj > 1e-9:
+    worst_pj = float(np.max([abs(_charge_bracket(sample, p_recs[pair], jrec) - pat[r, coli])
+                             / scale for r, pair in enumerate(_PAIRS4)
+                             for coli, jrec in enumerate(sample.j_records)]))
+    worst_pp = float(np.max([abs(_charge_bracket(sample, p_recs[pa], p_recs[pb]))
+                             for pa in _PAIRS4 for pb in _PAIRS4]))
+    if not worst_pj <= 1e-9:
         raise VerificationError(f"momentum-charge bracket pattern off by {worst_pj:.3e}",
                                 pj_pattern_residual=worst_pj)
     if worst_pp != 0.0:
@@ -491,7 +485,7 @@ def poincare_check(sample: CurrentSample, hbar: float = 1.0,
         "oracle_labels": oracle_labels,
         "max_structure_mismatch": diff,
     }
-    if diff > tol:
+    if not diff <= tol:
         worst_idx = np.unravel_index(np.argmax(np.abs(F_mine - F_oracle)), F_mine.shape)
         report["offending_triple"] = tuple(oracle_labels[i] for i in worst_idx)
         raise VerificationError(
@@ -500,13 +494,15 @@ def poincare_check(sample: CurrentSample, hbar: float = 1.0,
     return report
 
 
+@functools.lru_cache(maxsize=None)
 def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ...]]:
     """Structure constants of the Poincare algebra from a 5x5 affine representation.
 
     Generators: M_{mu nu} acting on vectors as i hbar (eta_{nu b} delta^a_mu -
     eta_{mu b} delta^a_nu), translations P_mu as i hbar in the affine column;
     constants extracted by least squares in the matrix space (exact here
-    because the set is closed and independent).
+    because the set is closed and independent).  Built once per hbar; the
+    returned array is read-only.
     """
     gens = []
     labels = []
@@ -532,6 +528,7 @@ def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ..
             if resid > 1e-12:
                 raise VerificationError("oracle generators failed to close")
             F[a, b] = coef
+    F.setflags(write=False)
     return F, tuple(labels)
 
 
@@ -544,8 +541,8 @@ def unitary_current_check(sample: CurrentSample, tol: float = 1e-10) -> dict:
     irec = _i_record(sample)
     nodes = slice(0, None, max(1, sample.n_nodes // 16))
     worst_ii = float(np.abs(_node_brackets(sample, irec, irec)[nodes]).max())
-    worst_ij = max(float(np.abs(_node_brackets(sample, irec, jrec)[nodes]).max())
-                   for jrec in sample.j_records)
+    worst_ij = float(np.max([np.abs(_node_brackets(sample, irec, jrec)[nodes]).max()
+                             for jrec in sample.j_records]))
     report = {
         "ii_residual": worst_ii,
         "ij_residual": worst_ij,

@@ -29,10 +29,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import ClVector
+from .clifford import GeneratorSpace, allocate_blocks, resolve_pair, unpack
 from .errors import InputError, PreconditionError
 from .particle import ParticleState, rk4
-from .spinors import DP_DOWN, DX_UP, ETA
+from .spinors import DP_DOWN, DX_UP, ETA, covec_to_spinor_down, vec_to_spinor
 
 __all__ = [
     "NSystem",
@@ -56,23 +56,22 @@ __all__ = [
 class NSystem:
     """Kets C^A and bras D_A for N particles plus derived matrix caches.
 
-    ``phi`` is the diagonal real weight matrix, which the equations of motion
-    never see.
+    ``kets`` and ``bras`` are (2, N, G) coefficient stacks over ``space``:
+    ``kets[A, i]`` is c^A of particle i, ``bras[A, i]`` its d*_A.  ``phi`` is
+    the diagonal real weight matrix, which the equations of motion never see.
     """
 
-    def __init__(self, kets: Sequence[Sequence[ClVector]],
-                 bras: Sequence[Sequence[ClVector]], mass: float,
-                 hbar: float = 0.0, phi: np.ndarray | None = None):
-        if len(kets) != 2 or len(bras) != 2:
-            raise InputError("kets and bras carry two spinor components each")
-        self.kets = [list(kets[0]), list(kets[1])]
-        self.bras = [list(bras[0]), list(bras[1])]
-        self.n = len(self.kets[0])
-        if any(len(row) != self.n for row in (*self.kets, *self.bras)):
-            raise InputError("all ket/bra rows must have N entries")
+    def __init__(self, space: GeneratorSpace, kets: np.ndarray, bras: np.ndarray,
+                 mass: float, hbar: float = 0.0, phi: np.ndarray | None = None):
+        self.space = space
+        self.kets = np.asarray(kets, dtype=complex)
+        self.bras = np.asarray(bras, dtype=complex)
+        if self.kets.ndim != 3 or self.kets.shape[::2] != (2, space.size) \
+                or self.bras.shape != self.kets.shape:
+            raise InputError("kets and bras must be (2, N, G) coefficient stacks")
+        self.n = self.kets.shape[1]
         self.mass = float(mass)
         self.hbar = float(hbar)
-        self.space = self.kets[0][0].space
         if phi is None:
             phi = np.ones(self.n)
         self.phi = np.asarray(phi, dtype=float)
@@ -80,14 +79,10 @@ class NSystem:
         self._ps = None
 
     # -- derived matrices -------------------------------------------------
-    def _stack(self, rows) -> np.ndarray:
-        return np.stack([[v.coeffs for v in row] for row in rows])  # (2, N, G)
-
     def x_spin(self) -> np.ndarray:
         """X^{AB}_{ij} = bullet(ket_i^A, conj(ket_j^B)); shape (2, 2, N, N)."""
-        C = self._stack(self.kets)
-        s = self.space.signs
-        return np.einsum("aig,g,bjg->abij", C, s, C.conj())
+        C = self.kets
+        return np.einsum("aig,g,bjg->abij", C, self.space.signs, C.conj())
 
     def p_spin(self) -> np.ndarray:
         """P_{AB}_{ij} = bullet(conj(d*_B)_i, d*_A_j).
@@ -95,9 +90,8 @@ class NSystem:
         The ket index rides on the conjugated momenta, which is what makes a
         bra rotation D -> D U^dagger act on P as a similarity U P U^dagger.
         """
-        D = self._stack(self.bras)
-        s = self.space.signs
-        return np.einsum("big,g,ajg->abij", D.conj(), s, D)
+        D = self.bras
+        return np.einsum("big,g,ajg->abij", D.conj(), self.space.signs, D)
 
     def x_matrices(self) -> np.ndarray:
         """Space-time position matrices X^mu, shape (4, N, N)."""
@@ -113,10 +107,7 @@ class NSystem:
 
     def constraint_matrix(self) -> np.ndarray:
         """(C^A . D_B)_{ij}, shape (2, 2, N, N); mu delta^A_B 1 when constrained."""
-        C = self._stack(self.kets)
-        D = self._stack(self.bras)
-        s = self.space.signs
-        return np.einsum("aig,g,bjg->abij", C, s, D)
+        return np.einsum("aig,g,bjg->abij", self.kets, self.space.signs, self.bras)
 
 
 def assemble(particles: Sequence[ParticleState], hbar: float = 0.0,
@@ -129,24 +120,17 @@ def assemble(particles: Sequence[ParticleState], hbar: float = 0.0,
     if not particles:
         raise InputError("need at least one particle")
     space = particles[0].space
-    masses = {st.mass for st in particles}
-    if len(masses) != 1:
+    if len({st.mass for st in particles}) != 1:
         raise InputError("assembled particles must share one mass")
-    supports = []
-    for st in particles:
-        if st.space is not space:
-            raise PreconditionError("all particles must live on one generator space")
-        sup = set()
-        for v in (*st.c, *st.dstar):
-            sup.update(v.support().tolist())
-        supports.append(sup)
-    for i in range(len(particles)):
-        for k in range(i + 1, len(particles)):
-            if supports[i] & supports[k]:
-                raise PreconditionError(f"particles {i} and {k} overlap in generator support")
-    kets = [[st.c[a] for st in particles] for a in range(2)]
-    bras = [[st.dstar[a] for st in particles] for a in range(2)]
-    return NSystem(kets, bras, particles[0].mass, hbar=hbar, phi=phi)
+    if any(st.space is not space for st in particles):
+        raise PreconditionError("all particles must live on one generator space")
+    Y = np.stack([st.packed() for st in particles], axis=1)     # (4, N, G)
+    support = np.any(Y != 0, axis=0)                             # (N, G)
+    overlaps = np.argwhere(np.triu(support.astype(int) @ support.T.astype(int), k=1))
+    if overlaps.size:
+        i, k = overlaps[0]
+        raise PreconditionError(f"particles {i} and {k} overlap in generator support")
+    return NSystem(space, Y[:2], Y[2:], particles[0].mass, hbar=hbar, phi=phi)
 
 
 def gauge_transform(sys: NSystem, U: np.ndarray) -> NSystem:
@@ -157,17 +141,20 @@ def gauge_transform(sys: NSystem, U: np.ndarray) -> NSystem:
         raise InputError(f"U must be {n}x{n}")
     if np.abs(U @ U.conj().T - np.eye(n)).max() > 1e-12:
         raise InputError("U is not unitary within 1e-12")
-    kets = [[_combine(sys.kets[a], U[i, :]) for i in range(n)] for a in range(2)]
-    bras = [[_combine(sys.bras[a], U.conj()[i, :]) for i in range(n)] for a in range(2)]
-    return NSystem(kets, bras, sys.mass, hbar=sys.hbar, phi=sys.phi)
+    return NSystem(sys.space, _rotate(sys.kets, U), _rotate(sys.bras, U.conj()),
+                   sys.mass, hbar=sys.hbar, phi=sys.phi)
 
 
-def _combine(vectors: Sequence[ClVector], weights: np.ndarray) -> ClVector:
-    space = vectors[0].space
-    acc = np.zeros(space.size, dtype=complex)
-    for w, v in zip(weights, vectors):
-        acc += w * v.coeffs
-    return ClVector(space, acc)
+def _rotate(K: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """out[A, i] = sum_j W[i, j] K[A, j] over a (2, N, G) stack.
+
+    Summed term by term in j order rather than by a matrix product, so each
+    row carries the digits of the per-vector sum W[i, 0] K[A, 0] + ... .
+    """
+    out = np.zeros((K.shape[0], W.shape[0], K.shape[2]), dtype=complex)
+    for j in range(K.shape[1]):
+        out += W[:, j, None] * K[:, None, j]
+    return out
 
 
 @dataclass
@@ -279,7 +266,7 @@ def expectation(s: np.ndarray, target, which: str = "X"):
     if which == "C":
         if not isinstance(target, NSystem):
             raise InputError("expectation of C needs an NSystem")
-        return [_combine(target.kets[a], s.conj()) for a in range(2)]
+        return list(unpack(target.space, _rotate(target.kets, s.conj()[None])[:, 0]))
     if isinstance(target, NSystem):
         mats = target.x_matrices() if which == "X" else target.p_matrices()
     else:
@@ -334,9 +321,6 @@ def load_system_config(obj: dict | str):
              "particles": [{"x": [4], "p": [4], "mu": float}, ...],
              "gauge": "heisenberg" | "schrodinger"}
     """
-    from .clifford import allocate_blocks, resolve_pair
-    from .spinors import covec_to_spinor_down, vec_to_spinor
-
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import ClVector, GeneratorSpace, bullet, resolve_pair
+from .clifford import (ClVector, GeneratorSpace, bullet, bullet_gram, pack,
+                       resolve_pair_packed, unpack)
 from .errors import InputError, PreconditionError
 from .spinors import (
     DP_DOWN,
@@ -187,42 +188,54 @@ def polynomial_observable(terms: Sequence[tuple[float, Sequence[int], Sequence[i
 
 
 class ParticleState:
-    """Canonical pair (c^A, d*_A) plus mass and parameter value."""
+    """Canonical pair (c^A, d*_A) plus mass and parameter value.
 
-    __slots__ = ("c", "dstar", "mass", "tau", "space")
+    ``packed()`` is the (4, G) coefficient stack with rows c^0, c^1, d*_0,
+    d*_1; ``c`` and ``dstar`` are vector views of its rows.
+    """
+
+    __slots__ = ("_Y", "mass", "tau", "space")
 
     def __init__(self, c: Sequence[ClVector], dstar: Sequence[ClVector],
                  mass: float, tau: float = 0.0):
         if len(c) != 2 or len(dstar) != 2:
             raise InputError("need two spinor components for c and dstar")
-        if mass <= 0:
-            raise InputError("mass must be positive")
-        self.c = tuple(c)
-        self.dstar = tuple(dstar)
-        self.mass = float(mass)
-        self.tau = float(tau)
-        self.space = c[0].space
-
-    # -- packed coefficient view used by the integrator ------------------
-    def packed(self) -> np.ndarray:
-        return np.stack([v.coeffs for v in (*self.c, *self.dstar)])
+        self._init(pack([*c, *dstar]), c[0].space, mass, tau)
 
     @classmethod
-    def from_packed(cls, Y: np.ndarray, space: GeneratorSpace, mass: float,
-                    tau: float) -> "ParticleState":
-        vecs = [ClVector(space, Y[i]) for i in range(4)]
-        return cls(vecs[:2], vecs[2:], mass, tau)
+    def _of_stack(cls, Y: np.ndarray, space: GeneratorSpace, mass: float,
+                  tau: float) -> "ParticleState":
+        state = cls.__new__(cls)
+        state._init(Y, space, mass, tau)
+        return state
+
+    def _init(self, Y: np.ndarray, space: GeneratorSpace, mass: float, tau: float) -> None:
+        if not mass > 0:
+            raise InputError("mass must be positive")
+        self._Y = np.asarray(Y, dtype=complex).view()
+        self._Y.setflags(write=False)
+        self.mass, self.tau, self.space = float(mass), float(tau), space
+
+    def packed(self) -> np.ndarray:
+        return self._Y
+
+    @property
+    def c(self) -> tuple[ClVector, ClVector]:
+        return unpack(self.space, self._Y[:2])
+
+    @property
+    def dstar(self) -> tuple[ClVector, ClVector]:
+        return unpack(self.space, self._Y[2:])
 
     # -- derived space-time data ------------------------------------------
     def x_spinor(self) -> np.ndarray:
-        return _gram_xc(self.packed()[:2], self.space.signs)
+        return bullet_gram(self._Y[:2], self._Y[:2].conj(), self.space.signs)
 
     def p_spinor(self) -> np.ndarray:
-        return _gram_xc(self.packed()[2:], self.space.signs)
+        return bullet_gram(self._Y[2:], self._Y[2:].conj(), self.space.signs)
 
     def cd_gram(self) -> np.ndarray:
-        Y = self.packed()
-        return _gram_cd(Y[:2], Y[2:], self.space.signs)
+        return bullet_gram(self._Y[:2], self._Y[2:], self.space.signs)
 
     def x_vec(self) -> np.ndarray:
         return spinor_to_vec(self.x_spinor()).real
@@ -240,16 +253,6 @@ class ParticleState:
         return float(minkowski_dot(p, p).real) - self.mass ** 2
 
 
-def _gram_xc(C: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """bullet(v_A, conj(v_B)) over a (..., 2, G) coefficient stack."""
-    return (C * signs) @ np.swapaxes(C.conj(), -1, -2)
-
-
-def _gram_cd(C: np.ndarray, D: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """bullet(c_A, d_B): bilinear, no conjugation."""
-    return (C * signs) @ np.swapaxes(D, -1, -2)
-
-
 def build_state(x: np.ndarray, p: np.ndarray, M, mass: float,
                 tau: float = 0.0) -> ParticleState:
     """State with prescribed four-vectors x, p and mixed Gram M.
@@ -262,8 +265,8 @@ def build_state(x: np.ndarray, p: np.ndarray, M, mass: float,
     M = np.asarray(M, dtype=complex)
     if M.ndim == 0:
         M = complex(M) * np.eye(2)
-    c, dstar, _ = resolve_pair(x_up, p_down, M)
-    return ParticleState(c, dstar, mass, tau)
+    C, D, space = resolve_pair_packed(x_up, p_down, M)
+    return ParticleState._of_stack(np.concatenate((C, D)), space, mass, tau)
 
 
 # -- actions and Hamiltonian ------------------------------------------------
@@ -334,7 +337,7 @@ def _free_flow(Y: np.ndarray, signs: np.ndarray, mass: float,
     """
     C, D = Y[:2], Y[2:]
     G = Y.shape[1]
-    P = _gram_cd(D, D.conj(), signs)          # p_{AB} = bullet(d*_A, conj(d*_B))
+    P = bullet_gram(D, D.conj(), signs)       # p_{AB} = bullet(d*_A, conj(d*_B))
     eta_p = ETA @ spinor_down_to_covec(P)
     signed_D_T = (D * signs).T
     D_conj = np.concatenate((D.conj(), np.zeros((2, 1))), axis=1)   # zero taubar column
@@ -355,13 +358,10 @@ def _free_flow(Y: np.ndarray, signs: np.ndarray, mass: float,
 def canonical_rhs(state: ParticleState, e: float
                   ) -> tuple[list[ClVector], list[ClVector]]:
     """(dc/dtau, dd*/dtau) for the constraint Hamiltonian H = e (p.p - m^2)."""
-    Y = state.packed()
     space = state.space
-    flow, y0 = _free_flow(Y, space.signs, state.mass, lambda tau: e)
+    flow, y0 = _free_flow(state.packed(), space.signs, state.mass, lambda tau: e)
     dY = flow(state.tau, y0)
-    zero = np.zeros(space.size, dtype=complex)
-    return ([ClVector(space, dY[0, :-1]), ClVector(space, dY[1, :-1])],
-            [ClVector(space, zero), ClVector(space, zero)])
+    return list(unpack(space, dY[:, :-1])), [space.zero(), space.zero()]
 
 
 @dataclass
@@ -380,7 +380,7 @@ class Trajectory:
     mu: np.ndarray           # (n_samples,) real
 
     def state(self, k: int) -> ParticleState:
-        return ParticleState.from_packed(self.Y[k], self.space, self.mass, float(self.tau[k]))
+        return ParticleState._of_stack(self.Y[k], self.space, self.mass, float(self.tau[k]))
 
     def constraint_drift(self) -> float:
         """Largest change of p.p - m^2 along the run, read from the p column."""
@@ -460,12 +460,12 @@ def _derived_columns(Y: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]
     """x, p, J, j and mu of a (rows, 4, G) stack, row by row as ParticleState
     and :func:`noether_charges` compute them."""
     C, D = Y[:, :2], Y[:, 2:]
-    x = spinor_to_vec(_gram_xc(C, signs)).real
-    p = spinor_down_to_covec(_gram_xc(D, signs)).real
+    x = spinor_to_vec(bullet_gram(C, C.conj(), signs)).real
+    p = spinor_down_to_covec(bullet_gram(D, D.conj(), signs)).real
     c_low = np.stack(eps_flip_pair([C[:, 0], C[:, 1]]), axis=1)
     dcl = np.sum(D[:, :, None, :] * c_low[:, None, :, :] * signs, axis=-1)
     J = dcl + np.swapaxes(dcl, 1, 2)          # bullet(d*_A, c_B) + bullet(d*_B, c_A)
-    trace_cd = np.trace(_gram_cd(C, D, signs), axis1=1, axis2=2)
+    trace_cd = np.trace(bullet_gram(C, D, signs), axis1=1, axis2=2)
     j = (1j * (trace_cd - np.conj(trace_cd))).real
     return x, p, J, j, 0.5 * trace_cd.real
 
@@ -486,7 +486,14 @@ def noether_charges(state: ParticleState) -> tuple[np.ndarray, float]:
     return J, j
 
 
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
+def _adaptive_simpson(integrand, a: float, b: float, rel_tol: float) -> float:
+    def f(t):
+        # a NaN error estimate is never accepted, so refuse it before recursing
+        value = integrand(t)
+        if not math.isfinite(value):
+            raise InputError(f"integrand is not finite at t = {t}: {value}")
+        return value
+
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -511,6 +518,8 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
 
 def mu_of_tau(e: EinbeinFn, mass: float, tau: float, rel_tol: float = 1e-12) -> float:
     """mu(tau) = integral_{tau0}^{tau} m^2 e(t) dt by adaptive Simpson."""
+    if not (math.isfinite(tau) and math.isfinite(e.tau0)):
+        raise InputError(f"integration limits must be finite, got [{e.tau0}, {tau}]")
     if tau < e.tau0:
         raise PreconditionError(f"tau = {tau} lies before the turning point {e.tau0}")
     if tau == e.tau0:

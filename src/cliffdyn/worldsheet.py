@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import ClVector, GeneratorSpace, allocate, resolve_hermitian
+from .clifford import ClVector, GeneratorSpace, allocate, bullet_gram, resolve_hermitian, unpack
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import flip_both, minkowski_norm
 from .tolerances import DEFAULT
@@ -74,6 +74,12 @@ __all__ = [
 ETA_WS = np.diag([1.0, -1.0])
 
 
+def _mode_labels(modes: Sequence[int]) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Modes in canonical order (|n| ascending, +n first) and the Gram's labels."""
+    modes = tuple(sorted(set(int(n) for n in modes), key=lambda n: (abs(n), -n)))
+    return modes, ("k", "l", *(f"a{n}" for n in modes), *(f"b{n}" for n in modes))
+
+
 class ModeSpec:
     """Mode set, mass, and the Hermitian Gram over the coefficient labels.
 
@@ -84,15 +90,15 @@ class ModeSpec:
 
     def __init__(self, mass: float, modes: Sequence[int], gram: np.ndarray,
                  on_shell: bool = True):
-        modes = tuple(sorted(set(int(n) for n in modes), key=lambda n: (abs(n), -n)))
-        if any(n == 0 for n in modes):
+        self.modes, self.labels = _mode_labels(modes)
+        if 0 in self.modes:
             raise InputError("mode numbers must be nonzero")
-        self.modes = modes
-        self.labels = tuple(["k", "l"] + [f"a{n}" for n in modes] + [f"b{n}" for n in modes])
         dim = 2 * len(self.labels)
         gram = np.asarray(gram, dtype=complex)
         if gram.shape != (dim, dim):
             raise InputError(f"gram must be {dim}x{dim} for labels {self.labels}")
+        if not (math.isfinite(mass) and np.all(np.isfinite(gram))):
+            raise InputError("mass and gram entries must be finite")
         if np.abs(gram - gram.conj().T).max() > 1e-12:
             raise InputError("gram is not Hermitian")
         self.gram = 0.5 * (gram + gram.conj().T)
@@ -151,8 +157,7 @@ def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
     With ``l_block`` omitted, l.conj(l) = m^3 I puts the string at rest on
     shell; with ``mass`` omitted it is inferred from the l block.
     """
-    modes = tuple(sorted(set(int(n) for n in modes), key=lambda n: (abs(n), -n)))
-    labels = ["k", "l"] + [f"a{n}" for n in modes] + [f"b{n}" for n in modes]
+    modes, labels = _mode_labels(modes)
     if l_block is None:
         if mass is None:
             raise InputError("need mass or an explicit l block")
@@ -185,30 +190,34 @@ def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
 
 
 class StringState:
-    """Mode coefficients realized as Clifford vectors, plus fast packed views.
+    """Mode coefficients as one coefficient stack, with per-label row views.
 
-    ``grid`` is the default (tau, sigma) sample lattice for the residual
-    suites (sigma inside [0, pi]) and ``h_grid`` the default stencil step;
-    explicit points override both.
+    ``coeffs`` is the (2 * len(spec.labels), G) stack in the Gram's label
+    order, rows ``2 i + A`` for label i and spinor component A.  ``grid`` is
+    the default (tau, sigma) sample lattice for the residual suites (sigma
+    inside [0, pi]) and ``h_grid`` the default stencil step; explicit points
+    override both.
     """
 
-    def __init__(self, spec: ModeSpec, space: GeneratorSpace,
-                 vectors: dict[tuple[str, int], ClVector],
+    def __init__(self, spec: ModeSpec, space: GeneratorSpace, coeffs: np.ndarray,
                  grid: tuple[np.ndarray, np.ndarray] | None = None,
                  h_grid: float = DEFAULT.h_grid):
         self.spec = spec
         self.space = space
-        self.vectors = vectors
+        self.coeffs = coeffs
         if grid is None:
             grid = (np.linspace(0.15, 1.35, 4), np.linspace(0.3, math.pi - 0.3, 4))
         self.grid = grid
         self.h_grid = float(h_grid)
-        self._K = np.stack([vectors[("k", A)].coeffs for A in range(2)])
-        self._L = np.stack([vectors[("l", A)].coeffs for A in range(2)])
-        self._A = {n: np.stack([vectors[(f"a{n}", A)].coeffs for A in range(2)])
-                   for n in spec.modes}
-        self._B = {n: np.stack([vectors[(f"b{n}", A)].coeffs for A in range(2)])
-                   for n in spec.modes}
+
+        def label_rows(label):
+            i = 2 * spec.labels.index(label)
+            return coeffs[i:i + 2]
+
+        self._K = label_rows("k")
+        self._L = label_rows("l")
+        self._A = {n: label_rows(f"a{n}") for n in spec.modes}
+        self._B = {n: label_rows(f"b{n}") for n in spec.modes}
         self.p2 = spec.p_squared()
         self.L_up = spec.l_block()
         self.L_down = flip_both(self.L_up)
@@ -218,9 +227,7 @@ class StringState:
                                for pair in spec._allowed_pairs()}
 
     def bullet_gram_residual(self) -> float:
-        vecs = [self.vectors[(lab, A)] for lab in self.spec.labels for A in range(2)]
-        stack = np.stack([v.coeffs for v in vecs])
-        realized = (stack * self.space.signs) @ stack.conj().T
+        realized = bullet_gram(self.coeffs, self.coeffs.conj(), self.space.signs)
         return float(np.abs(realized - self.spec.gram).max())
 
 
@@ -233,15 +240,11 @@ def build_wave_state(spec: ModeSpec) -> StringState:
     dim = 2 * len(spec.labels)
     space = allocate(2 * dim, 2 * dim, label="modes")
     res = resolve_hermitian(spec.gram, space)
-    vectors = {}
-    for idx, lab in enumerate(spec.labels):
-        for A in range(2):
-            vectors[(lab, A)] = res.vectors[2 * idx + A]
-    state = StringState(spec, space, vectors)
+    state = StringState(spec, space, res.coeffs)
     resid = state.bullet_gram_residual()
-    if resid > DEFAULT.mode_gram_residual:
+    if not resid <= DEFAULT.mode_gram_residual:
         raise VerificationError(f"mode Gram infeasible: residual {resid:.3e}")
-    if res.null_residual() > DEFAULT.gram_null:
+    if not res.null_residual() <= DEFAULT.gram_null:
         raise VerificationError("same-kind products failed to vanish")
     return state
 
@@ -258,29 +261,22 @@ def eval_c_packed(state: StringState, tau: float, sigma: float) -> np.ndarray:
 
 
 def _eval_dc_packed(state: StringState, tau: float, sigma: float, beta: int) -> np.ndarray:
-    if beta == 0:
-        out = state._L.astype(complex).copy()
-        for n in state.spec.modes:
-            out = out + (0.5j * n) * np.exp(0.5j * n * (tau + sigma)) * state._A[n]
-            out = out + (0.5j * n) * np.exp(0.5j * n * (tau - sigma)) * state._B[n]
-    elif beta == 1:
-        out = np.zeros_like(state._L)
-        for n in state.spec.modes:
-            out = out + (0.5j * n) * np.exp(0.5j * n * (tau + sigma)) * state._A[n]
-            out = out - (0.5j * n) * np.exp(0.5j * n * (tau - sigma)) * state._B[n]
-    else:
+    if beta not in (0, 1):
         raise InputError(f"worldsheet index must be 0 or 1, got {beta}")
+    out = state._L.astype(complex).copy() if beta == 0 else np.zeros_like(state._L)
+    for n in state.spec.modes:
+        out = out + (0.5j * n) * np.exp(0.5j * n * (tau + sigma)) * state._A[n]
+        right = (0.5j * n) * np.exp(0.5j * n * (tau - sigma)) * state._B[n]
+        out = out + right if beta == 0 else out - right
     return out
 
 
 def eval_c(state: StringState, tau: float, sigma: float) -> list[ClVector]:
-    C = eval_c_packed(state, tau, sigma)
-    return [ClVector(state.space, C[A]) for A in range(2)]
+    return list(unpack(state.space, eval_c_packed(state, tau, sigma)))
 
 
 def eval_dc(state: StringState, tau: float, sigma: float, beta: int) -> list[ClVector]:
-    D = _eval_dc_packed(state, tau, sigma, beta)
-    return [ClVector(state.space, D[A]) for A in range(2)]
+    return list(unpack(state.space, _eval_dc_packed(state, tau, sigma, beta)))
 
 
 def eval_x(state: StringState, tau: float, sigma: float) -> np.ndarray:
@@ -298,14 +294,17 @@ def eval_x(state: StringState, tau: float, sigma: float) -> np.ndarray:
 def eval_x_from_vectors(state: StringState, tau: float, sigma: float) -> np.ndarray:
     """Independent route: bullet(c^A, conj(c^B)) from the realized vectors."""
     C = eval_c_packed(state, tau, sigma)
-    return (C * state.space.signs) @ C.conj().T
+    return bullet_gram(C, C.conj(), state.space.signs)
 
 
 # -- finite-difference residuals -------------------------------------------------
 
-def _grid_points(state: StringState) -> list[tuple[float, float]]:
-    taus, sigmas = state.grid
-    return [(float(t), float(s)) for t in taus for s in sigmas]
+def _points_and_step(state: StringState, points, h: float | None):
+    """The given points and step, or the state's default grid and h_grid."""
+    if points is None:
+        taus, sigmas = state.grid
+        points = [(float(t), float(s)) for t in taus for s in sigmas]
+    return points, state.h_grid if h is None else h
 
 
 def wave_residual(state: StringState, points=None, h: float | None = None) -> np.ndarray:
@@ -317,10 +316,8 @@ def wave_residual(state: StringState, points=None, h: float | None = None) -> np
     measure.  The anisotropic choice keeps the stencil second order while
     exposing the genuine O(h^2) truncation term.
     """
-    if h is None:
-        h = state.h_grid
+    pts, h = _points_and_step(state, points, h)
     ht, hs = h, 0.5 * h
-    pts = points if points is not None else _grid_points(state)
     target = 2.0 * state.L_up
     out = np.empty(len(pts))
     for i, (t, s) in enumerate(pts):
@@ -360,28 +357,22 @@ def momentum_and_polymomenta(state: StringState):
 
     def polymomenta(tau: float, sigma: float, beta: int) -> list[ClVector]:
         ds = dstar_upper(state, tau, sigma)[beta]
-        lowered = ETA_WS[beta, beta] * ds.conj()
-        return [ClVector(state.space, lowered[A]) for A in range(2)]
+        return list(unpack(state.space, ETA_WS[beta, beta] * ds.conj()))
 
     return state.p_up.copy(), polymomenta
 
 
 def residual_f51(state: StringState, points=None, h: float | None = None) -> np.ndarray:
     """|d_alpha c^A - p^{AE} d_{alpha E}| with the gradient by central differences."""
-    if h is None:
-        h = state.h_grid
-    pts = points if points is not None else _grid_points(state)
+    pts, h = _points_and_step(state, points, h)
     out = np.empty(len(pts))
     for i, (t, s) in enumerate(pts):
         worst = 0.0
         ds = dstar_upper(state, t, s)
-        for alpha in range(2):
-            if alpha == 0:
-                fd = (eval_c_packed(state, t + h, s) - eval_c_packed(state, t - h, s)) / (2 * h)
-            else:
-                fd = (eval_c_packed(state, t, s + h) - eval_c_packed(state, t, s - h)) / (2 * h)
-            lowered = ETA_WS[alpha, alpha] * ds[alpha].conj()
-            rhs = state.p_up @ lowered
+        for alpha, (dt, dsg) in enumerate(((h, 0.0), (0.0, h))):
+            fd = (eval_c_packed(state, t + dt, s + dsg)
+                  - eval_c_packed(state, t - dt, s - dsg)) / (2 * h)
+            rhs = state.p_up @ (ETA_WS[alpha, alpha] * ds[alpha].conj())
             worst = max(worst, float(np.abs(fd - rhs).max()))
         out[i] = worst
     return out
@@ -393,10 +384,8 @@ def residual_f52(state: StringState, points=None, h: float | None = None) -> np.
     Central differences with steps (h, h/2); equal steps would cancel the
     truncation error exactly on null movers (see :func:`wave_residual`).
     """
-    if h is None:
-        h = state.h_grid
+    pts, h = _points_and_step(state, points, h)
     ht, hs = h, 0.5 * h
-    pts = points if points is not None else _grid_points(state)
     out = np.empty(len(pts))
     for i, (t, s) in enumerate(pts):
         div = (dstar_upper(state, t + ht, s)[0] - dstar_upper(state, t - ht, s)[0]) / (2 * ht) \
@@ -410,12 +399,8 @@ def energy_momentum(state: StringState, tau: float, sigma: float) -> np.ndarray:
 
     Symmetric and real; its eta-trace vanishes on shell.
     """
-    ds = dstar_upper(state, tau, sigma)
-    signs = state.space.signs
-    D = np.empty((2, 2, 2, 2), dtype=complex)       # (alpha, beta, A, B)
-    for a in range(2):
-        for b in range(2):
-            D[a, b] = (ds[a] * signs) @ ds[b].conj().T
+    ds = np.stack(dstar_upper(state, tau, sigma))
+    D = bullet_gram(ds[:, None], ds[None].conj(), state.space.signs)   # (alpha, beta, A, B)
     Dsym = 0.5 * (D + np.swapaxes(D, 0, 1))
     T = 0.5 * (3 * state.p2 - state.spec.mass ** 2) * ETA_WS \
         - np.einsum("AB,abAB->ab", state.p_up, Dsym)
@@ -462,9 +447,7 @@ def dilaton_residual(state: StringState, points=None, h: float | None = None,
                      k_const: float = 0.0, k_lin: tuple[float, float] = (0.0, 0.0)
                      ) -> np.ndarray:
     """FD residual of d_a d_b phi = -m^2 eta_ab + (eta_cd d*^c.d^d) d*_(a.d_b)."""
-    if h is None:
-        h = state.h_grid
-    pts = points if points is not None else _grid_points(state)
+    pts, h = _points_and_step(state, points, h)
     out = np.empty(len(pts))
 
     def phi(t, s):
@@ -479,12 +462,9 @@ def dilaton_residual(state: StringState, points=None, h: float | None = None,
                - phi(t - h, s + h) + phi(t - h, s - h)) / (4 * h ** 2)
         fd = np.array([[dtt, dts], [dts, dss]])
         ds = dstar_upper(state, t, s)
-        Pi = sum(ETA_WS[g, g] * (ds[g] * signs) @ ds[g].conj().T for g in range(2))
-        u = [ETA_WS[a, a] * np.stack([ds[a][1], -ds[a][0]]) for a in range(2)]
-        D = np.empty((2, 2, 2, 2), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                D[a, b] = (u[a] * signs) @ u[b].conj().T
+        Pi = sum(bullet_gram(ETA_WS[g, g] * ds[g], ds[g].conj(), signs) for g in range(2))
+        u = np.stack([ETA_WS[a, a] * np.stack([ds[a][1], -ds[a][0]]) for a in range(2)])
+        D = bullet_gram(u[:, None], u[None].conj(), signs)
         Dsym = 0.5 * (D + np.swapaxes(D, 0, 1))
         rhs = -m2 * ETA_WS + np.einsum("AB,abAB->ab", Pi, Dsym).real
         out[i] = np.abs(fd - rhs).max()
@@ -575,9 +555,8 @@ def total_momentum(state: StringState, curve: Curve, n_nodes: int = 257
     acc = np.zeros((2, state.space.size), dtype=complex)
     for wu, row in zip(w, dproj):    # sequential: another order moves p_tot's last digits
         acc += wu * row
-    p_tot = (acc * state.space.signs) @ acc.conj().T
-    dtot = [ClVector(state.space, acc[A]) for A in range(2)]
-    return dtot, p_tot
+    p_tot = bullet_gram(acc, acc.conj(), state.space.signs)
+    return list(unpack(state.space, acc)), p_tot
 
 
 # -- spinning string -----------------------------------------------------------------
@@ -660,8 +639,7 @@ def mode_spec_from_json(obj: dict) -> ModeSpec:
         entries = obj["gram"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad mode spec JSON: {exc}") from exc
-    labels = ["k", "l"] + [f"a{n}" for n in sorted(set(modes), key=lambda n: (abs(n), -n))] \
-        + [f"b{n}" for n in sorted(set(modes), key=lambda n: (abs(n), -n))]
+    _, labels = _mode_labels(modes)
     dim = 2 * len(labels)
     G = np.zeros((dim, dim), dtype=complex)
     for key, val in entries.items():
@@ -674,9 +652,6 @@ def mode_spec_from_json(obj: dict) -> ModeSpec:
         except (ValueError, IndexError) as exc:
             raise InputError(f"bad gram key {key!r}") from exc
         G[i, j] = complex(val[0], val[1])
-    # fill Hermitian partners that were omitted
-    for i in range(dim):
-        for j in range(dim):
-            if G[i, j] == 0 and G[j, i] != 0:
-                G[i, j] = np.conj(G[j, i])
+    omitted = (G == 0) & (G.T != 0)          # Hermitian partners left out of the JSON
+    G[omitted] = G.T.conj()[omitted]
     return ModeSpec(mass, modes, G)

@@ -96,10 +96,20 @@ def test_particle_rejects_bad_config(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_particle_rejects_non_finite_einbein(tmp_path, capsys, bad):
+@pytest.mark.parametrize("field,bad", [
+    pytest.param("e0", float("nan"), id="nan"),
+    pytest.param("e0", float("inf"), id="inf"),
+    *(pytest.param(field, bad, id=f"{field}-{bad}")
+      for field in ("mass", "tau0", "tau_end") for bad in (float("nan"), float("inf"))),
+    pytest.param("M", float("nan"), id="M-nan")])
+def test_particle_rejects_non_finite_einbein(tmp_path, capsys, field, bad):
     cfg = _particle_config()
-    cfg["einbein"]["params"]["e0"] = bad
+    if field == "e0":
+        cfg["einbein"]["params"]["e0"] = bad
+    elif field == "M":
+        cfg["gram"]["M"] = {"mu": bad}
+    else:
+        cfg[field] = bad
     _write_json(tmp_path / "p.json", cfg)
     code = main(["particle", "--config", str(tmp_path / "p.json"),
                  "--out", str(tmp_path / "out")])
@@ -139,6 +149,24 @@ def test_string_residuals_match_string_suite(tmp_path):
     for name in ("box", "f51", "f52", "f90"):
         assert report[f"{name}_max_residual"] == details[f"{name}_residual"]
         assert report[f"{name}_order"] == details[f"{name}_order"]
+
+
+@pytest.mark.parametrize("residuals", [[], ["--residuals"]], ids=["plain", "residuals"])
+@pytest.mark.parametrize("where", ["mass", "gram"])
+def test_string_rejects_non_finite_spec(tmp_path, capsys, where, residuals):
+    cfg = _string_config()
+    if where == "mass":
+        cfg["mass"] = float("nan")
+    else:
+        cfg["gram"]["k.0|k.0"] = [float("nan"), 0.0]
+    _write_json(tmp_path / "s.json", cfg)
+    code = main(["string", "--config", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "out"), *residuals])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_string_rejects_bad_spec(tmp_path):

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffdyn.clifford import (
+    ClVector,
     allocate,
     allocate_blocks,
     bullet,
+    bullet_gram,
     hermitian_eig,
     hermitian_from_json,
     hermitian_to_json,
     resolve_hermitian,
     resolve_pair,
+    resolve_pair_packed,
     standard_basis,
     validate_hermitian,
 )
@@ -276,3 +279,88 @@ def test_validate_hermitian_symmetrizes():
     H = np.array([[1.0, 1e-16j], [0.0, 2.0]])
     out = validate_hermitian(H)
     assert np.abs(out - out.conj().T).max() == 0.0
+
+
+# -- packed paths against the per-vector references ---------------------------
+#
+# The references are the loops the coefficient-stack code replaced: one bullet
+# per Gram entry and one ClVector sum per (row, eigendirection).  The packed
+# code must agree with them bit for bit, signed zeros included.
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
+
+
+def _seeded_resolutions(seed, count=40):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        n_zero = int(rng.integers(0, n + 1)) if rng.random() < 0.35 else 0
+        H = random_hermitian(rng, n, n_zero=n_zero)
+        yield H, resolve_hermitian(H, allocate(2 * n, 2 * n))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gram_tables_match_bullet_loop(seed):
+    for _, res in _seeded_resolutions(seed):
+        vecs = res.vectors
+        n = len(vecs)
+        realized = np.empty((n, n), dtype=complex)
+        null = np.empty((n, n), dtype=complex)
+        for i, vi in enumerate(vecs):
+            for j, vj in enumerate(vecs):
+                realized[i, j] = bullet(vi, vj.conj())
+                null[i, j] = bullet(vi, vj)
+        assert_same_bits(res.realized_gram(), realized)
+        assert_same_bits(res.null_gram(), null)
+
+
+@pytest.mark.parametrize("seed", [1, 12345])
+def test_resolve_rows_match_per_entry_accumulation(seed):
+    for H, res in _seeded_resolutions(seed):
+        space = res.space
+        E, F = standard_basis(space)
+        U, lam = hermitian_eig(H)
+        zero_cut = 1e-9 * np.abs(lam).max(initial=0.0)
+        n = H.shape[0]
+        for i in range(n):
+            acc = np.zeros(space.size, dtype=complex)
+            for k in range(n):
+                if abs(lam[k]) <= zero_cut:
+                    basis, weight = E[k].coeffs + F[k].coeffs, 1.0
+                elif lam[k] > 0:
+                    basis, weight = F[k].coeffs, np.sqrt(lam[k])
+                else:
+                    basis, weight = E[k].coeffs, np.sqrt(-lam[k])
+                acc = acc + U[i, k] * weight * basis
+            assert_same_bits(res.coeffs[i], ClVector(space, acc).coeffs)
+            assert_same_bits(res.vectors[i].coeffs, acc)
+
+
+def test_resolve_pair_rows_match_vector_arithmetic():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        x, p = random_hermitian(rng, 2), random_hermitian(rng, 2)
+        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        C, D, space = resolve_pair_packed(x, p, M)
+        Eh, Fh = standard_basis(space, "h")
+        c_ref = [v + (Eh[A] + Fh[A])
+                 for A, v in enumerate(resolve_hermitian(x, space, "c").vectors)]
+        d_ref = list(resolve_hermitian(p, space, "d").vectors)
+        for B in range(2):
+            for i in range(2):
+                d_ref[B] = d_ref[B] + complex(M[i, B]) * ((Eh[i] - Fh[i]).conj() * (-0.5))
+        assert_same_bits(C, np.stack([v.coeffs for v in c_ref]))
+        assert_same_bits(D, np.stack([v.coeffs for v in d_ref]))
+
+
+def test_bullet_gram_is_the_bullet_table():
+    rng = np.random.default_rng(4)
+    space = allocate(3, 5)
+    V = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    W = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    ref = np.array([[bullet(space.vector(v), space.vector(w)) for w in W] for v in V])
+    assert np.allclose(bullet_gram(V, W, space.signs), ref, rtol=0, atol=1e-14)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cliffdyn.errors import PreconditionError
+from cliffdyn import acceptance, current_algebra
+from cliffdyn.errors import PreconditionError, VerificationError
+from cliffdyn.tolerances import DEFAULT
 from cliffdyn.spinors import EPS_LO
 from cliffdyn.current_algebra import (
     LiePresentation,
@@ -342,6 +344,70 @@ def test_poincare_oracle_self_consistent():
     out = F[i_m12, i_p1]
     nonzero = {labels[c] for c in range(10) if abs(out[c]) > 1e-12}
     assert nonzero == {"P2"}
+
+
+def test_poincare_oracle_built_once_per_hbar():
+    F, labels = poincare_matrix_oracle(1.0)
+    assert poincare_matrix_oracle(1.0)[0] is F
+    assert not F.flags.writeable
+    F2, _ = poincare_matrix_oracle(2.0)
+    assert np.allclose(F2, 2.0 * F, rtol=0, atol=1e-12)
+
+
+# -- NaN propagation and tolerance routing ----------------------------------------
+
+@pytest.fixture(scope="module")
+def nan_node_samples():
+    """The 16-node acceptance sample at tau = 0.4, clean and with one NaN dproj entry."""
+    st = build_wave_state(acceptance._acceptance_mode_spec())
+    clean = sample_currents(st, constant_time_curve(0.4), 16)
+    dproj = clean.dproj.copy()
+    dproj[5, 1, 3] = np.nan
+    return clean, _make_sample(clean.us, clean.du, clean.c, dproj, clean.signs)
+
+
+def test_charge_algebra_rejects_nan_node(nan_node_samples):
+    _, broken = nan_node_samples
+    with pytest.raises(VerificationError) as info:
+        charge_algebra(broken)
+    assert np.isnan(info.value.details["closure_rel_residual"])
+
+
+def test_poincare_check_rejects_nan_node(nan_node_samples):
+    clean, broken = nan_node_samples
+    with pytest.raises(VerificationError) as info:
+        poincare_check(broken, charge=charge_algebra(clean))
+    assert np.isnan(info.value.details["pj_pattern_residual"])
+    with pytest.raises(VerificationError):
+        poincare_check(broken)
+
+
+def test_nk_decomposition_rejects_nan_constants(sample):
+    pres, _ = charge_algebra(sample)
+    f = pres.f.copy()
+    f[0, 1, 2] = np.nan
+    with pytest.raises(VerificationError):
+        nk_decomposition(LiePresentation(pres.labels, f))
+
+
+def test_algebra_suite_routes_tolerances(monkeypatch):
+    seen = {}
+    for name in ("nk_decomposition", "poincare_check", "unitary_current_check"):
+        def record(*args, _name=name, _fn=getattr(current_algebra, name), **kwargs):
+            seen[_name] = kwargs.get("tol")
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(current_algebra, name, record)
+    tols = DEFAULT.with_overrides(algebra_closure=3e-10, unitary_brackets=4e-10)
+    assert acceptance.algebra_suite(0, tols).passed
+    assert seen == {"nk_decomposition": 3e-10, "poincare_check": 3e-10,
+                    "unitary_current_check": 4e-10}
+
+
+def test_algebra_closure_override_reaches_poincare_raise():
+    # the Poincare mismatch is about 2e-16 on the acceptance sample
+    result = acceptance.algebra_suite(0, DEFAULT.with_overrides(algebra_closure=1e-30))
+    assert not result.passed
+    assert result.details["error"].startswith("Poincare structure constants mismatch")
 
 
 def test_poincare_check_on_second_state():

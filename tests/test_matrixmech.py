@@ -89,6 +89,35 @@ def test_assemble_requires_common_mass():
 
 # -- gauge transformations -----------------------------------------------------
 
+def _combine(vectors, weights):
+    # the per-vector rotation the (2, N, G) stack code replaced
+    acc = np.zeros(vectors[0].space.size, dtype=complex)
+    for w, v in zip(weights, vectors):
+        acc += w * v.coeffs
+    return acc
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
+
+
+@pytest.mark.parametrize("n,seed", [(1, 2), (3, 5), (4, 11)])
+def test_gauge_transform_matches_per_vector_combine(n, seed):
+    sys_n, states = _system(n=n, seed=seed)
+    U = random_unitary(np.random.default_rng(seed), n)
+    out = gauge_transform(sys_n, U)
+    for a in range(2):
+        kets = [st.c[a] for st in states]
+        bras = [st.dstar[a] for st in states]
+        _assert_same_bits(out.kets[a], np.stack([_combine(kets, U[i, :]) for i in range(n)]))
+        _assert_same_bits(out.bras[a],
+                          np.stack([_combine(bras, U.conj()[i, :]) for i in range(n)]))
+    s = U[:, 0]
+    for a, cvec in enumerate(expectation(s, sys_n, "C")):
+        _assert_same_bits(cvec.coeffs, _combine([st.c[a] for st in states], s.conj()))
+
 def test_gauge_transform_similarity_and_constraint():
     sys3, _ = _system(n=3, mu=0.6)
     rng = np.random.default_rng(5)

@@ -308,6 +308,22 @@ def test_mu_before_turning_point_rejected():
         mu_of_tau(constant_einbein(1.0, tau0=0.0), MASS, -0.5)
 
 
+@pytest.mark.parametrize("mass,tau0,tau", [
+    (float("nan"), 0.0, 1.0), (float("inf"), 0.0, 1.0),
+    (MASS, 0.0, float("nan")), (MASS, 0.0, float("inf")), (MASS, float("nan"), 1.0)])
+def test_mu_rejects_non_finite_input(mass, tau0, tau):
+    # a NaN error estimate never passes the adaptive test; without the check the
+    # quadrature would recurse to depth 48 on every branch
+    with pytest.raises(InputError):
+        mu_of_tau(constant_einbein(1.0, tau0=tau0), mass, tau)
+
+
+@pytest.mark.parametrize("mass", [float("nan"), 0.0, -1.0])
+def test_state_rejects_non_positive_mass(mass):
+    with pytest.raises(InputError):
+        build_state(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), 0.5, mass)
+
+
 # -- brackets ------------------------------------------------------------------
 
 def test_bracket_canonical_pair():
