@@ -37,16 +37,15 @@ class CriterionResult:
 def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     """200 random Hermitian matrices resolve into exact bullet Gram matrices."""
     rng = np.random.default_rng(seed)
-    worst_gram = 0.0
-    worst_null = 0.0
+    residuals = []
     for _ in range(200):
         n = int(rng.integers(1, 9))
         n_zero = int(rng.integers(0, n + 1)) if rng.random() < 0.35 else 0
         H = random_hermitian(rng, n, n_zero=n_zero)
         space = clifford.allocate(2 * n, 2 * n)
         res = clifford.resolve_hermitian(H, space)
-        worst_gram = max(worst_gram, res.gram_residual())
-        worst_null = max(worst_null, res.null_residual())
+        residuals.append((res.gram_residual(), res.null_residual()))
+    worst_gram, worst_null = (float(w) for w in np.max(residuals, axis=0))
     passed = worst_gram < tols.gram_residual and worst_null < tols.gram_null
     return CriterionResult("proposition suite (200 random Hermitian)", passed,
                            {"gram_residual": worst_gram, "null_residual": worst_null})
@@ -55,7 +54,7 @@ def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
 def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     """The two-spinor contraction identity for 1000 random complex four-vectors."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(1000):
         v = random_fourvector(rng, complex_valued=True)
         up = vec_to_spinor(v)
@@ -63,7 +62,8 @@ def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> CriterionResu
         full = np.sum(down * up)
         lhs = down @ up.T
         rhs = 0.5 * full * np.eye(2)
-        worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, abs(full))))
+        errors.append(np.abs(lhs - rhs).max() / max(1.0, abs(full)))
+    worst = float(np.max(errors))
     return CriterionResult("four-vector contraction identity (1000 vectors)",
                            worst < tols.c30_identity, {"rel_residual": worst})
 
@@ -71,7 +71,7 @@ def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> CriterionResu
 def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     """Generalized bracket equals mu times the Poisson bracket on constrained states."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(100):
         mu = rng.uniform(0.2, 1.5)
         x = rng.uniform(-1, 1, size=4)
@@ -86,7 +86,8 @@ def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
         M = particle.polynomial_observable(terms_m)
         cb = particle.clifford_bracket(N, M, st)
         pb = particle.poisson_bracket(N, M, st.x_vec(), st.p_vec())
-        worst = max(worst, abs(cb - mu * pb) / (1.0 + abs(pb)))
+        errors.append(abs(cb - mu * pb) / (1.0 + abs(pb)))
+    worst = float(np.max(errors))
     return CriterionResult("bracket reduction (100 constrained states)",
                            worst < tols.bracket_reduction, {"scaled_residual": worst})
 
@@ -108,9 +109,8 @@ def particle_dynamics(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     pred = x0[None, :] + np.outer(traj.taubar, p_contra / mass)
     straight = float(np.abs(traj.x - pred).max())
     drift = traj.constraint_drift()
-    mu_err = 0.0
-    for k in range(0, len(traj.tau), 500):
-        mu_err = max(mu_err, abs(traj.mu[k] - particle.mu_of_tau(e, mass, traj.tau[k])))
+    mu_err = float(np.max([abs(traj.mu[k] - particle.mu_of_tau(e, mass, traj.tau[k]))
+                           for k in range(0, len(traj.tau), 500)]))
     passed = (straight < tols.straight_line and drift < tols.constraint_drift
               and mu_err < tols.mu_match)
     return CriterionResult("particle dynamics (10^4 RK4 steps)", passed,
@@ -168,7 +168,7 @@ def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> CriterionResul
     equiv = abs(complex(s0.conj() @ heis.X[-1] @ s0) - complex(sT.conj() @ X0 @ sT))
     frozen = matrixmech.covariant_evolve(
         X0, P0, hbar, mass, matrixmech.schrodinger_gauge(hbar, mass), taubar, steps)
-    stationary = float(max(np.abs(frozen.X[-1] - X0).max(), np.abs(frozen.P[-1] - P0).max()))
+    stationary = float(np.max([np.abs(frozen.X[-1] - X0).max(), np.abs(frozen.P[-1] - P0).max()]))
     passed = equiv < tols.picture_equivalence and stationary < tols.stationarity
     return CriterionResult("picture equivalence (20-level oscillator)", passed,
                            {"expectation_gap": equiv, "stationarity": stationary})
@@ -190,21 +190,18 @@ def string_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     st = worldsheet.build_wave_state(_acceptance_mode_spec())
     residuals, orders = worldsheet.residual_suite(st, h=tols.h_grid)
     rng = np.random.default_rng(seed)
-    trace = 0.0
-    for _ in range(10):
-        T = worldsheet.energy_momentum(st, rng.uniform(-1, 1), rng.uniform(0, math.pi))
-        trace = max(trace, abs(T[0, 0] - T[1, 1]))
+    pairs = [(rng.uniform(-1, 1), rng.uniform(0, math.pi)) for _ in range(10)]
+    T = worldsheet.energy_momentum(st, *np.array(pairs).T)
+    trace = float(np.max(np.abs(T[:, 0, 0] - T[:, 1, 1])))
     plain = worldsheet.build_wave_state(
         worldsheet.make_mode_spec(mass=1.1, k_block=0.4 * np.eye(2)))
     _, p_tot = worldsheet.total_momentum(plain, worldsheet.constant_time_curve(0.5))
     pi2 = float(np.abs(p_tot - math.pi ** 2 * flip_both(plain.p_up)).max())
     spin_state = worldsheet.build_wave_state(worldsheet.spinning_mode_spec(0.35, 0.8))
-    spin = 0.0
-    for _ in range(10):
-        t, s = rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)
-        x, y, z, tt = worldsheet.spinning_string(0.35, 0.8, t, s)
-        v = spinor_to_vec(worldsheet.eval_x(spin_state, t, s)).real
-        spin = max(spin, abs(v[0] - tt), abs(v[1] - x), abs(v[2] - y), abs(v[3] - z))
+    pairs = [(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)) for _ in range(10)]
+    x, y, z, tt = np.array([worldsheet.spinning_string(0.35, 0.8, t, s) for t, s in pairs]).T
+    v = spinor_to_vec(worldsheet.eval_x(spin_state, *np.array(pairs).T)).real
+    spin = float(np.max(np.abs(v - np.stack([tt, x, y, z], axis=-1))))
     lo, hi = 2 - tols.fd_order_window, 2 + tols.fd_order_window
     passed = (all(lo <= o <= hi for o in orders.values())
               and residuals["f51"] < tols.fd_residual
@@ -223,15 +220,16 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     """Current brackets, charge algebra, su(2) split, Poincare oracle, U(1) current."""
     st = worldsheet.build_wave_state(_acceptance_mode_spec())
     sample = current_algebra.sample_currents(st, worldsheet.constant_time_curve(0.4), 128)
-    g1 = 0.0
+    g1_errors = []
     for (A, B) in ((0, 0), (0, 1), (1, 1)):
         for (E, F) in ((0, 0), (0, 1), (1, 1)):
             for k in (0, 33, 77, 128):
                 lhs = current_algebra.current_bracket(sample, A, B, E, F, k, k)
                 rhs = current_algebra.g1_pattern(sample, A, B, E, F, k, k)
-                g1 = max(g1, abs(lhs - rhs) / max(1.0, abs(rhs)))
-                g1 = max(g1, abs(current_algebra.current_bracket_dotted(
+                g1_errors.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+                g1_errors.append(abs(current_algebra.current_bracket_dotted(
                     sample, A, B, E, F, k, k)))
+    g1 = float(np.max(g1_errors))
     try:
         charge = current_algebra.charge_algebra(sample)
         _, _, su2_report = current_algebra.nk_decomposition(charge[0],
@@ -256,7 +254,7 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
         "su2_residual": su2_report["max_residual"],
         "poincare_mismatch": poincare["max_structure_mismatch"],
         "pp_residual": poincare["pp_residual"],
-        "unitary_brackets": max(unitary["ii_residual"], unitary["ij_residual"]),
+        "unitary_brackets": float(np.max([unitary["ii_residual"], unitary["ij_residual"]])),
         "jacobi": charge_report["jacobi_residual"],
         "n_nodes": sample.n_nodes,
     })

@@ -9,6 +9,7 @@ record the seed they were produced with.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -103,7 +104,10 @@ def cmd_particle(args) -> int:
         p = np.asarray(gram["p"], dtype=float)
         m_spec = gram.get("M", {"mu": 0.0})
         if "mu" in m_spec:
-            M = complex(m_spec["mu"]) * np.eye(2)
+            mu = complex(m_spec["mu"])
+            if not cmath.isfinite(mu):
+                raise InputError(f"M's mu must be finite, got {mu}")
+            M = mu * np.eye(2)
         else:
             M = np.asarray(m_spec["re"], dtype=float) + 1j * np.asarray(m_spec["im"], dtype=float)
         e = _einbein_from_config(cfg.get("einbein", {}), tau0)
@@ -117,9 +121,9 @@ def cmd_particle(args) -> int:
         return EXIT_INPUT
     # proper time is undefined wherever mu vanishes; refuse such windows
     mu0 = st.mu_charge()
-    mu_min = min([mu0] + [mu0 + particle.mu_of_tau(e, mass, float(t))
-                          for t in np.linspace(tau0, tau_end, 64)])
-    if mu_min <= 1e-12:
+    mu_min = float(np.min([mu0] + [mu0 + particle.mu_of_tau(e, mass, float(t))
+                                   for t in np.linspace(tau0, tau_end, 64)]))
+    if not mu_min > 1e-12:
         print(f"refusing window containing mu = 0 (min mu = {mu_min:.3e}): "
               "proper time is undefined there", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -155,22 +159,19 @@ def cmd_string(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     out_dir = Path(args.out)
-    taus = np.linspace(0.0, 1.0, 11)
-    sigmas = np.linspace(0.0, math.pi, 17)
+    taus, sigmas = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.0, 1.0, 11), np.linspace(0.0, math.pi, 17), indexing="ij"))
+    xs = spinor_to_vec(worldsheet.eval_x(state, taus, sigmas)).real
+    phis = worldsheet.dilaton(state, taus, sigmas)
+    Ts = worldsheet.energy_momentum(state, taus, sigmas)
     lines = ["tau,sigma,x0,x1,x2,x3,phi,T00,T01,T11"]
-    for t in taus:
-        for s in sigmas:
-            v = spinor_to_vec(worldsheet.eval_x(state, t, s)).real
-            phi = worldsheet.dilaton(state, t, s)
-            T = worldsheet.energy_momentum(state, t, s)
-            lines.append(",".join(
-                [f"{t:.17g}", f"{s:.17g}"] + [f"{c:.17g}" for c in v]
-                + [f"{phi:.17g}", f"{T[0, 0]:.17g}", f"{T[0, 1]:.17g}", f"{T[1, 1]:.17g}"]))
+    for row in zip(taus, sigmas, *xs.T, phis, Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 1]):
+        lines.append(",".join(f"{value:.17g}" for value in row))
     _write(out_dir / "fields.csv", "\n".join(lines) + "\n")
     result = EXIT_OK
     if args.residuals:
         residuals, orders = worldsheet.residual_suite(state)
-        report = {"h_grid": state.h_grid}
+        report = {"h_grid": DEFAULT.h_grid}
         for name in residuals:
             report[f"{name}_max_residual"] = residuals[name]
             report[f"{name}_order"] = orders[name]
@@ -179,7 +180,7 @@ def cmd_string(args) -> int:
         if not worst <= DEFAULT.fd_residual:
             print(f"residuals exceed tolerance: {worst:.3e}", file=sys.stderr)
             result = EXIT_NUMERICAL
-    print(f"fields written for {len(taus) * len(sigmas)} grid points")
+    print(f"fields written for {len(taus)} grid points")
     return result
 
 

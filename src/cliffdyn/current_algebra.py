@@ -135,7 +135,7 @@ def sample_currents(state: StringState, curve: Curve, n_points: int = 128
     """Evaluate the currents at n_points + 1 nodes along a spacelike curve."""
     us = np.linspace(0.0, 1.0, n_points + 1)
     points, dproj = curve_polymomenta(state, curve, us)
-    c = np.stack([eval_c_packed(state, t, s) for t, s in points])
+    c = eval_c_packed(state, points[:, 0], points[:, 1])
     return _make_sample(us, float(us[1] - us[0]), c, dproj, state.space.signs)
 
 

@@ -21,18 +21,15 @@ vector.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import GeneratorSpace, allocate_blocks, resolve_pair, unpack
+from .clifford import GeneratorSpace, unpack
 from .errors import InputError, PreconditionError
 from .particle import ParticleState, rk4
-from .spinors import DP_DOWN, DX_UP, ETA, covec_to_spinor_down, vec_to_spinor
+from .spinors import DP_DOWN, DX_UP, ETA
 
 __all__ = [
     "NSystem",
@@ -48,8 +45,6 @@ __all__ = [
     "truncated_oscillator",
     "born_sample",
     "nonrelativistic_rate",
-    "load_system_config",
-    "eigenvalue_trajectories_csv",
 ]
 
 
@@ -310,56 +305,3 @@ def born_sample(rng: np.random.Generator, s: np.ndarray, eigvecs: np.ndarray) ->
 def nonrelativistic_rate(P0: np.ndarray, s: np.ndarray, mass: float) -> float:
     """dt/dtaubar = <s|P^0|s>/m; approaches 1 when |p| << m."""
     return float((np.asarray(s).conj() @ P0 @ np.asarray(s)).real / mass)
-
-
-# -- external interfaces -------------------------------------------------------
-
-def load_system_config(obj: dict | str):
-    """Build an NSystem from a JSON config.
-
-    Schema: {"N": int, "mass": float, "hbar": float,
-             "particles": [{"x": [4], "p": [4], "mu": float}, ...],
-             "gauge": "heisenberg" | "schrodinger"}
-    """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        n = int(obj["N"])
-        mass = float(obj["mass"])
-        hbar = float(obj.get("hbar", 0.0))
-        particles = obj["particles"]
-        gauge = obj.get("gauge", "heisenberg")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad system config: {exc}") from exc
-    if len(particles) != n:
-        raise InputError(f"config says N={n} but lists {len(particles)} particles")
-    if gauge not in ("heisenberg", "schrodinger"):
-        raise InputError(f"unknown gauge {gauge!r}")
-    blocks = []
-    for i in range(n):
-        blocks += [(f"c{i}", 4, 4), (f"d{i}", 4, 4), (f"h{i}", 4, 4)]
-    space = allocate_blocks(blocks)
-    states = []
-    for i, spec in enumerate(particles):
-        x_up = vec_to_spinor(np.asarray(spec["x"], dtype=float))
-        p_down = covec_to_spinor_down(np.asarray(spec["p"], dtype=float))
-        M = complex(spec.get("mu", 0.0)) * np.eye(2)
-        c, dstar, _ = resolve_pair(x_up, p_down, M, space,
-                                   labels=(f"c{i}", f"d{i}", f"h{i}"))
-        states.append(ParticleState(c, dstar, mass))
-    return assemble(states, hbar=hbar), gauge
-
-
-def eigenvalue_trajectories_csv(traj: MatrixTrajectory) -> str:
-    """CSV export of the eigenvalues of X^0 (or the single X) per sample."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    X = traj.X
-    if X.ndim == 3:
-        X = X[:, None, :, :]
-    nser = X.shape[2]
-    writer.writerow(["taubar"] + [f"x0_eig{i}" for i in range(nser)])
-    for k in range(len(traj.taubar)):
-        eig = np.sort(np.linalg.eigvalsh(X[k, 0]))
-        writer.writerow([f"{traj.taubar[k]:.17g}"] + [f"{v:.17g}" for v in eig])
-    return buf.getvalue()

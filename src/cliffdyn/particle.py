@@ -114,7 +114,7 @@ class Observable:
 
     def validate_gradients(self, x: np.ndarray, p: np.ndarray, rtol: float = 1e-6) -> float:
         """Central finite differences against the analytic gradients."""
-        worst = 0.0
+        errors = []
         for which in ("x", "p"):
             base = np.array(x if which == "x" else p, dtype=float)
             analytic = (self.grad_x if which == "x" else self.grad_p)(x, p)
@@ -127,9 +127,9 @@ class Observable:
                     fd = (self.value(plus, p) - self.value(minus, p)) / (2 * h)
                 else:
                     fd = (self.value(x, plus) - self.value(x, minus)) / (2 * h)
-                err = abs(fd - analytic[mu]) / max(1.0, abs(analytic[mu]))
-                worst = max(worst, err)
-        if worst > rtol:
+                errors.append(abs(fd - analytic[mu]) / max(1.0, abs(analytic[mu])))
+        worst = float(np.max(errors))
+        if not worst <= rtol:
             raise InputError(f"observable {self.name!r}: gradient mismatch {worst:.2e}")
         return worst
 

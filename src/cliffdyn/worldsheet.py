@@ -193,22 +193,13 @@ class StringState:
     """Mode coefficients as one coefficient stack, with per-label row views.
 
     ``coeffs`` is the (2 * len(spec.labels), G) stack in the Gram's label
-    order, rows ``2 i + A`` for label i and spinor component A.  ``grid`` is
-    the default (tau, sigma) sample lattice for the residual suites (sigma
-    inside [0, pi]) and ``h_grid`` the default stencil step; explicit points
-    override both.
+    order, rows ``2 i + A`` for label i and spinor component A.
     """
 
-    def __init__(self, spec: ModeSpec, space: GeneratorSpace, coeffs: np.ndarray,
-                 grid: tuple[np.ndarray, np.ndarray] | None = None,
-                 h_grid: float = DEFAULT.h_grid):
+    def __init__(self, spec: ModeSpec, space: GeneratorSpace, coeffs: np.ndarray):
         self.spec = spec
         self.space = space
         self.coeffs = coeffs
-        if grid is None:
-            grid = (np.linspace(0.15, 1.35, 4), np.linspace(0.3, math.pi - 0.3, 4))
-        self.grid = grid
-        self.h_grid = float(h_grid)
 
         def label_rows(label):
             i = 2 * spec.labels.index(label)
@@ -249,10 +240,31 @@ def build_wave_state(spec: ModeSpec) -> StringState:
     return state
 
 
-# -- field evaluation (packed (2, G) arrays internally) -------------------------
+# -- field evaluation on arrays of points ----------------------------------------
+#
+# Each field function takes tau and sigma as scalars or arrays that broadcast
+# to one point shape S, and puts S in front of the field's own axes: (*S, 2, G)
+# for coefficient stacks, (*S, 2, 2) for x and T, S for the dilaton.  Scalar
+# tau and sigma give the single-point shape and type.  The mode loop runs once
+# per call, and every point sees the operations a single-point call does.
 
-def eval_c_packed(state: StringState, tau: float, sigma: float) -> np.ndarray:
-    """c^A(tau, sigma) as a packed (2, G) coefficient array."""
+def _points(tau, sigma) -> tuple[np.ndarray, ...]:
+    """tau and sigma as float arrays broadcast to one point shape."""
+    return np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(sigma, dtype=float))
+
+
+def _square(x):
+    """x ** 2 by libm pow, as Python's float ** 2 computes it.
+
+    An array's ** 2 multiplies instead, which rounds differently in the last
+    bit for about one value in a thousand.
+    """
+    return np.float_power(x, 2)
+
+
+def eval_c_packed(state: StringState, tau, sigma) -> np.ndarray:
+    """c^A(tau, sigma) as a packed (*S, 2, G) coefficient stack."""
+    tau, sigma = (x[..., None, None] for x in _points(tau, sigma))
     out = state._K + tau * state._L
     for n in state.spec.modes:
         out = out + np.exp(0.5j * n * (tau + sigma)) * state._A[n]
@@ -260,10 +272,13 @@ def eval_c_packed(state: StringState, tau: float, sigma: float) -> np.ndarray:
     return out
 
 
-def _eval_dc_packed(state: StringState, tau: float, sigma: float, beta: int) -> np.ndarray:
+def _eval_dc_packed(state: StringState, tau, sigma, beta: int) -> np.ndarray:
+    """d_beta c^A(tau, sigma) as a packed (*S, 2, G) coefficient stack."""
     if beta not in (0, 1):
         raise InputError(f"worldsheet index must be 0 or 1, got {beta}")
-    out = state._L.astype(complex).copy() if beta == 0 else np.zeros_like(state._L)
+    tau, sigma = (x[..., None, None] for x in _points(tau, sigma))
+    out = np.broadcast_to(state._L if beta == 0 else 0j,
+                          tau.shape[:-2] + state._L.shape).astype(complex)
     for n in state.spec.modes:
         out = out + (0.5j * n) * np.exp(0.5j * n * (tau + sigma)) * state._A[n]
         right = (0.5j * n) * np.exp(0.5j * n * (tau - sigma)) * state._B[n]
@@ -279,10 +294,11 @@ def eval_dc(state: StringState, tau: float, sigma: float, beta: int) -> list[ClV
     return list(unpack(state.space, _eval_dc_packed(state, tau, sigma, beta)))
 
 
-def eval_x(state: StringState, tau: float, sigma: float) -> np.ndarray:
-    """Closed-form x^{AB}(tau, sigma) read directly off the Gram blocks."""
+def eval_x(state: StringState, tau, sigma) -> np.ndarray:
+    """Closed-form x^{AB}(tau, sigma), shape (*S, 2, 2), read directly off the Gram blocks."""
     spec = state.spec
-    x = spec.block("k", "k") + spec.block("l", "l") * tau ** 2
+    tau, sigma = (x[..., None, None] for x in _points(tau, sigma))
+    x = spec.block("k", "k") + spec.block("l", "l") * _square(tau)
     for n in spec.modes:
         x = x + spec.block(f"a{n}", f"a{n}") + spec.block(f"b{n}", f"b{n}")
         if -n in spec.modes:
@@ -291,58 +307,26 @@ def eval_x(state: StringState, tau: float, sigma: float) -> np.ndarray:
     return x
 
 
-def eval_x_from_vectors(state: StringState, tau: float, sigma: float) -> np.ndarray:
+def eval_x_from_vectors(state: StringState, tau, sigma) -> np.ndarray:
     """Independent route: bullet(c^A, conj(c^B)) from the realized vectors."""
     C = eval_c_packed(state, tau, sigma)
     return bullet_gram(C, C.conj(), state.space.signs)
 
 
-# -- finite-difference residuals -------------------------------------------------
-
-def _points_and_step(state: StringState, points, h: float | None):
-    """The given points and step, or the state's default grid and h_grid."""
-    if points is None:
-        taus, sigmas = state.grid
-        points = [(float(t), float(s)) for t in taus for s in sigmas]
-    return points, state.h_grid if h is None else h
+def _dstar(state: StringState, tau, sigma, alpha: int) -> np.ndarray:
+    """d*^alpha_A = p2^{-2} L_down[A, B] eta^{alpha alpha} d_alpha conj(c^B), (*S, 2, G)."""
+    if state.p_up is None:
+        raise PreconditionError("p.p = 0 branch is unsupported")
+    dcbar = _eval_dc_packed(state, tau, sigma, alpha).conj()
+    return state.p2 ** -2 * ETA_WS[alpha, alpha] * (state.L_down @ dcbar)
 
 
-def wave_residual(state: StringState, points=None, h: float | None = None) -> np.ndarray:
-    """max-norm of the 5-point box stencil of x minus 2 l.conj(l), per point.
-
-    The cross stencil uses steps (h, h/2) in (tau, sigma): with equal steps
-    the two second-difference errors cancel identically on null movers and
-    the residual would be pure roundoff, leaving no convergence order to
-    measure.  The anisotropic choice keeps the stencil second order while
-    exposing the genuine O(h^2) truncation term.
-    """
-    pts, h = _points_and_step(state, points, h)
-    ht, hs = h, 0.5 * h
-    target = 2.0 * state.L_up
-    out = np.empty(len(pts))
-    for i, (t, s) in enumerate(pts):
-        box = (eval_x(state, t + ht, s) - 2 * eval_x(state, t, s)
-               + eval_x(state, t - ht, s)) / ht ** 2 \
-            - (eval_x(state, t, s + hs) - 2 * eval_x(state, t, s)
-               + eval_x(state, t, s - hs)) / hs ** 2
-        out[i] = np.abs(box - target).max()
-    return out
-
-
-def dstar_upper(state: StringState, tau: float, sigma: float) -> list[np.ndarray]:
-    """Polymomenta d*^alpha_A as packed (2, G) arrays for alpha = tau, sigma.
+def dstar_upper(state: StringState, tau, sigma) -> np.ndarray:
+    """Polymomenta d*^alpha_A as a packed (*S, 2, 2, G) stack: alpha = tau, sigma, then A.
 
     d*^alpha_A = p2^{-2} L_down[A, B] eta^{alpha beta} d_beta conj(c^B).
     """
-    if state.p_up is None:
-        raise PreconditionError("p.p = 0 branch is unsupported")
-    scale = state.p2 ** -2
-    out = []
-    for alpha in range(2):
-        dcbar = _eval_dc_packed(state, tau, sigma, alpha).conj()
-        d = scale * ETA_WS[alpha, alpha] * (state.L_down @ dcbar)
-        out.append(d)
-    return out
+    return np.stack([_dstar(state, tau, sigma, alpha) for alpha in range(2)], axis=-3)
 
 
 def momentum_and_polymomenta(state: StringState):
@@ -362,49 +346,20 @@ def momentum_and_polymomenta(state: StringState):
     return state.p_up.copy(), polymomenta
 
 
-def residual_f51(state: StringState, points=None, h: float | None = None) -> np.ndarray:
-    """|d_alpha c^A - p^{AE} d_{alpha E}| with the gradient by central differences."""
-    pts, h = _points_and_step(state, points, h)
-    out = np.empty(len(pts))
-    for i, (t, s) in enumerate(pts):
-        worst = 0.0
-        ds = dstar_upper(state, t, s)
-        for alpha, (dt, dsg) in enumerate(((h, 0.0), (0.0, h))):
-            fd = (eval_c_packed(state, t + dt, s + dsg)
-                  - eval_c_packed(state, t - dt, s - dsg)) / (2 * h)
-            rhs = state.p_up @ (ETA_WS[alpha, alpha] * ds[alpha].conj())
-            worst = max(worst, float(np.abs(fd - rhs).max()))
-        out[i] = worst
-    return out
+def energy_momentum(state: StringState, tau, sigma) -> np.ndarray:
+    """T^{ab} = (3 p.p - m^2)/2 eta^{ab} - p^{AB} d*^{(a}_A . conj(d*^{b)}_B), shape (*S, 2, 2).
 
-
-def residual_f52(state: StringState, points=None, h: float | None = None) -> np.ndarray:
-    """|d_alpha d*^alpha| (conservation of the polymomenta current).
-
-    Central differences with steps (h, h/2); equal steps would cancel the
-    truncation error exactly on null movers (see :func:`wave_residual`).
+    Symmetric and real; its eta-trace vanishes on shell.  Raises
+    VerificationError if T is non-real (or NaN) at any point.
     """
-    pts, h = _points_and_step(state, points, h)
-    ht, hs = h, 0.5 * h
-    out = np.empty(len(pts))
-    for i, (t, s) in enumerate(pts):
-        div = (dstar_upper(state, t + ht, s)[0] - dstar_upper(state, t - ht, s)[0]) / (2 * ht) \
-            + (dstar_upper(state, t, s + hs)[1] - dstar_upper(state, t, s - hs)[1]) / (2 * hs)
-        out[i] = float(np.abs(div).max())
-    return out
-
-
-def energy_momentum(state: StringState, tau: float, sigma: float) -> np.ndarray:
-    """T^{ab} = (3 p.p - m^2)/2 eta^{ab} - p^{AB} d*^{(a}_A . conj(d*^{b)}_B).
-
-    Symmetric and real; its eta-trace vanishes on shell.
-    """
-    ds = np.stack(dstar_upper(state, tau, sigma))
-    D = bullet_gram(ds[:, None], ds[None].conj(), state.space.signs)   # (alpha, beta, A, B)
-    Dsym = 0.5 * (D + np.swapaxes(D, 0, 1))
+    ds = dstar_upper(state, tau, sigma)
+    D = bullet_gram(ds[..., :, None, :, :], ds[..., None, :, :, :].conj(),
+                    state.space.signs)                           # (*S, alpha, beta, A, B)
+    Dsym = 0.5 * (D + np.swapaxes(D, -4, -3))
     T = 0.5 * (3 * state.p2 - state.spec.mass ** 2) * ETA_WS \
-        - np.einsum("AB,abAB->ab", state.p_up, Dsym)
-    if np.abs(T.imag).max() > 1e-10 * max(1.0, np.abs(T).max()):
+        - np.einsum("AB,...abAB->...ab", state.p_up, Dsym)
+    scale = np.maximum(1.0, np.abs(T).max(axis=(-2, -1)))
+    if not np.all(np.abs(T.imag).max(axis=(-2, -1)) <= 1e-10 * scale):
         raise VerificationError("energy-momentum tensor came out non-real")
     return T.real
 
@@ -414,9 +369,9 @@ def _l_contract(state: StringState, block: np.ndarray) -> complex:
     return complex(np.sum(state.L_down * block))
 
 
-def dilaton(state: StringState, tau: float, sigma: float,
-            k_const: float = 0.0, k_lin: tuple[float, float] = (0.0, 0.0)) -> float:
-    """Closed-form dilaton field for the flat-gauge wave solutions.
+def dilaton(state: StringState, tau, sigma,
+            k_const: float = 0.0, k_lin: tuple[float, float] = (0.0, 0.0)):
+    """Closed-form dilaton field for the flat-gauge wave solutions, shape S.
 
     phi = k + k_a sigma^a + m^2 (tau^2 + sigma^2) / 2 plus left/right mover
     parts quadratic in the mode amplitudes; the mover coefficient
@@ -424,51 +379,97 @@ def dilaton(state: StringState, tau: float, sigma: float,
     on-shell worldsheet equation d_a d_b phi = -T_ab (equivalently (f90)-form
     with the energy-momentum tensor of :func:`energy_momentum`), verified by
     the finite-difference residual suite.  Integration constants default to
-    zero.
+    zero.  A scalar point gives a float; a non-real (or NaN) value at any
+    point raises VerificationError.
     """
     spec = state.spec
     lc = state.l_contractions
     m2 = spec.mass ** 2
-    phi = k_const + k_lin[0] * tau + k_lin[1] * sigma + 0.5 * m2 * (tau ** 2 + sigma ** 2)
+    tau, sigma = _points(tau, sigma)
+    phi = k_const + k_lin[0] * tau + k_lin[1] * sigma + 0.5 * m2 * (_square(tau) + _square(sigma))
     mode_sum = 0.0 + 0.0j
     for n in spec.modes:
-        mode_sum += 0.5 * n ** 2 * lc[f"a{n}", f"a{n}"] * (tau + sigma) ** 2
-        mode_sum += 0.5 * n ** 2 * lc[f"b{n}", f"b{n}"] * (tau - sigma) ** 2
+        mode_sum = mode_sum + 0.5 * n ** 2 * lc[f"a{n}", f"a{n}"] * _square(tau + sigma)
+        mode_sum = mode_sum + 0.5 * n ** 2 * lc[f"b{n}", f"b{n}"] * _square(tau - sigma)
         if -n in spec.modes:
-            mode_sum += lc[f"a{n}", f"a{-n}"] * np.exp(1j * n * (tau + sigma))
-            mode_sum += lc[f"b{n}", f"b{-n}"] * np.exp(1j * n * (tau - sigma))
-    phi += 0.25 / m2 ** 2 * mode_sum
-    if abs(np.imag(phi)) > 1e-10 * max(1.0, abs(phi)):
+            mode_sum = mode_sum + lc[f"a{n}", f"a{-n}"] * np.exp(1j * n * (tau + sigma))
+            mode_sum = mode_sum + lc[f"b{n}", f"b{-n}"] * np.exp(1j * n * (tau - sigma))
+    phi = phi + 0.25 / m2 ** 2 * mode_sum
+    if not np.all(np.abs(np.imag(phi)) <= 1e-10 * np.maximum(1.0, np.abs(phi))):
         raise VerificationError("dilaton came out non-real")
-    return float(np.real(phi))
+    phi = np.real(phi)
+    return float(phi) if phi.ndim == 0 else phi
 
 
-def dilaton_residual(state: StringState, points=None, h: float | None = None,
-                     k_const: float = 0.0, k_lin: tuple[float, float] = (0.0, 0.0)
-                     ) -> np.ndarray:
+# -- finite-difference residuals -------------------------------------------------
+
+# The residual suites' sample lattice: 4 x 4 points (tau outer), sigma inside [0, pi].
+_GRID_TAU, _GRID_SIGMA = (g.ravel() for g in np.meshgrid(
+    np.linspace(0.15, 1.35, 4), np.linspace(0.3, math.pi - 0.3, 4), indexing="ij"))
+
+
+def _stencil(*shifts: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """tau and sigma of the residual lattice moved by each (dtau, dsigma): (len(shifts), 16)."""
+    d = np.array(shifts, dtype=float)
+    return _GRID_TAU + d[:, :1], _GRID_SIGMA + d[:, 1:]
+
+
+def wave_residual(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
+    """max-norm of the 5-point box stencil of x minus 2 l.conj(l), per lattice point.
+
+    The cross stencil uses steps (h, h/2) in (tau, sigma): with equal steps
+    the two second-difference errors cancel identically on null movers and
+    the residual would be pure roundoff, leaving no convergence order to
+    measure.  The anisotropic choice keeps the stencil second order while
+    exposing the genuine O(h^2) truncation term.
+    """
+    ht, hs = h, 0.5 * h
+    x0, tp, tm, sp, sm = eval_x(state, *_stencil((0.0, 0.0), (ht, 0.0), (-ht, 0.0),
+                                                  (0.0, hs), (0.0, -hs)))
+    box = (tp - 2 * x0 + tm) / ht ** 2 - (sp - 2 * x0 + sm) / hs ** 2
+    return np.abs(box - 2.0 * state.L_up).max(axis=(-2, -1))
+
+
+def residual_f51(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
+    """|d_alpha c^A - p^{AE} d_{alpha E}| with the gradient by central differences."""
+    tp, tm, sp, sm = eval_c_packed(state, *_stencil((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)))
+    fd = np.stack([(tp - tm) / (2 * h), (sp - sm) / (2 * h)], axis=-3)
+    ds = dstar_upper(state, _GRID_TAU, _GRID_SIGMA)
+    rhs = state.p_up @ (ETA_WS.diagonal()[:, None, None] * ds.conj())
+    return np.abs(fd - rhs).max(axis=(-3, -2, -1))
+
+
+def residual_f52(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
+    """|d_alpha d*^alpha| (conservation of the polymomenta current).
+
+    Central differences with steps (h, h/2); equal steps would cancel the
+    truncation error exactly on null movers (see :func:`wave_residual`).
+    """
+    ht, hs = h, 0.5 * h
+    tp, tm = _dstar(state, *_stencil((ht, 0.0), (-ht, 0.0)), 0)
+    sp, sm = _dstar(state, *_stencil((0.0, hs), (0.0, -hs)), 1)
+    div = (tp - tm) / (2 * ht) + (sp - sm) / (2 * hs)
+    return np.abs(div).max(axis=(-2, -1))
+
+
+def dilaton_residual(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
     """FD residual of d_a d_b phi = -m^2 eta_ab + (eta_cd d*^c.d^d) d*_(a.d_b)."""
-    pts, h = _points_and_step(state, points, h)
-    out = np.empty(len(pts))
-
-    def phi(t, s):
-        return dilaton(state, t, s, k_const, k_lin)
-
+    c, tp, tm, sp, sm, pp, pm, mp, mm = dilaton(state, *_stencil(
+        (0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h),
+        (h, h), (h, -h), (-h, h), (-h, -h)))
+    dtt = (tp - 2 * c + tm) / h ** 2
+    dss = (sp - 2 * c + sm) / h ** 2
+    dts = (pp - pm - mp + mm) / (4 * h ** 2)
+    fd = np.stack([np.stack([dtt, dts], axis=-1), np.stack([dts, dss], axis=-1)], axis=-2)
     signs = state.space.signs
-    m2 = state.spec.mass ** 2
-    for i, (t, s) in enumerate(pts):
-        dtt = (phi(t + h, s) - 2 * phi(t, s) + phi(t - h, s)) / h ** 2
-        dss = (phi(t, s + h) - 2 * phi(t, s) + phi(t, s - h)) / h ** 2
-        dts = (phi(t + h, s + h) - phi(t + h, s - h)
-               - phi(t - h, s + h) + phi(t - h, s - h)) / (4 * h ** 2)
-        fd = np.array([[dtt, dts], [dts, dss]])
-        ds = dstar_upper(state, t, s)
-        Pi = sum(bullet_gram(ETA_WS[g, g] * ds[g], ds[g].conj(), signs) for g in range(2))
-        u = np.stack([ETA_WS[a, a] * np.stack([ds[a][1], -ds[a][0]]) for a in range(2)])
-        D = bullet_gram(u[:, None], u[None].conj(), signs)
-        Dsym = 0.5 * (D + np.swapaxes(D, 0, 1))
-        rhs = -m2 * ETA_WS + np.einsum("AB,abAB->ab", Pi, Dsym).real
-        out[i] = np.abs(fd - rhs).max()
-    return out
+    ds = dstar_upper(state, _GRID_TAU, _GRID_SIGMA)
+    Pi = sum(bullet_gram(ETA_WS[g, g] * ds[:, g], ds[:, g].conj(), signs) for g in range(2))
+    u = np.stack([ETA_WS[a, a] * np.stack([ds[:, a, 1], -ds[:, a, 0]], axis=1)
+                  for a in range(2)], axis=1)
+    D = bullet_gram(u[:, :, None], u[:, None].conj(), signs)
+    Dsym = 0.5 * (D + np.swapaxes(D, 1, 2))
+    rhs = -state.spec.mass ** 2 * ETA_WS + np.einsum("nAB,nabAB->nab", Pi, Dsym).real
+    return np.abs(fd - rhs).max(axis=(-2, -1))
 
 
 # -- curves and total charges ------------------------------------------------------
@@ -517,23 +518,20 @@ def simpson_weights(n_nodes: int, du: float) -> np.ndarray:
 
 
 def curve_polymomenta(state: StringState, curve: Curve, us: np.ndarray
-                      ) -> tuple[list[tuple[float, float]], np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Node points and projected polymomenta along a spacelike curve.
 
-    Returns the (tau, sigma) points at ``us`` and, as an (n, 2, G) array,
-    dsigma^a eps_{ba} d*^b = sigma' d*^tau - tau' d*^sigma (eps_{01} = +1).
+    Returns the (n, 2) array of (tau, sigma) points at ``us`` and, as an
+    (n, 2, G) array, dsigma^a eps_{ba} d*^b = sigma' d*^tau - tau' d*^sigma
+    (eps_{01} = +1).  The curve and its velocity are called once per node.
     """
-    points = []
-    dproj = np.empty((len(us), 2, state.space.size), dtype=complex)
-    for m, u in enumerate(us):
-        t, s = curve(float(u))
-        vt, vs = curve.velocity(float(u))
-        if vs ** 2 - vt ** 2 <= 0:
-            raise PreconditionError(f"curve is not spacelike at u = {u}")
-        ds = dstar_upper(state, t, s)
-        points.append((t, s))
-        dproj[m] = vs * ds[0] - vt * ds[1]
-    return points, dproj
+    nodes = np.array([(*curve(float(u)), *curve.velocity(float(u))) for u in us], dtype=float)
+    tau, sigma, vt, vs = nodes.T
+    spacelike = vs ** 2 - vt ** 2 > 0
+    if not spacelike.all():
+        raise PreconditionError(f"curve is not spacelike at u = {us[np.argmin(spacelike)]}")
+    ds = dstar_upper(state, tau, sigma)
+    return nodes[:, :2], vs[:, None, None] * ds[:, 0] - vt[:, None, None] * ds[:, 1]
 
 
 def total_momentum(state: StringState, curve: Curve, n_nodes: int = 257
@@ -597,7 +595,7 @@ def estimate_order(res_h: float, res_h2: float) -> float:
     return math.log2(res_h / res_h2)
 
 
-def residual_suite(state: StringState, h: float | None = None
+def residual_suite(state: StringState, h: float = DEFAULT.h_grid
                    ) -> tuple[dict[str, float], dict[str, float]]:
     """Worst residual of each finite-difference suite at step h, and its order.
 
@@ -605,14 +603,12 @@ def residual_suite(state: StringState, h: float | None = None
     come from the steps 2e-3 and 1e-3, where truncation dominates roundoff;
     each distinct step is evaluated once.
     """
-    if h is None:
-        h = state.h_grid
     coarse, fine = 2e-3, 1e-3
     residuals = {}
     orders = {}
     for name, fn in (("box", wave_residual), ("f51", residual_f51),
                      ("f52", residual_f52), ("f90", dilaton_residual)):
-        worst = {step: float(fn(state, h=step).max()) for step in {h, coarse, fine}}
+        worst = {step: float(fn(state, step).max()) for step in {h, coarse, fine}}
         residuals[name] = worst[h]
         orders[name] = estimate_order(worst[coarse], worst[fine])
     return residuals, orders

@@ -101,8 +101,9 @@ def test_particle_rejects_bad_config(tmp_path):
     pytest.param("e0", float("inf"), id="inf"),
     *(pytest.param(field, bad, id=f"{field}-{bad}")
       for field in ("mass", "tau0", "tau_end") for bad in (float("nan"), float("inf"))),
-    pytest.param("M", float("nan"), id="M-nan")])
-def test_particle_rejects_non_finite_einbein(tmp_path, capsys, field, bad):
+    *(pytest.param("M", bad, id=f"M-{bad}")
+      for bad in (float("nan"), float("inf"), float("-inf")))])
+def test_particle_rejects_non_finite_einbein(tmp_path, capsys, recwarn, field, bad):
     cfg = _particle_config()
     if field == "e0":
         cfg["einbein"]["params"]["e0"] = bad
@@ -117,6 +118,8 @@ def test_particle_rejects_non_finite_einbein(tmp_path, capsys, field, bad):
     assert code == 2
     assert "must be finite" in err
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
 
 

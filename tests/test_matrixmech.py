@@ -1,7 +1,5 @@
 """N-particle assembly, gauge covariance, and quantum matrix evolution."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -11,13 +9,11 @@ from cliffdyn.matrixmech import (
     assemble,
     born_sample,
     covariant_evolve,
-    eigenvalue_trajectories_csv,
     evolve_heisenberg,
     evolve_matrix_classical,
     evolve_state,
     expectation,
     gauge_transform,
-    load_system_config,
     nonrelativistic_rate,
     schrodinger_gauge,
     truncated_oscillator,
@@ -396,34 +392,3 @@ def test_nonrelativistic_rate_near_unity():
     s = np.array([1.0, 0.0], dtype=complex)
     rate = nonrelativistic_rate(P0, s, m)
     assert abs(rate - 1.0) <= (sp @ sp) / m ** 2
-
-
-# -- config and export ---------------------------------------------------------------
-
-def test_load_system_config_and_csv():
-    cfg = {
-        "N": 2,
-        "mass": 1.0,
-        "hbar": 0.0,
-        "particles": [
-            {"x": [0, 0, 0, 0], "p": [1.0, 0, 0, 0], "mu": 0.5},
-            {"x": [1, 0.2, 0, 0], "p": [1.25, 0.75, 0, 0], "mu": 0.5},
-        ],
-    }
-    sys2, gauge = load_system_config(json.dumps(cfg))
-    assert gauge == "heisenberg"
-    assert sys2.n == 2
-    assert np.allclose(np.diag(sys2.x_matrices()[0]).real, [0.0, 1.0])
-    traj = evolve_matrix_classical(sys2, 0.5, 10)
-    text = eigenvalue_trajectories_csv(traj)
-    assert text.splitlines()[0] == "taubar,x0_eig0,x0_eig1"
-    assert len(text.splitlines()) == 12
-
-
-def test_load_system_config_rejects_bad_input():
-    with pytest.raises(InputError):
-        load_system_config({"N": 2, "mass": 1.0, "particles": []})
-    with pytest.raises(InputError):
-        load_system_config({"N": 1, "mass": 1.0,
-                            "particles": [{"x": [0] * 4, "p": [1, 0, 0, 0]}],
-                            "gauge": "interaction"})

@@ -1,14 +1,16 @@
 """Wave-state construction, field evaluation, residual suites, charges."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from cliffdyn.clifford import bullet
-from cliffdyn.errors import InputError, PreconditionError
+from cliffdyn.clifford import bullet, bullet_gram
+from cliffdyn.errors import InputError, PreconditionError, VerificationError
 from cliffdyn.spinors import flip_both, spinor_to_vec
 from cliffdyn.worldsheet import (
+    ETA_WS,
     Curve,
     arc_curve,
     build_wave_state,
@@ -20,6 +22,7 @@ from cliffdyn.worldsheet import (
     energy_momentum,
     estimate_order,
     eval_c,
+    eval_c_packed,
     eval_dc,
     eval_x,
     eval_x_from_vectors,
@@ -53,6 +56,17 @@ def _rich_spec():
 @pytest.fixture(scope="module")
 def rich_state():
     return build_wave_state(_rich_spec())
+
+
+@pytest.fixture(scope="module")
+def two_mode_state():
+    return build_wave_state(make_mode_spec(
+        mass=MASS, modes=(1, -1),
+        k_block=0.3 * np.eye(2),
+        a_self={1: np.diag([0.15, 0.18]), -1: np.diag([0.17, 0.14])},
+        a_cross={1: np.array([[0.14, 0.01], [0.02, 0.15]])},
+        b_self={1: np.diag([0.16, 0.13]), -1: np.diag([0.12, 0.19])},
+        b_cross={1: np.array([[0.13, -0.01j], [0.01, 0.12]])}))
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +296,193 @@ def test_dilaton_integration_constants_affect_only_linear_part(rich_state):
     assert shifted - base == pytest.approx(1.5 + 2.0 * 0.4 - 1.0 * 0.9, rel=1e-12)
 
 
+# -- array paths against the per-point references ------------------------------------
+#
+# The references below are the single-point field code and the per-point
+# residual loops that the array paths replaced; each array path must agree
+# with them bit for bit.
+
+def _ref_c(state, tau, sigma):
+    out = state._K + tau * state._L
+    for n in state.spec.modes:
+        out = out + np.exp(0.5j * n * (tau + sigma)) * state._A[n]
+        out = out + np.exp(0.5j * n * (tau - sigma)) * state._B[n]
+    return out
+
+
+def _ref_dc(state, tau, sigma, beta):
+    out = state._L.astype(complex).copy() if beta == 0 else np.zeros_like(state._L)
+    for n in state.spec.modes:
+        out = out + (0.5j * n) * np.exp(0.5j * n * (tau + sigma)) * state._A[n]
+        right = (0.5j * n) * np.exp(0.5j * n * (tau - sigma)) * state._B[n]
+        out = out + right if beta == 0 else out - right
+    return out
+
+
+def _ref_x(state, tau, sigma):
+    spec = state.spec
+    x = spec.block("k", "k") + spec.block("l", "l") * tau ** 2
+    for n in spec.modes:
+        x = x + spec.block(f"a{n}", f"a{n}") + spec.block(f"b{n}", f"b{n}")
+        if -n in spec.modes:
+            x = x + spec.block(f"a{n}", f"a{-n}") * np.exp(1j * n * (tau + sigma))
+            x = x + spec.block(f"b{n}", f"b{-n}") * np.exp(1j * n * (tau - sigma))
+    return x
+
+
+def _ref_dstar(state, tau, sigma):
+    scale = state.p2 ** -2
+    return [scale * ETA_WS[a, a] * (state.L_down @ _ref_dc(state, tau, sigma, a).conj())
+            for a in range(2)]
+
+
+def _ref_T(state, tau, sigma):
+    ds = np.stack(_ref_dstar(state, tau, sigma))
+    D = bullet_gram(ds[:, None], ds[None].conj(), state.space.signs)
+    Dsym = 0.5 * (D + np.swapaxes(D, 0, 1))
+    T = 0.5 * (3 * state.p2 - state.spec.mass ** 2) * ETA_WS \
+        - np.einsum("AB,abAB->ab", state.p_up, Dsym)
+    return T.real
+
+
+def _ref_grid():
+    return [(float(t), float(s)) for t in np.linspace(0.15, 1.35, 4)
+            for s in np.linspace(0.3, math.pi - 0.3, 4)]
+
+
+def _ref_wave(state, h):
+    x = functools.partial(_ref_x, state)
+    ht, hs = h, 0.5 * h
+    out = []
+    for t, s in _ref_grid():
+        box = (x(t + ht, s) - 2 * x(t, s) + x(t - ht, s)) / ht ** 2 \
+            - (x(t, s + hs) - 2 * x(t, s) + x(t, s - hs)) / hs ** 2
+        out.append(np.abs(box - 2.0 * state.L_up).max())
+    return np.array(out)
+
+
+def _ref_f51(state, h):
+    out = []
+    for t, s in _ref_grid():
+        ds = _ref_dstar(state, t, s)
+        worst = []
+        for alpha, (dt, dsg) in enumerate(((h, 0.0), (0.0, h))):
+            fd = (_ref_c(state, t + dt, s + dsg) - _ref_c(state, t - dt, s - dsg)) / (2 * h)
+            rhs = state.p_up @ (ETA_WS[alpha, alpha] * ds[alpha].conj())
+            worst.append(np.abs(fd - rhs).max())
+        out.append(max(worst))
+    return np.array(out)
+
+
+def _ref_f52(state, h):
+    d = functools.partial(_ref_dstar, state)
+    ht, hs = h, 0.5 * h
+    out = []
+    for t, s in _ref_grid():
+        div = (d(t + ht, s)[0] - d(t - ht, s)[0]) / (2 * ht) \
+            + (d(t, s + hs)[1] - d(t, s - hs)[1]) / (2 * hs)
+        out.append(np.abs(div).max())
+    return np.array(out)
+
+
+def _ref_f90(state, h):
+    phi = functools.partial(_ref_dilaton, state)
+    signs = state.space.signs
+    out = []
+    for t, s in _ref_grid():
+        dtt = (phi(t + h, s) - 2 * phi(t, s) + phi(t - h, s)) / h ** 2
+        dss = (phi(t, s + h) - 2 * phi(t, s) + phi(t, s - h)) / h ** 2
+        dts = (phi(t + h, s + h) - phi(t + h, s - h)
+               - phi(t - h, s + h) + phi(t - h, s - h)) / (4 * h ** 2)
+        fd = np.array([[dtt, dts], [dts, dss]])
+        ds = _ref_dstar(state, t, s)
+        Pi = sum(bullet_gram(ETA_WS[g, g] * ds[g], ds[g].conj(), signs) for g in range(2))
+        u = np.stack([ETA_WS[a, a] * np.stack([ds[a][1], -ds[a][0]]) for a in range(2)])
+        D = bullet_gram(u[:, None], u[None].conj(), signs)
+        Dsym = 0.5 * (D + np.swapaxes(D, 0, 1))
+        rhs = -state.spec.mass ** 2 * ETA_WS + np.einsum("AB,abAB->ab", Pi, Dsym).real
+        out.append(np.abs(fd - rhs).max())
+    return np.array(out)
+
+
+def _same(a, b):
+    """Equal values and equal sign bits (so -0.0 and 0.0 count as different)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@pytest.fixture(params=["acceptance", "two_mode"])
+def any_state(request, rich_state, two_mode_state):
+    return rich_state if request.param == "acceptance" else two_mode_state
+
+
+def test_fields_on_point_arrays_match_per_point_reference(any_state):
+    # enough points that an array ** 2 in place of Python's pow shows in some last bit
+    rng = np.random.default_rng(8)
+    pts = [(rng.uniform(-1.5, 1.5), rng.uniform(0.0, math.pi)) for _ in range(1000)]
+    taus, sigmas = (np.array(v).reshape(25, 40) for v in zip(*pts))
+    cases = [(eval_x, _ref_x), (eval_c_packed, _ref_c), (dilaton, _ref_dilaton),
+             (energy_momentum, _ref_T), (dstar_upper, lambda *a: np.stack(_ref_dstar(*a)))]
+    for fn, ref in cases:
+        expect = np.array([ref(any_state, t, s) for t, s in pts])
+        got = fn(any_state, taus, sigmas)
+        assert _same(got.reshape(expect.shape), expect), fn.__name__
+        assert got.shape[:2] == (25, 40), fn.__name__
+        # a scalar tau broadcasts against an array of sigmas
+        row = fn(any_state, pts[0][0], sigmas[0])
+        assert _same(row, np.array([ref(any_state, pts[0][0], s) for s in sigmas[0]])), fn.__name__
+
+
+def test_fields_at_one_point_keep_their_shape_and_type(rich_state):
+    G = rich_state.space.size
+    assert isinstance(dilaton(rich_state, 0.3, 0.7), float)
+    assert eval_x(rich_state, 0.3, 0.7).shape == (2, 2)
+    assert eval_c_packed(rich_state, 0.3, 0.7).shape == (2, G)
+    assert dstar_upper(rich_state, 0.3, 0.7).shape == (2, 2, G)
+    T = energy_momentum(rich_state, 0.3, 0.7)
+    assert T.shape == (2, 2) and T.dtype == float
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-3])
+def test_residuals_match_per_point_reference(any_state, h):
+    for fn, ref in ((wave_residual, _ref_wave), (residual_f51, _ref_f51),
+                    (residual_f52, _ref_f52), (dilaton_residual, _ref_f90)):
+        assert _same(fn(any_state, h), ref(any_state, h)), fn.__name__
+
+
+def test_curve_polymomenta_matches_per_node_reference(any_state):
+    curve = arc_curve(0.5, 0.2)
+    us = np.linspace(0.0, 1.0, 129)
+    points, dproj = curve_polymomenta(any_state, curve, us)
+    for m, u in enumerate(us):
+        t, s = curve(float(u))
+        vt, vs = curve.velocity(float(u))
+        ds = _ref_dstar(any_state, t, s)
+        assert tuple(points[m]) == (t, s)
+        assert _same(dproj[m], vs * ds[0] - vt * ds[1])
+
+
+def test_non_real_field_at_one_point_raises(rich_state, monkeypatch):
+    # tau + sigma = 0 at the first point, where the skewed a-pair term below is real
+    taus, sigmas = np.array([0.4, 0.4]), np.array([-0.4, 1.0])
+    dilaton(rich_state, taus, sigmas)
+    lc = dict(rich_state.l_contractions)
+    lc["a1", "a-1"] += 0.1
+    monkeypatch.setattr(rich_state, "l_contractions", lc)
+    dilaton(rich_state, taus[0], sigmas[0])
+    with pytest.raises(VerificationError):
+        dilaton(rich_state, taus, sigmas)
+    monkeypatch.undo()
+    for fn in (dilaton, energy_momentum):
+        with pytest.raises(VerificationError):
+            fn(rich_state, np.array([0.4, float("nan"), 0.6]), 1.0)
+    monkeypatch.setattr(rich_state, "p_up", rich_state.p_up + 0.1j * np.eye(2))
+    with pytest.raises(VerificationError):
+        energy_momentum(rich_state, taus, sigmas)
+
+
 # -- total momentum --------------------------------------------------------------------
 
 def test_total_momentum_nonvibrating_pi_squared_identity(plain_state):
@@ -303,7 +504,7 @@ def test_total_momentum_matches_per_node_reference(rich_state):
         t, s = curve(float(u))
         vt, vs = curve.velocity(float(u))
         ds = dstar_upper(rich_state, t, s)
-        assert points[m] == (t, s)
+        assert tuple(points[m]) == (t, s)
         assert np.array_equal(dproj[m], vs * ds[0] - vt * ds[1])
         acc += wu * (vs * ds[0] - vt * ds[1])
     _, p_tot = total_momentum(rich_state, curve)
