@@ -7,13 +7,14 @@ returns a result record; nothing here loosens a tolerance at run time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import clifford, current_algebra, matrixmech, particle, worldsheet
-from .errors import VerificationError
+from .errors import PreconditionError, VerificationError
 from .sampling import random_fourvector, random_hermitian, random_timelike, random_unitary
 from .spinors import eta_flip, flip_both, spinor_to_vec, vec_to_spinor
 from .tolerances import DEFAULT, Tolerances
@@ -34,7 +35,27 @@ class CriterionResult:
         return f"[{status}] {self.name}: {parts}"
 
 
-def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+def _criterion(title: str):
+    """Make a check returning ``(passed, details)`` a criterion named ``title``.
+
+    A check that raises ArithmeticError (VerificationError included) or
+    PreconditionError gives a FAIL row with the message under ``error``, so
+    one failing criterion never stops the ``verify-all`` table.
+    """
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+            try:
+                passed, details = check(seed, tols)
+            except (ArithmeticError, PreconditionError) as exc:
+                passed, details = False, {"error": str(exc), **getattr(exc, "details", {})}
+            return CriterionResult(title, passed, details)
+        return criterion
+    return wrap
+
+
+@_criterion("proposition suite (200 random Hermitian)")
+def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     """200 random Hermitian matrices resolve into exact bullet Gram matrices."""
     rng = np.random.default_rng(seed)
     residuals = []
@@ -47,11 +68,11 @@ def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
         residuals.append((res.gram_residual(), res.null_residual()))
     worst_gram, worst_null = (float(w) for w in np.max(residuals, axis=0))
     passed = worst_gram < tols.gram_residual and worst_null < tols.gram_null
-    return CriterionResult("proposition suite (200 random Hermitian)", passed,
-                           {"gram_residual": worst_gram, "null_residual": worst_null})
+    return passed, {"gram_residual": worst_gram, "null_residual": worst_null}
 
 
-def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+@_criterion("four-vector contraction identity (1000 vectors)")
+def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     """The two-spinor contraction identity for 1000 random complex four-vectors."""
     rng = np.random.default_rng(seed)
     errors = []
@@ -64,11 +85,11 @@ def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> CriterionResu
         rhs = 0.5 * full * np.eye(2)
         errors.append(np.abs(lhs - rhs).max() / max(1.0, abs(full)))
     worst = float(np.max(errors))
-    return CriterionResult("four-vector contraction identity (1000 vectors)",
-                           worst < tols.c30_identity, {"rel_residual": worst})
+    return worst < tols.c30_identity, {"rel_residual": worst}
 
 
-def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+@_criterion("bracket reduction (100 constrained states)")
+def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     """Generalized bracket equals mu times the Poisson bracket on constrained states."""
     rng = np.random.default_rng(seed)
     errors = []
@@ -88,11 +109,11 @@ def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
         pb = particle.poisson_bracket(N, M, st.x_vec(), st.p_vec())
         errors.append(abs(cb - mu * pb) / (1.0 + abs(pb)))
     worst = float(np.max(errors))
-    return CriterionResult("bracket reduction (100 constrained states)",
-                           worst < tols.bracket_reduction, {"scaled_residual": worst})
+    return worst < tols.bracket_reduction, {"scaled_residual": worst}
 
 
-def particle_dynamics(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+@_criterion("particle dynamics (10^4 RK4 steps)")
+def particle_dynamics(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     """Free particle: straight line in proper time, shell drift, mu quadrature."""
     rng = np.random.default_rng(seed)
     mass = 1.3
@@ -113,12 +134,11 @@ def particle_dynamics(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
                            for k in range(0, len(traj.tau), 500)]))
     passed = (straight < tols.straight_line and drift < tols.constraint_drift
               and mu_err < tols.mu_match)
-    return CriterionResult("particle dynamics (10^4 RK4 steps)", passed,
-                           {"straight_line": straight, "shell_drift": drift,
-                            "mu_quadrature": mu_err})
+    return passed, {"straight_line": straight, "shell_drift": drift, "mu_quadrature": mu_err}
 
 
-def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+@_criterion("U(N) covariance")
+def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     """Gauge transformation commutes with the flow; constraint matrix invariant."""
     rng = np.random.default_rng(seed)
     n = 3
@@ -147,31 +167,28 @@ def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     target = mu * np.einsum("ab,ij->abij", np.eye(2), np.eye(n))
     invariance = float(np.abs(CD - target).max())
     passed = commute < tols.unitary_covariance and invariance < tols.constraint_invariance
-    return CriterionResult("U(N) covariance", passed,
-                           {"evolve_gauge_commutator": commute,
-                            "constraint_invariance": invariance})
+    return passed, {"evolve_gauge_commutator": commute, "constraint_invariance": invariance}
 
 
-def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+@_criterion("picture equivalence (20-level oscillator)")
+def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     """Heisenberg and Schrodinger-gauge expectations agree; -H/hbar freezes X, P."""
     nlev = 20
     mass = 1.0
     hbar = 1.0
     X0, P0 = matrixmech.truncated_oscillator(nlev, hbar=hbar)
     taubar, steps = 0.8, 2000
-    heis = matrixmech.evolve_heisenberg(X0, P0, hbar, mass, taubar, steps)
+    heis, frozen = matrixmech.evolve_pictures(X0, P0, hbar, mass, taubar, steps)
     s0 = np.zeros(nlev, dtype=complex)
     s0[1], s0[3], s0[5] = 0.6, 0.64, 0.48          # interior support, away from the corner
     s0 /= np.linalg.norm(s0)
     H = (P0 @ P0 - mass ** 2 * np.eye(nlev)) / (2 * mass)
-    sT = matrixmech.evolve_state(s0, lambda t: -H / hbar, taubar, steps)
+    gauge = -H / hbar
+    sT = matrixmech.evolve_state(s0, lambda t: gauge, taubar, steps)
     equiv = abs(complex(s0.conj() @ heis.X[-1] @ s0) - complex(sT.conj() @ X0 @ sT))
-    frozen = matrixmech.covariant_evolve(
-        X0, P0, hbar, mass, matrixmech.schrodinger_gauge(hbar, mass), taubar, steps)
     stationary = float(np.max([np.abs(frozen.X[-1] - X0).max(), np.abs(frozen.P[-1] - P0).max()]))
     passed = equiv < tols.picture_equivalence and stationary < tols.stationarity
-    return CriterionResult("picture equivalence (20-level oscillator)", passed,
-                           {"expectation_gap": equiv, "stationarity": stationary})
+    return passed, {"expectation_gap": equiv, "stationarity": stationary}
 
 
 def _acceptance_mode_spec(mass=1.1):
@@ -185,7 +202,8 @@ def _acceptance_mode_spec(mass=1.1):
         b_cross={1: np.array([[0.13, -0.01j], [0.01, 0.12]])})
 
 
-def string_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+@_criterion("string suite")
+def string_suite(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     """Wave-solution residuals, convergence order, trace, total momentum, spinning."""
     st = worldsheet.build_wave_state(_acceptance_mode_spec())
     residuals, orders = worldsheet.residual_suite(st, h=tols.h_grid)
@@ -213,10 +231,11 @@ def string_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
     details = {f"{k}_order": v for k, v in orders.items()}
     details.update({f"{k}_residual": v for k, v in residuals.items()})
     details.update({"trace_T": trace, "pi2_p": pi2, "spinning": spin})
-    return CriterionResult("string suite", passed, details)
+    return passed, details
 
 
-def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+@_criterion("algebra suite")
+def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     """Current brackets, charge algebra, su(2) split, Poincare oracle, U(1) current."""
     st = worldsheet.build_wave_state(_acceptance_mode_spec())
     sample = current_algebra.sample_currents(st, worldsheet.constant_time_curve(0.4), 128)
@@ -238,8 +257,7 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
                                                   charge=charge)
         unitary = current_algebra.unitary_current_check(sample, tol=tols.unitary_brackets)
     except VerificationError as exc:
-        return CriterionResult("algebra suite", False,
-                               {"g1_residual": g1, "error": str(exc), **exc.details})
+        return False, {"g1_residual": g1, "error": str(exc), **exc.details}
     pres, charge_report = charge
     dagger_cross = float(np.abs(pres.f[:3, 3:, :]).max())
     passed = (g1 < tols.g1_identity
@@ -249,7 +267,7 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
               and poincare["pp_residual"] == 0.0
               and unitary["ii_residual"] < tols.unitary_brackets
               and unitary["ij_residual"] < tols.unitary_brackets)
-    return CriterionResult("algebra suite", passed, {
+    return passed, {
         "g1_residual": g1,
         "su2_residual": su2_report["max_residual"],
         "poincare_mismatch": poincare["max_structure_mismatch"],
@@ -257,7 +275,7 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
         "unitary_brackets": float(np.max([unitary["ii_residual"], unitary["ij_residual"]])),
         "jacobi": charge_report["jacobi_residual"],
         "n_nodes": sample.n_nodes,
-    })
+    }
 
 
 CRITERIA = (

@@ -39,6 +39,7 @@ __all__ = [
     "evolve_matrix_classical",
     "evolve_heisenberg",
     "covariant_evolve",
+    "evolve_pictures",
     "schrodinger_gauge",
     "expectation",
     "evolve_state",
@@ -134,7 +135,7 @@ def gauge_transform(sys: NSystem, U: np.ndarray) -> NSystem:
     n = sys.n
     if U.shape != (n, n):
         raise InputError(f"U must be {n}x{n}")
-    if np.abs(U @ U.conj().T - np.eye(n)).max() > 1e-12:
+    if not np.abs(U @ U.conj().T - np.eye(n)).max() <= 1e-12:
         raise InputError("U is not unitary within 1e-12")
     return NSystem(sys.space, _rotate(sys.kets, U), _rotate(sys.bras, U.conj()),
                    sys.mass, hbar=sys.hbar, phi=sys.phi)
@@ -161,20 +162,34 @@ class MatrixTrajectory:
     def hermiticity_drift(self) -> float:
         dx = np.abs(self.X - np.swapaxes(self.X, -1, -2).conj()).max()
         dp = np.abs(self.P - np.swapaxes(self.P, -1, -2).conj()).max()
-        return float(max(dx, dp))
+        return float(np.max([dx, dp]))
 
 
-def _rk4_matrix(X0, P0, rhs, tau_end, steps, t0=0.0):
-    """RK4 on the stacked pair Y = (X, P); ``rhs(t, Y)`` returns dY/dt."""
+def _rk4_matrix(Y0: np.ndarray, rhs, tau_end: float, steps: int,
+                t0: float = 0.0) -> list[MatrixTrajectory]:
+    """RK4 on a (B, 2, ...) stack of (X, P) pairs; one trajectory per pair.
+
+    ``rhs(t, Y)`` returns dY/dt for the whole stack.  Each pair's samples go
+    to an array of their own, so a trajectory holds only its own memory.
+    """
     h = (tau_end - t0) / steps
-    Y0 = np.stack((X0, P0)).astype(complex)
-    Ys = np.empty((steps + 1, *Y0.shape), dtype=complex)
-    Ys[0] = Y0
+    Y0 = np.asarray(Y0, dtype=complex)
+    runs = [np.empty((steps + 1, *pair.shape), dtype=complex) for pair in Y0]
+    for b, run in enumerate(runs):
+        run[0] = Y0[b]
     for k, Y in enumerate(rk4(rhs, Y0, t0, h, steps), start=1):
-        Ys[k] = Y
+        for b, run in enumerate(runs):
+            run[k] = Y[b]
+    # an RK4 step adds to the previous row, so a NaN or Inf entry stays
+    # non-finite: the last row decides, and the scan runs only on failure
+    if not all(np.isfinite(run[-1]).all() for run in runs):
+        finite = np.all([np.isfinite(run[1:]).reshape(steps, -1).all(axis=1) for run in runs],
+                        axis=0)
+        raise ArithmeticError(
+            f"matrix flow produced non-finite values at step {int(np.argmin(finite))}")
     ts = t0 + np.arange(steps + 1) * h
     ts[0] = t0
-    return MatrixTrajectory(ts, Ys[:, 0], Ys[:, 1])
+    return [MatrixTrajectory(ts, run[:, 0], run[:, 1]) for run in runs]
 
 
 def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> MatrixTrajectory:
@@ -185,21 +200,22 @@ def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> MatrixT
 
     def rhs(t, Y):
         dY = np.zeros_like(Y)
-        dY[0] = np.einsum("mn,nij->mij", ETA, Y[1]) / m     # P^mu / m
+        dY[0, 0] = np.einsum("mn,nij->mij", ETA, Y[0, 1]) / m     # P^mu / m
         return dY
 
-    return _rk4_matrix(sys.x_matrices(), sys.p_matrices(), rhs, tau_end, steps)
+    Y0 = np.stack((sys.x_matrices(), sys.p_matrices()))[None]
+    return _rk4_matrix(Y0, rhs, tau_end, steps)[0]
 
 
 def _free_hamiltonian(mass: float) -> Callable[[np.ndarray], np.ndarray]:
-    """P -> (P.P - m^2 1)/(2m) for a single matrix P (one momentum component).
+    """P -> (P.P - m^2 1)/(2m) for a momentum matrix P or a stack of them.
 
     m^2 1 is built once per matrix size, not on every call.
     """
     mass_terms: dict[int, np.ndarray] = {}
 
     def hamiltonian(P: np.ndarray) -> np.ndarray:
-        n = P.shape[0]
+        n = P.shape[-1]
         if n not in mass_terms:
             mass_terms[n] = mass ** 2 * np.eye(n)
         return (P @ P - mass_terms[n]) / (2.0 * mass)
@@ -207,18 +223,38 @@ def _free_hamiltonian(mass: float) -> Callable[[np.ndarray], np.ndarray]:
     return hamiltonian
 
 
-def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
-                      tau_end: float, steps: int) -> MatrixTrajectory:
-    """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar) on one matrix pair."""
-    if hbar <= 0:
-        raise PreconditionError("evolve_heisenberg requires hbar > 0")
+def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
+                      connections: Sequence[Callable | None], tau_end: float,
+                      steps: int, name: str) -> list[MatrixTrajectory]:
+    """One RK4 over len(connections) copies of the pair (X0, P0).
+
+    System b follows dY = i[Gamma_b, Y] + [Y, H]/(i hbar) for Y = X, P, with
+    the Hermitian Gamma_b = ``connections[b](t, X, P, H)`` read from the
+    system's stage state and Hamiltonian; None means Gamma = 0 (the
+    Heisenberg picture).  Each stage computes every system's H with one
+    batched P @ P and every [Y, H] with one batched commutator.
+    """
+    if not hbar > 0:
+        raise PreconditionError(f"{name} requires hbar > 0")
     hamiltonian = _free_hamiltonian(mass)
 
     def rhs(t, Y):
-        H = hamiltonian(Y[1])
-        return (Y @ H - H @ Y) / (1j * hbar)
+        H = hamiltonian(Y[:, 1])[:, None]
+        dY = (Y @ H - H @ Y) / (1j * hbar)
+        for b, connection in enumerate(connections):
+            if connection is not None:
+                G = connection(t, Y[b, 0], Y[b, 1], H[b, 0])
+                dY[b] = 1j * (G @ Y[b] - Y[b] @ G) + dY[b]
+        return dY
 
-    return _rk4_matrix(X0, P0, rhs, tau_end, steps)
+    return _rk4_matrix(np.stack([np.stack((X0, P0))] * len(connections)), rhs, tau_end, steps)
+
+
+def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
+                      tau_end: float, steps: int) -> MatrixTrajectory:
+    """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar) on one matrix pair."""
+    return _commutator_flows(X0, P0, hbar, mass, [None], tau_end, steps,
+                             "evolve_heisenberg")[0]
 
 
 def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -230,16 +266,23 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     reproduces :func:`evolve_heisenberg` exactly; Gamma = -H/hbar cancels the
     commutators and freezes X and P (the Schrodinger picture).
     """
-    if hbar <= 0:
-        raise PreconditionError("covariant_evolve requires hbar > 0")
-    hamiltonian = _free_hamiltonian(mass)
+    return _commutator_flows(X0, P0, hbar, mass, [lambda t, X, P, H: gamma(t, X, P)],
+                             tau_end, steps, "covariant_evolve")[0]
 
-    def rhs(t, Y):
-        H = hamiltonian(Y[1])
-        G = gamma(t, *Y)
-        return 1j * (G @ Y - Y @ G) + (Y @ H - H @ Y) / (1j * hbar)
 
-    return _rk4_matrix(X0, P0, rhs, tau_end, steps)
+def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
+                    tau_end: float, steps: int) -> tuple[MatrixTrajectory, MatrixTrajectory]:
+    """The Heisenberg flow and the Schrodinger-gauge flow of one pair, stepped together.
+
+    Returns ``(heisenberg, frozen)``, equal bit for bit to
+    :func:`evolve_heisenberg` and to :func:`covariant_evolve` under
+    :func:`schrodinger_gauge`; the frozen system takes Gamma = -H/hbar from
+    the Hamiltonian its stage already computed.
+    """
+    heisenberg, frozen = _commutator_flows(
+        X0, P0, hbar, mass, [None, lambda t, X, P, H: -H / hbar], tau_end, steps,
+        "evolve_pictures")
+    return heisenberg, frozen
 
 
 def schrodinger_gauge(hbar: float, mass: float):
@@ -256,7 +299,7 @@ def expectation(s: np.ndarray, target, which: str = "X"):
     <s| C^A, a pair of ClVectors.
     """
     s = np.asarray(s, dtype=complex)
-    if abs(s @ s.conj() - 1.0) > 1e-12:
+    if not abs(s @ s.conj() - 1.0) <= 1e-12:
         raise InputError("state vector must have unit norm")
     if which == "C":
         if not isinstance(target, NSystem):
@@ -277,6 +320,8 @@ def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
     h = (tau_end - t0) / steps
     for s in rk4(lambda t, v: 1j * (gamma(t) @ v), np.asarray(s, dtype=complex), t0, h, steps):
         pass
+    if not np.isfinite(s).all():
+        raise ArithmeticError(f"evolve_state produced a non-finite state after {steps} steps")
     return s
 
 

@@ -75,18 +75,26 @@ __all__ = [
 class EinbeinFn:
     """Positive worldline density e(tau) with the turning point tau0.
 
+    ``fn`` maps a float or an array of tau values to e elementwise.
     mu(tau) = integral_{tau0}^{tau} m^2 e(t) dt vanishes at tau0; proper time
     is undefined there.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     tau0: float = 0.0
 
     def __call__(self, tau: float) -> float:
-        value = float(self.fn(tau))
-        if not value > 0.0:
-            raise PreconditionError(f"einbein must stay positive, got e({tau}) = {value}")
-        return value
+        return float(self.values(np.asarray(tau, dtype=float)))
+
+    def values(self, taus: np.ndarray) -> np.ndarray:
+        """e at every entry of ``taus``; names the first non-positive value in C order."""
+        values = np.broadcast_to(np.asarray(self.fn(taus), dtype=float), taus.shape)
+        bad = ~(values > 0.0)
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise PreconditionError(
+                f"einbein must stay positive, got e({float(taus[k])}) = {float(values[k])}")
+        return values
 
 
 def constant_einbein(e0: float, tau0: float = 0.0) -> EinbeinFn:
@@ -324,44 +332,30 @@ def rk4(f: Callable, y, t0: float, h: float, steps: int):
         yield y
 
 
-def _free_flow(Y: np.ndarray, signs: np.ndarray, mass: float,
-               e: Callable[[float], float]) -> tuple[Callable, np.ndarray]:
-    """Flow of the c rows of a packed (4, G) state, with taubar riding along.
+def _c_rate(D: np.ndarray, signs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """dc/dtau of the free flow as a function of the einbein value.
 
-    The flow state is (2, G + 1): the c rows plus one column whose row-0
-    entry is taubar, so one RK4 step advances both.  dd*/dtau vanishes
-    (dH/dx = 0 for the free constraint Hamiltonian), so the d* rows and the
-    momentum gradient built from them are the same at every RK4 stage.
-    Returns ``(flow, y0)``: ``flow(tau, y) -> dy/dtau`` and the flow state of
-    Y at taubar = 0.
+    dd*/dtau vanishes (dH/dx = 0 for the free constraint Hamiltonian), so the
+    d* rows, and the momentum gradient built from them, never change and the
+    c-row derivative e(tau) K depends on tau alone.  ``rate(e_vals)`` maps an
+    array of einbein values to the ``(*e_vals.shape, 2, G)`` derivatives.
     """
-    C, D = Y[:2], Y[2:]
-    G = Y.shape[1]
     P = bullet_gram(D, D.conj(), signs)       # p_{AB} = bullet(d*_A, conj(d*_B))
     eta_p = ETA @ spinor_down_to_covec(P)
-    signed_D_T = (D * signs).T
-    D_conj = np.concatenate((D.conj(), np.zeros((2, 1))), axis=1)   # zero taubar column
 
-    def flow(tau: float, y: np.ndarray) -> np.ndarray:
-        e_val = e(tau)
-        grad_p = 2.0 * e_val * eta_p          # dH/dp_mu for H = e (p.p - m^2)
-        Gp = np.einsum("m,mab->ab", grad_p, DP_DOWN)
-        cd = y[:, :G] @ signed_D_T            # bullet(c_A, d*_B)
-        mu = 0.5 * (cd[0, 0] + cd[1, 1]).real
-        dy = Gp @ D_conj
-        dy[0, G] = 2.0 * mass * mu * e_val    # dtaubar/dtau
-        return dy
+    def rate(e_vals: np.ndarray) -> np.ndarray:
+        grad_p = 2.0 * e_vals[..., None] * eta_p          # dH/dp_mu for H = e (p.p - m^2)
+        return np.einsum("...m,mab->...ab", grad_p, DP_DOWN) @ D.conj()
 
-    return flow, np.concatenate((C, np.zeros((2, 1))), axis=1)
+    return rate
 
 
 def canonical_rhs(state: ParticleState, e: float
                   ) -> tuple[list[ClVector], list[ClVector]]:
     """(dc/dtau, dd*/dtau) for the constraint Hamiltonian H = e (p.p - m^2)."""
     space = state.space
-    flow, y0 = _free_flow(state.packed(), space.signs, state.mass, lambda tau: e)
-    dY = flow(state.tau, y0)
-    return list(unpack(space, dY[:, :-1])), [space.zero(), space.zero()]
+    dc = _c_rate(state.packed()[2:], space.signs)(np.asarray(float(e)))
+    return list(unpack(space, dc)), [space.zero(), space.zero()]
 
 
 @dataclass
@@ -392,7 +386,7 @@ class Trajectory:
     def charge_drift(self) -> float:
         dJ = np.abs(self.J - self.J[0]).max()
         dj = np.abs(self.j - self.j[0]).max()
-        return float(max(dJ, dj))
+        return float(np.max([dJ, dj]))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -412,33 +406,72 @@ class Trajectory:
         return buf.getvalue()
 
 
+def _free_flow(C: np.ndarray, D: np.ndarray, signs: np.ndarray, mass: float,
+               e: EinbeinFn, tau0: float, h: float) -> np.ndarray:
+    """Fill rows 1.. of the (n, 2, G) c-row stack C by RK4 steps of size h
+    from row 0 and return taubar, which starts at 0.
+
+    The c-row derivative e(tau) K does not read the state (see
+    :func:`_c_rate`), so RK4's k2 and k3 coincide and every step's increment
+    (h/6)(k1 + 2 k2 + 2 k3 + k4) is known from the einbein alone.  Each block
+    of steps evaluates e at all its stage times in one call and sums the
+    increments in step order with ``np.add.accumulate``.  taubar accumulates
+    dtaubar/dtau = 2 m mu e the same way, with mu read from the four RK4
+    stage states of the c rows.  Every row equals, bit for bit, stepping
+    :func:`rk4` on the flow state (c rows, taubar).
+    """
+    rate = _c_rate(D, signs)
+    signed_D_T = (D * signs).T
+
+    def taubar_rate(c_rows: np.ndarray, e_vals: np.ndarray) -> np.ndarray:
+        cd = c_rows @ signed_D_T              # bullet(c_A, d*_B)
+        return 2.0 * mass * (0.5 * (cd[..., 0, 0] + cd[..., 1, 1]).real) * e_vals
+
+    steps = len(C) - 1
+    taubar = np.empty(steps + 1)
+    taubar[0] = 0.0
+    for lo in range(0, steps, _COLUMN_BLOCK):
+        hi = min(lo + _COLUMN_BLOCK, steps)
+        t = tau0 + np.arange(lo, hi) * h
+        e1, e2, e4 = e.values(np.stack((t, t + 0.5 * h, t + h), axis=1)).T
+        k1, k2, k4 = rate(e1), rate(e2), rate(e4)                       # k3 = k2
+        c = C[lo:hi + 1]
+        np.add.accumulate(
+            np.concatenate((c[:1], (h / 6.0) * (k1 + 2 * k2 + 2 * k2 + k4))), axis=0, out=c)
+        y = c[:-1]
+        r1 = taubar_rate(y, e1)
+        r2 = taubar_rate(y + 0.5 * h * k1, e2)
+        r3 = taubar_rate(y + 0.5 * h * k2, e2)
+        r4 = taubar_rate(y + h * k2, e4)
+        tb = taubar[lo:hi + 1]
+        np.add.accumulate(
+            np.concatenate((tb[:1], (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4))), out=tb)
+        finite = np.isfinite(c[1:]).all(axis=(1, 2)) & np.isfinite(tb[1:])
+        if not finite.all():
+            raise ArithmeticError(
+                f"integration produced non-finite values at step {lo + int(np.argmin(finite))}")
+    return taubar
+
+
 def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
               steps: int) -> Trajectory:
-    """Classic fixed-step :func:`rk4` on the coefficient flow, tracking taubar.
+    """Classic fixed-step RK4 on the coefficient flow, tracking taubar.
 
-    taubar accumulates dtaubar/dtau = 2 m mu(tau) e(tau) in the flow state, so
-    it goes through the same RK4 stages as c and the reparametrized columns
-    are consistent to integrator order.
+    taubar accumulates dtaubar/dtau = 2 m mu(tau) e(tau) through the same RK4
+    stages as c (see :func:`_free_flow`), so the reparametrized columns are
+    consistent to integrator order.
     """
     if steps < 1:
         raise InputError("steps must be >= 1")
     signs = state0.space.signs
-    mass = state0.mass
     tau0 = state0.tau
     h = (tau_end - tau0) / steps
     n = steps + 1
     Y0 = state0.packed().astype(complex)
-    flow, y0 = _free_flow(Y0, signs, mass, e)
     out_Y = np.empty((n, *Y0.shape), dtype=complex)
-    out_taubar = np.empty(n)
     out_Y[0] = Y0
     out_Y[1:, 2:] = Y0[2:]
-    out_taubar[0] = 0.0
-    for k, y in enumerate(rk4(flow, y0, tau0, h, steps)):
-        if not np.all(np.isfinite(y)):
-            raise ArithmeticError(f"integration produced non-finite values at step {k}")
-        out_Y[k + 1, :2] = y[:, :-1]
-        out_taubar[k + 1] = y[0, -1].real
+    out_taubar = _free_flow(out_Y[:, :2], Y0[2:], signs, state0.mass, e, tau0, h)
     out_tau = tau0 + np.arange(n) * h
     out_tau[0] = tau0
     x = np.empty((n, 4))
@@ -449,10 +482,11 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
     for lo in range(0, n, _COLUMN_BLOCK):
         rows = slice(lo, lo + _COLUMN_BLOCK)
         x[rows], p[rows], J[rows], jq[rows], mu[rows] = _derived_columns(out_Y[rows], signs)
-    return Trajectory(state0.space, mass, out_tau, out_taubar, out_Y, x, p, J, jq, mu)
+    return Trajectory(state0.space, state0.mass, out_tau, out_taubar, out_Y, x, p, J, jq, mu)
 
 
-# Rows per batch of derived columns; bounds the (rows, 2, 2, G) temporaries.
+# Steps per block of the flow and rows per batch of derived columns; bounds
+# the (rows, 2, G) stage and (rows, 2, 2, G) column temporaries.
 _COLUMN_BLOCK = 1024
 
 

@@ -6,10 +6,12 @@ criterion; the same checks back the ``cliffdyn verify-all`` command.
 
 import math
 
+import numpy as np
 import pytest
 
-from cliffdyn import particle
-from cliffdyn.acceptance import CRITERIA, bracket_reduction, proposition_suite, run_criterion
+from cliffdyn import matrixmech, particle
+from cliffdyn.acceptance import (CRITERIA, bracket_reduction, particle_dynamics,
+                                 picture_equivalence, proposition_suite, run_criterion)
 from cliffdyn.cli import main
 from cliffdyn.clifford import GramResolution
 
@@ -31,20 +33,22 @@ def test_all_criteria_under_different_seed():
         assert result.passed, result.line()
 
 
-def _nan_on_call(monkeypatch, owner, name, call):
-    """Patch owner.name so that its call-th call returns NaN; the others run unchanged."""
+def _poison_on_call(monkeypatch, owner, name, call, value=float("nan")):
+    """Patch owner.name so that its call-th call adds ``value`` (NaN or Inf) to
+    its result; the other calls run unchanged."""
     original = getattr(owner, name)
     calls = []
 
     def patched(*args, **kwargs):
         calls.append(None)
-        return float("nan") if len(calls) == call else original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        return result + value if len(calls) == call else result
 
     monkeypatch.setattr(owner, name, patched)
 
 
 def test_nan_gram_residual_fails_proposition(monkeypatch):
-    _nan_on_call(monkeypatch, GramResolution, "gram_residual", 5)
+    _poison_on_call(monkeypatch, GramResolution, "gram_residual", 5)
     result = proposition_suite(11)
     assert not result.passed
     assert math.isnan(result.details["gram_residual"])
@@ -52,17 +56,53 @@ def test_nan_gram_residual_fails_proposition(monkeypatch):
 
 
 def test_nan_clifford_bracket_fails_bracket_reduction(monkeypatch):
-    _nan_on_call(monkeypatch, particle, "clifford_bracket", 7)
+    _poison_on_call(monkeypatch, particle, "clifford_bracket", 7)
     result = bracket_reduction(11)
     assert not result.passed
     assert "scaled_residual=nan" in result.line()
 
 
 def test_verify_all_prints_every_row_when_a_criterion_is_nan(monkeypatch, capsys):
-    _nan_on_call(monkeypatch, GramResolution, "gram_residual", 5)
+    _poison_on_call(monkeypatch, GramResolution, "gram_residual", 5)
     code = main(["verify-all", "--seed", "11"])
     rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
     assert code == 1
     assert len(rows) == len(CRITERIA)
     assert rows[0].startswith("[FAIL]") and "gram_residual=nan" in rows[0]
     assert all(row.startswith("[PASS]") for row in rows[1:])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("criterion,owner,name", [
+    (particle_dynamics, particle, "mu_of_tau"),
+    (picture_equivalence, matrixmech, "evolve_state"),
+], ids=["particle-dynamics", "picture-equivalence"])
+def test_non_finite_layer_fails_its_criterion(monkeypatch, criterion, owner, name, value):
+    _poison_on_call(monkeypatch, owner, name, 1, value)
+    with np.errstate(invalid="ignore"):
+        result = criterion(11)
+    assert not result.passed
+    assert result.line().startswith("[FAIL]")
+    assert "=nan" in result.line() or "=inf" in result.line()
+
+
+def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys):
+    # a NaN in c makes particle.integrate raise ArithmeticError at step 0
+    original = particle.build_state
+
+    def nan_state(*args, **kwargs):
+        st = original(*args, **kwargs)
+        Y = st.packed().copy()
+        Y[0, 0] = np.nan
+        return particle.ParticleState._of_stack(Y, st.space, st.mass, st.tau)
+
+    monkeypatch.setattr(particle, "build_state", nan_state)
+    code = main(["verify-all", "--seed", "11", "--json"])
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if line.startswith("[")]
+    assert code == 1
+    assert len(rows) == len(CRITERIA)
+    row = rows[[key for key, _ in CRITERIA].index("particle-dynamics")]
+    assert row.startswith("[FAIL] particle dynamics")
+    assert "error=integration produced non-finite values at step 0" in row
+    assert '"error": "integration produced non-finite values at step 0"' in out

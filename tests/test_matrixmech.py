@@ -11,14 +11,16 @@ from cliffdyn.matrixmech import (
     covariant_evolve,
     evolve_heisenberg,
     evolve_matrix_classical,
+    evolve_pictures,
     evolve_state,
     expectation,
     gauge_transform,
+    MatrixTrajectory,
     nonrelativistic_rate,
     schrodinger_gauge,
     truncated_oscillator,
 )
-from cliffdyn.particle import ParticleState
+from cliffdyn.particle import ParticleState, rk4
 from cliffdyn.sampling import random_unitary
 from cliffdyn.spinors import ETA, covec_to_spinor_down, vec_to_spinor
 
@@ -138,6 +140,12 @@ def test_gauge_transform_rejects_non_unitary():
     sys3, _ = _system(n=2)
     with pytest.raises(InputError):
         gauge_transform(sys3, np.diag([1.0, 2.0]))
+
+
+def test_gauge_transform_rejects_nan_unitary():
+    sys3, _ = _system(n=2)
+    with pytest.raises(InputError):
+        gauge_transform(sys3, np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 # -- classical evolution ---------------------------------------------------------
@@ -263,6 +271,96 @@ def test_covariant_flow_matches_reference_rk4_loop():
     assert np.array_equal(traj.P[-1], P)
 
 
+def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
+    """Reference: one system's flow as stepped before the flows shared a batch.
+
+    RK4 on the (2, N, N) pair with its own H per stage; ``gamma(t, X, P)``
+    or None for the Heisenberg picture.  Returns the (steps + 1, 2, N, N) run.
+    """
+    n = X0.shape[0]
+
+    def rhs(t, Y):
+        H = (Y[1] @ Y[1] - MASS ** 2 * np.eye(n)) / (2.0 * MASS)
+        commutator = (Y @ H - H @ Y) / (1j * hbar)
+        if gamma is None:
+            return commutator
+        G = gamma(t, *Y)
+        return 1j * (G @ Y - Y @ G) + commutator
+
+    Y0 = np.stack((X0, P0)).astype(complex)
+    return np.stack([Y0, *rk4(rhs, Y0, 0.0, tau_end / steps, steps)])
+
+
+@pytest.mark.parametrize("steps", [1, 7, 400])
+def test_stacked_pictures_match_separate_stepped_flows(steps):
+    X0, P0 = truncated_oscillator(20, hbar=1.0)
+    heis, frozen = evolve_pictures(X0, P0, 1.0, MASS, 0.8, steps)
+    ref_heis = _stepped_commutator_flow(X0, P0, 1.0, None, 0.8, steps)
+    ref_frozen = _stepped_commutator_flow(X0, P0, 1.0, schrodinger_gauge(1.0, MASS), 0.8, steps)
+    for traj, ref in ((heis, ref_heis), (frozen, ref_frozen)):
+        assert np.array_equal(traj.X, ref[:, 0])
+        assert np.array_equal(traj.P, ref[:, 1])
+    single = evolve_heisenberg(X0, P0, 1.0, MASS, 0.8, steps)
+    gauged = covariant_evolve(X0, P0, 1.0, MASS, schrodinger_gauge(1.0, MASS), 0.8, steps)
+    for a, b in ((single, heis), (gauged, frozen)):
+        assert np.array_equal(a.taubar, b.taubar)
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.P, b.P)
+
+
+def test_heisenberg_rk4_matches_stability_polynomial_oracle():
+    # with H = H(P0) held fixed, one RK4 step multiplies X's entries in H's
+    # eigenbasis by R(z_ij), z_ij = -i h (w_j - w_i) / hbar and
+    # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (Hairer, Norsett & Wanner, II.1)
+    nlev, hbar, taubar, steps = 20, 1.0, 0.8, 2000
+    X0, P0 = truncated_oscillator(nlev, hbar=hbar)
+    w, V = np.linalg.eigh((P0 @ P0 - MASS ** 2 * np.eye(nlev)) / (2 * MASS))
+    z = -1j * (taubar / steps) * (w[None, :] - w[:, None]) / hbar
+    R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    oracle = V @ (R ** steps * (V.conj().T @ X0 @ V)) @ V.conj().T
+    traj = evolve_heisenberg(X0, P0, hbar, MASS, taubar, steps)
+    assert np.abs(traj.X[-1] - oracle).max() <= 1e-11
+
+
+@pytest.mark.parametrize("flow", ["heisenberg", "covariant", "pictures"])
+@pytest.mark.parametrize("hbar", [float("nan"), 0.0, -1.0])
+def test_matrix_flows_require_positive_hbar(flow, hbar):
+    X0, P0 = truncated_oscillator(4)
+    run = {"heisenberg": lambda: evolve_heisenberg(X0, P0, hbar, MASS, 0.1, 5),
+           "covariant": lambda: covariant_evolve(X0, P0, hbar, MASS,
+                                                 lambda t, X, P: np.zeros_like(X), 0.1, 5),
+           "pictures": lambda: evolve_pictures(X0, P0, hbar, MASS, 0.1, 5)}[flow]
+    with pytest.raises(PreconditionError, match="hbar > 0"):
+        run()
+
+
+def test_matrix_flow_names_the_first_non_finite_step():
+    X0, P0 = truncated_oscillator(8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="at step 0$"):
+            evolve_heisenberg(1e200 * X0, 1e200 * P0, 1.0, MASS, 0.5, 100)
+        # RK4 is unstable at h |w_i - w_j| this large: X overflows part-way
+        ref = _stepped_commutator_flow(X0, 30 * P0, 1.0, None, 0.5, 100)
+        first = int(np.argmin(np.isfinite(ref[1:]).reshape(100, -1).all(axis=1)))
+        assert 0 < first < 99
+        with pytest.raises(ArithmeticError, match=f"at step {first}$"):
+            evolve_heisenberg(X0, 30 * P0, 1.0, MASS, 0.5, 100)
+
+
+def test_evolve_state_rejects_a_non_finite_result():
+    s0 = np.array([0.6, 0.8j])
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        evolve_state(s0, lambda t: np.full((2, 2), np.nan), 1.0, 10)
+
+
+def test_hermiticity_drift_propagates_nan():
+    # Python's max(0.0, nan) is 0.0: a NaN in P must reach the drift
+    X0, P0 = truncated_oscillator(4)
+    P = np.stack([P0, P0]).astype(complex)
+    P[1, 2, 1] = np.nan
+    traj = MatrixTrajectory(np.array([0.0, 0.1]), np.stack([X0, X0]), P)
+    assert np.isnan(traj.hermiticity_drift())
+
+
 def test_gamma_gauge_transformation_law():
     # Gamma' = U Gamma U^dagger - i (dU/dtau) U^dagger makes the covariant
     # derivative transform covariantly; checked by finite differences of U.
@@ -315,6 +413,12 @@ def test_expectation_requires_unit_norm():
     sys3, _ = _system(n=2)
     with pytest.raises(InputError):
         expectation(np.array([1.0, 1.0]), sys3, "X")
+
+
+def test_expectation_rejects_nan_state():
+    sys3, _ = _system(n=2)
+    with pytest.raises(InputError):
+        expectation(np.array([1.0, np.nan]), sys3, "X")
 
 
 def test_classical_expectation_stays_on_integral_curve():

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from cliffdyn.clifford import bullet
+from cliffdyn.clifford import bullet, bullet_gram
 from cliffdyn.errors import InputError, PreconditionError
 from cliffdyn.particle import (
+    _COLUMN_BLOCK,
+    _derived_columns,
+    ParticleState,
     build_state,
     canonical_rhs,
     clifford_bracket,
@@ -22,9 +25,11 @@ from cliffdyn.particle import (
     poisson_bracket,
     polyakov_lagrangian,
     polynomial_observable,
+    rk4,
     Trajectory,
 )
-from cliffdyn.spinors import vec_to_spinor, spinor_to_vec, minkowski_dot, eta_flip, flip_both
+from cliffdyn.spinors import (DP_DOWN, ETA, eta_flip, flip_both, minkowski_dot,
+                              spinor_down_to_covec, spinor_to_vec, vec_to_spinor)
 
 MASS = 1.3
 
@@ -225,6 +230,108 @@ def test_integrate_columns_match_per_state_path(e):
     assert traj.constraint_drift() == np.abs(shell - shell[0]).max()
 
 
+def _stepped_integrate(state0, e, tau_end, steps):
+    """Reference: the stepped loop the block flow replaced.
+
+    One :func:`rk4` step at a time on the flow state (c rows plus a taubar
+    column), each stage calling the einbein once; returns (tau, taubar, Y).
+    """
+    signs, mass, tau0 = state0.space.signs, state0.mass, state0.tau
+    Y0 = state0.packed().astype(complex)
+    C, D = Y0[:2], Y0[2:]
+    G = Y0.shape[1]
+    eta_p = ETA @ spinor_down_to_covec(bullet_gram(D, D.conj(), signs))
+    signed_D_T = (D * signs).T
+    D_conj = np.concatenate((D.conj(), np.zeros((2, 1))), axis=1)
+
+    def flow(tau, y):
+        e_val = e(tau)
+        grad_p = 2.0 * e_val * eta_p
+        Gp = np.einsum("m,mab->ab", grad_p, DP_DOWN)
+        cd = y[:, :G] @ signed_D_T
+        mu = 0.5 * (cd[0, 0] + cd[1, 1]).real
+        dy = Gp @ D_conj
+        dy[0, G] = 2.0 * mass * mu * e_val
+        return dy
+
+    h = (tau_end - tau0) / steps
+    Y = np.empty((steps + 1, *Y0.shape), dtype=complex)
+    Y[0] = Y0
+    Y[1:, 2:] = D
+    taubar = np.zeros(steps + 1)
+    y0 = np.concatenate((C, np.zeros((2, 1))), axis=1)
+    for k, y in enumerate(rk4(flow, y0, tau0, h, steps)):
+        if not np.all(np.isfinite(y)):
+            raise ArithmeticError(f"integration produced non-finite values at step {k}")
+        Y[k + 1, :2] = y[:, :-1]
+        taubar[k + 1] = y[0, -1].real
+    tau = tau0 + np.arange(steps + 1) * h
+    tau[0] = tau0
+    return tau, taubar, Y
+
+
+def _mixed_state(tau=0.0):
+    M = np.array([[0.7 + 0.02j, 0.05 + 0.01j], [0.05 - 0.01j, 0.6]])
+    return build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), M, MASS, tau=tau)
+
+
+@pytest.mark.parametrize("steps", [1, 7, _COLUMN_BLOCK - 1, _COLUMN_BLOCK, _COLUMN_BLOCK + 1,
+                                   10_000])
+@pytest.mark.parametrize("e", [constant_einbein(0.5), linear_einbein(0.6, 0.3)],
+                         ids=["const", "linear"])
+def test_integrate_matches_stepped_rk4_bit_for_bit(e, steps):
+    st = _mixed_state(tau=0.4)
+    traj = integrate(st, e, 2.4, steps)
+    tau, taubar, Y = _stepped_integrate(st, e, 2.4, steps)
+    assert np.array_equal(traj.tau, tau)
+    assert np.array_equal(traj.taubar, taubar)
+    assert np.array_equal(traj.Y, Y)
+    for name, column in zip(("x", "p", "J", "j", "mu"), _derived_columns(Y, st.space.signs)):
+        assert np.array_equal(getattr(traj, name), column), name
+
+
+def _raised(fn, *args):
+    with pytest.raises((ArithmeticError, PreconditionError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("steps", [7, 3000])
+def test_integrate_names_the_first_non_positive_einbein(steps):
+    # e = 0.5 - tau reaches zero at tau = 0.5, in the second block of 3000 steps
+    st = _mixed_state()
+    e = linear_einbein(0.5, -1.0)
+    kind, message = _raised(integrate, st, e, 1.0, steps)
+    assert kind is PreconditionError
+    assert (kind, message) == _raised(_stepped_integrate, st, e, 1.0, steps)
+
+
+def test_integrate_names_the_first_non_finite_step():
+    # a steep einbein overflows the state part-way through the third block
+    st = _mixed_state()
+    e = linear_einbein(1.0, 5e153)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kind, message = _raised(integrate, st, e, 1.0, 3000)
+        assert (kind, message) == _raised(_stepped_integrate, st, e, 1.0, 3000)
+    assert kind is ArithmeticError and message.endswith("at step 2451")
+    Y = st.packed().copy()
+    Y[0, 3] = np.nan
+    poisoned = ParticleState._of_stack(Y, st.space, MASS, 0.0)
+    with pytest.raises(ArithmeticError, match="at step 0$"):
+        integrate(poisoned, constant_einbein(0.5), 1.0, 10)
+
+
+def test_einbein_values_check_every_entry_in_order():
+    e = linear_einbein(1.0, -1.0)
+    taus = np.array([[0.0, 0.5, 0.9], [2.0, 0.2, 3.0]])
+    with pytest.raises(PreconditionError, match=r"e\(2\.0\) = -1\.0"):
+        e.values(taus)
+    assert np.array_equal(e.values(taus[:1].T), 1.0 - taus[:1].T)
+    const = constant_einbein(0.5).values(taus)
+    assert const.shape == taus.shape and np.all(const == 0.5)
+    assert e(0.25) == 0.75
+
+
 def test_constraint_drift_matches_per_state_shell():
     # the free flow freezes p, so stitch runs of off-shell states together
     # to make the shell vary along the p column
@@ -237,6 +344,14 @@ def test_constraint_drift_matches_per_state_shell():
     drift = np.abs(shell - shell[0]).max()
     assert drift > 0.1
     assert traj.constraint_drift() == drift
+
+
+@pytest.mark.parametrize("column,index", [("J", (4, 1, 0)), ("j", (4,))])
+def test_charge_drift_propagates_nan(column, index):
+    # Python's max(0.3, nan) is 0.3: each charge must be able to poison the drift
+    traj = integrate(_mixed_state(), constant_einbein(0.5), 1.0, 10)
+    getattr(traj, column)[index] = np.nan
+    assert np.isnan(traj.charge_drift())
 
 
 # -- charges ------------------------------------------------------------------
