@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clifford, current_algebra, matrixmech, particle, worldsheet
-from .errors import PreconditionError, VerificationError
+from .errors import InputError, PreconditionError, VerificationError
 from .sampling import random_fourvector, random_hermitian, random_timelike, random_unitary
 from .spinors import eta_flip, flip_both, spinor_to_vec, vec_to_spinor
 from .tolerances import DEFAULT, Tolerances
@@ -38,16 +38,18 @@ class CriterionResult:
 def _criterion(title: str):
     """Make a check returning ``(passed, details)`` a criterion named ``title``.
 
-    A check that raises ArithmeticError (VerificationError included) or
-    PreconditionError gives a FAIL row with the message under ``error``, so
-    one failing criterion never stops the ``verify-all`` table.
+    A check that raises ArithmeticError (VerificationError included),
+    InputError or PreconditionError gives a FAIL row with the message under
+    ``error``, so one failing criterion never stops the ``verify-all`` table.
+    The criteria make their own inputs, so an InputError here means a
+    numerical layer handed the next one a bad value (say, a NaN in U).
     """
     def wrap(check):
         @functools.wraps(check)
         def criterion(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
             try:
                 passed, details = check(seed, tols)
-            except (ArithmeticError, PreconditionError) as exc:
+            except (ArithmeticError, InputError, PreconditionError) as exc:
                 passed, details = False, {"error": str(exc), **getattr(exc, "details", {})}
             return CriterionResult(title, passed, details)
         return criterion
@@ -180,7 +182,9 @@ def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, di
     taubar, steps = 0.8, 2000
     heis, frozen = matrixmech.evolve_pictures(X0, P0, hbar, mass, taubar, steps)
     s0 = np.zeros(nlev, dtype=complex)
-    s0[1], s0[3], s0[5] = 0.6, 0.64, 0.48          # interior support, away from the corner
+    # interior support, away from the corner; mixed level parity and a complex
+    # amplitude, since H keeps parity and X flips it: on one parity <X> is 0
+    s0[1], s0[2], s0[4] = 0.6, 0.64j, 0.48
     s0 /= np.linalg.norm(s0)
     H = (P0 @ P0 - mass ** 2 * np.eye(nlev)) / (2 * mass)
     gauge = -H / hbar

@@ -135,8 +135,9 @@ def gauge_transform(sys: NSystem, U: np.ndarray) -> NSystem:
     n = sys.n
     if U.shape != (n, n):
         raise InputError(f"U must be {n}x{n}")
-    if not np.abs(U @ U.conj().T - np.eye(n)).max() <= 1e-12:
-        raise InputError("U is not unitary within 1e-12")
+    deviation = np.abs(U @ U.conj().T - np.eye(n)).max()
+    if not deviation <= 1e-12:
+        raise InputError(f"U is not unitary within 1e-12: max |U U^dagger - 1| = {deviation:.3e}")
     return NSystem(sys.space, _rotate(sys.kets, U), _rotate(sys.bras, U.conj()),
                    sys.mass, hbar=sys.hbar, phi=sys.phi)
 

@@ -471,7 +471,8 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
     out_Y = np.empty((n, *Y0.shape), dtype=complex)
     out_Y[0] = Y0
     out_Y[1:, 2:] = Y0[2:]
-    out_taubar = _free_flow(out_Y[:, :2], Y0[2:], signs, state0.mass, e, tau0, h)
+    with np.errstate(over="ignore", invalid="ignore"):    # _free_flow names the bad step
+        out_taubar = _free_flow(out_Y[:, :2], Y0[2:], signs, state0.mass, e, tau0, h)
     out_tau = tau0 + np.arange(n) * h
     out_tau[0] = tau0
     x = np.empty((n, 4))

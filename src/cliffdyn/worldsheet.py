@@ -190,29 +190,28 @@ def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
 
 
 class StringState:
-    """Mode coefficients as one coefficient stack, with per-label row views.
+    """Mode coefficients as one coefficient stack, with per-state row matrices.
 
     ``coeffs`` is the (2 * len(spec.labels), G) stack in the Gram's label
-    order, rows ``2 i + A`` for label i and spinor component A.
+    order, rows ``2 i + A`` for label i and spinor component A.  ``c_rows``
+    is the same stack as one (labels, 2 G) row per label, so a field linear
+    in the coefficients is a (points, labels) phase matrix times ``c_rows``.
+    ``dstar_rows`` = p2^{-2} L_down conj(c_rows), per label, gives the
+    polymomenta the same way; it is None on the unsupported p.p = 0 branch.
     """
 
     def __init__(self, spec: ModeSpec, space: GeneratorSpace, coeffs: np.ndarray):
         self.spec = spec
         self.space = space
         self.coeffs = coeffs
-
-        def label_rows(label):
-            i = 2 * spec.labels.index(label)
-            return coeffs[i:i + 2]
-
-        self._K = label_rows("k")
-        self._L = label_rows("l")
-        self._A = {n: label_rows(f"a{n}") for n in spec.modes}
-        self._B = {n: label_rows(f"b{n}") for n in spec.modes}
         self.p2 = spec.p_squared()
         self.L_up = spec.l_block()
         self.L_down = flip_both(self.L_up)
         self.p_up = self.L_up / self.p2 if abs(self.p2) > 1e-12 else None
+        per_label = coeffs.reshape(len(spec.labels), 2, space.size)
+        self.c_rows = per_label.reshape(len(spec.labels), -1)
+        self.dstar_rows = None if self.p_up is None else \
+            (self.p2 ** -2 * (self.L_down @ per_label.conj())).reshape(len(spec.labels), -1)
         # l_A . conj(l)_B against every allowed Gram block: the dilaton's mode coefficients
         self.l_contractions = {pair: _l_contract(self, spec.block(*pair))
                                for pair in spec._allowed_pairs()}
@@ -245,8 +244,12 @@ def build_wave_state(spec: ModeSpec) -> StringState:
 # Each field function takes tau and sigma as scalars or arrays that broadcast
 # to one point shape S, and puts S in front of the field's own axes: (*S, 2, G)
 # for coefficient stacks, (*S, 2, 2) for x and T, S for the dilaton.  Scalar
-# tau and sigma give the single-point shape and type.  The mode loop runs once
-# per call, and every point sees the operations a single-point call does.
+# tau and sigma give the single-point shape and type.  c, its derivatives and
+# the polymomenta are linear in the mode coefficients: each is the points'
+# phase matrix from _phases times the state's c_rows or dstar_rows, one
+# (points, labels) @ (labels, 2 G) product per call (see _product), which
+# agrees with the per-mode sum to rounding.  x and the dilaton keep their
+# closed-form mode loops.
 
 def _points(tau, sigma) -> tuple[np.ndarray, ...]:
     """tau and sigma as float arrays broadcast to one point shape."""
@@ -262,28 +265,69 @@ def _square(x):
     return np.float_power(x, 2)
 
 
+def _phases(state: StringState, tau, sigma) -> np.ndarray:
+    """Factor of each label in c, d_tau c and d_sigma c: shape (*S, 3, labels).
+
+    k -> (1, 0, 0), l -> (tau, 1, 0), a_n -> (e, i n/2 e, i n/2 e) and
+    b_n -> (f, i n/2 f, -i n/2 f), with e = exp(i n (tau+sigma)/2) and
+    f = exp(i n (tau-sigma)/2).
+    """
+    tau, sigma = _points(tau, sigma)
+    ik = 0.5j * np.array(state.spec.modes)
+    e = np.exp(ik * (tau + sigma)[..., None])
+    f = np.exp(ik * (tau - sigma)[..., None])
+    left, right = slice(2, 2 + len(ik)), slice(2 + len(ik), None)
+    out = np.zeros(tau.shape + (3, len(state.spec.labels)), dtype=complex)
+    out[..., 0, 0] = 1.0
+    out[..., 0, 1] = tau
+    out[..., 1, 1] = 1.0
+    out[..., 0, left] = e
+    out[..., 1:, left] = (ik * e)[..., None, :]
+    out[..., 0, right] = f
+    out[..., 1, right] = ik * f
+    out[..., 2, right] = -out[..., 1, right]
+    return out
+
+
+# OpenBLAS hands a matrix product of more than 2**16 multiply-adds to its
+# worker threads.  For products this small their wake-up and spin-down cost
+# far more than the arithmetic: on a 2-vCPU host, string-suite took 87 ms
+# with one product over all points, 10 ms with OpenBLAS held to one thread
+# and 6 ms with blocks below the limit.  So _product takes the points in
+# blocks of at most this many multiply-adds each.
+_SERIAL_PRODUCT = 2 ** 16
+
+
+def _product(phases: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(*S, labels) phases times (labels, 2 G) rows: (*S, 2, G).
+
+    The points are flattened first (a stacked matmul would make one small
+    product per point), then multiplied a block of points at a time.
+    """
+    flat = phases.reshape(-1, phases.shape[-1])
+    out = np.empty((len(flat), rows.shape[1]), dtype=complex)
+    block = max(1, _SERIAL_PRODUCT // rows.size)
+    for lo in range(0, len(flat), block):
+        np.matmul(flat[lo:lo + block], rows, out=out[lo:lo + block])
+    return out.reshape(*phases.shape[:-1], 2, -1)
+
+
+def _dstar_rows(state: StringState) -> np.ndarray:
+    if state.dstar_rows is None:
+        raise PreconditionError("p.p = 0 branch is unsupported")
+    return state.dstar_rows
+
+
 def eval_c_packed(state: StringState, tau, sigma) -> np.ndarray:
     """c^A(tau, sigma) as a packed (*S, 2, G) coefficient stack."""
-    tau, sigma = (x[..., None, None] for x in _points(tau, sigma))
-    out = state._K + tau * state._L
-    for n in state.spec.modes:
-        out = out + np.exp(0.5j * n * (tau + sigma)) * state._A[n]
-        out = out + np.exp(0.5j * n * (tau - sigma)) * state._B[n]
-    return out
+    return _product(_phases(state, tau, sigma)[..., 0, :], state.c_rows)
 
 
 def _eval_dc_packed(state: StringState, tau, sigma, beta: int) -> np.ndarray:
     """d_beta c^A(tau, sigma) as a packed (*S, 2, G) coefficient stack."""
     if beta not in (0, 1):
         raise InputError(f"worldsheet index must be 0 or 1, got {beta}")
-    tau, sigma = (x[..., None, None] for x in _points(tau, sigma))
-    out = np.broadcast_to(state._L if beta == 0 else 0j,
-                          tau.shape[:-2] + state._L.shape).astype(complex)
-    for n in state.spec.modes:
-        out = out + (0.5j * n) * np.exp(0.5j * n * (tau + sigma)) * state._A[n]
-        right = (0.5j * n) * np.exp(0.5j * n * (tau - sigma)) * state._B[n]
-        out = out + right if beta == 0 else out - right
-    return out
+    return _product(_phases(state, tau, sigma)[..., 1 + beta, :], state.c_rows)
 
 
 def eval_c(state: StringState, tau: float, sigma: float) -> list[ClVector]:
@@ -313,20 +357,14 @@ def eval_x_from_vectors(state: StringState, tau, sigma) -> np.ndarray:
     return bullet_gram(C, C.conj(), state.space.signs)
 
 
-def _dstar(state: StringState, tau, sigma, alpha: int) -> np.ndarray:
-    """d*^alpha_A = p2^{-2} L_down[A, B] eta^{alpha alpha} d_alpha conj(c^B), (*S, 2, G)."""
-    if state.p_up is None:
-        raise PreconditionError("p.p = 0 branch is unsupported")
-    dcbar = _eval_dc_packed(state, tau, sigma, alpha).conj()
-    return state.p2 ** -2 * ETA_WS[alpha, alpha] * (state.L_down @ dcbar)
-
-
 def dstar_upper(state: StringState, tau, sigma) -> np.ndarray:
     """Polymomenta d*^alpha_A as a packed (*S, 2, 2, G) stack: alpha = tau, sigma, then A.
 
     d*^alpha_A = p2^{-2} L_down[A, B] eta^{alpha beta} d_beta conj(c^B).
     """
-    return np.stack([_dstar(state, tau, sigma, alpha) for alpha in range(2)], axis=-3)
+    rows = _dstar_rows(state)
+    phases = _phases(state, tau, sigma)[..., 1:, :].conj()
+    return _product(ETA_WS.diagonal()[:, None] * phases, rows)
 
 
 def momentum_and_polymomenta(state: StringState):
@@ -446,9 +484,8 @@ def residual_f52(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
     truncation error exactly on null movers (see :func:`wave_residual`).
     """
     ht, hs = h, 0.5 * h
-    tp, tm = _dstar(state, *_stencil((ht, 0.0), (-ht, 0.0)), 0)
-    sp, sm = _dstar(state, *_stencil((0.0, hs), (0.0, -hs)), 1)
-    div = (tp - tm) / (2 * ht) + (sp - sm) / (2 * hs)
+    tp, tm, sp, sm = dstar_upper(state, *_stencil((ht, 0.0), (-ht, 0.0), (0.0, hs), (0.0, -hs)))
+    div = (tp[:, 0] - tm[:, 0]) / (2 * ht) + (sp[:, 1] - sm[:, 1]) / (2 * hs)
     return np.abs(div).max(axis=(-2, -1))
 
 
@@ -524,14 +561,17 @@ def curve_polymomenta(state: StringState, curve: Curve, us: np.ndarray
     Returns the (n, 2) array of (tau, sigma) points at ``us`` and, as an
     (n, 2, G) array, dsigma^a eps_{ba} d*^b = sigma' d*^tau - tau' d*^sigma
     (eps_{01} = +1).  The curve and its velocity are called once per node.
+    With eta = diag(1, -1) the projection is (sigma' conj(dc/dtau phases)
+    + tau' conj(dc/dsigma phases)) times ``dstar_rows``: one product.
     """
     nodes = np.array([(*curve(float(u)), *curve.velocity(float(u))) for u in us], dtype=float)
     tau, sigma, vt, vs = nodes.T
     spacelike = vs ** 2 - vt ** 2 > 0
     if not spacelike.all():
         raise PreconditionError(f"curve is not spacelike at u = {us[np.argmin(spacelike)]}")
-    ds = dstar_upper(state, tau, sigma)
-    return nodes[:, :2], vs[:, None, None] * ds[:, 0] - vt[:, None, None] * ds[:, 1]
+    rows = _dstar_rows(state)
+    phases = _phases(state, tau, sigma).conj()
+    return nodes[:, :2], _product(vs[:, None] * phases[:, 1] + vt[:, None] * phases[:, 2], rows)
 
 
 def total_momentum(state: StringState, curve: Curve, n_nodes: int = 257
@@ -550,9 +590,7 @@ def total_momentum(state: StringState, curve: Curve, n_nodes: int = 257
         raise PreconditionError("curve endpoints must sit on sigma = 0 and sigma = pi")
     w = simpson_weights(n_nodes, us[1] - us[0])
     _, dproj = curve_polymomenta(state, curve, us)
-    acc = np.zeros((2, state.space.size), dtype=complex)
-    for wu, row in zip(w, dproj):    # sequential: another order moves p_tot's last digits
-        acc += wu * row
+    acc = np.einsum("m,mag->ag", w, dproj)
     p_tot = bullet_gram(acc, acc.conj(), state.space.signs)
     return list(unpack(state.space, acc)), p_tot
 

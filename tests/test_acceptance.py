@@ -4,14 +4,18 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per
 criterion; the same checks back the ``cliffdyn verify-all`` command.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from cliffdyn import matrixmech, particle
-from cliffdyn.acceptance import (CRITERIA, bracket_reduction, particle_dynamics,
-                                 picture_equivalence, proposition_suite, run_criterion)
+from cliffdyn import acceptance, current_algebra, matrixmech, particle, worldsheet
+from cliffdyn.acceptance import (CRITERIA, algebra_suite, bracket_reduction,
+                                 contraction_identity, particle_dynamics,
+                                 picture_equivalence, proposition_suite, run_criterion,
+                                 string_suite, un_covariance)
 from cliffdyn.cli import main
 from cliffdyn.clifford import GramResolution
 
@@ -72,18 +76,55 @@ def test_verify_all_prints_every_row_when_a_criterion_is_nan(monkeypatch, capsys
     assert all(row.startswith("[PASS]") for row in rows[1:])
 
 
+def _shows_non_finite(result):
+    """A detail is NaN or Inf, or the row's error message names one."""
+    return any((isinstance(v, float) and not math.isfinite(v))
+               or (isinstance(v, str) and re.search(r"\b(nan|inf)\b", v))
+               for v in result.details.values())
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("criterion,owner,name", [
     (particle_dynamics, particle, "mu_of_tau"),
     (picture_equivalence, matrixmech, "evolve_state"),
-], ids=["particle-dynamics", "picture-equivalence"])
+    (contraction_identity, acceptance, "flip_both"),
+    (un_covariance, acceptance, "random_unitary"),       # InputError, shown under ``error``
+    (string_suite, worldsheet, "_phases"),
+    (algebra_suite, current_algebra, "_pairings"),
+], ids=["particle-dynamics", "picture-equivalence", "c30-identity", "un-covariance",
+        "string-suite", "algebra-suite"])
 def test_non_finite_layer_fails_its_criterion(monkeypatch, criterion, owner, name, value):
     _poison_on_call(monkeypatch, owner, name, 1, value)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         result = criterion(11)
     assert not result.passed
     assert result.line().startswith("[FAIL]")
-    assert "=nan" in result.line() or "=inf" in result.line()
+    assert _shows_non_finite(result), result.line()
+
+
+# the two mistakes the picture-equivalence probe must catch: X left unevolved,
+# and the Heisenberg flow run backwards
+_evolve_pictures = matrixmech.evolve_pictures
+
+
+def _unevolved_heisenberg(X0, P0, hbar, mass, tau_end, steps):
+    heis, frozen = _evolve_pictures(X0, P0, hbar, mass, tau_end, steps)
+    X = heis.X.copy()
+    X[-1] = X0
+    return dataclasses.replace(heis, X=X), frozen
+
+
+def _reversed_flows(X0, P0, hbar, mass, tau_end, steps):
+    return _evolve_pictures(X0, P0, hbar, mass, -tau_end, steps)
+
+
+@pytest.mark.parametrize("broken", [_unevolved_heisenberg, _reversed_flows],
+                         ids=["unevolved-X", "flow-to-minus-T"])
+def test_picture_equivalence_fails_on_a_wrong_heisenberg_flow(monkeypatch, broken):
+    monkeypatch.setattr(matrixmech, "evolve_pictures", broken)
+    result = picture_equivalence(11)
+    assert result.line().startswith("[FAIL]")
+    assert result.details["expectation_gap"] > 0.5
 
 
 def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys):

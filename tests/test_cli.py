@@ -1,6 +1,10 @@
 """CLI exit codes, file outputs, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,31 @@ def test_particle_rejects_non_finite_einbein(tmp_path, capsys, recwarn, field, b
     assert "RuntimeWarning" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
+
+
+def test_particle_flow_overflow_exits_1_with_one_line(tmp_path, capsys, recwarn):
+    # finite input whose flow overflows: integrate raises ArithmeticError mid-run
+    cfg = {"mass": 1.0, "einbein": {"type": "linear", "params": {"a": 1.0, "b": 5e153}},
+           "tau0": 0.0, "tau_end": 1.0, "steps": 3000,
+           "gram": {"x": [0.1, 0.2, 0.3, 0.4], "p": [1.5, 0.3, 0.2, 0.1], "M": {"mu": 0.7}}}
+    _write_json(tmp_path / "p.json", cfg)
+    code = main(["particle", "--config", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "integration produced non-finite values at step" in err
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "cliffdyn", "verify-all", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "--seed" in done.stdout
 
 
 def _string_config():

@@ -299,24 +299,92 @@ def test_dilaton_integration_constants_affect_only_linear_part(rich_state):
 # -- array paths against the per-point references ------------------------------------
 #
 # The references below are the single-point field code and the per-point
-# residual loops that the array paths replaced; each array path must agree
-# with them bit for bit.
+# residual loops that the array paths replaced.  eval_x, the dilaton and the
+# box residual keep their arithmetic and must agree with them bit for bit.
+# c, its derivatives and the polymomenta are one (points, labels) @
+# (labels, 2G) phase-matrix product, which sums the K label terms in another
+# order than the per-mode loop; they must agree per entry within
+#
+#     _ROUND * K * eps * sum_l |Phi_l| |C_l|
+#
+# (Phi_l the label's phase factor, C_l its coefficient row), a bound carried
+# through the bilinear forms, sums and difference quotients built on them.
 
-def _ref_c(state, tau, sigma):
-    out = state._K + tau * state._L
-    for n in state.spec.modes:
-        out = out + np.exp(0.5j * n * (tau + sigma)) * state._A[n]
-        out = out + np.exp(0.5j * n * (tau - sigma)) * state._B[n]
+EPS = np.finfo(float).eps
+_ROUND = 4.0                 # the small constant of the rounding bound above
+
+
+def _label_rows(state, label):
+    i = 2 * state.spec.labels.index(label)
+    return state.coeffs[i:i + 2]
+
+
+def _ref_c(state, tau, sigma, modes=None):
+    rows = functools.partial(_label_rows, state)
+    out = rows("k") + tau * rows("l")
+    for n in state.spec.modes if modes is None else modes:
+        out = out + np.exp(0.5j * n * (tau + sigma)) * rows(f"a{n}")
+        out = out + np.exp(0.5j * n * (tau - sigma)) * rows(f"b{n}")
     return out
 
 
-def _ref_dc(state, tau, sigma, beta):
-    out = state._L.astype(complex).copy() if beta == 0 else np.zeros_like(state._L)
+def _ref_dc(state, tau, sigma, beta, right=-1):
+    """d_beta c, mode by mode; ``right`` is the sign of the right movers in d_sigma c."""
+    rows = functools.partial(_label_rows, state)
+    out = rows("l").astype(complex).copy() if beta == 0 else np.zeros_like(rows("l"))
     for n in state.spec.modes:
-        out = out + (0.5j * n) * np.exp(0.5j * n * (tau + sigma)) * state._A[n]
-        right = (0.5j * n) * np.exp(0.5j * n * (tau - sigma)) * state._B[n]
-        out = out + right if beta == 0 else out - right
+        out = out + (0.5j * n) * np.exp(0.5j * n * (tau + sigma)) * rows(f"a{n}")
+        right_term = (0.5j * n) * np.exp(0.5j * n * (tau - sigma)) * rows(f"b{n}")
+        out = out + right_term if beta == 0 or right > 0 else out - right_term
     return out
+
+
+def _round(state, magnitude):
+    return _ROUND * len(state.spec.labels) * EPS * magnitude
+
+
+def _c_bound(state, tau, sigma):
+    rows = functools.partial(_label_rows, state)
+    mag = np.abs(rows("k")) + abs(tau) * np.abs(rows("l"))
+    for n in state.spec.modes:
+        mag = mag + np.abs(rows(f"a{n}")) + np.abs(rows(f"b{n}"))
+    return _round(state, mag)
+
+
+def _dstar_bound(state, tau=None, sigma=None):
+    """(alpha, A, G) bound on d*: p2^-2 |L_down| times sum_l |Phi_l| |C_l| of d_alpha c.
+
+    The phases have modulus 1, so the bound is the same at every point.
+    """
+    rows = functools.partial(_label_rows, state)
+    out = []
+    for beta in range(2):
+        mag = np.abs(rows("l")) if beta == 0 else np.zeros(rows("l").shape)
+        for n in state.spec.modes:
+            mag = mag + 0.5 * abs(n) * (np.abs(rows(f"a{n}")) + np.abs(rows(f"b{n}")))
+        out.append(_round(state, state.p2 ** -2 * np.abs(state.L_down) @ mag))
+    return np.stack(out)
+
+
+def _gram_bound(state, x, y, dx, dy):
+    """Bound on the change of bullet_gram(x, conj(y)) when x and y move by dx and dy,
+    plus the rounding of the G-term sum on each side."""
+    signs = np.abs(state.space.signs)
+    ax, ay = np.abs(x), np.abs(y)
+    return (bullet_gram(ax, dy, signs) + bullet_gram(dx, ay, signs)
+            + 2 * state.space.size * EPS * bullet_gram(ax, ay, signs))
+
+
+def _T_bound(state, tau, sigma):
+    ds = np.stack(_ref_dstar(state, tau, sigma))
+    dd = _dstar_bound(state)
+    dD = _gram_bound(state, ds[:, None], ds[None], dd[:, None], dd[None])
+    return np.einsum("AB,abAB->ab", np.abs(state.p_up), 0.5 * (dD + np.swapaxes(dD, 0, 1)))
+
+
+def _within(got, ref, bound):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and bool(np.all(np.abs(got - ref) <= bound))
 
 
 def _ref_x(state, tau, sigma):
@@ -330,9 +398,9 @@ def _ref_x(state, tau, sigma):
     return x
 
 
-def _ref_dstar(state, tau, sigma):
+def _ref_dstar(state, tau, sigma, right=-1):
     scale = state.p2 ** -2
-    return [scale * ETA_WS[a, a] * (state.L_down @ _ref_dc(state, tau, sigma, a).conj())
+    return [scale * ETA_WS[a, a] * (state.L_down @ _ref_dc(state, tau, sigma, a, right).conj())
             for a in range(2)]
 
 
@@ -405,12 +473,56 @@ def _ref_f90(state, h):
     return np.array(out)
 
 
+def _f51_bound(state, h):
+    db = _dstar_bound(state)
+    out = []
+    for t, s in _ref_grid():
+        worst = []
+        for alpha, (dt, dsg) in enumerate(((h, 0.0), (0.0, h))):
+            fd = (_c_bound(state, t + dt, s + dsg) + _c_bound(state, t - dt, s - dsg)) / (2 * h)
+            worst.append((fd + np.abs(state.p_up) @ db[alpha]).max())
+        out.append(max(worst))
+    return np.array(out)
+
+
+def _f52_bound(state, h):
+    db = _dstar_bound(state)
+    ht, hs = h, 0.5 * h
+    div = 2 * db[0] / (2 * ht) + 2 * db[1] / (2 * hs)
+    return np.full(len(_ref_grid()), div.max())
+
+
+def _f90_bound(state, h):
+    signs = state.space.signs
+    db = _dstar_bound(state)
+    du = db[:, ::-1]                     # u^a = eta (d*^a_1, -d*^a_0): components swap
+    out = []
+    for t, s in _ref_grid():
+        ds = _ref_dstar(state, t, s)
+        Pi = sum(bullet_gram(ETA_WS[g, g] * ds[g], ds[g].conj(), signs) for g in range(2))
+        dPi = sum(_gram_bound(state, ds[g], ds[g], db[g], db[g]) for g in range(2))
+        u = np.stack([ETA_WS[a, a] * np.stack([ds[a][1], -ds[a][0]]) for a in range(2)])
+        D = bullet_gram(u[:, None], u[None].conj(), signs)
+        dD = _gram_bound(state, u[:, None], u[None], du[:, None], du[None])
+        Dsym = np.abs(0.5 * (D + np.swapaxes(D, 0, 1)))
+        dDsym = 0.5 * (dD + np.swapaxes(dD, 0, 1))
+        rhs = np.einsum("AB,abAB->ab", np.abs(Pi), dDsym) \
+            + np.einsum("AB,abAB->ab", dPi, Dsym + dDsym)
+        out.append(rhs.max())
+    return np.array(out)
+
+
 def _same(a, b):
     """Equal values and equal sign bits (so -0.0 and 0.0 count as different)."""
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and np.array_equal(a, b)
             and np.array_equal(np.signbit(a.real), np.signbit(b.real))
             and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def _agrees(got, ref, bound):
+    """Bit equality without a bound, else agreement within it."""
+    return _same(got, ref) if bound is None else _within(got, ref, bound)
 
 
 @pytest.fixture(params=["acceptance", "two_mode"])
@@ -423,16 +535,22 @@ def test_fields_on_point_arrays_match_per_point_reference(any_state):
     rng = np.random.default_rng(8)
     pts = [(rng.uniform(-1.5, 1.5), rng.uniform(0.0, math.pi)) for _ in range(1000)]
     taus, sigmas = (np.array(v).reshape(25, 40) for v in zip(*pts))
-    cases = [(eval_x, _ref_x), (eval_c_packed, _ref_c), (dilaton, _ref_dilaton),
-             (energy_momentum, _ref_T), (dstar_upper, lambda *a: np.stack(_ref_dstar(*a)))]
-    for fn, ref in cases:
-        expect = np.array([ref(any_state, t, s) for t, s in pts])
+    cases = [(eval_x, _ref_x, None), (dilaton, _ref_dilaton, None),
+             (eval_c_packed, _ref_c, _c_bound), (energy_momentum, _ref_T, _T_bound),
+             (dstar_upper, lambda *a: np.stack(_ref_dstar(*a)), _dstar_bound)]
+    for fn, ref, bound in cases:
+        def expected(points):
+            values = np.array([ref(any_state, t, s) for t, s in points])
+            return values, None if bound is None else np.array(
+                [bound(any_state, t, s) for t, s in points])
+
         got = fn(any_state, taus, sigmas)
-        assert _same(got.reshape(expect.shape), expect), fn.__name__
         assert got.shape[:2] == (25, 40), fn.__name__
+        expect, tol = expected(pts)
+        assert _agrees(got.reshape(expect.shape), expect, tol), fn.__name__
         # a scalar tau broadcasts against an array of sigmas
-        row = fn(any_state, pts[0][0], sigmas[0])
-        assert _same(row, np.array([ref(any_state, pts[0][0], s) for s in sigmas[0]])), fn.__name__
+        expect, tol = expected([(pts[0][0], s) for s in sigmas[0]])
+        assert _agrees(fn(any_state, pts[0][0], sigmas[0]), expect, tol), fn.__name__
 
 
 def test_fields_at_one_point_keep_their_shape_and_type(rich_state):
@@ -447,21 +565,43 @@ def test_fields_at_one_point_keep_their_shape_and_type(rich_state):
 
 @pytest.mark.parametrize("h", [1e-3, 2e-3])
 def test_residuals_match_per_point_reference(any_state, h):
-    for fn, ref in ((wave_residual, _ref_wave), (residual_f51, _ref_f51),
-                    (residual_f52, _ref_f52), (dilaton_residual, _ref_f90)):
-        assert _same(fn(any_state, h), ref(any_state, h)), fn.__name__
+    for fn, ref, bound in ((wave_residual, _ref_wave, None),
+                           (residual_f51, _ref_f51, _f51_bound),
+                           (residual_f52, _ref_f52, _f52_bound),
+                           (dilaton_residual, _ref_f90, _f90_bound)):
+        tol = None if bound is None else bound(any_state, h)
+        assert _agrees(fn(any_state, h), ref(any_state, h), tol), fn.__name__
 
 
 def test_curve_polymomenta_matches_per_node_reference(any_state):
     curve = arc_curve(0.5, 0.2)
     us = np.linspace(0.0, 1.0, 129)
     points, dproj = curve_polymomenta(any_state, curve, us)
+    db = _dstar_bound(any_state)
     for m, u in enumerate(us):
         t, s = curve(float(u))
         vt, vs = curve.velocity(float(u))
         ds = _ref_dstar(any_state, t, s)
         assert tuple(points[m]) == (t, s)
-        assert _same(dproj[m], vs * ds[0] - vt * ds[1])
+        assert _within(dproj[m], vs * ds[0] - vt * ds[1], abs(vs) * db[0] + abs(vt) * db[1])
+
+
+@pytest.mark.parametrize("mutation", ["mode-dropped", "right-mover-flipped"])
+def test_rounding_bound_rejects_a_wrong_reference(rich_state, mutation):
+    # the bound admits a reordered sum, not a field with a term missing or mis-signed
+    rng = np.random.default_rng(9)
+    pts = [(rng.uniform(-1.5, 1.5), rng.uniform(0.0, math.pi)) for _ in range(50)]
+    taus, sigmas = np.array(pts).T
+    if mutation == "mode-dropped":
+        got = eval_c_packed(rich_state, taus, sigmas)
+        modes = rich_state.spec.modes[:-1]
+        wrong = np.array([_ref_c(rich_state, t, s, modes=modes) for t, s in pts])
+        bound = np.array([_c_bound(rich_state, t, s) for t, s in pts])
+    else:
+        got = dstar_upper(rich_state, taus, sigmas)
+        wrong = np.array([np.stack(_ref_dstar(rich_state, t, s, right=+1)) for t, s in pts])
+        bound = _dstar_bound(rich_state)
+    assert np.max(np.abs(got - wrong) - bound) > 1e-6
 
 
 def test_non_real_field_at_one_point_raises(rich_state, monkeypatch):
@@ -497,18 +637,23 @@ def test_total_momentum_nonvibrating_pi_squared_identity(plain_state):
 def test_total_momentum_matches_per_node_reference(rich_state):
     curve = arc_curve(0.5, 0.2)
     us = np.linspace(0.0, 1.0, 257)
-    points, dproj = curve_polymomenta(rich_state, curve, us)
     w = simpson_weights(257, us[1] - us[0])
-    acc = np.zeros_like(dproj[0])
-    for m, (u, wu) in enumerate(zip(us, w)):
+    db = _dstar_bound(rich_state)
+    acc = np.zeros((2, rich_state.space.size), dtype=complex)
+    mag = np.zeros(acc.shape)
+    dacc = np.zeros(acc.shape)
+    for u, wu in zip(us, w):
         t, s = curve(float(u))
         vt, vs = curve.velocity(float(u))
-        ds = dstar_upper(rich_state, t, s)
-        assert tuple(points[m]) == (t, s)
-        assert np.array_equal(dproj[m], vs * ds[0] - vt * ds[1])
+        ds = _ref_dstar(rich_state, t, s)
         acc += wu * (vs * ds[0] - vt * ds[1])
-    _, p_tot = total_momentum(rich_state, curve)
-    assert np.array_equal(p_tot, (acc * rich_state.space.signs) @ acc.conj().T)
+        mag += wu * np.abs(vs * ds[0] - vt * ds[1])
+        dacc += wu * (abs(vs) * db[0] + abs(vt) * db[1])
+    dacc += 2 * len(us) * EPS * mag      # the node sum, taken in another order
+    dtot, p_tot = total_momentum(rich_state, curve)
+    assert _within(np.stack([v.coeffs for v in dtot]), acc, dacc)
+    p_ref = bullet_gram(acc, acc.conj(), rich_state.space.signs)
+    assert _within(p_tot, p_ref, _gram_bound(rich_state, acc, acc, dacc, dacc))
 
 
 def test_total_momentum_path_independent(rich_state):
