@@ -132,8 +132,7 @@ def particle_dynamics(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict
     pred = x0[None, :] + np.outer(traj.taubar, p_contra / mass)
     straight = float(np.abs(traj.x - pred).max())
     drift = traj.constraint_drift()
-    mu_err = float(np.max([abs(traj.mu[k] - particle.mu_of_tau(e, mass, traj.tau[k]))
-                           for k in range(0, len(traj.tau), 500)]))
+    mu_err = float(np.max(np.abs(traj.mu[::500] - particle.mu_of_tau(e, mass, traj.tau[::500]))))
     passed = (straight < tols.straight_line and drift < tols.constraint_drift
               and mu_err < tols.mu_match)
     return passed, {"straight_line": straight, "shell_drift": drift, "mu_quadrature": mu_err}

@@ -48,6 +48,9 @@ def _json_dumps(obj) -> str:
 
 
 def cmd_resolve(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: --tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         payload = json.loads(Path(args.input).read_text())
         H = hermitian_from_json(payload)
@@ -100,8 +103,9 @@ def cmd_particle(args) -> int:
         if not all(math.isfinite(v) for v in (mass, tau0, tau_end)):
             raise InputError(f"mass, tau0 and tau_end must be finite, got {mass, tau0, tau_end}")
         gram = cfg["gram"]
-        x = np.asarray(gram["x"], dtype=float)
-        p = np.asarray(gram["p"], dtype=float)
+        x, p = np.asarray(gram["x"], dtype=float), np.asarray(gram["p"], dtype=float)
+        if not x.shape == p.shape == (4,):
+            raise InputError(f"gram x and p must be four-vectors, got shapes {x.shape}, {p.shape}")
         m_spec = gram.get("M", {"mu": 0.0})
         if "mu" in m_spec:
             mu = complex(m_spec["mu"])
@@ -109,9 +113,12 @@ def cmd_particle(args) -> int:
                 raise InputError(f"M's mu must be finite, got {mu}")
             M = mu * np.eye(2)
         else:
+            if not np.shape(m_spec["re"]) == np.shape(m_spec["im"]) == (2, 2):
+                raise InputError("M's re and im must both be 2x2")
             M = np.asarray(m_spec["re"], dtype=float) + 1j * np.asarray(m_spec["im"], dtype=float)
         e = _einbein_from_config(cfg.get("einbein", {}), tau0)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, InputError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError,
+            AttributeError, InputError) as exc:
         print(f"error: bad particle config: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -121,8 +128,7 @@ def cmd_particle(args) -> int:
         return EXIT_INPUT
     # proper time is undefined wherever mu vanishes; refuse such windows
     mu0 = st.mu_charge()
-    mu_min = float(np.min([mu0] + [mu0 + particle.mu_of_tau(e, mass, float(t))
-                                   for t in np.linspace(tau0, tau_end, 64)]))
+    mu_min = float(np.min(mu0 + particle.mu_of_tau(e, mass, np.linspace(tau0, tau_end, 64))))
     if not mu_min > 1e-12:
         print(f"refusing window containing mu = 0 (min mu = {mu_min:.3e}): "
               "proper time is undefined there", file=sys.stderr)
@@ -164,10 +170,10 @@ def cmd_string(args) -> int:
     xs = spinor_to_vec(worldsheet.eval_x(state, taus, sigmas)).real
     phis = worldsheet.dilaton(state, taus, sigmas)
     Ts = worldsheet.energy_momentum(state, taus, sigmas)
-    lines = ["tau,sigma,x0,x1,x2,x3,phi,T00,T01,T11"]
-    for row in zip(taus, sigmas, *xs.T, phis, Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 1]):
-        lines.append(",".join(f"{value:.17g}" for value in row))
-    _write(out_dir / "fields.csv", "\n".join(lines) + "\n")
+    table = np.column_stack((taus, sigmas, xs, phis, Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 1]))
+    row = ",".join(["%.17g"] * table.shape[1])
+    _write(out_dir / "fields.csv", "\n".join(["tau,sigma,x0,x1,x2,x3,phi,T00,T01,T11",
+                                              *(row % tuple(r) for r in table.tolist())]) + "\n")
     result = EXIT_OK
     if args.residuals:
         residuals, orders = worldsheet.residual_suite(state)

@@ -265,15 +265,17 @@ def _standard_rows(space: GeneratorSpace, block: str) -> tuple[np.ndarray, np.nd
     return E, F
 
 
-def validate_hermitian(H, atol: float | None = None) -> np.ndarray:
-    """Return H as a complex ndarray, raising InputError if not Hermitian."""
+def validate_hermitian(H) -> np.ndarray:
+    """Return H as a complex ndarray, raising InputError if not Hermitian.
+
+    H may deviate from H^dagger by ``hermitian_input`` times max(1, max|H|).
+    """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"expected a square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise InputError("matrix has non-finite entries")
-    if atol is None:
-        atol = DEFAULT.hermitian_input * max(1.0, float(np.abs(H).max(initial=0.0)))
+    atol = DEFAULT.hermitian_input * max(1.0, float(np.abs(H).max(initial=0.0)))
     dev = float(np.abs(H - H.conj().T).max(initial=0.0))
     if dev > atol:
         raise InputError(f"matrix is not Hermitian: max deviation {dev:.3e} > {atol:.3e}")
@@ -334,8 +336,7 @@ class GramResolution:
             raise VerificationError(f"same-kind residual {res:.3e} > {tols.gram_null:.1e}")
 
 
-def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None,
-                      *, zero_rel: float | None = None) -> GramResolution:
+def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None) -> GramResolution:
     """Realize a Hermitian matrix H as ``H_ij = bullet(c_i, conj(c_j))``.
 
     Eigendecompose ``H = U diag(lam) U^dagger`` and assign one basis vector per
@@ -355,9 +356,7 @@ def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None,
             f"need at least ({2 * n},{2 * n})")
     E, F = _standard_rows(space, block)
     U, lam = hermitian_eig(H)
-    if zero_rel is None:
-        zero_rel = DEFAULT.eig_zero_rel
-    zero_cut = zero_rel * (np.abs(lam).max(initial=0.0))
+    zero_cut = DEFAULT.eig_zero_rel * (np.abs(lam).max(initial=0.0))
     rows = np.zeros((n, space.size), dtype=complex)
     for k in range(n):                   # eigendirections in order, as the sum runs
         if abs(lam[k]) <= zero_cut:
@@ -444,7 +443,7 @@ def hermitian_from_json(obj: dict) -> np.ndarray:
         n = int(obj["n"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad Hermitian matrix JSON: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise InputError(f"matrix JSON shapes {re.shape}/{im.shape} do not match n={n}")

@@ -166,19 +166,18 @@ class MatrixTrajectory:
         return float(np.max([dx, dp]))
 
 
-def _rk4_matrix(Y0: np.ndarray, rhs, tau_end: float, steps: int,
-                t0: float = 0.0) -> list[MatrixTrajectory]:
-    """RK4 on a (B, 2, ...) stack of (X, P) pairs; one trajectory per pair.
+def _rk4_matrix(Y0: np.ndarray, rhs, tau_end: float, steps: int) -> list[MatrixTrajectory]:
+    """RK4 from tau = 0 on a (B, 2, ...) stack of (X, P) pairs; one trajectory per pair.
 
     ``rhs(t, Y)`` returns dY/dt for the whole stack.  Each pair's samples go
     to an array of their own, so a trajectory holds only its own memory.
     """
-    h = (tau_end - t0) / steps
+    h = tau_end / steps
     Y0 = np.asarray(Y0, dtype=complex)
     runs = [np.empty((steps + 1, *pair.shape), dtype=complex) for pair in Y0]
     for b, run in enumerate(runs):
         run[0] = Y0[b]
-    for k, Y in enumerate(rk4(rhs, Y0, t0, h, steps), start=1):
+    for k, Y in enumerate(rk4(rhs, Y0, 0.0, h, steps), start=1):
         for b, run in enumerate(runs):
             run[k] = Y[b]
     # an RK4 step adds to the previous row, so a NaN or Inf entry stays
@@ -188,8 +187,7 @@ def _rk4_matrix(Y0: np.ndarray, rhs, tau_end: float, steps: int,
                         axis=0)
         raise ArithmeticError(
             f"matrix flow produced non-finite values at step {int(np.argmin(finite))}")
-    ts = t0 + np.arange(steps + 1) * h
-    ts[0] = t0
+    ts = np.arange(steps + 1) * h
     return [MatrixTrajectory(ts, run[:, 0], run[:, 1]) for run in runs]
 
 
@@ -316,10 +314,10 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 
 
 def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
-                 tau_end: float, steps: int, t0: float = 0.0) -> np.ndarray:
-    """Integrate (d/dtau - i Gamma(tau)) |s> = 0 with RK4; norm is preserved."""
-    h = (tau_end - t0) / steps
-    for s in rk4(lambda t, v: 1j * (gamma(t) @ v), np.asarray(s, dtype=complex), t0, h, steps):
+                 tau_end: float, steps: int) -> np.ndarray:
+    """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; norm is preserved."""
+    h = tau_end / steps
+    for s in rk4(lambda t, v: 1j * (gamma(t) @ v), np.asarray(s, dtype=complex), 0.0, h, steps):
         pass
     if not np.isfinite(s).all():
         raise ArithmeticError(f"evolve_state produced a non-finite state after {steps} steps")

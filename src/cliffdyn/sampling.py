@@ -32,10 +32,10 @@ def random_fourvector(rng: np.random.Generator, complex_valued: bool = False) ->
     return v
 
 
-def random_timelike(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_timelike(rng: np.random.Generator) -> np.ndarray:
     """Future-directed timelike four-vector."""
-    sp = rng.uniform(-0.5, 0.5, size=3) * scale
-    t = np.sqrt(sp @ sp + rng.uniform(0.2, 1.5) * scale**2)
+    sp = rng.uniform(-0.5, 0.5, size=3)
+    t = np.sqrt(sp @ sp + rng.uniform(0.2, 1.5))
     return np.array([t, *sp])
 
 

@@ -513,22 +513,20 @@ def dilaton_residual(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarra
 
 @dataclass
 class Curve:
-    """Worldsheet path u in [0, 1] -> (tau, sigma), optionally with derivative."""
+    """Worldsheet path u in [0, 1] -> (tau, sigma) and its derivative.
 
-    fn: Callable[[float], tuple[float, float]]
-    dfn: Callable[[float], tuple[float, float]] | None = None
+    ``fn`` and ``dfn`` map an array of u to a pair whose components broadcast
+    to u's shape, so a constant component may be a plain float.
+    """
 
-    def __call__(self, u: float) -> tuple[float, float]:
+    fn: Callable[[np.ndarray], tuple]
+    dfn: Callable[[np.ndarray], tuple]
+
+    def __call__(self, u):
         return self.fn(u)
 
-    def velocity(self, u: float) -> tuple[float, float]:
-        if self.dfn is not None:
-            return self.dfn(u)
-        h = 1e-7
-        a = self.fn(min(u + h, 1.0))
-        b = self.fn(max(u - h, 0.0))
-        du = min(u + h, 1.0) - max(u - h, 0.0)
-        return ((a[0] - b[0]) / du, (a[1] - b[1]) / du)
+    def velocity(self, u):
+        return self.dfn(u)
 
 
 def constant_time_curve(tau0: float) -> Curve:
@@ -540,8 +538,8 @@ def arc_curve(tau0: float, amp: float, k: int = 2) -> Curve:
     if abs(amp) * k >= 1.0:
         raise InputError("amplitude too large: curve would stop being spacelike")
     return Curve(
-        lambda u: (tau0 + amp * math.sin(k * math.pi * u) ** 2, math.pi * u),
-        lambda u: (amp * k * math.pi * math.sin(2 * k * math.pi * u) * 1.0, math.pi))
+        lambda u: (tau0 + amp * np.square(np.sin(k * math.pi * u)), math.pi * u),
+        lambda u: (amp * k * math.pi * np.sin(2 * k * math.pi * u), math.pi))
 
 
 def simpson_weights(n_nodes: int, du: float) -> np.ndarray:
@@ -560,37 +558,36 @@ def curve_polymomenta(state: StringState, curve: Curve, us: np.ndarray
 
     Returns the (n, 2) array of (tau, sigma) points at ``us`` and, as an
     (n, 2, G) array, dsigma^a eps_{ba} d*^b = sigma' d*^tau - tau' d*^sigma
-    (eps_{01} = +1).  The curve and its velocity are called once per node.
-    With eta = diag(1, -1) the projection is (sigma' conj(dc/dtau phases)
-    + tau' conj(dc/dsigma phases)) times ``dstar_rows``: one product.
+    (eps_{01} = +1).  The curve and its velocity are each called once, on
+    the whole node array.  With eta = diag(1, -1) the projection is
+    (sigma' conj(dc/dtau phases) + tau' conj(dc/dsigma phases)) times
+    ``dstar_rows``: one product.
     """
-    nodes = np.array([(*curve(float(u)), *curve.velocity(float(u))) for u in us], dtype=float)
-    tau, sigma, vt, vs = nodes.T
+    us = np.asarray(us, dtype=float)
+    tau, sigma, vt, vs = (np.broadcast_to(np.asarray(v, dtype=float), us.shape)
+                          for v in (*curve(us), *curve.velocity(us)))
     spacelike = vs ** 2 - vt ** 2 > 0
     if not spacelike.all():
         raise PreconditionError(f"curve is not spacelike at u = {us[np.argmin(spacelike)]}")
     rows = _dstar_rows(state)
     phases = _phases(state, tau, sigma).conj()
-    return nodes[:, :2], _product(vs[:, None] * phases[:, 1] + vt[:, None] * phases[:, 2], rows)
+    return (np.stack((tau, sigma), axis=1),
+            _product(vs[:, None] * phases[:, 1] + vt[:, None] * phases[:, 2], rows))
 
 
-def total_momentum(state: StringState, curve: Curve, n_nodes: int = 257
-                   ) -> tuple[list[ClVector], np.ndarray]:
+def total_momentum(state: StringState, curve: Curve) -> tuple[list[ClVector], np.ndarray]:
     """Total Clifford momentum and the induced total space-time momentum.
 
     d*tot_A = integral over the curve of dsigma^a eps_{ba} d*^b_A, by
-    composite Simpson; p_tot[A, B] = bullet(d*tot_A, conj(d*tot_B)).
+    composite Simpson on 257 nodes; p_tot[A, B] = bullet(d*tot_A, conj(d*tot_B)).
     The curve must run between the sigma = 0 and sigma = pi boundaries and
     stay spacelike.
     """
-    us = np.linspace(0.0, 1.0, n_nodes)
-    t0, s0 = curve(0.0)
-    t1, s1 = curve(1.0)
-    if abs(s0) > 1e-9 or abs(s1 - math.pi) > 1e-9:
+    us = np.linspace(0.0, 1.0, 257)
+    points, dproj = curve_polymomenta(state, curve, us)
+    if abs(points[0, 1]) > 1e-9 or abs(points[-1, 1] - math.pi) > 1e-9:
         raise PreconditionError("curve endpoints must sit on sigma = 0 and sigma = pi")
-    w = simpson_weights(n_nodes, us[1] - us[0])
-    _, dproj = curve_polymomenta(state, curve, us)
-    acc = np.einsum("m,mag->ag", w, dproj)
+    acc = np.einsum("m,mag->ag", simpson_weights(len(us), us[1] - us[0]), dproj)
     p_tot = bullet_gram(acc, acc.conj(), state.space.signs)
     return list(unpack(state.space, acc)), p_tot
 
@@ -670,22 +667,23 @@ def mode_spec_from_json(obj: dict) -> ModeSpec:
     try:
         mass = float(obj["mass"])
         modes = [int(n) for n in obj["modes"]]
-        entries = obj["gram"]
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = obj["gram"].items()
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise InputError(f"bad mode spec JSON: {exc}") from exc
     _, labels = _mode_labels(modes)
     dim = 2 * len(labels)
     G = np.zeros((dim, dim), dtype=complex)
-    for key, val in entries.items():
+    for key, val in entries:
         try:
             left, right = key.split("|")
             li, As = left.rsplit(".", 1)
             lj, Bs = right.rsplit(".", 1)
-            i = 2 * labels.index(li) + int(As)
-            j = 2 * labels.index(lj) + int(Bs)
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"bad gram key {key!r}") from exc
-        G[i, j] = complex(val[0], val[1])
+            i = 2 * labels.index(li) + ("0", "1").index(As)
+            j = 2 * labels.index(lj) + ("0", "1").index(Bs)
+            re, im = val
+            G[i, j] = complex(re, im)
+        except (ValueError, TypeError) as exc:
+            raise InputError(f"bad gram entry {key!r}: {val!r}") from exc
     omitted = (G == 0) & (G.T != 0)          # Hermitian partners left out of the JSON
     G[omitted] = G.T.conj()[omitted]
     return ModeSpec(mass, modes, G)

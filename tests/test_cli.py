@@ -1,18 +1,24 @@
 """CLI exit codes, file outputs, and determinism."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cliffdyn import worldsheet
 from cliffdyn.acceptance import _acceptance_mode_spec, string_suite
 from cliffdyn.cli import main
 from cliffdyn.clifford import hermitian_to_json
 from cliffdyn.sampling import random_hermitian
+from cliffdyn.spinors import spinor_to_vec
 from cliffdyn.worldsheet import make_mode_spec, mode_spec_to_json
 
 
@@ -183,6 +189,22 @@ def test_string_residuals_match_string_suite(tmp_path):
         assert report[f"{name}_order"] == details[f"{name}_order"]
 
 
+def test_string_fields_csv_matches_per_value_formatting(tmp_path):
+    _write_json(tmp_path / "s.json", _string_config())
+    assert main(["string", "--config", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    state = worldsheet.build_wave_state(worldsheet.mode_spec_from_json(_string_config()))
+    taus, sigmas = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.0, 1.0, 11), np.linspace(0.0, math.pi, 17), indexing="ij"))
+    xs = spinor_to_vec(worldsheet.eval_x(state, taus, sigmas)).real
+    phis = worldsheet.dilaton(state, taus, sigmas)
+    Ts = worldsheet.energy_momentum(state, taus, sigmas)
+    lines = ["tau,sigma,x0,x1,x2,x3,phi,T00,T01,T11"]
+    for row in zip(taus, sigmas, *xs.T, phis, Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 1]):
+        lines.append(",".join(f"{value:.17g}" for value in row))
+    assert (tmp_path / "out" / "fields.csv").read_text() == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("residuals", [[], ["--residuals"]], ids=["plain", "residuals"])
 @pytest.mark.parametrize("where", ["mass", "gram"])
 def test_string_rejects_non_finite_spec(tmp_path, capsys, where, residuals):
@@ -206,6 +228,81 @@ def test_string_rejects_bad_spec(tmp_path):
     code = main(["string", "--config", str(tmp_path / "s.json"),
                  "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+def _resolve_payload():
+    return hermitian_to_json(np.diag([1.0, -1.0]))
+
+
+def _complex_m_particle_config():
+    cfg = _particle_config()
+    cfg["gram"]["M"] = {"re": [[0.7, 0.1], [0.1, 0.8]], "im": [[0.0, 0.05], [-0.05, 0.0]]}
+    return cfg
+
+
+_VALID = {"resolve": _resolve_payload, "particle": _particle_config,
+          "particle-M": _complex_m_particle_config, "string": _string_config}
+
+
+def _argv(kind, config, out, extra=()):
+    command = kind.split("-")[0]
+    flag = "--input" if command == "resolve" else "--config"
+    return [command, flag, str(config), "--out", str(out), *extra]
+
+
+def _replaced(obj, path, value):
+    """A copy of obj with the entry at the key path set to value."""
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("kind,path,value,extra", [
+    pytest.param("string", ("gram",), {"l.0|l.0": 5}, (), id="string-gram-value-not-a-pair"),
+    pytest.param("string", ("gram",), [1, 2], (), id="string-gram-not-an-object"),
+    pytest.param("particle", ("gram", "x"), [0.1, 0.0, 0.2], (), id="particle-x-three-entries"),
+    pytest.param("particle", ("einbein",), "const", (), id="particle-einbein-not-an-object"),
+    pytest.param("particle", ("gram", "M"), {"re": [[1, 0], [0, 1]], "im": [[0, 0]]}, (),
+                 id="particle-M-im-broadcasts"),
+    pytest.param("resolve", (), None, ("--tol", "nan"), id="resolve-tol-nan"),
+    pytest.param("resolve", (), None, ("--tol", "-1"), id="resolve-tol-negative")])
+def test_malformed_input_exits_2(tmp_path, capsys, kind, path, value, extra):
+    cfg = _VALID[kind]()
+    _write_json(tmp_path / "cfg.json", _replaced(cfg, path, value) if path else cfg)
+    code = main(_argv(kind, tmp_path / "cfg.json", tmp_path / "out", extra))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _key_paths(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _key_paths(value, path + (key,))
+
+
+# Malformed kinds: wrong type, wrong length, nested, non-finite.  None of them is
+# a large number, so no field can ask for a large allocation.
+_MALFORMED = [None, True, "abc", {}, [], [1.0] * 3, [1.0] * 5, [[1.0]], [[[0.5, 0.5]]],
+              {"re": [[1.0]]}, float("nan"), float("inf"), float("-inf"), [float("nan")] * 4]
+_FIELDS = [(kind, path) for kind, make in _VALID.items() for path in _key_paths(make())]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(_FIELDS), bad=st.sampled_from(_MALFORMED))
+def test_cli_fuzz_one_malformed_field(field, bad):
+    kind, path = field
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        _write_json(config, _replaced(_VALID[kind](), path, bad))
+        assert main(_argv(kind, config, Path(tmp) / "out")) in (0, 1, 2, 3)
 
 
 def test_outputs_byte_identical_for_same_config(tmp_path):

@@ -70,8 +70,8 @@ def test_current_scalars_symmetric(sample):
 def test_sampling_rejects_timelike_curve(rich_state):
     from cliffdyn.worldsheet import Curve
     import math
-    bad = Curve(lambda u: (2.0 * math.sin(math.pi * u), math.pi * u),
-                lambda u: (2.0 * math.pi * math.cos(math.pi * u), math.pi))
+    bad = Curve(lambda u: (2.0 * np.sin(math.pi * u), math.pi * u),
+                lambda u: (2.0 * math.pi * np.cos(math.pi * u), math.pi))
     with pytest.raises(PreconditionError):
         sample_currents(rich_state, bad, 16)
 

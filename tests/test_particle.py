@@ -1,5 +1,9 @@
 """Canonical particle dynamics: actions, flow, charges, brackets."""
 
+import csv
+import io
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from cliffdyn.errors import InputError, PreconditionError
 from cliffdyn.particle import (
     _COLUMN_BLOCK,
     _derived_columns,
+    EinbeinFn,
     ParticleState,
     build_state,
     canonical_rhs,
@@ -413,6 +418,35 @@ def test_mu_against_scipy_oracle():
     assert val == pytest.approx(ref, rel=1e-11)
 
 
+def test_mu_exp_einbein_matches_closed_form():
+    assert mu_of_tau(EinbeinFn(np.exp), 1.0, 1.0) == pytest.approx(np.e - 1.0, rel=1e-12)
+
+
+def test_mu_step_einbein_raises_naming_tau():
+    # global refinement converges only at O(h) across a jump, so the node cap is reached
+    step = EinbeinFn(lambda t: np.where(t < 0.3, 1.0, 2.0))
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="tau = 1.0 "):
+        mu_of_tau(step, 1.0, 1.0)
+    with pytest.raises(ArithmeticError, match="tau = 0.5 "):
+        mu_of_tau(step, 1.0, np.array([0.2, 0.5, 0.9]))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("e", [linear_einbein(0.6, 0.3, tau0=0.1), EinbeinFn(np.exp, tau0=0.1)],
+                         ids=["linear", "exp"])
+def test_mu_array_tau_matches_scalar_calls(e):
+    # exp's taus converge after different numbers of doublings; each keeps its own
+    taus = np.concatenate(([0.1], np.geomspace(0.11, 6.0, 23))).reshape(4, 6)
+    got = mu_of_tau(e, MASS, taus)
+    assert got.shape == (4, 6)
+    assert np.array_equal(got, [[mu_of_tau(e, MASS, float(t)) for t in row] for row in taus])
+    assert got[0, 0] == 0.0
+    assert isinstance(mu_of_tau(e, MASS, 1.0), float)
+    with pytest.raises(PreconditionError, match="tau = -0.5 "):
+        mu_of_tau(e, MASS, np.array([0.5, -0.5, -1.0]))
+
+
 def test_nan_einbein_rejected():
     with pytest.raises(PreconditionError):
         constant_einbein(float("nan"))(0.0)
@@ -517,3 +551,30 @@ def test_trajectory_csv_columns():
     lines = text.strip().split("\n")
     assert lines[0].split(",")[:4] == ["tau", "taubar", "x0", "x1"]
     assert len(lines) == 12
+
+
+def _ref_to_csv(traj):
+    """Reference: csv.writer with one f"{value:.17g}" per value, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["tau", "taubar", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
+                     "J11_re", "J11_im", "J12_re", "J12_im", "J22_re", "J22_im", "j", "mu"])
+    for k in range(len(traj.tau)):
+        J = traj.J[k]
+        writer.writerow([f"{v:.17g}" for v in (
+            traj.tau[k], traj.taubar[k], *traj.x[k], *traj.p[k],
+            J[0, 0].real, J[0, 0].imag, J[0, 1].real, J[0, 1].imag, J[1, 1].real, J[1, 1].imag,
+            traj.j[k], traj.mu[k])])
+    return buf.getvalue()
+
+
+def test_trajectory_csv_matches_per_value_formatting():
+    M = np.array([[0.7 + 0.02j, 0.05 + 0.01j], [0.05 - 0.01j, 0.6]])
+    traj = integrate(build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), M, MASS),
+                     linear_einbein(0.6, 0.3), 1.5, 40)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1.5e-310]
+    traj.x[1:9, 2] = special
+    traj.J.real[1:9, 0, 1] = special
+    traj.J.imag[1:9, 0, 1] = special[::-1]
+    traj.mu[1:9] = special[::-1]
+    assert traj.to_csv() == _ref_to_csv(traj)

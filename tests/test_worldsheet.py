@@ -586,6 +586,26 @@ def test_curve_polymomenta_matches_per_node_reference(any_state):
         assert _within(dproj[m], vs * ds[0] - vt * ds[1], abs(vs) * db[0] + abs(vt) * db[1])
 
 
+def test_curve_polymomenta_calls_the_curve_once_on_the_node_array(rich_state):
+    base = arc_curve(0.5, 0.2)
+    shapes = []
+
+    def recorded(fn):
+        return lambda u: (shapes.append(np.shape(u)), fn(u))[1]
+
+    us = np.linspace(0.0, 1.0, 129)
+    recording = Curve(recorded(base), recorded(base.velocity))
+    points, dproj = curve_polymomenta(rich_state, recording, us)
+    assert shapes == [(129,), (129,)]
+    ref_points, ref_dproj = curve_polymomenta(rich_state, base, us)
+    assert np.array_equal(points, ref_points) and np.array_equal(dproj, ref_dproj)
+
+
+def test_curve_needs_its_derivative():
+    with pytest.raises(TypeError):
+        Curve(lambda u: (0.5, math.pi * u))
+
+
 @pytest.mark.parametrize("mutation", ["mode-dropped", "right-mover-flipped"])
 def test_rounding_bound_rejects_a_wrong_reference(rich_state, mutation):
     # the bound admits a reordered sum, not a field with a term missing or mis-signed
@@ -665,8 +685,8 @@ def test_total_momentum_path_independent(rich_state):
 def test_total_momentum_rejects_bad_curves(rich_state):
     with pytest.raises(PreconditionError):
         total_momentum(rich_state, Curve(lambda u: (0.0, 0.5 + u), lambda u: (0.0, 1.0)))
-    timelike = Curve(lambda u: (2.0 * math.sin(math.pi * u), math.pi * u),
-                     lambda u: (2.0 * math.pi * math.cos(math.pi * u), math.pi))
+    timelike = Curve(lambda u: (2.0 * np.sin(math.pi * u), math.pi * u),
+                     lambda u: (2.0 * math.pi * np.cos(math.pi * u), math.pi))
     with pytest.raises(PreconditionError):
         total_momentum(rich_state, timelike)
 
@@ -700,3 +720,11 @@ def test_mode_spec_json_roundtrip():
     assert back.mass == spec.mass
     with pytest.raises(InputError):
         mode_spec_from_json({"mass": 1.0, "modes": [1], "gram": {"zz.0|k.9": [1, 0]}})
+
+
+def test_mode_spec_json_rejects_a_component_index_other_than_0_or_1():
+    # "k.2" is not a component of k; 2 * index + 2 would address l.0 instead
+    obj = mode_spec_to_json(_rich_spec())
+    obj["gram"]["k.2|k.2"] = obj["gram"]["l.0|l.0"]
+    with pytest.raises(InputError, match="k.2"):
+        mode_spec_from_json(obj)
