@@ -81,25 +81,46 @@ def cmd_resolve(args) -> int:
     return EXIT_OK
 
 
+def _number(value, field: str) -> float:
+    """A JSON number as a float; a boolean or a string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer; a boolean or a float such as 2.7 is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+_EINBEIN_PARAMS = {"const": {"e0"}, "linear": {"a", "b"}}
+
+
 def _einbein_from_config(spec: dict, tau0: float) -> particle.EinbeinFn:
+    if not isinstance(spec, dict) or not set(spec) <= {"type", "params"}:
+        raise InputError(f"einbein must be an object with keys type and params, got {spec!r}")
     kind = spec.get("type", "const")
-    params = {key: float(value) for key, value in spec.get("params", {}).items()}
+    if not isinstance(kind, str) or kind not in _EINBEIN_PARAMS:
+        raise InputError(f"unknown einbein type {kind!r}")
+    params = spec.get("params", {})
+    if not isinstance(params, dict) or not set(params) <= _EINBEIN_PARAMS[kind]:
+        raise InputError(f"{kind} einbein params take keys {sorted(_EINBEIN_PARAMS[kind])}, "
+                         f"got {params!r}")
+    params = {key: _number(value, f"einbein {key}") for key, value in params.items()}
     if not all(math.isfinite(value) for value in params.values()):
         raise InputError(f"einbein parameters must be finite, got {params}")
     if kind == "const":
         return particle.constant_einbein(params.get("e0", 1.0), tau0=tau0)
-    if kind == "linear":
-        return particle.linear_einbein(params.get("a", 1.0), params.get("b", 0.0), tau0=tau0)
-    raise InputError(f"unknown einbein type {kind!r}")
+    return particle.linear_einbein(params.get("a", 1.0), params.get("b", 0.0), tau0=tau0)
 
 
 def cmd_particle(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
-        mass = float(cfg["mass"])
-        tau0 = float(cfg["tau0"])
-        tau_end = float(cfg["tau_end"])
-        steps = int(cfg["steps"])
+        mass, tau0, tau_end = (_number(cfg[field], field) for field in ("mass", "tau0", "tau_end"))
+        steps = _integer(cfg["steps"], "steps")
         if not all(math.isfinite(v) for v in (mass, tau0, tau_end)):
             raise InputError(f"mass, tau0 and tau_end must be finite, got {mass, tau0, tau_end}")
         gram = cfg["gram"]
@@ -108,7 +129,7 @@ def cmd_particle(args) -> int:
             raise InputError(f"gram x and p must be four-vectors, got shapes {x.shape}, {p.shape}")
         m_spec = gram.get("M", {"mu": 0.0})
         if "mu" in m_spec:
-            mu = complex(m_spec["mu"])
+            mu = complex(_number(m_spec["mu"], "M's mu"))
             if not cmath.isfinite(mu):
                 raise InputError(f"M's mu must be finite, got {mu}")
             M = mu * np.eye(2)

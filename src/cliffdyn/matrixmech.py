@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import GeneratorSpace, unpack
+from .clifford import GeneratorSpace, unpack, validate_hermitian
 from .errors import InputError, PreconditionError
 from .particle import ParticleState, rk4
 from .spinors import DP_DOWN, DX_UP, ETA
@@ -217,7 +217,10 @@ def _free_hamiltonian(mass: float) -> Callable[[np.ndarray], np.ndarray]:
         n = P.shape[-1]
         if n not in mass_terms:
             mass_terms[n] = mass ** 2 * np.eye(n)
-        return (P @ P - mass_terms[n]) / (2.0 * mass)
+        H = P @ P
+        H -= mass_terms[n]
+        H *= 0.5 / mass         # the values numpy gives for / (2.0 * mass)
+        return H
 
     return hamiltonian
 
@@ -225,25 +228,38 @@ def _free_hamiltonian(mass: float) -> Callable[[np.ndarray], np.ndarray]:
 def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                       connections: Sequence[Callable | None], tau_end: float,
                       steps: int, name: str) -> list[MatrixTrajectory]:
-    """One RK4 over len(connections) copies of the pair (X0, P0).
+    """One RK4 over len(connections) copies of the Hermitian pair (X0, P0).
 
     System b follows dY = i[Gamma_b, Y] + [Y, H]/(i hbar) for Y = X, P, with
     the Hermitian Gamma_b = ``connections[b](t, X, P, H)`` read from the
     system's stage state and Hamiltonian; None means Gamma = 0 (the
     Heisenberg picture).  Each stage computes every system's H with one
-    batched P @ P and every [Y, H] with one batched commutator.
+    batched P @ P and every [Y, H] with one batched product.
+
+    X0 and P0 must be Hermitian (``validate_hermitian``, else InputError).
+    Y and H stay Hermitian, so H Y = (Y H)^dagger and [Y, H] = A - A^dagger
+    with A = Y H: one product per commutator; likewise Gamma Y - Y Gamma =
+    B - B^dagger with B = Gamma Y.  Either difference is anti-Hermitian
+    entry by entry, however A and B were rounded, so the flow keeps X and P
+    exactly Hermitian.
     """
     if not hbar > 0:
         raise PreconditionError(f"{name} requires hbar > 0")
+    X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
     hamiltonian = _free_hamiltonian(mass)
+    scale = -1j / hbar          # the values numpy gives for / (1j * hbar)
 
     def rhs(t, Y):
         H = hamiltonian(Y[:, 1])[:, None]
-        dY = (Y @ H - H @ Y) / (1j * hbar)
+        dY = Y @ H
+        dY -= dY.swapaxes(-1, -2).conj()
+        dY *= scale
         for b, connection in enumerate(connections):
             if connection is not None:
-                G = connection(t, Y[b, 0], Y[b, 1], H[b, 0])
-                dY[b] = 1j * (G @ Y[b] - Y[b] @ G) + dY[b]
+                B = connection(t, Y[b, 0], Y[b, 1], H[b, 0]) @ Y[b]
+                B -= B.swapaxes(-1, -2).conj()
+                B *= 1j
+                dY[b] += B
         return dY
 
     return _rk4_matrix(np.stack([np.stack((X0, P0))] * len(connections)), rhs, tau_end, steps)
@@ -261,11 +277,13 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                      tau_end: float, steps: int) -> MatrixTrajectory:
     """Gauge-covariant flow: dX = i[Gamma, X] + [X, H]/(i hbar).
 
-    ``gamma(taubar, X, P)`` returns the Hermitian connection.  Gamma = 0
+    ``gamma(taubar, X, P)`` returns the Hermitian connection, checked by
+    ``validate_hermitian`` at every stage.  Gamma = 0
     reproduces :func:`evolve_heisenberg` exactly; Gamma = -H/hbar cancels the
     commutators and freezes X and P (the Schrodinger picture).
     """
-    return _commutator_flows(X0, P0, hbar, mass, [lambda t, X, P, H: gamma(t, X, P)],
+    return _commutator_flows(X0, P0, hbar, mass,
+                             [lambda t, X, P, H: validate_hermitian(gamma(t, X, P))],
                              tau_end, steps, "covariant_evolve")[0]
 
 
@@ -279,7 +297,7 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     the Hamiltonian its stage already computed.
     """
     heisenberg, frozen = _commutator_flows(
-        X0, P0, hbar, mass, [None, lambda t, X, P, H: -H / hbar], tau_end, steps,
+        X0, P0, hbar, mass, [None, lambda t, X, P, H: H * (-1.0 / hbar)], tau_end, steps,
         "evolve_pictures")
     return heisenberg, frozen
 
@@ -287,7 +305,7 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 def schrodinger_gauge(hbar: float, mass: float):
     """The connection Gamma = -H/hbar that makes X and P stationary."""
     hamiltonian = _free_hamiltonian(mass)
-    return lambda t, X, P: -hamiltonian(P) / hbar
+    return lambda t, X, P: hamiltonian(P) * (-1.0 / hbar)
 
 
 def expectation(s: np.ndarray, target, which: str = "X"):

@@ -29,6 +29,7 @@ of the non-vibrating string.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -663,10 +664,20 @@ def mode_spec_to_json(spec: ModeSpec) -> dict:
     return {"mass": spec.mass, "modes": list(spec.modes), "gram": entries}
 
 
+def _mode_numbers(modes) -> list[int]:
+    """JSON mode numbers as ints; a string, a float or a boolean is not one."""
+    try:
+        if any(isinstance(n, bool) for n in modes):
+            raise TypeError
+        return [operator.index(n) for n in modes]
+    except TypeError:
+        raise InputError(f"modes must be a list of integers, got {modes!r}") from None
+
+
 def mode_spec_from_json(obj: dict) -> ModeSpec:
     try:
         mass = float(obj["mass"])
-        modes = [int(n) for n in obj["modes"]]
+        modes = _mode_numbers(obj["modes"])
         entries = obj["gram"].items()
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise InputError(f"bad mode spec JSON: {exc}") from exc

@@ -262,6 +262,11 @@ def _replaced(obj, path, value):
     return obj
 
 
+# Particle config fields that take a JSON number; a boolean is not one.
+_NUMBER_FIELDS = [("mass",), ("tau0",), ("tau_end",), ("steps",), ("einbein", "params", "e0"),
+                  ("gram", "M", "mu")]
+
+
 @pytest.mark.parametrize("kind,path,value,extra", [
     pytest.param("string", ("gram",), {"l.0|l.0": 5}, (), id="string-gram-value-not-a-pair"),
     pytest.param("string", ("gram",), [1, 2], (), id="string-gram-not-an-object"),
@@ -269,6 +274,14 @@ def _replaced(obj, path, value):
     pytest.param("particle", ("einbein",), "const", (), id="particle-einbein-not-an-object"),
     pytest.param("particle", ("gram", "M"), {"re": [[1, 0], [0, 1]], "im": [[0, 0]]}, (),
                  id="particle-M-im-broadcasts"),
+    *(pytest.param("string", ("modes", 0), mode, (), id=f"string-mode-{mode!r}")
+      for mode in ("1", 1.7, True)),
+    pytest.param("particle", ("einbein",), {"re": [[1.0]]}, (), id="particle-einbein-unknown-key"),
+    pytest.param("particle", ("einbein", "params"), {"a": 2.0}, (),
+                 id="particle-einbein-const-takes-a"),
+    *(pytest.param("particle", path, True, (), id=f"particle-{path[-1]}-true")
+      for path in _NUMBER_FIELDS),
+    pytest.param("particle", ("steps",), 2.7, (), id="particle-steps-not-an-integer"),
     pytest.param("resolve", (), None, ("--tol", "nan"), id="resolve-tol-nan"),
     pytest.param("resolve", (), None, ("--tol", "-1"), id="resolve-tol-negative")])
 def test_malformed_input_exits_2(tmp_path, capsys, kind, path, value, extra):
@@ -279,6 +292,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, kind, path, value, extra):
     assert code == 2
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path,value", [(path, True) for path in _NUMBER_FIELDS]
+                         + [(("steps",), 2.7), (("mass",), "1.3")])
+def test_particle_config_error_names_the_field(tmp_path, capsys, path, value):
+    _write_json(tmp_path / "cfg.json", _replaced(_particle_config(), path, value))
+    assert main(_argv("particle", tmp_path / "cfg.json", tmp_path / "out")) == 2
+    assert f"{path[-1]} must be a" in capsys.readouterr().err
 
 
 def _key_paths(obj, path=()):

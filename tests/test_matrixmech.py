@@ -21,7 +21,7 @@ from cliffdyn.matrixmech import (
     truncated_oscillator,
 )
 from cliffdyn.particle import ParticleState, rk4
-from cliffdyn.sampling import random_unitary
+from cliffdyn.sampling import random_hermitian, random_unitary
 from cliffdyn.spinors import ETA, covec_to_spinor_down, vec_to_spinor
 
 MASS = 1.0
@@ -319,6 +319,58 @@ def test_heisenberg_rk4_matches_stability_polynomial_oracle():
     oracle = V @ (R ** steps * (V.conj().T @ X0 @ V)) @ V.conj().T
     traj = evolve_heisenberg(X0, P0, hbar, MASS, taubar, steps)
     assert np.abs(traj.X[-1] - oracle).max() <= 1e-11
+
+
+def _random_flows(flow, X0, P0, hbar, G0, tau_end, steps):
+    """(flow's trajectories, the stepped reference runs) for one random pair."""
+    def gamma(t, X, P):
+        return np.cos(t) * G0 + 0.1 * (X @ X)
+
+    if flow == "heisenberg":
+        return ([evolve_heisenberg(X0, P0, hbar, MASS, tau_end, steps)],
+                [_stepped_commutator_flow(X0, P0, hbar, None, tau_end, steps)])
+    if flow == "covariant":
+        return ([covariant_evolve(X0, P0, hbar, MASS, gamma, tau_end, steps)],
+                [_stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps)])
+    return (list(evolve_pictures(X0, P0, hbar, MASS, tau_end, steps)),
+            [_stepped_commutator_flow(X0, P0, hbar, None, tau_end, steps),
+             _stepped_commutator_flow(X0, P0, hbar, schrodinger_gauge(hbar, MASS),
+                                      tau_end, steps)])
+
+
+@pytest.mark.parametrize("flow", ["heisenberg", "covariant", "pictures"])
+@pytest.mark.parametrize("hbar", [0.3, 0.7, 2.5])
+def test_random_hermitian_flows_stay_hermitian(flow, hbar):
+    # at sizes where P @ P is not exactly Hermitian the one-product commutator
+    # moves last digits from the two-product reference, and keeps Y Hermitian
+    rng = np.random.default_rng(17)
+    for n in range(1, 14):
+        X0, P0, G0 = (random_hermitian(rng, n) for _ in range(3))
+        trajs, refs = _random_flows(flow, X0, P0, hbar, G0, 0.5, 40)
+        for traj, ref in zip(trajs, refs):
+            assert traj.hermiticity_drift() == 0.0
+            bound = 1e-14 * max(1.0, np.abs(ref).max())
+            assert np.abs(traj.X - ref[:, 0]).max() <= bound
+            assert np.abs(traj.P - ref[:, 1]).max() <= bound
+
+
+@pytest.mark.parametrize("flow,which", [(flow, which) for flow in ("heisenberg", "pictures")
+                                         for which in "XP"]
+                         + [("covariant", which) for which in ("X", "P", "gamma")])
+def test_matrix_flows_reject_non_hermitian_inputs(flow, which):
+    X0, P0 = truncated_oscillator(5)
+    skew = np.zeros((5, 5), dtype=complex)
+    skew[0, 1] = 1e-3
+    if which == "X":
+        X0 = X0 + skew
+    elif which == "P":
+        P0 = P0 + skew
+    run = {"heisenberg": lambda: evolve_heisenberg(X0, P0, 1.0, MASS, 0.1, 5),
+           "covariant": lambda: covariant_evolve(
+               X0, P0, 1.0, MASS, lambda t, X, P: skew if which == "gamma" else X, 0.1, 5),
+           "pictures": lambda: evolve_pictures(X0, P0, 1.0, MASS, 0.1, 5)}[flow]
+    with pytest.raises(InputError, match="not Hermitian"):
+        run()
 
 
 @pytest.mark.parametrize("flow", ["heisenberg", "covariant", "pictures"])

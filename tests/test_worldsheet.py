@@ -728,3 +728,12 @@ def test_mode_spec_json_rejects_a_component_index_other_than_0_or_1():
     obj["gram"]["k.2|k.2"] = obj["gram"]["l.0|l.0"]
     with pytest.raises(InputError, match="k.2"):
         mode_spec_from_json(obj)
+
+
+@pytest.mark.parametrize("modes", ["1", [1.7], [True]], ids=["string", "float", "bool"])
+def test_mode_spec_json_rejects_modes_that_are_not_integers(modes):
+    # int() would read each of these as mode 1
+    obj = mode_spec_to_json(make_mode_spec(mass=1.1, modes=(1,), k_block=0.2 * np.eye(2)))
+    obj["modes"] = modes
+    with pytest.raises(InputError, match="modes must be a list of integers"):
+        mode_spec_from_json(obj)
