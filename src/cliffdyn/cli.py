@@ -19,6 +19,7 @@ import numpy as np
 
 from . import acceptance, particle, worldsheet
 from .clifford import allocate, hermitian_from_json, resolve_hermitian
+from .config import integer, number, real_array
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import spinor_to_vec
 from .tolerances import DEFAULT
@@ -81,20 +82,6 @@ def cmd_resolve(args) -> int:
     return EXIT_OK
 
 
-def _number(value, field: str) -> float:
-    """A JSON number as a float; a boolean or a string is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{field} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, field: str) -> int:
-    """A JSON integer; a boolean or a float such as 2.7 is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 _EINBEIN_PARAMS = {"const": {"e0"}, "linear": {"a", "b"}}
 
 
@@ -108,7 +95,7 @@ def _einbein_from_config(spec: dict, tau0: float) -> particle.EinbeinFn:
     if not isinstance(params, dict) or not set(params) <= _EINBEIN_PARAMS[kind]:
         raise InputError(f"{kind} einbein params take keys {sorted(_EINBEIN_PARAMS[kind])}, "
                          f"got {params!r}")
-    params = {key: _number(value, f"einbein {key}") for key, value in params.items()}
+    params = {key: number(value, f"einbein {key}") for key, value in params.items()}
     if not all(math.isfinite(value) for value in params.values()):
         raise InputError(f"einbein parameters must be finite, got {params}")
     if kind == "const":
@@ -119,24 +106,21 @@ def _einbein_from_config(spec: dict, tau0: float) -> particle.EinbeinFn:
 def cmd_particle(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
-        mass, tau0, tau_end = (_number(cfg[field], field) for field in ("mass", "tau0", "tau_end"))
-        steps = _integer(cfg["steps"], "steps")
+        mass, tau0, tau_end = (number(cfg[field], field) for field in ("mass", "tau0", "tau_end"))
+        steps = integer(cfg["steps"], "steps")
         if not all(math.isfinite(v) for v in (mass, tau0, tau_end)):
             raise InputError(f"mass, tau0 and tau_end must be finite, got {mass, tau0, tau_end}")
         gram = cfg["gram"]
-        x, p = np.asarray(gram["x"], dtype=float), np.asarray(gram["p"], dtype=float)
-        if not x.shape == p.shape == (4,):
-            raise InputError(f"gram x and p must be four-vectors, got shapes {x.shape}, {p.shape}")
+        x, p = (real_array(gram[key], (4,), f"gram.{key}") for key in ("x", "p"))
         m_spec = gram.get("M", {"mu": 0.0})
         if "mu" in m_spec:
-            mu = complex(_number(m_spec["mu"], "M's mu"))
+            mu = complex(number(m_spec["mu"], "M's mu"))
             if not cmath.isfinite(mu):
                 raise InputError(f"M's mu must be finite, got {mu}")
             M = mu * np.eye(2)
         else:
-            if not np.shape(m_spec["re"]) == np.shape(m_spec["im"]) == (2, 2):
-                raise InputError("M's re and im must both be 2x2")
-            M = np.asarray(m_spec["re"], dtype=float) + 1j * np.asarray(m_spec["im"], dtype=float)
+            M = (real_array(m_spec["re"], (2, 2), "gram.M.re")
+                 + 1j * real_array(m_spec["im"], (2, 2), "gram.M.im"))
         e = _einbein_from_config(cfg.get("einbein", {}), tau0)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError,
             AttributeError, InputError) as exc:

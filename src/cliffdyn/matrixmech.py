@@ -226,9 +226,8 @@ def _free_hamiltonian(mass: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
-                      connections: Sequence[Callable | None], tau_end: float,
-                      steps: int, name: str) -> list[MatrixTrajectory]:
-    """One RK4 over len(connections) copies of the Hermitian pair (X0, P0).
+                      connections: Sequence[Callable | None], name: str):
+    """``(Y0, rhs)`` for one RK4 over len(connections) copies of the Hermitian pair (X0, P0).
 
     System b follows dY = i[Gamma_b, Y] + [Y, H]/(i hbar) for Y = X, P, with
     the Hermitian Gamma_b = ``connections[b](t, X, P, H)`` read from the
@@ -262,14 +261,14 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                 dY[b] += B
         return dY
 
-    return _rk4_matrix(np.stack([np.stack((X0, P0))] * len(connections)), rhs, tau_end, steps)
+    return np.stack([np.stack((X0, P0))] * len(connections)), rhs
 
 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                       tau_end: float, steps: int) -> MatrixTrajectory:
     """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar) on one matrix pair."""
-    return _commutator_flows(X0, P0, hbar, mass, [None], tau_end, steps,
-                             "evolve_heisenberg")[0]
+    return _rk4_matrix(*_commutator_flows(X0, P0, hbar, mass, [None], "evolve_heisenberg"),
+                       tau_end, steps)[0]
 
 
 def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -282,24 +281,34 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     reproduces :func:`evolve_heisenberg` exactly; Gamma = -H/hbar cancels the
     commutators and freezes X and P (the Schrodinger picture).
     """
-    return _commutator_flows(X0, P0, hbar, mass,
+    flow = _commutator_flows(X0, P0, hbar, mass,
                              [lambda t, X, P, H: validate_hermitian(gamma(t, X, P))],
-                             tau_end, steps, "covariant_evolve")[0]
+                             "covariant_evolve")
+    return _rk4_matrix(*flow, tau_end, steps)[0]
 
 
 def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                     tau_end: float, steps: int) -> tuple[MatrixTrajectory, MatrixTrajectory]:
-    """The Heisenberg flow and the Schrodinger-gauge flow of one pair, stepped together.
+    """The end states of the Heisenberg and Schrodinger-gauge flows of one pair, stepped together.
 
-    Returns ``(heisenberg, frozen)``, equal bit for bit to
-    :func:`evolve_heisenberg` and to :func:`covariant_evolve` under
-    :func:`schrodinger_gauge`; the frozen system takes Gamma = -H/hbar from
-    the Hamiltonian its stage already computed.
+    Returns ``(heisenberg, frozen)`` as one-sample trajectories at taubar =
+    tau_end, equal bit for bit to the last rows of :func:`evolve_heisenberg`
+    and of :func:`covariant_evolve` under :func:`schrodinger_gauge`; the
+    frozen system takes Gamma = -H/hbar from the Hamiltonian its stage
+    already computed.  No intermediate row is kept.
     """
-    heisenberg, frozen = _commutator_flows(
-        X0, P0, hbar, mass, [None, lambda t, X, P, H: H * (-1.0 / hbar)], tau_end, steps,
-        "evolve_pictures")
-    return heisenberg, frozen
+    Y0, rhs = _commutator_flows(X0, P0, hbar, mass,
+                                [None, lambda t, X, P, H: H * (-1.0 / hbar)], "evolve_pictures")
+    h = tau_end / steps
+    for Y in rk4(rhs, Y0, 0.0, h, steps):
+        pass
+    # a non-finite entry stays non-finite (see _rk4_matrix); only a failed
+    # run is stepped again to find the first bad step
+    if not np.isfinite(Y).all():
+        bad = next(k for k, Z in enumerate(rk4(rhs, Y0, 0.0, h, steps)) if not np.isfinite(Z).all())
+        raise ArithmeticError(f"matrix flow produced non-finite values at step {bad}")
+    ts = np.array([steps * h])
+    return MatrixTrajectory(ts, Y[0, :1], Y[0, 1:]), MatrixTrajectory(ts, Y[1, :1], Y[1, 1:])
 
 
 def schrodinger_gauge(hbar: float, mass: float):

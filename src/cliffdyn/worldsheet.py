@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clifford import ClVector, GeneratorSpace, allocate, bullet_gram, resolve_hermitian, unpack
+from .config import number
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import flip_both, minkowski_norm
 from .tolerances import DEFAULT
@@ -676,7 +677,7 @@ def _mode_numbers(modes) -> list[int]:
 
 def mode_spec_from_json(obj: dict) -> ModeSpec:
     try:
-        mass = float(obj["mass"])
+        mass = number(obj["mass"], "mass")
         modes = _mode_numbers(obj["modes"])
         entries = obj["gram"].items()
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
@@ -692,7 +693,7 @@ def mode_spec_from_json(obj: dict) -> ModeSpec:
             i = 2 * labels.index(li) + ("0", "1").index(As)
             j = 2 * labels.index(lj) + ("0", "1").index(Bs)
             re, im = val
-            G[i, j] = complex(re, im)
+            G[i, j] = complex(number(re, key), number(im, key))
         except (ValueError, TypeError) as exc:
             raise InputError(f"bad gram entry {key!r}: {val!r}") from exc
     omitted = (G == 0) & (G.T != 0)          # Hermitian partners left out of the JSON

@@ -7,6 +7,7 @@ criterion; the same checks back the ``cliffdyn verify-all`` command.
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cliffdyn.acceptance import (CRITERIA, algebra_suite, bracket_reduction,
                                  string_suite, un_covariance)
 from cliffdyn.cli import main
 from cliffdyn.clifford import GramResolution
+from cliffdyn.tolerances import DEFAULT
 
 SEED = 20260810
 
@@ -125,6 +127,33 @@ def test_picture_equivalence_fails_on_a_wrong_heisenberg_flow(monkeypatch, broke
     result = picture_equivalence(11)
     assert result.line().startswith("[FAIL]")
     assert result.details["expectation_gap"] > 0.5
+
+
+def test_picture_equivalence_stationarity_fails_on_a_wrong_gauge(monkeypatch):
+    # Gamma = +H/hbar instead of -H/hbar: the frozen system then turns at
+    # twice the Heisenberg rate, so X and P leave their initial values
+    flows = matrixmech._commutator_flows
+
+    def plus_h_gauge(X0, P0, hbar, mass, connections, name):
+        heisenberg, gauge = connections
+        return flows(X0, P0, hbar, mass, [heisenberg, lambda *stage: -gauge(*stage)], name)
+
+    monkeypatch.setattr(matrixmech, "_commutator_flows", plus_h_gauge)
+    result = picture_equivalence(11)
+    assert result.line().startswith("[FAIL]")
+    assert result.details["stationarity"] > DEFAULT.stationarity
+
+
+def test_picture_equivalence_keeps_no_trajectory():
+    # numpy reports its buffers to tracemalloc; two stored 2001-row (2, 20, 20)
+    # runs would take 51 MB, the end states and stage arrays well under 5 MB
+    tracemalloc.start()
+    try:
+        assert picture_equivalence(11).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys):

@@ -270,6 +270,7 @@ _NUMBER_FIELDS = [("mass",), ("tau0",), ("tau_end",), ("steps",), ("einbein", "p
 @pytest.mark.parametrize("kind,path,value,extra", [
     pytest.param("string", ("gram",), {"l.0|l.0": 5}, (), id="string-gram-value-not-a-pair"),
     pytest.param("string", ("gram",), [1, 2], (), id="string-gram-not-an-object"),
+    pytest.param("string", ("gram", "k.0|k.0"), [True, 0.0], (), id="string-gram-entry-true"),
     pytest.param("particle", ("gram", "x"), [0.1, 0.0, 0.2], (), id="particle-x-three-entries"),
     pytest.param("particle", ("einbein",), "const", (), id="particle-einbein-not-an-object"),
     pytest.param("particle", ("gram", "M"), {"re": [[1, 0], [0, 1]], "im": [[0, 0]]}, (),
@@ -300,6 +301,22 @@ def test_particle_config_error_names_the_field(tmp_path, capsys, path, value):
     _write_json(tmp_path / "cfg.json", _replaced(_particle_config(), path, value))
     assert main(_argv("particle", tmp_path / "cfg.json", tmp_path / "out")) == 2
     assert f"{path[-1]} must be a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,path,value,field", [
+    pytest.param("particle", ("gram", "x"), ["0.1", 0.0, 0.2, 0.0], "gram.x[0]", id="x-string"),
+    pytest.param("particle", ("gram", "x"), [True, 0.0, 0.2, 0.0], "gram.x[0]", id="x-true"),
+    pytest.param("particle-M", ("gram", "M", "re"), [[True, 0.1], [0.1, 0.8]], "gram.M.re[0][0]",
+                 id="M-re-true"),
+    pytest.param("string", ("mass",), "1.1", "mass", id="string-mass-string")])
+def test_json_number_entries_reject_strings_and_booleans(tmp_path, capsys, kind, path, value,
+                                                         field):
+    _write_json(tmp_path / "cfg.json", _replaced(_VALID[kind](), path, value))
+    assert main(_argv(kind, tmp_path / "cfg.json", tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be a number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _key_paths(obj, path=()):

@@ -291,20 +291,26 @@ def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
     return np.stack([Y0, *rk4(rhs, Y0, 0.0, tau_end / steps, steps)])
 
 
-@pytest.mark.parametrize("steps", [1, 7, 400])
-def test_stacked_pictures_match_separate_stepped_flows(steps):
-    X0, P0 = truncated_oscillator(20, hbar=1.0)
-    heis, frozen = evolve_pictures(X0, P0, 1.0, MASS, 0.8, steps)
-    ref_heis = _stepped_commutator_flow(X0, P0, 1.0, None, 0.8, steps)
-    ref_frozen = _stepped_commutator_flow(X0, P0, 1.0, schrodinger_gauge(1.0, MASS), 0.8, steps)
+@pytest.mark.parametrize("hbar,steps", [
+    pytest.param(1.0, 1, id="1"), pytest.param(1.0, 7, id="7"), pytest.param(1.0, 400, id="400"),
+    # the picture-equivalence criterion's size
+    pytest.param(1.0, 2000, id="2000"), pytest.param(0.7, 2000, id="2000-hbar0.7")])
+def test_stacked_pictures_match_separate_stepped_flows(hbar, steps):
+    # evolve_pictures keeps only the end states: each must be the last row of
+    # its stepped reference and of its single-system flow, bit for bit
+    X0, P0 = truncated_oscillator(20, hbar=hbar)
+    heis, frozen = evolve_pictures(X0, P0, hbar, MASS, 0.8, steps)
+    ref_heis = _stepped_commutator_flow(X0, P0, hbar, None, 0.8, steps)
+    ref_frozen = _stepped_commutator_flow(X0, P0, hbar, schrodinger_gauge(hbar, MASS), 0.8, steps)
     for traj, ref in ((heis, ref_heis), (frozen, ref_frozen)):
-        assert np.array_equal(traj.X, ref[:, 0])
-        assert np.array_equal(traj.P, ref[:, 1])
-    single = evolve_heisenberg(X0, P0, 1.0, MASS, 0.8, steps)
-    gauged = covariant_evolve(X0, P0, 1.0, MASS, schrodinger_gauge(1.0, MASS), 0.8, steps)
+        assert traj.X.shape == traj.P.shape == (1, 20, 20)
+        assert np.array_equal(traj.X[0], ref[-1, 0])
+        assert np.array_equal(traj.P[0], ref[-1, 1])
+    single = evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps)
+    gauged = covariant_evolve(X0, P0, hbar, MASS, schrodinger_gauge(hbar, MASS), 0.8, steps)
     for a, b in ((single, heis), (gauged, frozen)):
-        assert np.array_equal(a.taubar, b.taubar)
-        assert np.array_equal(a.X, b.X) and np.array_equal(a.P, b.P)
+        assert np.array_equal(a.taubar[-1:], b.taubar)
+        assert np.array_equal(a.X[-1:], b.X) and np.array_equal(a.P[-1:], b.P)
 
 
 def test_heisenberg_rk4_matches_stability_polynomial_oracle():
@@ -350,8 +356,9 @@ def test_random_hermitian_flows_stay_hermitian(flow, hbar):
         for traj, ref in zip(trajs, refs):
             assert traj.hermiticity_drift() == 0.0
             bound = 1e-14 * max(1.0, np.abs(ref).max())
-            assert np.abs(traj.X - ref[:, 0]).max() <= bound
-            assert np.abs(traj.P - ref[:, 1]).max() <= bound
+            rows = ref[-len(traj.taubar):]      # evolve_pictures keeps the end state only
+            assert np.abs(traj.X - rows[:, 0]).max() <= bound
+            assert np.abs(traj.P - rows[:, 1]).max() <= bound
 
 
 @pytest.mark.parametrize("flow,which", [(flow, which) for flow in ("heisenberg", "pictures")
@@ -396,6 +403,19 @@ def test_matrix_flow_names_the_first_non_finite_step():
         assert 0 < first < 99
         with pytest.raises(ArithmeticError, match=f"at step {first}$"):
             evolve_heisenberg(X0, 30 * P0, 1.0, MASS, 0.5, 100)
+
+
+def test_evolve_pictures_names_the_first_non_finite_step():
+    # no rows are stored, so a failed run is stepped again to find the step
+    X0, P0 = truncated_oscillator(8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="at step 0$"):
+            evolve_pictures(1e200 * X0, 1e200 * P0, 1.0, MASS, 0.5, 100)
+        ref = _stepped_commutator_flow(X0, 30 * P0, 1.0, None, 0.5, 100)
+        first = int(np.argmin(np.isfinite(ref[1:]).reshape(100, -1).all(axis=1)))
+        assert 0 < first < 99
+        with pytest.raises(ArithmeticError, match=f"at step {first}$"):
+            evolve_pictures(X0, 30 * P0, 1.0, MASS, 0.5, 100)
 
 
 def test_evolve_state_rejects_a_non_finite_result():
