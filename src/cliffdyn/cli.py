@@ -9,7 +9,6 @@ record the seed they were produced with.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import acceptance, particle, worldsheet
 from .clifford import allocate, hermitian_from_json, resolve_hermitian
-from .config import integer, number, real_array
+from .config import fields, integer, load, number, real_array
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import spinor_to_vec
 from .tolerances import DEFAULT
@@ -50,14 +49,8 @@ def _json_dumps(obj) -> str:
 
 def cmd_resolve(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        print(f"error: --tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        payload = json.loads(Path(args.input).read_text())
-        H = hermitian_from_json(payload)
-    except (OSError, json.JSONDecodeError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"--tol must be finite and non-negative, got {args.tol}")
+    H = hermitian_from_json(load(args.input))
     n = H.shape[0]
     space = allocate(2 * n, 2 * n)
     res = resolve_hermitian(H, space)
@@ -82,53 +75,37 @@ def cmd_resolve(args) -> int:
     return EXIT_OK
 
 
-_EINBEIN_PARAMS = {"const": {"e0"}, "linear": {"a", "b"}}
+_EINBEINS = {"const": (particle.constant_einbein, {"e0": 1.0}),
+             "linear": (particle.linear_einbein, {"a": 1.0, "b": 0.0})}
 
 
-def _einbein_from_config(spec: dict, tau0: float) -> particle.EinbeinFn:
-    if not isinstance(spec, dict) or not set(spec) <= {"type", "params"}:
-        raise InputError(f"einbein must be an object with keys type and params, got {spec!r}")
-    kind = spec.get("type", "const")
-    if not isinstance(kind, str) or kind not in _EINBEIN_PARAMS:
-        raise InputError(f"unknown einbein type {kind!r}")
-    params = spec.get("params", {})
-    if not isinstance(params, dict) or not set(params) <= _EINBEIN_PARAMS[kind]:
-        raise InputError(f"{kind} einbein params take keys {sorted(_EINBEIN_PARAMS[kind])}, "
-                         f"got {params!r}")
-    params = {key: number(value, f"einbein {key}") for key, value in params.items()}
-    if not all(math.isfinite(value) for value in params.values()):
-        raise InputError(f"einbein parameters must be finite, got {params}")
-    if kind == "const":
-        return particle.constant_einbein(params.get("e0", 1.0), tau0=tau0)
-    return particle.linear_einbein(params.get("a", 1.0), params.get("b", 0.0), tau0=tau0)
+def _einbein_from_config(spec, tau0: float) -> particle.EinbeinFn:
+    spec = fields(spec, "einbein", optional={"type": "const", "params": {}})
+    if not isinstance(spec["type"], str) or spec["type"] not in _EINBEINS:
+        raise InputError(f"unknown einbein type {spec['type']!r}")
+    make, defaults = _EINBEINS[spec["type"]]
+    params = fields(spec["params"], "einbein.params", optional=defaults)
+    return make(*(number(params[key], f"einbein.params.{key}") for key in defaults), tau0=tau0)
 
 
 def cmd_particle(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-        mass, tau0, tau_end = (number(cfg[field], field) for field in ("mass", "tau0", "tau_end"))
-        steps = integer(cfg["steps"], "steps")
-        if not all(math.isfinite(v) for v in (mass, tau0, tau_end)):
-            raise InputError(f"mass, tau0 and tau_end must be finite, got {mass, tau0, tau_end}")
-        gram = cfg["gram"]
-        x, p = (real_array(gram[key], (4,), f"gram.{key}") for key in ("x", "p"))
-        m_spec = gram.get("M", {"mu": 0.0})
-        if "mu" in m_spec:
-            mu = complex(number(m_spec["mu"], "M's mu"))
-            if not cmath.isfinite(mu):
-                raise InputError(f"M's mu must be finite, got {mu}")
-            M = mu * np.eye(2)
-        else:
-            M = (real_array(m_spec["re"], (2, 2), "gram.M.re")
-                 + 1j * real_array(m_spec["im"], (2, 2), "gram.M.im"))
-        e = _einbein_from_config(cfg.get("einbein", {}), tau0)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError,
-            AttributeError, InputError) as exc:
-        print(f"error: bad particle config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cfg = fields(load(args.config), "", ("mass", "tau0", "tau_end", "steps", "gram"),
+                 {"einbein": {}})
+    mass, tau0, tau_end = (number(cfg[key], key) for key in ("mass", "tau0", "tau_end"))
+    steps = integer(cfg["steps"], "steps")
+    gram = fields(cfg["gram"], "gram", ("x", "p"), {"M": {"mu": 0.0}})
+    x, p = (real_array(gram[key], (4,), f"gram.{key}") for key in ("x", "p"))
+    m_keys = ("mu",) if isinstance(gram["M"], dict) and "mu" in gram["M"] else ("re", "im")
+    m_spec = fields(gram["M"], "gram.M", m_keys)
+    if "mu" in m_spec:
+        M = complex(number(m_spec["mu"], "gram.M.mu")) * np.eye(2)
+    else:
+        M = (real_array(m_spec["re"], (2, 2), "gram.M.re")
+             + 1j * real_array(m_spec["im"], (2, 2), "gram.M.im"))
+    e = _einbein_from_config(cfg["einbein"], tau0)
     try:
         st = particle.build_state(x, p, M, mass, tau=tau0)
-    except (InputError, PreconditionError) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     # proper time is undefined wherever mu vanishes; refuse such windows
@@ -159,16 +136,7 @@ def cmd_particle(args) -> int:
 
 
 def cmd_string(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-        spec = worldsheet.mode_spec_from_json(cfg)
-        state = worldsheet.build_wave_state(spec)
-    except (OSError, json.JSONDecodeError, InputError) as exc:
-        print(f"error: bad mode spec: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    state = worldsheet.build_wave_state(worldsheet.mode_spec_from_json(load(args.config)))
     out_dir = Path(args.out)
     taus, sigmas = (g.ravel() for g in np.meshgrid(
         np.linspace(0.0, 1.0, 11), np.linspace(0.0, math.pi, 17), indexing="ij"))

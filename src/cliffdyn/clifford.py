@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import fields, integer, real_array
 from .errors import InputError, PreconditionError, VerificationError
 from .tolerances import DEFAULT, Tolerances
 
@@ -439,12 +440,9 @@ def hermitian_to_json(H) -> dict:
 
 
 def hermitian_from_json(obj: dict) -> np.ndarray:
-    try:
-        n = int(obj["n"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"bad Hermitian matrix JSON: {exc}") from exc
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise InputError(f"matrix JSON shapes {re.shape}/{im.shape} do not match n={n}")
-    return validate_hermitian(re + 1j * im)
+    obj = fields(obj, "", ("n", "re", "im"))
+    n = integer(obj["n"], "n")
+    if n < 1:
+        raise InputError(f"n must be a positive integer, got {n}")
+    return validate_hermitian(real_array(obj["re"], (n, n), "re")
+                              + 1j * real_array(obj["im"], (n, n), "im"))

@@ -1,21 +1,35 @@
-"""Typed readers for values parsed from JSON configs.
+"""Typed readers for JSON input; every command reads its file through them.
 
-``json`` yields ``int``, ``float``, ``bool`` and ``str`` as distinct types, so
-a type check is enough; ``bool`` is a subclass of ``int`` and is excluded by
-name.  Each reader raises ``InputError`` naming the field it was given.
+``json`` yields each JSON type as its own Python type, so a type check is
+enough; a boolean is an ``int`` subclass and is excluded by name.  Each reader
+raises ``InputError`` naming the JSON path of the bad value, such as ``gram.x[2]``.
 """
 
 from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
 
 
+def load(path) -> object:
+    """The JSON document in a file; an unreadable file or bad JSON is an InputError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:     # RecursionError: deep nesting
+        raise InputError(str(exc)) from exc
+
+
 def number(value, field: str) -> float:
-    """A JSON number as a float; a boolean or a string is not a number."""
+    """A finite JSON number as a float; a boolean, a string, NaN or ±Inf is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{field} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:       # NaN, ±Inf or an int beyond the float range
+        raise InputError(f"{field} must be finite, got non-finite {value!r}")
     return float(value)
 
 
@@ -26,6 +40,14 @@ def integer(value, field: str) -> int:
     return value
 
 
+def integers(value, field: str) -> list[int]:
+    """A JSON list of integers."""
+    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int)
+                                          for v in value):
+        raise InputError(f"{field} must be a list of integers, got {value!r}")
+    return value
+
+
 def real_array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
     """Nested JSON lists of the given shape as a float array, entry by entry."""
     if not isinstance(value, list) or len(value) != shape[0]:
@@ -33,3 +55,25 @@ def real_array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
     if len(shape) == 1:
         return np.array([number(v, f"{field}[{i}]") for i, v in enumerate(value)])
     return np.array([real_array(v, shape[1:], f"{field}[{i}]") for i, v in enumerate(value)])
+
+
+def mapping(value, field: str) -> dict:
+    """A JSON object; ``field`` is its path, empty at the top level."""
+    if not isinstance(value, dict):
+        raise InputError(f"{field or 'the input'} must be a JSON object, got {value!r}")
+    return value
+
+
+def fields(value, field: str, required=(), optional: dict | None = None) -> dict:
+    """A JSON object with every required key and no other key but the optional ones;
+    absent optional keys take the defaults ``optional`` maps them to."""
+    known = (*required, *(optional or {}))
+    prefix = f"{field}." if field else ""
+    for key in mapping(value, field):
+        if key not in known:
+            raise InputError(f"unknown key '{prefix}{key}'; {field or 'the input'} takes "
+                             f"{', '.join(known)}")
+    for key in required:
+        if key not in value:
+            raise InputError(f"missing key '{prefix}{key}'")
+    return {**(optional or {}), **value}

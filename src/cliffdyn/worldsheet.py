@@ -29,14 +29,13 @@ of the non-vibrating string.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .clifford import ClVector, GeneratorSpace, allocate, bullet_gram, resolve_hermitian, unpack
-from .config import number
+from .config import fields, integers, mapping, number, real_array
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import flip_both, minkowski_norm
 from .tolerances import DEFAULT
@@ -665,37 +664,20 @@ def mode_spec_to_json(spec: ModeSpec) -> dict:
     return {"mass": spec.mass, "modes": list(spec.modes), "gram": entries}
 
 
-def _mode_numbers(modes) -> list[int]:
-    """JSON mode numbers as ints; a string, a float or a boolean is not one."""
-    try:
-        if any(isinstance(n, bool) for n in modes):
-            raise TypeError
-        return [operator.index(n) for n in modes]
-    except TypeError:
-        raise InputError(f"modes must be a list of integers, got {modes!r}") from None
-
-
 def mode_spec_from_json(obj: dict) -> ModeSpec:
-    try:
-        mass = number(obj["mass"], "mass")
-        modes = _mode_numbers(obj["modes"])
-        entries = obj["gram"].items()
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise InputError(f"bad mode spec JSON: {exc}") from exc
+    obj = fields(obj, "", ("mass", "modes", "gram"))
+    mass = number(obj["mass"], "mass")
+    modes = integers(obj["modes"], "modes")
     _, labels = _mode_labels(modes)
-    dim = 2 * len(labels)
-    G = np.zeros((dim, dim), dtype=complex)
-    for key, val in entries:
-        try:
-            left, right = key.split("|")
-            li, As = left.rsplit(".", 1)
-            lj, Bs = right.rsplit(".", 1)
-            i = 2 * labels.index(li) + ("0", "1").index(As)
-            j = 2 * labels.index(lj) + ("0", "1").index(Bs)
-            re, im = val
-            G[i, j] = complex(number(re, key), number(im, key))
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"bad gram entry {key!r}: {val!r}") from exc
+    rows = {f"{label}.{A}": 2 * i + A for i, label in enumerate(labels) for A in range(2)}
+    G = np.zeros((len(rows), len(rows)), dtype=complex)
+    for key, val in mapping(obj["gram"], "gram").items():
+        left, _, right = key.partition("|")
+        if left not in rows or right not in rows:
+            raise InputError(f"gram key {key!r} is not label.A|label.B with A in 0, 1 and "
+                             f"a label in {', '.join(labels)}")
+        re, im = real_array(val, (2,), f'gram["{key}"]')
+        G[rows[left], rows[right]] = complex(re, im)
     omitted = (G == 0) & (G.T != 0)          # Hermitian partners left out of the JSON
     G[omitted] = G.T.conj()[omitted]
     return ModeSpec(mass, modes, G)

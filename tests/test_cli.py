@@ -23,7 +23,8 @@ from cliffdyn.worldsheet import make_mode_spec, mode_spec_to_json
 
 
 def _write_json(path, obj):
-    path.write_text(json.dumps(obj))
+    # the string "1e400" is written as a bare literal, which json reads as inf
+    path.write_text(json.dumps(obj).replace('"1e400"', "1e400"))
 
 
 def test_resolve_diagonal(tmp_path):
@@ -53,7 +54,7 @@ def test_resolve_rejects_non_hermitian(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1e400"])
 def test_resolve_rejects_non_finite(tmp_path, capsys, bad):
     _write_json(tmp_path / "H.json",
                 {"n": 2, "re": [[1.0, bad], [bad, 0.0]], "im": [[0, 0], [0, 0]]})
@@ -62,6 +63,30 @@ def test_resolve_rejects_non_finite(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert code == 2
     assert "non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _resolve_with_off_diagonal():
+    return hermitian_to_json(np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+
+# int() and a float array would read n = "2" or 2.7 as 2 and a "1.0" or true entry
+# as 1.0, each a valid matrix; the reader refuses them and names the field.
+@pytest.mark.parametrize("path,value,field", [
+    pytest.param(("n",), "2", "n", id="n-string"),
+    pytest.param(("n",), 2.7, "n", id="n-float"),
+    pytest.param(("n",), True, "n", id="n-true"),
+    pytest.param(("n",), 0, "n", id="n-zero"),
+    pytest.param(("re", 0, 1), "1.0", "re[0][1]", id="entry-string"),
+    pytest.param(("re", 0, 1), True, "re[0][1]", id="entry-true")])
+def test_resolve_rejects_mistyped_input(tmp_path, capsys, path, value, field):
+    _write_json(tmp_path / "H.json", _replaced(_resolve_with_off_diagonal(), path, value))
+    code = main(["resolve", "--input", str(tmp_path / "H.json"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {field} must be a")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -111,6 +136,7 @@ def test_particle_rejects_bad_config(tmp_path):
     pytest.param("e0", float("inf"), id="inf"),
     *(pytest.param(field, bad, id=f"{field}-{bad}")
       for field in ("mass", "tau0", "tau_end") for bad in (float("nan"), float("inf"))),
+    pytest.param("mass", "1e400", id="mass-1e400"),
     *(pytest.param("M", bad, id=f"M-{bad}")
       for bad in (float("nan"), float("inf"), float("-inf")))])
 def test_particle_rejects_non_finite_einbein(tmp_path, capsys, recwarn, field, bad):
@@ -206,13 +232,14 @@ def test_string_fields_csv_matches_per_value_formatting(tmp_path):
 
 
 @pytest.mark.parametrize("residuals", [[], ["--residuals"]], ids=["plain", "residuals"])
-@pytest.mark.parametrize("where", ["mass", "gram"])
-def test_string_rejects_non_finite_spec(tmp_path, capsys, where, residuals):
+@pytest.mark.parametrize("where,bad", [("mass", float("nan")), ("gram", float("nan")),
+                                       ("gram", "1e400")], ids=["mass", "gram", "gram-1e400"])
+def test_string_rejects_non_finite_spec(tmp_path, capsys, where, bad, residuals):
     cfg = _string_config()
     if where == "mass":
-        cfg["mass"] = float("nan")
+        cfg["mass"] = bad
     else:
-        cfg["gram"]["k.0|k.0"] = [float("nan"), 0.0]
+        cfg["gram"]["k.0|k.0"] = [bad, 0.0]
     _write_json(tmp_path / "s.json", cfg)
     code = main(["string", "--config", str(tmp_path / "s.json"),
                  "--out", str(tmp_path / "out"), *residuals])
@@ -308,13 +335,43 @@ def test_particle_config_error_names_the_field(tmp_path, capsys, path, value):
     pytest.param("particle", ("gram", "x"), [True, 0.0, 0.2, 0.0], "gram.x[0]", id="x-true"),
     pytest.param("particle-M", ("gram", "M", "re"), [[True, 0.1], [0.1, 0.8]], "gram.M.re[0][0]",
                  id="M-re-true"),
-    pytest.param("string", ("mass",), "1.1", "mass", id="string-mass-string")])
+    pytest.param("string", ("mass",), "1.1", "mass", id="string-mass-string"),
+    pytest.param("string", ("gram", "k.0|k.0"), [True, 0.0], 'gram["k.0|k.0"][0]',
+                 id="string-gram-entry-true")])
 def test_json_number_entries_reject_strings_and_booleans(tmp_path, capsys, kind, path, value,
                                                          field):
     _write_json(tmp_path / "cfg.json", _replaced(_VALID[kind](), path, value))
     assert main(_argv(kind, tmp_path / "cfg.json", tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert f"{field} must be a number" in err
+    assert len(err.splitlines()) == 1
+    assert "bad mode spec" not in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,path,value,key", [
+    pytest.param("particle", ("stpes",), 4000, "stpes", id="particle-misspelt-steps"),
+    pytest.param("particle", ("gram", "M", "re"), [[1.0, 0.0], [0.0, 1.0]], "gram.M.re",
+                 id="particle-M-mu-and-re"),
+    pytest.param("resolve", ("extra",), 1, "extra", id="resolve-extra-key")])
+def test_unknown_keys_exit_2(tmp_path, capsys, kind, path, value, key):
+    _write_json(tmp_path / "cfg.json", _replaced(_VALID[kind](), path, value))
+    assert main(_argv(kind, tmp_path / "cfg.json", tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["resolve", "particle", "string"])
+@pytest.mark.parametrize("data", [None, b"{", b"\xff", b"[" * 100_000],
+                         ids=["missing", "not-json", "not-utf8", "nested-too-deep"])
+def test_unreadable_input_exits_2(tmp_path, capsys, kind, data):
+    if data is not None:
+        (tmp_path / "cfg.json").write_bytes(data)
+    assert main(_argv(kind, tmp_path / "cfg.json", tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -326,11 +383,22 @@ def _key_paths(obj, path=()):
             yield from _key_paths(value, path + (key,))
 
 
-# Malformed kinds: wrong type, wrong length, nested, non-finite.  None of them is
-# a large number, so no field can ask for a large allocation.
+# Malformed kinds: wrong type (a numeric string among them), wrong length, nested,
+# non-finite, and 2.5 where an integer is due.  None of them is a large number, so
+# no field can ask for a large allocation.
 _MALFORMED = [None, True, "abc", {}, [], [1.0] * 3, [1.0] * 5, [[1.0]], [[[0.5, 0.5]]],
-              {"re": [[1.0]]}, float("nan"), float("inf"), float("-inf"), [float("nan")] * 4]
+              {"re": [[1.0]]}, float("nan"), float("inf"), float("-inf"), [float("nan")] * 4,
+              "1.0", 2.5]
 _FIELDS = [(kind, path) for kind, make in _VALID.items() for path in _key_paths(make())]
+# An empty einbein or params object is the documented default, the const einbein
+# with e0 = 1, so these four replacements run (exit 0).
+_DEFAULTED = [("particle", ("einbein",), {}), ("particle", ("einbein", "params"), {}),
+              ("particle-M", ("einbein",), {}), ("particle-M", ("einbein", "params"), {})]
+# 2.5 is not malformed in a real-valued particle field.  Each run exits 0, except
+# tau0 = 2.5: the window back to tau_end = 1 lies before the einbein's turning
+# point, which is refused (exit 3).
+_REAL_FIELDS = {("mass",): 0, ("tau0",): 3, ("tau_end",): 0, ("einbein", "params", "e0"): 0,
+                ("gram", "M", "mu"): 0}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -340,7 +408,12 @@ def test_cli_fuzz_one_malformed_field(field, bad):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.json"
         _write_json(config, _replaced(_VALID[kind](), path, bad))
-        assert main(_argv(kind, config, Path(tmp) / "out")) in (0, 1, 2, 3)
+        expected = 2
+        if (kind, path, bad) in _DEFAULTED:
+            expected = 0
+        elif bad == 2.5 and kind.startswith("particle") and path in _REAL_FIELDS:
+            expected = _REAL_FIELDS[path]
+        assert main(_argv(kind, config, Path(tmp) / "out")) == expected
 
 
 def test_outputs_byte_identical_for_same_config(tmp_path):
