@@ -28,7 +28,7 @@ import numpy as np
 
 from .clifford import GeneratorSpace, unpack, validate_hermitian
 from .errors import InputError, PreconditionError
-from .particle import ParticleState, rk4
+from .particle import ParticleState, rk4, step_count
 from .spinors import DP_DOWN, DX_UP, ETA
 
 __all__ = [
@@ -172,6 +172,7 @@ def _rk4_matrix(Y0: np.ndarray, rhs, tau_end: float, steps: int) -> list[MatrixT
     ``rhs(t, Y)`` returns dY/dt for the whole stack.  Each pair's samples go
     to an array of their own, so a trajectory holds only its own memory.
     """
+    steps = step_count(steps)
     h = tau_end / steps
     Y0 = np.asarray(Y0, dtype=complex)
     runs = [np.empty((steps + 1, *pair.shape), dtype=complex) for pair in Y0]
@@ -297,6 +298,7 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     frozen system takes Gamma = -H/hbar from the Hamiltonian its stage
     already computed.  No intermediate row is kept.
     """
+    steps = step_count(steps)
     Y0, rhs = _commutator_flows(X0, P0, hbar, mass,
                                 [None, lambda t, X, P, H: H * (-1.0 / hbar)], "evolve_pictures")
     h = tau_end / steps
@@ -343,6 +345,7 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
                  tau_end: float, steps: int) -> np.ndarray:
     """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; norm is preserved."""
+    steps = step_count(steps)
     h = tau_end / steps
     for s in rk4(lambda t, v: 1j * (gamma(t) @ v), np.asarray(s, dtype=complex), 0.0, h, steps):
         pass

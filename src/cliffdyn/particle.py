@@ -24,6 +24,7 @@ factor is ever written by hand.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,6 +62,7 @@ __all__ = [
     "hamiltonian_c5",
     "canonical_rhs",
     "rk4",
+    "step_count",
     "integrate",
     "Trajectory",
     "noether_charges",
@@ -319,6 +321,22 @@ def hamiltonian_c5(state: ParticleState, e: float) -> float:
     return e * state.mass_shell()
 
 
+def step_count(steps) -> int:
+    """``steps`` as an int if it is a positive integer, else an InputError naming it.
+
+    Every fixed-step integrator checks its step count here.  A Python or
+    numpy integer passes ``operator.index``; a float such as 2.5 does not,
+    and a bool is refused by name.
+    """
+    try:
+        n = operator.index(steps)
+    except TypeError:
+        n = None
+    if n is None or n < 1 or isinstance(steps, bool):
+        raise InputError(f"steps must be a positive integer, got {steps!r}")
+    return n
+
+
 def rk4(f: Callable, y, t0: float, h: float, steps: int):
     """Classic fixed-step RK4 for dy/dt = f(t, y); yields y after each step."""
     for k in range(steps):
@@ -453,8 +471,7 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
     stages as c (see :func:`_free_flow`), so the reparametrized columns are
     consistent to integrator order.
     """
-    if steps < 1:
-        raise InputError("steps must be >= 1")
+    steps = step_count(steps)
     signs = state0.space.signs
     tau0 = state0.tau
     h = (tau_end - tau0) / steps

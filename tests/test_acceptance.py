@@ -4,19 +4,21 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per
 criterion; the same checks back the ``cliffdyn verify-all`` command.
 """
 
+import contextlib
 import dataclasses
 import math
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cliffdyn import acceptance, current_algebra, matrixmech, particle, worldsheet
-from cliffdyn.acceptance import (CRITERIA, algebra_suite, bracket_reduction,
+from cliffdyn import acceptance, clifford, current_algebra, matrixmech, particle, worldsheet
+from cliffdyn.acceptance import (CRITERIA, FORKED, algebra_suite, bracket_reduction,
                                  contraction_identity, particle_dynamics,
-                                 picture_equivalence, proposition_suite, run_criterion,
-                                 string_suite, un_covariance)
+                                 picture_equivalence, proposition_suite, run_all,
+                                 run_criterion, string_suite, un_covariance)
 from cliffdyn.cli import main
 from cliffdyn.clifford import GramResolution
 from cliffdyn.tolerances import DEFAULT
@@ -176,3 +178,73 @@ def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys
     assert row.startswith("[FAIL] particle dynamics")
     assert "error=integration produced non-finite values at step 0" in row
     assert '"error": "integration produced non-finite values at step 0"' in out
+
+
+# -- run_all's two lanes: FORKED in a forked child, the other seven here --------
+
+forking = pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")),
+                             reason="the lane tests need os.fork and /proc/self/fd")
+
+
+@contextlib.contextmanager
+def _no_child_or_fd_left():
+    before = sorted(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def _one_by_one(seed):
+    """The eight criteria called in this process with the seeds run_all gives them."""
+    rngs = np.random.default_rng(seed).spawn(len(CRITERIA))
+    return [fn(int(r.integers(0, 2 ** 63 - 1)), DEFAULT) for (_, fn), r in zip(CRITERIA, rngs)]
+
+
+def _same_results(a, b):
+    return [(r.name, r.passed, r.details) for r in a] == [(r.name, r.passed, r.details) for r in b]
+
+
+@forking
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_run_all_equals_the_criteria_one_by_one(seed):
+    with _no_child_or_fd_left():
+        results = run_all(seed)
+    assert _same_results(results, _one_by_one(seed))
+    assert all(r.passed for r in results)
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+@forking
+@pytest.mark.parametrize("owner,name", [(matrixmech, "evolve_pictures"),
+                                        (clifford, "resolve_hermitian")],
+                         ids=["child-lane", "parent-lane"])
+def test_run_all_raises_an_uncaught_exception_of_either_lane(monkeypatch, owner, name):
+    # the parent lane raises while the child still runs: the child is killed and reaped
+    monkeypatch.setattr(owner, name, _boom)
+    with _no_child_or_fd_left(), pytest.raises(RuntimeError, match="^boom$"):
+        run_all(11)
+
+
+@forking
+def test_a_child_that_dies_gives_a_fail_row(monkeypatch, capsys):
+    monkeypatch.setattr(matrixmech, "evolve_pictures", lambda *args: os._exit(3))
+    with _no_child_or_fd_left():
+        code = main(["verify-all", "--seed", "11"])
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert code == 1
+    assert len(rows) == len(CRITERIA)
+    slot = [key for key, _ in CRITERIA].index(FORKED)
+    assert rows[slot] == ("[FAIL] picture equivalence (20-level oscillator): "
+                          "error=criterion process ended by exit status 3 without a result")
+    assert all(row.startswith("[PASS]") for i, row in enumerate(rows) if i != slot)
+
+
+def test_run_all_without_fork_runs_serially(monkeypatch):
+    seed = 3
+    expected = _one_by_one(seed)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _same_results(run_all(seed), expected)

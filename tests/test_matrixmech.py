@@ -20,7 +20,7 @@ from cliffdyn.matrixmech import (
     schrodinger_gauge,
     truncated_oscillator,
 )
-from cliffdyn.particle import ParticleState, rk4
+from cliffdyn.particle import ParticleState, constant_einbein, integrate, rk4
 from cliffdyn.sampling import random_hermitian, random_unitary
 from cliffdyn.spinors import ETA, covec_to_spinor_down, vec_to_spinor
 
@@ -390,6 +390,31 @@ def test_matrix_flows_require_positive_hbar(flow, hbar):
            "pictures": lambda: evolve_pictures(X0, P0, hbar, MASS, 0.1, 5)}[flow]
     with pytest.raises(PreconditionError, match="hbar > 0"):
         run()
+
+
+def _step_entry_points():
+    X0, P0 = truncated_oscillator(4)
+    sys1, states = _system(n=1)
+    return {
+        "evolve_pictures": lambda steps: evolve_pictures(X0, P0, 1.0, MASS, 0.1, steps),
+        "evolve_heisenberg": lambda steps: evolve_heisenberg(X0, P0, 1.0, MASS, 0.1, steps),
+        "covariant_evolve": lambda steps: covariant_evolve(
+            X0, P0, 1.0, MASS, lambda t, X, P: np.zeros_like(X), 0.1, steps),
+        "evolve_matrix_classical": lambda steps: evolve_matrix_classical(sys1, 0.1, steps),
+        "evolve_state": lambda steps: evolve_state(
+            np.array([0.6, 0.8j]), lambda t: np.eye(2), 0.1, steps),
+        "integrate": lambda steps: integrate(states[0], constant_einbein(0.5), 0.1, steps),
+    }
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, True])
+@pytest.mark.parametrize("entry", ["evolve_pictures", "evolve_heisenberg", "covariant_evolve",
+                                   "evolve_matrix_classical", "evolve_state", "integrate"])
+def test_step_counts_must_be_positive_integers(entry, steps):
+    run = _step_entry_points()[entry]
+    with pytest.raises(InputError, match=r"^steps must be a positive integer, got "):
+        run(steps)
+    run(np.int64(2))        # a numpy integer is a step count
 
 
 def test_matrix_flow_names_the_first_non_finite_step():
