@@ -79,13 +79,15 @@ _EINBEINS = {"const": (particle.constant_einbein, {"e0": 1.0}),
              "linear": (particle.linear_einbein, {"a": 1.0, "b": 0.0})}
 
 
-def _einbein_from_config(spec, tau0: float) -> particle.EinbeinFn:
+def _einbein_from_config(spec, tau0: float) -> tuple[particle.EinbeinFn, dict]:
+    """The einbein a particle config names, and its spec as read, defaults filled in."""
     spec = fields(spec, "einbein", optional={"type": "const", "params": {}})
     if not isinstance(spec["type"], str) or spec["type"] not in _EINBEINS:
         raise InputError(f"unknown einbein type {spec['type']!r}")
     make, defaults = _EINBEINS[spec["type"]]
     params = fields(spec["params"], "einbein.params", optional=defaults)
-    return make(*(number(params[key], f"einbein.params.{key}") for key in defaults), tau0=tau0)
+    values = {key: number(params[key], f"einbein.params.{key}") for key in defaults}
+    return make(*values.values(), tau0=tau0), {"type": spec["type"], "params": values}
 
 
 def cmd_particle(args) -> int:
@@ -102,7 +104,7 @@ def cmd_particle(args) -> int:
     else:
         M = (real_array(m_spec["re"], (2, 2), "gram.M.re")
              + 1j * real_array(m_spec["im"], (2, 2), "gram.M.im"))
-    e = _einbein_from_config(cfg["einbein"], tau0)
+    e, einbein = _einbein_from_config(cfg["einbein"], tau0)
     try:
         st = particle.build_state(x, p, M, mass, tau=tau0)
     except PreconditionError as exc:
@@ -123,6 +125,11 @@ def cmd_particle(args) -> int:
     report = {
         "mass": mass,
         "steps": steps,
+        "tau0": tau0,
+        "tau_end": tau_end,
+        "h": (tau_end - tau0) / steps,
+        "einbein": einbein,
+        "mu_min": mu_min,
         "constraint_drift": traj.constraint_drift(),
         "charge_drift": traj.charge_drift(),
         "straight_line_residual": float(np.abs(traj.x - pred).max()),

@@ -324,8 +324,10 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 
     which = "X" or "P": <s|M|s> per component of an NSystem (or a bare
     matrix / stack of matrices).  which = "C": the Clifford coordinate
-    <s| C^A, a pair of ClVectors.
+    <s| C^A, a pair of ClVectors.  Any other ``which`` is an InputError.
     """
+    if which not in ("X", "P", "C"):
+        raise InputError(f"which must be 'X', 'P' or 'C', got {which!r}")
     s = np.asarray(s, dtype=complex)
     if not abs(s @ s.conj() - 1.0) <= 1e-12:
         raise InputError("state vector must have unit norm")

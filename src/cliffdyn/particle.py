@@ -377,21 +377,16 @@ def canonical_rhs(state: ParticleState, e: float
 
 @dataclass
 class Trajectory:
-    """Sampled states plus derived columns, one row per RK4 step."""
+    """Derived columns of a run, one row per RK4 step."""
 
-    space: GeneratorSpace
     mass: float
     tau: np.ndarray
     taubar: np.ndarray
-    Y: np.ndarray            # (n_samples, 4, G) complex coefficients
     x: np.ndarray            # (n_samples, 4) real
     p: np.ndarray            # (n_samples, 4) real covariant
     J: np.ndarray            # (n_samples, 2, 2) complex Noether charge
     j: np.ndarray            # (n_samples,) real U(1) charge
     mu: np.ndarray           # (n_samples,) real
-
-    def state(self, k: int) -> ParticleState:
-        return ParticleState._of_stack(self.Y[k], self.space, self.mass, float(self.tau[k]))
 
     def constraint_drift(self) -> float:
         """Largest change of p.p - m^2 along the run, read from the p column."""
@@ -416,51 +411,60 @@ class Trajectory:
                           "J22_re,J22_im,j,mu", *(row % tuple(r) for r in table.tolist())]) + "\n"
 
 
-def _free_flow(C: np.ndarray, D: np.ndarray, signs: np.ndarray, mass: float,
-               e: EinbeinFn, tau0: float, h: float) -> np.ndarray:
-    """Fill rows 1.. of the (n, 2, G) c-row stack C by RK4 steps of size h
-    from row 0 and return taubar, which starts at 0.
+def _free_flow(state0: ParticleState, e: EinbeinFn, tau_end: float, steps: int):
+    """RK4 steps of size h = (tau_end - tau0) / steps on the free flow, by blocks.
+
+    Yields ``(lo, rows, taubar)`` for each block of up to ``_COLUMN_BLOCK``
+    steps: ``rows`` is the (k + 1, 4, G) coefficient stack of samples lo to
+    lo + k and ``taubar`` their proper times, which start at 0.  Both are
+    views of one reused buffer: the d* rows are written once, and the next
+    block overwrites them, keeping this block's last row as its row 0.
 
     The c-row derivative e(tau) K does not read the state (see
     :func:`_c_rate`), so RK4's k2 and k3 coincide and every step's increment
     (h/6)(k1 + 2 k2 + 2 k3 + k4) is known from the einbein alone.  Each block
-    of steps evaluates e at all its stage times in one call and sums the
-    increments in step order with ``np.add.accumulate``.  taubar accumulates
-    dtaubar/dtau = 2 m mu e the same way, with mu read from the four RK4
-    stage states of the c rows.  Every row equals, bit for bit, stepping
-    :func:`rk4` on the flow state (c rows, taubar).
+    evaluates e at all its stage times in one call and sums the increments in
+    step order with ``np.add.accumulate``.  taubar accumulates dtaubar/dtau =
+    2 m mu e the same way, with mu read from the four RK4 stage states of the
+    c rows.  Every row equals, bit for bit, stepping :func:`rk4` on the flow
+    state (c rows, taubar).  A block with a non-finite step raises
+    ArithmeticError naming the first such step before it is yielded.
     """
-    rate = _c_rate(D, signs)
-    signed_D_T = (D * signs).T
+    signs, mass, tau0 = state0.space.signs, state0.mass, state0.tau
+    h = (tau_end - tau0) / steps
+    Y0 = state0.packed()
+    rate = _c_rate(Y0[2:], signs)
+    signed_D_T = (Y0[2:] * signs).T
 
     def taubar_rate(c_rows: np.ndarray, e_vals: np.ndarray) -> np.ndarray:
         cd = c_rows @ signed_D_T              # bullet(c_A, d*_B)
         return 2.0 * mass * (0.5 * (cd[..., 0, 0] + cd[..., 1, 1]).real) * e_vals
 
-    steps = len(C) - 1
-    taubar = np.empty(steps + 1)
-    taubar[0] = 0.0
+    rows = np.empty((min(_COLUMN_BLOCK, steps) + 1, *Y0.shape), dtype=complex)
+    rows[:] = Y0                              # dd*/dtau = 0: the d* rows stay
+    taubar = np.zeros(len(rows))
     for lo in range(0, steps, _COLUMN_BLOCK):
-        hi = min(lo + _COLUMN_BLOCK, steps)
-        t = tau0 + np.arange(lo, hi) * h
-        e1, e2, e4 = e.values(np.stack((t, t + 0.5 * h, t + h), axis=1)).T
-        k1, k2, k4 = rate(e1), rate(e2), rate(e4)                       # k3 = k2
-        c = C[lo:hi + 1]
-        np.add.accumulate(
-            np.concatenate((c[:1], (h / 6.0) * (k1 + 2 * k2 + 2 * k2 + k4))), axis=0, out=c)
-        y = c[:-1]
-        r1 = taubar_rate(y, e1)
-        r2 = taubar_rate(y + 0.5 * h * k1, e2)
-        r3 = taubar_rate(y + 0.5 * h * k2, e2)
-        r4 = taubar_rate(y + h * k2, e4)
-        tb = taubar[lo:hi + 1]
-        np.add.accumulate(
-            np.concatenate((tb[:1], (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4))), out=tb)
+        n = min(_COLUMN_BLOCK, steps - lo)
+        c, tb = rows[:n + 1, :2], taubar[:n + 1]
+        with np.errstate(over="ignore", invalid="ignore"):    # named below
+            t = tau0 + np.arange(lo, lo + n) * h
+            e1, e2, e4 = e.values(np.stack((t, t + 0.5 * h, t + h), axis=1)).T
+            k1, k2, k4 = rate(e1), rate(e2), rate(e4)                       # k3 = k2
+            np.add.accumulate(
+                np.concatenate((c[:1], (h / 6.0) * (k1 + 2 * k2 + 2 * k2 + k4))), axis=0, out=c)
+            y = c[:-1]
+            r1 = taubar_rate(y, e1)
+            r2 = taubar_rate(y + 0.5 * h * k1, e2)
+            r3 = taubar_rate(y + 0.5 * h * k2, e2)
+            r4 = taubar_rate(y + h * k2, e4)
+            np.add.accumulate(
+                np.concatenate((tb[:1], (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4))), out=tb)
         finite = np.isfinite(c[1:]).all(axis=(1, 2)) & np.isfinite(tb[1:])
         if not finite.all():
             raise ArithmeticError(
                 f"integration produced non-finite values at step {lo + int(np.argmin(finite))}")
-    return taubar
+        yield lo, rows[:n + 1], tb
+        c[0], tb[0] = c[n], tb[n]
 
 
 def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
@@ -469,35 +473,33 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
 
     taubar accumulates dtaubar/dtau = 2 m mu(tau) e(tau) through the same RK4
     stages as c (see :func:`_free_flow`), so the reparametrized columns are
-    consistent to integrator order.
+    consistent to integrator order.  Each block of coefficient rows is turned
+    into its columns and dropped, so memory grows with the columns alone.
     """
     steps = step_count(steps)
     signs = state0.space.signs
     tau0 = state0.tau
-    h = (tau_end - tau0) / steps
     n = steps + 1
-    Y0 = state0.packed().astype(complex)
-    out_Y = np.empty((n, *Y0.shape), dtype=complex)
-    out_Y[0] = Y0
-    out_Y[1:, 2:] = Y0[2:]
-    with np.errstate(over="ignore", invalid="ignore"):    # _free_flow names the bad step
-        out_taubar = _free_flow(out_Y[:, :2], Y0[2:], signs, state0.mass, e, tau0, h)
-    out_tau = tau0 + np.arange(n) * h
-    out_tau[0] = tau0
+    tau = tau0 + np.arange(n) * ((tau_end - tau0) / steps)
+    tau[0] = tau0
+    taubar = np.empty(n)
     x = np.empty((n, 4))
     p = np.empty((n, 4))
     J = np.empty((n, 2, 2), dtype=complex)
     jq = np.empty(n)
     mu = np.empty(n)
-    for lo in range(0, n, _COLUMN_BLOCK):
-        rows = slice(lo, lo + _COLUMN_BLOCK)
-        x[rows], p[rows], J[rows], jq[rows], mu[rows] = _derived_columns(out_Y[rows], signs)
-    return Trajectory(state0.space, state0.mass, out_tau, out_taubar, out_Y, x, p, J, jq, mu)
+    for lo, rows, tb in _free_flow(state0, e, tau_end, steps):
+        block = slice(lo, lo + len(rows))
+        taubar[block] = tb
+        x[block], p[block], J[block], jq[block], mu[block] = _derived_columns(rows, signs)
+    return Trajectory(state0.mass, tau, taubar, x, p, J, jq, mu)
 
 
-# Steps per block of the flow and rows per batch of derived columns; bounds
-# the (rows, 2, G) stage and (rows, 2, 2, G) column temporaries.
-_COLUMN_BLOCK = 1024
+# Steps per block of the flow, and so rows per batch of derived columns; bounds
+# the (rows, 2, G) stage and (rows, 2, 2, G) column temporaries.  Measured with
+# tracemalloc at G = 24: a block's rows and temporaries peak at 2.16 MB beyond
+# the columns (8.4 KB a step; 1024-step blocks took 8.19 MB).
+_COLUMN_BLOCK = 256
 
 
 def _derived_columns(Y: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:

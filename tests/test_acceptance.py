@@ -158,6 +158,18 @@ def test_picture_equivalence_keeps_no_trajectory():
     assert peak < 5e6
 
 
+def test_particle_dynamics_keeps_no_coefficient_rows():
+    # 10^4 stored (4, 24) complex rows would take 15.4 MB; the columns take
+    # 1.6 MB and one block of rows and temporaries about 2.2 MB
+    tracemalloc.start()
+    try:
+        assert particle_dynamics(11).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys):
     # a NaN in c makes particle.integrate raise ArithmeticError at step 0
     original = particle.build_state

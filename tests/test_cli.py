@@ -117,6 +117,21 @@ def test_particle_run_reports_conservation(tmp_path):
     assert len(csv_text.splitlines()) == 402
 
 
+@pytest.mark.parametrize("einbein,read", [
+    ({"type": "linear", "params": {"a": 0.5}}, {"type": "linear", "params": {"a": 0.5, "b": 0.0}}),
+    ({}, {"type": "const", "params": {"e0": 1.0}})])
+def test_particle_report_records_its_run(tmp_path, einbein, read):
+    cfg = {**_particle_config(), "einbein": einbein, "tau0": 0.25, "tau_end": 1.25}
+    _write_json(tmp_path / "p.json", cfg)
+    assert main(["particle", "--config", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "conservation.json").read_text())
+    assert (report["tau0"], report["tau_end"], report["h"]) == (0.25, 1.25, 1.0 / 400)
+    assert report["einbein"] == read
+    # e > 0 makes mu grow from tau0, so its minimum over the window is mu_initial
+    assert report["mu_min"] == report["mu_initial"] == pytest.approx(0.7, abs=1e-12)
+
+
 def test_particle_refuses_mu_zero_window(tmp_path):
     _write_json(tmp_path / "p.json", _particle_config(mu=0.0))
     code = main(["particle", "--config", str(tmp_path / "p.json"),

@@ -512,6 +512,16 @@ def test_expectation_requires_unit_norm():
         expectation(np.array([1.0, 1.0]), sys3, "X")
 
 
+@pytest.mark.parametrize("which", ["x", "bogus", ""])
+@pytest.mark.parametrize("target", ["system", "stack"])
+def test_expectation_rejects_an_unknown_which(target, which):
+    sys3, _ = _system(n=2)
+    s = np.array([1.0, 0.0], dtype=complex)
+    mats = sys3 if target == "system" else sys3.x_matrices()
+    with pytest.raises(InputError, match=f"which must be 'X', 'P' or 'C', got {which!r}"):
+        expectation(s, mats, which)
+
+
 def test_expectation_rejects_nan_state():
     sys3, _ = _system(n=2)
     with pytest.raises(InputError):

@@ -3,6 +3,7 @@
 import csv
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cliffdyn.errors import InputError, PreconditionError
 from cliffdyn.particle import (
     _COLUMN_BLOCK,
     _derived_columns,
+    _free_flow,
     EinbeinFn,
     ParticleState,
     build_state,
@@ -224,7 +226,8 @@ def test_integrate_columns_match_per_state_path(e):
     M = np.array([[0.7 + 0.02j, 0.05 + 0.01j], [0.05 - 0.01j, 0.6]])
     st = build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), M, MASS)
     traj = integrate(st, e, 1.5, 2500)
-    states = [traj.state(k) for k in range(len(traj.tau))]
+    states = [ParticleState._of_stack(Y, st.space, MASS, tau)
+              for Y, tau in zip(_flow_rows(st, e, 1.5, 2500), traj.tau)]
     charges = [noether_charges(s) for s in states]
     assert np.array_equal(traj.x, np.array([s.x_vec() for s in states]))
     assert np.array_equal(traj.p, np.array([s.p_vec() for s in states]))
@@ -233,6 +236,15 @@ def test_integrate_columns_match_per_state_path(e):
     assert np.array_equal(traj.mu, np.array([s.mu_charge() for s in states]))
     shell = np.array([s.mass_shell() for s in states])
     assert traj.constraint_drift() == np.abs(shell - shell[0]).max()
+
+
+def _flow_rows(state0, e, tau_end, steps):
+    """The (steps + 1, 4, G) coefficient rows of ``integrate``'s run, gathered
+    from the blocks its flow generator yields."""
+    Y = np.empty((steps + 1, *state0.packed().shape), dtype=complex)
+    for lo, rows, _ in _free_flow(state0, e, tau_end, steps):
+        Y[lo:lo + len(rows)] = rows
+    return Y
 
 
 def _stepped_integrate(state0, e, tau_end, steps):
@@ -280,8 +292,10 @@ def _mixed_state(tau=0.0):
     return build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), M, MASS, tau=tau)
 
 
+# 2 * _COLUMN_BLOCK + 1 carries a row across two block boundaries; 1023-1025
+# straddle a later one (the blocks of 256 steps end at 1024)
 @pytest.mark.parametrize("steps", [1, 7, _COLUMN_BLOCK - 1, _COLUMN_BLOCK, _COLUMN_BLOCK + 1,
-                                   10_000])
+                                   2 * _COLUMN_BLOCK + 1, 1023, 1024, 1025, 10_000])
 @pytest.mark.parametrize("e", [constant_einbein(0.5), linear_einbein(0.6, 0.3)],
                          ids=["const", "linear"])
 def test_integrate_matches_stepped_rk4_bit_for_bit(e, steps):
@@ -290,7 +304,7 @@ def test_integrate_matches_stepped_rk4_bit_for_bit(e, steps):
     tau, taubar, Y = _stepped_integrate(st, e, 2.4, steps)
     assert np.array_equal(traj.tau, tau)
     assert np.array_equal(traj.taubar, taubar)
-    assert np.array_equal(traj.Y, Y)
+    assert np.array_equal(_flow_rows(st, e, 2.4, steps), Y)
     for name, column in zip(("x", "p", "J", "j", "mu"), _derived_columns(Y, st.space.signs)):
         assert np.array_equal(getattr(traj, name), column), name
 
@@ -340,15 +354,38 @@ def test_einbein_values_check_every_entry_in_order():
 def test_constraint_drift_matches_per_state_shell():
     # the free flow freezes p, so stitch runs of off-shell states together
     # to make the shell vary along the p column
-    runs = [integrate(build_state(np.zeros(4), scale * _onshell_p(), 0.7, MASS),
-                      constant_einbein(0.5), 0.1, 1) for scale in (1.0, 1.1, 0.95)]
-    traj = Trajectory(runs[0].space, MASS, *(
+    starts = [build_state(np.zeros(4), scale * _onshell_p(), 0.7, MASS)
+              for scale in (1.0, 1.1, 0.95)]
+    e = constant_einbein(0.5)
+    runs = [integrate(st, e, 0.1, 1) for st in starts]
+    traj = Trajectory(MASS, *(
         np.concatenate([getattr(r, col) for r in runs])
-        for col in ("tau", "taubar", "Y", "x", "p", "J", "j", "mu")))
-    shell = np.array([traj.state(k).mass_shell() for k in range(len(traj.tau))])
+        for col in ("tau", "taubar", "x", "p", "J", "j", "mu")))
+    shell = np.array([ParticleState._of_stack(Y, st.space, MASS, st.tau).mass_shell()
+                      for st in starts for Y in _flow_rows(st, e, 0.1, 1)])
     drift = np.abs(shell - shell[0]).max()
     assert drift > 0.1
     assert traj.constraint_drift() == drift
+
+
+def test_integrate_memory_grows_with_the_columns_alone():
+    # streamed blocks: 30 000 more steps add their columns (160 bytes a row)
+    # and nothing else, where stored coefficient rows would add 46 MB
+    st = _mixed_state()
+    e = constant_einbein(0.5)
+
+    def peak_and_columns(steps):
+        tracemalloc.start()
+        try:
+            traj = integrate(st, e, 1.0, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sum(getattr(traj, name).nbytes
+                         for name in ("tau", "taubar", "x", "p", "J", "j", "mu"))
+
+    small, large = peak_and_columns(10_000), peak_and_columns(40_000)
+    assert large[0] - small[0] <= 1.1 * (large[1] - small[1])
 
 
 @pytest.mark.parametrize("column,index", [("J", (4, 1, 0)), ("j", (4,))])
