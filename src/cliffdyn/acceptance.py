@@ -18,6 +18,7 @@ import math
 import os
 import pickle
 import signal
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,14 @@ __all__ = ["CriterionResult", "CRITERIA", "FORKED", "run_criterion", "run_all"]
 
 @dataclass
 class CriterionResult:
+    """One criterion's row.  ``seconds`` is its wall time, measured in the
+    process that ran it; it stays out of ``details`` and so out of the payload,
+    and is None for a forked child that died without a result."""
+
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    seconds: float | None = field(default=None, compare=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -56,11 +62,12 @@ def _criterion(title: str):
     def wrap(check):
         @functools.wraps(check)
         def criterion(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
+            start = time.perf_counter()
             try:
                 passed, details = check(seed, tols)
             except (ArithmeticError, InputError, PreconditionError) as exc:
                 passed, details = False, {"error": str(exc), **getattr(exc, "details", {})}
-            return CriterionResult(title, passed, details)
+            return CriterionResult(title, passed, details, time.perf_counter() - start)
         criterion.title = title
         return criterion
     return wrap
@@ -303,10 +310,11 @@ CRITERIA = (
 )
 
 # The criterion run_all hands to a forked child.  Picture-equivalence takes
-# about 60 % of a serial run (0.64 s of 1.05 s in-process on a 2-core host)
-# and the other seven the rest; no other split of the eight comes nearer to
-# two even lanes.  Each process has its own interpreter lock, which threads
-# running criteria would share; a fork and its waitpid cost 2-3 ms.
+# about 58 % of a serial run (0.59 s of 1.02 s in-process on a 2-core host,
+# seed 11, median of 5) and the other seven the rest (0.45 s); no other split
+# of the eight comes nearer to two even lanes.  Each process has its own
+# interpreter lock, which threads running criteria would share; a fork and
+# its waitpid cost 2-3 ms.
 FORKED = "picture-equivalence"
 
 # taken before anything can rebind the criteria: the row title under which a

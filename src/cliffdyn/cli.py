@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +172,14 @@ def cmd_string(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    start = time.perf_counter()
     results = acceptance.run_all(seed=args.seed)
+    if args.timings:
+        # to stderr, outside the deterministic rows and payload
+        for r in results:
+            seconds = "-" if r.seconds is None else f"{r.seconds:.3f}"
+            print(f"{seconds:>7} s  {r.name}", file=sys.stderr)
+        print(f"{time.perf_counter() - start:7.3f} s  verify-all", file=sys.stderr)
     rows = [r.line() for r in results]
     for row in rows:
         print(row)
@@ -224,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--json", action="store_true", help="print the JSON report")
     p_ver.add_argument("--out", help="directory for the JSON report")
+    p_ver.add_argument("--timings", action="store_true",
+                       help="print each criterion's wall seconds to stderr")
     p_ver.set_defaults(fn=cmd_verify_all)
     return parser
 

@@ -22,6 +22,7 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .clifford import GeneratorSpace, unpack, validate_hermitian
 from .errors import InputError, PreconditionError
 from .particle import ParticleState, rk4, step_count
 from .spinors import DP_DOWN, DX_UP, ETA
+from .tolerances import DEFAULT
 
 __all__ = [
     "NSystem",
@@ -136,8 +138,9 @@ def gauge_transform(sys: NSystem, U: np.ndarray) -> NSystem:
     if U.shape != (n, n):
         raise InputError(f"U must be {n}x{n}")
     deviation = np.abs(U @ U.conj().T - np.eye(n)).max()
-    if not deviation <= 1e-12:
-        raise InputError(f"U is not unitary within 1e-12: max |U U^dagger - 1| = {deviation:.3e}")
+    if not deviation <= DEFAULT.unitarity:
+        raise InputError(f"U is not unitary within {DEFAULT.unitarity:g}: "
+                         f"max |U U^dagger - 1| = {deviation:.3e}")
     return NSystem(sys.space, _rotate(sys.kets, U), _rotate(sys.bras, U.conj()),
                    sys.mass, hbar=sys.hbar, phi=sys.phi)
 
@@ -166,29 +169,29 @@ class MatrixTrajectory:
         return float(np.max([dx, dp]))
 
 
-def _rk4_matrix(Y0: np.ndarray, rhs, tau_end: float, steps: int) -> list[MatrixTrajectory]:
+def _rk4_matrix(Y0, rhs, tau_end: float, steps: int, keep_rows=True) -> list[MatrixTrajectory]:
     """RK4 from tau = 0 on a (B, 2, ...) stack of (X, P) pairs; one trajectory per pair.
 
-    ``rhs(t, Y)`` returns dY/dt for the whole stack.  Each pair's samples go
-    to an array of their own, so a trajectory holds only its own memory.
+    ``rhs(t, Y, out)`` writes dY/dt of the stack into ``out``.  Each pair's
+    samples are copied to an array of their own, or without ``keep_rows`` only
+    the sample at tau_end is kept.  A NaN or Inf entry stays non-finite, so the
+    end state decides, and only a failed run is stepped again to name its step.
     """
     steps = step_count(steps)
     h = tau_end / steps
-    Y0 = np.asarray(Y0, dtype=complex)
-    runs = [np.empty((steps + 1, *pair.shape), dtype=complex) for pair in Y0]
-    for b, run in enumerate(runs):
-        run[0] = Y0[b]
-    for k, Y in enumerate(rk4(rhs, Y0, 0.0, h, steps), start=1):
-        for b, run in enumerate(runs):
-            run[k] = Y[b]
-    # an RK4 step adds to the previous row, so a NaN or Inf entry stays
-    # non-finite: the last row decides, and the scan runs only on failure
+    if keep_rows:
+        runs = [np.empty((steps + 1, *pair.shape), dtype=complex) for pair in Y0]
+        for k, Y in enumerate(chain([Y0], rk4(rhs, Y0, 0.0, h, steps))):
+            for run, pair in zip(runs, Y):
+                run[k] = pair
+    else:
+        for Y in rk4(rhs, Y0, 0.0, h, steps):
+            pass
+        runs = Y[:, None]
     if not all(np.isfinite(run[-1]).all() for run in runs):
-        finite = np.all([np.isfinite(run[1:]).reshape(steps, -1).all(axis=1) for run in runs],
-                        axis=0)
-        raise ArithmeticError(
-            f"matrix flow produced non-finite values at step {int(np.argmin(finite))}")
-    ts = np.arange(steps + 1) * h
+        bad = next(k for k, Y in enumerate(rk4(rhs, Y0, 0.0, h, steps)) if not np.isfinite(Y).all())
+        raise ArithmeticError(f"matrix flow produced non-finite values at step {bad}")
+    ts = np.arange(steps + 1) * h if keep_rows else np.array([steps * h])
     return [MatrixTrajectory(ts, run[:, 0], run[:, 1]) for run in runs]
 
 
@@ -198,28 +201,20 @@ def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> MatrixT
         raise PreconditionError("classical evolution requires hbar = 0")
     m = sys.mass
 
-    def rhs(t, Y):
-        dY = np.zeros_like(Y)
+    def rhs(t, Y, dY):
+        dY[...] = 0
         dY[0, 0] = np.einsum("mn,nij->mij", ETA, Y[0, 1]) / m     # P^mu / m
-        return dY
 
-    Y0 = np.stack((sys.x_matrices(), sys.p_matrices()))[None]
-    return _rk4_matrix(Y0, rhs, tau_end, steps)[0]
+    return _rk4_matrix(np.stack((sys.x_matrices(), sys.p_matrices()))[None], rhs, tau_end, steps)[0]
 
 
-def _free_hamiltonian(mass: float) -> Callable[[np.ndarray], np.ndarray]:
-    """P -> (P.P - m^2 1)/(2m) for a momentum matrix P or a stack of them.
+def _free_hamiltonian(mass: float, n: int) -> Callable[..., np.ndarray]:
+    """(P, out=None) -> (P.P - m^2 1)/(2m) for an n x n momentum matrix P or a stack of them."""
+    mass_term = mass ** 2 * np.eye(n)
 
-    m^2 1 is built once per matrix size, not on every call.
-    """
-    mass_terms: dict[int, np.ndarray] = {}
-
-    def hamiltonian(P: np.ndarray) -> np.ndarray:
-        n = P.shape[-1]
-        if n not in mass_terms:
-            mass_terms[n] = mass ** 2 * np.eye(n)
-        H = P @ P
-        H -= mass_terms[n]
+    def hamiltonian(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        H = np.matmul(P, P, out=out)
+        H -= mass_term
         H *= 0.5 / mass         # the values numpy gives for / (2.0 * mass)
         return H
 
@@ -231,10 +226,10 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     """``(Y0, rhs)`` for one RK4 over len(connections) copies of the Hermitian pair (X0, P0).
 
     System b follows dY = i[Gamma_b, Y] + [Y, H]/(i hbar) for Y = X, P, with
-    the Hermitian Gamma_b = ``connections[b](t, X, P, H)`` read from the
-    system's stage state and Hamiltonian; None means Gamma = 0 (the
-    Heisenberg picture).  Each stage computes every system's H with one
-    batched P @ P and every [Y, H] with one batched product.
+    the Hermitian Gamma_b = ``connections[b](t, X, P, H, out)`` (it may write
+    into the buffer ``out``), or Gamma = 0 for None (the Heisenberg picture).
+    ``rhs(t, Y, dY)`` computes every H with one batched P @ P and every [Y, H]
+    with one batched product, in buffers allocated once per flow.
 
     X0 and P0 must be Hermitian (``validate_hermitian``, else InputError).
     Y and H stay Hermitian, so H Y = (Y H)^dagger and [Y, H] = A - A^dagger
@@ -246,23 +241,29 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     if not hbar > 0:
         raise PreconditionError(f"{name} requires hbar > 0")
     X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
-    hamiltonian = _free_hamiltonian(mass)
+    hamiltonian = _free_hamiltonian(mass, len(X0))
     scale = -1j / hbar          # the values numpy gives for / (1j * hbar)
+    Y0 = np.stack([np.stack((X0, P0))] * len(connections))
+    # A = Y H of every system, then B = Gamma Y of every connection, in one
+    # buffer: each difference A - A^dagger, B - B^dagger is one call for all
+    active = [b for b, connection in enumerate(connections) if connection is not None]
+    work = np.empty((len(connections) + len(active), *Y0.shape[1:]), dtype=complex)
+    A, Bs, dagger = work[:len(connections)], work[len(connections):], np.empty_like(work)
+    links = [(b, connections[b], B) for b, B in zip(active, list(Bs))]
+    H, gamma = np.empty_like(Y0[:, 1]), np.empty_like(X0)
 
-    def rhs(t, Y):
-        H = hamiltonian(Y[:, 1])[:, None]
-        dY = Y @ H
-        dY -= dY.swapaxes(-1, -2).conj()
-        dY *= scale
-        for b, connection in enumerate(connections):
-            if connection is not None:
-                B = connection(t, Y[b, 0], Y[b, 1], H[b, 0]) @ Y[b]
-                B -= B.swapaxes(-1, -2).conj()
-                B *= 1j
-                dY[b] += B
-        return dY
+    def rhs(t, Y, dY):
+        hamiltonian(Y[:, 1], out=H)
+        np.matmul(Y, H[:, None], out=A)
+        for b, connection, B in links:
+            np.matmul(connection(t, Y[b, 0], Y[b, 1], H[b], gamma), Y[b], out=B)
+        np.subtract(work, np.conjugate(work.swapaxes(-1, -2), out=dagger), out=work)
+        np.multiply(A, scale, out=dY)
+        np.multiply(Bs, 1j, out=Bs)
+        for b, _, B in links:
+            dY[b] += B
 
-    return np.stack([np.stack((X0, P0))] * len(connections)), rhs
+    return Y0, rhs
 
 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -278,12 +279,12 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     """Gauge-covariant flow: dX = i[Gamma, X] + [X, H]/(i hbar).
 
     ``gamma(taubar, X, P)`` returns the Hermitian connection, checked by
-    ``validate_hermitian`` at every stage.  Gamma = 0
-    reproduces :func:`evolve_heisenberg` exactly; Gamma = -H/hbar cancels the
-    commutators and freezes X and P (the Schrodinger picture).
+    ``validate_hermitian`` at every stage; X and P are views of a reused buffer.
+    Gamma = 0 reproduces :func:`evolve_heisenberg` exactly; Gamma = -H/hbar
+    cancels the commutators and freezes X and P (the Schrodinger picture).
     """
     flow = _commutator_flows(X0, P0, hbar, mass,
-                             [lambda t, X, P, H: validate_hermitian(gamma(t, X, P))],
+                             [lambda t, X, P, H, out: validate_hermitian(gamma(t, X, P))],
                              "covariant_evolve")
     return _rk4_matrix(*flow, tau_end, steps)[0]
 
@@ -294,29 +295,19 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
     Returns ``(heisenberg, frozen)`` as one-sample trajectories at taubar =
     tau_end, equal bit for bit to the last rows of :func:`evolve_heisenberg`
-    and of :func:`covariant_evolve` under :func:`schrodinger_gauge`; the
-    frozen system takes Gamma = -H/hbar from the Hamiltonian its stage
-    already computed.  No intermediate row is kept.
+    and of :func:`covariant_evolve` under :func:`schrodinger_gauge`.  The
+    frozen system writes Gamma = -H/hbar into its connection buffer from the
+    Hamiltonian its stage already computed.  No intermediate row is kept.
     """
-    steps = step_count(steps)
-    Y0, rhs = _commutator_flows(X0, P0, hbar, mass,
-                                [None, lambda t, X, P, H: H * (-1.0 / hbar)], "evolve_pictures")
-    h = tau_end / steps
-    for Y in rk4(rhs, Y0, 0.0, h, steps):
-        pass
-    # a non-finite entry stays non-finite (see _rk4_matrix); only a failed
-    # run is stepped again to find the first bad step
-    if not np.isfinite(Y).all():
-        bad = next(k for k, Z in enumerate(rk4(rhs, Y0, 0.0, h, steps)) if not np.isfinite(Z).all())
-        raise ArithmeticError(f"matrix flow produced non-finite values at step {bad}")
-    ts = np.array([steps * h])
-    return MatrixTrajectory(ts, Y[0, :1], Y[0, 1:]), MatrixTrajectory(ts, Y[1, :1], Y[1, 1:])
+    flow = _commutator_flows(
+        X0, P0, hbar, mass,
+        [None, lambda t, X, P, H, out: np.multiply(H, -1.0 / hbar, out=out)], "evolve_pictures")
+    return tuple(_rk4_matrix(*flow, tau_end, steps, keep_rows=False))
 
 
 def schrodinger_gauge(hbar: float, mass: float):
     """The connection Gamma = -H/hbar that makes X and P stationary."""
-    hamiltonian = _free_hamiltonian(mass)
-    return lambda t, X, P: hamiltonian(P) * (-1.0 / hbar)
+    return lambda t, X, P: _free_hamiltonian(mass, len(P))(P) * (-1.0 / hbar)
 
 
 def expectation(s: np.ndarray, target, which: str = "X"):
@@ -329,7 +320,7 @@ def expectation(s: np.ndarray, target, which: str = "X"):
     if which not in ("X", "P", "C"):
         raise InputError(f"which must be 'X', 'P' or 'C', got {which!r}")
     s = np.asarray(s, dtype=complex)
-    if not abs(s @ s.conj() - 1.0) <= 1e-12:
+    if not abs(s @ s.conj() - 1.0) <= DEFAULT.state_norm:
         raise InputError("state vector must have unit norm")
     if which == "C":
         if not isinstance(target, NSystem):
@@ -346,10 +337,11 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 
 def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
                  tau_end: float, steps: int) -> np.ndarray:
-    """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; norm is preserved."""
+    """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; the norm is
+    preserved, to the integrator's order, only where Gamma is Hermitian."""
     steps = step_count(steps)
     h = tau_end / steps
-    for s in rk4(lambda t, v: 1j * (gamma(t) @ v), np.asarray(s, dtype=complex), 0.0, h, steps):
+    for s in rk4(lambda t, v, out: np.multiply(1j, gamma(t) @ v, out=out), s, 0.0, h, steps):
         pass
     if not np.isfinite(s).all():
         raise ArithmeticError(f"evolve_state produced a non-finite state after {steps} steps")
@@ -363,7 +355,7 @@ def truncated_oscillator(nlev: int, mass: float = 1.0, omega: float = 1.0,
     The commutator defect lives entirely in the last diagonal entry; every
     interior matrix element satisfies the canonical relation exactly.
     """
-    n = np.arange(1, nlev)
+    n = np.arange(1, step_count(nlev, "nlev"))
     a = np.diag(np.sqrt(n), k=1)
     X = np.sqrt(hbar / (2 * mass * omega)) * (a + a.T)
     P = 1j * np.sqrt(mass * omega * hbar / 2) * (a.T - a)

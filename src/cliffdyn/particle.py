@@ -321,31 +321,43 @@ def hamiltonian_c5(state: ParticleState, e: float) -> float:
     return e * state.mass_shell()
 
 
-def step_count(steps) -> int:
-    """``steps`` as an int if it is a positive integer, else an InputError naming it.
+def step_count(steps, name: str = "steps") -> int:
+    """``steps`` as an int if it is a positive integer, else an InputError naming ``name``.
 
-    Every fixed-step integrator checks its step count here.  A Python or
-    numpy integer passes ``operator.index``; a float such as 2.5 does not,
-    and a bool is refused by name.
+    Every fixed-step integrator checks its step count here, and
+    :func:`~cliffdyn.matrixmech.truncated_oscillator` its level count.  A
+    Python or numpy integer passes ``operator.index``; a float such as 2.5
+    does not, and a bool is refused by name.
     """
     try:
         n = operator.index(steps)
     except TypeError:
         n = None
     if n is None or n < 1 or isinstance(steps, bool):
-        raise InputError(f"steps must be a positive integer, got {steps!r}")
+        raise InputError(f"{name} must be a positive integer, got {steps!r}")
     return n
 
 
 def rk4(f: Callable, y, t0: float, h: float, steps: int):
-    """Classic fixed-step RK4 for dy/dt = f(t, y); yields y after each step."""
+    """Classic fixed-step RK4 for dy/dt = f(t, y, out), where f writes dy/dt into out.
+
+    Stage states and slopes are buffers allocated once, so f must not keep its
+    y; sums keep the operation order of y + (h/6)(k1 + 2 k2 + 2 k3 + k4).  Yields
+    one complex copy of y, updated in place by each step: keep a row by copying it.
+    """
+    y = np.array(y, dtype=complex)
+    slopes, stage = np.empty((4, *y.shape), dtype=y.dtype), np.empty_like(y)
+    k1, k2, k3, k4 = slopes
     for k in range(steps):
         t = t0 + k * h
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        f(t, y, k1)
+        f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage), k2)
+        f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage), k3)
+        f(t + h, np.add(y, np.multiply(h, k3, out=stage), out=stage), k4)
+        np.multiply(2, slopes[1:3], out=slopes[1:3])       # 2 k2 and 2 k3 in one call
+        for slope in (k2, k3, k4):
+            k1 += slope
+        y += np.multiply(h / 6.0, k1, out=k1)
         yield y
 
 

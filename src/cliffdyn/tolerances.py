@@ -26,6 +26,8 @@ class Tolerances:
     mu_match: float = 1e-8
 
     # matrix mechanics
+    unitarity: float = 1e-12            # max |U U^dagger - 1| gauge_transform accepts
+    state_norm: float = 1e-12           # |<s|s> - 1| expectation accepts
     unitary_covariance: float = 1e-10
     constraint_invariance: float = 1e-11
     picture_equivalence: float = 1e-8

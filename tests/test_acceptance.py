@@ -260,3 +260,14 @@ def test_run_all_without_fork_runs_serially(monkeypatch):
     expected = _one_by_one(seed)
     monkeypatch.delattr(os, "fork", raising=False)
     assert _same_results(run_all(seed), expected)
+
+
+@forking
+def test_every_result_carries_its_own_wall_time():
+    # the forked child's seconds come back with its pickled result; timing
+    # stays out of details, and so out of the payload
+    with _no_child_or_fd_left():
+        results = run_all(11)
+    assert all(r.seconds > 0 and "seconds" not in r.details for r in results)
+    slot = [key for key, _ in CRITERIA].index(FORKED)
+    assert results[slot].seconds > 0.1      # 2000 stepped stages, not the fork's cost

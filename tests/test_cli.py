@@ -481,3 +481,23 @@ def test_verify_all_json_deterministic(tmp_path):
     assert main(["verify-all", "--seed", "3", "--out", str(tmp_path / "y")]) == 0
     assert (tmp_path / "x" / "verify.json").read_bytes() \
         == (tmp_path / "y" / "verify.json").read_bytes()
+
+
+def test_verify_all_timings_go_to_stderr_alone(tmp_path, capsys):
+    # --timings adds stderr lines and leaves stdout, --json and --out bytes as they were
+    runs = {}
+    for flag in ("", "--timings"):
+        out_dir = tmp_path / (flag or "plain")
+        code = main(["verify-all", "--seed", "3", "--json", "--out", str(out_dir),
+                     *([flag] if flag else [])])
+        captured = capsys.readouterr()
+        runs[flag] = (code, captured.out, (out_dir / "verify.json").read_bytes(), captured.err)
+    assert runs[""][:3] == runs["--timings"][:3]
+    assert runs[""][0] == 0 and runs[""][3] == ""
+    lines = runs["--timings"][3].splitlines()
+    titles = [c["name"] for c in json.loads(runs[""][2])["criteria"]]
+    assert len(lines) == len(titles) + 1
+    for line, title in zip(lines, titles):
+        seconds, unit, name = line.split(maxsplit=2)
+        assert (unit, name) == ("s", title) and float(seconds) > 0
+    assert lines[-1].split(maxsplit=2)[1:] == ["s", "verify-all"]

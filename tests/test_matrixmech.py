@@ -20,7 +20,7 @@ from cliffdyn.matrixmech import (
     schrodinger_gauge,
     truncated_oscillator,
 )
-from cliffdyn.particle import ParticleState, constant_einbein, integrate, rk4
+from cliffdyn.particle import ParticleState, constant_einbein, integrate
 from cliffdyn.sampling import random_hermitian, random_unitary
 from cliffdyn.spinors import ETA, covec_to_spinor_down, vec_to_spinor
 
@@ -193,6 +193,13 @@ def test_classical_requires_hbar_zero():
 
 # -- quantum sector ---------------------------------------------------------------
 
+@pytest.mark.parametrize("nlev", [0, -3, 2.5, True])
+def test_truncated_oscillator_needs_a_positive_integer_level_count(nlev):
+    with pytest.raises(InputError, match=r"^nlev must be a positive integer, got "):
+        truncated_oscillator(nlev)
+    assert truncated_oscillator(np.int64(3))[0].shape == (3, 3)
+
+
 def test_truncated_oscillator_commutator_support():
     X, P = truncated_oscillator(20, hbar=1.0)
     comm = X @ P - P @ X
@@ -271,6 +278,22 @@ def test_covariant_flow_matches_reference_rk4_loop():
     assert np.array_equal(traj.P[-1], P)
 
 
+def _textbook_rk4(f, y, h, steps):
+    """Reference RK4 for dy/dt = f(t, y) from t = 0, written out with a new
+    array per operation, independent of the package's buffered integrator;
+    returns the (steps + 1, ...) run."""
+    rows = [y]
+    for k in range(steps):
+        t = k * h
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rows.append(y)
+    return np.stack(rows)
+
+
 def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
     """Reference: one system's flow as stepped before the flows shared a batch.
 
@@ -287,30 +310,32 @@ def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
         G = gamma(t, *Y)
         return 1j * (G @ Y - Y @ G) + commutator
 
-    Y0 = np.stack((X0, P0)).astype(complex)
-    return np.stack([Y0, *rk4(rhs, Y0, 0.0, tau_end / steps, steps)])
+    return _textbook_rk4(rhs, np.stack((X0, P0)).astype(complex), tau_end / steps, steps)
 
 
 @pytest.mark.parametrize("hbar,steps", [
     pytest.param(1.0, 1, id="1"), pytest.param(1.0, 7, id="7"), pytest.param(1.0, 400, id="400"),
     # the picture-equivalence criterion's size
-    pytest.param(1.0, 2000, id="2000"), pytest.param(0.7, 2000, id="2000-hbar0.7")])
+    pytest.param(1.0, 2000, id="2000"), pytest.param(0.7, 2000, id="2000-hbar0.7"),
+    pytest.param(0.3, 400, id="400-hbar0.3"), pytest.param(2.5, 400, id="400-hbar2.5")])
 def test_stacked_pictures_match_separate_stepped_flows(hbar, steps):
     # evolve_pictures keeps only the end states: each must be the last row of
-    # its stepped reference and of its single-system flow, bit for bit
+    # its stepped reference and of its single-system flow, bit for bit,
+    # signed zeros included
     X0, P0 = truncated_oscillator(20, hbar=hbar)
     heis, frozen = evolve_pictures(X0, P0, hbar, MASS, 0.8, steps)
     ref_heis = _stepped_commutator_flow(X0, P0, hbar, None, 0.8, steps)
     ref_frozen = _stepped_commutator_flow(X0, P0, hbar, schrodinger_gauge(hbar, MASS), 0.8, steps)
     for traj, ref in ((heis, ref_heis), (frozen, ref_frozen)):
         assert traj.X.shape == traj.P.shape == (1, 20, 20)
-        assert np.array_equal(traj.X[0], ref[-1, 0])
-        assert np.array_equal(traj.P[0], ref[-1, 1])
+        _assert_same_bits(traj.X[0], ref[-1, 0])
+        _assert_same_bits(traj.P[0], ref[-1, 1])
     single = evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps)
     gauged = covariant_evolve(X0, P0, hbar, MASS, schrodinger_gauge(hbar, MASS), 0.8, steps)
     for a, b in ((single, heis), (gauged, frozen)):
-        assert np.array_equal(a.taubar[-1:], b.taubar)
-        assert np.array_equal(a.X[-1:], b.X) and np.array_equal(a.P[-1:], b.P)
+        _assert_same_bits(a.taubar[-1:], b.taubar)
+        _assert_same_bits(a.X[-1:], b.X)
+        _assert_same_bits(a.P[-1:], b.P)
 
 
 def test_heisenberg_rk4_matches_stability_polynomial_oracle():
