@@ -1,8 +1,9 @@
 """The eight verification criteria, runnable from pytest or the CLI.
 
-Each criterion draws its inputs from a seeded generator, evaluates the
-relevant identities at the tolerances in :mod:`cliffdyn.tolerances`, and
-returns a result record; nothing here loosens a tolerance at run time.
+Each check yields :class:`Gate` rows, a payload field each with its bound, and
+:func:`_criterion` alone turns them into a result; every threshold is a field
+of :mod:`cliffdyn.tolerances`.  Picture-equivalence and algebra-suite do not
+read their seed yet, so their rows are the same on every seed (ROADMAP item 4).
 
 :func:`run_all` runs them in two lanes where ``os.fork`` exists: a forked
 child runs picture-equivalence (``FORKED``) while the calling process runs
@@ -19,29 +20,57 @@ import os
 import pickle
 import signal
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import clifford, current_algebra, matrixmech, particle, worldsheet
-from .errors import InputError, PreconditionError, VerificationError
+from .errors import InputError, PreconditionError
 from .sampling import random_fourvector, random_hermitian, random_timelike, random_unitary
 from .spinors import eta_flip, flip_both, spinor_to_vec, vec_to_spinor
 from .tolerances import DEFAULT, Tolerances
 
-__all__ = ["CriterionResult", "CRITERIA", "FORKED", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "FORKED", "Gate", "Window", "run_all"]
+
+
+class Window(NamedTuple):
+    """``centre`` plus or minus the Tolerances field ``half_width``, ends included."""
+
+    centre: float
+    half_width: str
+
+
+class Gate(NamedTuple):
+    """A payload field, its value and its bound: a Tolerances field name
+    (``value < tols.<name>``), 0.0 (``value == 0.0``), a :class:`Window`, or
+    None for a record that is reported, not gated.  NaN fails every bound."""
+
+    field: str
+    value: object
+    bound: str | float | Window | None = None
+
+    def holds(self, tols: Tolerances) -> bool:
+        if isinstance(self.bound, Window):
+            half = getattr(tols, self.bound.half_width)
+            return self.bound.centre - half <= self.value <= self.bound.centre + half
+        if isinstance(self.bound, str):
+            return self.value < getattr(tols, self.bound)
+        return self.bound is None or self.value == self.bound
 
 
 @dataclass
 class CriterionResult:
-    """One criterion's row.  ``seconds`` is its wall time, measured in the
-    process that ran it; it stays out of ``details`` and so out of the payload,
-    and is None for a forked child that died without a result."""
+    """One criterion's row, made from the Gate ``rows`` its check yielded.
+    ``seconds`` is its wall time in the process that ran it, kept out of the
+    payload; None for a forked child that died without a result."""
 
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
     seconds: float | None = field(default=None, compare=False)
+    rows: list[Gate] = field(default_factory=list, compare=False, repr=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -51,30 +80,35 @@ class CriterionResult:
 
 
 def _criterion(title: str):
-    """Make a check returning ``(passed, details)`` a criterion named ``title``.
+    """Make a check that yields :class:`Gate` rows a criterion named ``title``.
 
+    It passes when every row holds; ``details`` are the rows' fields in order.
     A check that raises ArithmeticError (VerificationError included),
-    InputError or PreconditionError gives a FAIL row with the message under
-    ``error``, so one failing criterion never stops the ``verify-all`` table.
-    The criteria make their own inputs, so an InputError here means a
-    numerical layer handed the next one a bad value (say, a NaN in U).
+    InputError or PreconditionError gives a FAIL row of the rows yielded so
+    far plus ``error`` and the exception's ``details``, so one failing
+    criterion never stops the table.  The criteria make their own inputs, so
+    an InputError means a numerical layer handed the next a bad value.
     """
     def wrap(check):
         @functools.wraps(check)
         def criterion(seed: int, tols: Tolerances = DEFAULT) -> CriterionResult:
             start = time.perf_counter()
+            rows, error = [], {}
             try:
-                passed, details = check(seed, tols)
+                for row in check(seed, tols):
+                    rows.append(row)
             except (ArithmeticError, InputError, PreconditionError) as exc:
-                passed, details = False, {"error": str(exc), **getattr(exc, "details", {})}
-            return CriterionResult(title, passed, details, time.perf_counter() - start)
+                error = {"error": str(exc), **getattr(exc, "details", {})}
+            passed = not error and all(row.holds(tols) for row in rows)
+            details = {row.field: row.value for row in rows} | error
+            return CriterionResult(title, passed, details, time.perf_counter() - start, rows)
         criterion.title = title
         return criterion
     return wrap
 
 
 @_criterion("proposition suite (200 random Hermitian)")
-def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
+def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """200 random Hermitian matrices resolve into exact bullet Gram matrices."""
     rng = np.random.default_rng(seed)
     residuals = []
@@ -86,12 +120,12 @@ def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict
         res = clifford.resolve_hermitian(H, space)
         residuals.append((res.gram_residual(), res.null_residual()))
     worst_gram, worst_null = (float(w) for w in np.max(residuals, axis=0))
-    passed = worst_gram < tols.gram_residual and worst_null < tols.gram_null
-    return passed, {"gram_residual": worst_gram, "null_residual": worst_null}
+    yield Gate("gram_residual", worst_gram, "gram_residual")
+    yield Gate("null_residual", worst_null, "gram_null")
 
 
 @_criterion("four-vector contraction identity (1000 vectors)")
-def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
+def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """The two-spinor contraction identity for 1000 random complex four-vectors."""
     rng = np.random.default_rng(seed)
     errors = []
@@ -103,12 +137,11 @@ def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, d
         lhs = down @ up.T
         rhs = 0.5 * full * np.eye(2)
         errors.append(np.abs(lhs - rhs).max() / max(1.0, abs(full)))
-    worst = float(np.max(errors))
-    return worst < tols.c30_identity, {"rel_residual": worst}
+    yield Gate("rel_residual", float(np.max(errors)), "c30_identity")
 
 
 @_criterion("bracket reduction (100 constrained states)")
-def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
+def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """Generalized bracket equals mu times the Poisson bracket on constrained states."""
     rng = np.random.default_rng(seed)
     errors = []
@@ -127,12 +160,11 @@ def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict
         cb = particle.clifford_bracket(N, M, st)
         pb = particle.poisson_bracket(N, M, st.x_vec(), st.p_vec())
         errors.append(abs(cb - mu * pb) / (1.0 + abs(pb)))
-    worst = float(np.max(errors))
-    return worst < tols.bracket_reduction, {"scaled_residual": worst}
+    yield Gate("scaled_residual", float(np.max(errors)), "bracket_reduction")
 
 
 @_criterion("particle dynamics (10^4 RK4 steps)")
-def particle_dynamics(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
+def particle_dynamics(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """Free particle: straight line in proper time, shell drift, mu quadrature."""
     rng = np.random.default_rng(seed)
     mass = 1.3
@@ -147,16 +179,14 @@ def particle_dynamics(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict
     traj = particle.integrate(st, e, tau_s + 2.0, 10_000)
     p_contra = eta_flip(p).real
     pred = x0[None, :] + np.outer(traj.taubar, p_contra / mass)
-    straight = float(np.abs(traj.x - pred).max())
-    drift = traj.constraint_drift()
-    mu_err = float(np.max(np.abs(traj.mu[::500] - particle.mu_of_tau(e, mass, traj.tau[::500]))))
-    passed = (straight < tols.straight_line and drift < tols.constraint_drift
-              and mu_err < tols.mu_match)
-    return passed, {"straight_line": straight, "shell_drift": drift, "mu_quadrature": mu_err}
+    yield Gate("straight_line", float(np.abs(traj.x - pred).max()), "straight_line")
+    yield Gate("shell_drift", traj.constraint_drift(), "constraint_drift")
+    mu_err = np.abs(traj.mu[::500] - particle.mu_of_tau(e, mass, traj.tau[::500]))
+    yield Gate("mu_quadrature", float(np.max(mu_err)), "mu_match")
 
 
 @_criterion("U(N) covariance")
-def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
+def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """Gauge transformation commutes with the flow; constraint matrix invariant."""
     rng = np.random.default_rng(seed)
     n = 3
@@ -180,20 +210,17 @@ def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
     a = matrixmech.evolve_matrix_classical(matrixmech.gauge_transform(sys0, U), 1.0, 200)
     b = matrixmech.evolve_matrix_classical(sys0, 1.0, 200)
     rotated = np.stack([U @ b.X[-1][m] @ U.conj().T for m in range(4)])
-    commute = float(np.abs(a.X[-1] - rotated).max())
+    yield Gate("evolve_gauge_commutator", float(np.abs(a.X[-1] - rotated).max()),
+               "unitary_covariance")
     CD = matrixmech.gauge_transform(sys0, U).constraint_matrix()
     target = mu * np.einsum("ab,ij->abij", np.eye(2), np.eye(n))
-    invariance = float(np.abs(CD - target).max())
-    passed = commute < tols.unitary_covariance and invariance < tols.constraint_invariance
-    return passed, {"evolve_gauge_commutator": commute, "constraint_invariance": invariance}
+    yield Gate("constraint_invariance", float(np.abs(CD - target).max()), "constraint_invariance")
 
 
 @_criterion("picture equivalence (20-level oscillator)")
-def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
+def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """Heisenberg and Schrodinger-gauge expectations agree; -H/hbar freezes X, P."""
-    nlev = 20
-    mass = 1.0
-    hbar = 1.0
+    nlev, mass, hbar = 20, 1.0, 1.0
     X0, P0 = matrixmech.truncated_oscillator(nlev, hbar=hbar)
     taubar, steps = 0.8, 2000
     heis, frozen = matrixmech.evolve_pictures(X0, P0, hbar, mass, taubar, steps)
@@ -202,13 +229,12 @@ def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, di
     # amplitude, since H keeps parity and X flips it: on one parity <X> is 0
     s0[1], s0[2], s0[4] = 0.6, 0.64j, 0.48
     s0 /= np.linalg.norm(s0)
-    H = (P0 @ P0 - mass ** 2 * np.eye(nlev)) / (2 * mass)
-    gauge = -H / hbar
+    gauge = -matrixmech._free_hamiltonian(mass, nlev)(P0) / hbar
     sT = matrixmech.evolve_state(s0, lambda t: gauge, taubar, steps)
     equiv = abs(complex(s0.conj() @ heis.X[-1] @ s0) - complex(sT.conj() @ X0 @ sT))
-    stationary = float(np.max([np.abs(frozen.X[-1] - X0).max(), np.abs(frozen.P[-1] - P0).max()]))
-    passed = equiv < tols.picture_equivalence and stationary < tols.stationarity
-    return passed, {"expectation_gap": equiv, "stationarity": stationary}
+    yield Gate("expectation_gap", equiv, "picture_equivalence")
+    stationary = np.max([np.abs(frozen.X[-1] - X0).max(), np.abs(frozen.P[-1] - P0).max()])
+    yield Gate("stationarity", float(stationary), "stationarity")
 
 
 def _acceptance_mode_spec(mass=1.1):
@@ -223,39 +249,31 @@ def _acceptance_mode_spec(mass=1.1):
 
 
 @_criterion("string suite")
-def string_suite(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
+def string_suite(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """Wave-solution residuals, convergence order, trace, total momentum, spinning."""
     st = worldsheet.build_wave_state(_acceptance_mode_spec())
     residuals, orders = worldsheet.residual_suite(st, h=tols.h_grid)
+    yield from (Gate(f"{k}_order", v, Window(2, "fd_order_window")) for k, v in orders.items())
+    yield from (Gate(f"{k}_residual", v, "fd_residual") for k, v in residuals.items())
     rng = np.random.default_rng(seed)
     pairs = [(rng.uniform(-1, 1), rng.uniform(0, math.pi)) for _ in range(10)]
     T = worldsheet.energy_momentum(st, *np.array(pairs).T)
-    trace = float(np.max(np.abs(T[:, 0, 0] - T[:, 1, 1])))
+    yield Gate("trace_T", float(np.max(np.abs(T[:, 0, 0] - T[:, 1, 1]))), "trace_vanish")
     plain = worldsheet.build_wave_state(
         worldsheet.make_mode_spec(mass=1.1, k_block=0.4 * np.eye(2)))
     _, p_tot = worldsheet.total_momentum(plain, worldsheet.constant_time_curve(0.5))
-    pi2 = float(np.abs(p_tot - math.pi ** 2 * flip_both(plain.p_up)).max())
+    yield Gate("pi2_p", float(np.abs(p_tot - math.pi ** 2 * flip_both(plain.p_up)).max()),
+               "total_momentum")
     spin_state = worldsheet.build_wave_state(worldsheet.spinning_mode_spec(0.35, 0.8))
     pairs = [(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)) for _ in range(10)]
     x, y, z, tt = np.array([worldsheet.spinning_string(0.35, 0.8, t, s) for t, s in pairs]).T
     v = spinor_to_vec(worldsheet.eval_x(spin_state, *np.array(pairs).T)).real
     spin = float(np.max(np.abs(v - np.stack([tt, x, y, z], axis=-1))))
-    lo, hi = 2 - tols.fd_order_window, 2 + tols.fd_order_window
-    passed = (all(lo <= o <= hi for o in orders.values())
-              and residuals["f51"] < tols.fd_residual
-              and residuals["f52"] < tols.fd_residual
-              and residuals["f90"] < tols.fd_residual
-              and trace < tols.trace_vanish
-              and pi2 < tols.total_momentum
-              and spin < tols.spinning_match)
-    details = {f"{k}_order": v for k, v in orders.items()}
-    details.update({f"{k}_residual": v for k, v in residuals.items()})
-    details.update({"trace_T": trace, "pi2_p": pi2, "spinning": spin})
-    return passed, details
+    yield Gate("spinning", spin, "spinning_match")
 
 
 @_criterion("algebra suite")
-def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
+def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """Current brackets, charge algebra, su(2) split, Poincare oracle, U(1) current."""
     st = worldsheet.build_wave_state(_acceptance_mode_spec())
     sample = current_algebra.sample_currents(st, worldsheet.constant_time_curve(0.4), 128)
@@ -268,34 +286,19 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> tuple[bool, dict]:
                 g1_errors.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
                 g1_errors.append(abs(current_algebra.current_bracket_dotted(
                     sample, A, B, E, F, k, k)))
-    g1 = float(np.max(g1_errors))
-    try:
-        charge = current_algebra.charge_algebra(sample)
-        _, _, su2_report = current_algebra.nk_decomposition(charge[0],
-                                                            tol=tols.algebra_closure)
-        poincare = current_algebra.poincare_check(sample, tol=tols.algebra_closure,
-                                                  charge=charge)
-        unitary = current_algebra.unitary_current_check(sample, tol=tols.unitary_brackets)
-    except VerificationError as exc:
-        return False, {"g1_residual": g1, "error": str(exc), **exc.details}
-    pres, charge_report = charge
-    dagger_cross = float(np.abs(pres.f[:3, 3:, :]).max())
-    passed = (g1 < tols.g1_identity
-              and dagger_cross == 0.0
-              and su2_report["max_residual"] < tols.algebra_closure
-              and poincare["max_structure_mismatch"] < tols.algebra_closure
-              and poincare["pp_residual"] == 0.0
-              and unitary["ii_residual"] < tols.unitary_brackets
-              and unitary["ij_residual"] < tols.unitary_brackets)
-    return passed, {
-        "g1_residual": g1,
-        "su2_residual": su2_report["max_residual"],
-        "poincare_mismatch": poincare["max_structure_mismatch"],
-        "pp_residual": poincare["pp_residual"],
-        "unitary_brackets": float(np.max([unitary["ii_residual"], unitary["ij_residual"]])),
-        "jacobi": charge_report["jacobi_residual"],
-        "n_nodes": sample.n_nodes,
-    }
+    yield Gate("g1_residual", float(np.max(g1_errors)), "g1_identity")
+    pres, charge_report = charge = current_algebra.charge_algebra(sample)
+    yield Gate("dagger_cross", float(np.abs(pres.f[:3, 3:, :]).max()), 0.0)
+    su2_report = current_algebra.nk_decomposition(pres, tol=tols.algebra_closure)[2]
+    yield Gate("su2_residual", su2_report["max_residual"], "algebra_closure")
+    poincare = current_algebra.poincare_check(sample, tol=tols.algebra_closure, charge=charge)
+    yield Gate("poincare_mismatch", poincare["max_structure_mismatch"], "algebra_closure")
+    yield Gate("pp_residual", poincare["pp_residual"], 0.0)
+    unitary = current_algebra.unitary_current_check(sample, tol=tols.unitary_brackets)
+    worst_unitary = float(np.max([unitary["ii_residual"], unitary["ij_residual"]]))
+    yield Gate("unitary_brackets", worst_unitary, "unitary_brackets")
+    yield Gate("jacobi", charge_report["jacobi_residual"])     # gated in charge_algebra
+    yield Gate("n_nodes", sample.n_nodes)
 
 
 CRITERIA = (
@@ -320,13 +323,6 @@ FORKED = "picture-equivalence"
 # taken before anything can rebind the criteria: the row title under which a
 # child that dies without a result is reported
 _FORKED_TITLE = dict(CRITERIA)[FORKED].title
-
-
-def run_criterion(key: str, seed: int = 0, tols: Tolerances = DEFAULT) -> CriterionResult:
-    for name, fn in CRITERIA:
-        if name == key:
-            return fn(seed, tols)
-    raise KeyError(f"unknown criterion {key!r}")
 
 
 def run_all(seed: int = 0, tols: Tolerances = DEFAULT) -> list[CriterionResult]:

@@ -172,6 +172,8 @@ def cmd_string(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
     start = time.perf_counter()
     results = acceptance.run_all(seed=args.seed)
     if args.timings:

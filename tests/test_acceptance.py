@@ -15,30 +15,102 @@ import numpy as np
 import pytest
 
 from cliffdyn import acceptance, clifford, current_algebra, matrixmech, particle, worldsheet
-from cliffdyn.acceptance import (CRITERIA, FORKED, algebra_suite, bracket_reduction,
+from cliffdyn.acceptance import (CRITERIA, FORKED, Window, algebra_suite, bracket_reduction,
                                  contraction_identity, particle_dynamics,
                                  picture_equivalence, proposition_suite, run_all,
-                                 run_criterion, string_suite, un_covariance)
+                                 string_suite, un_covariance)
 from cliffdyn.cli import main
 from cliffdyn.clifford import GramResolution
 from cliffdyn.tolerances import DEFAULT
 
 SEED = 20260810
 
+_ORDER = Window(2, "fd_order_window")
+
+# every (criterion, field, bound) row, in payload order: a Tolerances field
+# name gates value < bound, 0.0 an exact zero, a Window an inclusive range,
+# and None marks a record that is reported, not gated
+GATES = [
+    ("proposition", "gram_residual", "gram_residual"),
+    ("proposition", "null_residual", "gram_null"),
+    ("c30-identity", "rel_residual", "c30_identity"),
+    ("bracket-reduction", "scaled_residual", "bracket_reduction"),
+    ("particle-dynamics", "straight_line", "straight_line"),
+    ("particle-dynamics", "shell_drift", "constraint_drift"),
+    ("particle-dynamics", "mu_quadrature", "mu_match"),
+    ("un-covariance", "evolve_gauge_commutator", "unitary_covariance"),
+    ("un-covariance", "constraint_invariance", "constraint_invariance"),
+    ("picture-equivalence", "expectation_gap", "picture_equivalence"),
+    ("picture-equivalence", "stationarity", "stationarity"),
+    ("string-suite", "box_order", _ORDER),
+    ("string-suite", "f51_order", _ORDER),
+    ("string-suite", "f52_order", _ORDER),
+    ("string-suite", "f90_order", _ORDER),
+    ("string-suite", "box_residual", "fd_residual"),
+    ("string-suite", "f51_residual", "fd_residual"),
+    ("string-suite", "f52_residual", "fd_residual"),
+    ("string-suite", "f90_residual", "fd_residual"),
+    ("string-suite", "trace_T", "trace_vanish"),
+    ("string-suite", "pi2_p", "total_momentum"),
+    ("string-suite", "spinning", "spinning_match"),
+    ("algebra-suite", "g1_residual", "g1_identity"),
+    ("algebra-suite", "dagger_cross", 0.0),
+    ("algebra-suite", "su2_residual", "algebra_closure"),
+    ("algebra-suite", "poincare_mismatch", "algebra_closure"),
+    ("algebra-suite", "pp_residual", 0.0),
+    ("algebra-suite", "unitary_brackets", "unitary_brackets"),
+    ("algebra-suite", "jacobi", None),      # gated inside current_algebra.charge_algebra
+    ("algebra-suite", "n_nodes", None),
+]
+
 
 @pytest.mark.parametrize("key", [name for name, _ in CRITERIA])
 def test_criterion(key, capsys):
-    result = run_criterion(key, seed=SEED)
+    result = dict(CRITERIA)[key](SEED)
     with capsys.disabled():
         print(result.line())
     assert result.passed, result.line()
+    # the rows this run yielded are the table's, and the payload is their fields
+    assert [(key, row.field, row.bound) for row in result.rows] \
+        == [gate for gate in GATES if gate[0] == key]
+    assert list(result.details) == [row.field for row in result.rows]
+
+
+def test_gate_table_names_tolerances_and_every_criterion():
+    names = {f.name for f in dataclasses.fields(DEFAULT)}
+    bounds = [bound for _, _, bound in GATES]
+    named = [b.half_width if isinstance(b, Window) else b for b in bounds]
+    assert all(name in names for name in named if isinstance(name, str))
+    assert all(isinstance(b, (str, Window)) or b in (0.0, None) for b in bounds)
+    assert [key for key, _ in CRITERIA] == list(dict.fromkeys(key for key, _, _ in GATES))
 
 
 def test_all_criteria_under_different_seed():
     # the suite is property-based; a second seed exercises fresh inputs
     for key, _ in CRITERIA:
-        result = run_criterion(key, seed=SEED + 1)
+        result = dict(CRITERIA)[key](SEED + 1)
         assert result.passed, result.line()
+
+
+def test_nonzero_dagger_cross_block_fails_algebra_suite(monkeypatch):
+    # the charge presentation's J-Jdagger block must vanish exactly; the FAIL
+    # row shows that field over its bound, whatever the later checks do
+    original = current_algebra.charge_algebra
+
+    def crossed(*args, **kwargs):
+        pres, report = original(*args, **kwargs)
+        f = pres.f.copy()
+        f[0, 3, 0] = 1e-3
+        return dataclasses.replace(pres, f=f), report
+
+    monkeypatch.setattr(current_algebra, "charge_algebra", crossed)
+    result = algebra_suite(11)
+    assert not result.passed
+    assert result.details["dagger_cross"] == 1e-3
+    assert result.line().startswith("[FAIL] algebra suite: g1_residual=")
+    assert "dagger_cross=1.000e-03" in result.line()
+    row = next(row for row in result.rows if row.field == "dagger_cross")
+    assert row.bound == 0.0 and not row.holds(DEFAULT)
 
 
 def _poison_on_call(monkeypatch, owner, name, call, value=float("nan")):

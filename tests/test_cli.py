@@ -452,6 +452,14 @@ def test_verify_all_smoke(tmp_path, capsys):
     assert payload["seed"] == 7
 
 
+def test_verify_all_negative_seed_exits_2(capsys):
+    code = main(["verify-all", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_verify_all_reports_failed_algebra_check(capsys, monkeypatch):
     from cliffdyn import current_algebra
     from cliffdyn.errors import VerificationError
