@@ -182,26 +182,26 @@ def cmd_verify_all(args) -> int:
             seconds = "-" if r.seconds is None else f"{r.seconds:.3f}"
             print(f"{seconds:>7} s  {r.name}", file=sys.stderr)
         print(f"{time.perf_counter() - start:7.3f} s  verify-all", file=sys.stderr)
-    rows = [r.line() for r in results]
-    for row in rows:
-        print(row)
     n_failed = sum(0 if r.passed else 1 for r in results)
     if args.json or args.out:
-        payload = {
+        text = _json_dumps({
             "seed": args.seed,
             "passed": n_failed == 0,
             "criteria": [{"name": r.name, "passed": r.passed, "details": r.details}
                          for r in results],
-        }
-        text = _json_dumps(payload)
+        })
         if args.out:
             _write(Path(args.out) / "verify.json", text)
-        if args.json:
-            print(text, end="")
+    if args.json:
+        print(text, end="")          # the payload alone, so stdout pipes into a JSON reader
+    else:
+        for r in results:
+            print(r.line())
+        if not n_failed:
+            print("all criteria passed")
     if n_failed:
         print(f"{n_failed} criteria FAILED", file=sys.stderr)
         return EXIT_NUMERICAL
-    print("all criteria passed")
     return EXIT_OK
 
 
@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-all", help="run every verification criterion")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--json", action="store_true", help="print the JSON report")
+    p_ver.add_argument("--json", action="store_true",
+                       help="print the JSON report to stdout instead of the rows")
     p_ver.add_argument("--out", help="directory for the JSON report")
     p_ver.add_argument("--timings", action="store_true",
                        help="print each criterion's wall seconds to stderr")

@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import fields, integer, real_array
-from .errors import InputError, PreconditionError, VerificationError
-from .tolerances import DEFAULT, Tolerances
+from .errors import InputError, PreconditionError
+from .tolerances import DEFAULT
 
 __all__ = [
     "GeneratorSpace",
@@ -41,7 +41,6 @@ __all__ = [
     "bullet_gram",
     "pack",
     "unpack",
-    "conj",
     "standard_basis",
     "hermitian_eig",
     "resolve_hermitian",
@@ -223,10 +222,6 @@ def unpack(space: GeneratorSpace, rows: np.ndarray) -> tuple[ClVector, ...]:
     return tuple(ClVector(space, row) for row in rows)
 
 
-def conj(v: ClVector) -> ClVector:
-    return v.conj()
-
-
 def standard_basis(space: GeneratorSpace, block: str | None = None
                    ) -> tuple[list[ClVector], list[ClVector]]:
     """Complexified basis of a block with signature (2n, 2n).
@@ -327,14 +322,6 @@ class GramResolution:
 
     def null_residual(self) -> float:
         return float(np.abs(self.null_gram()).max())
-
-    def verify(self, tols: Tolerances = DEFAULT) -> None:
-        res = self.gram_residual()
-        if not res <= tols.gram_residual:
-            raise VerificationError(f"Gram residual {res:.3e} > {tols.gram_residual:.1e}")
-        res = self.null_residual()
-        if not res <= tols.gram_null:
-            raise VerificationError(f"same-kind residual {res:.3e} > {tols.gram_null:.1e}")
 
 
 def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None) -> GramResolution:

@@ -30,6 +30,7 @@ import numpy as np
 from .clifford import bullet_gram
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import DP_DOWN, EPS_LO, ETA
+from .tolerances import DEFAULT
 from .worldsheet import Curve, StringState, curve_polymomenta, eval_c_packed, simpson_weights
 
 __all__ = [
@@ -344,7 +345,8 @@ def _n_basis() -> np.ndarray:
 
 
 def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
-                     tol: float = 1e-10) -> tuple[LiePresentation, LiePresentation, dict]:
+                     tol: float = DEFAULT.algebra_closure
+                     ) -> tuple[LiePresentation, LiePresentation, dict]:
     """Split the charge algebra into two commuting su(2) triples.
 
     Verifies that the N-triple closes as [N_i, N_j] = s eps_{ijk} N_k for a
@@ -407,7 +409,7 @@ def _pj_pattern(p_tot: np.ndarray) -> np.ndarray:
 
 
 def poincare_check(sample: CurrentSample, hbar: float = 1.0,
-                   tol: float = 1e-10,
+                   tol: float = DEFAULT.algebra_closure,
                    charge: tuple[LiePresentation, dict] | None = None) -> dict:
     """Verify the full Poincare algebra of (M_munu, P_mu) against a matrix oracle.
 
@@ -532,7 +534,8 @@ def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ..
     return F, tuple(labels)
 
 
-def unitary_current_check(sample: CurrentSample, tol: float = 1e-10) -> dict:
+def unitary_current_check(sample: CurrentSample,
+                          tol: float = DEFAULT.unitary_brackets) -> dict:
     """Equal-time brackets of the U(1) current with itself and with j_AB.
 
     Both vanish identically; the report carries the observed maxima and the

@@ -84,9 +84,6 @@ class EinbeinFn:
     fn: Callable[[np.ndarray], np.ndarray]
     tau0: float = 0.0
 
-    def __call__(self, tau: float) -> float:
-        return float(self.values(np.asarray(tau, dtype=float)))
-
     def values(self, taus: np.ndarray) -> np.ndarray:
         """e at every entry of ``taus``; names the first non-positive value in C order."""
         values = np.broadcast_to(np.asarray(self.fn(taus), dtype=float), taus.shape)

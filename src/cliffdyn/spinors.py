@@ -33,10 +33,7 @@ __all__ = [
     "minkowski_norm",
     "minkowski_dot",
     "eta_flip",
-    "flip_first",
-    "flip_second",
     "flip_both",
-    "epsilon_raise_lower",
     "eps_flip_pair",
     "covec_to_spinor_down",
     "spinor_down_to_covec",
@@ -87,31 +84,9 @@ def eta_flip(v) -> np.ndarray:
     return np.asarray(v, dtype=complex) @ ETA          # ETA is symmetric
 
 
-def flip_first(S) -> np.ndarray:
-    """Raise (left) or lower (right) the first spinor index; same matrix either way."""
-    return EPS_UP @ np.asarray(S, dtype=complex)
-
-
-def flip_second(S) -> np.ndarray:
-    return np.asarray(S, dtype=complex) @ EPS_LO
-
-
 def flip_both(S) -> np.ndarray:
     """Flip both indices; an involution, identical for raising and lowering."""
     return EPS_UP @ np.asarray(S, dtype=complex) @ EPS_LO
-
-
-def epsilon_raise_lower(S, positions=("first", "second")) -> np.ndarray:
-    """Apply epsilon index flips at the requested positions of a 2x2 spinor."""
-    out = np.asarray(S, dtype=complex)
-    for pos in ([positions] if isinstance(positions, str) else positions):
-        if pos == "first":
-            out = flip_first(out)
-        elif pos == "second":
-            out = flip_second(out)
-        else:
-            raise ValueError(f"unknown index position {pos!r}")
-    return out
 
 
 def eps_flip_pair(pair):

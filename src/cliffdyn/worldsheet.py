@@ -45,13 +45,9 @@ __all__ = [
     "make_mode_spec",
     "StringState",
     "build_wave_state",
-    "eval_c",
     "eval_c_packed",
-    "eval_dc",
     "eval_x",
-    "eval_x_from_vectors",
     "wave_residual",
-    "momentum_and_polymomenta",
     "dstar_upper",
     "residual_f51",
     "residual_f52",
@@ -113,9 +109,6 @@ class ModeSpec:
             if abs(p2 - self.mass ** 2) > 1e-9 * self.mass ** 2:
                 raise InputError(
                     f"l block is off shell: (L.L)^(1/3) = {p2:.12g} vs m^2 = {self.mass ** 2:.12g}")
-
-    def index(self, label: str, A: int) -> int:
-        return 2 * self.labels.index(label) + A
 
     def block(self, lab_i: str, lab_j: str) -> np.ndarray:
         i = 2 * self.labels.index(lab_i)
@@ -324,21 +317,6 @@ def eval_c_packed(state: StringState, tau, sigma) -> np.ndarray:
     return _product(_phases(state, tau, sigma)[..., 0, :], state.c_rows)
 
 
-def _eval_dc_packed(state: StringState, tau, sigma, beta: int) -> np.ndarray:
-    """d_beta c^A(tau, sigma) as a packed (*S, 2, G) coefficient stack."""
-    if beta not in (0, 1):
-        raise InputError(f"worldsheet index must be 0 or 1, got {beta}")
-    return _product(_phases(state, tau, sigma)[..., 1 + beta, :], state.c_rows)
-
-
-def eval_c(state: StringState, tau: float, sigma: float) -> list[ClVector]:
-    return list(unpack(state.space, eval_c_packed(state, tau, sigma)))
-
-
-def eval_dc(state: StringState, tau: float, sigma: float, beta: int) -> list[ClVector]:
-    return list(unpack(state.space, _eval_dc_packed(state, tau, sigma, beta)))
-
-
 def eval_x(state: StringState, tau, sigma) -> np.ndarray:
     """Closed-form x^{AB}(tau, sigma), shape (*S, 2, 2), read directly off the Gram blocks."""
     spec = state.spec
@@ -352,12 +330,6 @@ def eval_x(state: StringState, tau, sigma) -> np.ndarray:
     return x
 
 
-def eval_x_from_vectors(state: StringState, tau, sigma) -> np.ndarray:
-    """Independent route: bullet(c^A, conj(c^B)) from the realized vectors."""
-    C = eval_c_packed(state, tau, sigma)
-    return bullet_gram(C, C.conj(), state.space.signs)
-
-
 def dstar_upper(state: StringState, tau, sigma) -> np.ndarray:
     """Polymomenta d*^alpha_A as a packed (*S, 2, 2, G) stack: alpha = tau, sigma, then A.
 
@@ -366,23 +338,6 @@ def dstar_upper(state: StringState, tau, sigma) -> np.ndarray:
     rows = _dstar_rows(state)
     phases = _phases(state, tau, sigma)[..., 1:, :].conj()
     return _product(ETA_WS.diagonal()[:, None] * phases, rows)
-
-
-def momentum_and_polymomenta(state: StringState):
-    """(p^{AB}, polymomenta) with polymomenta(tau, sigma, beta) -> [ClVector, ClVector].
-
-    The callable returns the dotted, worldsheet-lowered momenta
-    d_{beta E} = conj(d*^beta_E) eta_{beta beta}; the constant matrix p is
-    l.conj(l) / p2.  Rejects the unsupported null branch p.p = 0.
-    """
-    if state.p_up is None or state.p2 <= 0:
-        raise PreconditionError("p.p = 0 branch is unsupported")
-
-    def polymomenta(tau: float, sigma: float, beta: int) -> list[ClVector]:
-        ds = dstar_upper(state, tau, sigma)[beta]
-        return list(unpack(state.space, ETA_WS[beta, beta] * ds.conj()))
-
-    return state.p_up.copy(), polymomenta
 
 
 def energy_momentum(state: StringState, tau, sigma) -> np.ndarray:

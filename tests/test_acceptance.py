@@ -6,6 +6,7 @@ criterion; the same checks back the ``cliffdyn verify-all`` command.
 
 import contextlib
 import dataclasses
+import json
 import math
 import os
 import re
@@ -254,14 +255,12 @@ def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys
 
     monkeypatch.setattr(particle, "build_state", nan_state)
     code = main(["verify-all", "--seed", "11", "--json"])
-    out = capsys.readouterr().out
-    rows = [line for line in out.splitlines() if line.startswith("[")]
+    criteria = json.loads(capsys.readouterr().out)["criteria"]
     assert code == 1
-    assert len(rows) == len(CRITERIA)
-    row = rows[[key for key, _ in CRITERIA].index("particle-dynamics")]
-    assert row.startswith("[FAIL] particle dynamics")
-    assert "error=integration produced non-finite values at step 0" in row
-    assert '"error": "integration produced non-finite values at step 0"' in out
+    assert len(criteria) == len(CRITERIA)
+    entry = criteria[[key for key, _ in CRITERIA].index("particle-dynamics")]
+    assert entry["name"].startswith("particle dynamics") and not entry["passed"]
+    assert entry["details"]["error"] == "integration produced non-finite values at step 0"
 
 
 # -- run_all's two lanes: FORKED in a forked child, the other seven here --------

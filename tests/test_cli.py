@@ -471,14 +471,15 @@ def test_verify_all_reports_failed_algebra_check(capsys, monkeypatch):
     monkeypatch.setattr(current_algebra, "poincare_check", broken)
     code = main(["verify-all", "--seed", "7", "--json"])
     captured = capsys.readouterr()
-    rows = [line for line in captured.out.splitlines() if line.startswith("[")]
+    payload = json.loads(captured.out)
+    criteria = payload["criteria"]
     assert code == 1
-    assert len(rows) == 8
-    assert [r for r in rows if r.startswith("[FAIL]")] == [rows[-1]]
-    assert rows[-1].startswith("[FAIL] algebra suite")
-    assert "offending_triple=('M12', 'P1', 'P2')" in rows[-1]
-    payload = json.loads(captured.out[captured.out.index("{"):])
-    details = payload["criteria"][-1]["details"]
+    assert payload["passed"] is False
+    assert len(criteria) == 8
+    assert [c for c in criteria if not c["passed"]] == [criteria[-1]]
+    assert criteria[-1]["name"].startswith("algebra suite")
+    details = criteria[-1]["details"]
+    assert details["offending_triple"] == ["M12", "P1", "P2"]
     assert details["poincare_mismatch"] == 1e-3
     assert details["error"].startswith("Poincare structure constants mismatch")
     assert "1 criteria FAILED" in captured.err
@@ -502,6 +503,8 @@ def test_verify_all_timings_go_to_stderr_alone(tmp_path, capsys):
         runs[flag] = (code, captured.out, (out_dir / "verify.json").read_bytes(), captured.err)
     assert runs[""][:3] == runs["--timings"][:3]
     assert runs[""][0] == 0 and runs[""][3] == ""
+    # with --json, stdout is the payload alone, byte for byte the --out file
+    assert runs[""][1].encode() == runs[""][2]
     lines = runs["--timings"][3].splitlines()
     titles = [c["name"] for c in json.loads(runs[""][2])["criteria"]]
     assert len(lines) == len(titles) + 1

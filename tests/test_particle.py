@@ -277,7 +277,7 @@ def _stepped_integrate(state0, e, tau_end, steps):
     D_conj = np.concatenate((D.conj(), np.zeros((2, 1))), axis=1)
 
     def flow(tau, y):
-        e_val = e(tau)
+        e_val = float(e.values(np.asarray(tau, dtype=float)))
         grad_p = 2.0 * e_val * eta_p
         Gp = np.einsum("m,mab->ab", grad_p, DP_DOWN)
         cd = y[:, :G] @ signed_D_T
@@ -387,7 +387,7 @@ def test_einbein_values_check_every_entry_in_order():
     assert np.array_equal(e.values(taus[:1].T), 1.0 - taus[:1].T)
     const = constant_einbein(0.5).values(taus)
     assert const.shape == taus.shape and np.all(const == 0.5)
-    assert e(0.25) == 0.75
+    assert e.values(np.array(0.25)) == 0.75
 
 
 def test_constraint_drift_matches_per_state_shell():
@@ -525,7 +525,7 @@ def test_mu_array_tau_matches_scalar_calls(e):
 
 def test_nan_einbein_rejected():
     with pytest.raises(PreconditionError):
-        constant_einbein(float("nan"))(0.0)
+        constant_einbein(float("nan")).values(np.array(0.0))
 
 
 def test_mu_before_turning_point_rejected():

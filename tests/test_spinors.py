@@ -7,11 +7,11 @@ from cliffdyn.sampling import random_fourvector
 from cliffdyn.spinors import (
     DP_DOWN,
     DX_UP,
+    EPS_LO,
+    EPS_UP,
     covec_to_spinor_down,
-    epsilon_raise_lower,
     eps_flip_pair,
     flip_both,
-    flip_first,
     minkowski_dot,
     minkowski_norm,
     spinor_down_to_covec,
@@ -83,16 +83,18 @@ def test_contraction_identity_identity_spinor():
 def test_single_flip_squares_to_minus_one():
     rng = np.random.default_rng(3)
     S = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.allclose(flip_first(flip_first(S)), -S)
+    # flip_both is the first-index flip EPS_UP on the left times the second-index
+    # flip EPS_LO on the right; each one, applied twice, is minus the identity
+    assert np.allclose(flip_both(S), EPS_UP @ S @ EPS_LO)
+    assert np.allclose(EPS_UP @ (EPS_UP @ S), -S)
+    assert np.allclose((S @ EPS_LO) @ EPS_LO, -S)
 
 
 def test_double_raise_lower_is_identity():
     rng = np.random.default_rng(4)
     S = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    once = epsilon_raise_lower(S, ("first",))
-    once = epsilon_raise_lower(once, ("first",))
-    twice = epsilon_raise_lower(once, ("first",))
-    twice = epsilon_raise_lower(twice, ("first",))
+    once = EPS_UP @ (EPS_UP @ S)
+    twice = EPS_UP @ (EPS_UP @ once)
     assert np.allclose(twice, S)
     assert np.allclose(flip_both(flip_both(S)), S)
 

@@ -21,15 +21,11 @@ from cliffdyn.worldsheet import (
     dilaton_residual,
     energy_momentum,
     estimate_order,
-    eval_c,
     eval_c_packed,
-    eval_dc,
     eval_x,
-    eval_x_from_vectors,
     make_mode_spec,
     mode_spec_from_json,
     mode_spec_to_json,
-    momentum_and_polymomenta,
     residual_f51,
     residual_f52,
     simpson_weights,
@@ -79,8 +75,7 @@ def plain_state():
 def test_mode_spec_rejects_forbidden_blocks():
     spec = _rich_spec()
     G = spec.gram.copy()
-    i = spec.index("k", 0)
-    j = spec.index("l", 0)
+    i, j = (2 * spec.labels.index(label) for label in ("k", "l"))
     G[i, j] = 0.1
     G[j, i] = 0.1
     with pytest.raises(InputError):
@@ -114,8 +109,9 @@ def test_dual_route_x_agreement(rich_state):
     for _ in range(20):
         t = rng.uniform(-1.0, 1.5)
         s = rng.uniform(0.0, math.pi)
+        C = eval_c_packed(rich_state, t, s)
         diff = np.abs(eval_x(rich_state, t, s)
-                      - eval_x_from_vectors(rich_state, t, s)).max()
+                      - bullet_gram(C, C.conj(), rich_state.space.signs)).max()
         worst = max(worst, diff)
     assert worst < 1e-11
 
@@ -151,19 +147,16 @@ def test_no_mode_state_is_quadratic(plain_state):
 
 
 def test_eval_c_and_derivative_consistency(rich_state):
-    # analytic d_beta c against central differences of eval_c
+    # analytic d_beta c, mode by mode, against central differences of eval_c_packed
     h = 1e-6
     t, s = 0.43, 1.21
     for beta in range(2):
-        if beta == 0:
-            fd = [(a - b) / (2 * h) for a, b in
-                  zip(eval_c(rich_state, t + h, s), eval_c(rich_state, t - h, s))]
-        else:
-            fd = [(a - b) / (2 * h) for a, b in
-                  zip(eval_c(rich_state, t, s + h), eval_c(rich_state, t, s - h))]
-        an = eval_dc(rich_state, t, s, beta)
+        step = (h, 0.0) if beta == 0 else (0.0, h)
+        fd = (eval_c_packed(rich_state, t + step[0], s + step[1])
+              - eval_c_packed(rich_state, t - step[0], s - step[1])) / (2 * h)
+        an = _ref_dc(rich_state, t, s, beta)
         for A in range(2):
-            assert np.abs(fd[A].coeffs - an[A].coeffs).max() < 1e-9
+            assert np.abs(fd[A] - an[A]).max() < 1e-9
 
 
 # -- residual suites ----------------------------------------------------------------
@@ -187,7 +180,7 @@ def test_wave_residual_bosonic_limit():
     # box x = 2 l.l* = 0: the string degenerates to the wave equation
     assert wave_residual(st, h=1e-3).max() < 1e-6
     with pytest.raises(PreconditionError):
-        momentum_and_polymomenta(st)
+        dstar_upper(st, 0.3, 0.7)
 
 
 def test_f51_f52_residuals_and_order(rich_state):
@@ -199,16 +192,17 @@ def test_f51_f52_residuals_and_order(rich_state):
 
 
 def test_momentum_constant_and_polymomenta_shape(rich_state):
-    p_up, poly = momentum_and_polymomenta(rich_state)
+    p_up = rich_state.p_up
     # p is built from the l block alone, hence constant over the sheet
     assert np.abs(p_up - rich_state.spec.l_block() / MASS ** 2).max() < 1e-13
-    d = poly(0.3, 0.7, 1)
-    assert len(d) == 2
+    # the lowered polymomenta d_{sigma E} = eta_{sigma sigma} conj(d*^sigma_E)
+    d = ETA_WS[1, 1] * dstar_upper(rich_state, 0.3, 0.7)[1].conj()
+    assert d.shape == (2, rich_state.space.size)
     # f51 in its solved form: d_alpha c^A = p^{AE} d_{alpha E}
-    dc = eval_dc(rich_state, 0.3, 0.7, 1)
-    rhs = [complex(p_up[A, 0]) * d[0] + complex(p_up[A, 1]) * d[1] for A in range(2)]
+    dc = _ref_dc(rich_state, 0.3, 0.7, 1)
+    rhs = p_up @ d
     for A in range(2):
-        assert np.abs(dc[A].coeffs - rhs[A].coeffs).max() < 1e-11
+        assert np.abs(dc[A] - rhs[A]).max() < 1e-11
 
 
 # -- energy-momentum and dilaton -----------------------------------------------------
