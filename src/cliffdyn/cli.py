@@ -9,6 +9,7 @@ record the seed they were produced with.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -162,7 +163,7 @@ def cmd_string(args) -> int:
         for name in residuals:
             report[f"{name}_max_residual"] = residuals[name]
             report[f"{name}_order"] = orders[name]
-        worst = float(np.max([r for name, r in residuals.items() if name != "box"]))
+        worst = float(np.max(list(residuals.values())))
         _write(out_dir / "residuals.json", _json_dumps(report))
         if not worst <= DEFAULT.fd_residual:
             print(f"residuals exceed tolerance: {worst:.3e}", file=sys.stderr)
@@ -205,7 +206,14 @@ def cmd_verify_all(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call.
+
+    It holds no command function: ``main`` looks ``cmd_<command>`` up when it
+    runs, so a rebound module attribute (a tracer's wrapper, a test's stub)
+    takes effect after the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="cliffdyn",
         description="Clifford-space canonical dynamics: resolutions, particles, "
@@ -216,19 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--input", required=True, help="HermitianMatrix JSON file")
     p_res.add_argument("--out", required=True, help="output directory")
     p_res.add_argument("--tol", type=float, default=DEFAULT.gram_residual)
-    p_res.set_defaults(fn=cmd_resolve)
 
     p_par = sub.add_parser("particle", help="integrate a single-particle configuration")
     p_par.add_argument("--config", required=True, help="particle JSON config")
     p_par.add_argument("--out", required=True)
-    p_par.set_defaults(fn=cmd_particle)
 
     p_str = sub.add_parser("string", help="evaluate a wave-state configuration")
     p_str.add_argument("--config", required=True, help="mode spec JSON")
     p_str.add_argument("--out", required=True)
     p_str.add_argument("--residuals", action="store_true",
                        help="also run the finite-difference residual suite")
-    p_str.set_defaults(fn=cmd_string)
 
     p_ver = sub.add_parser("verify-all", help="run every verification criterion")
     p_ver.add_argument("--seed", type=int, default=0)
@@ -237,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", help="directory for the JSON report")
     p_ver.add_argument("--timings", action="store_true",
                        help="print each criterion's wall seconds to stderr")
-    p_ver.set_defaults(fn=cmd_verify_all)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -22,7 +22,7 @@ pointwise bracket identity holds with the sign pattern above.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +75,8 @@ class CurrentSample:
     symmetric SL(2, C) current scalars and ``icur`` the U(1) current.
     ``weights`` are composite Simpson weights for the total charges.
     ``j_records[_SYM_INDEX[A, B]]`` holds the functional derivatives of j_(AB)
-    and ``jd_records`` those of the dagger currents.
+    and ``jd_records`` those of the dagger currents.  ``charges`` holds the
+    sample's verified :func:`charge_algebra` results by ``(hbar, rel_tol)``.
     """
 
     us: np.ndarray
@@ -88,6 +89,7 @@ class CurrentSample:
     icur: np.ndarray       # (n,) complex
     j_records: tuple[_ChargeRecord, ...]
     jd_records: tuple[_ChargeRecord, ...]
+    charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -160,14 +162,20 @@ def _i_record(sample: CurrentSample) -> _ChargeRecord:
 
 
 def _pairings(sample: CurrentSample, F1: _ChargeRecord, F2: _ChargeRecord) -> np.ndarray:
-    """The derivative pairings of {F1, F2} at every node, before any measure."""
-    def contract(X, Y):
-        if X is None or Y is None:
-            return np.zeros(sample.n_nodes, dtype=complex)
-        return np.einsum("mag,g,mag->m", X, sample.signs, Y)
+    """The derivative pairings of {F1, F2} at every node, before any measure.
 
-    return (contract(F1.dc, F2.dds) + contract(F1.dcs, F2.dd)
-            - contract(F2.dc, F1.dds) - contract(F2.dcs, F1.dd))
+    A pairing with a None slot is zero and is left out of the sum.
+    """
+    total = np.zeros(sample.n_nodes, dtype=complex)
+    for X, Y, sign in ((F1.dc, F2.dds, 1), (F1.dcs, F2.dd, 1),
+                       (F2.dc, F1.dds, -1), (F2.dcs, F1.dd, -1)):
+        if X is not None and Y is not None:
+            term = np.einsum("mag,g,mag->m", X, sample.signs, Y)
+            if sign > 0:
+                total += term
+            else:
+                total -= term
+    return total
 
 
 def _charge_bracket(sample: CurrentSample, F1: _ChargeRecord, F2: _ChargeRecord
@@ -254,7 +262,7 @@ def _jj_pattern_constants() -> np.ndarray:
 
 
 def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
-                   rel_tol: float = 1e-9) -> tuple[LiePresentation, dict]:
+                   rel_tol: float = DEFAULT.charge_closure) -> tuple[LiePresentation, dict]:
     """Assemble and verify the quantum charge algebra from integrated brackets.
 
     The classical brackets of the total charges must close on the charges
@@ -263,7 +271,19 @@ def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
     (J_00, J_01, J_11, Jd_00, Jd_01, Jd_11) and a report with the fit and
     identity residuals.  Raises when the closure or the Jacobi identity
     fails beyond tolerance.
+
+    A verified result is kept on the sample (``sample.charges``) and a
+    repeated call with the same ``hbar`` and ``rel_tol`` returns that same
+    object; its ``f`` is read-only.  A failed check raises on every call.
     """
+    key = (hbar, rel_tol)
+    if key not in sample.charges:
+        sample.charges[key] = _charge_algebra(sample, hbar, rel_tol)
+    return sample.charges[key]
+
+
+def _charge_algebra(sample: CurrentSample, hbar: float, rel_tol: float
+                    ) -> tuple[LiePresentation, dict]:
     jt = sample.j_total()
     f_cl = _jj_pattern_constants()
     jvec = np.array([jt[0, 0], jt[0, 1], jt[1, 1]])
@@ -289,6 +309,7 @@ def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
     f = np.zeros((6, 6, 6), dtype=complex)
     f[:3, :3, :3] = 1j * hbar * f_cl
     f[3:, 3:, 3:] = 1j * hbar * f_cl
+    f.setflags(write=False)
     labels = ("J00", "J01", "J11", "Jd00", "Jd01", "Jd11")
     pres = LiePresentation(labels, f)
     report = {
@@ -414,8 +435,9 @@ def poincare_check(sample: CurrentSample, hbar: float = 1.0,
     """Verify the full Poincare algebra of (M_munu, P_mu) against a matrix oracle.
 
     Builds the ten-generator structure table from the verified bracket
-    patterns: charge algebra on (J, Jdagger) (assembled here unless the
-    ``charge_algebra(sample, hbar)`` result is passed in as ``charge``),
+    patterns: charge algebra on (J, Jdagger) (the sample's
+    ``charge_algebra(sample, hbar)``, computed once per sample, unless the
+    algebra of another sample is passed in as ``charge``),
     vanishing [P, P], and the mixed
     momentum-charge pattern; maps (J, Jdagger) -> N -> (M_munu) and the
     momentum entries -> P_mu; compares every structure constant against an

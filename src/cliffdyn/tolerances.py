@@ -44,6 +44,7 @@ class Tolerances:
     # current algebra
     g1_identity: float = 1e-9           # relative
     algebra_closure: float = 1e-10
+    charge_closure: float = 1e-9        # relative: every gate of charge_algebra
     unitary_brackets: float = 1e-10
 
     h_grid: float = 1e-3

@@ -124,13 +124,13 @@ class ModeSpec:
         return allowed
 
     def _check_sparsity(self):
-        allowed = self._allowed_pairs()
-        for li in self.labels:
-            for lj in self.labels:
-                if (li, lj) in allowed:
-                    continue
-                if np.abs(self.block(li, lj)).max() > 0.0:
-                    raise InputError(f"gram block ({li}, {lj}) must vanish")
+        n = len(self.labels)
+        forbidden = np.abs(self.gram).reshape(n, 2, n, 2).max(axis=(1, 3)) > 0.0
+        for li, lj in self._allowed_pairs():
+            forbidden[self.labels.index(li), self.labels.index(lj)] = False
+        if forbidden.any():
+            i, j = np.argwhere(forbidden)[0]         # the first in row-major label order
+            raise InputError(f"gram block ({self.labels[i]}, {self.labels[j]}) must vanish")
 
     def l_block(self) -> np.ndarray:
         return self.block("l", "l")
@@ -191,7 +191,7 @@ class StringState:
     is the same stack as one (labels, 2 G) row per label, so a field linear
     in the coefficients is a (points, labels) phase matrix times ``c_rows``.
     ``dstar_rows`` = p2^{-2} L_down conj(c_rows), per label, gives the
-    polymomenta the same way; it is None on the unsupported p.p = 0 branch.
+    polymomenta the same way; it is None unless p.p > 0.
     """
 
     def __init__(self, spec: ModeSpec, space: GeneratorSpace, coeffs: np.ndarray):
@@ -201,7 +201,7 @@ class StringState:
         self.p2 = spec.p_squared()
         self.L_up = spec.l_block()
         self.L_down = flip_both(self.L_up)
-        self.p_up = self.L_up / self.p2 if abs(self.p2) > 1e-12 else None
+        self.p_up = self.L_up / self.p2 if self.p2 > 1e-12 else None
         per_label = coeffs.reshape(len(spec.labels), 2, space.size)
         self.c_rows = per_label.reshape(len(spec.labels), -1)
         self.dstar_rows = None if self.p_up is None else \
@@ -228,7 +228,8 @@ def build_wave_state(spec: ModeSpec) -> StringState:
     resid = state.bullet_gram_residual()
     if not resid <= DEFAULT.mode_gram_residual:
         raise VerificationError(f"mode Gram infeasible: residual {resid:.3e}")
-    if not res.null_residual() <= DEFAULT.gram_null:
+    null = float(np.abs(bullet_gram(res.coeffs, res.coeffs, space.signs)).max())
+    if not null <= DEFAULT.gram_null:
         raise VerificationError("same-kind products failed to vanish")
     return state
 
@@ -308,7 +309,7 @@ def _product(phases: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _dstar_rows(state: StringState) -> np.ndarray:
     if state.dstar_rows is None:
-        raise PreconditionError("p.p = 0 branch is unsupported")
+        raise PreconditionError(f"p.p = {state.p2:.3e}: polymomenta need p.p > 0")
     return state.dstar_rows
 
 
@@ -592,8 +593,10 @@ def residual_suite(state: StringState, h: float = DEFAULT.h_grid
 
     Returns ``(residuals, orders)`` keyed "box", "f51", "f52", "f90".  Orders
     come from the steps 2e-3 and 1e-3, where truncation dominates roundoff;
-    each distinct step is evaluated once.
+    each distinct step is evaluated once.  Raises PreconditionError unless
+    p.p > 0, before any suite runs.
     """
+    _dstar_rows(state)
     coarse, fine = 2e-3, 1e-3
     residuals = {}
     orders = {}

@@ -19,6 +19,7 @@ from cliffdyn.cli import main
 from cliffdyn.clifford import hermitian_to_json
 from cliffdyn.sampling import random_hermitian
 from cliffdyn.spinors import spinor_to_vec
+from cliffdyn.tolerances import DEFAULT
 from cliffdyn.worldsheet import make_mode_spec, mode_spec_to_json
 
 
@@ -228,6 +229,18 @@ def test_string_residuals_match_string_suite(tmp_path):
     for name in ("box", "f51", "f52", "f90"):
         assert report[f"{name}_max_residual"] == details[f"{name}_residual"]
         assert report[f"{name}_order"] == details[f"{name}_order"]
+
+
+def test_string_box_residual_is_gated(tmp_path, capsys, monkeypatch):
+    _write_json(tmp_path / "s.json", _string_config())
+    too_big = 4 * DEFAULT.fd_residual
+    monkeypatch.setattr(worldsheet, "wave_residual", lambda state, h: np.full(16, too_big))
+    code = main(["string", "--config", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "out"), "--residuals"])
+    assert code == 1
+    assert capsys.readouterr().err == f"residuals exceed tolerance: {too_big:.3e}\n"
+    report = json.loads((tmp_path / "out" / "residuals.json").read_text())
+    assert report["box_max_residual"] == too_big
 
 
 def test_string_fields_csv_matches_per_value_formatting(tmp_path):
@@ -483,6 +496,34 @@ def test_verify_all_reports_failed_algebra_check(capsys, monkeypatch):
     assert details["poincare_mismatch"] == 1e-3
     assert details["error"].startswith("Poincare structure constants mismatch")
     assert "1 criteria FAILED" in captured.err
+
+
+def test_main_calls_the_command_bound_at_call_time(tmp_path, monkeypatch):
+    from cliffdyn import cli
+    seen = []
+    # the parser is built before the command is rebound
+    assert main(["string", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
+    monkeypatch.setattr(cli, "cmd_string", lambda args: seen.append(args) or 7)
+    assert main(["string", "--config", "s.json", "--out", str(tmp_path)]) == 7
+    assert [(a.command, a.config, a.residuals) for a in seen] == [("string", "s.json", False)]
+
+
+def test_main_calls_share_no_flag_state(tmp_path, capsys, monkeypatch):
+    from cliffdyn import acceptance
+    from cliffdyn.acceptance import CriterionResult
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: [
+        CriterionResult("stub criterion", True, {"residual": 1e-16})])
+    assert main(["verify-all", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    assert main(["verify-all", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == ("[PASS] stub criterion: residual=1.000e-16\n"
+                                       "all criteria passed\n")
+    _write_json(tmp_path / "s.json", _string_config())
+    for out, extra in (("with", ["--residuals"]), ("without", [])):
+        assert main(["string", "--config", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / out), *extra]) == 0
+    assert (tmp_path / "with" / "residuals.json").exists()
+    assert sorted(p.name for p in (tmp_path / "without").iterdir()) == ["fields.csv"]
 
 
 def test_verify_all_json_deterministic(tmp_path):

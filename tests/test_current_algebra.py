@@ -332,6 +332,38 @@ def test_poincare_check_reuses_given_charge_algebra(sample, monkeypatch):
     assert poincare_check(sample, charge=charge) == expect
 
 
+def test_poincare_check_reads_the_sample_charge_algebra(monkeypatch):
+    import cliffdyn.current_algebra as ca
+    st = build_wave_state(acceptance._acceptance_mode_spec())
+    fresh = sample_currents(st, constant_time_curve(0.4), 16)
+    calls = []
+
+    def counted(*args, _fn=ca._charge_bracket):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(ca, "_charge_bracket", counted)
+    charge_algebra(fresh)
+    assert len(calls) == 27                  # 9 closure, 9 dagger and 9 cross brackets
+    calls.clear()
+    poincare_check(fresh)
+    assert len(calls) == 28                  # its own 12 [P, J] and 16 [P, P] brackets
+
+
+def test_charge_algebra_is_kept_per_sample_and_read_only():
+    st = build_wave_state(acceptance._acceptance_mode_spec())
+    fresh = sample_currents(st, constant_time_curve(0.4), 16)
+    first = charge_algebra(fresh)
+    assert charge_algebra(fresh) is first
+    assert charge_algebra(fresh, hbar=1.0, rel_tol=DEFAULT.charge_closure) is first
+    assert not first[0].f.flags.writeable
+    with pytest.raises(ValueError):
+        first[0].f[0, 1, 2] = 0.0
+    # another key is computed anew
+    assert charge_algebra(fresh, hbar=2.0) is not first
+    assert set(fresh.charges) == {(1.0, DEFAULT.charge_closure), (2.0, DEFAULT.charge_closure)}
+
+
 def test_poincare_oracle_self_consistent():
     F, labels = poincare_matrix_oracle()
     pres = LiePresentation(labels, F)
@@ -373,6 +405,15 @@ def test_charge_algebra_rejects_nan_node(nan_node_samples):
     assert np.isnan(info.value.details["closure_rel_residual"])
 
 
+def test_charge_algebra_failure_is_not_kept(nan_node_samples):
+    _, broken = nan_node_samples
+    for _ in range(2):
+        with pytest.raises(VerificationError) as info:
+            charge_algebra(broken)
+        assert np.isnan(info.value.details["closure_rel_residual"])
+    assert broken.charges == {}
+
+
 def test_poincare_check_rejects_nan_node(nan_node_samples):
     clean, broken = nan_node_samples
     with pytest.raises(VerificationError) as info:
@@ -408,6 +449,15 @@ def test_algebra_closure_override_reaches_poincare_raise():
     result = acceptance.algebra_suite(0, DEFAULT.with_overrides(algebra_closure=1e-30))
     assert not result.passed
     assert result.details["error"].startswith("Poincare structure constants mismatch")
+
+
+def test_charge_closure_override_fails_algebra_suite():
+    # the closure residual is about 1e-16 on the acceptance sample
+    result = acceptance.algebra_suite(0, DEFAULT.with_overrides(charge_closure=1e-30))
+    assert not result.passed
+    assert result.line().startswith("[FAIL]")
+    assert result.details["error"].startswith("charge algebra closure off by")
+    assert 1e-30 < result.details["closure_rel_residual"] <= DEFAULT.charge_closure
 
 
 def test_poincare_check_on_second_state():

@@ -28,6 +28,7 @@ from cliffdyn.worldsheet import (
     mode_spec_to_json,
     residual_f51,
     residual_f52,
+    residual_suite,
     simpson_weights,
     spinning_mode_spec,
     spinning_string,
@@ -79,6 +80,19 @@ def test_mode_spec_rejects_forbidden_blocks():
     G[i, j] = 0.1
     G[j, i] = 0.1
     with pytest.raises(InputError):
+        type(spec)(MASS, spec.modes, G)
+
+
+def test_mode_spec_names_the_first_forbidden_block():
+    spec = _rich_spec()
+    G = spec.gram.copy()
+    # two forbidden blocks and their Hermitian mirrors; in label order the
+    # first is (a1, b-1), ahead of (a-1, b1), (b1, a-1) and (b-1, a1)
+    for first, second in (("b1", "a-1"), ("a1", "b-1")):
+        i, j = (2 * spec.labels.index(label) for label in (first, second))
+        G[i + 1, j] = 0.1j
+        G[j, i + 1] = -0.1j
+    with pytest.raises(InputError, match=r"^gram block \(a1, b-1\) must vanish$"):
         type(spec)(MASS, spec.modes, G)
 
 
@@ -181,6 +195,16 @@ def test_wave_residual_bosonic_limit():
     assert wave_residual(st, h=1e-3).max() < 1e-6
     with pytest.raises(PreconditionError):
         dstar_upper(st, 0.3, 0.7)
+
+
+def test_negative_p_squared_refuses_polymomenta():
+    spec = make_mode_spec(mass=1.0, l_block=np.diag([1.0, -1.0]), on_shell=False)
+    st = build_wave_state(spec)
+    assert st.p2 == pytest.approx(-1.0) and st.p_up is None
+    with pytest.raises(PreconditionError, match="p.p > 0"):
+        dstar_upper(st, 0.3, 0.7)
+    with pytest.raises(PreconditionError, match="p.p > 0"):
+        residual_suite(st)
 
 
 def test_f51_f52_residuals_and_order(rich_state):
