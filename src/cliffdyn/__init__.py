@@ -6,8 +6,8 @@ flat-worldsheet string, and the Noether-current algebra checks.
 
 from . import (acceptance, clifford, current_algebra, matrixmech, particle,
                sampling, spinors, tolerances, worldsheet)
-from .clifford import (ClVector, GeneratorSpace, allocate, allocate_blocks,
-                       bullet, hermitian_eig, resolve_hermitian, resolve_pair,
+from .clifford import (GeneratorSpace, allocate, allocate_blocks, bullet,
+                       hermitian_eig, resolve_hermitian, resolve_pair,
                        standard_basis)
 from .errors import CliffdynError, InputError, PreconditionError, VerificationError
 from .tolerances import DEFAULT, Tolerances

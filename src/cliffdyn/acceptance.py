@@ -201,10 +201,10 @@ def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
         x = rng.uniform(-1, 1, 4)
         p = random_timelike(rng)
         p = p * (mass / math.sqrt(p[0] ** 2 - p[1:] @ p[1:]))
-        c, d, _ = clifford.resolve_pair(
+        C, D, _ = clifford.resolve_pair(
             vec_to_spinor(x), flip_both(vec_to_spinor(eta_flip(p))), mu * np.eye(2),
             space, labels=(f"c{i}", f"d{i}", f"h{i}"))
-        states.append(particle.ParticleState(c, d, mass))
+        states.append(particle.ParticleState(np.concatenate((C, D)), space, mass))
     sys0 = matrixmech.assemble(states)
     U = random_unitary(rng, n)
     a = matrixmech.evolve_matrix_classical(matrixmech.gauge_transform(sys0, U), 1.0, 200)

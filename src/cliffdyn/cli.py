@@ -22,7 +22,7 @@ from . import acceptance, particle, worldsheet
 from .clifford import allocate, hermitian_from_json, resolve_hermitian
 from .config import fields, integer, load, number, real_array
 from .errors import InputError, PreconditionError, VerificationError
-from .spinors import spinor_to_vec
+from .spinors import ETA, spinor_to_vec
 from .tolerances import DEFAULT
 
 EXIT_OK = 0
@@ -107,11 +107,7 @@ def cmd_particle(args) -> int:
         M = (real_array(m_spec["re"], (2, 2), "gram.M.re")
              + 1j * real_array(m_spec["im"], (2, 2), "gram.M.im"))
     e, einbein = _einbein_from_config(cfg["einbein"], tau0)
-    try:
-        st = particle.build_state(x, p, M, mass, tau=tau0)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    st = particle.build_state(x, p, M, mass, tau=tau0)
     # proper time is undefined wherever mu vanishes; refuse such windows
     mu0 = st.mu_charge()
     mu_min = float(np.min(mu0 + particle.mu_of_tau(e, mass, np.linspace(tau0, tau_end, 64))))
@@ -122,7 +118,7 @@ def cmd_particle(args) -> int:
     traj = particle.integrate(st, e, tau_end, steps)
     out_dir = Path(args.out)
     _write(out_dir / "trajectory.csv", traj.to_csv())
-    p_contra = (np.diag([1.0, -1, -1, -1]) @ traj.p[0])
+    p_contra = ETA @ traj.p[0]
     pred = traj.x[0][None, :] + np.outer(traj.taubar, p_contra / mass)
     report = {
         "mass": mass,

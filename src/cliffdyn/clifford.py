@@ -6,10 +6,10 @@ complex coefficient array over an orthogonal generator basis.  Generators are
 normalized to ``bullet(g, g) = +2`` (positive class) or ``-2`` (negative
 class).
 
-The package stores vectors as coefficient stacks, complex arrays of shape
-``(..., k, G)`` over a space of G generators, and takes their bullet Gram
-matrices with :func:`bullet_gram`.  :class:`ClVector` is the public view of
-one row; :func:`pack` and :func:`unpack` convert between the two.
+A vector, a spinor doublet or a resolution is a coefficient stack, a complex
+array of shape ``(..., k, G)`` over a space of G generators, read together
+with the space's ``signs``; :func:`bullet_gram` takes its bullet Gram
+matrices, and :func:`bullet` is the scalar product of two rows.
 
 The complexified basis built by :func:`standard_basis` packages generator
 pairs into vectors ``E_i`` and ``F_i`` with
@@ -34,18 +34,14 @@ from .tolerances import DEFAULT
 
 __all__ = [
     "GeneratorSpace",
-    "ClVector",
     "allocate",
     "allocate_blocks",
     "bullet",
     "bullet_gram",
-    "pack",
-    "unpack",
     "standard_basis",
     "hermitian_eig",
     "resolve_hermitian",
     "resolve_pair",
-    "resolve_pair_packed",
     "pair_space",
     "GramResolution",
     "validate_hermitian",
@@ -103,69 +99,9 @@ class GeneratorSpace:
         pos = self._block_pos[label]
         return pos, length - pos
 
-    def zero(self) -> "ClVector":
-        return ClVector(self, np.zeros(self.size, dtype=complex))
-
-    def generator(self, k: int) -> "ClVector":
-        if not 0 <= k < self.size:
-            raise IndexError(f"generator index {k} out of range for size {self.size}")
-        coeffs = np.zeros(self.size, dtype=complex)
-        coeffs[k] = 1.0
-        return ClVector(self, coeffs)
-
-    def vector(self, coeffs) -> "ClVector":
-        return ClVector(self, np.asarray(coeffs, dtype=complex))
-
     def __repr__(self):
         return (f"GeneratorSpace(n_pos={self.n_pos}, n_neg={self.n_neg}, "
                 f"blocks={list(self.blocks)})")
-
-
-class ClVector:
-    """Grade-1 element: complex coefficients over the generators of a space."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: GeneratorSpace, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (space.size,):
-            raise InputError(
-                f"coefficient length {coeffs.shape} does not match space size {space.size}")
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        self.space = space
-        self.coeffs = coeffs
-
-    def conj(self) -> "ClVector":
-        return ClVector(self.space, self.coeffs.conj())
-
-    def __add__(self, other: "ClVector") -> "ClVector":
-        _check_space(self, other)
-        return ClVector(self.space, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ClVector") -> "ClVector":
-        _check_space(self, other)
-        return ClVector(self.space, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "ClVector":
-        return ClVector(self.space, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "ClVector":
-        return ClVector(self.space, self.coeffs / complex(scalar))
-
-    def __neg__(self) -> "ClVector":
-        return ClVector(self.space, -self.coeffs)
-
-    def __repr__(self):
-        nz = np.count_nonzero(self.coeffs)
-        return f"ClVector({nz} of {self.space.size} coefficients nonzero)"
-
-
-def _check_space(a: ClVector, b: ClVector) -> None:
-    if a.space is not b.space:
-        raise PreconditionError("vectors live on different generator spaces")
 
 
 def allocate(n_pos: int, n_neg: int, label: str = "main") -> GeneratorSpace:
@@ -191,14 +127,17 @@ def allocate_blocks(spec: Sequence[tuple[str, int, int]]) -> GeneratorSpace:
     return GeneratorSpace(np.array(signs), blocks, block_pos)
 
 
-def bullet(a: ClVector, b: ClVector) -> complex:
-    """Scalar inner product: half the anticommutator of two grade-1 elements.
+def bullet(a: np.ndarray, b: np.ndarray, signs: np.ndarray) -> complex:
+    """Scalar inner product of two coefficient rows: half the anticommutator.
 
     Complex-bilinear in both arguments; conjugation is the caller's job.
-    Generators satisfy ``bullet(g_k, g_l) = +/-2 delta_kl``.
+    Generators satisfy ``bullet(g_k, g_l) = +/-2 delta_kl``.  Both rows must
+    have the shape of ``signs``.
     """
-    _check_space(a, b)
-    return complex(np.sum(a.coeffs * b.coeffs * a.space.signs))
+    if np.shape(a) != signs.shape or np.shape(b) != signs.shape:
+        raise InputError(f"coefficient rows {np.shape(a)} and {np.shape(b)} do not match "
+                         f"space size {signs.size}")
+    return complex(np.sum(a * b * signs))
 
 
 def bullet_gram(V: np.ndarray, W: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -210,23 +149,11 @@ def bullet_gram(V: np.ndarray, W: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return (V * signs) @ np.swapaxes(W, -1, -2)
 
 
-def pack(vectors: Sequence[ClVector]) -> np.ndarray:
-    """Coefficient stack (k, G) of vectors that share one generator space."""
-    for v in vectors[1:]:
-        _check_space(vectors[0], v)
-    return np.stack([v.coeffs for v in vectors])
-
-
-def unpack(space: GeneratorSpace, rows: np.ndarray) -> tuple[ClVector, ...]:
-    """The rows of a (k, G) coefficient stack as vectors of ``space``."""
-    return tuple(ClVector(space, row) for row in rows)
-
-
 def standard_basis(space: GeneratorSpace, block: str | None = None
-                   ) -> tuple[list[ClVector], list[ClVector]]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Complexified basis of a block with signature (2n, 2n).
 
-    Returns ``(E, F)`` with n vectors each.  Each ``E_i`` combines two
+    Returns ``(E, F)`` as two (n, G) stacks.  Each ``E_i`` combines two
     negative-class generators, each ``F_i`` two positive-class ones:
 
         E_i = (-i h_{2i} + h_{2i+1}) / 2,   F_i = (-i g_{2i} + g_{2i+1}) / 2.
@@ -234,20 +161,7 @@ def standard_basis(space: GeneratorSpace, block: str | None = None
     The resulting product table (verified by unit test, not assumed):
     E.conj(E) = -delta, F.conj(F) = +delta, all other combinations zero.
     """
-    E, F = _standard_rows(space, _only_block(space, block))
-    return list(unpack(space, E)), list(unpack(space, F))
-
-
-def _only_block(space: GeneratorSpace, block: str | None) -> str:
-    if block is None:
-        if len(space.blocks) != 1:
-            raise PreconditionError("space has several blocks; pass one explicitly")
-        block = next(iter(space.blocks))
-    return block
-
-
-def _standard_rows(space: GeneratorSpace, block: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (E, F) basis of :func:`standard_basis` as two (n, G) stacks."""
+    block = _only_block(space, block)
     n_pos, n_neg = space.block_signature(block)
     if n_pos != n_neg or n_pos % 2 != 0:
         raise PreconditionError(
@@ -259,6 +173,14 @@ def _standard_rows(space: GeneratorSpace, block: str) -> tuple[np.ndarray, np.nd
     F[rows, cols], F[rows, cols + 1] = -0.5j, 0.5
     E[rows, n_pos + cols], E[rows, n_pos + cols + 1] = -0.5j, 0.5
     return E, F
+
+
+def _only_block(space: GeneratorSpace, block: str | None) -> str:
+    if block is None:
+        if len(space.blocks) != 1:
+            raise PreconditionError("space has several blocks; pass one explicitly")
+        block = next(iter(space.blocks))
+    return block
 
 
 def validate_hermitian(H) -> np.ndarray:
@@ -300,11 +222,6 @@ class GramResolution:
     coeffs: np.ndarray
     target: np.ndarray
     space: GeneratorSpace
-    block: str
-
-    @property
-    def vectors(self) -> tuple[ClVector, ...]:
-        return unpack(self.space, self.coeffs)
 
     def _bullet_table(self, W: np.ndarray) -> np.ndarray:
         # bullet(v_i, w_j) as the same elementwise sum :func:`bullet` takes,
@@ -342,7 +259,7 @@ def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None) -> Gra
         raise PreconditionError(
             f"block {block!r} signature ({n_pos},{n_neg}) too small for a {n}x{n} matrix; "
             f"need at least ({2 * n},{2 * n})")
-    E, F = _standard_rows(space, block)
+    E, F = standard_basis(space, block)
     U, lam = hermitian_eig(H)
     zero_cut = DEFAULT.eig_zero_rel * (np.abs(lam).max(initial=0.0))
     rows = np.zeros((n, space.size), dtype=complex)
@@ -357,7 +274,7 @@ def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None) -> Gra
             basis = E[k]
             weight = np.sqrt(-lam[k])
         rows = rows + (U[:, k] * weight)[:, None] * basis
-    return GramResolution(rows, H.copy(), space, block)
+    return GramResolution(rows, H.copy(), space)
 
 
 def pair_space() -> GeneratorSpace:
@@ -367,15 +284,7 @@ def pair_space() -> GeneratorSpace:
 
 def resolve_pair(x, p, M, space: GeneratorSpace | None = None,
                  labels: tuple[str, str, str] = ("c", "d", "h")
-                 ) -> tuple[list[ClVector], list[ClVector], GeneratorSpace]:
-    """:func:`resolve_pair_packed` with the doublets as vector lists."""
-    C, D, space = resolve_pair_packed(x, p, M, space, labels)
-    return list(unpack(space, C)), list(unpack(space, D)), space
-
-
-def resolve_pair_packed(x, p, M, space: GeneratorSpace | None = None,
-                        labels: tuple[str, str, str] = ("c", "d", "h")
-                        ) -> tuple[np.ndarray, np.ndarray, GeneratorSpace]:
+                 ) -> tuple[np.ndarray, np.ndarray, GeneratorSpace]:
     """Build spinor doublets c^A, d*_A with prescribed mutual Gram matrices.
 
     Returns the (2, G) stacks of c and d* and the space they live on.
@@ -411,7 +320,7 @@ def resolve_pair_packed(x, p, M, space: GeneratorSpace | None = None,
         raise PreconditionError("h block needs at least two standard pairs (4,4)")
     res_x = resolve_hermitian(x, space, c_label)
     res_p = resolve_hermitian(p, space, d_label)
-    E, F = _standard_rows(space, h_label)
+    E, F = standard_basis(space, h_label)
     C = res_x.coeffs + (E[:2] + F[:2])        # c_A + h_A: h_A null, paired with A
     hstar = (E[:2] - F[:2]).conj() * complex(-0.5)   # null partners: bullet(h_i, h_j*) = delta
     D = res_p.coeffs

@@ -334,8 +334,6 @@ def fit_structure_constants(samples: Sequence[CurrentSample]) -> np.ndarray:
     are usually needed; raises when the joint system is rank deficient.
     Used to demonstrate that the extracted constants are state independent.
     """
-    if isinstance(samples, CurrentSample):
-        samples = [samples]
     rows = np.concatenate([
         np.stack([s.j[:, 0, 0], s.j[:, 0, 1], s.j[:, 1, 1]], axis=1) for s in samples])
     sv = np.linalg.svd(rows, compute_uv=False)

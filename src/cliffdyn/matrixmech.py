@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import GeneratorSpace, unpack, validate_hermitian
+from .clifford import GeneratorSpace, validate_hermitian
 from .errors import InputError, PreconditionError
 from .particle import ParticleState, rk4, step_count
 from .spinors import DP_DOWN, DX_UP, ETA
@@ -315,7 +315,7 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 
     which = "X" or "P": <s|M|s> per component of an NSystem (or a bare
     matrix / stack of matrices).  which = "C": the Clifford coordinate
-    <s| C^A, a pair of ClVectors.  Any other ``which`` is an InputError.
+    <s| C^A as a (2, G) coefficient stack.  Any other ``which`` is an InputError.
     """
     if which not in ("X", "P", "C"):
         raise InputError(f"which must be 'X', 'P' or 'C', got {which!r}")
@@ -325,7 +325,7 @@ def expectation(s: np.ndarray, target, which: str = "X"):
     if which == "C":
         if not isinstance(target, NSystem):
             raise InputError("expectation of C needs an NSystem")
-        return list(unpack(target.space, _rotate(target.kets, s.conj()[None])[:, 0]))
+        return _rotate(target.kets, s.conj()[None])[:, 0]
     if isinstance(target, NSystem):
         mats = target.x_matrices() if which == "X" else target.p_matrices()
     else:

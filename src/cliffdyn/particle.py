@@ -30,8 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import (ClVector, GeneratorSpace, bullet, bullet_gram, pack,
-                       resolve_pair_packed, unpack)
+from .clifford import GeneratorSpace, bullet, bullet_gram, resolve_pair
 from .errors import InputError, PreconditionError
 from .spinors import (
     DP_DOWN,
@@ -196,42 +195,23 @@ def polynomial_observable(terms: Sequence[tuple[float, Sequence[int], Sequence[i
 class ParticleState:
     """Canonical pair (c^A, d*_A) plus mass and parameter value.
 
-    ``packed()`` is the (4, G) coefficient stack with rows c^0, c^1, d*_0,
-    d*_1; ``c`` and ``dstar`` are vector views of its rows.
+    ``Y`` is the (4, G) coefficient stack over ``space`` with rows c^0, c^1,
+    d*_0, d*_1; ``packed()`` returns it read-only.
     """
 
     __slots__ = ("_Y", "mass", "tau", "space")
 
-    def __init__(self, c: Sequence[ClVector], dstar: Sequence[ClVector],
-                 mass: float, tau: float = 0.0):
-        if len(c) != 2 or len(dstar) != 2:
-            raise InputError("need two spinor components for c and dstar")
-        self._init(pack([*c, *dstar]), c[0].space, mass, tau)
-
-    @classmethod
-    def _of_stack(cls, Y: np.ndarray, space: GeneratorSpace, mass: float,
-                  tau: float) -> "ParticleState":
-        state = cls.__new__(cls)
-        state._init(Y, space, mass, tau)
-        return state
-
-    def _init(self, Y: np.ndarray, space: GeneratorSpace, mass: float, tau: float) -> None:
+    def __init__(self, Y: np.ndarray, space: GeneratorSpace, mass: float, tau: float = 0.0):
         if not mass > 0:
             raise InputError("mass must be positive")
         self._Y = np.asarray(Y, dtype=complex).view()
+        if self._Y.shape != (4, space.size):
+            raise InputError(f"state stack must be (4, {space.size}), got {self._Y.shape}")
         self._Y.setflags(write=False)
         self.mass, self.tau, self.space = float(mass), float(tau), space
 
     def packed(self) -> np.ndarray:
         return self._Y
-
-    @property
-    def c(self) -> tuple[ClVector, ClVector]:
-        return unpack(self.space, self._Y[:2])
-
-    @property
-    def dstar(self) -> tuple[ClVector, ClVector]:
-        return unpack(self.space, self._Y[2:])
 
     # -- derived space-time data ------------------------------------------
     def x_spinor(self) -> np.ndarray:
@@ -271,45 +251,45 @@ def build_state(x: np.ndarray, p: np.ndarray, M, mass: float,
     M = np.asarray(M, dtype=complex)
     if M.ndim == 0:
         M = complex(M) * np.eye(2)
-    C, D, space = resolve_pair_packed(x_up, p_down, M)
-    return ParticleState._of_stack(np.concatenate((C, D)), space, mass, tau)
+    C, D, space = resolve_pair(x_up, p_down, M)
+    return ParticleState(np.concatenate((C, D)), space, mass, tau)
 
 
 # -- actions and Hamiltonian ------------------------------------------------
 
-def _velocity_contraction(cdot: Sequence[ClVector]) -> float:
+def _velocity_contraction(cdot: np.ndarray, signs: np.ndarray) -> float:
     """(1/2) (dc^A . dc*^B)(dc_A . dc*_B): the quartic invariant of the velocity.
 
-    Equals W.W for the four-vector W behind the matrix bullet(dc, conj(dc)).
+    Equals W.W for the four-vector W behind the matrix bullet(dc, conj(dc))
+    of the (2, G) velocity stack ``cdot``.
     """
-    W = np.array([[bullet(cdot[a], cdot[b].conj()) for b in range(2)] for a in range(2)])
-    w = spinor_to_vec(W)
+    w = spinor_to_vec(bullet_gram(cdot, cdot.conj(), signs))
     return float(minkowski_dot(w, w).real)
 
 
-def lagrangian_c2(cdot: Sequence[ClVector], mass: float) -> float:
+def lagrangian_c2(cdot: np.ndarray, signs: np.ndarray, mass: float) -> float:
     """Reparametrization-invariant integrand 4 sqrt(m) Q^{1/4}.
 
     Q is the quartic velocity invariant; Q < 0 signals non-timelike motion
     and raises.
     """
-    Q = _velocity_contraction(cdot)
+    Q = _velocity_contraction(cdot, signs)
     if Q < 0:
         raise PreconditionError(f"quartic radicand is negative ({Q:.3e}): non-timelike velocity")
     return 4.0 * math.sqrt(mass) * Q ** 0.25
 
 
-def polyakov_lagrangian(cdot: Sequence[ClVector], e: float, mass: float) -> float:
+def polyakov_lagrangian(cdot: np.ndarray, signs: np.ndarray, e: float, mass: float) -> float:
     """Einbein form whose e-elimination reproduces :func:`lagrangian_c2`."""
-    Q = _velocity_contraction(cdot)
+    Q = _velocity_contraction(cdot, signs)
     if Q < 0:
         raise PreconditionError(f"cubic radicand is negative ({Q:.3e})")
     return 3.0 * e ** (-1.0 / 3.0) * Q ** (1.0 / 3.0) + mass ** 2 * e
 
 
-def conjugate_momentum_norm(cdot: Sequence[ClVector], e: float) -> float:
+def conjugate_momentum_norm(cdot: np.ndarray, signs: np.ndarray, e: float) -> float:
     """p.p implied by the einbein-form momenta: e^{-4/3} Q^{1/3}."""
-    Q = _velocity_contraction(cdot)
+    Q = _velocity_contraction(cdot, signs)
     return e ** (-4.0 / 3.0) * Q ** (1.0 / 3.0)
 
 
@@ -376,12 +356,10 @@ def _c_rate(D: np.ndarray, signs: np.ndarray) -> Callable[[np.ndarray], np.ndarr
     return rate
 
 
-def canonical_rhs(state: ParticleState, e: float
-                  ) -> tuple[list[ClVector], list[ClVector]]:
-    """(dc/dtau, dd*/dtau) for the constraint Hamiltonian H = e (p.p - m^2)."""
-    space = state.space
-    dc = _c_rate(state.packed()[2:], space.signs)(np.asarray(float(e)))
-    return list(unpack(space, dc)), [space.zero(), space.zero()]
+def canonical_rhs(state: ParticleState, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dc/dtau, dd*/dtau) as (2, G) stacks for the constraint Hamiltonian H = e (p.p - m^2)."""
+    dc = _c_rate(state.packed()[2:], state.space.signs)(np.asarray(float(e)))
+    return dc, np.zeros_like(dc)
 
 
 @dataclass
@@ -531,11 +509,12 @@ def noether_charges(state: ParticleState) -> tuple[np.ndarray, float]:
     Both vanish identically on Noether-constrained states (mixed Gram equal
     to a real multiple of the identity).
     """
-    c_low = eps_flip_pair(list(state.c))
+    Y, signs = state.packed(), state.space.signs
+    c_low = eps_flip_pair(Y[:2])
     J = np.empty((2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):
-            J[a, b] = bullet(state.dstar[a], c_low[b]) + bullet(state.dstar[b], c_low[a])
+            J[a, b] = bullet(Y[2 + a], c_low[b], signs) + bullet(Y[2 + b], c_low[a], signs)
     trace_cd = np.trace(state.cd_gram())
     j = float((1j * (trace_cd - np.conj(trace_cd))).real)
     return J, j

@@ -90,7 +90,7 @@ def flip_both(S) -> np.ndarray:
 
 
 def eps_flip_pair(pair):
-    """Index flip of a spinor doublet (ClVectors, arrays, scalars): (v1, -v0).
+    """Index flip of a spinor doublet (coefficient rows, arrays, scalars): (v1, -v0).
 
     Implements both the left raise eps^{AB} v_B and the right lower
     v^B eps_{BA}, which coincide numerically in this convention.

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import ClVector, GeneratorSpace, allocate, bullet_gram, resolve_hermitian, unpack
+from .clifford import GeneratorSpace, allocate, bullet_gram, resolve_hermitian
 from .config import fields, integers, mapping, number, real_array
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import flip_both, minkowski_norm
@@ -532,8 +532,8 @@ def curve_polymomenta(state: StringState, curve: Curve, us: np.ndarray
             _product(vs[:, None] * phases[:, 1] + vt[:, None] * phases[:, 2], rows))
 
 
-def total_momentum(state: StringState, curve: Curve) -> tuple[list[ClVector], np.ndarray]:
-    """Total Clifford momentum and the induced total space-time momentum.
+def total_momentum(state: StringState, curve: Curve) -> tuple[np.ndarray, np.ndarray]:
+    """Total Clifford momentum, as a (2, G) stack, and the induced total space-time momentum.
 
     d*tot_A = integral over the curve of dsigma^a eps_{ba} d*^b_A, by
     composite Simpson on 257 nodes; p_tot[A, B] = bullet(d*tot_A, conj(d*tot_B)).
@@ -546,7 +546,7 @@ def total_momentum(state: StringState, curve: Curve) -> tuple[list[ClVector], np
         raise PreconditionError("curve endpoints must sit on sigma = 0 and sigma = pi")
     acc = np.einsum("m,mag->ag", simpson_weights(len(us), us[1] - us[0]), dproj)
     p_tot = bullet_gram(acc, acc.conj(), state.space.signs)
-    return list(unpack(state.space, acc)), p_tot
+    return acc, p_tot
 
 
 # -- spinning string -----------------------------------------------------------------

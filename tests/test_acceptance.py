@@ -251,7 +251,7 @@ def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys
         st = original(*args, **kwargs)
         Y = st.packed().copy()
         Y[0, 0] = np.nan
-        return particle.ParticleState._of_stack(Y, st.space, st.mass, st.tau)
+        return particle.ParticleState(Y, st.space, st.mass, st.tau)
 
     monkeypatch.setattr(particle, "build_state", nan_state)
     code = main(["verify-all", "--seed", "11", "--json"])

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffdyn.clifford import (
-    ClVector,
     allocate,
     allocate_blocks,
     bullet,
@@ -16,7 +15,6 @@ from cliffdyn.clifford import (
     hermitian_to_json,
     resolve_hermitian,
     resolve_pair,
-    resolve_pair_packed,
     standard_basis,
     validate_hermitian,
 )
@@ -27,23 +25,17 @@ from cliffdyn.tolerances import DEFAULT
 
 def test_allocate_generator_norms():
     space = allocate(2, 2)
-    g = [space.generator(k) for k in range(4)]
-    assert bullet(g[0], g[0]) == 2.0
-    assert bullet(g[1], g[1]) == 2.0
-    assert bullet(g[2], g[2]) == -2.0
-    assert bullet(g[0], g[2]) == 0.0
-    assert bullet(g[0], g[1]) == 0.0
+    g = np.eye(4, dtype=complex)          # generator k is row k
+    assert bullet(g[0], g[0], space.signs) == 2.0
+    assert bullet(g[1], g[1], space.signs) == 2.0
+    assert bullet(g[2], g[2], space.signs) == -2.0
+    assert bullet(g[0], g[2], space.signs) == 0.0
+    assert bullet(g[0], g[1], space.signs) == 0.0
 
 
 def test_allocate_rejects_empty():
     with pytest.raises(InputError):
         allocate(0, 0)
-
-
-def test_generator_index_out_of_range():
-    space = allocate(1, 0)
-    with pytest.raises(IndexError):
-        space.generator(1)
 
 
 def test_blocks_are_disjoint():
@@ -54,22 +46,16 @@ def test_blocks_are_disjoint():
     assert sb == slice(2, 4)
     assert space.block_signature("b") == (2, 0)
     # cross-block products vanish
-    va = space.generator(0)
-    vb = space.generator(2)
-    assert bullet(va, vb) == 0.0
-
-
-def test_space_mismatch_raises():
-    a = allocate(1, 1)
-    b = allocate(1, 1)
-    with pytest.raises(PreconditionError):
-        bullet(a.generator(0), b.generator(0))
+    g = np.eye(space.size, dtype=complex)
+    assert bullet(g[0], g[2], space.signs) == 0.0
 
 
 def test_vector_requires_matching_length():
     space = allocate(2, 1)
-    with pytest.raises(InputError):
-        space.vector([1.0, 2.0])
+    row = np.ones(3, dtype=complex)
+    for a, b in ((np.ones(2), row), (row, np.ones(2)), (row, np.ones((1, 3)))):
+        with pytest.raises(InputError, match="space size 3"):
+            bullet(a, b, space.signs)
 
 
 @settings(max_examples=50, deadline=None)
@@ -77,42 +63,41 @@ def test_vector_requires_matching_length():
 def test_bullet_symmetric_and_bilinear(seed):
     rng = np.random.default_rng(seed)
     space = allocate(3, 2)
-    u = space.vector(rng.normal(size=5) + 1j * rng.normal(size=5))
-    v = space.vector(rng.normal(size=5) + 1j * rng.normal(size=5))
-    w = space.vector(rng.normal(size=5) + 1j * rng.normal(size=5))
+    signs = space.signs
+    u, v, w = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
     alpha = complex(rng.normal(), rng.normal())
-    assert bullet(u, v) == pytest.approx(bullet(v, u), abs=1e-12)
-    lhs = bullet(alpha * u + v, w)
-    rhs = alpha * bullet(u, w) + bullet(v, w)
+    assert bullet(u, v, signs) == pytest.approx(bullet(v, u, signs), abs=1e-12)
+    lhs = bullet(alpha * u + v, w, signs)
+    rhs = alpha * bullet(u, w, signs) + bullet(v, w, signs)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_conj_involution_and_product_conjugation():
     rng = np.random.default_rng(7)
     space = allocate(2, 3)
-    u = space.vector(rng.normal(size=5) + 1j * rng.normal(size=5))
-    v = space.vector(rng.normal(size=5) + 1j * rng.normal(size=5))
-    assert np.array_equal(u.conj().conj().coeffs, u.coeffs)
-    assert bullet(u.conj(), v.conj()) == pytest.approx(
-        np.conj(bullet(u, v)), rel=1e-12, abs=1e-12)
+    u, v = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    assert np.array_equal(u.conj().conj(), u)
+    assert bullet(u.conj(), v.conj(), space.signs) == pytest.approx(
+        np.conj(bullet(u, v, space.signs)), rel=1e-12, abs=1e-12)
 
 
 def test_standard_basis_product_table():
     space = allocate(4, 4)
     E, F = standard_basis(space)
-    assert len(E) == 2 and len(F) == 2
+    signs = space.signs
+    assert E.shape == F.shape == (2, space.size)
     for i in range(2):
         for j in range(2):
             d = 1.0 if i == j else 0.0
-            assert bullet(E[i], E[j].conj()) == pytest.approx(-d, abs=1e-14)
-            assert bullet(F[i], F[j].conj()) == pytest.approx(+d, abs=1e-14)
-            assert bullet(E[i], E[j]) == pytest.approx(0.0, abs=1e-14)
-            assert bullet(F[i], F[j]) == pytest.approx(0.0, abs=1e-14)
-            assert bullet(E[i], F[j]) == pytest.approx(0.0, abs=1e-14)
-            assert bullet(E[i], F[j].conj()) == pytest.approx(0.0, abs=1e-14)
+            assert bullet(E[i], E[j].conj(), signs) == pytest.approx(-d, abs=1e-14)
+            assert bullet(F[i], F[j].conj(), signs) == pytest.approx(+d, abs=1e-14)
+            assert bullet(E[i], E[j], signs) == pytest.approx(0.0, abs=1e-14)
+            assert bullet(F[i], F[j], signs) == pytest.approx(0.0, abs=1e-14)
+            assert bullet(E[i], F[j], signs) == pytest.approx(0.0, abs=1e-14)
+            assert bullet(E[i], F[j].conj(), signs) == pytest.approx(0.0, abs=1e-14)
     # the null combination advertised for zero eigenvalues
     null = E[0] + F[0]
-    assert bullet(null, null.conj()) == pytest.approx(0.0, abs=1e-14)
+    assert bullet(null, null.conj(), signs) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_standard_basis_requires_matched_even_signature():
@@ -175,8 +160,8 @@ def test_resolve_diag_plus_minus():
     res = resolve_hermitian(np.diag([1.0, -1.0]), space)
     E, F = standard_basis(space)
     # c_1 = F_1 and c_2 = E_2 exactly (descending eigenvalue order)
-    assert np.allclose(res.vectors[0].coeffs, F[0].coeffs)
-    assert np.allclose(res.vectors[1].coeffs, E[1].coeffs)
+    assert np.allclose(res.coeffs[0], F[0])
+    assert np.allclose(res.coeffs[1], E[1])
     assert res.gram_residual() < 1e-14
     assert res.null_residual() < 1e-14
 
@@ -185,8 +170,9 @@ def test_resolve_zero_matrix_unit_null_vector():
     space = allocate(2, 2)
     res = resolve_hermitian(np.zeros((1, 1)), space)
     E, F = standard_basis(space)
-    assert np.allclose(res.vectors[0].coeffs, (E[0] + F[0]).coeffs)
-    assert bullet(res.vectors[0], res.vectors[0].conj()) == pytest.approx(0.0, abs=1e-14)
+    assert np.allclose(res.coeffs[0], E[0] + F[0])
+    assert bullet(res.coeffs[0], res.coeffs[0].conj(), space.signs) == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_resolve_random_mixed_signature():
@@ -218,18 +204,19 @@ def test_resolve_insufficient_space():
         resolve_hermitian(np.eye(3), allocate(4, 4))
 
 
-def _pair_grams(c, dstar):
-    x = np.array([[bullet(c[a], c[b].conj()) for b in range(2)] for a in range(2)])
-    p = np.array([[bullet(dstar[a], dstar[b].conj()) for b in range(2)] for a in range(2)])
-    m = np.array([[bullet(c[a], dstar[b]) for b in range(2)] for a in range(2)])
+def _pair_grams(c, dstar, signs):
+    x = np.array([[bullet(c[a], c[b].conj(), signs) for b in range(2)] for a in range(2)])
+    p = np.array([[bullet(dstar[a], dstar[b].conj(), signs) for b in range(2)]
+                  for a in range(2)])
+    m = np.array([[bullet(c[a], dstar[b], signs) for b in range(2)] for a in range(2)])
     return x, p, m
 
 
 def test_resolve_pair_disjoint_blocks_m_zero():
     x = np.diag([2.0, 1.0])
     p = np.diag([1.0, 0.5])
-    c, dstar, _ = resolve_pair(x, p, np.zeros((2, 2)))
-    gx, gp, gm = _pair_grams(c, dstar)
+    c, dstar, space = resolve_pair(x, p, np.zeros((2, 2)))
+    gx, gp, gm = _pair_grams(c, dstar, space.signs)
     assert np.abs(gx - x).max() < 1e-12
     assert np.abs(gp - p).max() < 1e-12
     assert np.abs(gm).max() < 1e-13
@@ -239,8 +226,8 @@ def test_resolve_pair_noether_constrained():
     mu = 1.0
     x = np.eye(2)
     p = np.eye(2)
-    c, dstar, _ = resolve_pair(x, p, mu * np.eye(2))
-    _, _, gm = _pair_grams(c, dstar)
+    c, dstar, space = resolve_pair(x, p, mu * np.eye(2))
+    _, _, gm = _pair_grams(c, dstar, space.signs)
     assert np.abs(gm - mu * np.eye(2)).max() < 1e-13
 
 
@@ -250,16 +237,16 @@ def test_resolve_pair_random_all_blocks():
         x = random_hermitian(rng, 2)
         p = random_hermitian(rng, 2)
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        c, dstar, _ = resolve_pair(x, p, M)
-        gx, gp, gm = _pair_grams(c, dstar)
+        c, dstar, space = resolve_pair(x, p, M)
+        gx, gp, gm = _pair_grams(c, dstar, space.signs)
         assert np.abs(gx - x).max() < 1e-10
         assert np.abs(gp - p).max() < 1e-10
         assert np.abs(gm - M).max() < 1e-10
         # same-kind products stay null
         for a in range(2):
             for b in range(2):
-                assert abs(bullet(c[a], c[b])) < 1e-12
-                assert abs(bullet(dstar[a], dstar[b])) < 1e-12
+                assert abs(bullet(c[a], c[b], space.signs)) < 1e-12
+                assert abs(bullet(dstar[a], dstar[b], space.signs)) < 1e-12
 
 
 def test_resolve_pair_requires_h_block():
@@ -286,8 +273,8 @@ def test_validate_hermitian_symmetrizes():
 # -- packed paths against the per-vector references ---------------------------
 #
 # The references are the loops the coefficient-stack code replaced: one bullet
-# per Gram entry and one ClVector sum per (row, eigendirection).  The packed
-# code must agree with them bit for bit, signed zeros included.
+# per Gram entry and one row sum per (row, eigendirection).  The packed code
+# must agree with them bit for bit, signed zeros included.
 
 def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -308,14 +295,14 @@ def _seeded_resolutions(seed, count=40):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_gram_tables_match_bullet_loop(seed):
     for _, res in _seeded_resolutions(seed):
-        vecs = res.vectors
-        n = len(vecs)
+        rows, signs = res.coeffs, res.space.signs
+        n = len(rows)
         realized = np.empty((n, n), dtype=complex)
         null = np.empty((n, n), dtype=complex)
-        for i, vi in enumerate(vecs):
-            for j, vj in enumerate(vecs):
-                realized[i, j] = bullet(vi, vj.conj())
-                null[i, j] = bullet(vi, vj)
+        for i, vi in enumerate(rows):
+            for j, vj in enumerate(rows):
+                realized[i, j] = bullet(vi, vj.conj(), signs)
+                null[i, j] = bullet(vi, vj, signs)
         assert_same_bits(res.realized_gram(), realized)
         assert_same_bits(res.null_gram(), null)
 
@@ -332,14 +319,13 @@ def test_resolve_rows_match_per_entry_accumulation(seed):
             acc = np.zeros(space.size, dtype=complex)
             for k in range(n):
                 if abs(lam[k]) <= zero_cut:
-                    basis, weight = E[k].coeffs + F[k].coeffs, 1.0
+                    basis, weight = E[k] + F[k], 1.0
                 elif lam[k] > 0:
-                    basis, weight = F[k].coeffs, np.sqrt(lam[k])
+                    basis, weight = F[k], np.sqrt(lam[k])
                 else:
-                    basis, weight = E[k].coeffs, np.sqrt(-lam[k])
+                    basis, weight = E[k], np.sqrt(-lam[k])
                 acc = acc + U[i, k] * weight * basis
-            assert_same_bits(res.coeffs[i], ClVector(space, acc).coeffs)
-            assert_same_bits(res.vectors[i].coeffs, acc)
+            assert_same_bits(res.coeffs[i], acc)
 
 
 def test_resolve_pair_rows_match_vector_arithmetic():
@@ -347,16 +333,17 @@ def test_resolve_pair_rows_match_vector_arithmetic():
     for _ in range(10):
         x, p = random_hermitian(rng, 2), random_hermitian(rng, 2)
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        C, D, space = resolve_pair_packed(x, p, M)
+        C, D, space = resolve_pair(x, p, M)
         Eh, Fh = standard_basis(space, "h")
         c_ref = [v + (Eh[A] + Fh[A])
-                 for A, v in enumerate(resolve_hermitian(x, space, "c").vectors)]
-        d_ref = list(resolve_hermitian(p, space, "d").vectors)
+                 for A, v in enumerate(resolve_hermitian(x, space, "c").coeffs)]
+        d_ref = list(resolve_hermitian(p, space, "d").coeffs)
         for B in range(2):
             for i in range(2):
-                d_ref[B] = d_ref[B] + complex(M[i, B]) * ((Eh[i] - Fh[i]).conj() * (-0.5))
-        assert_same_bits(C, np.stack([v.coeffs for v in c_ref]))
-        assert_same_bits(D, np.stack([v.coeffs for v in d_ref]))
+                d_ref[B] = d_ref[B] + complex(M[i, B]) * ((Eh[i] - Fh[i]).conj()
+                                                          * complex(-0.5))
+        assert_same_bits(C, np.stack(c_ref))
+        assert_same_bits(D, np.stack(d_ref))
 
 
 def test_bullet_gram_is_the_bullet_table():
@@ -364,5 +351,5 @@ def test_bullet_gram_is_the_bullet_table():
     space = allocate(3, 5)
     V = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
     W = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-    ref = np.array([[bullet(space.vector(v), space.vector(w)) for w in W] for v in V])
+    ref = np.array([[bullet(v, w, space.signs) for w in W] for v in V])
     assert np.allclose(bullet_gram(V, W, space.signs), ref, rtol=0, atol=1e-14)

@@ -38,10 +38,10 @@ def _system(n=3, mu=0.6, seed=0, hbar=0.0):
         x = rng.uniform(-1, 1, 4)
         sp = rng.uniform(-0.3, 0.3, 3)
         p = np.array([np.sqrt(MASS ** 2 + sp @ sp), *sp])
-        c, d, _ = resolve_pair(vec_to_spinor(x), covec_to_spinor_down(p),
+        C, D, _ = resolve_pair(vec_to_spinor(x), covec_to_spinor_down(p),
                                mu * np.eye(2), space,
                                labels=(f"c{i}", f"d{i}", f"h{i}"))
-        states.append(ParticleState(c, d, MASS))
+        states.append(ParticleState(np.concatenate((C, D)), space, MASS))
     return assemble(states, hbar=hbar), states
 
 
@@ -71,27 +71,27 @@ def test_assemble_diagonal_and_commuting():
 
 def test_assemble_rejects_overlapping_blocks():
     space = allocate_blocks([("c0", 4, 4), ("d0", 4, 4), ("h0", 4, 4)])
-    c, d, _ = resolve_pair(np.eye(2), np.eye(2), np.zeros((2, 2)), space,
+    C, D, _ = resolve_pair(np.eye(2), np.eye(2), np.zeros((2, 2)), space,
                            labels=("c0", "d0", "h0"))
-    st = ParticleState(c, d, MASS)
+    st = ParticleState(np.concatenate((C, D)), space, MASS)
     with pytest.raises(PreconditionError):
         assemble([st, st])
 
 
 def test_assemble_requires_common_mass():
     sys1, states = _system(n=1)
-    other = ParticleState(states[0].c, states[0].dstar, 2 * MASS)
+    other = ParticleState(states[0].packed(), states[0].space, 2 * MASS)
     with pytest.raises(InputError):
         assemble([states[0], other])
 
 
 # -- gauge transformations -----------------------------------------------------
 
-def _combine(vectors, weights):
-    # the per-vector rotation the (2, N, G) stack code replaced
-    acc = np.zeros(vectors[0].space.size, dtype=complex)
-    for w, v in zip(weights, vectors):
-        acc += w * v.coeffs
+def _combine(rows, weights):
+    # the per-row rotation the (2, N, G) stack code replaced
+    acc = np.zeros(rows[0].shape, dtype=complex)
+    for w, row in zip(weights, rows):
+        acc += w * row
     return acc
 
 
@@ -107,14 +107,14 @@ def test_gauge_transform_matches_per_vector_combine(n, seed):
     U = random_unitary(np.random.default_rng(seed), n)
     out = gauge_transform(sys_n, U)
     for a in range(2):
-        kets = [st.c[a] for st in states]
-        bras = [st.dstar[a] for st in states]
+        kets = [st.packed()[a] for st in states]
+        bras = [st.packed()[2 + a] for st in states]
         _assert_same_bits(out.kets[a], np.stack([_combine(kets, U[i, :]) for i in range(n)]))
         _assert_same_bits(out.bras[a],
                           np.stack([_combine(bras, U.conj()[i, :]) for i in range(n)]))
     s = U[:, 0]
-    for a, cvec in enumerate(expectation(s, sys_n, "C")):
-        _assert_same_bits(cvec.coeffs, _combine([st.c[a] for st in states], s.conj()))
+    for a, crow in enumerate(expectation(s, sys_n, "C")):
+        _assert_same_bits(crow, _combine([st.packed()[a] for st in states], s.conj()))
 
 def test_gauge_transform_similarity_and_constraint():
     sys3, _ = _system(n=3, mu=0.6)
@@ -520,7 +520,7 @@ def test_expectation_eigenvector_returns_eigenvalue():
     val = expectation(s, sys3, "X")
     assert np.abs(val.real - states[1].x_vec()).max() < 1e-12
     cvec = expectation(s, sys3, "C")
-    assert np.allclose(cvec[0].coeffs, states[1].c[0].coeffs)
+    assert np.allclose(cvec[0], states[1].packed()[0])
 
 
 def test_expectation_linearity_on_diagonal_x():

@@ -65,6 +65,15 @@ def test_build_state_reproduces_inputs():
     assert st.mu_charge() == pytest.approx(0.7, abs=1e-13)
 
 
+def test_state_requires_a_four_row_stack_of_the_space():
+    st = _state()
+    Y, G = st.packed(), st.space.size
+    for bad in (Y[:2], Y[:, :-1], np.zeros((4, G + 1)), Y[None]):
+        with pytest.raises(InputError, match=f"\\(4, {G}\\)"):
+            ParticleState(bad, st.space, MASS)
+    assert np.array_equal(ParticleState(Y, st.space, MASS).packed(), Y)
+
+
 def test_state_grams_hermitian():
     st = _state()
     for S in (st.x_spinor(), st.p_spinor()):
@@ -82,12 +91,13 @@ def test_lagrangian_quartic_invariant_two_routes():
     # oracle: evaluate the double contraction with explicit epsilon lowering
     st = _state()
     dc = _velocity_of_flow(st, 0.5)
-    W = np.array([[bullet(dc[a], dc[b].conj()) for b in range(2)] for a in range(2)])
+    W = np.array([[bullet(dc[a], dc[b].conj(), st.space.signs) for b in range(2)]
+                  for a in range(2)])
     W_low = flip_both(W)
     direct = 0.5 * np.sum(W * W_low)
     via_vec = minkowski_dot(spinor_to_vec(W), spinor_to_vec(W))
     assert direct == pytest.approx(via_vec, rel=1e-12)
-    assert lagrangian_c2(dc, MASS) == pytest.approx(
+    assert lagrangian_c2(dc, st.space.signs, MASS) == pytest.approx(
         4.0 * np.sqrt(MASS) * direct.real ** 0.25, rel=1e-12)
 
 
@@ -95,9 +105,9 @@ def test_lagrangian_homogeneous_degree_one():
     st = _state()
     dc = _velocity_of_flow(st, 0.5)
     lam = -2.0 + 0.7j
-    scaled = [lam * v for v in dc]
-    assert lagrangian_c2(scaled, MASS) == pytest.approx(
-        abs(lam) * lagrangian_c2(dc, MASS), rel=1e-12)
+    scaled = lam * dc
+    assert lagrangian_c2(scaled, st.space.signs, MASS) == pytest.approx(
+        abs(lam) * lagrangian_c2(dc, st.space.signs, MASS), rel=1e-12)
 
 
 def test_lagrangian_rejects_negative_radicand():
@@ -109,19 +119,21 @@ def test_lagrangian_rejects_negative_radicand():
     sp = allocate(4, 4)
     res = resolve_hermitian(vec_to_spinor([0.0, 1.0, 0.0, 0.0]), sp)
     with pytest.raises(PreconditionError):
-        lagrangian_c2(list(res.vectors), MASS)
+        lagrangian_c2(res.coeffs, sp.signs, MASS)
 
 
 def test_polyakov_stationary_einbein_recovers_quartic_action():
     st = _state()
     dc = _velocity_of_flow(st, 0.5)
-    W = np.array([[bullet(dc[a], dc[b].conj()) for b in range(2)] for a in range(2)])
+    W = np.array([[bullet(dc[a], dc[b].conj(), st.space.signs) for b in range(2)]
+                  for a in range(2)])
     Q = minkowski_dot(spinor_to_vec(W), spinor_to_vec(W)).real
     e_star = Q ** 0.25 / MASS ** 1.5
-    assert polyakov_lagrangian(dc, e_star, MASS) == pytest.approx(
-        lagrangian_c2(dc, MASS), rel=1e-12)
+    assert polyakov_lagrangian(dc, st.space.signs, e_star, MASS) == pytest.approx(
+        lagrangian_c2(dc, st.space.signs, MASS), rel=1e-12)
     # einbein-form momenta satisfy p.p = e^{-4/3} Q^{1/3}
-    assert conjugate_momentum_norm(dc, 0.5) == pytest.approx(MASS ** 2, rel=1e-10)
+    assert conjugate_momentum_norm(dc, st.space.signs, 0.5) == pytest.approx(MASS ** 2,
+                                                                             rel=1e-10)
 
 
 # -- Hamiltonian and flow ----------------------------------------------------
@@ -140,9 +152,9 @@ def test_hamiltonian_off_shell_value():
 def test_rhs_free_particle_momentum_frozen():
     st = _state()
     _, dd = canonical_rhs(st, 0.5)
-    assert all(np.abs(v.coeffs).max() == 0.0 for v in dd)
+    assert all(np.abs(v).max() == 0.0 for v in dd)
     dc, _ = canonical_rhs(st, 0.0)
-    assert all(np.abs(v.coeffs).max() == 0.0 for v in dc)
+    assert all(np.abs(v).max() == 0.0 for v in dc)
 
 
 def test_rhs_x_flow_proportional_to_momentum():
@@ -151,7 +163,8 @@ def test_rhs_x_flow_proportional_to_momentum():
     e_val = 0.5
     st = _state(mu=mu)
     dc, _ = canonical_rhs(st, e_val)
-    dx = np.array([[bullet(dc[a], st.c[b].conj()) + bullet(st.c[a], dc[b].conj())
+    c, signs = st.packed()[:2], st.space.signs
+    dx = np.array([[bullet(dc[a], c[b].conj(), signs) + bullet(c[a], dc[b].conj(), signs)
                     for b in range(2)] for a in range(2)])
     from cliffdyn.spinors import DP_DOWN, ETA
     grad_p = 2.0 * e_val * (ETA @ st.p_vec())
@@ -226,7 +239,7 @@ def test_integrate_columns_match_per_state_path(e):
     M = np.array([[0.7 + 0.02j, 0.05 + 0.01j], [0.05 - 0.01j, 0.6]])
     st = build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), M, MASS)
     traj = integrate(st, e, 1.5, 2500)
-    states = [ParticleState._of_stack(Y, st.space, MASS, tau)
+    states = [ParticleState(Y, st.space, MASS, tau)
               for Y, tau in zip(_flow_rows(st, e, 1.5, 2500), traj.tau)]
     charges = [noether_charges(s) for s in states]
     assert np.array_equal(traj.x, np.array([s.x_vec() for s in states]))
@@ -374,7 +387,7 @@ def test_integrate_names_the_first_non_finite_step():
     assert kind is ArithmeticError and message.endswith("at step 2451")
     Y = st.packed().copy()
     Y[0, 3] = np.nan
-    poisoned = ParticleState._of_stack(Y, st.space, MASS, 0.0)
+    poisoned = ParticleState(Y, st.space, MASS, 0.0)
     with pytest.raises(ArithmeticError, match="at step 0$"):
         integrate(poisoned, constant_einbein(0.5), 1.0, 10)
 
@@ -400,7 +413,7 @@ def test_constraint_drift_matches_per_state_shell():
     traj = Trajectory(MASS, *(
         np.concatenate([getattr(r, col) for r in runs])
         for col in ("tau", "taubar", "x", "p", "J", "j", "mu")))
-    shell = np.array([ParticleState._of_stack(Y, st.space, MASS, st.tau).mass_shell()
+    shell = np.array([ParticleState(Y, st.space, MASS, st.tau).mass_shell()
                       for st in starts for Y in _flow_rows(st, e, 0.1, 1)])
     drift = np.abs(shell - shell[0]).max()
     assert drift > 0.1

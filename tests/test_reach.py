@@ -41,7 +41,7 @@ def _layers():
 TRACED = {f"{layer}.{name}" for layer, table in _layers().TRACED.items() for name in table}
 
 PAPER = "paper identity: a test checks the paper's formula with it"
-EDGE = "the ClVector / GeneratorSpace public edge"
+EDGE = "the GeneratorSpace public edge: its signature and block accessors"
 REFERENCE = "a reference that a test compares against"
 INSTRUMENT = "a test instrument"
 IMPORT = "runs at import, before the hook is set"
@@ -63,24 +63,10 @@ KEPT = {
     "worldsheet.mode_spec_to_json": BENCH,
     "tolerances.Tolerances.with_overrides": "the Tolerances override; tests route "
                                             "tolerances through the checks with it",
-    "clifford.ClVector.__add__": EDGE,
-    "clifford.ClVector.__sub__": EDGE,
-    "clifford.ClVector.__mul__": EDGE,
-    "clifford.ClVector.__truediv__": EDGE,
-    "clifford.ClVector.__neg__": EDGE,
-    "clifford.ClVector.__repr__": EDGE,
-    "clifford.ClVector.conj": EDGE,
     "clifford.GeneratorSpace.__repr__": EDGE,
     "clifford.GeneratorSpace.block_slice": EDGE,
-    "clifford.GeneratorSpace.generator": EDGE,
     "clifford.GeneratorSpace.n_neg": EDGE,
     "clifford.GeneratorSpace.n_pos": EDGE,
-    "clifford.GeneratorSpace.vector": EDGE,
-    "clifford.GeneratorSpace.zero": EDGE,
-    "clifford.GramResolution.vectors": EDGE,
-    "clifford.standard_basis": EDGE,
-    "particle.ParticleState.c": EDGE,
-    "particle.ParticleState.dstar": EDGE,
     "spinors.minkowski_dot": PAPER,
     "particle.ParticleState.mass_shell": PAPER,
     "particle._velocity_contraction": PAPER,

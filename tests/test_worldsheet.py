@@ -668,7 +668,7 @@ def test_total_momentum_nonvibrating_pi_squared_identity(plain_state):
     p_down = flip_both(plain_state.p_up)
     assert np.abs(p_tot - math.pi ** 2 * p_down).max() < 1e-8
     # and the straight curve equals the plain sigma integral of d*^tau
-    assert bullet(dtot[0], dtot[0].conj()) == pytest.approx(
+    assert bullet(dtot[0], dtot[0].conj(), plain_state.space.signs) == pytest.approx(
         math.pi ** 2 * p_down[0, 0], abs=1e-10)
 
 
@@ -689,7 +689,7 @@ def test_total_momentum_matches_per_node_reference(rich_state):
         dacc += wu * (abs(vs) * db[0] + abs(vt) * db[1])
     dacc += 2 * len(us) * EPS * mag      # the node sum, taken in another order
     dtot, p_tot = total_momentum(rich_state, curve)
-    assert _within(np.stack([v.coeffs for v in dtot]), acc, dacc)
+    assert _within(dtot, acc, dacc)
     p_ref = bullet_gram(acc, acc.conj(), rich_state.space.signs)
     assert _within(p_tot, p_ref, _gram_bound(rich_state, acc, acc, dacc, dacc))
 
