@@ -151,7 +151,8 @@ def cmd_string(args) -> int:
     table = np.column_stack((taus, sigmas, xs, phis, Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 1]))
     row = ",".join(["%.17g"] * table.shape[1])
     _write(out_dir / "fields.csv", "\n".join(["tau,sigma,x0,x1,x2,x3,phi,T00,T01,T11",
-                                              *(row % tuple(r) for r in table.tolist())]) + "\n")
+                                              *[row] * len(table), ""])
+           % tuple(table.ravel().tolist()))
     result = EXIT_OK
     if args.residuals:
         residuals, orders = worldsheet.residual_suite(state)

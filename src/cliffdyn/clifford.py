@@ -86,16 +86,20 @@ class GeneratorSpace:
     def n_neg(self) -> int:
         return int(np.count_nonzero(self.signs < 0))
 
-    def block_slice(self, label: str) -> slice:
+    def _block(self, label: str) -> tuple[int, int]:
+        """(offset, length) of one block; PreconditionError for an unknown label."""
         try:
-            offset, length = self.blocks[label]
+            return self.blocks[label]
         except KeyError:
             raise PreconditionError(f"no block labelled {label!r}") from None
+
+    def block_slice(self, label: str) -> slice:
+        offset, length = self._block(label)
         return slice(offset, offset + length)
 
     def block_signature(self, label: str) -> tuple[int, int]:
         """(n_pos, n_neg) of one block."""
-        offset, length = self.blocks[label]
+        length = self._block(label)[1]
         pos = self._block_pos[label]
         return pos, length - pos
 

@@ -31,7 +31,7 @@ from .clifford import bullet_gram
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import DP_DOWN, EPS_LO, ETA
 from .tolerances import DEFAULT
-from .worldsheet import Curve, StringState, curve_polymomenta, eval_c_packed, simpson_weights
+from .worldsheet import Curve, StringState, curve_fields, simpson_weights
 
 __all__ = [
     "CurrentSample",
@@ -137,8 +137,7 @@ def sample_currents(state: StringState, curve: Curve, n_points: int = 128
                     ) -> CurrentSample:
     """Evaluate the currents at n_points + 1 nodes along a spacelike curve."""
     us = np.linspace(0.0, 1.0, n_points + 1)
-    points, dproj = curve_polymomenta(state, curve, us)
-    c = eval_c_packed(state, points[:, 0], points[:, 1])
+    _, c, dproj = curve_fields(state, curve, us)
     return _make_sample(us, float(us[1] - us[0]), c, dproj, state.space.signs)
 
 
@@ -341,13 +340,10 @@ def fit_structure_constants(samples: Sequence[CurrentSample]) -> np.ndarray:
         raise PreconditionError(
             "current components are linearly dependent on the sampled curves; "
             "add another slice to pin the structure constants")
-    f_fit = np.zeros((3, 3, 3), dtype=complex)
-    for ia in range(3):
-        for ie in range(3):
-            target = np.concatenate([
-                s.du * _node_brackets(s, s.j_records[ia], s.j_records[ie]) for s in samples])
-            f_fit[ia, ie] = np.linalg.lstsq(rows, target, rcond=None)[0]
-    return f_fit
+    targets = np.stack([np.concatenate([
+        s.du * _node_brackets(s, s.j_records[ia], s.j_records[ie]) for s in samples])
+        for ia in range(3) for ie in range(3)], axis=1)           # one column per (ia, ie)
+    return np.linalg.lstsq(rows, targets, rcond=None)[0].T.reshape(3, 3, 3)
 
 
 def _n_basis() -> np.ndarray:

@@ -395,7 +395,8 @@ class Trajectory:
                                  self.j, self.mu))
         row = ",".join(["%.17g"] * table.shape[1])
         return "\n".join(["tau,taubar,x0,x1,x2,x3,p0,p1,p2,p3,J11_re,J11_im,J12_re,J12_im,"
-                          "J22_re,J22_im,j,mu", *(row % tuple(r) for r in table.tolist())]) + "\n"
+                          "J22_re,J22_im,j,mu", *[row] * len(table), ""]) \
+            % tuple(table.ravel().tolist())
 
 
 def _free_flow(state0: ParticleState, e: EinbeinFn, tau_end: float, steps: int):

@@ -28,6 +28,7 @@ of the non-vibrating string.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,7 +59,7 @@ __all__ = [
     "constant_time_curve",
     "arc_curve",
     "simpson_weights",
-    "curve_polymomenta",
+    "curve_fields",
     "total_momentum",
     "spinning_mode_spec",
     "spinning_string",
@@ -184,14 +185,19 @@ def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
 
 
 class StringState:
-    """Mode coefficients as one coefficient stack, with per-state row matrices.
+    """Mode coefficients as one coefficient stack, with per-state row matrices and tables.
 
     ``coeffs`` is the (2 * len(spec.labels), G) stack in the Gram's label
     order, rows ``2 i + A`` for label i and spinor component A.  ``c_rows``
-    is the same stack as one (labels, 2 G) row per label, so a field linear
-    in the coefficients is a (points, labels) phase matrix times ``c_rows``.
+    is the same stack as (labels, 2, G), so a field linear in the
+    coefficients is a (points, labels) phase matrix times ``c_rows``.
     ``dstar_rows`` = p2^{-2} L_down conj(c_rows), per label, gives the
-    polymomenta the same way; it is None unless p.p > 0.
+    polymomenta the same way.  ``dstar_gram`` is the label Gram of those
+    rows, bullet(d*row_{i,A}, conj(d*row_{j,B})) at [2 i + A, 2 j + B], so a
+    product of two polymomenta at a point is the point's phases times this
+    table times their conjugates: O(labels^2) work per point, not O(G).
+    Both are None unless p.p > 0.  ``l_contractions`` are the dilaton's
+    mode coefficients.
     """
 
     def __init__(self, spec: ModeSpec, space: GeneratorSpace, coeffs: np.ndarray):
@@ -203,9 +209,12 @@ class StringState:
         self.L_down = flip_both(self.L_up)
         self.p_up = self.L_up / self.p2 if self.p2 > 1e-12 else None
         per_label = coeffs.reshape(len(spec.labels), 2, space.size)
-        self.c_rows = per_label.reshape(len(spec.labels), -1)
-        self.dstar_rows = None if self.p_up is None else \
-            (self.p2 ** -2 * (self.L_down @ per_label.conj())).reshape(len(spec.labels), -1)
+        self.c_rows = per_label
+        self.dstar_rows = self.dstar_gram = None
+        if self.p_up is not None:
+            self.dstar_rows = self.p2 ** -2 * (self.L_down @ per_label.conj())
+            dstar = self.dstar_rows.reshape(coeffs.shape)
+            self.dstar_gram = bullet_gram(dstar, dstar.conj(), space.signs)
         # l_A . conj(l)_B against every allowed Gram block: the dilaton's mode coefficients
         self.l_contractions = {pair: _l_contract(self, spec.block(*pair))
                                for pair in spec._allowed_pairs()}
@@ -213,6 +222,11 @@ class StringState:
     def bullet_gram_residual(self) -> float:
         realized = bullet_gram(self.coeffs, self.coeffs.conj(), self.space.signs)
         return float(np.abs(realized - self.spec.gram).max())
+
+    @functools.cached_property
+    def exact_sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """The step-free sides of the f51 and f90 residuals, made on first use."""
+        return _exact_sides(self)
 
 
 def build_wave_state(spec: ModeSpec) -> StringState:
@@ -243,8 +257,10 @@ def build_wave_state(spec: ModeSpec) -> StringState:
 # the polymomenta are linear in the mode coefficients: each is the points'
 # phase matrix from _phases times the state's c_rows or dstar_rows, one
 # (points, labels) @ (labels, 2 G) product per call (see _product), which
-# agrees with the per-mode sum to rounding.  x and the dilaton keep their
-# closed-form mode loops.
+# agrees with the per-mode sum to rounding.  T is bilinear in the
+# polymomenta: it is the points' phases times the state's dstar_gram,
+# contracted with p, times their conjugates, so no G-long row is formed at a
+# point.  x and the dilaton keep their closed-form mode loops.
 
 def _points(tau, sigma) -> tuple[np.ndarray, ...]:
     """tau and sigma as float arrays broadcast to one point shape."""
@@ -294,23 +310,29 @@ _SERIAL_PRODUCT = 2 ** 16
 
 
 def _product(phases: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(*S, labels) phases times (labels, 2 G) rows: (*S, 2, G).
+    """(*S, labels) phases times a (labels, *F) table of rows: (*S, *F).
 
     The points are flattened first (a stacked matmul would make one small
     product per point), then multiplied a block of points at a time.
     """
     flat = phases.reshape(-1, phases.shape[-1])
-    out = np.empty((len(flat), rows.shape[1]), dtype=complex)
-    block = max(1, _SERIAL_PRODUCT // rows.size)
+    table = rows.reshape(len(rows), -1)
+    out = np.empty((len(flat), table.shape[1]), dtype=complex)
+    block = max(1, _SERIAL_PRODUCT // table.size)
     for lo in range(0, len(flat), block):
-        np.matmul(flat[lo:lo + block], rows, out=out[lo:lo + block])
-    return out.reshape(*phases.shape[:-1], 2, -1)
+        np.matmul(flat[lo:lo + block], table, out=out[lo:lo + block])
+    return out.reshape(*phases.shape[:-1], *rows.shape[1:])
 
 
 def _dstar_rows(state: StringState) -> np.ndarray:
     if state.dstar_rows is None:
         raise PreconditionError(f"p.p = {state.p2:.3e}: polymomenta need p.p > 0")
     return state.dstar_rows
+
+
+def _dstar_phases(state: StringState, tau, sigma) -> np.ndarray:
+    """Factor of each label in d*^tau and d*^sigma: eta_aa conj(d_a c phases), (*S, 2, labels)."""
+    return ETA_WS.diagonal()[:, None] * _phases(state, tau, sigma)[..., 1:, :].conj()
 
 
 def eval_c_packed(state: StringState, tau, sigma) -> np.ndarray:
@@ -337,22 +359,24 @@ def dstar_upper(state: StringState, tau, sigma) -> np.ndarray:
     d*^alpha_A = p2^{-2} L_down[A, B] eta^{alpha beta} d_beta conj(c^B).
     """
     rows = _dstar_rows(state)
-    phases = _phases(state, tau, sigma)[..., 1:, :].conj()
-    return _product(ETA_WS.diagonal()[:, None] * phases, rows)
+    return _product(_dstar_phases(state, tau, sigma), rows)
 
 
 def energy_momentum(state: StringState, tau, sigma) -> np.ndarray:
     """T^{ab} = (3 p.p - m^2)/2 eta^{ab} - p^{AB} d*^{(a}_A . conj(d*^{b)}_B), shape (*S, 2, 2).
 
-    Symmetric and real; its eta-trace vanishes on shell.  Raises
-    VerificationError if T is non-real (or NaN) at any point.
+    With psi the points' (*S, 2, labels) polymomentum phases and
+    M = p^{AB} K[., A, ., B] the label Gram contracted with p, the bullet
+    term is the symmetric part of psi M psi^dagger.  Symmetric and real; its
+    eta-trace vanishes on shell.  Raises VerificationError if T is non-real
+    (or NaN) at any point.
     """
-    ds = dstar_upper(state, tau, sigma)
-    D = bullet_gram(ds[..., :, None, :, :], ds[..., None, :, :, :].conj(),
-                    state.space.signs)                           # (*S, alpha, beta, A, B)
-    Dsym = 0.5 * (D + np.swapaxes(D, -4, -3))
-    T = 0.5 * (3 * state.p2 - state.spec.mass ** 2) * ETA_WS \
-        - np.einsum("AB,...abAB->...ab", state.p_up, Dsym)
+    _dstar_rows(state)
+    n = len(state.spec.labels)
+    M = np.einsum("AB,iAjB->ij", state.p_up, state.dstar_gram.reshape(n, 2, n, 2))
+    psi = _dstar_phases(state, tau, sigma)
+    E = np.einsum("...ai,...bi->...ab", _product(psi, M), psi.conj())
+    T = 0.5 * (3 * state.p2 - state.spec.mass ** 2) * ETA_WS - 0.5 * (E + np.swapaxes(E, -2, -1))
     scale = np.maximum(1.0, np.abs(T).max(axis=(-2, -1)))
     if not np.all(np.abs(T.imag).max(axis=(-2, -1)) <= 1e-10 * scale):
         raise VerificationError("energy-momentum tensor came out non-real")
@@ -425,13 +449,30 @@ def wave_residual(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
     return np.abs(box - 2.0 * state.L_up).max(axis=(-2, -1))
 
 
+def _exact_sides(state: StringState) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice values that f51 and f90 compare their differences with.
+
+    f51's p^{AE} d_{alpha E}, shape (16, 2, 2, G), and f90's
+    -m^2 eta_ab + (eta_cd d*^c.d^d) d*_(a.d_b), shape (16, 2, 2).  Neither
+    depends on the step, so :attr:`StringState.exact_sides` keeps them.
+    """
+    ds = dstar_upper(state, _GRID_TAU, _GRID_SIGMA)
+    f51 = state.p_up @ (ETA_WS.diagonal()[:, None, None] * ds.conj())
+    signs = state.space.signs
+    Pi = sum(bullet_gram(ETA_WS[g, g] * ds[:, g], ds[:, g].conj(), signs) for g in range(2))
+    u = np.stack([ETA_WS[a, a] * np.stack([ds[:, a, 1], -ds[:, a, 0]], axis=1)
+                  for a in range(2)], axis=1)
+    D = bullet_gram(u[:, :, None], u[:, None].conj(), signs)
+    Dsym = 0.5 * (D + np.swapaxes(D, 1, 2))
+    f90 = -state.spec.mass ** 2 * ETA_WS + np.einsum("nAB,nabAB->nab", Pi, Dsym).real
+    return f51, f90
+
+
 def residual_f51(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
     """|d_alpha c^A - p^{AE} d_{alpha E}| with the gradient by central differences."""
     tp, tm, sp, sm = eval_c_packed(state, *_stencil((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)))
     fd = np.stack([(tp - tm) / (2 * h), (sp - sm) / (2 * h)], axis=-3)
-    ds = dstar_upper(state, _GRID_TAU, _GRID_SIGMA)
-    rhs = state.p_up @ (ETA_WS.diagonal()[:, None, None] * ds.conj())
-    return np.abs(fd - rhs).max(axis=(-3, -2, -1))
+    return np.abs(fd - state.exact_sides[0]).max(axis=(-3, -2, -1))
 
 
 def residual_f52(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
@@ -455,15 +496,7 @@ def dilaton_residual(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarra
     dss = (sp - 2 * c + sm) / h ** 2
     dts = (pp - pm - mp + mm) / (4 * h ** 2)
     fd = np.stack([np.stack([dtt, dts], axis=-1), np.stack([dts, dss], axis=-1)], axis=-2)
-    signs = state.space.signs
-    ds = dstar_upper(state, _GRID_TAU, _GRID_SIGMA)
-    Pi = sum(bullet_gram(ETA_WS[g, g] * ds[:, g], ds[:, g].conj(), signs) for g in range(2))
-    u = np.stack([ETA_WS[a, a] * np.stack([ds[:, a, 1], -ds[:, a, 0]], axis=1)
-                  for a in range(2)], axis=1)
-    D = bullet_gram(u[:, :, None], u[:, None].conj(), signs)
-    Dsym = 0.5 * (D + np.swapaxes(D, 1, 2))
-    rhs = -state.spec.mass ** 2 * ETA_WS + np.einsum("nAB,nabAB->nab", Pi, Dsym).real
-    return np.abs(fd - rhs).max(axis=(-2, -1))
+    return np.abs(fd - state.exact_sides[1]).max(axis=(-2, -1))
 
 
 # -- curves and total charges ------------------------------------------------------
@@ -509,16 +542,17 @@ def simpson_weights(n_nodes: int, du: float) -> np.ndarray:
     return w * du / 3.0
 
 
-def curve_polymomenta(state: StringState, curve: Curve, us: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Node points and projected polymomenta along a spacelike curve.
+def _curve_phases(state: StringState, curve: Curve, us: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node points of a spacelike curve, their phases, and the projection's phases.
 
-    Returns the (n, 2) array of (tau, sigma) points at ``us`` and, as an
-    (n, 2, G) array, dsigma^a eps_{ba} d*^b = sigma' d*^tau - tau' d*^sigma
-    (eps_{01} = +1).  The curve and its velocity are each called once, on
-    the whole node array.  With eta = diag(1, -1) the projection is
-    (sigma' conj(dc/dtau phases) + tau' conj(dc/dsigma phases)) times
-    ``dstar_rows``: one product.
+    Returns the (n, 2) array of (tau, sigma) points at ``us``, their
+    (n, 3, labels) phases from _phases, and the (n, labels) phases of
+    dsigma^a eps_{ba} d*^b = sigma' d*^tau - tau' d*^sigma (eps_{01} = +1),
+    which with eta = diag(1, -1) are sigma' conj(dc/dtau phases) +
+    tau' conj(dc/dsigma phases).  The curve and its velocity are each called
+    once, on the whole node array, and the phases computed once.  Raises
+    PreconditionError unless the curve is spacelike at every node and p.p > 0.
     """
     us = np.asarray(us, dtype=float)
     tau, sigma, vt, vs = (np.broadcast_to(np.asarray(v, dtype=float), us.shape)
@@ -526,10 +560,24 @@ def curve_polymomenta(state: StringState, curve: Curve, us: np.ndarray
     spacelike = vs ** 2 - vt ** 2 > 0
     if not spacelike.all():
         raise PreconditionError(f"curve is not spacelike at u = {us[np.argmin(spacelike)]}")
-    rows = _dstar_rows(state)
-    phases = _phases(state, tau, sigma).conj()
-    return (np.stack((tau, sigma), axis=1),
-            _product(vs[:, None] * phases[:, 1] + vt[:, None] * phases[:, 2], rows))
+    _dstar_rows(state)
+    phases = _phases(state, tau, sigma)
+    conj = phases.conj()
+    return (np.stack((tau, sigma), axis=1), phases,
+            vs[:, None] * conj[:, 1] + vt[:, None] * conj[:, 2])
+
+
+def curve_fields(state: StringState, curve: Curve, us: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node points, c and the projected polymomenta along a spacelike curve.
+
+    Returns the (n, 2) array of (tau, sigma) points at ``us``, c there as an
+    (n, 2, G) stack, and dsigma^a eps_{ba} d*^b as another: one product of
+    the nodes' phases with ``c_rows`` and one with ``dstar_rows``.
+    """
+    points, phases, projected = _curve_phases(state, curve, us)
+    return (points, _product(phases[:, 0], state.c_rows),
+            _product(projected, state.dstar_rows))
 
 
 def total_momentum(state: StringState, curve: Curve) -> tuple[np.ndarray, np.ndarray]:
@@ -537,14 +585,15 @@ def total_momentum(state: StringState, curve: Curve) -> tuple[np.ndarray, np.nda
 
     d*tot_A = integral over the curve of dsigma^a eps_{ba} d*^b_A, by
     composite Simpson on 257 nodes; p_tot[A, B] = bullet(d*tot_A, conj(d*tot_B)).
-    The curve must run between the sigma = 0 and sigma = pi boundaries and
-    stay spacelike.
+    The weights are applied to the nodes' projected phases first, so the
+    integral is one (labels,) @ (labels, 2 G) product.  The curve must run
+    between the sigma = 0 and sigma = pi boundaries and stay spacelike.
     """
     us = np.linspace(0.0, 1.0, 257)
-    points, dproj = curve_polymomenta(state, curve, us)
+    points, _, projected = _curve_phases(state, curve, us)
     if abs(points[0, 1]) > 1e-9 or abs(points[-1, 1] - math.pi) > 1e-9:
         raise PreconditionError("curve endpoints must sit on sigma = 0 and sigma = pi")
-    acc = np.einsum("m,mag->ag", simpson_weights(len(us), us[1] - us[0]), dproj)
+    acc = _product(simpson_weights(len(us), us[1] - us[0]) @ projected, state.dstar_rows)
     p_tot = bullet_gram(acc, acc.conj(), state.space.signs)
     return acc, p_tot
 

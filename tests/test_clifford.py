@@ -107,6 +107,16 @@ def test_standard_basis_requires_matched_even_signature():
         standard_basis(allocate(4, 2))
 
 
+def test_unknown_block_label_is_a_precondition_error():
+    # block_signature looks the label up as block_slice does, not by a bare KeyError
+    space = allocate(2, 2)
+    for call in (lambda: space.block_signature("nope"),
+                 lambda: resolve_hermitian(np.eye(1), space, "nope"),
+                 lambda: standard_basis(space, "nope")):
+        with pytest.raises(PreconditionError, match="no block labelled 'nope'"):
+            call()
+
+
 def test_hermitian_eig_diagonal_and_pauli():
     U, lam = hermitian_eig(np.diag([3.0, -1.0]))
     assert np.allclose(lam, [3.0, -1.0])

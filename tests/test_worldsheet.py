@@ -8,14 +8,14 @@ import pytest
 
 from cliffdyn.clifford import bullet, bullet_gram
 from cliffdyn.errors import InputError, PreconditionError, VerificationError
-from cliffdyn.spinors import flip_both, spinor_to_vec
+from cliffdyn.spinors import flip_both, minkowski_norm, spinor_to_vec
 from cliffdyn.worldsheet import (
     ETA_WS,
     Curve,
     arc_curve,
     build_wave_state,
     constant_time_curve,
-    curve_polymomenta,
+    curve_fields,
     dilaton,
     dstar_upper,
     dilaton_residual,
@@ -64,6 +64,18 @@ def two_mode_state():
         a_cross={1: np.array([[0.14, 0.01], [0.02, 0.15]])},
         b_self={1: np.diag([0.16, 0.13]), -1: np.diag([0.12, 0.19])},
         b_cross={1: np.array([[0.13, -0.01j], [0.01, 0.12]])}))
+
+
+@pytest.fixture(scope="module")
+def skew_state():
+    # the acceptance spec with a complex Hermitian l block on shell, so p^{AB} != p^{BA}
+    spec = _rich_spec()
+    l_block = np.array([[1.0, 0.2j], [-0.2j, 1.0]])
+    l_block *= math.sqrt(MASS ** 6 / minkowski_norm(l_block))
+    gram = spec.gram.copy()
+    i = 2 * spec.labels.index("l")
+    gram[i:i + 2, i:i + 2] = l_block
+    return build_wave_state(type(spec)(MASS, spec.modes, gram))
 
 
 @pytest.fixture(scope="module")
@@ -591,20 +603,23 @@ def test_residuals_match_per_point_reference(any_state, h):
         assert _agrees(fn(any_state, h), ref(any_state, h), tol), fn.__name__
 
 
-def test_curve_polymomenta_matches_per_node_reference(any_state):
+def test_curve_fields_match_per_node_reference(any_state):
     curve = arc_curve(0.5, 0.2)
     us = np.linspace(0.0, 1.0, 129)
-    points, dproj = curve_polymomenta(any_state, curve, us)
+    points, c, dproj = curve_fields(any_state, curve, us)
     db = _dstar_bound(any_state)
     for m, u in enumerate(us):
         t, s = curve(float(u))
         vt, vs = curve.velocity(float(u))
         ds = _ref_dstar(any_state, t, s)
         assert tuple(points[m]) == (t, s)
+        assert _within(c[m], _ref_c(any_state, t, s), _c_bound(any_state, t, s))
         assert _within(dproj[m], vs * ds[0] - vt * ds[1], abs(vs) * db[0] + abs(vt) * db[1])
+    # c at the nodes is eval_c_packed's product, from the same phases
+    assert np.array_equal(c, eval_c_packed(any_state, points[:, 0], points[:, 1]))
 
 
-def test_curve_polymomenta_calls_the_curve_once_on_the_node_array(rich_state):
+def test_curve_fields_calls_the_curve_once_on_the_node_array(rich_state):
     base = arc_curve(0.5, 0.2)
     shapes = []
 
@@ -613,10 +628,10 @@ def test_curve_polymomenta_calls_the_curve_once_on_the_node_array(rich_state):
 
     us = np.linspace(0.0, 1.0, 129)
     recording = Curve(recorded(base), recorded(base.velocity))
-    points, dproj = curve_polymomenta(rich_state, recording, us)
+    got = curve_fields(rich_state, recording, us)
     assert shapes == [(129,), (129,)]
-    ref_points, ref_dproj = curve_polymomenta(rich_state, base, us)
-    assert np.array_equal(points, ref_points) and np.array_equal(dproj, ref_dproj)
+    ref = curve_fields(rich_state, base, us)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_curve_needs_its_derivative():
@@ -624,13 +639,31 @@ def test_curve_needs_its_derivative():
         Curve(lambda u: (0.5, math.pi * u))
 
 
-@pytest.mark.parametrize("mutation", ["mode-dropped", "right-mover-flipped"])
-def test_rounding_bound_rejects_a_wrong_reference(rich_state, mutation):
+@pytest.mark.parametrize("mutation", ["mode-dropped", "right-mover-flipped",
+                                      "T-mode-dropped", "T-p-transposed"])
+def test_rounding_bound_rejects_a_wrong_reference(rich_state, mutation, request, monkeypatch):
     # the bound admits a reordered sum, not a field with a term missing or mis-signed
     rng = np.random.default_rng(9)
     pts = [(rng.uniform(-1.5, 1.5), rng.uniform(0.0, math.pi)) for _ in range(50)]
     taus, sigmas = np.array(pts).T
-    if mutation == "mode-dropped":
+    if mutation.startswith("T-"):
+        # T from a label Gram with the last mode's rows dropped, or with p^{AB}
+        # contracted as p^{BA} (which p = m I hides, so on a complex l block)
+        state = rich_state if mutation == "T-mode-dropped" else request.getfixturevalue(
+            "skew_state")
+        got = np.array([_ref_T(state, t, s) for t, s in pts])
+        bound = np.array([_T_bound(state, t, s) for t, s in pts])
+        assert _within(energy_momentum(state, taus, sigmas), got, bound)
+        if mutation == "T-mode-dropped":
+            table = state.dstar_gram.copy()
+            for label in (f"a{state.spec.modes[-1]}", f"b{state.spec.modes[-1]}"):
+                i = 2 * state.spec.labels.index(label)
+                table[i:i + 2] = table[:, i:i + 2] = 0.0
+            monkeypatch.setattr(state, "dstar_gram", table)
+        else:
+            monkeypatch.setattr(state, "p_up", state.p_up.T)
+        wrong = energy_momentum(state, taus, sigmas)
+    elif mutation == "mode-dropped":
         got = eval_c_packed(rich_state, taus, sigmas)
         modes = rich_state.spec.modes[:-1]
         wrong = np.array([_ref_c(rich_state, t, s, modes=modes) for t, s in pts])
@@ -640,6 +673,17 @@ def test_rounding_bound_rejects_a_wrong_reference(rich_state, mutation):
         wrong = np.array([np.stack(_ref_dstar(rich_state, t, s, right=+1)) for t, s in pts])
         bound = _dstar_bound(rich_state)
     assert np.max(np.abs(got - wrong) - bound) > 1e-6
+
+
+def test_dstar_gram_is_the_bullet_gram_of_the_rows(any_state, plain_state):
+    for state in (any_state, plain_state):
+        rows = state.dstar_rows.reshape(2 * len(state.spec.labels), state.space.size)
+        assert np.array_equal(state.dstar_gram, bullet_gram(rows, rows.conj(), state.space.signs))
+    off_shell = build_wave_state(make_mode_spec(mass=1.0, l_block=np.diag([1.0, -1.0]),
+                                                on_shell=False))
+    assert off_shell.dstar_rows is None and off_shell.dstar_gram is None
+    with pytest.raises(PreconditionError, match="p.p > 0"):
+        energy_momentum(off_shell, 0.3, 0.7)
 
 
 def test_non_real_field_at_one_point_raises(rich_state, monkeypatch):
@@ -692,6 +736,19 @@ def test_total_momentum_matches_per_node_reference(rich_state):
     assert _within(dtot, acc, dacc)
     p_ref = bullet_gram(acc, acc.conj(), rich_state.space.signs)
     assert _within(p_tot, p_ref, _gram_bound(rich_state, acc, acc, dacc, dacc))
+
+
+def test_total_momentum_calls_the_curve_once_on_its_node_array(rich_state):
+    base = arc_curve(0.5, 0.2)
+    shapes = []
+
+    def recorded(fn):
+        return lambda u: (shapes.append(np.shape(u)), fn(u))[1]
+
+    got = total_momentum(rich_state, Curve(recorded(base), recorded(base.velocity)))
+    assert shapes == [(257,), (257,)]
+    ref = total_momentum(rich_state, base)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_total_momentum_path_independent(rich_state):
