@@ -292,7 +292,8 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     yield Gate("dagger_cross", float(np.abs(pres.f[:3, 3:, :]).max()), 0.0)
     su2_report = current_algebra.nk_decomposition(pres, tol=tols.algebra_closure)[2]
     yield Gate("su2_residual", su2_report["max_residual"], "algebra_closure")
-    poincare = current_algebra.poincare_check(sample, tol=tols.algebra_closure, charge=charge)
+    poincare = current_algebra.poincare_check(sample, tol=tols.algebra_closure, charge=charge,
+                                              pattern_tol=tols.momentum_charge)
     yield Gate("poincare_mismatch", poincare["max_structure_mismatch"], "algebra_closure")
     yield Gate("pp_residual", poincare["pp_residual"], 0.0)
     unitary = current_algebra.unitary_current_check(sample, tol=tols.unitary_brackets)

@@ -3,13 +3,20 @@
 Currents are sampled along a spacelike worldsheet curve; the functional
 Clifford bracket of two charges reduces, after the lattice replacement
 delta(u' - u'') -> delta_{kl} / du, to sums of bullet products of their
-functional derivatives.  One engine evaluates every bracket in play:
+functional derivatives.  The spinors form a canonical system (c with d*,
+conj(c) with conj(d*)), and every charge in play -- the currents j_(AB),
+their daggers, the U(1) current i and the momentum entries p_(EF) -- is
+bilinear in (c, d*).  So each charge is a constant coefficient table over
+the projected polymomentum rows, the c rows and the total-d* rows, built
+at import, and one contraction of those tables with one per-node Gram of
+the rows gives the node brackets of every pair of charges.  The sample
+keeps that table, and every check reads it:
 
 * pointwise current brackets, which must reproduce the epsilon pattern
   (j_AE eps_FB + A<->B) + E<->F times the lattice delta;
-* integrated charge brackets, which close on the total charges and carry
-  over to the quantum algebra through {,} -> [,]/(i hbar), i.e. structure
-  constants get multiplied by i hbar;
+* integrated charge brackets (Simpson weights applied to the table), which
+  close on the total charges and carry over to the quantum algebra through
+  {,} -> [,]/(i hbar), i.e. structure constants get multiplied by i hbar;
 * mixed momentum-charge brackets, which close on the total momentum and
   combine with the charge algebra into the Poincare algebra, checked
   against an independent matrix-representation oracle.
@@ -31,7 +38,7 @@ from .clifford import bullet_gram
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import DP_DOWN, EPS_LO, ETA
 from .tolerances import DEFAULT
-from .worldsheet import Curve, StringState, curve_fields, simpson_weights
+from .worldsheet import Curve, StringState, _product, curve_fields, simpson_weights
 
 __all__ = [
     "CurrentSample",
@@ -51,19 +58,48 @@ _SYM = ((0, 0), (0, 1), (1, 1))        # independent symmetric index pairs
 _SYM_INDEX = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 _PAIRS4 = ((0, 0), (0, 1), (1, 0), (1, 1))   # momentum entries, row-major
 
+# The charges of the bracket table, in order: j_(AB) over _SYM, their daggers,
+# the U(1) current i and the momentum entries p_(EF) over _PAIRS4.
+_J, _JD, _I, _P = slice(0, 3), slice(3, 6), 6, slice(7, 11)
+_N_CHARGES = 11
+# Gram columns: c^0, c^1, conj c^0, conj c^1, dt_0, dt_1, conj dt_0, conj dt_1
+# (dt the total d* rows); column k's conjugate is column _CONJ[k].
+_CONJ = [2, 3, 0, 1, 6, 7, 4, 5]
 
-@dataclass
-class _ChargeRecord:
-    """Functional derivatives of one charge, sampled on the grid.
 
-    Each field is None or an (n, 2, G) array: the derivative with respect to
-    c^A(u_m), d*_A(u_m), conj(c)^A(u_m), conj(d*)_A(u_m) respectively.
+def _pairing_table() -> np.ndarray:
+    """(32, charges**2) map from a node's (4, 8) Gram to its brackets of every charge pair.
+
+    A charge's derivative by the i-th coordinate (c^0, c^1, conj c^0, conj c^1)
+    is ``dq[f, i] @`` the momentum rows (dproj_0, dproj_1, conj dproj_0,
+    conj dproj_1); its derivative by the i-th momentum (d*_0, d*_1, conj d*_0,
+    conj d*_1) is ``dp[f, i] @`` the Gram columns' rows.  The bracket pairs
+    the two: {F, H} = sum_i bullet(dF/dq_i, dH/dp_i) - (F <-> H).
     """
+    dq = np.zeros((_N_CHARGES, 4, 4), dtype=complex)
+    dp = np.zeros((_N_CHARGES, 4, 8), dtype=complex)
+    for f, (A, B) in enumerate(_SYM):
+        # j_(AB) = bullet(c_A, d*_B) + bullet(c_B, d*_A), c_A = c^a eps_{aA}
+        for a in range(2):
+            dq[f, a, B] += EPS_LO[a, A]
+            dq[f, a, A] += EPS_LO[a, B]
+            dp[f, B, a] += EPS_LO[a, A]
+            dp[f, A, a] += EPS_LO[a, B]
+    dq[_JD, 2:, 2:] = dq[_J, :2, :2].conj()      # the daggers differentiate the conjugates
+    dp[_JD, 2:, 2:4] = dp[_J, :2, :2].conj()
+    for a in range(2):                            # i = i (bullet(c^a, d*_a) - conj)
+        dq[_I, a, a] = dp[_I, a, a] = 1j
+        dq[_I, 2 + a, 2 + a] = dp[_I, 2 + a, 2 + a] = -1j
+    for r, (E, F) in enumerate(_PAIRS4):          # p_EF = bullet(dt_E, conj dt_F)
+        dp[7 + r, E, 6 + F] = 1.0
+        dp[7 + r, 2 + F, 4 + E] = 1.0
+    pair = np.einsum("fil,gir->fglr", dq, dp)
+    table = (pair - pair.transpose(1, 0, 2, 3)).reshape(_N_CHARGES ** 2, 32).T.copy()
+    table.setflags(write=False)
+    return table
 
-    dc: np.ndarray | None = None
-    dds: np.ndarray | None = None
-    dcs: np.ndarray | None = None
-    dd: np.ndarray | None = None
+
+_PAIRING = _pairing_table()
 
 
 @dataclass
@@ -74,9 +110,11 @@ class CurrentSample:
     momentum density (the epsilon projection along the curve); ``j`` are the
     symmetric SL(2, C) current scalars and ``icur`` the U(1) current.
     ``weights`` are composite Simpson weights for the total charges.
-    ``j_records[_SYM_INDEX[A, B]]`` holds the functional derivatives of j_(AB)
-    and ``jd_records`` those of the dagger currents.  ``charges`` holds the
-    sample's verified :func:`charge_algebra` results by ``(hbar, rel_tol)``.
+    ``brackets`` is the sample's (nodes, 11, 11) table of node brackets of
+    every pair of charges (j_(AB), their daggers, i, p_(EF)), before the
+    lattice measure: built on first use from one per-node Gram and kept.
+    ``charges`` holds the sample's verified :func:`charge_algebra` results by
+    ``(hbar, rel_tol)``.
     """
 
     us: np.ndarray
@@ -87,8 +125,7 @@ class CurrentSample:
     signs: np.ndarray
     j: np.ndarray          # (n, 2, 2) complex, symmetric per point
     icur: np.ndarray       # (n,) complex
-    j_records: tuple[_ChargeRecord, ...]
-    jd_records: tuple[_ChargeRecord, ...]
+    brackets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -110,16 +147,6 @@ class CurrentSample:
         return bullet_gram(dt, dt.conj(), self.signs)
 
 
-def _j_record(c_low: np.ndarray, dproj: np.ndarray, A: int, B: int) -> _ChargeRecord:
-    """Derivatives of j_(AB) = bullet(c_A, d*_B) + bullet(c_B, d*_A) at every node."""
-    dc = EPS_LO[:, A][None, :, None] * dproj[:, B][:, None, :] \
-        + EPS_LO[:, B][None, :, None] * dproj[:, A][:, None, :]
-    dds = np.zeros_like(dproj)
-    dds[:, B] += c_low[:, A]
-    dds[:, A] += c_low[:, B]
-    return _ChargeRecord(dc=dc, dds=dds)
-
-
 def _make_sample(us, du, c, dproj, signs) -> CurrentSample:
     c_low = np.stack([c[:, 1], -c[:, 0]], axis=1)      # v_A = v^B eps_{BA} per node
     dproj_t = np.swapaxes(dproj, 1, 2)
@@ -127,10 +154,7 @@ def _make_sample(us, du, c, dproj, signs) -> CurrentSample:
     j = jm + np.swapaxes(jm, 1, 2)
     tr = np.trace((c * signs) @ dproj_t, axis1=1, axis2=2)
     icur = 1j * (tr - np.conj(tr))
-    recs = tuple(_j_record(c_low, dproj, A, B) for A, B in _SYM)
-    recs_d = tuple(_ChargeRecord(dcs=r.dc.conj(), dd=r.dds.conj()) for r in recs)
-    return CurrentSample(us, du, simpson_weights(len(us), du), c, dproj, signs, j, icur,
-                         recs, recs_d)
+    return CurrentSample(us, du, simpson_weights(len(us), du), c, dproj, signs, j, icur)
 
 
 def sample_currents(state: StringState, curve: Curve, n_points: int = 128
@@ -143,53 +167,48 @@ def sample_currents(state: StringState, curve: Curve, n_points: int = 128
 
 # -- the bracket engine ------------------------------------------------------------
 
-def _p_record(sample: CurrentSample, E: int, F: int) -> _ChargeRecord:
-    dt = sample.dstar_total()
-    dds = np.zeros_like(sample.dproj)
-    dd = np.zeros_like(sample.dproj)
-    dds[:, E, :] = dt[F].conj()
-    dd[:, F, :] = dt[E]
-    return _ChargeRecord(dds=dds, dd=dd)
+def _node_gram(sample: CurrentSample) -> np.ndarray:
+    """(n, 4, 8): bullet of each momentum row with each Gram column's row, per node.
 
-
-def _i_record(sample: CurrentSample) -> _ChargeRecord:
-    return _ChargeRecord(
-        dc=1j * sample.dproj,
-        dds=1j * sample.c,
-        dcs=-1j * sample.dproj.conj(),
-        dd=-1j * sample.c.conj())
-
-
-def _pairings(sample: CurrentSample, F1: _ChargeRecord, F2: _ChargeRecord) -> np.ndarray:
-    """The derivative pairings of {F1, F2} at every node, before any measure.
-
-    A pairing with a None slot is zero and is left out of the sum.
+    Rows dproj_A and their conjugates, columns as ``_CONJ`` lists them.  With
+    x = dproj * signs, the bilinear x @ c^T and the conjugated x @ c^H make the
+    first two rows; the conjugate rows follow, since the signs are real.
     """
-    total = np.zeros(sample.n_nodes, dtype=complex)
-    for X, Y, sign in ((F1.dc, F2.dds, 1), (F1.dcs, F2.dd, 1),
-                       (F2.dc, F1.dds, -1), (F2.dcs, F1.dd, -1)):
-        if X is not None and Y is not None:
-            term = np.einsum("mag,g,mag->m", X, sample.signs, Y)
-            if sign > 0:
-                total += term
-            else:
-                total -= term
-    return total
+    x = sample.dproj * sample.signs
+    dt = sample.dstar_total()
+    c_t = np.swapaxes(sample.c, 1, 2)
+    bilinear = x @ c_t
+    with_dt = _product(x, np.concatenate([dt, dt.conj()]).T)
+    np.conjugate(x, out=x)              # x @ c^H = conj(conj(x) @ c^T), in x's buffer
+    top = np.concatenate([bilinear, np.conj(x @ c_t), with_dt], axis=2)
+    return np.concatenate([top, top[:, :, _CONJ].conj()], axis=1)
 
 
-def _charge_bracket(sample: CurrentSample, F1: _ChargeRecord, F2: _ChargeRecord
-                    ) -> complex:
-    """{F1, F2} of integrated charges: the pairings summed with the Simpson weights."""
-    return complex(sample.weights @ _pairings(sample, F1, F2))
+def _bracket_table(sample: CurrentSample) -> np.ndarray:
+    """The (nodes, charges, charges) node brackets before the lattice measure: one
+    contraction of the Gram with the coefficient tables, kept read-only on the sample."""
+    if sample.brackets is None:
+        n = sample.n_nodes
+        table = _product(_node_gram(sample).reshape(n, 32), _PAIRING).reshape(n, _N_CHARGES, -1)
+        table.setflags(write=False)
+        sample.brackets = table
+    return sample.brackets
 
 
-def _node_brackets(sample: CurrentSample, F1: _ChargeRecord, F2: _ChargeRecord
-                   ) -> np.ndarray:
-    """{F1(u_m), F2(u_m)} at every node m, with the lattice delta 1/du."""
-    val = _pairings(sample, F1, F2)
-    # divide each part by du, as Python's complex / float does; numpy's
-    # complex division multiplies by a rounded reciprocal instead
-    return (val.view(float) / sample.du).view(complex)
+def _charge_brackets(sample: CurrentSample) -> np.ndarray:
+    """{F, H} of the integrated charges: the Simpson weights applied to the table.
+
+    Not a matrix-vector product: OpenBLAS hands even this small one to worker
+    threads, which then spin on the core of verify-all's forked criterion."""
+    return (sample.weights[:, None, None] * _bracket_table(sample)).sum(axis=0)
+
+
+def _per_du(val, du: float) -> np.ndarray:
+    """val / du with each part divided, as Python's complex / float does; numpy's
+    complex division multiplies by a rounded reciprocal instead."""
+    out = np.empty(np.shape(val), dtype=complex)
+    out.real, out.imag = np.real(val) / du, np.imag(val) / du
+    return out
 
 
 def current_bracket(sample: CurrentSample, A: int, B: int, E: int, F: int,
@@ -197,8 +216,8 @@ def current_bracket(sample: CurrentSample, A: int, B: int, E: int, F: int,
     """Discretized {j_AB(u_k), j_EF(u_l)}; supported on k = l with weight 1/du."""
     if k != l:
         return 0.0
-    recs = sample.j_records
-    return complex(_node_brackets(sample, recs[_SYM_INDEX[A, B]], recs[_SYM_INDEX[E, F]])[k])
+    return complex(_per_du(_bracket_table(sample)[k, _SYM_INDEX[A, B], _SYM_INDEX[E, F]],
+                           sample.du))
 
 
 def current_bracket_dotted(sample: CurrentSample, A: int, B: int, E: int, F: int,
@@ -206,8 +225,8 @@ def current_bracket_dotted(sample: CurrentSample, A: int, B: int, E: int, F: int
     """{j_AB(u_k), conj-current j_EF(u_l)}: vanishes identically."""
     if k != l:
         return 0.0
-    return complex(_node_brackets(sample, sample.j_records[_SYM_INDEX[A, B]],
-                                  sample.jd_records[_SYM_INDEX[E, F]])[k])
+    return complex(_per_du(_bracket_table(sample)[k, _SYM_INDEX[A, B], 3 + _SYM_INDEX[E, F]],
+                           sample.du))
 
 
 def g1_pattern(sample: CurrentSample, A: int, B: int, E: int, F: int,
@@ -241,8 +260,8 @@ class LiePresentation:
         return float(np.abs(total).max())
 
     def bracket(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        """Coefficients of [sum va_a g_a, sum vb_b g_b]."""
-        return np.einsum("a,b,abc->c", va, vb, self.f)
+        """Coefficients of [sum va_a g_a, sum vb_b g_b], broadcast over leading axes."""
+        return np.einsum("...a,...b,abc->...c", va, vb, self.f)
 
 
 def _jj_pattern_constants() -> np.ndarray:
@@ -257,7 +276,11 @@ def _jj_pattern_constants() -> np.ndarray:
             # ((j_AE eps_FB + A<->B) + E<->F)
             for (a, e, fb, eb) in ((A, E, F, B), (B, E, F, A), (A, F, E, B), (B, F, E, A)):
                 f[ia, ie, _SYM_INDEX[(a, e)]] += EPS_LO[fb, eb]
+    f.setflags(write=False)
     return f
+
+
+_JJ_PATTERN = _jj_pattern_constants()
 
 
 def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
@@ -284,19 +307,14 @@ def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
 def _charge_algebra(sample: CurrentSample, hbar: float, rel_tol: float
                     ) -> tuple[LiePresentation, dict]:
     jt = sample.j_total()
-    f_cl = _jj_pattern_constants()
     jvec = np.array([jt[0, 0], jt[0, 1], jt[1, 1]])
-    recs, recs_d = sample.j_records, sample.jd_records
     scale = max(1.0, float(np.abs(jvec).max()))
-    fit, cross = [], []                  # worst values taken by np.max, which keeps NaN
-    for ia in range(3):
-        for ie in range(3):
-            num = _charge_bracket(sample, recs[ia], recs[ie])
-            fit.append(abs(num - complex(f_cl[ia, ie] @ jvec)) / scale)
-            num_d = _charge_bracket(sample, recs_d[ia], recs_d[ie])
-            fit.append(abs(num_d - complex(np.conj(f_cl[ia, ie] @ jvec))) / scale)
-            cross.append(abs(_charge_bracket(sample, recs[ia], recs_d[ie])) / scale)
-    worst_fit, worst_cross = float(np.max(fit)), float(np.max(cross))
+    expect = _JJ_PATTERN @ jvec
+    tot = _charge_brackets(sample)
+    # worst values taken by np.max, which keeps NaN
+    worst_fit = float(np.max([np.abs(tot[_J, _J] - expect).max(),
+                              np.abs(tot[_JD, _JD] - expect.conj()).max()])) / scale
+    worst_cross = float(np.abs(tot[_J, _JD]).max()) / scale
     if not worst_fit <= rel_tol:
         raise VerificationError(f"charge algebra closure off by {worst_fit:.3e}",
                                 closure_rel_residual=worst_fit)
@@ -306,8 +324,8 @@ def _charge_algebra(sample: CurrentSample, hbar: float, rel_tol: float
     # the dagger charges close with the same real epsilon pattern (their
     # values conjugate, the coefficients do not); i hbar multiplies uniformly
     f = np.zeros((6, 6, 6), dtype=complex)
-    f[:3, :3, :3] = 1j * hbar * f_cl
-    f[3:, 3:, 3:] = 1j * hbar * f_cl
+    f[:3, :3, :3] = 1j * hbar * _JJ_PATTERN
+    f[3:, 3:, 3:] = 1j * hbar * _JJ_PATTERN
     f.setflags(write=False)
     labels = ("J00", "J01", "J11", "Jd00", "Jd01", "Jd11")
     pres = LiePresentation(labels, f)
@@ -330,33 +348,35 @@ def fit_structure_constants(samples: Sequence[CurrentSample]) -> np.ndarray:
     Solves {j_(AB)(u), j_(EF)(u)} du = sum_c f_c j_c(u) over all sample
     points.  One curve can be degenerate (the three j components may be
     linearly dependent along it), so several samples, e.g. two time slices,
-    are usually needed; raises when the joint system is rank deficient.
-    Used to demonstrate that the extracted constants are state independent.
+    are usually needed; raises when the joint system is rank deficient
+    (``Tolerances.fit_rank``).  Used to demonstrate that the extracted
+    constants are state independent.
     """
     rows = np.concatenate([
         np.stack([s.j[:, 0, 0], s.j[:, 0, 1], s.j[:, 1, 1]], axis=1) for s in samples])
     sv = np.linalg.svd(rows, compute_uv=False)
-    if sv[2] < 1e-6 * sv[0]:
+    if sv[2] < DEFAULT.fit_rank * sv[0]:
         raise PreconditionError(
             "current components are linearly dependent on the sampled curves; "
             "add another slice to pin the structure constants")
-    targets = np.stack([np.concatenate([
-        s.du * _node_brackets(s, s.j_records[ia], s.j_records[ie]) for s in samples])
-        for ia in range(3) for ie in range(3)], axis=1)           # one column per (ia, ie)
+    # one column per (ia, ie), row-major
+    targets = np.concatenate([s.du * _per_du(_bracket_table(s)[:, _J, _J], s.du)
+                              .reshape(s.n_nodes, 9) for s in samples])
     return np.linalg.lstsq(rows, targets, rcond=None)[0].T.reshape(3, 3, 3)
 
 
-def _n_basis() -> np.ndarray:
-    """Rows: N_1, N_2, N_3 as coefficients over (J_00, J_01, J_11).
-
-    N_1 = i/4 (J_11comp - J_00comp), N_2 = -1/4 (J_00comp + J_11comp),
-    N_3 = -i/2 J_01.  (Components named by 0-based spinor indices.)
-    """
-    return np.array([
-        [-0.25j, 0.0, 0.25j],
-        [-0.25, 0.0, -0.25],
-        [0.0, -0.5j, 0.0],
-    ], dtype=complex)
+# N_1 = i/4 (J_11comp - J_00comp), N_2 = -1/4 (J_00comp + J_11comp),
+# N_3 = -i/2 J_01 as rows over (J_00, J_01, J_11), components named by
+# 0-based spinor indices; _N and _ND place them and their conjugates, the
+# dagger triple, in the six-generator charge basis.
+_N_BASIS = np.array([[-0.25j, 0.0, 0.25j], [-0.25, 0.0, -0.25], [0.0, -0.5j, 0.0]])
+_N = np.concatenate([_N_BASIS, np.zeros((3, 3))], axis=1)
+_ND = np.concatenate([np.zeros((3, 3)), _N_BASIS.conj()], axis=1)
+_EPS3 = np.zeros((3, 3, 3))
+_EPS3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPS3[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0
+for _const in (_N_BASIS, _N, _ND, _EPS3):
+    _const.setflags(write=False)
 
 
 def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
@@ -372,33 +392,22 @@ def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
     """
     if len(pres.labels) != 6:
         raise InputError("expected the 6-generator charge algebra")
-    N = np.zeros((3, 6), dtype=complex)
-    N[:, :3] = _n_basis()
-    Nd = np.zeros((3, 6), dtype=complex)
-    Nd[:, 3:] = np.conj(_n_basis())
-    eps3 = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps3[i, j, k], eps3[j, i, k] = 1.0, -1.0
+    nn = pres.bracket(_N[:, None], _N[None])            # [N_i, N_j], (3, 3, 6)
+    dd = pres.bracket(_ND[:, None], _ND[None])
+    nd = pres.bracket(_N[:, None], _ND[None])
     # fit the closure constant from [N_1, N_2] = s N_3; the dagger triple
     # closes with the same s (same pattern constants, conjugated coefficients)
-    comm12 = pres.bracket(N[0], N[1])
-    denom = N[2][np.argmax(np.abs(N[2]))]
-    s = complex(comm12[np.argmax(np.abs(N[2]))] / denom)
-    residuals = []
-    for i in range(3):
-        for j in range(3):
-            expect = s * np.einsum("k,kc->c", eps3[i, j], N)
-            residuals.append(np.abs(pres.bracket(N[i], N[j]) - expect).max())
-            expect_d = s * np.einsum("k,kc->c", eps3[i, j], Nd)
-            residuals.append(np.abs(pres.bracket(Nd[i], Nd[j]) - expect_d).max())
-            residuals.append(np.abs(pres.bracket(N[i], Nd[j])).max())
-    worst = float(np.max(residuals))
+    top = np.argmax(np.abs(_N[2]))
+    s = complex(nn[0, 1, top] / _N[2, top])
+    worst = float(np.max([np.abs(nn - s * np.tensordot(_EPS3, _N, 1)).max(),
+                          np.abs(dd - s * np.tensordot(_EPS3, _ND, 1)).max(),
+                          np.abs(nd).max()]))
     if not worst <= tol:
         raise VerificationError(f"su(2) decomposition residual {worst:.3e}",
                                 su2_residual=worst)
     if not abs(abs(s) - hbar) <= tol:
         raise VerificationError(f"closure constant |{s}| != hbar", closure_constant=s)
-    f_su2 = s * eps3.astype(complex)
+    f_su2 = s * _EPS3.astype(complex)
     suA = LiePresentation(("N1", "N2", "N3"), f_su2)
     suB = LiePresentation(("Nd1", "Nd2", "Nd3"), f_su2.copy())
     # Casimir N.N central <=> f antisymmetric in (first, last) slots
@@ -410,89 +419,80 @@ def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
     return suA, suB, report
 
 
-def _pj_pattern(p_tot: np.ndarray) -> np.ndarray:
-    """{p_(EF), j_(AB)} = -(eps_EA p_BF + eps_EB p_AF) as a value table.
-
-    Rows index the momentum entries (E, F) in row-major 2x2 order, columns
-    the symmetric charge pairs; entries are complex bracket values.
+def _poincare_constants() -> tuple[np.ndarray, ...]:
+    """The [P, J] value pattern as a map from p_tot, the momentum rows of the
+    ten-generator table at hbar = 1, and the change of basis S to
+    (M_{12}, M_{13}, M_{23}, M_{10}, M_{20}, M_{30}, P_0..P_3) with its inverse.
     """
-    out = np.zeros((4, 3), dtype=complex)
-    for r, (E, F) in enumerate(_PAIRS4):
+    # generators (J(3), Jd(3), P entries(4)); every constant is the quantum
+    # i hbar times the classical pattern
+    pj = np.zeros((4, 3, 2, 2))
+    f = np.zeros((10, 10, 10), dtype=complex)
+    index_p = {pair: 6 + r for r, pair in enumerate(_PAIRS4)}
+    for (E, F), rp in index_p.items():
         for coli, (A, B) in enumerate(_SYM):
-            out[r, coli] = -(EPS_LO[E, A] * p_tot[B, F] + EPS_LO[E, B] * p_tot[A, F])
-    return out
+            # {p_EF, j_AB} = -(eps_EA p_BF + eps_EB p_AF)
+            for (a, b) in ((A, B), (B, A)):
+                pj[rp - 6, coli, b, F] -= EPS_LO[E, a]
+                f[rp, coli, index_p[(b, F)]] += -1j * EPS_LO[E, a]
+            # dotted partner: {p_EF, jd_AB} = -(eps_FA p_EB + eps_FB p_EA)
+            for (a, b) in ((A, B), (B, A)):
+                f[rp, 3 + coli, index_p[(E, b)]] += -1j * EPS_LO[F, a]
+    f[:6, 6:] = -np.swapaxes(f[6:, :6], 0, 1)
+    # The printed N-combinations close with s = -i hbar, so the left/right
+    # su(2) triples entering the boost/rotation split are -N and -Ndagger;
+    # the remaining orientation freedom (a pi-rotation about the third axis)
+    # is fixed once by the oracle match in poincare_check.
+    R3 = np.diag([-1.0, -1.0, 1.0])
+    N, Nd = (np.concatenate([R3 @ -v, np.zeros((3, 4))], axis=1) for v in (_N, _ND))
+    Jrot = N + Nd
+    K = 1j * (Nd - N)
+    S = np.zeros((10, 10), dtype=complex)
+    S[:6] = Jrot[2], -Jrot[1], Jrot[0], K[0], K[1], K[2]    # M_12, M_13 = eps_132 J_2, ...
+    for mu in range(4):
+        for r, (A, B) in enumerate(_PAIRS4):
+            S[6 + mu, 6 + r] = DP_DOWN[mu, A, B]
+    consts = pj, f, S, np.linalg.inv(S)
+    for c in consts:
+        c.setflags(write=False)
+    return consts
+
+
+_PJ_PATTERN, _P_TABLE, _S, _S_INV = _poincare_constants()
 
 
 def poincare_check(sample: CurrentSample, hbar: float = 1.0,
                    tol: float = DEFAULT.algebra_closure,
-                   charge: tuple[LiePresentation, dict] | None = None) -> dict:
+                   charge: tuple[LiePresentation, dict] | None = None,
+                   pattern_tol: float = DEFAULT.momentum_charge) -> dict:
     """Verify the full Poincare algebra of (M_munu, P_mu) against a matrix oracle.
 
     Builds the ten-generator structure table from the verified bracket
     patterns: charge algebra on (J, Jdagger) (the sample's
     ``charge_algebra(sample, hbar)``, computed once per sample, unless the
     algebra of another sample is passed in as ``charge``),
-    vanishing [P, P], and the mixed
-    momentum-charge pattern; maps (J, Jdagger) -> N -> (M_munu) and the
-    momentum entries -> P_mu; compares every structure constant against an
-    independent 5x5 affine matrix representation.
+    vanishing [P, P], and the mixed momentum-charge pattern, which the
+    integrated brackets must match within ``pattern_tol`` relative; maps
+    (J, Jdagger) -> N -> (M_munu) and the momentum entries -> P_mu; compares
+    every structure constant against an independent 5x5 affine matrix
+    representation.
     """
     pres, charge_report = charge if charge is not None else charge_algebra(sample, hbar=hbar)
     p_tot = sample.p_total()
     scale = max(1.0, float(np.abs(p_tot).max()))
     # verify the mixed pattern and [P, P] = 0 through the bracket engine
-    p_recs = {pair: _p_record(sample, *pair) for pair in _PAIRS4}
-    pat = _pj_pattern(p_tot)
-    worst_pj = float(np.max([abs(_charge_bracket(sample, p_recs[pair], jrec) - pat[r, coli])
-                             / scale for r, pair in enumerate(_PAIRS4)
-                             for coli, jrec in enumerate(sample.j_records)]))
-    worst_pp = float(np.max([abs(_charge_bracket(sample, p_recs[pa], p_recs[pb]))
-                             for pa in _PAIRS4 for pb in _PAIRS4]))
-    if not worst_pj <= 1e-9:
+    tot = _charge_brackets(sample)
+    worst_pj = float(np.abs(tot[_P, _J] - np.tensordot(_PJ_PATTERN, p_tot, 2)).max()) / scale
+    worst_pp = float(np.abs(tot[_P, _P]).max())
+    if not worst_pj <= pattern_tol:
         raise VerificationError(f"momentum-charge bracket pattern off by {worst_pj:.3e}",
                                 pj_pattern_residual=worst_pj)
     if worst_pp != 0.0:
         raise VerificationError("[P, P] failed to vanish exactly", pp_residual=worst_pp)
 
-    # ten-generator table over (J(3), Jd(3), P entries(4)); every constant is
-    # the quantum i hbar times the classical pattern
-    f = np.zeros((10, 10, 10), dtype=complex)
+    f = hbar * _P_TABLE
     f[:6, :6, :6] = pres.f
-    index_p = {pair: 6 + r for r, pair in enumerate(_PAIRS4)}
-    for (E, F), rp in index_p.items():
-        for coli, (A, B) in enumerate(_SYM):
-            # {p_EF, j_AB} = -(eps_EA p_BF + eps_EB p_AF)
-            for (a, b) in ((A, B), (B, A)):
-                f[rp, coli, index_p[(b, F)]] += -1j * hbar * EPS_LO[E, a]
-            # dotted partner: {p_EF, jd_AB} = -(eps_FA p_EB + eps_FB p_EA)
-            for (a, b) in ((A, B), (B, A)):
-                f[rp, 3 + coli, index_p[(E, b)]] += -1j * hbar * EPS_LO[F, a]
-    f[:6, 6:] = -np.swapaxes(f[6:, :6], 0, 1)
-
-    # change of basis to (M_{12}, M_{13}, M_{23}, M_{10}, M_{20}, M_{30}, P_0..P_3).
-    # The printed N-combinations close with s = -i hbar, so the left/right
-    # su(2) triples entering the boost/rotation split are -N and -Ndagger;
-    # the remaining orientation freedom (a pi-rotation about the third axis)
-    # is fixed once by the oracle match below.
-    R3 = np.diag([-1.0, -1.0, 1.0])
-    N = np.zeros((3, 10), dtype=complex)
-    N[:, :3] = R3 @ (-_n_basis())
-    Nd = np.zeros((3, 10), dtype=complex)
-    Nd[:, 3:6] = R3 @ (-np.conj(_n_basis()))
-    Jrot = N + Nd
-    K = 1j * (Nd - N)
-    S = np.zeros((10, 10), dtype=complex)
-    S[0] = Jrot[2]                            # M_12
-    S[1] = -Jrot[1]                           # M_13 = eps_132 J_2
-    S[2] = Jrot[0]                            # M_23
-    S[3] = K[0]                               # M_10
-    S[4] = K[1]                               # M_20
-    S[5] = K[2]                               # M_30
-    for mu in range(4):
-        for r, (A, B) in enumerate(_PAIRS4):
-            S[6 + mu, 6 + r] = DP_DOWN[mu, A, B]
-    Sinv = np.linalg.inv(S)
-    F_mine = np.einsum("ia,jb,abc,ck->ijk", S, S, f, Sinv, optimize=True)
+    F_mine = _S @ np.tensordot(_S, f @ _S_INV, (1, 0))
 
     F_oracle, oracle_labels = poincare_matrix_oracle(hbar)
     diff = float(np.abs(F_mine - F_oracle).max())
@@ -519,8 +519,8 @@ def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ..
     Generators: M_{mu nu} acting on vectors as i hbar (eta_{nu b} delta^a_mu -
     eta_{mu b} delta^a_nu), translations P_mu as i hbar in the affine column;
     constants extracted by least squares in the matrix space (exact here
-    because the set is closed and independent).  Built once per hbar; the
-    returned array is read-only.
+    because the set is closed and independent, to ``Tolerances.oracle_closure``).
+    Built once per hbar; the returned array is read-only.
     """
     gens = []
     labels = []
@@ -543,7 +543,7 @@ def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ..
             comm = gens[a] @ gens[b] - gens[b] @ gens[a]
             coef = comm.reshape(-1) @ pinv
             resid = np.abs(coef @ basis - comm.reshape(-1)).max()
-            if resid > 1e-12:
+            if resid > DEFAULT.oracle_closure:
                 raise VerificationError("oracle generators failed to close")
             F[a, b] = coef
     F.setflags(write=False)
@@ -552,16 +552,14 @@ def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ..
 
 def unitary_current_check(sample: CurrentSample,
                           tol: float = DEFAULT.unitary_brackets) -> dict:
-    """Equal-time brackets of the U(1) current with itself and with j_AB.
+    """Equal-time brackets of the U(1) current with itself and with j_AB, at every node.
 
     Both vanish identically; the report carries the observed maxima and the
     integrated charge (zero for states whose mixed Gram trace is real).
     """
-    irec = _i_record(sample)
-    nodes = slice(0, None, max(1, sample.n_nodes // 16))
-    worst_ii = float(np.abs(_node_brackets(sample, irec, irec)[nodes]).max())
-    worst_ij = float(np.max([np.abs(_node_brackets(sample, irec, jrec)[nodes]).max()
-                             for jrec in sample.j_records]))
+    node = _per_du(_bracket_table(sample)[:, _I, :_I + 1], sample.du)
+    worst_ii = float(np.abs(node[:, _I]).max())
+    worst_ij = float(np.abs(node[:, _J]).max())
     report = {
         "ii_residual": worst_ii,
         "ij_residual": worst_ij,

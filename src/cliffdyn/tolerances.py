@@ -45,7 +45,10 @@ class Tolerances:
     g1_identity: float = 1e-9           # relative
     algebra_closure: float = 1e-10
     charge_closure: float = 1e-9        # relative: every gate of charge_algebra
+    momentum_charge: float = 1e-9       # relative: poincare_check's [P, J] pattern
     unitary_brackets: float = 1e-10
+    fit_rank: float = 1e-6              # relative: the fit's least singular value
+    oracle_closure: float = 1e-12       # the Poincare matrix oracle's own closure
 
     h_grid: float = 1e-3
 

@@ -167,7 +167,7 @@ def _shows_non_finite(result):
     (contraction_identity, acceptance, "flip_both"),
     (un_covariance, acceptance, "random_unitary"),       # InputError, shown under ``error``
     (string_suite, worldsheet, "_phases"),
-    (algebra_suite, current_algebra, "_pairings"),
+    (algebra_suite, current_algebra, "_node_gram"),
 ], ids=["particle-dynamics", "picture-equivalence", "c30-identity", "un-covariance",
         "string-suite", "algebra-suite"])
 def test_non_finite_layer_fails_its_criterion(monkeypatch, criterion, owner, name, value):

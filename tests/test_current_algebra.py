@@ -1,6 +1,7 @@
 """Current brackets, charge algebra, su(2) split, Poincare verification."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,13 +12,9 @@ from cliffdyn.tolerances import DEFAULT
 from cliffdyn.spinors import EPS_LO
 from cliffdyn.current_algebra import (
     LiePresentation,
-    _SYM_INDEX,
-    _ChargeRecord,
-    _charge_bracket,
-    _i_record,
+    _bracket_table,
     _make_sample,
-    _node_brackets,
-    _p_record,
+    _per_du,
     charge_algebra,
     current_bracket,
     current_bracket_dotted,
@@ -87,24 +84,62 @@ def test_no_mode_currents_constant_along_curve():
     assert np.abs(s.j - s.j[0]).max() < 1e-13
 
 
-# -- whole-sample engine against the per-node reference ---------------------------
+# -- the bracket table against the per-node reference -----------------------------
 #
-# The reference is the per-node engine the whole-sample one replaced: records
-# built one node at a time and brackets contracted one node at a time.  The
-# engine must agree with it bit for bit.
+# The reference builds each charge's functional derivatives one node at a
+# time as G-wide rows, (dc, dds, dcs, dd) by c, d*, conj(c) and conj(d*), and
+# contracts them one node at a time.  The engine instead contracts constant
+# coefficient tables with one per-node Gram, so the sums run in another
+# order: the two agree to the float64 summation bound.
 
-def _ref_j_record(sample, A, B):
+EPS = np.finfo(float).eps
+PAIRS4 = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+class _Rec(NamedTuple):
+    dc: np.ndarray | None = None
+    dds: np.ndarray | None = None
+    dcs: np.ndarray | None = None
+    dd: np.ndarray | None = None
+
+
+def _ref_j_record(sample, A, B, eps=EPS_LO, dds_terms=2):
     n, _, G = sample.c.shape
     dc = np.zeros((n, 2, G), dtype=complex)
     dds = np.zeros((n, 2, G), dtype=complex)
     for m in range(n):
         c_low = np.stack([sample.c[m, 1], -sample.c[m, 0]])
         for Gi in range(2):
-            dc[m, Gi] = EPS_LO[Gi, A] * sample.dproj[m, B] \
-                + EPS_LO[Gi, B] * sample.dproj[m, A]
+            dc[m, Gi] = eps[Gi, A] * sample.dproj[m, B] + eps[Gi, B] * sample.dproj[m, A]
         dds[m, B] += c_low[A]
-        dds[m, A] += c_low[B]
-    return _ChargeRecord(dc=dc, dds=dds)
+        if dds_terms == 2:
+            dds[m, A] += c_low[B]
+    return _Rec(dc=dc, dds=dds)
+
+
+def _ref_records(sample, j_record=_ref_j_record, p_conj=True):
+    """The table's charges in its order: j_(AB), their daggers, i, p_(EF)."""
+    js = [j_record(sample, A, B) for A, B in SYM]
+    jds = [_Rec(dcs=r.dc.conj(), dd=r.dds.conj()) for r in js]
+    i = _Rec(dc=1j * sample.dproj, dds=1j * sample.c,
+             dcs=-1j * sample.dproj.conj(), dd=-1j * sample.c.conj())
+    dt = np.einsum("m,mag->ag", sample.weights, sample.dproj)
+    ps = []
+    for E, F in PAIRS4:
+        dds = np.zeros_like(sample.dproj)
+        dd = np.zeros_like(sample.dproj)
+        dds[:, E] = dt[F].conj() if p_conj else dt[F]
+        dd[:, F] = dt[E]
+        ps.append(_Rec(dds=dds, dd=dd))
+    return js + jds + [i] + ps
+
+
+def _terms(sample, F1, F2, k):
+    """The signed pairings of {F1, F2} at node k, each as its (2, G) bullet terms."""
+    return [sign * X[k] * sample.signs * Y[k]
+            for sign, X, Y in ((1, F1.dc, F2.dds), (1, F1.dcs, F2.dd),
+                               (-1, F2.dc, F1.dds), (-1, F2.dcs, F1.dd))
+            if X is not None and Y is not None]
 
 
 def _ref_point_bracket(sample, F1, F2, k):
@@ -116,6 +151,28 @@ def _ref_point_bracket(sample, F1, F2, k):
     val = (contract(F1.dc, F2.dds) + contract(F1.dcs, F2.dd)
            - contract(F2.dc, F1.dds) - contract(F2.dcs, F1.dd))
     return val / sample.du
+
+
+def _bracket_bound(sample, F1, F2, k):
+    """Both sides' float64 summation error at node k, over du: the engine sums G
+    products per Gram entry and 32 Gram entries, the reference 2 G per pairing."""
+    G = sample.c.shape[-1]
+    mag = sum(float(np.abs(t).sum()) for t in _terms(sample, F1, F2, k))
+    return 4 * (G + 32) * EPS * mag / sample.du
+
+
+def _ref_node_table(sample, records):
+    n = sample.n_nodes
+    pairs = [(F1, F2) for F1 in records for F2 in records]
+    ref = np.array([[_ref_point_bracket(sample, F1, F2, k) for F1, F2 in pairs]
+                    for k in range(n)]).reshape(n, len(records), len(records))
+    bound = np.array([[_bracket_bound(sample, F1, F2, k) for F1, F2 in pairs]
+                      for k in range(n)]).reshape(ref.shape)
+    return ref, bound
+
+
+def _within(got, ref, bound):
+    return got.shape == ref.shape and bool(np.all(np.abs(got - ref) <= bound))
 
 
 @pytest.fixture(scope="module", params=[16, 24, 128])
@@ -133,61 +190,68 @@ def test_sample_matches_per_node_reference(sized_sample):
         assert np.array_equal(s.j[m], jm + jm.T)
         tr = np.trace((s.c[m] * s.signs) @ s.dproj[m].T)
         assert s.icur[m] == 1j * (tr - np.conj(tr))
-    for A, B in SYM + ((1, 0),):
-        ref = _ref_j_record(s, A, B)
-        rec, rec_d = s.j_records[_SYM_INDEX[A, B]], s.jd_records[_SYM_INDEX[A, B]]
-        assert np.array_equal(rec.dc, ref.dc) and np.array_equal(rec.dds, ref.dds)
-        assert rec.dcs is None and rec.dd is None
-        assert np.array_equal(rec_d.dcs, ref.dc.conj())
-        assert np.array_equal(rec_d.dd, ref.dds.conj())
-        assert rec_d.dc is None and rec_d.dds is None
 
 
 def test_node_brackets_match_per_node_reference(sized_sample):
     s = sized_sample
-    irec = _i_record(s)
-    pairs = [(F1, F2) for F1 in s.j_records for F2 in s.j_records + s.jd_records]
-    pairs += [(irec, irec)] + [(irec, F) for F in s.j_records]
-    for F1, F2 in pairs:
-        ref = np.array([_ref_point_bracket(s, F1, F2, k) for k in range(s.n_nodes)])
-        assert np.array_equal(_node_brackets(s, F1, F2), ref)
+    ref, bound = _ref_node_table(s, _ref_records(s))
+    assert _within(_per_du(_bracket_table(s), s.du), ref, bound)
+
+
+@pytest.mark.parametrize("mutation", ["eps-flipped", "dds-term-dropped", "p-unconjugated"])
+def test_bracket_bound_rejects_a_wrong_reference(mutation):
+    # the bound admits a reordered sum, not a record with a sign flipped or a term dropped
+    st = build_wave_state(acceptance._acceptance_mode_spec())
+    s = sample_currents(st, constant_time_curve(0.4), 16)
+    if mutation == "eps-flipped":
+        wrong = _ref_records(s, j_record=lambda *a: _ref_j_record(*a, eps=EPS_LO.T))
+    elif mutation == "dds-term-dropped":
+        wrong = _ref_records(s, j_record=lambda *a: _ref_j_record(*a, dds_terms=1))
+    else:
+        wrong = _ref_records(s, p_conj=False)
+    got = _per_du(_bracket_table(s), s.du)
+    assert _within(got, *_ref_node_table(s, _ref_records(s)))
+    ref, bound = _ref_node_table(s, wrong)
+    assert np.max(np.abs(got - ref) - bound) > 1e-6
 
 
 def test_charge_bracket_matches_weighted_reference(sample):
-    """The engine weights the pairings summed per node; the reference contracts
+    """The engine weights the node brackets of its table; the reference contracts
     each pairing with the weights in one sum.  The sums run in another order,
     so they agree to the float64 summation bound n * eps * sum |terms|.
     """
-    irec = _i_record(sample)
-    p_recs = [_p_record(sample, E, F) for E, F in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    pairs = [(F1, F2) for F1 in sample.j_records for F2 in sample.j_records + sample.jd_records]
-    pairs += [(irec, irec)] + [(P, F) for P in p_recs for F in sample.j_records]
-    for F1, F2 in pairs:
-        ref = 0.0
-        bound = 0.0
-        for sign, X, Y in ((1, F1.dc, F2.dds), (1, F1.dcs, F2.dd),
-                           (-1, F2.dc, F1.dds), (-1, F2.dcs, F1.dd)):
-            if X is None or Y is None:
-                continue
-            ref += sign * complex(np.einsum("m,mag,g,mag->", sample.weights, X, sample.signs, Y))
-            t = np.einsum("m,mag,g,mag->mag", sample.weights, X, sample.signs, Y)
-            bound += 4 * t.size * np.finfo(float).eps * float(np.abs(t).sum())
-        assert abs(_charge_bracket(sample, F1, F2) - ref) <= bound
+    records = _ref_records(sample)
+    got = np.tensordot(sample.weights, _bracket_table(sample), 1)
+    for f1, F1 in enumerate(records):
+        for f2, F2 in enumerate(records):
+            ref = 0.0
+            bound = 0.0
+            for sign, X, Y in ((1, F1.dc, F2.dds), (1, F1.dcs, F2.dd),
+                               (-1, F2.dc, F1.dds), (-1, F2.dcs, F1.dd)):
+                if X is None or Y is None:
+                    continue
+                ref += sign * complex(np.einsum("m,mag,g,mag->", sample.weights, X,
+                                                sample.signs, Y))
+                t = np.einsum("m,mag,g,mag->mag", sample.weights, X, sample.signs, Y)
+                bound += 4 * t.size * EPS * float(np.abs(t).sum())
+            assert abs(got[f1, f2] - ref) <= bound
 
 
 def test_fit_matches_per_node_reference(rich_state):
+    """The fit's right-hand sides are the table's node brackets times du, within
+    the bound of the reference; lstsq moves its solution by at most the sides'
+    change over the least singular value."""
     samples = [sample_currents(rich_state, constant_time_curve(t), 16) for t in (0.4, 0.9)]
     rows = np.concatenate([
         np.stack([s.j[:, 0, 0], s.j[:, 0, 1], s.j[:, 1, 1]], axis=1) for s in samples])
-    refs = [[_ref_j_record(s, *p) for p in SYM] for s in samples]
-    expect = np.zeros((3, 3, 3), dtype=complex)
-    for ia in range(3):
-        for ie in range(3):
-            target = np.concatenate([
-                np.array([s.du * _ref_point_bracket(s, r[ia], r[ie], k)
-                          for k in range(s.n_nodes)]) for s, r in zip(samples, refs)])
-            expect[ia, ie] = np.linalg.lstsq(rows, target, rcond=None)[0]
-    assert np.array_equal(fit_structure_constants(samples), expect)
+    refs = [[s.du * r.reshape(s.n_nodes, 9) for r in _ref_node_table(s, _ref_records(s)[:3])]
+            for s in samples]
+    target, bound = (np.concatenate(parts) for parts in zip(*refs))
+    expect = np.linalg.lstsq(rows, target, rcond=None)[0].T.reshape(3, 3, 3)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    slack = np.linalg.norm(bound, axis=0).reshape(3, 3, 1) / sv[-1] \
+        + 8 * (sv[0] / sv[-1]) * EPS * np.abs(expect).max()
+    assert np.all(np.abs(fit_structure_constants(samples) - expect) <= slack)
 
 
 # -- pointwise brackets -----------------------------------------------------------
@@ -335,19 +399,30 @@ def test_poincare_check_reuses_given_charge_algebra(sample, monkeypatch):
 def test_poincare_check_reads_the_sample_charge_algebra(monkeypatch):
     import cliffdyn.current_algebra as ca
     st = build_wave_state(acceptance._acceptance_mode_spec())
-    fresh = sample_currents(st, constant_time_curve(0.4), 16)
-    calls = []
+    fresh, other = (sample_currents(st, constant_time_curve(t), 16) for t in (0.4, 0.9))
+    grams = []
 
-    def counted(*args, _fn=ca._charge_bracket):
-        calls.append(1)
-        return _fn(*args)
+    def counted(sample, _fn=ca._node_gram):
+        grams.append(sample)
+        return _fn(sample)
 
-    monkeypatch.setattr(ca, "_charge_bracket", counted)
+    monkeypatch.setattr(ca, "_node_gram", counted)
     charge_algebra(fresh)
-    assert len(calls) == 27                  # 9 closure, 9 dagger and 9 cross brackets
-    calls.clear()
+    assert len(grams) == 1 and grams[0] is fresh          # one Gram per sample
     poincare_check(fresh)
-    assert len(calls) == 28                  # its own 12 [P, J] and 16 [P, P] brackets
+    unitary_current_check(fresh)
+    current_bracket(fresh, 0, 1, 1, 1, 3, 3)
+    assert len(grams) == 1                                 # they read the kept table
+    fit_structure_constants([fresh, other])
+    assert len(grams) == 2 and grams[1] is other
+
+
+def test_bracket_table_is_kept_per_sample_and_read_only(sample):
+    table = _bracket_table(sample)
+    assert _bracket_table(sample) is table and sample.brackets is table
+    assert table.shape == (sample.n_nodes, 11, 11)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0.0
 
 
 def test_charge_algebra_is_kept_per_sample_and_read_only():
@@ -460,6 +535,15 @@ def test_charge_closure_override_fails_algebra_suite():
     assert 1e-30 < result.details["closure_rel_residual"] <= DEFAULT.charge_closure
 
 
+def test_momentum_charge_override_fails_algebra_suite():
+    # the [P, J] pattern residual is about 1e-15 on the acceptance sample
+    result = acceptance.algebra_suite(0, DEFAULT.with_overrides(momentum_charge=1e-30))
+    assert not result.passed
+    assert result.line().startswith("[FAIL]")
+    assert result.details["error"].startswith("momentum-charge bracket pattern off by")
+    assert 1e-30 < result.details["pj_pattern_residual"] <= DEFAULT.momentum_charge
+
+
 def test_poincare_check_on_second_state():
     st = build_wave_state(_rich_spec(0.04))
     s = sample_currents(st, constant_time_curve(0.7), 64)
@@ -480,3 +564,18 @@ def test_unitary_charge_vanishes_on_constrained_state():
     s = sample_currents(st, constant_time_curve(0.4), 64)
     report = unitary_current_check(s)
     assert abs(report["i_total"]) < 1e-12
+
+
+def test_unitary_check_reads_every_node():
+    # a NaN c row at node 5 makes that node's brackets NaN; a check that strides
+    # over the nodes (every 8th of these 129) would pass it by
+    st = build_wave_state(acceptance._acceptance_mode_spec())
+    clean = sample_currents(st, constant_time_curve(0.4), 128)
+    c = clean.c.copy()
+    c[5, 0, 2] = np.nan
+    broken = _make_sample(clean.us, clean.du, c, clean.dproj, clean.signs)
+    assert np.isnan(_bracket_table(broken)[5]).all()
+    assert not np.isnan(np.delete(_bracket_table(broken), 5, axis=0)).any()
+    with pytest.raises(VerificationError) as info:
+        unitary_current_check(broken)
+    assert np.isnan(info.value.details["ii_residual"])

@@ -53,6 +53,9 @@ KEPT = {
     "acceptance._criterion": IMPORT,
     "acceptance._criterion.<locals>.wrap": IMPORT,
     "spinors._probe_gradient_maps": IMPORT,
+    "current_algebra._pairing_table": IMPORT,
+    "current_algebra._jj_pattern_constants": IMPORT,
+    "current_algebra._poincare_constants": IMPORT,
     "acceptance._fork": "verify-all's forked lane; the hook runs the serial lane instead, "
                         "since a forked child's calls never reach it",
     "cli._json_dumps.<locals>.default": "JSON for numpy scalars and complex values, such as "
