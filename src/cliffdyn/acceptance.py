@@ -287,12 +287,11 @@ def algebra_suite(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
                 g1_errors.append(abs(current_algebra.current_bracket_dotted(
                     sample, A, B, E, F, k, k)))
     yield Gate("g1_residual", float(np.max(g1_errors)), "g1_identity")
-    pres, charge_report = charge = current_algebra.charge_algebra(
-        sample, rel_tol=tols.charge_closure)
+    pres, charge_report = current_algebra.charge_algebra(sample, rel_tol=tols.charge_closure)
     yield Gate("dagger_cross", float(np.abs(pres.f[:3, 3:, :]).max()), 0.0)
     su2_report = current_algebra.nk_decomposition(pres, tol=tols.algebra_closure)[2]
     yield Gate("su2_residual", su2_report["max_residual"], "algebra_closure")
-    poincare = current_algebra.poincare_check(sample, tol=tols.algebra_closure, charge=charge,
+    poincare = current_algebra.poincare_check(sample, tol=tols.algebra_closure,
                                               pattern_tol=tols.momentum_charge)
     yield Gate("poincare_mismatch", poincare["max_structure_mismatch"], "algebra_closure")
     yield Gate("pp_residual", poincare["pp_residual"], 0.0)

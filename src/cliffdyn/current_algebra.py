@@ -113,8 +113,6 @@ class CurrentSample:
     ``brackets`` is the sample's (nodes, 11, 11) table of node brackets of
     every pair of charges (j_(AB), their daggers, i, p_(EF)), before the
     lattice measure: built on first use from one per-node Gram and kept.
-    ``charges`` holds the sample's verified :func:`charge_algebra` results by
-    ``(hbar, rel_tol)``.
     """
 
     us: np.ndarray
@@ -126,7 +124,6 @@ class CurrentSample:
     j: np.ndarray          # (n, 2, 2) complex, symmetric per point
     icur: np.ndarray       # (n,) complex
     brackets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -242,7 +239,7 @@ def g1_pattern(sample: CurrentSample, A: int, B: int, E: int, F: int,
 
 # -- Lie presentations -----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LiePresentation:
     """Basis labels plus dense structure constants [g_a, g_b] = f[a,b,c] g_c."""
 
@@ -283,29 +280,26 @@ def _jj_pattern_constants() -> np.ndarray:
 _JJ_PATTERN = _jj_pattern_constants()
 
 
+def _check_hbar(hbar: float) -> None:
+    """InputError unless hbar is finite and positive: at 0 every quantum constant vanishes."""
+    if not 0.0 < hbar < np.inf:
+        raise InputError(f"hbar must be finite and positive, got {hbar!r}")
+
+
 def charge_algebra(sample: CurrentSample, hbar: float = 1.0,
                    rel_tol: float = DEFAULT.charge_closure) -> tuple[LiePresentation, dict]:
-    """Assemble and verify the quantum charge algebra from integrated brackets.
+    """Verify the sample's charge brackets; return the quantum charge algebra.
 
-    The classical brackets of the total charges must close on the charges
-    with the epsilon-pattern constants; multiplying by i hbar gives the
-    commutator algebra.  Returns the presentation over
-    (J_00, J_01, J_11, Jd_00, Jd_01, Jd_11) and a report with the fit and
-    identity residuals.  Raises when the closure or the Jacobi identity
-    fails beyond tolerance.
-
-    A verified result is kept on the sample (``sample.charges``) and a
-    repeated call with the same ``hbar`` and ``rel_tol`` returns that same
-    object; its ``f`` is read-only.  A failed check raises on every call.
+    Read from the sample: the classical brackets of the total charges must
+    close on them with the epsilon-pattern constants, and the dotted-undotted
+    brackets must vanish, both within ``rel_tol`` relative.  Built once per
+    hbar: the presentation over (J_00, J_01, J_11, Jd_00, Jd_01, Jd_11), i hbar
+    times those constants, and its Jacobi residual, gated at ``rel_tol``.
+    Every sample gets the same presentation, its ``f`` read-only.  Returns it
+    and a report of the residuals; raises ``InputError`` unless hbar is
+    finite and positive.
     """
-    key = (hbar, rel_tol)
-    if key not in sample.charges:
-        sample.charges[key] = _charge_algebra(sample, hbar, rel_tol)
-    return sample.charges[key]
-
-
-def _charge_algebra(sample: CurrentSample, hbar: float, rel_tol: float
-                    ) -> tuple[LiePresentation, dict]:
+    _check_hbar(hbar)
     jt = sample.j_total()
     jvec = np.array([jt[0, 0], jt[0, 1], jt[1, 1]])
     scale = max(1.0, float(np.abs(jvec).max()))
@@ -321,25 +315,13 @@ def _charge_algebra(sample: CurrentSample, hbar: float, rel_tol: float
     if not worst_cross <= rel_tol:
         raise VerificationError(f"dotted-undotted brackets nonzero: {worst_cross:.3e}",
                                 dagger_cross_residual=worst_cross)
-    # the dagger charges close with the same real epsilon pattern (their
-    # values conjugate, the coefficients do not); i hbar multiplies uniformly
-    f = np.zeros((6, 6, 6), dtype=complex)
-    f[:3, :3, :3] = 1j * hbar * _JJ_PATTERN
-    f[3:, 3:, 3:] = 1j * hbar * _JJ_PATTERN
-    f.setflags(write=False)
-    labels = ("J00", "J01", "J11", "Jd00", "Jd01", "Jd11")
-    pres = LiePresentation(labels, f)
-    report = {
-        "closure_rel_residual": worst_fit,
-        "dagger_cross_residual": worst_cross,
-        "jacobi_residual": pres.jacobi_residual(),
-        "antisymmetry_residual": pres.antisymmetry_residual(),
-    }
-    if not report["jacobi_residual"] <= rel_tol:
+    pres, residuals, _ = _quantum_algebra(hbar)
+    if not residuals["jacobi_residual"] <= rel_tol:
         raise VerificationError(
-            f"Jacobi residual {report['jacobi_residual']:.3e} signals discretization error",
-            jacobi_residual=report["jacobi_residual"])
-    return pres, report
+            f"Jacobi residual {residuals['jacobi_residual']:.3e} signals discretization error",
+            jacobi_residual=residuals["jacobi_residual"])
+    return pres, {"closure_rel_residual": worst_fit, "dagger_cross_residual": worst_cross,
+                  **residuals}
 
 
 def fit_structure_constants(samples: Sequence[CurrentSample]) -> np.ndarray:
@@ -360,8 +342,8 @@ def fit_structure_constants(samples: Sequence[CurrentSample]) -> np.ndarray:
             "current components are linearly dependent on the sampled curves; "
             "add another slice to pin the structure constants")
     # one column per (ia, ie), row-major
-    targets = np.concatenate([s.du * _per_du(_bracket_table(s)[:, _J, _J], s.du)
-                              .reshape(s.n_nodes, 9) for s in samples])
+    targets = np.concatenate([_bracket_table(s)[:, _J, _J].reshape(s.n_nodes, 9)
+                              for s in samples])
     return np.linalg.lstsq(rows, targets, rcond=None)[0].T.reshape(3, 3, 3)
 
 
@@ -389,7 +371,9 @@ def nk_decomposition(pres: LiePresentation, hbar: float = 1.0,
     printed combinations close with s = -i hbar, so -N_k is the basis that
     matches the +i hbar convention), that the two triples commute, and that
     the quadratic Casimir is central (antisymmetry of f in its outer slots).
+    Raises ``InputError`` unless hbar is finite and positive.
     """
+    _check_hbar(hbar)
     if len(pres.labels) != 6:
         raise InputError("expected the 6-generator charge algebra")
     nn = pres.bracket(_N[:, None], _N[None])            # [N_i, N_j], (3, 3, 6)
@@ -442,7 +426,7 @@ def _poincare_constants() -> tuple[np.ndarray, ...]:
     # The printed N-combinations close with s = -i hbar, so the left/right
     # su(2) triples entering the boost/rotation split are -N and -Ndagger;
     # the remaining orientation freedom (a pi-rotation about the third axis)
-    # is fixed once by the oracle match in poincare_check.
+    # is fixed once by the oracle match in _quantum_algebra.
     R3 = np.diag([-1.0, -1.0, 1.0])
     N, Nd = (np.concatenate([R3 @ -v, np.zeros((3, 4))], axis=1) for v in (_N, _ND))
     Jrot = N + Nd
@@ -463,21 +447,19 @@ _PJ_PATTERN, _P_TABLE, _S, _S_INV = _poincare_constants()
 
 def poincare_check(sample: CurrentSample, hbar: float = 1.0,
                    tol: float = DEFAULT.algebra_closure,
-                   charge: tuple[LiePresentation, dict] | None = None,
                    pattern_tol: float = DEFAULT.momentum_charge) -> dict:
     """Verify the full Poincare algebra of (M_munu, P_mu) against a matrix oracle.
 
-    Builds the ten-generator structure table from the verified bracket
-    patterns: charge algebra on (J, Jdagger) (the sample's
-    ``charge_algebra(sample, hbar)``, computed once per sample, unless the
-    algebra of another sample is passed in as ``charge``),
-    vanishing [P, P], and the mixed momentum-charge pattern, which the
-    integrated brackets must match within ``pattern_tol`` relative; maps
-    (J, Jdagger) -> N -> (M_munu) and the momentum entries -> P_mu; compares
-    every structure constant against an independent 5x5 affine matrix
-    representation.
+    Read from the sample: the integrated momentum-charge brackets must match
+    the mixed [P, J] pattern within ``pattern_tol`` relative, and [P, P] must
+    vanish exactly.  Built once per hbar: the ten-generator table (the charge
+    algebra on (J, Jdagger), [P, P] = 0 and the mixed pattern), mapped
+    (J, Jdagger) -> N -> (M_munu) and the momentum entries -> P_mu, minus an
+    independent 5x5 affine matrix representation; its largest entry must be
+    within ``tol``.  The J closure is :func:`charge_algebra`'s check.  Raises
+    ``InputError`` unless hbar is finite and positive.
     """
-    pres, charge_report = charge if charge is not None else charge_algebra(sample, hbar=hbar)
+    _check_hbar(hbar)
     p_tot = sample.p_total()
     scale = max(1.0, float(np.abs(p_tot).max()))
     # verify the mixed pattern and [P, P] = 0 through the bracket engine
@@ -490,21 +472,13 @@ def poincare_check(sample: CurrentSample, hbar: float = 1.0,
     if worst_pp != 0.0:
         raise VerificationError("[P, P] failed to vanish exactly", pp_residual=worst_pp)
 
-    f = hbar * _P_TABLE
-    f[:6, :6, :6] = pres.f
-    F_mine = _S @ np.tensordot(_S, f @ _S_INV, (1, 0))
-
-    F_oracle, oracle_labels = poincare_matrix_oracle(hbar)
-    diff = float(np.abs(F_mine - F_oracle).max())
-    report = {
-        "charge_report": charge_report,
-        "pj_pattern_residual": worst_pj,
-        "pp_residual": worst_pp,
-        "oracle_labels": oracle_labels,
-        "max_structure_mismatch": diff,
-    }
+    mismatch = np.abs(_quantum_algebra(hbar)[2])
+    oracle_labels = poincare_matrix_oracle(hbar)[1]
+    diff = float(mismatch.max())
+    report = {"pj_pattern_residual": worst_pj, "pp_residual": worst_pp,
+              "oracle_labels": oracle_labels, "max_structure_mismatch": diff}
     if not diff <= tol:
-        worst_idx = np.unravel_index(np.argmax(np.abs(F_mine - F_oracle)), F_mine.shape)
+        worst_idx = np.unravel_index(np.argmax(mismatch), mismatch.shape)
         report["offending_triple"] = tuple(oracle_labels[i] for i in worst_idx)
         raise VerificationError(
             f"Poincare structure constants mismatch {diff:.3e} at {report['offending_triple']}",
@@ -520,8 +494,10 @@ def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ..
     eta_{mu b} delta^a_nu), translations P_mu as i hbar in the affine column;
     constants extracted by least squares in the matrix space (exact here
     because the set is closed and independent, to ``Tolerances.oracle_closure``).
-    Built once per hbar; the returned array is read-only.
+    Built once per hbar, which must be finite and positive (else ``InputError``);
+    the returned array is read-only.
     """
+    _check_hbar(hbar)
     gens = []
     labels = []
     eye = np.eye(4)
@@ -548,6 +524,25 @@ def poincare_matrix_oracle(hbar: float = 1.0) -> tuple[np.ndarray, tuple[str, ..
             F[a, b] = coef
     F.setflags(write=False)
     return F, tuple(labels)
+
+
+@functools.lru_cache(maxsize=None)
+def _quantum_algebra(hbar: float) -> tuple[LiePresentation, dict, np.ndarray]:
+    """The six-generator charge presentation at hbar, its Jacobi and antisymmetry
+    residuals, and the ten-generator table in the (M_munu, P_mu) basis minus the
+    oracle's; the arrays are read-only.  The dagger charges close with the same
+    real pattern: their values conjugate, the coefficients do not."""
+    f = np.zeros((6, 6, 6), dtype=complex)
+    f[:3, :3, :3] = f[3:, 3:, 3:] = 1j * hbar * _JJ_PATTERN
+    f.setflags(write=False)
+    pres = LiePresentation(("J00", "J01", "J11", "Jd00", "Jd01", "Jd11"), f)
+    residuals = {"jacobi_residual": pres.jacobi_residual(),
+                 "antisymmetry_residual": pres.antisymmetry_residual()}
+    table = hbar * _P_TABLE
+    table[:6, :6, :6] = f
+    mismatch = _S @ np.tensordot(_S, table @ _S_INV, (1, 0)) - poincare_matrix_oracle(hbar)[0]
+    mismatch.setflags(write=False)
+    return pres, residuals, mismatch
 
 
 def unitary_current_check(sample: CurrentSample,

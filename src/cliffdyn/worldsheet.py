@@ -159,7 +159,11 @@ def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
         l_block = mass ** 3 * np.eye(2)
     l_block = np.asarray(l_block, dtype=complex)
     if mass is None:
-        mass = math.sqrt(float(np.cbrt(np.real(minkowski_norm(l_block)))))
+        pp = float(np.cbrt(np.real(minkowski_norm(l_block))))
+        if not pp >= 0.0:
+            raise InputError(f"the l block induces p.p = {pp:.6g}, which has no real square "
+                             "root for the mass; pass mass")
+        mass = math.sqrt(pp)
     dim = 2 * len(labels)
     G = np.zeros((dim, dim), dtype=complex)
 

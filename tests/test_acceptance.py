@@ -6,6 +6,7 @@ criterion; the same checks back the ``cliffdyn verify-all`` command.
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -278,8 +279,10 @@ def _no_child_or_fd_left():
     assert sorted(os.listdir("/proc/self/fd")) == before
 
 
+@functools.cache
 def _one_by_one(seed):
-    """The eight criteria called in this process with the seeds run_all gives them."""
+    """The eight criteria called in this process with the seeds run_all gives them; run
+    once per seed, since the tests only read the results."""
     rngs = np.random.default_rng(seed).spawn(len(CRITERIA))
     return [fn(int(r.integers(0, 2 ** 63 - 1)), DEFAULT) for (_, fn), r in zip(CRITERIA, rngs)]
 

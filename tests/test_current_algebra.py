@@ -1,5 +1,6 @@
 """Current brackets, charge algebra, su(2) split, Poincare verification."""
 
+import dataclasses
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from cliffdyn import acceptance, current_algebra
-from cliffdyn.errors import PreconditionError, VerificationError
+from cliffdyn.errors import InputError, PreconditionError, VerificationError
 from cliffdyn.tolerances import DEFAULT
 from cliffdyn.spinors import EPS_LO
 from cliffdyn.current_algebra import (
@@ -384,16 +385,15 @@ def test_poincare_structure_constants_match_oracle(sample):
     assert report["pj_pattern_residual"] < 1e-10
 
 
-def test_poincare_check_reuses_given_charge_algebra(sample, monkeypatch):
-    import cliffdyn.current_algebra as ca
-    charge = charge_algebra(sample)
+def test_poincare_check_does_not_call_charge_algebra(sample, monkeypatch):
+    # the J closure is charge_algebra's check; poincare_check reads the per-hbar constants
     expect = poincare_check(sample)
 
-    def twice(*args, **kwargs):
-        raise AssertionError("charge_algebra recomputed")
+    def refuse(*args, **kwargs):
+        raise AssertionError("charge_algebra called")
 
-    monkeypatch.setattr(ca, "charge_algebra", twice)
-    assert poincare_check(sample, charge=charge) == expect
+    monkeypatch.setattr(current_algebra, "charge_algebra", refuse)
+    assert poincare_check(sample) == expect
 
 
 def test_poincare_check_reads_the_sample_charge_algebra(monkeypatch):
@@ -425,18 +425,36 @@ def test_bracket_table_is_kept_per_sample_and_read_only(sample):
         table[0, 0, 0] = 0.0
 
 
-def test_charge_algebra_is_kept_per_sample_and_read_only():
+def test_charge_algebra_is_shared_per_hbar_and_read_only(sample):
     st = build_wave_state(acceptance._acceptance_mode_spec())
-    fresh = sample_currents(st, constant_time_curve(0.4), 16)
-    first = charge_algebra(fresh)
-    assert charge_algebra(fresh) is first
-    assert charge_algebra(fresh, hbar=1.0, rel_tol=DEFAULT.charge_closure) is first
-    assert not first[0].f.flags.writeable
+    other = sample_currents(st, constant_time_curve(0.9), 16)
+    pres, report = charge_algebra(sample)
+    assert charge_algebra(other)[0] is pres
+    assert charge_algebra(other)[1] is not report          # the closure residuals are the sample's
+    assert not pres.f.flags.writeable
     with pytest.raises(ValueError):
-        first[0].f[0, 1, 2] = 0.0
-    # another key is computed anew
-    assert charge_algebra(fresh, hbar=2.0) is not first
-    assert set(fresh.charges) == {(1.0, DEFAULT.charge_closure), (2.0, DEFAULT.charge_closure)}
+        pres.f[0, 1, 2] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pres.f = np.zeros((6, 6, 6))
+
+
+def test_charge_algebra_at_another_hbar_is_built_anew(sample):
+    pres = charge_algebra(sample)[0]
+    pres2 = charge_algebra(sample, hbar=2.0)[0]
+    assert pres2 is not pres
+    assert charge_algebra(sample, hbar=2.0)[0] is pres2
+    assert np.array_equal(pres2.f, 2.0 * pres.f)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("check", ["charge_algebra", "poincare_check", "nk_decomposition",
+                                   "poincare_matrix_oracle"])
+def test_bad_hbar_is_refused(sample, check, hbar):
+    # at hbar = 0 every quantum constant vanishes, and each check would pass trivially
+    args = {"charge_algebra": (sample,), "poincare_check": (sample,),
+            "nk_decomposition": (charge_algebra(sample)[0],), "poincare_matrix_oracle": ()}
+    with pytest.raises(InputError, match="hbar must be finite and positive"):
+        getattr(current_algebra, check)(*args[check], hbar=hbar)
 
 
 def test_poincare_oracle_self_consistent():
@@ -486,16 +504,13 @@ def test_charge_algebra_failure_is_not_kept(nan_node_samples):
         with pytest.raises(VerificationError) as info:
             charge_algebra(broken)
         assert np.isnan(info.value.details["closure_rel_residual"])
-    assert broken.charges == {}
 
 
 def test_poincare_check_rejects_nan_node(nan_node_samples):
-    clean, broken = nan_node_samples
+    _, broken = nan_node_samples
     with pytest.raises(VerificationError) as info:
-        poincare_check(broken, charge=charge_algebra(clean))
-    assert np.isnan(info.value.details["pj_pattern_residual"])
-    with pytest.raises(VerificationError):
         poincare_check(broken)
+    assert np.isnan(info.value.details["pj_pattern_residual"])
 
 
 def test_nk_decomposition_rejects_nan_constants(sample):

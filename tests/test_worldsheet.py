@@ -113,6 +113,12 @@ def test_mode_spec_rejects_off_shell_l_block():
         make_mode_spec(mass=MASS, l_block=2.0 * MASS ** 3 * np.eye(2))
 
 
+def test_mode_spec_without_mass_rejects_a_spacelike_l_block():
+    # the mass is inferred as sqrt(p.p), and this l block induces p.p = -1
+    with pytest.raises(InputError, match=r"induces p\.p = -1, which has no real square root"):
+        make_mode_spec(l_block=np.diag([1.0, -1.0]))
+
+
 def test_mode_spec_rejects_zero_mode_number():
     with pytest.raises(InputError):
         make_mode_spec(mass=MASS, modes=(0, 1))
