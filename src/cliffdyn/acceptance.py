@@ -207,10 +207,10 @@ def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
         states.append(particle.ParticleState(np.concatenate((C, D)), space, mass))
     sys0 = matrixmech.assemble(states)
     U = random_unitary(rng, n)
-    a = matrixmech.evolve_matrix_classical(matrixmech.gauge_transform(sys0, U), 1.0, 200)
-    b = matrixmech.evolve_matrix_classical(sys0, 1.0, 200)
-    rotated = np.stack([U @ b.X[-1][m] @ U.conj().T for m in range(4)])
-    yield Gate("evolve_gauge_commutator", float(np.abs(a.X[-1] - rotated).max()),
+    Xa, _ = matrixmech.evolve_matrix_classical(matrixmech.gauge_transform(sys0, U), 1.0, 200)
+    Xb, _ = matrixmech.evolve_matrix_classical(sys0, 1.0, 200)
+    rotated = np.stack([U @ Xb[m] @ U.conj().T for m in range(4)])
+    yield Gate("evolve_gauge_commutator", float(np.abs(Xa - rotated).max()),
                "unitary_covariance")
     CD = matrixmech.gauge_transform(sys0, U).constraint_matrix()
     target = mu * np.einsum("ab,ij->abij", np.eye(2), np.eye(n))
@@ -223,7 +223,7 @@ def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]
     nlev, mass, hbar = 20, 1.0, 1.0
     X0, P0 = matrixmech.truncated_oscillator(nlev, hbar=hbar)
     taubar, steps = 0.8, 2000
-    heis, frozen = matrixmech.evolve_pictures(X0, P0, hbar, mass, taubar, steps)
+    (Xh, _), (Xf, Pf) = matrixmech.evolve_pictures(X0, P0, hbar, mass, taubar, steps)
     s0 = np.zeros(nlev, dtype=complex)
     # interior support, away from the corner; mixed level parity and a complex
     # amplitude, since H keeps parity and X flips it: on one parity <X> is 0
@@ -231,9 +231,9 @@ def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]
     s0 /= np.linalg.norm(s0)
     gauge = -matrixmech._free_hamiltonian(mass, nlev)(P0) / hbar
     sT = matrixmech.evolve_state(s0, lambda t: gauge, taubar, steps)
-    equiv = abs(complex(s0.conj() @ heis.X[-1] @ s0) - complex(sT.conj() @ X0 @ sT))
+    equiv = abs(complex(s0.conj() @ Xh @ s0) - complex(sT.conj() @ X0 @ sT))
     yield Gate("expectation_gap", equiv, "picture_equivalence")
-    stationary = np.max([np.abs(frozen.X[-1] - X0).max(), np.abs(frozen.P[-1] - P0).max()])
+    stationary = np.max([np.abs(Xf - X0).max(), np.abs(Pf - P0).max()])
     yield Gate("stationarity", float(stationary), "stationarity")
 
 

@@ -250,6 +250,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:          # an input whose arrays cannot be allocated
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

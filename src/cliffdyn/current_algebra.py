@@ -102,7 +102,7 @@ def _pairing_table() -> np.ndarray:
 _PAIRING = _pairing_table()
 
 
-@dataclass
+@dataclass(eq=False)
 class CurrentSample:
     """Curve samples of c, the projected polymomenta, and the scalar currents.
 
@@ -123,7 +123,7 @@ class CurrentSample:
     signs: np.ndarray
     j: np.ndarray          # (n, 2, 2) complex, symmetric per point
     icur: np.ndarray       # (n,) complex
-    brackets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    brackets: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -135,12 +135,17 @@ class CurrentSample:
     def i_total(self) -> complex:
         return complex(self.weights @ self.icur)
 
+    @functools.cached_property
     def dstar_total(self) -> np.ndarray:
-        return np.einsum("m,mag->ag", self.weights, self.dproj)
+        """The (2, G) total d*, once per sample: summed elementwise as in
+        :func:`_charge_brackets`, not by a BLAS product on OpenBLAS's threads."""
+        total = (self.weights[:, None, None] * self.dproj).sum(axis=0)
+        total.setflags(write=False)
+        return total
 
     def p_total(self) -> np.ndarray:
         """p_{AB} = bullet(d*tot_A, conj(d*tot_B))."""
-        dt = self.dstar_total()
+        dt = self.dstar_total
         return bullet_gram(dt, dt.conj(), self.signs)
 
 
@@ -172,7 +177,7 @@ def _node_gram(sample: CurrentSample) -> np.ndarray:
     first two rows; the conjugate rows follow, since the signs are real.
     """
     x = sample.dproj * sample.signs
-    dt = sample.dstar_total()
+    dt = sample.dstar_total
     c_t = np.swapaxes(sample.c, 1, 2)
     bilinear = x @ c_t
     with_dt = _product(x, np.concatenate([dt, dt.conj()]).T)
@@ -239,9 +244,9 @@ def g1_pattern(sample: CurrentSample, A: int, B: int, E: int, F: int,
 
 # -- Lie presentations -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiePresentation:
-    """Basis labels plus dense structure constants [g_a, g_b] = f[a,b,c] g_c."""
+    """Basis labels plus structure constants [g_a, g_b] = f[a,b,c] g_c; compared by identity."""
 
     labels: tuple[str, ...]
     f: np.ndarray

@@ -16,13 +16,12 @@ basis row and column; quantum checks stay away from that corner.
 A gauge connection Gamma (stored Hermitian, the i sits in the covariant
 derivative) moves between pictures: Gamma = 0 is the Heisenberg picture,
 Gamma = -H/hbar freezes X and P and pushes all evolution into the state
-vector.
+vector.  Every flow steps ``particle.rk4`` to tau_end and returns only its
+state there, ``(X, P)`` for the matrix flows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "NSystem",
     "assemble",
     "gauge_transform",
-    "MatrixTrajectory",
     "evolve_matrix_classical",
     "evolve_heisenberg",
     "covariant_evolve",
@@ -55,12 +53,11 @@ class NSystem:
     """Kets C^A and bras D_A for N particles plus derived matrix caches.
 
     ``kets`` and ``bras`` are (2, N, G) coefficient stacks over ``space``:
-    ``kets[A, i]`` is c^A of particle i, ``bras[A, i]`` its d*_A.  ``phi`` is
-    the diagonal real weight matrix, which the equations of motion never see.
+    ``kets[A, i]`` is c^A of particle i, ``bras[A, i]`` its d*_A.
     """
 
     def __init__(self, space: GeneratorSpace, kets: np.ndarray, bras: np.ndarray,
-                 mass: float, hbar: float = 0.0, phi: np.ndarray | None = None):
+                 mass: float):
         self.space = space
         self.kets = np.asarray(kets, dtype=complex)
         self.bras = np.asarray(bras, dtype=complex)
@@ -69,10 +66,6 @@ class NSystem:
             raise InputError("kets and bras must be (2, N, G) coefficient stacks")
         self.n = self.kets.shape[1]
         self.mass = float(mass)
-        self.hbar = float(hbar)
-        if phi is None:
-            phi = np.ones(self.n)
-        self.phi = np.asarray(phi, dtype=float)
         self._xs = None
         self._ps = None
 
@@ -108,8 +101,7 @@ class NSystem:
         return np.einsum("aig,g,bjg->abij", self.kets, self.space.signs, self.bras)
 
 
-def assemble(particles: Sequence[ParticleState], hbar: float = 0.0,
-             phi: np.ndarray | None = None) -> NSystem:
+def assemble(particles: Sequence[ParticleState]) -> NSystem:
     """Stack single-particle states sharing one space into an NSystem.
 
     The states must occupy pairwise disjoint generator blocks; their X and P
@@ -128,7 +120,7 @@ def assemble(particles: Sequence[ParticleState], hbar: float = 0.0,
     if overlaps.size:
         i, k = overlaps[0]
         raise PreconditionError(f"particles {i} and {k} overlap in generator support")
-    return NSystem(space, Y[:2], Y[2:], particles[0].mass, hbar=hbar, phi=phi)
+    return NSystem(space, Y[:2], Y[2:], particles[0].mass)
 
 
 def gauge_transform(sys: NSystem, U: np.ndarray) -> NSystem:
@@ -141,8 +133,7 @@ def gauge_transform(sys: NSystem, U: np.ndarray) -> NSystem:
     if not deviation <= DEFAULT.unitarity:
         raise InputError(f"U is not unitary within {DEFAULT.unitarity:g}: "
                          f"max |U U^dagger - 1| = {deviation:.3e}")
-    return NSystem(sys.space, _rotate(sys.kets, U), _rotate(sys.bras, U.conj()),
-                   sys.mass, hbar=sys.hbar, phi=sys.phi)
+    return NSystem(sys.space, _rotate(sys.kets, U), _rotate(sys.bras, U.conj()), sys.mass)
 
 
 def _rotate(K: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -157,55 +148,32 @@ def _rotate(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class MatrixTrajectory:
-    taubar: np.ndarray
-    X: np.ndarray            # (n_samples, 4 or 1, N, N)
-    P: np.ndarray
+def _rk4_end(Y0, rhs, tau_end: float, steps: int) -> np.ndarray:
+    """The RK4 state at tau_end of dY/dtau = ``rhs(tau, Y, out)`` from Y0 at tau = 0.
 
-    def hermiticity_drift(self) -> float:
-        dx = np.abs(self.X - np.swapaxes(self.X, -1, -2).conj()).max()
-        dp = np.abs(self.P - np.swapaxes(self.P, -1, -2).conj()).max()
-        return float(np.max([dx, dp]))
-
-
-def _rk4_matrix(Y0, rhs, tau_end: float, steps: int, keep_rows=True) -> list[MatrixTrajectory]:
-    """RK4 from tau = 0 on a (B, 2, ...) stack of (X, P) pairs; one trajectory per pair.
-
-    ``rhs(t, Y, out)`` writes dY/dt of the stack into ``out``.  Each pair's
-    samples are copied to an array of their own, or without ``keep_rows`` only
-    the sample at tau_end is kept.  A NaN or Inf entry stays non-finite, so the
-    end state decides, and only a failed run is stepped again to name its step.
+    A NaN or Inf entry stays non-finite, so the end state decides, and only a
+    failed run is stepped again to name its first bad step in an ArithmeticError.
     """
     steps = step_count(steps)
     h = tau_end / steps
-    if keep_rows:
-        runs = [np.empty((steps + 1, *pair.shape), dtype=complex) for pair in Y0]
-        for k, Y in enumerate(chain([Y0], rk4(rhs, Y0, 0.0, h, steps))):
-            for run, pair in zip(runs, Y):
-                run[k] = pair
-    else:
-        for Y in rk4(rhs, Y0, 0.0, h, steps):
-            pass
-        runs = Y[:, None]
-    if not all(np.isfinite(run[-1]).all() for run in runs):
+    for Y in rk4(rhs, Y0, 0.0, h, steps):
+        pass
+    if not np.isfinite(Y).all():
         bad = next(k for k, Y in enumerate(rk4(rhs, Y0, 0.0, h, steps)) if not np.isfinite(Y).all())
         raise ArithmeticError(f"matrix flow produced non-finite values at step {bad}")
-    ts = np.arange(steps + 1) * h if keep_rows else np.array([steps * h])
-    return [MatrixTrajectory(ts, run[:, 0], run[:, 1]) for run in runs]
+    return Y
 
 
-def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> MatrixTrajectory:
-    """Proper-time flow dX^mu = P^mu/m, dP = 0 of Tr H with H = (P.P - m^2 1)/(2m)."""
-    if sys.hbar != 0.0:
-        raise PreconditionError("classical evolution requires hbar = 0")
+def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
+    """Proper-time flow dX^mu = P^mu/m, dP = 0 of Tr H with H = (P.P - m^2 1)/(2m);
+    the (4, N, N) stacks ``(X, P)`` at tau_end."""
     m = sys.mass
 
     def rhs(t, Y, dY):
         dY[...] = 0
-        dY[0, 0] = np.einsum("mn,nij->mij", ETA, Y[0, 1]) / m     # P^mu / m
+        dY[0] = np.einsum("mn,nij->mij", ETA, Y[1]) / m     # P^mu / m
 
-    return _rk4_matrix(np.stack((sys.x_matrices(), sys.p_matrices()))[None], rhs, tau_end, steps)[0]
+    return tuple(_rk4_end(np.stack((sys.x_matrices(), sys.p_matrices())), rhs, tau_end, steps))
 
 
 def _free_hamiltonian(mass: float, n: int) -> Callable[..., np.ndarray]:
@@ -267,16 +235,16 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
-                      tau_end: float, steps: int) -> MatrixTrajectory:
-    """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar) on one matrix pair."""
-    return _rk4_matrix(*_commutator_flows(X0, P0, hbar, mass, [None], "evolve_heisenberg"),
-                       tau_end, steps)[0]
+                      tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
+    """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar); ``(X, P)`` at tau_end."""
+    flow = _commutator_flows(X0, P0, hbar, mass, [None], "evolve_heisenberg")
+    return tuple(_rk4_end(*flow, tau_end, steps)[0])
 
 
 def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                      gamma: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-                     tau_end: float, steps: int) -> MatrixTrajectory:
-    """Gauge-covariant flow: dX = i[Gamma, X] + [X, H]/(i hbar).
+                     tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
+    """Gauge-covariant flow: dX = i[Gamma, X] + [X, H]/(i hbar); ``(X, P)`` at tau_end.
 
     ``gamma(taubar, X, P)`` returns the Hermitian connection, checked by
     ``validate_hermitian`` at every stage; X and P are views of a reused buffer.
@@ -286,23 +254,23 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     flow = _commutator_flows(X0, P0, hbar, mass,
                              [lambda t, X, P, H, out: validate_hermitian(gamma(t, X, P))],
                              "covariant_evolve")
-    return _rk4_matrix(*flow, tau_end, steps)[0]
+    return tuple(_rk4_end(*flow, tau_end, steps)[0])
 
 
 def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
-                    tau_end: float, steps: int) -> tuple[MatrixTrajectory, MatrixTrajectory]:
+                    tau_end: float, steps: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The end states of the Heisenberg and Schrodinger-gauge flows of one pair, stepped together.
 
-    Returns ``(heisenberg, frozen)`` as one-sample trajectories at taubar =
-    tau_end, equal bit for bit to the last rows of :func:`evolve_heisenberg`
-    and of :func:`covariant_evolve` under :func:`schrodinger_gauge`.  The
-    frozen system writes Gamma = -H/hbar into its connection buffer from the
-    Hamiltonian its stage already computed.  No intermediate row is kept.
+    Returns ``((X, P) heisenberg, (X, P) frozen)`` at taubar = tau_end, equal
+    bit for bit to :func:`evolve_heisenberg` and to :func:`covariant_evolve`
+    under :func:`schrodinger_gauge`.  The frozen system writes Gamma = -H/hbar
+    into its connection buffer from the Hamiltonian its stage already computed.
     """
     flow = _commutator_flows(
         X0, P0, hbar, mass,
         [None, lambda t, X, P, H, out: np.multiply(H, -1.0 / hbar, out=out)], "evolve_pictures")
-    return tuple(_rk4_matrix(*flow, tau_end, steps, keep_rows=False))
+    heisenberg, frozen = _rk4_end(*flow, tau_end, steps)
+    return tuple(heisenberg), tuple(frozen)
 
 
 def schrodinger_gauge(hbar: float, mass: float):
@@ -337,15 +305,10 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 
 def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
                  tau_end: float, steps: int) -> np.ndarray:
-    """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; the norm is
-    preserved, to the integrator's order, only where Gamma is Hermitian."""
-    steps = step_count(steps)
-    h = tau_end / steps
-    for s in rk4(lambda t, v, out: np.multiply(1j, gamma(t) @ v, out=out), s, 0.0, h, steps):
-        pass
-    if not np.isfinite(s).all():
-        raise ArithmeticError(f"evolve_state produced a non-finite state after {steps} steps")
-    return s
+    """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; the state at
+    tau_end.  The norm is preserved, to the integrator's order, only where Gamma
+    is Hermitian."""
+    return _rk4_end(s, lambda t, v, out: np.multiply(1j, gamma(t) @ v, out=out), tau_end, steps)
 
 
 def truncated_oscillator(nlev: int, mass: float = 1.0, omega: float = 1.0,

@@ -462,20 +462,21 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
     taubar accumulates dtaubar/dtau = 2 m mu(tau) e(tau) through the same RK4
     stages as c (see :func:`_free_flow`), so the reparametrized columns are
     consistent to integrator order.  Each block of coefficient rows is turned
-    into its columns and dropped, so memory grows with the columns alone.
+    into its columns and dropped, so memory grows with the columns alone; a
+    step count whose columns cannot be allocated is an InputError.
     """
     steps = step_count(steps)
     signs = state0.space.signs
     tau0 = state0.tau
     n = steps + 1
-    tau = tau0 + np.arange(n) * ((tau_end - tau0) / steps)
+    try:
+        tau = tau0 + np.arange(n) * ((tau_end - tau0) / steps)
+        taubar, jq, mu = np.empty(n), np.empty(n), np.empty(n)
+        x, p, J = np.empty((n, 4)), np.empty((n, 4)), np.empty((n, 2, 2), dtype=complex)
+    except (MemoryError, ValueError) as exc:    # ValueError: a size beyond numpy's index range
+        raise InputError(f"steps = {steps} is too large: its {n} trajectory rows "
+                         f"cannot be allocated") from exc
     tau[0] = tau0
-    taubar = np.empty(n)
-    x = np.empty((n, 4))
-    p = np.empty((n, 4))
-    J = np.empty((n, 2, 2), dtype=complex)
-    jq = np.empty(n)
-    mu = np.empty(n)
     for lo, rows, tb in _free_flow(state0, e, tau_end, steps):
         block = slice(lo, lo + len(rows))
         taubar[block] = tb

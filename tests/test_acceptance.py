@@ -186,10 +186,8 @@ _evolve_pictures = matrixmech.evolve_pictures
 
 
 def _unevolved_heisenberg(X0, P0, hbar, mass, tau_end, steps):
-    heis, frozen = _evolve_pictures(X0, P0, hbar, mass, tau_end, steps)
-    X = heis.X.copy()
-    X[-1] = X0
-    return dataclasses.replace(heis, X=X), frozen
+    (_, P), frozen = _evolve_pictures(X0, P0, hbar, mass, tau_end, steps)
+    return (X0, P), frozen
 
 
 def _reversed_flows(X0, P0, hbar, mass, tau_end, steps):

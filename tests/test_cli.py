@@ -191,6 +191,34 @@ def test_particle_flow_overflow_exits_1_with_one_line(tmp_path, capsys, recwarn)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("steps", [10 ** 17, 10 ** 19], ids=["1e17", "1e19"])
+def test_particle_steps_too_large_to_allocate_exits_2(tmp_path, capsys, steps):
+    # 10^17 rows fail numpy's allocation, 10^19 its index range; either column
+    # array would be over 2^47 bytes, so it fails at once and touches no memory
+    _write_json(tmp_path / "p.json", {**_particle_config(), "steps": steps})
+    code = main(["particle", "--config", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [f"error: steps = {steps} is too large: its {steps + 1} "
+                                "trajectory rows cannot be allocated"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_string_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # a spec of 10^6 modes asks for a 233 TiB Gram; parsing one takes seconds,
+    # so the failed allocation is raised in place of building the state
+    def unallocatable(spec):
+        raise MemoryError("Unable to allocate 233. TiB for an array")
+
+    monkeypatch.setattr(worldsheet, "build_wave_state", unallocatable)
+    _write_json(tmp_path / "s.json", _string_config())
+    code = main(["string", "--config", str(tmp_path / "s.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: input too large: Unable to allocate 233. TiB for an array"]
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

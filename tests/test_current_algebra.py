@@ -425,6 +425,31 @@ def test_bracket_table_is_kept_per_sample_and_read_only(sample):
         table[0, 0, 0] = 0.0
 
 
+def test_total_polymomentum_is_one_array_read_by_p_total_and_the_gram(rich_state):
+    fresh = sample_currents(rich_state, constant_time_curve(0.4), 16)
+    dt = fresh.dstar_total
+    assert fresh.dstar_total is dt and not dt.flags.writeable
+    ref = np.einsum("m,mag->ag", fresh.weights, fresh.dproj)
+    assert np.abs(dt - ref).max() <= 1e-14 * np.abs(ref).max()
+    p, gram = fresh.p_total(), current_algebra._node_gram(fresh)
+    # doubling the kept array doubles what each reader builds from it, exactly
+    fresh.dstar_total = 2 * dt
+    assert np.array_equal(fresh.p_total(), 4 * p)
+    doubled = current_algebra._node_gram(fresh)
+    assert np.array_equal(doubled[:, :2, 4:], 2 * gram[:, :2, 4:])
+    assert np.array_equal(doubled[:, :2, :4], gram[:, :2, :4])
+
+
+def test_presentations_and_samples_compare_by_identity(rich_state):
+    # a dataclass __eq__ would compare the arrays and raise on more than one element
+    pres = LiePresentation(("x",), np.zeros((2, 2, 2)))
+    assert pres == pres
+    assert pres != LiePresentation(("x",), np.zeros((2, 2, 2)))
+    fresh, again = (sample_currents(rich_state, constant_time_curve(0.4), 16) for _ in range(2))
+    assert fresh == fresh
+    assert fresh != again
+
+
 def test_charge_algebra_is_shared_per_hbar_and_read_only(sample):
     st = build_wave_state(acceptance._acceptance_mode_spec())
     other = sample_currents(st, constant_time_curve(0.9), 16)

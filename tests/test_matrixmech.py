@@ -1,5 +1,8 @@
 """N-particle assembly, gauge covariance, and quantum matrix evolution."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,6 @@ from cliffdyn.matrixmech import (
     evolve_state,
     expectation,
     gauge_transform,
-    MatrixTrajectory,
     nonrelativistic_rate,
     schrodinger_gauge,
     truncated_oscillator,
@@ -27,7 +29,7 @@ from cliffdyn.spinors import ETA, covec_to_spinor_down, vec_to_spinor
 MASS = 1.0
 
 
-def _system(n=3, mu=0.6, seed=0, hbar=0.0):
+def _system(n=3, mu=0.6, seed=0):
     blocks = []
     for i in range(n):
         blocks += [(f"c{i}", 4, 4), (f"d{i}", 4, 4), (f"h{i}", 4, 4)]
@@ -42,7 +44,7 @@ def _system(n=3, mu=0.6, seed=0, hbar=0.0):
                                mu * np.eye(2), space,
                                labels=(f"c{i}", f"d{i}", f"h{i}"))
         states.append(ParticleState(np.concatenate((C, D)), space, MASS))
-    return assemble(states, hbar=hbar), states
+    return assemble(states), states
 
 
 # -- assembly -----------------------------------------------------------------
@@ -152,17 +154,17 @@ def test_gauge_transform_rejects_nan_unitary():
 
 def test_classical_flow_affine_in_taubar():
     sys3, _ = _system(n=3)
-    traj = evolve_matrix_classical(sys3, 1.5, 300)
+    X_end, P_end = evolve_matrix_classical(sys3, 1.5, 300)
     X, P = sys3.x_matrices(), sys3.p_matrices()
     pred = X + np.einsum("mn,nij->mij", ETA, P) / MASS * 1.5
-    assert np.abs(traj.X[-1] - pred).max() < 1e-9
-    assert np.abs(traj.P[-1] - P).max() == 0.0
+    assert np.abs(X_end - pred).max() < 1e-9
+    assert np.abs(P_end - P).max() == 0.0
 
 
 def test_classical_eigenvalues_are_particle_trajectories():
     sys3, states = _system(n=3)
-    traj = evolve_matrix_classical(sys3, 1.0, 200)
-    eigs = np.sort(np.linalg.eigvalsh(traj.X[-1][0]))
+    X, _ = evolve_matrix_classical(sys3, 1.0, 200)
+    eigs = np.sort(np.linalg.eigvalsh(X[0]))
     direct = np.sort([st.x_vec()[0] + (ETA @ st.p_vec())[0] / MASS for st in states])
     assert np.abs(eigs - direct).max() < 1e-9
 
@@ -171,24 +173,10 @@ def test_classical_flow_commutes_with_gauge():
     sys3, _ = _system(n=3)
     rng = np.random.default_rng(9)
     U = random_unitary(rng, 3)
-    a = evolve_matrix_classical(gauge_transform(sys3, U), 1.0, 100)
-    b = evolve_matrix_classical(sys3, 1.0, 100)
-    rotated = np.stack([U @ b.X[-1][mu] @ U.conj().T for mu in range(4)])
-    assert np.abs(a.X[-1] - rotated).max() < 1e-10
-
-
-def test_classical_flow_independent_of_phi():
-    sys3, states = _system(n=3)
-    other = assemble(states, phi=np.array([0.3, 1.7, -2.0]))
-    a = evolve_matrix_classical(sys3, 1.0, 50)
-    b = evolve_matrix_classical(other, 1.0, 50)
-    assert np.abs(a.X[-1] - b.X[-1]).max() == 0.0
-
-
-def test_classical_requires_hbar_zero():
-    sys3, _ = _system(n=2, hbar=1.0)
-    with pytest.raises(PreconditionError):
-        evolve_matrix_classical(sys3, 1.0, 10)
+    Xa, _ = evolve_matrix_classical(gauge_transform(sys3, U), 1.0, 100)
+    Xb, _ = evolve_matrix_classical(sys3, 1.0, 100)
+    rotated = np.stack([U @ Xb[mu] @ U.conj().T for mu in range(4)])
+    assert np.abs(Xa - rotated).max() < 1e-10
 
 
 # -- quantum sector ---------------------------------------------------------------
@@ -211,19 +199,44 @@ def test_truncated_oscillator_commutator_support():
     assert np.abs(P - P.conj().T).max() == 0.0
 
 
+def _hermiticity(*mats):
+    """max |M - M^dagger| over the matrices; a NaN entry makes it NaN."""
+    return np.max([np.abs(M - M.conj().T).max() for M in mats])
+
+
+@functools.cache
+def _heisenberg_10k():
+    """The 10^4-step Heisenberg flow of the 20-level oscillator to taubar = 0.4,
+    run once under tracemalloc: (X, P, peak traced bytes)."""
+    X0, P0 = truncated_oscillator(20, hbar=1.0)
+    tracemalloc.start()
+    try:
+        X, P = evolve_heisenberg(X0, P0, 1.0, MASS, 0.4, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return X, P, peak
+
+
+def test_heisenberg_flow_keeps_no_steps():
+    # 10^4 stored (2, 20, 20) complex steps would take 128 MB; the end state,
+    # the RK4 stages and the flow's buffers take about 0.15 MB
+    assert _heisenberg_10k()[2] < 1e6
+
+
 def test_heisenberg_momentum_frozen_commutator_unitary_equivalent():
     X0, P0 = truncated_oscillator(20, hbar=1.0)
     taubar = 0.4
-    traj = evolve_heisenberg(X0, P0, 1.0, MASS, taubar, 10_000)
-    assert np.abs(traj.P[-1] - P0).max() < 1e-13
-    assert traj.hermiticity_drift() < 1e-10
+    X, P, _ = _heisenberg_10k()
+    assert np.abs(P - P0).max() < 1e-13
+    assert _hermiticity(X, P) == 0.0
     # the conserved object: [X, P] evolves by the similarity exp(i H taubar / hbar);
     # oracle built from an independent eigendecomposition of H
     H = (P0 @ P0 - MASS ** 2 * np.eye(20)) / (2 * MASS)
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(1j * w * taubar)) @ V.conj().T
     comm0 = X0 @ P0 - P0 @ X0
-    commT = traj.X[-1] @ traj.P[-1] - traj.P[-1] @ traj.X[-1]
+    commT = X @ P - P @ X
     assert np.abs(commT - U @ comm0 @ U.conj().T).max() < 1e-9
     # spectrum of the commutator is exactly conserved
     assert np.abs(np.sort(np.linalg.eigvalsh(commT / 1j))
@@ -232,17 +245,16 @@ def test_heisenberg_momentum_frozen_commutator_unitary_equivalent():
 
 def test_covariant_gamma_zero_matches_heisenberg():
     X0, P0 = truncated_oscillator(12, hbar=1.0)
-    a = evolve_heisenberg(X0, P0, 1.0, MASS, 0.5, 500)
-    b = covariant_evolve(X0, P0, 1.0, MASS, lambda t, X, P: np.zeros_like(X0),
-                         0.5, 500)
-    assert np.abs(a.X[-1] - b.X[-1]).max() == 0.0
+    Xa, _ = evolve_heisenberg(X0, P0, 1.0, MASS, 0.5, 500)
+    Xb, _ = covariant_evolve(X0, P0, 1.0, MASS, lambda t, X, P: np.zeros_like(X0), 0.5, 500)
+    assert np.abs(Xa - Xb).max() == 0.0
 
 
 def test_schrodinger_gauge_freezes_matrices():
     X0, P0 = truncated_oscillator(20, hbar=1.0)
-    traj = covariant_evolve(X0, P0, 1.0, MASS, schrodinger_gauge(1.0, MASS), 1.0, 1000)
-    assert np.abs(traj.X[-1] - X0).max() < 1e-9
-    assert np.abs(traj.P[-1] - P0).max() < 1e-9
+    X, P = covariant_evolve(X0, P0, 1.0, MASS, schrodinger_gauge(1.0, MASS), 1.0, 1000)
+    assert np.abs(X - X0).max() < 1e-9
+    assert np.abs(P - P0).max() < 1e-9
 
 
 def test_covariant_flow_matches_reference_rk4_loop():
@@ -273,9 +285,9 @@ def test_covariant_flow_matches_reference_rk4_loop():
         k4x, k4p = rhs(t + h, X + h * k3x, P + h * k3p)
         X = X + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
         P = P + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    traj = covariant_evolve(X0, P0, hbar, MASS, gamma, tau_end, steps)
-    assert np.array_equal(traj.X[-1], X)
-    assert np.array_equal(traj.P[-1], P)
+    X_end, P_end = covariant_evolve(X0, P0, hbar, MASS, gamma, tau_end, steps)
+    assert np.array_equal(X_end, X)
+    assert np.array_equal(P_end, P)
 
 
 def _textbook_rk4(f, y, h, steps):
@@ -319,23 +331,20 @@ def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
     pytest.param(1.0, 2000, id="2000"), pytest.param(0.7, 2000, id="2000-hbar0.7"),
     pytest.param(0.3, 400, id="400-hbar0.3"), pytest.param(2.5, 400, id="400-hbar2.5")])
 def test_stacked_pictures_match_separate_stepped_flows(hbar, steps):
-    # evolve_pictures keeps only the end states: each must be the last row of
-    # its stepped reference and of its single-system flow, bit for bit,
+    # each end state of evolve_pictures must be the last row of its stepped
+    # reference and the end state of its single-system flow, bit for bit,
     # signed zeros included
     X0, P0 = truncated_oscillator(20, hbar=hbar)
     heis, frozen = evolve_pictures(X0, P0, hbar, MASS, 0.8, steps)
     ref_heis = _stepped_commutator_flow(X0, P0, hbar, None, 0.8, steps)
     ref_frozen = _stepped_commutator_flow(X0, P0, hbar, schrodinger_gauge(hbar, MASS), 0.8, steps)
-    for traj, ref in ((heis, ref_heis), (frozen, ref_frozen)):
-        assert traj.X.shape == traj.P.shape == (1, 20, 20)
-        _assert_same_bits(traj.X[0], ref[-1, 0])
-        _assert_same_bits(traj.P[0], ref[-1, 1])
     single = evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps)
     gauged = covariant_evolve(X0, P0, hbar, MASS, schrodinger_gauge(hbar, MASS), 0.8, steps)
-    for a, b in ((single, heis), (gauged, frozen)):
-        _assert_same_bits(a.taubar[-1:], b.taubar)
-        _assert_same_bits(a.X[-1:], b.X)
-        _assert_same_bits(a.P[-1:], b.P)
+    for pair, ref, alone in ((heis, ref_heis, single), (frozen, ref_frozen, gauged)):
+        for M, ref_M, alone_M in zip(pair, ref[-1], alone):
+            assert M.shape == (20, 20)
+            _assert_same_bits(M, ref_M)
+            _assert_same_bits(M, alone_M)
 
 
 def test_heisenberg_rk4_matches_stability_polynomial_oracle():
@@ -348,12 +357,12 @@ def test_heisenberg_rk4_matches_stability_polynomial_oracle():
     z = -1j * (taubar / steps) * (w[None, :] - w[:, None]) / hbar
     R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
     oracle = V @ (R ** steps * (V.conj().T @ X0 @ V)) @ V.conj().T
-    traj = evolve_heisenberg(X0, P0, hbar, MASS, taubar, steps)
-    assert np.abs(traj.X[-1] - oracle).max() <= 1e-11
+    X, _ = evolve_heisenberg(X0, P0, hbar, MASS, taubar, steps)
+    assert np.abs(X - oracle).max() <= 1e-11
 
 
 def _random_flows(flow, X0, P0, hbar, G0, tau_end, steps):
-    """(flow's trajectories, the stepped reference runs) for one random pair."""
+    """(the flow's end (X, P) pairs, the stepped reference runs) for one random pair."""
     def gamma(t, X, P):
         return np.cos(t) * G0 + 0.1 * (X @ X)
 
@@ -377,13 +386,12 @@ def test_random_hermitian_flows_stay_hermitian(flow, hbar):
     rng = np.random.default_rng(17)
     for n in range(1, 14):
         X0, P0, G0 = (random_hermitian(rng, n) for _ in range(3))
-        trajs, refs = _random_flows(flow, X0, P0, hbar, G0, 0.5, 40)
-        for traj, ref in zip(trajs, refs):
-            assert traj.hermiticity_drift() == 0.0
+        ends, refs = _random_flows(flow, X0, P0, hbar, G0, 0.5, 40)
+        for (X, P), ref in zip(ends, refs):
+            assert _hermiticity(X, P) == 0.0
             bound = 1e-14 * max(1.0, np.abs(ref).max())
-            rows = ref[-len(traj.taubar):]      # evolve_pictures keeps the end state only
-            assert np.abs(traj.X - rows[:, 0]).max() <= bound
-            assert np.abs(traj.P - rows[:, 1]).max() <= bound
+            assert np.abs(X - ref[-1, 0]).max() <= bound
+            assert np.abs(P - ref[-1, 1]).max() <= bound
 
 
 @pytest.mark.parametrize("flow,which", [(flow, which) for flow in ("heisenberg", "pictures")
@@ -444,6 +452,13 @@ def test_step_counts_must_be_positive_integers(entry, steps):
 
 def test_matrix_flow_names_the_first_non_finite_step():
     X0, P0 = truncated_oscillator(8)
+
+    def gamma(t):
+        # NaN from tau = 0.52 on: step 5's stages at tau = 0.55 meet it first
+        return np.eye(2) if t < 0.52 else np.full((2, 2), np.nan)
+
+    with pytest.raises(ArithmeticError, match="at step 5$"):
+        evolve_state(np.array([0.6, 0.8j]), gamma, 1.0, 10)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match="at step 0$"):
             evolve_heisenberg(1e200 * X0, 1e200 * P0, 1.0, MASS, 0.5, 100)
@@ -472,15 +487,6 @@ def test_evolve_state_rejects_a_non_finite_result():
     s0 = np.array([0.6, 0.8j])
     with pytest.raises(ArithmeticError, match="non-finite"):
         evolve_state(s0, lambda t: np.full((2, 2), np.nan), 1.0, 10)
-
-
-def test_hermiticity_drift_propagates_nan():
-    # Python's max(0.0, nan) is 0.0: a NaN in P must reach the drift
-    X0, P0 = truncated_oscillator(4)
-    P = np.stack([P0, P0]).astype(complex)
-    P[1, 2, 1] = np.nan
-    traj = MatrixTrajectory(np.array([0.0, 0.1]), np.stack([X0, X0]), P)
-    assert np.isnan(traj.hermiticity_drift())
 
 
 def test_gamma_gauge_transformation_law():
@@ -555,11 +561,11 @@ def test_expectation_rejects_nan_state():
 
 def test_classical_expectation_stays_on_integral_curve():
     sys3, states = _system(n=3)
-    traj = evolve_matrix_classical(sys3, 1.0, 100)
+    X, _ = evolve_matrix_classical(sys3, 1.0, 100)
     s = np.zeros(3, dtype=complex)
     s[2] = 1.0
     # Gamma = 0: s constant; <s|X(t)|s> must track particle 2 exactly
-    val = complex(s.conj() @ traj.X[-1][0] @ s)
+    val = complex(s.conj() @ X[0] @ s)
     expect = states[2].x_vec()[0] + (ETA @ states[2].p_vec())[0] / MASS
     assert abs(val.real - expect) < 1e-9
 
@@ -597,14 +603,14 @@ def test_picture_equivalence_expectations():
     X0, P0 = truncated_oscillator(nlev, hbar=1.0)
     taubar = 0.8
     steps = 1200
-    heis = evolve_heisenberg(X0, P0, 1.0, MASS, taubar, steps)
+    X, _ = evolve_heisenberg(X0, P0, 1.0, MASS, taubar, steps)
     # state supported on the interior levels, away from the truncation corner
     s0 = np.zeros(nlev, dtype=complex)
     s0[1], s0[3], s0[5] = 0.6, 0.64, 0.48
     s0 /= np.linalg.norm(s0)
     H = (P0 @ P0 - MASS ** 2 * np.eye(nlev)) / (2 * MASS)
     sT = evolve_state(s0, lambda t: -H, taubar, steps)
-    lhs = complex(s0.conj() @ heis.X[-1] @ s0)
+    lhs = complex(s0.conj() @ X @ s0)
     rhs = complex(sT.conj() @ X0 @ sT)
     assert abs(lhs - rhs) < 1e-8
 

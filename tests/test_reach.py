@@ -87,7 +87,6 @@ KEPT = {
     "worldsheet.arc_curve": PAPER,
     "matrixmech.schrodinger_gauge": REFERENCE,
     "particle.Observable.validate_gradients": INSTRUMENT,
-    "matrixmech.MatrixTrajectory.hermiticity_drift": INSTRUMENT,
 }
 
 
