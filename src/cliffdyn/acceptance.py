@@ -45,7 +45,7 @@ class Window(NamedTuple):
 class Gate(NamedTuple):
     """A payload field, its value and its bound: a Tolerances field name
     (``value < tols.<name>``), 0.0 (``value == 0.0``), a :class:`Window`, or
-    None for a record that is reported, not gated.  NaN fails every bound."""
+    None for a record that is reported, not gated.  NaN fails every bound, None a Window."""
 
     field: str
     value: object
@@ -54,7 +54,8 @@ class Gate(NamedTuple):
     def holds(self, tols: Tolerances) -> bool:
         if isinstance(self.bound, Window):
             half = getattr(tols, self.bound.half_width)
-            return self.bound.centre - half <= self.value <= self.bound.centre + half
+            return (self.value is not None
+                    and self.bound.centre - half <= self.value <= self.bound.centre + half)
         if isinstance(self.bound, str):
             return self.value < getattr(tols, self.bound)
         return self.bound is None or self.value == self.bound

@@ -32,8 +32,11 @@ EXIT_PRECONDITION = 3
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_dumps(obj) -> str:

@@ -49,9 +49,7 @@ __all__ = [
     "EinbeinFn",
     "constant_einbein",
     "linear_einbein",
-    "Observable",
-    "coordinate_observable",
-    "momentum_observable",
+    "Polynomial",
     "polynomial_observable",
     "ParticleState",
     "build_state",
@@ -102,94 +100,42 @@ def linear_einbein(a: float, b: float, tau0: float = 0.0) -> EinbeinFn:
     return EinbeinFn(lambda tau: a + b * tau, tau0)
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Real function of (x, p) with analytic four-gradients.
+@dataclass(frozen=True, eq=False)
+class Polynomial:
+    """N(x, p) = sum_t coef[t] prod_mu (x^mu)^ax[t, mu] p_mu^bp[t, mu], compared by identity.
 
-    ``grad_x(x, p)[mu] = dN/dx^mu`` (derivative in the contravariant
-    coordinates) and ``grad_p(x, p)[mu] = dN/dp_mu`` (derivative in the
-    covariant momenta), matching the canonical pairing of the Poisson
-    bracket.
+    ``coef`` is (terms,), the integer exponents ``ax`` and ``bp`` (terms, 4); ``grad_x``
+    and ``grad_p`` are the exact dN/dx^mu and dN/dp_mu, the Poisson bracket's pairing.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], float]
-    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = ""
+    coef: np.ndarray
+    ax: np.ndarray
+    bp: np.ndarray
 
-    def validate_gradients(self, x: np.ndarray, p: np.ndarray) -> float:
-        """Central finite differences against the analytic gradients, to 1e-6 relative."""
-        errors = []
-        for which in ("x", "p"):
-            base = np.array(x if which == "x" else p, dtype=float)
-            analytic = (self.grad_x if which == "x" else self.grad_p)(x, p)
-            scale = max(1.0, float(np.abs(base).max()))
-            h = 1e-6 * scale
-            for mu in range(4):
-                plus = base.copy(); plus[mu] += h
-                minus = base.copy(); minus[mu] -= h
-                if which == "x":
-                    fd = (self.value(plus, p) - self.value(minus, p)) / (2 * h)
-                else:
-                    fd = (self.value(x, plus) - self.value(x, minus)) / (2 * h)
-                errors.append(abs(fd - analytic[mu]) / max(1.0, abs(analytic[mu])))
-        worst = float(np.max(errors))
-        if not worst <= 1e-6:
-            raise InputError(f"observable {self.name!r}: gradient mismatch {worst:.2e}")
-        return worst
+    def grad_x(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self._grad(self.ax, x, np.prod(p ** self.bp, axis=1))
+
+    def grad_p(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self._grad(self.bp, p, np.prod(x ** self.ax, axis=1))
+
+    def _grad(self, exps: np.ndarray, base: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """d/d base_mu of sum_t coef[t] other[t] prod_nu base_nu^exps[t, nu], in term order.
+
+        A zero exponent's entry is masked to exactly 0, not 0 * inf = NaN where a factor
+        overflows; its 0^-1 and 0 * inf stay silent.  Like the tests' term loop, bit for bit,
+        this takes C pow per entry (``float_power``) and ``other`` an array ``**``."""
+        lowered = exps[:, None, :] - np.eye(4, dtype=int)       # (terms, mu, nu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rest = np.prod(np.float_power(base, lowered), axis=-1)
+            terms = self.coef[:, None] * exps * rest * other[:, None]
+        return np.sum(np.where(exps != 0, terms, 0.0), axis=0)
 
 
-def coordinate_observable(mu: int) -> Observable:
-    gx = np.zeros(4); gx[mu] = 1.0
-    return Observable(
-        value=lambda x, p, _mu=mu: float(x[_mu]),
-        grad_x=lambda x, p, _gx=gx: _gx.copy(),
-        grad_p=lambda x, p: np.zeros(4),
-        name=f"x^{mu}")
-
-
-def momentum_observable(mu: int) -> Observable:
-    gp = np.zeros(4); gp[mu] = 1.0
-    return Observable(
-        value=lambda x, p, _mu=mu: float(p[_mu]),
-        grad_x=lambda x, p: np.zeros(4),
-        grad_p=lambda x, p, _gp=gp: _gp.copy(),
-        name=f"p_{mu}")
-
-
-def polynomial_observable(terms: Sequence[tuple[float, Sequence[int], Sequence[int]]],
-                          name: str = "poly") -> Observable:
-    """Polynomial sum of c * prod_mu x^mu^a_mu * prod_mu p_mu^b_mu terms."""
-    terms = [(float(c), np.asarray(a, dtype=int), np.asarray(b, dtype=int))
-             for c, a, b in terms]
-
-    def value(x, p):
-        total = 0.0
-        for cf, ax, bp in terms:
-            total += cf * np.prod(x ** ax) * np.prod(p ** bp)
-        return float(total)
-
-    def _grad(x, p, wrt_x: bool):
-        g = np.zeros(4)
-        for cf, ax, bp in terms:
-            exps = ax if wrt_x else bp
-            base = x if wrt_x else p
-            other = np.prod((p if wrt_x else x) ** (bp if wrt_x else ax))
-            for mu in range(4):
-                if exps[mu] == 0:
-                    continue
-                rest = 1.0
-                for nu in range(4):
-                    e = exps[nu] - (1 if nu == mu else 0)
-                    rest *= base[nu] ** e
-                g[mu] += cf * exps[mu] * rest * other
-        return g
-
-    return Observable(
-        value=value,
-        grad_x=lambda x, p: _grad(x, p, True),
-        grad_p=lambda x, p: _grad(x, p, False),
-        name=name)
+def polynomial_observable(terms: Sequence[tuple[float, Sequence[int], Sequence[int]]]
+                          ) -> Polynomial:
+    """The Polynomial of the terms (c, a, b): c prod_mu (x^mu)^a_mu p_mu^b_mu."""
+    coef, ax, bp = zip(*terms)
+    return Polynomial(np.array(coef, dtype=float), np.array(ax, dtype=int), np.array(bp, dtype=int))
 
 
 class ParticleState:
@@ -569,7 +515,7 @@ def mu_of_tau(e: EinbeinFn, mass: float, tau: float | np.ndarray) -> float | np.
                           f"with {_MU_NODES[-1]} Simpson nodes")
 
 
-def clifford_bracket(N: Observable, M: Observable, state: ParticleState) -> float:
+def clifford_bracket(N: Polynomial, M: Polynomial, state: ParticleState) -> float:
     """Generalized bracket of two observables evaluated on the actual spinor Gram.
 
     Expands both derivative chains through the spinor dictionaries and pairs
@@ -589,6 +535,6 @@ def clifford_bracket(N: Observable, M: Observable, state: ParticleState) -> floa
     return float((t1 + np.conj(t1) - t2 - np.conj(t2)).real)
 
 
-def poisson_bracket(N: Observable, M: Observable, x: np.ndarray, p: np.ndarray) -> float:
+def poisson_bracket(N: Polynomial, M: Polynomial, x: np.ndarray, p: np.ndarray) -> float:
     """Canonical bracket sum_mu (dN/dx^mu dM/dp_mu - dM/dx^mu dN/dp_mu)."""
     return float(N.grad_x(x, p) @ M.grad_p(x, p) - M.grad_x(x, p) @ N.grad_p(x, p))

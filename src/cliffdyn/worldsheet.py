@@ -91,12 +91,16 @@ class ModeSpec:
         self.modes, self.labels = _mode_labels(modes)
         if 0 in self.modes:
             raise InputError("mode numbers must be nonzero")
+        if any(abs(n) >= 2 ** 63 for n in self.modes):      # beyond int64, as _phases reads them
+            raise InputError(f"modes must lie strictly between -2^63 and 2^63, got {self.modes}")
         dim = 2 * len(self.labels)
         gram = np.asarray(gram, dtype=complex)
         if gram.shape != (dim, dim):
             raise InputError(f"gram must be {dim}x{dim} for labels {self.labels}")
         if not (math.isfinite(mass) and np.all(np.isfinite(gram))):
             raise InputError("mass and gram entries must be finite")
+        if not mass > 0:
+            raise InputError("mass must be positive")
         if np.abs(gram - gram.conj().T).max() > 1e-12:
             raise InputError("gram is not Hermitian")
         self.gram = 0.5 * (gram + gram.conj().T)
@@ -641,13 +645,13 @@ def estimate_order(res_h: float, res_h2: float) -> float:
 
 
 def residual_suite(state: StringState, h: float = DEFAULT.h_grid
-                   ) -> tuple[dict[str, float], dict[str, float]]:
+                   ) -> tuple[dict[str, float], dict[str, float | None]]:
     """Worst residual of each finite-difference suite at step h, and its order.
 
     Returns ``(residuals, orders)`` keyed "box", "f51", "f52", "f90".  Orders
-    come from the steps 2e-3 and 1e-3, where truncation dominates roundoff;
-    each distinct step is evaluated once.  Raises PreconditionError unless
-    p.p > 0, before any suite runs.
+    come from the steps 2e-3 and 1e-3, where truncation dominates roundoff; a
+    suite exactly 0 at both (f52 without modes) has order None.  Each distinct
+    step runs once; unless p.p > 0, PreconditionError is raised before any.
     """
     _dstar_rows(state)
     coarse, fine = 2e-3, 1e-3
@@ -657,7 +661,8 @@ def residual_suite(state: StringState, h: float = DEFAULT.h_grid
                      ("f52", residual_f52), ("f90", dilaton_residual)):
         worst = {step: float(fn(state, step).max()) for step in {h, coarse, fine}}
         residuals[name] = worst[h]
-        orders[name] = estimate_order(worst[coarse], worst[fine])
+        orders[name] = (None if worst[coarse] == worst[fine] == 0.0
+                        else estimate_order(worst[coarse], worst[fine]))
     return residuals, orders
 
 

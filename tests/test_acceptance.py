@@ -154,6 +154,23 @@ def test_verify_all_prints_every_row_when_a_criterion_is_nan(monkeypatch, capsys
     assert all(row.startswith("[PASS]") for row in rows[1:])
 
 
+def test_string_suite_fails_an_order_of_none(monkeypatch):
+    # residual_suite reports None as the order of a suite exactly 0 at both
+    # order steps; its Window row must fail, not raise TypeError
+    original = worldsheet.residual_suite
+
+    def without_f52_order(*args, **kwargs):
+        residuals, orders = original(*args, **kwargs)
+        return residuals, {**orders, "f52": None}
+
+    monkeypatch.setattr(worldsheet, "residual_suite", without_f52_order)
+    result = string_suite(11)
+    assert not result.passed
+    assert "f52_order=None" in result.line()
+    row = next(row for row in result.rows if row.field == "f52_order")
+    assert row.bound == _ORDER and not row.holds(DEFAULT)
+
+
 def _shows_non_finite(result):
     """A detail is NaN or Inf, or the row's error message names one."""
     return any((isinstance(v, float) and not math.isfinite(v))

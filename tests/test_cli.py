@@ -306,6 +306,31 @@ def test_string_rejects_non_finite_spec(tmp_path, capsys, where, bad, residuals)
     assert not (tmp_path / "out").exists()
 
 
+# a string at rest without vibration: l.conj(l) = m^3 I, and nothing else
+_PLAIN_STRING = {"mass": 1.1, "modes": [], "gram": {"l.0|l.0": [1.331, 0], "l.1|l.1": [1.331, 0]}}
+
+
+def test_string_without_modes_writes_a_null_order(tmp_path, capsys):
+    _write_json(tmp_path / "s.json", _PLAIN_STRING)
+    code = main(["string", "--config", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "out"), "--residuals"])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "residuals.json").read_text())
+    assert report["f52_max_residual"] == 0.0 and report["f52_order"] is None
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"modes": [10 ** 19, -10 ** 19]}, "error: modes must lie strictly between"),
+    ({"mass": -1.1}, "error: mass must be positive")], ids=["modes-beyond-int64", "mass-negative"])
+def test_string_rejects_a_spec_out_of_range(tmp_path, capsys, cfg, message):
+    _write_json(tmp_path / "s.json", {**_PLAIN_STRING, **cfg})
+    code = main(["string", "--config", str(tmp_path / "s.json"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_string_rejects_bad_spec(tmp_path):
     _write_json(tmp_path / "s.json", {"mass": 1.0, "modes": [0], "gram": {}})
     code = main(["string", "--config", str(tmp_path / "s.json"),
@@ -430,6 +455,17 @@ def test_unreadable_input_exits_2(tmp_path, capsys, kind, data):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["resolve", "particle", "string"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, kind):
+    _write_json(tmp_path / "cfg.json", _VALID[kind]())
+    (tmp_path / "afile").touch()
+    assert main(_argv(kind, tmp_path / "cfg.json", tmp_path / "afile")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write {tmp_path / 'afile'}")
+    assert "File exists" in err[0]
 
 
 def _key_paths(obj, path=()):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import time
 import tracemalloc
 
@@ -21,12 +22,10 @@ from cliffdyn.particle import (
     clifford_bracket,
     conjugate_momentum_norm,
     constant_einbein,
-    coordinate_observable,
     hamiltonian_c5,
     integrate,
     lagrangian_c2,
     linear_einbein,
-    momentum_observable,
     mu_of_tau,
     noether_charges,
     poisson_bracket,
@@ -564,10 +563,20 @@ def test_state_rejects_non_positive_mass(mass):
 
 # -- brackets ------------------------------------------------------------------
 
+def _coordinate(mu):
+    """x^mu as a one-term polynomial."""
+    return polynomial_observable([(1.0, np.eye(4, dtype=int)[mu], [0, 0, 0, 0])])
+
+
+def _momentum(mu):
+    """p_mu as a one-term polynomial."""
+    return polynomial_observable([(1.0, [0, 0, 0, 0], np.eye(4, dtype=int)[mu])])
+
+
 def test_bracket_canonical_pair():
     st = _state(mu=1.0)
-    N = coordinate_observable(0)
-    M = momentum_observable(0)
+    N = _coordinate(0)
+    M = _momentum(0)
     assert clifford_bracket(N, M, st) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -608,8 +617,8 @@ def test_bracket_unconstrained_state_differs():
     # Poisson bracket cannot see ({x^0, p_3}_PB = 0)
     M_gram = np.diag([0.5, -0.2 + 0.3j])
     st = build_state(np.array([1.0, 0.2, 0, 0]), _onshell_p(), M_gram, MASS)
-    N = coordinate_observable(0)
-    M = momentum_observable(3)
+    N = _coordinate(0)
+    M = _momentum(3)
     cb = clifford_bracket(N, M, st)
     pb = poisson_bracket(N, M, st.x_vec(), st.p_vec())
     mu = st.mu_charge()
@@ -617,18 +626,95 @@ def test_bracket_unconstrained_state_differs():
     assert abs(cb - mu * pb) > 1e-3  # no reduction without the constraint
 
 
-def test_observable_gradient_validation():
-    from cliffdyn.particle import Observable
-    rng = np.random.default_rng(7)
-    obs = polynomial_observable([(0.7, [2, 0, 1, 0], [0, 1, 0, 0])])
-    x = rng.uniform(0.5, 1.5, 4)
-    p = rng.uniform(0.5, 1.5, 4)
-    assert obs.validate_gradients(x, p) < 1e-6
-    base = polynomial_observable([(0.7, [2, 0, 0, 0], [0, 0, 0, 0])])
-    wrong = Observable(value=base.value, grad_x=lambda x, p: np.ones(4),
-                       grad_p=base.grad_p, name="wrong")
-    with pytest.raises(InputError):
-        wrong.validate_gradients(x, p)
+def _evaluate(terms, x, p):
+    """The terms' sum c prod (x^mu)^a_mu p_mu^b_mu, one Python product per factor."""
+    total = 0.0
+    for c, a, b in terms:
+        for base, exps in ((x, a), (p, b)):
+            for v, e in zip(base, exps):
+                c *= float(v) ** int(e)
+        total += c
+    return total
+
+
+def _gradient_gap(terms, poly, x, p, h=1e-6):
+    """Worst relative gap between poly's gradients and central differences of
+    ``_evaluate(terms)`` in each x^mu and p_mu."""
+    exact = np.concatenate((poly.grad_x(x, p), poly.grad_p(x, p)))
+    gaps = []
+    for k in range(8):
+        step = np.zeros(8)
+        step[k] = h
+        up, down = np.concatenate((x, p)) + step, np.concatenate((x, p)) - step
+        fd = (_evaluate(terms, up[:4], up[4:]) - _evaluate(terms, down[:4], down[4:])) / (2 * h)
+        gaps.append(abs(fd - exact[k]) / max(1.0, abs(exact[k])))
+    return max(gaps)
+
+
+_TERMS = [(0.7, [2, 0, 1, 0], [0, 1, 0, 0]),
+          (-1.3, [0, 1, 2, 1], [2, 0, 1, 0]),
+          (0.4, [1, 1, 0, 2], [0, 2, 0, 1]),
+          (2.1, [0, 0, 0, 0], [1, 0, 0, 2])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomial_gradients_are_exact(seed):
+    # the fixed terms and three random ones, exponents 0, 1 and 2 in every slot
+    rng = np.random.default_rng(seed)
+    terms = [*_TERMS, *[(rng.normal(), rng.integers(0, 3, 4), rng.integers(0, 3, 4))
+                        for _ in range(3)]]
+    x, p = rng.uniform(-1.5, 1.5, 4), rng.uniform(-1.5, 1.5, 4)
+    assert _gradient_gap(terms, polynomial_observable(terms), x, p) < 1e-6
+
+
+@pytest.mark.parametrize("term", range(len(_TERMS)))
+@pytest.mark.parametrize("slot", range(8))
+def test_gradient_gap_rejects_a_changed_exponent(term, slot):
+    x, p = np.array([1.6, 2.1, 1.8, 2.4]), np.array([2.2, 1.7, 2.0, 1.5])
+    changed = [(c, np.array(a), np.array(b)) for c, a, b in _TERMS]
+    changed[term][1 + slot // 4][slot % 4] += 1
+    assert _gradient_gap(_TERMS, polynomial_observable(_TERMS), x, p) < 1e-6
+    assert _gradient_gap(_TERMS, polynomial_observable(changed), x, p) > 1e-3
+
+
+def _loop_gradient(terms, x, p, wrt_x):
+    """dN/dx^mu (or dN/dp_mu) term by term and component by component, with
+    scalar powers: the reference the array gradients equal bit for bit."""
+    g = np.zeros(4)
+    for c, a, b in terms:
+        exps, base = (np.asarray(a), x) if wrt_x else (np.asarray(b), p)
+        other = np.prod(p ** np.asarray(b)) if wrt_x else np.prod(x ** np.asarray(a))
+        for mu in range(4):
+            if exps[mu] == 0:
+                continue
+            rest = 1.0
+            for nu in range(4):
+                rest *= base[nu] ** (exps[nu] - (nu == mu))
+            g[mu] += float(c) * exps[mu] * rest * other
+    return g
+
+
+def test_polynomial_gradients_equal_the_term_loop_bit_for_bit():
+    # the terms of verify-all's bracket-reduction criterion, and longer sums
+    rng = np.random.default_rng(5)
+    for n_terms in (3, 3, 7, 12) * 50:
+        terms = [(rng.normal(), rng.integers(0, 3, 4), rng.integers(0, 3, 4))
+                 for _ in range(n_terms)]
+        x, p = rng.uniform(-1, 1, 4), _onshell_p(rng)
+        poly = polynomial_observable(terms)
+        assert np.array_equal(poly.grad_x(x, p), _loop_gradient(terms, x, p, True))
+        assert np.array_equal(poly.grad_p(x, p), _loop_gradient(terms, x, p, False))
+
+
+def test_zero_exponent_contributes_exactly_zero_next_to_an_overflow():
+    # p_0^400 overflows to inf; the components whose exponent is 0 must
+    # still read 0.0, not 0 * inf = NaN
+    poly = polynomial_observable([(1.0, [1, 0, 0, 0], [400, 0, 0, 0])])
+    x, p = np.array([1.0, 0.0, 2.0, -1.0]), np.array([10.0, 0.0, 1.0, 3.0])
+    with np.errstate(over="ignore"):
+        gx, gp = poly.grad_x(x, p), poly.grad_p(x, p)
+    assert gx.tolist() == [math.inf, 0.0, 0.0, 0.0]
+    assert gp.tolist() == [math.inf, 0.0, 0.0, 0.0]
 
 
 # -- trajectory export ---------------------------------------------------------

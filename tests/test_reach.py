@@ -43,7 +43,6 @@ TRACED = {f"{layer}.{name}" for layer, table in _layers().TRACED.items() for nam
 PAPER = "paper identity: a test checks the paper's formula with it"
 EDGE = "the GeneratorSpace public edge: its signature and block accessors"
 REFERENCE = "a reference that a test compares against"
-INSTRUMENT = "a test instrument"
 IMPORT = "runs at import, before the hook is set"
 BENCH = "the benchmark's workloads write their input files with it"
 
@@ -78,15 +77,11 @@ KEPT = {
     "particle.conjugate_momentum_norm": PAPER,
     "particle.hamiltonian_c5": PAPER,
     "particle.canonical_rhs": PAPER,
-    "particle.coordinate_observable": PAPER,
-    "particle.momentum_observable": PAPER,
-    "particle.polynomial_observable.<locals>.value": INSTRUMENT,
     "matrixmech.expectation": PAPER,
     "matrixmech.born_sample": PAPER,
     "matrixmech.nonrelativistic_rate": PAPER,
     "worldsheet.arc_curve": PAPER,
     "matrixmech.schrodinger_gauge": REFERENCE,
-    "particle.Observable.validate_gradients": INSTRUMENT,
 }
 
 

@@ -124,6 +124,31 @@ def test_mode_spec_rejects_zero_mode_number():
         make_mode_spec(mass=MASS, modes=(0, 1))
 
 
+@pytest.mark.parametrize("n", [2 ** 63, -2 ** 63, 10 ** 19])
+def test_mode_spec_rejects_modes_beyond_int64(n):
+    # the phases read the modes as an int64 array; beyond it numpy makes an
+    # object array, whose exp raises TypeError
+    with pytest.raises(InputError, match="modes must lie strictly between"):
+        make_mode_spec(mass=MASS, modes=(n, 1))
+
+
+@pytest.mark.parametrize("mass", [-MASS, 0.0])
+def test_mode_spec_rejects_non_positive_mass(mass):
+    # only m^2 reaches the Gram, so -m would run as m, or past-directed with
+    # the l block built from it
+    with pytest.raises(InputError, match="^mass must be positive$"):
+        make_mode_spec(mass=mass)
+    with pytest.raises(InputError, match="^mass must be positive$"):
+        mode_spec_from_json({**mode_spec_to_json(make_mode_spec(mass=MASS)), "mass": mass})
+
+
+def test_residual_suite_without_modes_has_no_order_where_f52_is_zero():
+    # d* is constant without modes, so f52 is exactly 0 at both order steps
+    residuals, orders = residual_suite(build_wave_state(make_mode_spec(mass=MASS)))
+    assert residuals["f52"] == 0.0 and orders["f52"] is None
+    assert all(isinstance(orders[name], float) for name in ("box", "f51", "f90"))
+
+
 def test_mode_spec_p_squared_on_shell():
     spec = _rich_spec()
     assert spec.p_squared() == pytest.approx(MASS ** 2, rel=1e-12)
