@@ -45,7 +45,7 @@ class Window(NamedTuple):
 class Gate(NamedTuple):
     """A payload field, its value and its bound: a Tolerances field name
     (``value < tols.<name>``), 0.0 (``value == 0.0``), a :class:`Window`, or
-    None for a record that is reported, not gated.  NaN fails every bound, None a Window."""
+    None for a record that is reported, not gated.  NaN and None fail every bound."""
 
     field: str
     value: object
@@ -57,7 +57,7 @@ class Gate(NamedTuple):
             return (self.value is not None
                     and self.bound.centre - half <= self.value <= self.bound.centre + half)
         if isinstance(self.bound, str):
-            return self.value < getattr(tols, self.bound)
+            return self.value is not None and self.value < getattr(tols, self.bound)
         return self.bound is None or self.value == self.bound
 
 

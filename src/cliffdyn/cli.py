@@ -60,23 +60,24 @@ def cmd_resolve(args) -> int:
     space = allocate(2 * n, 2 * n)
     res = resolve_hermitian(H, space)
     residual_matrix = res.realized_gram() - res.target
-    gram_res = res.gram_residual()
-    null_res = res.null_residual()
     out = {
         "n": n,
         "generator_signs": space.signs.tolist(),
         "vectors": [{"re": row.real.tolist(), "im": row.imag.tolist()} for row in res.coeffs],
         "residual_matrix": {"re": residual_matrix.real.tolist(),
                             "im": residual_matrix.imag.tolist()},
-        "gram_residual": gram_res,
-        "null_residual": null_res,
+        "gram_residual": res.gram_residual(),
+        "null_residual": res.null_residual(),
         "tolerance": args.tol,
     }
     _write(Path(args.out) / "resolution.json", _json_dumps(out))
-    if not (gram_res <= args.tol and null_res <= DEFAULT.gram_null):
-        print(f"resolution residual {gram_res:.3e} exceeds {args.tol:.1e}", file=sys.stderr)
+    failed = [f"{name} {out[name]:.3e} exceeds {gate} {bound:.1e}" for name, gate, bound in (
+        ("gram_residual", "--tol", args.tol), ("null_residual", "gram_null", DEFAULT.gram_null))
+        if not out[name] <= bound]
+    if failed:
+        print("resolution failed: " + "; ".join(failed), file=sys.stderr)
         return EXIT_NUMERICAL
-    print(f"resolved {n}x{n} matrix: residual {gram_res:.3e}")
+    print(f"resolved {n}x{n} matrix: residual {out['gram_residual']:.3e}")
     return EXIT_OK
 
 
@@ -175,6 +176,9 @@ def cmd_string(args) -> int:
 def cmd_verify_all(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
+    out = Path(args.out) / "verify.json" if args.out else None
+    if out:
+        _write(out, "")              # an --out that cannot be written fails before any criterion
     start = time.perf_counter()
     results = acceptance.run_all(seed=args.seed)
     if args.timings:
@@ -191,8 +195,8 @@ def cmd_verify_all(args) -> int:
             "criteria": [{"name": r.name, "passed": r.passed, "details": r.details}
                          for r in results],
         })
-        if args.out:
-            _write(Path(args.out) / "verify.json", text)
+        if out:
+            _write(out, text)
     if args.json:
         print(text, end="")          # the payload alone, so stdout pipes into a JSON reader
     else:

@@ -227,22 +227,15 @@ class GramResolution:
     target: np.ndarray
     space: GeneratorSpace
 
-    def _bullet_table(self, W: np.ndarray) -> np.ndarray:
-        # bullet(v_i, w_j) as the same elementwise sum :func:`bullet` takes,
-        # so each entry matches it bit for bit
-        return np.sum(self.coeffs[:, None] * W[None] * self.space.signs, axis=-1)
-
     def realized_gram(self) -> np.ndarray:
-        return self._bullet_table(self.coeffs.conj())
-
-    def null_gram(self) -> np.ndarray:
-        return self._bullet_table(self.coeffs)
+        return bullet_gram(self.coeffs, self.coeffs.conj(), self.space.signs)
 
     def gram_residual(self) -> float:
         return float(np.abs(self.realized_gram() - self.target).max())
 
     def null_residual(self) -> float:
-        return float(np.abs(self.null_gram()).max())
+        """Largest same-kind product |bullet(c_i, c_j)|, zero for an exact resolution."""
+        return float(np.abs(bullet_gram(self.coeffs, self.coeffs, self.space.signs)).max())
 
 
 def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None) -> GramResolution:

@@ -33,6 +33,17 @@ def number(value, field: str) -> float:
     return float(value)
 
 
+def positive_mass(mass: float) -> float:
+    """mass as a float if it is positive and m^2 neither overflows nor underflows."""
+    if not mass > 0:
+        raise InputError("mass must be positive")
+    square = float(mass) * float(mass)            # a Python float product neither raises nor warns
+    if not sys.float_info.min <= square <= sys.float_info.max:
+        raise InputError(f"mass = {mass!r} is out of range: its square "
+                         f"{'overflows' if square > 1 else 'underflows'}")
+    return float(mass)
+
+
 def integer(value, field: str) -> int:
     """A JSON integer; a boolean or a float such as 2.7 is not one."""
     if isinstance(value, bool) or not isinstance(value, int):

@@ -36,6 +36,7 @@ import numpy as np
 
 from .clifford import bullet_gram
 from .errors import InputError, PreconditionError, VerificationError
+from .particle import pair_charges
 from .spinors import DP_DOWN, EPS_LO, ETA
 from .tolerances import DEFAULT
 from .worldsheet import Curve, StringState, _product, curve_fields, simpson_weights
@@ -150,11 +151,7 @@ class CurrentSample:
 
 
 def _make_sample(us, du, c, dproj, signs) -> CurrentSample:
-    c_low = np.stack([c[:, 1], -c[:, 0]], axis=1)      # v_A = v^B eps_{BA} per node
-    dproj_t = np.swapaxes(dproj, 1, 2)
-    jm = (c_low * signs) @ dproj_t                     # bullet(c_A, d*_B)
-    j = jm + np.swapaxes(jm, 1, 2)
-    tr = np.trace((c * signs) @ dproj_t, axis1=1, axis2=2)
+    j, tr = pair_charges(c, dproj, signs)
     icur = 1j * (tr - np.conj(tr))
     return CurrentSample(us, du, simpson_weights(len(us), du), c, dproj, signs, j, icur)
 
@@ -233,13 +230,12 @@ def current_bracket_dotted(sample: CurrentSample, A: int, B: int, E: int, F: int
 
 def g1_pattern(sample: CurrentSample, A: int, B: int, E: int, F: int,
                k: int, l: int) -> complex:
-    """((j_AE eps_FB + A<->B) + E<->F) delta_{kl} / du evaluated from the sample."""
+    """((j_AE eps_FB + A<->B) + E<->F) delta_{kl} / du at node k: the pattern
+    constants of the charge algebra applied to the node's currents."""
     if k != l:
         return 0.0
-    j = sample.j[k]
-    val = (j[A, E] * EPS_LO[F, B] + j[B, E] * EPS_LO[F, A]
-           + j[A, F] * EPS_LO[E, B] + j[B, F] * EPS_LO[E, A])
-    return val / sample.du
+    jvec = sample.j[k][[0, 0, 1], [0, 1, 1]]
+    return complex(_per_du(_JJ_PATTERN[_SYM_INDEX[A, B], _SYM_INDEX[E, F]] @ jvec, sample.du))
 
 
 # -- Lie presentations -----------------------------------------------------------

@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import GeneratorSpace, bullet, bullet_gram, resolve_pair
+from .clifford import GeneratorSpace, bullet_gram, resolve_pair
+from .config import positive_mass
 from .errors import InputError, PreconditionError
 from .spinors import (
     DP_DOWN,
@@ -62,6 +63,7 @@ __all__ = [
     "step_count",
     "integrate",
     "Trajectory",
+    "pair_charges",
     "noether_charges",
     "mu_of_tau",
     "clifford_bracket",
@@ -148,13 +150,12 @@ class ParticleState:
     __slots__ = ("_Y", "mass", "tau", "space")
 
     def __init__(self, Y: np.ndarray, space: GeneratorSpace, mass: float, tau: float = 0.0):
-        if not mass > 0:
-            raise InputError("mass must be positive")
+        mass = positive_mass(mass)
         self._Y = np.asarray(Y, dtype=complex).view()
         if self._Y.shape != (4, space.size):
             raise InputError(f"state stack must be (4, {space.size}), got {self._Y.shape}")
         self._Y.setflags(write=False)
-        self.mass, self.tau, self.space = float(mass), float(tau), space
+        self.mass, self.tau, self.space = mass, float(tau), space
 
     def packed(self) -> np.ndarray:
         return self._Y
@@ -323,9 +324,7 @@ class Trajectory:
 
     def constraint_drift(self) -> float:
         """Largest change of p.p - m^2 along the run, read from the p column."""
-        p = self.p
-        shell = (p[:, 0] * p[:, 0] - p[:, 1] * p[:, 1] - p[:, 2] * p[:, 2]
-                 - p[:, 3] * p[:, 3] - self.mass ** 2)
+        shell = minkowski_dot(self.p, self.p) - self.mass ** 2
         return float(np.abs(shell - shell[0]).max())
 
     def charge_drift(self) -> float:
@@ -443,12 +442,17 @@ def _derived_columns(Y: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]
     C, D = Y[:, :2], Y[:, 2:]
     x = spinor_to_vec(bullet_gram(C, C.conj(), signs)).real
     p = spinor_down_to_covec(bullet_gram(D, D.conj(), signs)).real
-    c_low = np.stack(eps_flip_pair([C[:, 0], C[:, 1]]), axis=1)
-    dcl = np.sum(D[:, :, None, :] * c_low[:, None, :, :] * signs, axis=-1)
-    J = dcl + np.swapaxes(dcl, 1, 2)          # bullet(d*_A, c_B) + bullet(d*_B, c_A)
-    trace_cd = np.trace(bullet_gram(C, D, signs), axis1=1, axis2=2)
-    j = (1j * (trace_cd - np.conj(trace_cd))).real
-    return x, p, J, j, 0.5 * trace_cd.real
+    J, trace_cd = pair_charges(C, D, signs)
+    return x, p, J, (1j * (trace_cd - np.conj(trace_cd))).real, 0.5 * trace_cd.real
+
+
+def pair_charges(C: np.ndarray, D: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """J_(AB) = bullet(c_A, d*_B) + (A <-> B), shape (..., 2, 2), and tr bullet(c^A, d*_B)
+    of the (..., 2, G) stacks of c and d*; c_A = c^B eps_{BA} by :func:`eps_flip_pair`."""
+    c_low = np.stack(eps_flip_pair(np.moveaxis(C, -2, 0)), axis=-2)
+    D_t = np.swapaxes(D, -1, -2)
+    jm = (c_low * signs) @ D_t
+    return jm + np.swapaxes(jm, -1, -2), np.trace((C * signs) @ D_t, axis1=-2, axis2=-1)
 
 
 def noether_charges(state: ParticleState) -> tuple[np.ndarray, float]:
@@ -457,15 +461,9 @@ def noether_charges(state: ParticleState) -> tuple[np.ndarray, float]:
     Both vanish identically on Noether-constrained states (mixed Gram equal
     to a real multiple of the identity).
     """
-    Y, signs = state.packed(), state.space.signs
-    c_low = eps_flip_pair(Y[:2])
-    J = np.empty((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            J[a, b] = bullet(Y[2 + a], c_low[b], signs) + bullet(Y[2 + b], c_low[a], signs)
-    trace_cd = np.trace(state.cd_gram())
-    j = float((1j * (trace_cd - np.conj(trace_cd))).real)
-    return J, j
+    Y = state.packed()
+    J, trace_cd = pair_charges(Y[:2], Y[2:], state.space.signs)
+    return J, float((1j * (trace_cd - np.conj(trace_cd))).real)
 
 
 # Node counts of mu_of_tau's Simpson grids: 3, 5, 9, ..., 2^12 + 1.

@@ -66,10 +66,11 @@ def spinor_to_vec(S) -> np.ndarray:
     return 0.5 * np.einsum("mab,...ba->...m", SIGMA, S)
 
 
-def minkowski_dot(u, v) -> complex:
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return complex(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
+def minkowski_dot(u, v):
+    """u.v over the last axis: a complex for two four-vectors, else an array over the stack."""
+    u, v = (np.moveaxis(np.asarray(w), -1, 0) for w in (u, v))
+    dot = u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
+    return complex(dot) if dot.ndim == 0 else dot
 
 
 def minkowski_norm(S) -> float:

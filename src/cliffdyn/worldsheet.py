@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clifford import GeneratorSpace, allocate, bullet_gram, resolve_hermitian
-from .config import fields, integers, mapping, number, real_array
+from .config import fields, integers, mapping, number, positive_mass, real_array
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import flip_both, minkowski_norm
 from .tolerances import DEFAULT
@@ -99,12 +99,10 @@ class ModeSpec:
             raise InputError(f"gram must be {dim}x{dim} for labels {self.labels}")
         if not (math.isfinite(mass) and np.all(np.isfinite(gram))):
             raise InputError("mass and gram entries must be finite")
-        if not mass > 0:
-            raise InputError("mass must be positive")
+        self.mass = positive_mass(mass)
         if np.abs(gram - gram.conj().T).max() > 1e-12:
             raise InputError("gram is not Hermitian")
         self.gram = 0.5 * (gram + gram.conj().T)
-        self.mass = float(mass)
         self.on_shell = bool(on_shell)
         self._check_sparsity()
         if self.on_shell:
@@ -141,8 +139,12 @@ class ModeSpec:
         return self.block("l", "l")
 
     def p_squared(self) -> float:
-        """(L.L)^{1/3} with the real cube root."""
-        return float(np.cbrt(np.real(minkowski_norm(self.l_block()))))
+        return _induced_pp(self.l_block())
+
+
+def _induced_pp(l_block) -> float:
+    """p.p = (L.L)^{1/3} of an l block, with the real cube root."""
+    return float(np.cbrt(np.real(minkowski_norm(l_block))))
 
 
 def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
@@ -163,7 +165,7 @@ def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
         l_block = mass ** 3 * np.eye(2)
     l_block = np.asarray(l_block, dtype=complex)
     if mass is None:
-        pp = float(np.cbrt(np.real(minkowski_norm(l_block))))
+        pp = _induced_pp(l_block)
         if not pp >= 0.0:
             raise InputError(f"the l block induces p.p = {pp:.6g}, which has no real square "
                              "root for the mass; pass mass")
@@ -216,44 +218,45 @@ class StringState:
         self.L_up = spec.l_block()
         self.L_down = flip_both(self.L_up)
         self.p_up = self.L_up / self.p2 if self.p2 > 1e-12 else None
-        per_label = coeffs.reshape(len(spec.labels), 2, space.size)
-        self.c_rows = per_label
+        self.c_rows = per_label = coeffs.reshape(len(spec.labels), 2, space.size)
         self.dstar_rows = self.dstar_gram = None
         if self.p_up is not None:
             self.dstar_rows = self.p2 ** -2 * (self.L_down @ per_label.conj())
             dstar = self.dstar_rows.reshape(coeffs.shape)
             self.dstar_gram = bullet_gram(dstar, dstar.conj(), space.signs)
         # l_A . conj(l)_B against every allowed Gram block: the dilaton's mode coefficients
-        self.l_contractions = {pair: _l_contract(self, spec.block(*pair))
+        self.l_contractions = {pair: complex(np.sum(self.L_down * spec.block(*pair)))
                                for pair in spec._allowed_pairs()}
-
-    def bullet_gram_residual(self) -> float:
-        realized = bullet_gram(self.coeffs, self.coeffs.conj(), self.space.signs)
-        return float(np.abs(realized - self.spec.gram).max())
 
     @functools.cached_property
     def exact_sides(self) -> tuple[np.ndarray, np.ndarray]:
-        """The step-free sides of the f51 and f90 residuals, made on first use."""
-        return _exact_sides(self)
+        """The step-free sides of the f51 and f90 residuals on their lattice, made on first use.
+
+        f51's p^{AE} d_{alpha E}, shape (16, 2, 2, G), and f90's
+        -m^2 eta_ab + (eta_cd d*^c.d^d) d*_(a.d_b), shape (16, 2, 2), which on
+        shell is -T_ab = -eta T eta of :func:`energy_momentum`.
+        """
+        ds = dstar_upper(self, _GRID_TAU, _GRID_SIGMA)
+        f51 = self.p_up @ (ETA_WS.diagonal()[:, None, None] * ds.conj())
+        return f51, -(ETA_WS @ energy_momentum(self, _GRID_TAU, _GRID_SIGMA) @ ETA_WS)
 
 
 def build_wave_state(spec: ModeSpec) -> StringState:
     """Realize the coefficient Gram on a fresh generator space.
 
     Raises VerificationError when the resolution misses the Gram by more
-    than the feasibility gate (1e-9).
+    than the feasibility gate (``mode_gram_residual``) or its same-kind
+    products exceed ``gram_null``.
     """
     dim = 2 * len(spec.labels)
     space = allocate(2 * dim, 2 * dim, label="modes")
     res = resolve_hermitian(spec.gram, space)
-    state = StringState(spec, space, res.coeffs)
-    resid = state.bullet_gram_residual()
+    resid = res.gram_residual()
     if not resid <= DEFAULT.mode_gram_residual:
         raise VerificationError(f"mode Gram infeasible: residual {resid:.3e}")
-    null = float(np.abs(bullet_gram(res.coeffs, res.coeffs, space.signs)).max())
-    if not null <= DEFAULT.gram_null:
+    if not res.null_residual() <= DEFAULT.gram_null:
         raise VerificationError("same-kind products failed to vanish")
-    return state
+    return StringState(spec, space, res.coeffs)
 
 
 # -- field evaluation on arrays of points ----------------------------------------
@@ -391,11 +394,6 @@ def energy_momentum(state: StringState, tau, sigma) -> np.ndarray:
     return T.real
 
 
-def _l_contract(state: StringState, block: np.ndarray) -> complex:
-    """l_A . conj(l)_B contracted with an upper-index 2x2 block."""
-    return complex(np.sum(state.L_down * block))
-
-
 def dilaton(state: StringState, tau, sigma,
             k_const: float = 0.0, k_lin: tuple[float, float] = (0.0, 0.0)):
     """Closed-form dilaton field for the flat-gauge wave solutions, shape S.
@@ -457,25 +455,6 @@ def wave_residual(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
     return np.abs(box - 2.0 * state.L_up).max(axis=(-2, -1))
 
 
-def _exact_sides(state: StringState) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice values that f51 and f90 compare their differences with.
-
-    f51's p^{AE} d_{alpha E}, shape (16, 2, 2, G), and f90's
-    -m^2 eta_ab + (eta_cd d*^c.d^d) d*_(a.d_b), shape (16, 2, 2).  Neither
-    depends on the step, so :attr:`StringState.exact_sides` keeps them.
-    """
-    ds = dstar_upper(state, _GRID_TAU, _GRID_SIGMA)
-    f51 = state.p_up @ (ETA_WS.diagonal()[:, None, None] * ds.conj())
-    signs = state.space.signs
-    Pi = sum(bullet_gram(ETA_WS[g, g] * ds[:, g], ds[:, g].conj(), signs) for g in range(2))
-    u = np.stack([ETA_WS[a, a] * np.stack([ds[:, a, 1], -ds[:, a, 0]], axis=1)
-                  for a in range(2)], axis=1)
-    D = bullet_gram(u[:, :, None], u[:, None].conj(), signs)
-    Dsym = 0.5 * (D + np.swapaxes(D, 1, 2))
-    f90 = -state.spec.mass ** 2 * ETA_WS + np.einsum("nAB,nabAB->nab", Pi, Dsym).real
-    return f51, f90
-
-
 def residual_f51(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
     """|d_alpha c^A - p^{AE} d_{alpha E}| with the gradient by central differences."""
     tp, tm, sp, sm = eval_c_packed(state, *_stencil((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)))
@@ -496,7 +475,7 @@ def residual_f52(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
 
 
 def dilaton_residual(state: StringState, h: float = DEFAULT.h_grid) -> np.ndarray:
-    """FD residual of d_a d_b phi = -m^2 eta_ab + (eta_cd d*^c.d^d) d*_(a.d_b)."""
+    """FD residual of d_a d_b phi = -m^2 eta_ab + (eta_cd d*^c.d^d) d*_(a.d_b) = -T_ab."""
     c, tp, tm, sp, sm, pp, pm, mp, mm = dilaton(state, *_stencil(
         (0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h),
         (h, h), (h, -h), (-h, h), (-h, -h)))
@@ -669,14 +648,10 @@ def residual_suite(state: StringState, h: float = DEFAULT.h_grid
 # -- JSON interface ---------------------------------------------------------------
 
 def mode_spec_to_json(spec: ModeSpec) -> dict:
-    entries = {}
-    for i, li in enumerate(spec.labels):
-        for A in range(2):
-            for j, lj in enumerate(spec.labels):
-                for B in range(2):
-                    v = spec.gram[2 * i + A, 2 * j + B]
-                    if v != 0:
-                        entries[f"{li}.{A}|{lj}.{B}"] = [v.real, v.imag]
+    """The spec's JSON form: every nonzero Gram entry under its "label.A|label.B" key."""
+    rows = [f"{label}.{A}" for label in spec.labels for A in range(2)]
+    entries = {f"{rows[i]}|{rows[j]}": [v.real, v.imag]
+               for (i, j), v in np.ndenumerate(spec.gram) if v != 0}
     return {"mass": spec.mass, "modes": list(spec.modes), "gram": entries}
 
 

@@ -171,6 +171,22 @@ def test_string_suite_fails_an_order_of_none(monkeypatch):
     assert row.bound == _ORDER and not row.holds(DEFAULT)
 
 
+def test_string_suite_fails_a_residual_of_none(monkeypatch):
+    # a None value under a Tolerances-name bound is a FAIL row, not a TypeError
+    original = worldsheet.residual_suite
+
+    def without_f52_residual(*args, **kwargs):
+        residuals, orders = original(*args, **kwargs)
+        return {**residuals, "f52": None}, orders
+
+    monkeypatch.setattr(worldsheet, "residual_suite", without_f52_residual)
+    result = string_suite(11)
+    assert not result.passed
+    assert "f52_residual=None" in result.line()
+    row = next(row for row in result.rows if row.field == "f52_residual")
+    assert row.bound == "fd_residual" and not row.holds(DEFAULT)
+
+
 def _shows_non_finite(result):
     """A detail is NaN or Inf, or the row's error message names one."""
     return any((isinstance(v, float) and not math.isfinite(v))

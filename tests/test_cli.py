@@ -68,6 +68,23 @@ def test_resolve_rejects_non_finite(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_resolve_names_the_gate_that_failed(tmp_path, capsys):
+    # at 1e4 the gram residual passes --tol and the null residual fails gram_null
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    _write_json(tmp_path / "H.json", hermitian_to_json(1e4 * (A + A.conj().T)))
+    for tol, failed in ((DEFAULT.gram_residual, ["null_residual"]),
+                        (0.0, ["gram_residual", "null_residual"])):
+        code = main(["resolve", "--input", str(tmp_path / "H.json"), "--out", str(tmp_path),
+                     "--tol", str(tol)])
+        payload = json.loads((tmp_path / "resolution.json").read_text())
+        gates = {"gram_residual": f"--tol {tol:.1e}", "null_residual": "gram_null 1.0e-12"}
+        assert code == 1
+        assert payload["gram_residual"] > 0.0 and payload["null_residual"] > DEFAULT.gram_null
+        assert capsys.readouterr().err == "resolution failed: " + "; ".join(
+            f"{name} {payload[name]:.3e} exceeds {gates[name]}" for name in failed) + "\n"
+
+
 def _resolve_with_off_diagonal():
     return hermitian_to_json(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
@@ -331,6 +348,21 @@ def test_string_rejects_a_spec_out_of_range(tmp_path, capsys, cfg, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["particle", "string"])
+@pytest.mark.parametrize("mass,how", [(1e-320, "underflows"), (1e-160, "underflows"),
+                                      (1e308, "overflows")])
+def test_mass_whose_square_leaves_the_float_range_exits_2(tmp_path, capsys, recwarn,
+                                                          kind, mass, how):
+    # m^2 of 1e-320 and 1e-160 underflows (the particle report would read NaN), of 1e308 overflows
+    cfg = _particle_config() if kind == "particle" else _PLAIN_STRING
+    _write_json(tmp_path / "cfg.json", {**cfg, "mass": mass})
+    assert main(_argv(kind, tmp_path / "cfg.json", tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: mass = {mass!r} is out of range: its square {how}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
+
 def test_string_rejects_bad_spec(tmp_path):
     _write_json(tmp_path / "s.json", {"mass": 1.0, "modes": [0], "gram": {}})
     code = main(["string", "--config", str(tmp_path / "s.json"),
@@ -527,6 +559,19 @@ def test_verify_all_smoke(tmp_path, capsys):
     payload = json.loads((tmp_path / "verify.json").read_text())
     assert payload["passed"] is True
     assert payload["seed"] == 7
+
+
+def test_verify_all_refuses_an_unwritable_out_before_any_criterion(tmp_path, capsys,
+                                                                    monkeypatch):
+    from cliffdyn import acceptance
+    ran = []
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: ran.append(seed) or [])
+    (tmp_path / "afile").touch()
+    code = main(["verify-all", "--out", str(tmp_path / "afile" / "x")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and ran == []
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write {tmp_path / 'afile' / 'x' / 'verify.json'}")
 
 
 def test_verify_all_negative_seed_exits_2(capsys):

@@ -283,8 +283,13 @@ def test_validate_hermitian_symmetrizes():
 # -- packed paths against the per-vector references ---------------------------
 #
 # The references are the loops the coefficient-stack code replaced: one bullet
-# per Gram entry and one row sum per (row, eigendirection).  The packed code
-# must agree with them bit for bit, signed zeros included.
+# per Gram entry and one row sum per (row, eigendirection).  The resolution rows
+# must agree with them bit for bit, signed zeros included.  The Gram tables are
+# bullet_gram's product, which sums in another order than bullet's, so they
+# agree with the loop to the float64 bound of both sums.
+
+EPS = np.finfo(float).eps
+
 
 def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -302,19 +307,43 @@ def _seeded_resolutions(seed, count=40):
         yield H, resolve_hermitian(H, allocate(2 * n, 2 * n))
 
 
+def _bullet_loop(rows, signs, conj=True):
+    """bullet(v_i, conj(v_j)), or bullet(v_i, v_j) without ``conj``, one entry at a time."""
+    return np.array([[bullet(vi, vj.conj() if conj else vj, signs) for vj in rows]
+                     for vi in rows])
+
+
+def _loop_bound(rows, signs):
+    """Rounding of both sides' G-term sums of complex products: 2 (G + 2) eps sum |terms|."""
+    mag = np.abs(rows)
+    return 2 * (len(signs) + 2) * EPS * bullet_gram(mag, mag, np.abs(signs))
+
+
+def _within(got, ref, bound):
+    return got.shape == ref.shape and bool(np.all(np.abs(got - ref) <= bound))
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_gram_tables_match_bullet_loop(seed):
     for _, res in _seeded_resolutions(seed):
         rows, signs = res.coeffs, res.space.signs
-        n = len(rows)
-        realized = np.empty((n, n), dtype=complex)
-        null = np.empty((n, n), dtype=complex)
-        for i, vi in enumerate(rows):
-            for j, vj in enumerate(rows):
-                realized[i, j] = bullet(vi, vj.conj(), signs)
-                null[i, j] = bullet(vi, vj, signs)
-        assert_same_bits(res.realized_gram(), realized)
-        assert_same_bits(res.null_gram(), null)
+        bound = _loop_bound(rows, signs)
+        assert _within(res.realized_gram(), _bullet_loop(rows, signs), bound)
+        assert _within(bullet_gram(rows, rows, signs), _bullet_loop(rows, signs, conj=False),
+                       bound)
+        assert res.null_residual() == float(np.abs(bullet_gram(rows, rows, signs)).max())
+
+
+@pytest.mark.parametrize("mutation", ["unconjugated", "unsigned"])
+def test_gram_bound_rejects_a_wrong_reference(mutation):
+    # the bound admits a reordered sum, not a loop that drops the conjugate or the signs
+    excess = []
+    for _, res in _seeded_resolutions(0):
+        rows, signs = res.coeffs, res.space.signs
+        wrong = (_bullet_loop(rows, signs, conj=False) if mutation == "unconjugated"
+                 else _bullet_loop(rows, np.abs(signs)))
+        excess.append(np.max(np.abs(res.realized_gram() - wrong) - _loop_bound(rows, signs)))
+    assert max(excess) > 1e-6
 
 
 @pytest.mark.parametrize("seed", [1, 12345])

@@ -28,13 +28,14 @@ from cliffdyn.particle import (
     linear_einbein,
     mu_of_tau,
     noether_charges,
+    pair_charges,
     poisson_bracket,
     polyakov_lagrangian,
     polynomial_observable,
     rk4,
     Trajectory,
 )
-from cliffdyn.spinors import (DP_DOWN, ETA, eta_flip, flip_both, minkowski_dot,
+from cliffdyn.spinors import (DP_DOWN, EPS_LO, ETA, eta_flip, flip_both, minkowski_dot,
                               spinor_down_to_covec, spinor_to_vec, vec_to_spinor)
 
 MASS = 1.3
@@ -453,6 +454,50 @@ def test_charges_vanish_on_constrained_state():
     J, j = noether_charges(_state(mu=0.9))
     assert np.abs(J).max() < 1e-13
     assert abs(j) < 1e-13
+
+
+def _ref_pair_charges(state, eps=EPS_LO, swapped=1):
+    """J_AB = bullet(d*_A, c_B) + bullet(d*_B, c_A) with c_B = c^E eps_{EB}, one bullet
+    per term, the trace of bullet(c^A, d*_A), and the bound on both sides' rounding.
+    ``eps`` and ``swapped`` (the weight of the A <-> B term) make wrong references."""
+    Y, signs = state.packed(), state.space.signs
+    c_low = [eps[0, B] * Y[0] + eps[1, B] * Y[1] for B in range(2)]
+    J = np.array([[bullet(Y[2 + A], c_low[B], signs)
+                   + swapped * bullet(Y[2 + B], c_low[A], signs)
+                   for B in range(2)] for A in range(2)])
+    trace = bullet(Y[0], Y[2], signs) + bullet(Y[1], Y[3], signs)
+    mag = np.abs(Y)
+    gram = 2 * (Y.shape[1] + 2) * np.finfo(float).eps * bullet_gram(mag, mag, np.abs(signs))
+    # |c_B| = |c^E| for the one nonzero eps entry of each column
+    bound = gram[2:, [1, 0]] + gram[2:, [1, 0]].T
+    return J, trace, bound, gram[0, 2] + gram[1, 3]
+
+
+@pytest.mark.parametrize("mu", [0.9, np.array([[0.7 + 0.02j, 0.05 + 0.01j],
+                                               [0.05 - 0.01j, 0.6]])], ids=["constrained", "mixed"])
+def test_pair_charges_match_per_term_bullets(mu):
+    st = build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), mu, MASS)
+    Y = st.packed()
+    J, trace = pair_charges(Y[:2], Y[2:], st.space.signs)
+    J_ref, trace_ref, bound, trace_bound = _ref_pair_charges(st)
+    assert np.all(np.abs(J - J_ref) <= bound)
+    assert abs(trace - trace_ref) <= trace_bound
+    # a stack of states gives each state's charges
+    stacked = pair_charges(np.stack([Y[:2], Y[:2]]), np.stack([Y[2:], Y[2:]]), st.space.signs)
+    assert np.array_equal(stacked[0], np.stack([J, J]))
+    assert np.array_equal(stacked[1], np.stack([trace, trace]))
+
+
+@pytest.mark.parametrize("mutation", ["c-raised", "swap-dropped"])
+def test_pair_charges_bound_rejects_a_wrong_reference(mutation):
+    # the bound admits a reordered sum, not c raised where it is lowered or J unsymmetrized
+    st = _mixed_state()
+    Y = st.packed()
+    J, _ = pair_charges(Y[:2], Y[2:], st.space.signs)
+    bound = _ref_pair_charges(st)[2]
+    wrong = _ref_pair_charges(st, **({"eps": EPS_LO.T} if mutation == "c-raised"
+                                     else {"swapped": 0}))[0]
+    assert np.max(np.abs(J - wrong) - bound) > 1e-6
 
 
 def test_offdiagonal_mixed_gram_shows_in_J():

@@ -69,7 +69,6 @@ KEPT = {
     "clifford.GeneratorSpace.block_slice": EDGE,
     "clifford.GeneratorSpace.n_neg": EDGE,
     "clifford.GeneratorSpace.n_pos": EDGE,
-    "spinors.minkowski_dot": PAPER,
     "particle.ParticleState.mass_shell": PAPER,
     "particle._velocity_contraction": PAPER,
     "particle.lagrangian_c2": PAPER,

@@ -157,7 +157,9 @@ def test_mode_spec_p_squared_on_shell():
 # -- construction and dual-route evaluation --------------------------------------
 
 def test_build_state_gram_realized(rich_state):
-    assert rich_state.bullet_gram_residual() < 1e-10
+    coeffs, signs = rich_state.coeffs, rich_state.space.signs
+    assert np.abs(bullet_gram(coeffs, coeffs.conj(), signs) - rich_state.spec.gram).max() < 1e-10
+    assert np.abs(bullet_gram(coeffs, coeffs, signs)).max() < 1e-12
 
 
 def test_dual_route_x_agreement(rich_state):
@@ -554,6 +556,8 @@ def _f52_bound(state, h):
 
 
 def _f90_bound(state, h):
+    """The (f90) form's rounding bound plus T's: the suite reads its exact side
+    as -eta T eta, which on shell is the (f90) form that the reference sums."""
     signs = state.space.signs
     db = _dstar_bound(state)
     du = db[:, ::-1]                     # u^a = eta (d*^a_1, -d*^a_0): components swap
@@ -569,7 +573,7 @@ def _f90_bound(state, h):
         dDsym = 0.5 * (dD + np.swapaxes(dD, 0, 1))
         rhs = np.einsum("AB,abAB->ab", np.abs(Pi), dDsym) \
             + np.einsum("AB,abAB->ab", dPi, Dsym + dDsym)
-        out.append(rhs.max())
+        out.append((rhs + _T_bound(state, t, s)).max())
     return np.array(out)
 
 
@@ -632,6 +636,17 @@ def test_residuals_match_per_point_reference(any_state, h):
                            (dilaton_residual, _ref_f90, _f90_bound)):
         tol = None if bound is None else bound(any_state, h)
         assert _agrees(fn(any_state, h), ref(any_state, h), tol), fn.__name__
+
+
+@pytest.mark.parametrize("mutation", ["T-unlowered", "T-sign-flipped"])
+def test_f90_bound_rejects_a_wrong_exact_side(any_state, mutation, monkeypatch):
+    # the (f90) form equals -eta T eta to within the bound, not -T or +eta T eta
+    h = 1e-3
+    f51, f90 = any_state.exact_sides
+    T = -(ETA_WS @ f90 @ ETA_WS)
+    monkeypatch.setattr(any_state, "exact_sides", (f51, -T if mutation == "T-unlowered" else -f90))
+    got = dilaton_residual(any_state, h)
+    assert np.max(np.abs(got - _ref_f90(any_state, h)) - _f90_bound(any_state, h)) > 1e-6
 
 
 def test_curve_fields_match_per_node_reference(any_state):
