@@ -314,12 +314,12 @@ CRITERIA = (
     ("algebra-suite", algebra_suite),
 )
 
-# The criterion run_all hands to a forked child.  Picture-equivalence takes
-# about 58 % of a serial run (0.59 s of 1.02 s in-process on a 2-core host,
-# seed 11, median of 5) and the other seven the rest (0.45 s); no other split
-# of the eight comes nearer to two even lanes.  Each process has its own
-# interpreter lock, which threads running criteria would share; a fork and
-# its waitpid cost 2-3 ms.
+# The criterion run_all hands to a forked child.  Picture-equivalence is the
+# longest criterion, 56 % of a serial run: 314-317 ms of 551-567 ms CPU
+# in-process, the other seven 237-249 ms (a 2-core host, seed 11, medians of
+# 5 in two rounds); no other split of the eight comes nearer to two even
+# lanes.  Each process has its own interpreter lock, which threads running
+# criteria would share; a fork and its waitpid cost 2-3 ms.
 FORKED = "picture-equivalence"
 
 # taken before anything can rebind the criteria: the row title under which a

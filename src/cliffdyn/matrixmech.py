@@ -178,7 +178,7 @@ def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> tuple[n
 
 def _free_hamiltonian(mass: float, n: int) -> Callable[..., np.ndarray]:
     """(P, out=None) -> (P.P - m^2 1)/(2m) for an n x n momentum matrix P or a stack of them."""
-    mass_term = mass ** 2 * np.eye(n)
+    mass_term = mass ** 2 * np.eye(n, dtype=complex)    # complex: H -= casts nothing
 
     def hamiltonian(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         H = np.matmul(P, P, out=out)
@@ -189,72 +189,89 @@ def _free_hamiltonian(mass: float, n: int) -> Callable[..., np.ndarray]:
     return hamiltonian
 
 
-def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
-                      connections: Sequence[Callable | None], name: str):
-    """``(Y0, rhs)`` for one RK4 over len(connections) copies of the Hermitian pair (X0, P0).
+def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, name: str,
+                      heisenberg: int, connection: Callable | None = None):
+    """``(Y0, rhs, pairs)`` for one RK4 over copies of the Hermitian pair (X0, P0):
+    ``heisenberg`` systems in the Heisenberg picture, then one under
+    ``connection`` if it is given.
 
-    System b follows dY = i[Gamma_b, Y] + [Y, H]/(i hbar) for Y = X, P, with
-    the Hermitian Gamma_b = ``connections[b](t, X, P, H, out)`` (it may write
-    into the buffer ``out``), or Gamma = 0 for None (the Heisenberg picture).
-    ``rhs(t, Y, dY)`` computes every H with one batched P @ P and every [Y, H]
-    with one batched product, in buffers allocated once per flow.
+    A system follows dX = i[Gamma, X] + [X, H]/(i hbar) and dP = i[Gamma, P],
+    with Gamma = 0 in the Heisenberg picture and otherwise the Hermitian
+    Gamma = ``connection(t, X, P, H, out)`` (it may write into the buffer
+    ``out``).  H = (P.P - m^2 1)/(2m) is a function of P, so [P, H] = 0 and P
+    moves only under a connection: its Hamiltonian commutator, pure rounding
+    noise, is never formed.  The state Y holds what moves, the X of every
+    system and then the connected system's P; a Heisenberg system keeps P0,
+    and its H is computed once.  ``pairs(Y)`` returns every system's (X, P),
+    the connected system last.  ``rhs(t, Y, dY)`` computes every X H in one
+    batched product, in buffers allocated once per flow.  Its elementwise
+    calls read and write whole contiguous buffers, since numpy allocates a
+    buffer for a strided or broadcast operand: a stage allocates no array.
 
     X0 and P0 must be Hermitian (``validate_hermitian``, else InputError).
-    Y and H stay Hermitian, so H Y = (Y H)^dagger and [Y, H] = A - A^dagger
-    with A = Y H: one product per commutator; likewise Gamma Y - Y Gamma =
-    B - B^dagger with B = Gamma Y.  Either difference is anti-Hermitian
-    entry by entry, however A and B were rounded, so the flow keeps X and P
-    exactly Hermitian.
+    X, P and H stay Hermitian, so H X = (X H)^dagger and [X, H] = A - A^dagger
+    with A = X H: one product per commutator; likewise Gamma Y - Y Gamma =
+    B - B^dagger with B = Gamma Y for Y = X, P.  Either difference is
+    anti-Hermitian entry by entry, however A and B were rounded, so the flow
+    keeps X and P exactly Hermitian.
     """
     if not hbar > 0:
         raise PreconditionError(f"{name} requires hbar > 0")
     X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
-    hamiltonian = _free_hamiltonian(mass, len(X0))
+    connected = connection is not None
+    n, systems = len(X0), heisenberg + connected
+    hamiltonian = _free_hamiltonian(mass, n)
     scale = -1j / hbar          # the values numpy gives for / (1j * hbar)
-    Y0 = np.stack([np.stack((X0, P0))] * len(connections))
-    # A = Y H of every system, then B = Gamma Y of every connection, in one
-    # buffer: each difference A - A^dagger, B - B^dagger is one call for all
-    active = [b for b, connection in enumerate(connections) if connection is not None]
-    work = np.empty((len(connections) + len(active), *Y0.shape[1:]), dtype=complex)
-    A, Bs, dagger = work[:len(connections)], work[len(connections):], np.empty_like(work)
-    links = [(b, connections[b], B) for b, B in zip(active, list(Bs))]
-    H, gamma = np.empty_like(Y0[:, 1]), np.empty_like(X0)
+    Y0 = np.stack([X0] * systems + [P0] * connected)
+    # A = X H of every system, then B = Gamma (X, P), in one buffer: each
+    # difference A - A^dagger, B - B^dagger is one call for all
+    work = np.empty((systems + 2 * connected, n, n), dtype=complex)
+    A, B = work[:systems], work[systems:]
+    transposed, dagger = work.swapaxes(-1, -2), np.empty_like(work)
+    H, gamma = np.stack([hamiltonian(P0)] * systems), np.empty_like(X0)
 
     def rhs(t, Y, dY):
-        hamiltonian(Y[:, 1], out=H)
-        np.matmul(Y, H[:, None], out=A)
-        for b, connection, B in links:
-            np.matmul(connection(t, Y[b, 0], Y[b, 1], H[b], gamma), Y[b], out=B)
-        np.subtract(work, np.conjugate(work.swapaxes(-1, -2), out=dagger), out=work)
-        np.multiply(A, scale, out=dY)
-        np.multiply(Bs, 1j, out=Bs)
-        for b, _, B in links:
-            dY[b] += B
+        if connected:
+            pair = Y[-2:]
+            np.matmul(connection(t, *pair, hamiltonian(pair[1], out=H[-1]), gamma), pair, out=B)
+        np.matmul(Y[:systems], H, out=A)
+        np.copyto(dagger, transposed)
+        np.subtract(work, np.conjugate(dagger, out=dagger), out=work)
+        np.multiply(A, scale, out=dY[:systems])
+        if connected:
+            np.multiply(B, 1j, out=B)
+            dY[-2] += B[0]
+            dY[-1] = B[1]
 
-    return Y0, rhs
+    def pairs(Y):
+        return [(X, P0) for X in Y[:heisenberg]] + [tuple(Y[-2:])] * connected
+
+    return Y0, rhs, pairs
 
 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                       tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
-    """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar); ``(X, P)`` at tau_end."""
-    flow = _commutator_flows(X0, P0, hbar, mass, [None], "evolve_heisenberg")
-    return tuple(_rk4_end(*flow, tau_end, steps)[0])
+    """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar) = 0; ``(X, P)`` at tau_end,
+    with P returned equal to P0."""
+    Y0, rhs, pairs = _commutator_flows(X0, P0, hbar, mass, "evolve_heisenberg", 1)
+    return pairs(_rk4_end(Y0, rhs, tau_end, steps))[0]
 
 
 def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                      gamma: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
                      tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
-    """Gauge-covariant flow: dX = i[Gamma, X] + [X, H]/(i hbar); ``(X, P)`` at tau_end.
+    """Gauge-covariant flow dX = i[Gamma, X] + [X, H]/(i hbar), dP = i[Gamma, P];
+    ``(X, P)`` at tau_end.
 
     ``gamma(taubar, X, P)`` returns the Hermitian connection, checked by
     ``validate_hermitian`` at every stage; X and P are views of a reused buffer.
     Gamma = 0 reproduces :func:`evolve_heisenberg` exactly; Gamma = -H/hbar
     cancels the commutators and freezes X and P (the Schrodinger picture).
     """
-    flow = _commutator_flows(X0, P0, hbar, mass,
-                             [lambda t, X, P, H, out: validate_hermitian(gamma(t, X, P))],
-                             "covariant_evolve")
-    return tuple(_rk4_end(*flow, tau_end, steps)[0])
+    Y0, rhs, pairs = _commutator_flows(
+        X0, P0, hbar, mass, "covariant_evolve", 0,
+        lambda t, X, P, H, out: validate_hermitian(gamma(t, X, P)))
+    return pairs(_rk4_end(Y0, rhs, tau_end, steps))[0]
 
 
 def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -266,11 +283,10 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     under :func:`schrodinger_gauge`.  The frozen system writes Gamma = -H/hbar
     into its connection buffer from the Hamiltonian its stage already computed.
     """
-    flow = _commutator_flows(
-        X0, P0, hbar, mass,
-        [None, lambda t, X, P, H, out: np.multiply(H, -1.0 / hbar, out=out)], "evolve_pictures")
-    heisenberg, frozen = _rk4_end(*flow, tau_end, steps)
-    return tuple(heisenberg), tuple(frozen)
+    Y0, rhs, pairs = _commutator_flows(
+        X0, P0, hbar, mass, "evolve_pictures", 1,
+        lambda t, X, P, H, out: np.multiply(H, -1.0 / hbar, out=out))
+    return tuple(pairs(_rk4_end(Y0, rhs, tau_end, steps)))
 
 
 def schrodinger_gauge(hbar: float, mass: float):
@@ -308,7 +324,11 @@ def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
     """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; the state at
     tau_end.  The norm is preserved, to the integrator's order, only where Gamma
     is Hermitian."""
-    return _rk4_end(s, lambda t, v, out: np.multiply(1j, gamma(t) @ v, out=out), tau_end, steps)
+    def rhs(t, v, out):
+        np.matmul(gamma(t), v, out=out)
+        np.multiply(1j, out, out=out)
+
+    return _rk4_end(s, rhs, tau_end, steps)
 
 
 def truncated_oscillator(nlev: int, mass: float = 1.0, omega: float = 1.0,

@@ -272,16 +272,18 @@ def rk4(f: Callable, y, t0: float, h: float, steps: int):
     y = np.array(y, dtype=complex)
     slopes, stage = np.empty((4, *y.shape), dtype=y.dtype), np.empty_like(y)
     k1, k2, k3, k4 = slopes
+    middle, half, sixth = slopes[1:3], 0.5 * h, h / 6.0
     for k in range(steps):
         t = t0 + k * h
         f(t, y, k1)
-        f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage), k2)
-        f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage), k3)
+        f(t + half, np.add(y, np.multiply(half, k1, out=stage), out=stage), k2)
+        f(t + half, np.add(y, np.multiply(half, k2, out=stage), out=stage), k3)
         f(t + h, np.add(y, np.multiply(h, k3, out=stage), out=stage), k4)
-        np.multiply(2, slopes[1:3], out=slopes[1:3])       # 2 k2 and 2 k3 in one call
-        for slope in (k2, k3, k4):
-            k1 += slope
-        y += np.multiply(h / 6.0, k1, out=k1)
+        np.multiply(2, middle, out=middle)                  # 2 k2 and 2 k3 in one call
+        # ((k1 + 2 k2) + 2 k3) + k4 into the free stage buffer: an out that
+        # overlapped the slopes would make numpy copy them first
+        np.add.reduce(slopes, axis=0, out=stage)
+        y += np.multiply(sixth, stage, out=stage)
         yield y
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -143,8 +144,13 @@ class ModeSpec:
 
 
 def _induced_pp(l_block) -> float:
-    """p.p = (L.L)^{1/3} of an l block, with the real cube root."""
-    return float(np.cbrt(np.real(minkowski_norm(l_block))))
+    """p.p = (L.L)^{1/3} of an l block, with the real cube root; InputError if
+    L.L = det(l block) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = minkowski_norm(l_block)
+    if not np.isfinite(norm):
+        raise InputError("l block is out of range: its norm L.L = det(l block) overflows")
+    return float(np.cbrt(np.real(norm)))
 
 
 def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
@@ -162,7 +168,14 @@ def make_mode_spec(mass: float | None = None, modes: Sequence[int] = (),
     if l_block is None:
         if mass is None:
             raise InputError("need mass or an explicit l block")
-        l_block = mass ** 3 * np.eye(2)
+        try:
+            cube = positive_mass(mass) ** 3
+        except OverflowError:
+            cube = math.inf
+        if not sys.float_info.min <= cube <= sys.float_info.max:
+            raise InputError(f"mass = {mass!r} is out of range for the default l block: "
+                             f"its cube m^3 {'overflows' if cube > 1 else 'underflows'}")
+        l_block = cube * np.eye(2)
     l_block = np.asarray(l_block, dtype=complex)
     if mass is None:
         pp = _induced_pp(l_block)

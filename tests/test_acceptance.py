@@ -241,9 +241,8 @@ def test_picture_equivalence_stationarity_fails_on_a_wrong_gauge(monkeypatch):
     # twice the Heisenberg rate, so X and P leave their initial values
     flows = matrixmech._commutator_flows
 
-    def plus_h_gauge(X0, P0, hbar, mass, connections, name):
-        heisenberg, gauge = connections
-        return flows(X0, P0, hbar, mass, [heisenberg, lambda *stage: -gauge(*stage)], name)
+    def plus_h_gauge(X0, P0, hbar, mass, name, heisenberg, gauge):
+        return flows(X0, P0, hbar, mass, name, heisenberg, lambda *stage: -gauge(*stage))
 
     monkeypatch.setattr(matrixmech, "_commutator_flows", plus_h_gauge)
     result = picture_equivalence(11)

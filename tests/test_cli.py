@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffdyn import worldsheet
+from cliffdyn import clifford, worldsheet
 from cliffdyn.acceptance import _acceptance_mode_spec, string_suite
-from cliffdyn.cli import main
-from cliffdyn.clifford import hermitian_to_json
+from cliffdyn.cli import _json_dumps, main
+from cliffdyn.clifford import allocate, bullet_gram, hermitian_to_json, resolve_hermitian
 from cliffdyn.sampling import random_hermitian
 from cliffdyn.spinors import spinor_to_vec
 from cliffdyn.tolerances import DEFAULT
@@ -45,6 +45,29 @@ def test_resolve_random_seeded(tmp_path):
     code = main(["resolve", "--input", str(tmp_path / "H.json"),
                  "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+def test_resolve_builds_each_gram_once(tmp_path, monkeypatch):
+    # the realized Gram, for residual_matrix and gram_residual, and the null
+    # Gram: two bullet Grams, where reading gram_residual from the resolution
+    # built the realized one twice
+    H = np.array([[1.0, 0.5j, 0.0], [-0.5j, -2.0, 0.0], [0.0, 0.0, 0.0]])
+    _write_json(tmp_path / "H.json", hermitian_to_json(H))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bullet_gram(*args)
+
+    monkeypatch.setattr(clifford, "bullet_gram", counted)
+    assert main(["resolve", "--input", str(tmp_path / "H.json"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+    text = (tmp_path / "resolution.json").read_text()
+    payload = json.loads(text)
+    res = resolve_hermitian(H, allocate(6, 6))
+    # byte for byte the file that GramResolution.gram_residual's value gives
+    assert text == _json_dumps({**payload, "gram_residual": res.gram_residual()})
+    assert payload["gram_residual"] == res.gram_residual()
 
 
 def test_resolve_rejects_non_hermitian(tmp_path):
@@ -359,6 +382,18 @@ def test_mass_whose_square_leaves_the_float_range_exits_2(tmp_path, capsys, recw
     assert main(_argv(kind, tmp_path / "cfg.json", tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err == f"error: mass = {mass!r} is out of range: its square {how}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
+
+def test_string_refuses_an_l_block_whose_norm_overflows(tmp_path, capsys, recwarn):
+    # L.L = det(l block) = 1e600 overflows: one line naming the l block, no RuntimeWarning
+    _write_json(tmp_path / "s.json", {"mass": 1e100, "modes": [],
+                                      "gram": {"l.0|l.0": [1e300, 0], "l.1|l.1": [1e300, 0]}})
+    assert main(["string", "--config", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "error: l block is out of range: its norm L.L = det(l block) overflows\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
 

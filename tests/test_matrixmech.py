@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cliffdyn import matrixmech
 from cliffdyn.clifford import allocate_blocks, resolve_pair
 from cliffdyn.errors import InputError, PreconditionError
 from cliffdyn.matrixmech import (
@@ -22,7 +23,7 @@ from cliffdyn.matrixmech import (
     schrodinger_gauge,
     truncated_oscillator,
 )
-from cliffdyn.particle import ParticleState, constant_einbein, integrate
+from cliffdyn.particle import ParticleState, constant_einbein, integrate, rk4
 from cliffdyn.sampling import random_hermitian, random_unitary
 from cliffdyn.spinors import ETA, covec_to_spinor_down, vec_to_spinor
 
@@ -220,7 +221,7 @@ def _heisenberg_10k():
 
 def test_heisenberg_flow_keeps_no_steps():
     # 10^4 stored (2, 20, 20) complex steps would take 128 MB; the end state,
-    # the RK4 stages and the flow's buffers take about 0.15 MB
+    # the RK4 stages and the flow's buffers take about 0.09 MB
     assert _heisenberg_10k()[2] < 1e6
 
 
@@ -257,39 +258,6 @@ def test_schrodinger_gauge_freezes_matrices():
     assert np.abs(P - P0).max() < 1e-9
 
 
-def test_covariant_flow_matches_reference_rk4_loop():
-    # reference: classic RK4 written out on X and P separately; stepping the
-    # stacked pair through the shared integrator must agree bit for bit
-    rng = np.random.default_rng(4)
-    n, hbar, tau_end, steps = 8, 0.7, 0.9, 60
-    X0, P0 = truncated_oscillator(n, hbar=hbar)
-    G0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    G0 = 0.5 * (G0 + G0.conj().T)
-
-    def gamma(t, X, P):
-        return np.cos(t) * G0 + 0.1 * (X @ X)
-
-    def rhs(t, X, P):
-        H = (P @ P - MASS ** 2 * np.eye(n)) / (2.0 * MASS)
-        G = gamma(t, X, P)
-        return (1j * (G @ X - X @ G) + (X @ H - H @ X) / (1j * hbar),
-                1j * (G @ P - P @ G) + (P @ H - H @ P) / (1j * hbar))
-
-    h = tau_end / steps
-    X, P = X0.astype(complex), P0.astype(complex)
-    for k in range(steps):
-        t = k * h
-        k1x, k1p = rhs(t, X, P)
-        k2x, k2p = rhs(t + h / 2, X + h / 2 * k1x, P + h / 2 * k1p)
-        k3x, k3p = rhs(t + h / 2, X + h / 2 * k2x, P + h / 2 * k2p)
-        k4x, k4p = rhs(t + h, X + h * k3x, P + h * k3p)
-        X = X + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        P = P + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    X_end, P_end = covariant_evolve(X0, P0, hbar, MASS, gamma, tau_end, steps)
-    assert np.array_equal(X_end, X)
-    assert np.array_equal(P_end, P)
-
-
 def _textbook_rk4(f, y, h, steps):
     """Reference RK4 for dy/dt = f(t, y) from t = 0, written out with a new
     array per operation, independent of the package's buffered integrator;
@@ -306,15 +274,12 @@ def _textbook_rk4(f, y, h, steps):
     return np.stack(rows)
 
 
-def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
-    """Reference: one system's flow as stepped before the flows shared a batch.
-
-    RK4 on the (2, N, N) pair with its own H per stage; ``gamma(t, X, P)``
-    or None for the Heisenberg picture.  Returns the (steps + 1, 2, N, N) run.
-    """
-    n = X0.shape[0]
-
-    def rhs(t, Y):
+def _commutator_slope(hbar, gamma=None):
+    """Reference slope (t, Y) -> dY of one pair Y = (X, P): i[G, Y] + [Y, H]/(i hbar)
+    for both X and P, each commutator from two products, with G = ``gamma(t, X, P)``
+    or 0 for None (the Heisenberg picture).  [P, H] vanishes only up to rounding."""
+    def slope(t, Y):
+        n = Y.shape[-1]
         H = (Y[1] @ Y[1] - MASS ** 2 * np.eye(n)) / (2.0 * MASS)
         commutator = (Y @ H - H @ Y) / (1j * hbar)
         if gamma is None:
@@ -322,7 +287,114 @@ def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
         G = gamma(t, *Y)
         return 1j * (G @ Y - Y @ G) + commutator
 
-    return _textbook_rk4(rhs, np.stack((X0, P0)).astype(complex), tau_end / steps, steps)
+    return slope
+
+
+def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
+    """Reference: one system's flow, RK4 on the (2, N, N) pair with its own H per
+    stage.  Returns the (steps + 1, 2, N, N) run."""
+    return _textbook_rk4(_commutator_slope(hbar, gamma), np.stack((X0, P0)).astype(complex),
+                         tau_end / steps, steps)
+
+
+U = np.finfo(float).eps / 2         # unit roundoff
+
+
+def _step_bound(ends, hbar, connections, h):
+    """Float64 bound on the gap between two RK4 steps of one commutator flow from
+    one state, computed with their products and sums in different orders.
+
+    ``ends`` are the step's start and end pairs Y = (X, P), ``connections`` the
+    values G took at its stage times (none in the Heisenberg picture).  In
+    Frobenius norms the slope map Y -> i[G, Y] + [Y, H]/(i hbar) has norm at
+    most L = 2 (|H| / hbar + |G|), so the terms of one step add up to at most
+    R(z) |Y| with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and z = h L.  Each term
+    passes through at most three complex n x n products, each within
+    gamma = sqrt(2) (n + 2) u of its operands' norms (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Lemma 3.5 and sec. 3.6), and
+    at most six sums, each within u; both steps err so.  The norms are the
+    larger of the step's two ends, not of its stages: the bound is first
+    order in h L.
+    """
+    n = ends[0].shape[-1]
+    H = max(np.linalg.norm((Y[1] @ Y[1] - MASS ** 2 * np.eye(n)) / (2.0 * MASS)) for Y in ends)
+    G = max((np.linalg.norm(G) for G in connections), default=0.0)
+    z = 2 * h * (H / hbar + G)
+    R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    return 2 * R * (3 * np.sqrt(2) * (n + 2) * U + 6 * U) * max(np.linalg.norm(Y) for Y in ends)
+
+
+def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
+    """``run()`` with every RK4 step of its flow set against one :func:`_textbook_rk4`
+    step from the same state, system by system: (its result, the ratio of each
+    step's gap to :func:`_step_bound`, step by step and system by system).
+
+    ``gammas[b]`` is system b's connection ``gamma(t, X, P)`` or None;
+    ``references[b]`` is the slope its reference steps, by default the full
+    commutators of that connection.  A reference of another flow must fail.
+    """
+    if references is None:
+        references = [_commutator_slope(hbar, gamma) for gamma in gammas]
+    ratios, flows = [], []
+    commutator_flows = matrixmech._commutator_flows
+
+    def recorded(*args):
+        flows.append(commutator_flows(*args))
+        return flows[-1]
+
+    def checked(f, y, t0, h, steps):
+        pairs = flows[-1][2]         # each system's (X, P) in a flow state
+        start = np.array(y, dtype=complex)
+        for k, y in enumerate(rk4(f, y, t0, h, steps)):
+            t = t0 + k * h
+            for Y0, Y1, gamma, slope in zip(map(np.stack, pairs(start)), map(np.stack, pairs(y)),
+                                            gammas, references):
+                ref = _textbook_rk4(lambda s, Y: slope(t + s, Y), Y0, h, 1)[-1]
+                connections = [] if gamma is None else \
+                    [gamma(t + s, *Y) for s in (0.0, 0.5 * h, h) for Y in (Y0, Y1)]
+                bound = _step_bound((Y0, Y1), hbar, connections, h)
+                ratios.append(np.linalg.norm(Y1 - ref) / bound)
+            start[...] = y
+            yield y
+
+    monkeypatch.setattr(matrixmech, "_commutator_flows", recorded)
+    monkeypatch.setattr(matrixmech, "rk4", checked)
+    return run(), ratios
+
+
+def _covariant_case(seed=4, n=8, hbar=0.7):
+    rng = np.random.default_rng(seed)
+    X0, P0 = truncated_oscillator(n, hbar=hbar)
+    G0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    G0 = 0.5 * (G0 + G0.conj().T)
+
+    def gamma(t, X, P):
+        return np.cos(t) * G0 + 0.1 * (X @ X)
+
+    return X0, P0, hbar, gamma
+
+
+def test_covariant_flow_matches_reference_rk4_loop(monkeypatch):
+    # each step of the flow is one textbook RK4 step of the full-commutator
+    # slope within its rounding bound; the reference's [P, H], which the flow
+    # never forms, is part of the rounding
+    X0, P0, hbar, gamma = _covariant_case()
+    tau_end, steps = 0.9, 60
+    plain = covariant_evolve(X0, P0, hbar, MASS, gamma, tau_end, steps)
+    end, ratios = _step_gap_ratios(
+        monkeypatch, lambda: covariant_evolve(X0, P0, hbar, MASS, gamma, tau_end, steps),
+        hbar, [gamma])
+    assert len(ratios) == steps and max(ratios) <= 1.0
+    for M, plain_M in zip(end, plain):
+        _assert_same_bits(M, plain_M)
+
+
+def test_covariant_flow_bound_rejects_a_sign_flipped_connection(monkeypatch):
+    X0, P0, hbar, gamma = _covariant_case()
+    _, ratios = _step_gap_ratios(
+        monkeypatch, lambda: covariant_evolve(X0, P0, hbar, MASS, gamma, 0.9, 60), hbar, [gamma],
+        [_commutator_slope(hbar, lambda t, X, P: -gamma(t, X, P))])
+    assert min(ratios) > 1e6
 
 
 @pytest.mark.parametrize("hbar,steps", [
@@ -330,21 +402,78 @@ def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
     # the picture-equivalence criterion's size
     pytest.param(1.0, 2000, id="2000"), pytest.param(0.7, 2000, id="2000-hbar0.7"),
     pytest.param(0.3, 400, id="400-hbar0.3"), pytest.param(2.5, 400, id="400-hbar2.5")])
-def test_stacked_pictures_match_separate_stepped_flows(hbar, steps):
-    # each end state of evolve_pictures must be the last row of its stepped
-    # reference and the end state of its single-system flow, bit for bit,
-    # signed zeros included
+def test_stacked_pictures_match_separate_stepped_flows(monkeypatch, hbar, steps):
+    # every step of each stacked system is one textbook RK4 step of the
+    # full-commutator slope within its rounding bound, and each end state is
+    # that of its single-system flow bit for bit, signed zeros included
     X0, P0 = truncated_oscillator(20, hbar=hbar)
-    heis, frozen = evolve_pictures(X0, P0, hbar, MASS, 0.8, steps)
-    ref_heis = _stepped_commutator_flow(X0, P0, hbar, None, 0.8, steps)
-    ref_frozen = _stepped_commutator_flow(X0, P0, hbar, schrodinger_gauge(hbar, MASS), 0.8, steps)
+    gauge = schrodinger_gauge(hbar, MASS)
     single = evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps)
-    gauged = covariant_evolve(X0, P0, hbar, MASS, schrodinger_gauge(hbar, MASS), 0.8, steps)
-    for pair, ref, alone in ((heis, ref_heis, single), (frozen, ref_frozen, gauged)):
-        for M, ref_M, alone_M in zip(pair, ref[-1], alone):
+    gauged = covariant_evolve(X0, P0, hbar, MASS, gauge, 0.8, steps)
+    (heis, frozen), ratios = _step_gap_ratios(
+        monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, steps), hbar, [None, gauge])
+    assert len(ratios) == 2 * steps and max(ratios) <= 1.0
+    for pair, alone in ((heis, single), (frozen, gauged)):
+        for M, alone_M in zip(pair, alone):
             assert M.shape == (20, 20)
-            _assert_same_bits(M, ref_M)
             _assert_same_bits(M, alone_M)
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["time-reversed", "sign-flipped-gauge"])
+def test_stacked_pictures_bound_rejects_a_wrong_reference(monkeypatch, bad):
+    # the bound admits reordered rounding, not a reference that steps another flow:
+    # the Heisenberg system against [X, H]/(-i hbar), or the frozen one against +H/hbar
+    hbar = 0.7
+    X0, P0 = truncated_oscillator(20, hbar=hbar)
+    gauge = schrodinger_gauge(hbar, MASS)
+    references = [_commutator_slope(hbar), _commutator_slope(hbar, gauge)]
+    references[bad] = [_commutator_slope(-hbar),
+                       _commutator_slope(hbar, lambda t, X, P: -gauge(t, X, P))][bad]
+    _, ratios = _step_gap_ratios(
+        monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, 40), hbar, [None, gauge],
+        references)
+    assert min(ratios[bad::2]) > 1e6         # the ratios alternate system by system
+    assert max(ratios[1 - bad::2]) <= 1.0
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_heisenberg_flow_returns_p0(hbar):
+    # H is a function of P, so [P, H] = 0 and the flow never moves P, not even
+    # by the rounding of a commutator it would form
+    rng = np.random.default_rng(5)
+    for X0, P0 in (truncated_oscillator(20, hbar=hbar),
+                   (random_hermitian(rng, 9), random_hermitian(rng, 9))):
+        _, P = evolve_heisenberg(X0, P0, hbar, MASS, 0.8, 50)
+        assert np.array_equal(P, P0)
+        (_, P), _ = evolve_pictures(X0, P0, hbar, MASS, 0.8, 50)
+        assert np.array_equal(P, P0)
+
+
+@pytest.mark.parametrize("flow", ["evolve_heisenberg", "evolve_pictures", "evolve_state"])
+def test_flow_rhs_allocates_nothing_per_stage(monkeypatch, flow):
+    # each stage writes its slope into RK4's buffer through buffers the flow made
+    # once.  numpy reports its array data to tracemalloc, so a stage that made an
+    # array as large as the smallest one here (4 KiB, a 256-level state) would
+    # show; what remains is numpy's iterators and views
+    X0, P0 = truncated_oscillator(20)
+    gauge = -np.diag(np.arange(256.0)).astype(complex)
+    s0 = np.full(256, 1 / 16, dtype=complex)
+    flows = []
+    monkeypatch.setattr(matrixmech, "_rk4_end", lambda Y0, rhs, *_: flows.append((Y0, rhs)) or Y0)
+    {"evolve_heisenberg": lambda: evolve_heisenberg(X0, P0, 1.0, MASS, 0.8, 10),
+     "evolve_pictures": lambda: evolve_pictures(X0, P0, 1.0, MASS, 0.8, 10),
+     "evolve_state": lambda: evolve_state(s0, lambda t: gauge, 0.8, 10)}[flow]()
+    (Y0, rhs), = flows
+    Y, dY = np.array(Y0, dtype=complex), np.empty(np.shape(Y0), dtype=complex)
+    rhs(0.0, Y, dY)
+    tracemalloc.start()
+    try:
+        for k in range(8):
+            rhs(0.1 * k, Y, dY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_heisenberg_rk4_matches_stability_polynomial_oracle():

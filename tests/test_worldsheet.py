@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,25 @@ def test_mode_spec_rejects_non_positive_mass(mass):
         make_mode_spec(mass=mass)
     with pytest.raises(InputError, match="^mass must be positive$"):
         mode_spec_from_json({**mode_spec_to_json(make_mode_spec(mass=MASS)), "mass": mass})
+
+
+@pytest.mark.parametrize("mass,message", [
+    (1e308, "out of range: its square overflows"),
+    # m^2 = 1e220 is in range, but the default l block m^3 1 is not
+    (1e110, "out of range for the default l block: its cube m^3 overflows"),
+    (1e-110, "out of range for the default l block: its cube m^3 underflows")],
+    ids=["1e308", "1e110", "1e-110"])
+def test_mode_spec_refuses_a_mass_whose_default_l_block_leaves_the_float_range(mass, message):
+    with pytest.raises(InputError, match=f"^{re.escape(f'mass = {mass!r} is {message}')}$"):
+        make_mode_spec(mass=mass)
+
+
+def test_mode_spec_refuses_an_l_block_whose_norm_overflows():
+    # det of diag(1e300, 1e300) is 1e600; numpy warned and the check read "off shell: inf"
+    with pytest.raises(InputError, match=r"^l block is out of range: its norm L\.L = "):
+        make_mode_spec(mass=1e100, l_block=1e300 * np.eye(2))
+    with pytest.raises(InputError, match=r"^l block is out of range"):
+        make_mode_spec(l_block=1e300 * np.eye(2))
 
 
 def test_residual_suite_without_modes_has_no_order_where_f52_is_zero():
