@@ -5,11 +5,14 @@ Each check yields :class:`Gate` rows, a payload field each with its bound, and
 of :mod:`cliffdyn.tolerances`.  Picture-equivalence and algebra-suite do not
 read their seed yet, so their rows are the same on every seed (ROADMAP item 4).
 
-:func:`run_all` runs them in two lanes where ``os.fork`` exists: a forked
-child runs picture-equivalence (``FORKED``) while the calling process runs
-the other seven in CRITERIA order.  The child's result takes its CRITERIA
-slot, so the rows, the JSON payload and the exit code of ``verify-all`` are
-those of a serial run.
+:func:`run_all` runs them in two lanes of about equal CPU time where
+``os.fork`` exists: one forked child runs the ``FORKED`` criteria
+(bracket-reduction, picture-equivalence, string-suite and algebra-suite)
+while the calling process runs the other four, each lane in CRITERIA order.
+Seed 11, in-process CPU on a 2-vCPU host, medians of 5: the child's lane
+165-167 ms, the calling process's 160-162 ms.  Each result takes its
+CRITERIA slot, so the rows, the JSON payload and the exit code of
+``verify-all`` are those of a serial run.
 """
 
 from __future__ import annotations
@@ -314,39 +317,42 @@ CRITERIA = (
     ("algebra-suite", algebra_suite),
 )
 
-# The criterion run_all hands to a forked child.  Picture-equivalence is the
-# longest criterion, 56 % of a serial run: 314-317 ms of 551-567 ms CPU
-# in-process, the other seven 237-249 ms (a 2-core host, seed 11, medians of
-# 5 in two rounds); no other split of the eight comes nearer to two even
-# lanes.  Each process has its own interpreter lock, which threads running
-# criteria would share; a fork and its waitpid cost 2-3 ms.
-FORKED = "picture-equivalence"
+# The criteria run_all hands to its forked child, run there in CRITERIA order,
+# chosen so that the two lanes take about equal CPU time.  Seed 11, in-process
+# CPU medians of 5 in two rounds on a 2-vCPU host: bracket-reduction 67 ms,
+# picture-equivalence 90-92 (289-324 before its flows were stepped in H's
+# eigenbasis), string-suite 4-5 and algebra-suite 3-4, 165-167 in all;
+# proposition 39, c30-identity 26, particle-dynamics 80-82 and un-covariance
+# 14-15 stay in the calling process, 160-162 in all.  A criterion moved into
+# the child runs there without the warm caches of the calling process; each
+# process has its own interpreter lock, and a fork and its waitpid cost 2-3 ms.
+FORKED = ("bracket-reduction", "picture-equivalence", "string-suite", "algebra-suite")
 
-# taken before anything can rebind the criteria: the row title under which a
+# taken before anything can rebind the criteria: the row titles under which a
 # child that dies without a result is reported
-_FORKED_TITLE = dict(CRITERIA)[FORKED].title
+_TITLES = [fn.title for _, fn in CRITERIA]
 
 
 def run_all(seed: int = 0, tols: Tolerances = DEFAULT) -> list[CriterionResult]:
     """Run every criterion; the results come in the canonical CRITERIA order.
 
-    Where ``os.fork`` exists, a forked child runs the ``FORKED`` criterion
-    while this process runs the other seven in CRITERIA order; the child's
-    result comes back pickled through a pipe and takes its CRITERIA slot.
-    The results are those of the serial run, which is the only path where
-    ``os.fork`` does not exist.  An exception that the criterion's own
-    wrapper does not turn into a FAIL row reaches the caller with its type
-    and message; a child that exits without a result gives a FAIL row with
-    its exit status under ``error``.
+    Where ``os.fork`` exists, a forked child runs the ``FORKED`` criteria
+    while this process runs the others, each lane in CRITERIA order; the
+    child's list of results comes back pickled through a pipe and each takes
+    its CRITERIA slot.  The results are those of the serial run, which is the
+    only path where ``os.fork`` does not exist.  An exception that a
+    criterion's own wrapper does not turn into a FAIL row reaches the caller
+    with its type and message; a child that exits without a result gives a
+    FAIL row with its exit status under ``error`` in every forked slot.
     """
     rngs = np.random.default_rng(seed).spawn(len(CRITERIA))
     seeds = [int(r.integers(0, 2 ** 63 - 1)) for r in rngs]
     if not hasattr(os, "fork"):
         return [fn(s, tols) for (name, fn), s in zip(CRITERIA, seeds)]
-    slot = [name for name, _ in CRITERIA].index(FORKED)
-    pid, pipe = _fork(CRITERIA[slot][1], seeds[slot], tols)
+    forked = [i for i, (name, _) in enumerate(CRITERIA) if name in FORKED]
+    pid, pipe = _fork(lambda: [CRITERIA[i][1](seeds[i], tols) for i in forked])
     try:
-        results = [None if i == slot else fn(s, tols)
+        results = [None if i in forked else fn(s, tols)
                    for i, ((_, fn), s) in enumerate(zip(CRITERIA, seeds))]
         data = pipe.read()
     except BaseException:
@@ -358,20 +364,21 @@ def run_all(seed: int = 0, tols: Tolerances = DEFAULT) -> list[CriterionResult]:
     if status != 0 or not data:
         code = os.waitstatus_to_exitcode(status)
         how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-        results[slot] = CriterionResult(_FORKED_TITLE, False, {
-            "error": f"criterion process ended by {how} without a result"})
-        return results
-    kind, value = pickle.loads(data)     # bytes the child below wrote
-    if kind == "err":
-        raise value
-    results[slot] = value
+        value = [CriterionResult(_TITLES[i], False, {
+            "error": f"criterion process ended by {how} without a result"}) for i in forked]
+    else:
+        kind, value = pickle.loads(data)     # bytes the child below wrote
+        if kind == "err":
+            raise value
+    for i, result in zip(forked, value):
+        results[i] = result
     return results
 
 
-def _fork(fn, seed: int, tols: Tolerances):
-    """Fork a child that runs ``fn(seed, tols)``; return its pid and the read end of its pipe.
+def _fork(run):
+    """Fork a child that calls ``run()``; return its pid and the read end of its pipe.
 
-    The child pickles ``("ok", result)`` or ``("err", exception)`` into the
+    The child pickles ``("ok", run())`` or ``("err", exception)`` into the
     pipe and leaves through ``os._exit``: it never returns into the caller's
     stack and never flushes the stdio buffers it shares with the parent.
     """
@@ -387,7 +394,7 @@ def _fork(fn, seed: int, tols: Tolerances):
         try:
             os.close(read_fd)
             try:
-                outcome = ("ok", fn(seed, tols))
+                outcome = ("ok", run())
             except Exception as exc:
                 outcome = ("err", exc)
             with open(write_fd, "wb") as pipe:

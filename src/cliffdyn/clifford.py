@@ -191,6 +191,8 @@ def validate_hermitian(H) -> np.ndarray:
     """Return H as a complex ndarray, raising InputError if not Hermitian.
 
     H may deviate from H^dagger by ``hermitian_input`` times max(1, max|H|).
+    The Hermitian part is halved before it is summed, so finite entries near
+    the float64 limit do not overflow.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -201,7 +203,7 @@ def validate_hermitian(H) -> np.ndarray:
     dev = float(np.abs(H - H.conj().T).max(initial=0.0))
     if dev > atol:
         raise InputError(f"matrix is not Hermitian: max deviation {dev:.3e} > {atol:.3e}")
-    return 0.5 * (H + H.conj().T)
+    return 0.5 * H + 0.5 * H.conj().T
 
 
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,11 @@ A gauge connection Gamma (stored Hermitian, the i sits in the covariant
 derivative) moves between pictures: Gamma = 0 is the Heisenberg picture,
 Gamma = -H/hbar freezes X and P and pushes all evolution into the state
 vector.  Every flow steps ``particle.rk4`` to tau_end and returns only its
-state there, ``(X, P)`` for the matrix flows.
+state there, ``(X, P)`` for the matrix flows.  The Heisenberg flow and the
+Schrodinger-gauge flow, frozen under the constant gauge -H(P0)/hbar of its
+initial momentum, keep H = H(P0) fixed and are stepped in its eigenbasis,
+where every commutator they take is elementwise; ``covariant_evolve``, whose
+connection need not commute with H, steps the matrices themselves.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import GeneratorSpace, validate_hermitian
+from .clifford import GeneratorSpace, hermitian_eig, validate_hermitian
 from .errors import InputError, PreconditionError
 from .particle import ParticleState, rk4, step_count
 from .spinors import DP_DOWN, DX_UP, ETA
@@ -189,24 +193,18 @@ def _free_hamiltonian(mass: float, n: int) -> Callable[..., np.ndarray]:
     return hamiltonian
 
 
-def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, name: str,
-                      heisenberg: int, connection: Callable | None = None):
-    """``(Y0, rhs, pairs)`` for one RK4 over copies of the Hermitian pair (X0, P0):
-    ``heisenberg`` systems in the Heisenberg picture, then one under
-    ``connection`` if it is given.
+def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
+                      gamma: Callable):
+    """``(Y0, rhs, pairs)`` for one RK4 of the Hermitian pair (X0, P0) under the
+    connection ``gamma(t, X, P)``, checked Hermitian at every stage.
 
-    A system follows dX = i[Gamma, X] + [X, H]/(i hbar) and dP = i[Gamma, P],
-    with Gamma = 0 in the Heisenberg picture and otherwise the Hermitian
-    Gamma = ``connection(t, X, P, H, out)`` (it may write into the buffer
-    ``out``).  H = (P.P - m^2 1)/(2m) is a function of P, so [P, H] = 0 and P
-    moves only under a connection: its Hamiltonian commutator, pure rounding
-    noise, is never formed.  The state Y holds what moves, the X of every
-    system and then the connected system's P; a Heisenberg system keeps P0,
-    and its H is computed once.  ``pairs(Y)`` returns every system's (X, P),
-    the connected system last.  ``rhs(t, Y, dY)`` computes every X H in one
-    batched product, in buffers allocated once per flow.  Its elementwise
-    calls read and write whole contiguous buffers, since numpy allocates a
-    buffer for a strided or broadcast operand: a stage allocates no array.
+    The pair follows dX = i[Gamma, X] + [X, H]/(i hbar) and dP = i[Gamma, P].
+    H = (P.P - m^2 1)/(2m) is a function of P, so [P, H] = 0 and P moves only
+    under Gamma: its Hamiltonian commutator, pure rounding noise, is never
+    formed.  The state Y is the pair itself, and ``pairs(Y)`` returns
+    ``[(X, P)]``.  ``rhs(t, Y, dY)`` works in buffers allocated once per
+    flow; its elementwise calls read and write whole contiguous buffers, since
+    numpy allocates a buffer for a strided or broadcast operand.
 
     X0 and P0 must be Hermitian (``validate_hermitian``, else InputError).
     X, P and H stay Hermitian, so H X = (X H)^dagger and [X, H] = A - A^dagger
@@ -216,35 +214,85 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, 
     keeps X and P exactly Hermitian.
     """
     if not hbar > 0:
-        raise PreconditionError(f"{name} requires hbar > 0")
+        raise PreconditionError("covariant_evolve requires hbar > 0")
     X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
-    connected = connection is not None
-    n, systems = len(X0), heisenberg + connected
-    hamiltonian = _free_hamiltonian(mass, n)
+    hamiltonian = _free_hamiltonian(mass, len(X0))
     scale = -1j / hbar          # the values numpy gives for / (1j * hbar)
-    Y0 = np.stack([X0] * systems + [P0] * connected)
-    # A = X H of every system, then B = Gamma (X, P), in one buffer: each
-    # difference A - A^dagger, B - B^dagger is one call for all
-    work = np.empty((systems + 2 * connected, n, n), dtype=complex)
-    A, B = work[:systems], work[systems:]
-    transposed, dagger = work.swapaxes(-1, -2), np.empty_like(work)
-    H, gamma = np.stack([hamiltonian(P0)] * systems), np.empty_like(X0)
+    # A = X H, then B = Gamma (X, P), in one buffer: each difference
+    # A - A^dagger, B - B^dagger is one call for all three
+    work = np.empty((3, *X0.shape), dtype=complex)
+    A, B = work[0], work[1:]
+    transposed, dagger, H = work.swapaxes(-1, -2), np.empty_like(work), np.empty_like(X0)
 
     def rhs(t, Y, dY):
-        if connected:
-            pair = Y[-2:]
-            np.matmul(connection(t, *pair, hamiltonian(pair[1], out=H[-1]), gamma), pair, out=B)
-        np.matmul(Y[:systems], H, out=A)
+        np.matmul(validate_hermitian(gamma(t, *Y)), Y, out=B)
+        np.matmul(Y[0], hamiltonian(Y[1], out=H), out=A)
         np.copyto(dagger, transposed)
         np.subtract(work, np.conjugate(dagger, out=dagger), out=work)
-        np.multiply(A, scale, out=dY[:systems])
-        if connected:
-            np.multiply(B, 1j, out=B)
-            dY[-2] += B[0]
-            dY[-1] = B[1]
+        np.multiply(A, scale, out=dY[0])
+        np.multiply(B, 1j, out=B)
+        dY[0] += B[0]
+        dY[1] = B[1]
+
+    return np.stack((X0, P0)), rhs, lambda Y: [tuple(Y)]
+
+
+def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, name: str,
+                      gauge: Callable | None = None):
+    """``(Y0, rhs, pairs)`` for one RK4 of the Hermitian pair (X0, P0) in the
+    eigenbasis of H = H(P0): the Heisenberg system and, if ``gauge`` is given,
+    a frozen system under the constant connection Gamma = V diag(``gauge(E)``) V^dagger.
+
+    H(P0) = V diag(E) V^dagger, from ``clifford.hermitian_eig`` once per flow.
+    The Heisenberg system's P stays P0, and H with it, so in that basis
+    [X, H]/(i hbar) is elementwise, X_ij (E_j - E_i)/(i hbar): a stage is one
+    multiply by a table of rates made once.  The frozen system follows
+    dX = i[Gamma, X] + [X, H]/(i hbar) and dP = i[Gamma, P] under the gauge
+    of its initial momentum, which the exact flow keeps at P0.  That Gamma
+    commutes with H, so i[Gamma, Y]_ij = Y_ij i(g_i - g_j) with g = gauge(E);
+    its rate and H's stay two elementwise terms, each rounded on its own, and
+    P is stepped under its own.  RK4 on a linear flow takes the same steps in
+    any basis, up to rounding.
+
+    The state Y holds X~ = V^dagger X V of each system, then the frozen
+    system's P~.  ``pairs(Y)`` returns each system's (X, P), the Heisenberg
+    one first with P0 itself; each matrix is rotated back as the Hermitian
+    part of V Y~ V^dagger, so it is exactly Hermitian.  X0 and P0 must be
+    Hermitian (``validate_hermitian``, else InputError).
+    """
+    if not hbar > 0:
+        raise PreconditionError(f"{name} requires hbar > 0")
+    X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
+    n = len(X0)
+    H = _free_hamiltonian(mass, n)(P0)
+    if np.isfinite(H).all():
+        V, E = hermitian_eig(H)
+    else:       # no eigenbasis: NaN makes step 0 non-finite, and _rk4_end names it
+        V, E = np.full((n, n), np.nan, dtype=complex), np.full(n, np.nan)
+    Vh = V.conj().T
+    # [X, H] / (i hbar), in the values numpy gives for / (1j * hbar)
+    heisenberg = (E[None, :] - E[:, None]) * (-1j / hbar)
+    if gauge is None:
+        matrices, rates = (X0,), heisenberg[None]
+    else:
+        g = gauge(E)
+        matrices = (X0, X0, P0)
+        rates = np.stack((heisenberg, heisenberg, 1j * (g[:, None] - g[None, :])))
+        connection, work = rates[2], np.empty_like(heisenberg)
+    Y0 = np.stack([Vh @ M @ V for M in matrices])
+
+    def rhs(t, Y, dY):
+        np.multiply(Y, rates, out=dY)
+        if gauge is not None:
+            dY[1] += np.multiply(Y[1], connection, out=work)
+
+    def back(M):
+        B = V @ M @ Vh
+        return 0.5 * B + 0.5 * B.conj().T
 
     def pairs(Y):
-        return [(X, P0) for X in Y[:heisenberg]] + [tuple(Y[-2:])] * connected
+        first = (back(Y[0]), P0)
+        return [first] if gauge is None else [first, (back(Y[1]), back(Y[2]))]
 
     return Y0, rhs, pairs
 
@@ -252,8 +300,12 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                       tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
     """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar) = 0; ``(X, P)`` at tau_end,
-    with P returned equal to P0."""
-    Y0, rhs, pairs = _commutator_flows(X0, P0, hbar, mass, "evolve_heisenberg", 1)
+    with P returned equal to P0.
+
+    H = H(P0) is fixed, so X is stepped in its eigenbasis, where the
+    commutator is elementwise (:func:`_eigenbasis_flows`).
+    """
+    Y0, rhs, pairs = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_heisenberg")
     return pairs(_rk4_end(Y0, rhs, tau_end, steps))[0]
 
 
@@ -264,13 +316,13 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     ``(X, P)`` at tau_end.
 
     ``gamma(taubar, X, P)`` returns the Hermitian connection, checked by
-    ``validate_hermitian`` at every stage; X and P are views of a reused buffer.
-    Gamma = 0 reproduces :func:`evolve_heisenberg` exactly; Gamma = -H/hbar
-    cancels the commutators and freezes X and P (the Schrodinger picture).
+    ``validate_hermitian`` at every stage; X and P are views of a reused
+    buffer.  An arbitrary Gamma need not commute with H, so this flow steps
+    the matrices themselves.  Gamma = 0 reproduces :func:`evolve_heisenberg`
+    up to rounding; Gamma = -H/hbar cancels the commutators and freezes X and
+    P (the Schrodinger picture).
     """
-    Y0, rhs, pairs = _commutator_flows(
-        X0, P0, hbar, mass, "covariant_evolve", 0,
-        lambda t, X, P, H, out: validate_hermitian(gamma(t, X, P)))
+    Y0, rhs, pairs = _commutator_flows(X0, P0, hbar, mass, gamma)
     return pairs(_rk4_end(Y0, rhs, tau_end, steps))[0]
 
 
@@ -278,14 +330,15 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                     tau_end: float, steps: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The end states of the Heisenberg and Schrodinger-gauge flows of one pair, stepped together.
 
-    Returns ``((X, P) heisenberg, (X, P) frozen)`` at taubar = tau_end, equal
-    bit for bit to :func:`evolve_heisenberg` and to :func:`covariant_evolve`
-    under :func:`schrodinger_gauge`.  The frozen system writes Gamma = -H/hbar
-    into its connection buffer from the Hamiltonian its stage already computed.
+    Returns ``((X, P) heisenberg, (X, P) frozen)`` at taubar = tau_end.  Both
+    systems are stepped in the eigenbasis of H(P0) (:func:`_eigenbasis_flows`):
+    the Heisenberg pair equals :func:`evolve_heisenberg` bit for bit, and the
+    frozen pair steps under the constant gauge Gamma = -H(P0)/hbar of its
+    initial momentum, which agrees with :func:`covariant_evolve` under
+    :func:`schrodinger_gauge` up to rounding.
     """
-    Y0, rhs, pairs = _commutator_flows(
-        X0, P0, hbar, mass, "evolve_pictures", 1,
-        lambda t, X, P, H, out: np.multiply(H, -1.0 / hbar, out=out))
+    Y0, rhs, pairs = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_pictures",
+                                       lambda E: E * (-1.0 / hbar))
     return tuple(pairs(_rk4_end(Y0, rhs, tau_end, steps)))
 
 
@@ -323,9 +376,16 @@ def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
                  tau_end: float, steps: int) -> np.ndarray:
     """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; the state at
     tau_end.  The norm is preserved, to the integrator's order, only where Gamma
-    is Hermitian."""
+    is Hermitian.  A real Gamma is copied into a complex buffer made once per
+    run, where the product would cast it into a new array at every stage."""
+    cast = np.empty(np.shape(s)[:1] * 2, dtype=complex)
+
     def rhs(t, v, out):
-        np.matmul(gamma(t), v, out=out)
+        G = gamma(t)
+        if not np.iscomplexobj(G) and np.shape(G) == cast.shape:
+            np.copyto(cast, G)
+            G = cast
+        np.matmul(G, v, out=out)
         np.multiply(1j, out, out=out)
 
     return _rk4_end(s, rhs, tau_end, steps)

@@ -239,13 +239,15 @@ def test_picture_equivalence_fails_on_a_wrong_heisenberg_flow(monkeypatch, broke
 def test_picture_equivalence_stationarity_fails_on_a_wrong_gauge(monkeypatch):
     # Gamma = +H/hbar instead of -H/hbar: the frozen system then turns at
     # twice the Heisenberg rate, so X and P leave their initial values
-    flows = matrixmech._commutator_flows
+    flows, built = matrixmech._eigenbasis_flows, []
 
-    def plus_h_gauge(X0, P0, hbar, mass, name, heisenberg, gauge):
-        return flows(X0, P0, hbar, mass, name, heisenberg, lambda *stage: -gauge(*stage))
+    def plus_h_gauge(X0, P0, hbar, mass, name, gauge):
+        built.append(name)
+        return flows(X0, P0, hbar, mass, name, lambda E: -gauge(E))
 
-    monkeypatch.setattr(matrixmech, "_commutator_flows", plus_h_gauge)
+    monkeypatch.setattr(matrixmech, "_eigenbasis_flows", plus_h_gauge)
     result = picture_equivalence(11)
+    assert built == ["evolve_pictures"]         # the criterion stepped the patched flow
     assert result.line().startswith("[FAIL]")
     assert result.details["stationarity"] > DEFAULT.stationarity
 
@@ -294,10 +296,17 @@ def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys
     assert entry["details"]["error"] == "integration produced non-finite values at step 0"
 
 
-# -- run_all's two lanes: FORKED in a forked child, the other seven here --------
+# -- run_all's two lanes: FORKED in a forked child, the others here ------------
 
 forking = pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")),
                              reason="the lane tests need os.fork and /proc/self/fd")
+
+_FORKED_SLOTS = [i for i, (key, _) in enumerate(CRITERIA) if key in FORKED]
+
+
+def test_both_lanes_run_criteria():
+    assert set(FORKED) < {key for key, _ in CRITERIA} and len(set(FORKED)) == len(FORKED)
+    assert 0 < len(_FORKED_SLOTS) < len(CRITERIA)
 
 
 @contextlib.contextmanager
@@ -334,29 +343,50 @@ def _boom(*args, **kwargs):
     raise RuntimeError("boom")
 
 
-@forking
-@pytest.mark.parametrize("owner,name", [(matrixmech, "evolve_pictures"),
-                                        (clifford, "resolve_hermitian")],
-                         ids=["child-lane", "parent-lane"])
-def test_run_all_raises_an_uncaught_exception_of_either_lane(monkeypatch, owner, name):
-    # the parent lane raises while the child still runs: the child is killed and reaped
-    monkeypatch.setattr(owner, name, _boom)
-    with _no_child_or_fd_left(), pytest.raises(RuntimeError, match="^boom$"):
-        run_all(11)
+# a layer function each criterion calls, which the lane tests stub
+_LAYER_OF = {
+    "proposition": (clifford, "resolve_hermitian"),
+    "c30-identity": (acceptance, "flip_both"),
+    "bracket-reduction": (particle, "clifford_bracket"),
+    "particle-dynamics": (particle, "integrate"),
+    "un-covariance": (matrixmech, "evolve_matrix_classical"),
+    "picture-equivalence": (matrixmech, "evolve_pictures"),
+    "string-suite": (worldsheet, "residual_suite"),
+    "algebra-suite": (current_algebra, "sample_currents"),
+}
 
 
 @forking
-def test_a_child_that_dies_gives_a_fail_row(monkeypatch, capsys):
-    monkeypatch.setattr(matrixmech, "evolve_pictures", lambda *args: os._exit(3))
-    with _no_child_or_fd_left():
-        code = main(["verify-all", "--seed", "11"])
-    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
-    assert code == 1
-    assert len(rows) == len(CRITERIA)
-    slot = [key for key, _ in CRITERIA].index(FORKED)
-    assert rows[slot] == ("[FAIL] picture equivalence (20-level oscillator): "
-                          "error=criterion process ended by exit status 3 without a result")
-    assert all(row.startswith("[PASS]") for i, row in enumerate(rows) if i != slot)
+@pytest.mark.parametrize("child", [True, False], ids=["child-lane", "parent-lane"])
+def test_run_all_raises_an_uncaught_exception_of_either_lane(child):
+    # a parent-lane criterion raises while the child still runs: the child is
+    # killed and reaped; a child-lane one comes back pickled and is raised here
+    for key, _ in CRITERIA:
+        if (key in FORKED) == child:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(*_LAYER_OF[key], _boom)
+                with _no_child_or_fd_left(), pytest.raises(RuntimeError, match="^boom$"):
+                    run_all(11)
+
+
+@forking
+def test_a_child_that_dies_gives_a_fail_row(capsys):
+    # the child dies in one of its criteria: every forked slot gets a FAIL row
+    # under its own title, and the parent lane's rows are unchanged
+    for key in FORKED:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(*_LAYER_OF[key], lambda *args, **kwargs: os._exit(3))
+            with _no_child_or_fd_left():
+                code = main(["verify-all", "--seed", "11"])
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert code == 1
+        assert len(rows) == len(CRITERIA)
+        for i, (_, fn) in enumerate(CRITERIA):
+            if i in _FORKED_SLOTS:
+                assert rows[i] == (f"[FAIL] {fn.title}: error=criterion process ended by "
+                                   "exit status 3 without a result")
+            else:
+                assert rows[i].startswith(f"[PASS] {fn.title}: ")
 
 
 def test_run_all_without_fork_runs_serially(monkeypatch):
@@ -368,10 +398,13 @@ def test_run_all_without_fork_runs_serially(monkeypatch):
 
 @forking
 def test_every_result_carries_its_own_wall_time():
-    # the forked child's seconds come back with its pickled result; timing
-    # stays out of details, and so out of the payload
+    # the forked child's seconds come back with its pickled results, one per
+    # criterion; timing stays out of details, and so out of the payload
     with _no_child_or_fd_left():
         results = run_all(11)
     assert all(r.seconds > 0 and "seconds" not in r.details for r in results)
-    slot = [key for key, _ in CRITERIA].index(FORKED)
-    assert results[slot].seconds > 0.1      # 2000 stepped stages, not the fork's cost
+    # each forked result times its own criterion, not the fork or the whole
+    # lane: at least half its time in this process, and no two the same
+    alone = _one_by_one(11)
+    assert all(results[i].seconds > 0.5 * alone[i].seconds for i in _FORKED_SLOTS)
+    assert len({results[i].seconds for i in _FORKED_SLOTS}) == len(_FORKED_SLOTS)

@@ -91,6 +91,17 @@ def test_resolve_rejects_non_finite(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_resolve_takes_finite_entries_near_the_float_limit(tmp_path, capsys):
+    # the input's Hermitian part is finite, so resolve runs and its absolute
+    # gates fail with their values; no warning escapes and no entry is called
+    # non-finite
+    _write_json(tmp_path / "H.json", hermitian_to_json(np.diag([1.7e308, 1.0])))
+    code = main(["resolve", "--input", str(tmp_path / "H.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("resolution failed: gram_residual ") and "non-finite" not in err
+
+
 def test_resolve_names_the_gate_that_failed(tmp_path, capsys):
     # at 1e4 the gram residual passes --tol and the null residual fails gram_null
     rng = np.random.default_rng(0)

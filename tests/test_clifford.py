@@ -280,6 +280,18 @@ def test_validate_hermitian_symmetrizes():
     assert np.abs(out - out.conj().T).max() == 0.0
 
 
+def test_validate_hermitian_halves_before_it_sums():
+    # 0.5 H + 0.5 H^dagger is 0.5 (H + H^dagger) bit for bit in the normal
+    # range, and stays finite for finite entries near the float64 limit
+    rng = np.random.default_rng(2)
+    for n in range(1, 9):
+        H = random_hermitian(rng, n) * 10.0 ** rng.uniform(-300, 300)
+        H[np.triu_indices(n, 1)] *= 1 + 1e-15          # within hermitian_input
+        assert_same_bits(validate_hermitian(H), 0.5 * (H + H.conj().T))
+    big = validate_hermitian(np.diag([1.7e308, 1.0]))
+    assert np.array_equal(big, np.diag([1.7e308, 1.0]))
+
+
 # -- packed paths against the per-vector references ---------------------------
 #
 # The references are the loops the coefficient-stack code replaced: one bullet

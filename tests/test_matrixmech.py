@@ -245,10 +245,12 @@ def test_heisenberg_momentum_frozen_commutator_unitary_equivalent():
 
 
 def test_covariant_gamma_zero_matches_heisenberg():
+    # the Heisenberg flow steps in H's eigenbasis, the covariant flow the
+    # matrices: the same RK4 steps up to rounding
     X0, P0 = truncated_oscillator(12, hbar=1.0)
     Xa, _ = evolve_heisenberg(X0, P0, 1.0, MASS, 0.5, 500)
     Xb, _ = covariant_evolve(X0, P0, 1.0, MASS, lambda t, X, P: np.zeros_like(X0), 0.5, 500)
-    assert np.abs(Xa - Xb).max() == 0.0
+    assert np.abs(Xa - Xb).max() <= 1e-14 * max(1.0, np.abs(Xb).max())
 
 
 def test_schrodinger_gauge_freezes_matrices():
@@ -324,6 +326,17 @@ def _step_bound(ends, hbar, connections, h):
     return 2 * R * (3 * np.sqrt(2) * (n + 2) * U + 6 * U) * max(np.linalg.norm(Y) for Y in ends)
 
 
+def _rk4_gain(P0, hbar, h, steps):
+    """How much RK4 can grow a rounding error of the start state of a flow under
+    fixed H = H(P0): max(1, |R(z)|)^steps over the rates z = i h (E_i - E_j) / hbar
+    of the commutators with H, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (Hairer,
+    Norsett & Wanner, IV.2).  It is 1 while h |E_i - E_j| / hbar stays within
+    RK4's stability interval on the imaginary axis, |y| <= 2 sqrt(2)."""
+    w = np.linalg.eigvalsh((P0 @ P0 - MASS ** 2 * np.eye(len(P0))) / (2 * MASS))
+    z = 1j * h * (w[:, None] - w[None, :]) / hbar
+    return max(1.0, np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max()) ** steps
+
+
 def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
     """``run()`` with every RK4 step of its flow set against one :func:`_textbook_rk4`
     step from the same state, system by system: (its result, the ratio of each
@@ -332,15 +345,18 @@ def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
     ``gammas[b]`` is system b's connection ``gamma(t, X, P)`` or None;
     ``references[b]`` is the slope its reference steps, by default the full
     commutators of that connection.  A reference of another flow must fail.
+    Each step is read back through the flow builder's ``pairs``, so an
+    eigenbasis flow is checked in the original basis.
     """
     if references is None:
         references = [_commutator_slope(hbar, gamma) for gamma in gammas]
     ratios, flows = [], []
-    commutator_flows = matrixmech._commutator_flows
 
-    def recorded(*args):
-        flows.append(commutator_flows(*args))
-        return flows[-1]
+    def recorder(build):
+        def recorded(*args):
+            flows.append(build(*args))
+            return flows[-1]
+        return recorded
 
     def checked(f, y, t0, h, steps):
         pairs = flows[-1][2]         # each system's (X, P) in a flow state
@@ -357,7 +373,8 @@ def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
             start[...] = y
             yield y
 
-    monkeypatch.setattr(matrixmech, "_commutator_flows", recorded)
+    for builder in ("_commutator_flows", "_eigenbasis_flows"):
+        monkeypatch.setattr(matrixmech, builder, recorder(getattr(matrixmech, builder)))
     monkeypatch.setattr(matrixmech, "rk4", checked)
     return run(), ratios
 
@@ -404,8 +421,11 @@ def test_covariant_flow_bound_rejects_a_sign_flipped_connection(monkeypatch):
     pytest.param(0.3, 400, id="400-hbar0.3"), pytest.param(2.5, 400, id="400-hbar2.5")])
 def test_stacked_pictures_match_separate_stepped_flows(monkeypatch, hbar, steps):
     # every step of each stacked system is one textbook RK4 step of the
-    # full-commutator slope within its rounding bound, and each end state is
-    # that of its single-system flow bit for bit, signed zeros included
+    # full-commutator slope within its rounding bound; the Heisenberg end state
+    # is evolve_heisenberg's bit for bit, signed zeros included, and the frozen
+    # one, stepped under the constant gauge of P0, is covariant_evolve's under
+    # the gauge of each stage's P up to rounding, which RK4 grows only where a
+    # step leaves its stability interval
     X0, P0 = truncated_oscillator(20, hbar=hbar)
     gauge = schrodinger_gauge(hbar, MASS)
     single = evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps)
@@ -413,10 +433,14 @@ def test_stacked_pictures_match_separate_stepped_flows(monkeypatch, hbar, steps)
     (heis, frozen), ratios = _step_gap_ratios(
         monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, steps), hbar, [None, gauge])
     assert len(ratios) == 2 * steps and max(ratios) <= 1.0
-    for pair, alone in ((heis, single), (frozen, gauged)):
-        for M, alone_M in zip(pair, alone):
-            assert M.shape == (20, 20)
-            _assert_same_bits(M, alone_M)
+    for M, alone_M in zip(heis, single):
+        assert M.shape == (20, 20)
+        _assert_same_bits(M, alone_M)
+    gain = _rk4_gain(P0, hbar, 0.8 / steps, steps)
+    assert (gain > 2) == (steps == 1)        # one step of 0.8 leaves the interval
+    for M, ref in zip(frozen, gauged):
+        assert M.shape == (20, 20)
+        assert np.abs(M - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max()) * gain
 
 
 @pytest.mark.parametrize("bad", [0, 1], ids=["time-reversed", "sign-flipped-gauge"])
@@ -449,20 +473,24 @@ def test_heisenberg_flow_returns_p0(hbar):
         assert np.array_equal(P, P0)
 
 
-@pytest.mark.parametrize("flow", ["evolve_heisenberg", "evolve_pictures", "evolve_state"])
+@pytest.mark.parametrize("flow", ["evolve_heisenberg", "evolve_pictures", "evolve_state",
+                                  "evolve_state-real-gamma"])
 def test_flow_rhs_allocates_nothing_per_stage(monkeypatch, flow):
     # each stage writes its slope into RK4's buffer through buffers the flow made
     # once.  numpy reports its array data to tracemalloc, so a stage that made an
     # array as large as the smallest one here (4 KiB, a 256-level state) would
-    # show; what remains is numpy's iterators and views
+    # show; what remains is numpy's iterators and views.  A real Gamma cast
+    # anew at every stage would take 1 MB
     X0, P0 = truncated_oscillator(20)
-    gauge = -np.diag(np.arange(256.0)).astype(complex)
+    real = -np.diag(np.arange(256.0))
+    gauge = real.astype(complex)
     s0 = np.full(256, 1 / 16, dtype=complex)
     flows = []
     monkeypatch.setattr(matrixmech, "_rk4_end", lambda Y0, rhs, *_: flows.append((Y0, rhs)) or Y0)
     {"evolve_heisenberg": lambda: evolve_heisenberg(X0, P0, 1.0, MASS, 0.8, 10),
      "evolve_pictures": lambda: evolve_pictures(X0, P0, 1.0, MASS, 0.8, 10),
-     "evolve_state": lambda: evolve_state(s0, lambda t: gauge, 0.8, 10)}[flow]()
+     "evolve_state": lambda: evolve_state(s0, lambda t: gauge, 0.8, 10),
+     "evolve_state-real-gamma": lambda: evolve_state(s0, lambda t: real, 0.8, 10)}[flow]()
     (Y0, rhs), = flows
     Y, dY = np.array(Y0, dtype=complex), np.empty(np.shape(Y0), dtype=complex)
     rhs(0.0, Y, dY)

@@ -45,6 +45,8 @@ EDGE = "the GeneratorSpace public edge: its signature and block accessors"
 REFERENCE = "a reference that a test compares against"
 IMPORT = "runs at import, before the hook is set"
 BENCH = "the benchmark's workloads write their input files with it"
+COVARIANT = ("the matrix path of covariant_evolve, which the benchmark traces: a connection "
+             "that need not commute with H cannot be stepped in H's eigenbasis")
 
 # Functions that no command reaches and the benchmark does not trace, each
 # with the reason it stays.
@@ -81,6 +83,8 @@ KEPT = {
     "matrixmech.nonrelativistic_rate": PAPER,
     "worldsheet.arc_curve": PAPER,
     "matrixmech.schrodinger_gauge": REFERENCE,
+    "matrixmech._commutator_flows": COVARIANT,
+    "matrixmech._commutator_flows.<locals>.rhs": COVARIANT,
 }
 
 
