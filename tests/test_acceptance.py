@@ -404,7 +404,8 @@ def test_every_result_carries_its_own_wall_time():
         results = run_all(11)
     assert all(r.seconds > 0 and "seconds" not in r.details for r in results)
     # each forked result times its own criterion, not the fork or the whole
-    # lane: at least half its time in this process, and no two the same
-    alone = _one_by_one(11)
+    # lane: at least half its time in this process, timed next to the run
+    # since the host's speed drifts, and no two the same
+    alone = _one_by_one.__wrapped__(11)
     assert all(results[i].seconds > 0.5 * alone[i].seconds for i in _FORKED_SLOTS)
     assert len({results[i].seconds for i in _FORKED_SLOTS}) == len(_FORKED_SLOTS)
