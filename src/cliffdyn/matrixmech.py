@@ -246,13 +246,15 @@ def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, 
     H(P0) = V diag(E) V^dagger, from ``clifford.hermitian_eig`` once per flow.
     The Heisenberg system's P stays P0, and H with it, so in that basis
     [X, H]/(i hbar) is elementwise, X_ij (E_j - E_i)/(i hbar): a stage is one
-    multiply by a table of rates made once.  The frozen system follows
-    dX = i[Gamma, X] + [X, H]/(i hbar) and dP = i[Gamma, P] under the gauge
-    of its initial momentum, which the exact flow keeps at P0.  That Gamma
-    commutes with H, so i[Gamma, Y]_ij = Y_ij i(g_i - g_j) with g = gauge(E);
-    its rate and H's stay two elementwise terms, each rounded on its own, and
-    P is stepped under its own.  RK4 on a linear flow takes the same steps in
-    any basis, up to rounding.
+    multiply by a table of rates made once.  The frozen system steps X and P
+    alike, dY = i[Gamma, Y] + [Y, H]/(i hbar), under the gauge of its initial
+    momentum, which the exact flow keeps at P0.  That Gamma commutes with H,
+    so i[Gamma, Y]_ij = Y_ij i(g_i - g_j) with g = gauge(E); its rate and H's
+    stay two elementwise terms, each rounded on its own.  P~ = V^dagger P0 V
+    is diagonal only up to rounding, and [P, H] = 0 only in exact arithmetic:
+    under Gamma's rate alone, RK4 would grow that rounding wherever a step
+    leaves its stability interval, while H's rate cancels it as it does for X.
+    RK4 on a linear flow takes the same steps in any basis, up to rounding.
 
     The state Y holds X~ = V^dagger X V of each system, then the frozen
     system's P~.  ``pairs(Y)`` returns each system's (X, P), the Heisenberg
@@ -276,15 +278,15 @@ def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, 
         matrices, rates = (X0,), heisenberg[None]
     else:
         g = gauge(E)
-        matrices = (X0, X0, P0)
-        rates = np.stack((heisenberg, heisenberg, 1j * (g[:, None] - g[None, :])))
-        connection, work = rates[2], np.empty_like(heisenberg)
+        matrices, rates = (X0, X0, P0), np.stack([heisenberg] * 3)
+        connection = np.stack([1j * (g[:, None] - g[None, :])] * 2)
+        work = np.empty_like(connection)
     Y0 = np.stack([Vh @ M @ V for M in matrices])
 
     def rhs(t, Y, dY):
         np.multiply(Y, rates, out=dY)
         if gauge is not None:
-            dY[1] += np.multiply(Y[1], connection, out=work)
+            dY[1:] += np.multiply(Y[1:], connection, out=work)
 
     def back(M):
         B = V @ M @ Vh
@@ -376,18 +378,22 @@ def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
                  tau_end: float, steps: int) -> np.ndarray:
     """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; the state at
     tau_end.  The norm is preserved, to the integrator's order, only where Gamma
-    is Hermitian.  A real Gamma is copied into a complex buffer made once per
-    run, where the product would cast it into a new array at every stage."""
-    cast = np.empty(np.shape(s)[:1] * 2, dtype=complex)
-
+    is Hermitian.  Gamma(0) picks the stage once per run: a real Gamma is
+    copied into a complex buffer made once, where the product would cast it
+    into a new array at every stage; a complex one goes to the product as is."""
     def rhs(t, v, out):
-        G = gamma(t)
-        if not np.iscomplexobj(G) and np.shape(G) == cast.shape:
-            np.copyto(cast, G)
-            G = cast
-        np.matmul(G, v, out=out)
+        np.matmul(gamma(t), v, out=out)
         np.multiply(1j, out, out=out)
 
+    def cast_rhs(t, v, out):
+        np.copyto(cast, gamma(t))
+        np.matmul(cast, v, out=out)
+        np.multiply(1j, out, out=out)
+
+    cast = np.empty(np.shape(s)[:1] * 2, dtype=complex)
+    G0 = gamma(0.0)
+    if not np.iscomplexobj(G0) and np.shape(G0) == cast.shape:
+        rhs = cast_rhs
     return _rk4_end(s, rhs, tau_end, steps)
 
 

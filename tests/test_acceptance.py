@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -401,11 +402,11 @@ def test_every_result_carries_its_own_wall_time():
     # the forked child's seconds come back with its pickled results, one per
     # criterion; timing stays out of details, and so out of the payload
     with _no_child_or_fd_left():
+        start = time.perf_counter()
         results = run_all(11)
+        wall = time.perf_counter() - start
     assert all(r.seconds > 0 and "seconds" not in r.details for r in results)
     # each forked result times its own criterion, not the fork or the whole
-    # lane: at least half its time in this process, timed next to the run
-    # since the host's speed drifts, and no two the same
-    alone = _one_by_one.__wrapped__(11)
-    assert all(results[i].seconds > 0.5 * alone[i].seconds for i in _FORKED_SLOTS)
-    assert len({results[i].seconds for i in _FORKED_SLOTS}) == len(_FORKED_SLOTS)
+    # lane: no two read the same, and together they fit in the run's wall time
+    forked = [results[i].seconds for i in _FORKED_SLOTS]
+    assert len(set(forked)) == len(forked) and sum(forked) <= wall

@@ -85,6 +85,8 @@ KEPT = {
     "matrixmech.schrodinger_gauge": REFERENCE,
     "matrixmech._commutator_flows": COVARIANT,
     "matrixmech._commutator_flows.<locals>.rhs": COVARIANT,
+    "matrixmech.evolve_state.<locals>.cast_rhs": "the stage of a real Gamma, which no "
+                                                 "command passes; tests step real ones",
 }
 
 
