@@ -9,8 +9,8 @@ read their seed yet, so their rows are the same on every seed (ROADMAP item 4).
 ``os.fork`` exists: one forked child runs the ``FORKED`` criteria
 (bracket-reduction, picture-equivalence, string-suite and algebra-suite)
 while the calling process runs the other four, each lane in CRITERIA order.
-Seed 11, in-process CPU on a 2-vCPU host, medians of 5: the child's lane
-165-167 ms, the calling process's 160-162 ms.  Each result takes its
+Seed 11, in-process CPU on a 2-vCPU host, medians of 5 in four rounds: the
+child's lane 164-183 ms, the calling process's 158-168 ms.  Each result takes its
 CRITERIA slot, so the rows, the JSON payload and the exit code of
 ``verify-all`` are those of a serial run.
 """
@@ -319,11 +319,11 @@ CRITERIA = (
 
 # The criteria run_all hands to its forked child, run there in CRITERIA order,
 # chosen so that the two lanes take about equal CPU time.  Seed 11, in-process
-# CPU medians of 5 in two rounds on a 2-vCPU host: bracket-reduction 67 ms,
-# picture-equivalence 90-92 (289-324 before its flows were stepped in H's
-# eigenbasis), string-suite 4-5 and algebra-suite 3-4, 165-167 in all;
-# proposition 39, c30-identity 26, particle-dynamics 80-82 and un-covariance
-# 14-15 stay in the calling process, 160-162 in all.  A criterion moved into
+# CPU medians of 5 in four rounds on a 2-vCPU host: bracket-reduction 64-73 ms,
+# picture-equivalence 90-103 (289-324 before its flows were stepped in H's
+# eigenbasis), string-suite 4-5 and algebra-suite 3-4, 164-183 in all;
+# proposition 39-41, c30-identity 25-27, particle-dynamics 80-86 and
+# un-covariance 14-15 stay in the calling process, 158-168 in all.  A criterion moved into
 # the child runs there without the warm caches of the calling process; each
 # process has its own interpreter lock, and a fork and its waitpid cost 2-3 ms.
 FORKED = ("bracket-reduction", "picture-equivalence", "string-suite", "algebra-suite")
