@@ -8,9 +8,8 @@ read their seed yet, so their rows are the same on every seed (ROADMAP item 4).
 :func:`run_all` runs them in two lanes of about equal CPU time where
 ``os.fork`` exists: one forked child runs the ``FORKED`` criteria
 (bracket-reduction, picture-equivalence, string-suite and algebra-suite)
-while the calling process runs the other four, each lane in CRITERIA order.
-Seed 11, in-process CPU on a 2-vCPU host, medians of 5 in four rounds: the
-child's lane 164-183 ms, the calling process's 158-168 ms.  Each result takes its
+while the calling process runs the other four, each lane in CRITERIA order
+(the ``FORKED`` comment gives their CPU times).  Each result takes its
 CRITERIA slot, so the rows, the JSON payload and the exit code of
 ``verify-all`` are those of a serial run.
 """
@@ -233,8 +232,8 @@ def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]
     # amplitude, since H keeps parity and X flips it: on one parity <X> is 0
     s0[1], s0[2], s0[4] = 0.6, 0.64j, 0.48
     s0 /= np.linalg.norm(s0)
-    gauge = -matrixmech._free_hamiltonian(mass, nlev)(P0) / hbar
-    sT = matrixmech.evolve_state(s0, lambda t: gauge, taubar, steps)
+    gauge = matrixmech.schrodinger_gauge(hbar, mass)(0.0, X0, P0)
+    sT = matrixmech.evolve_state(s0, gauge, taubar, steps)
     equiv = abs(complex(s0.conj() @ Xh @ s0) - complex(sT.conj() @ X0 @ sT))
     yield Gate("expectation_gap", equiv, "picture_equivalence")
     stationary = np.max([np.abs(Xf - X0).max(), np.abs(Pf - P0).max()])

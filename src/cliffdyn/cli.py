@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acceptance, particle, worldsheet
 from .clifford import allocate, hermitian_from_json, resolve_hermitian
-from .config import fields, integer, load, number, real_array
+from .config import fields, integer, load, number, positive_mass, real_array
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import ETA, spinor_to_vec
 from .tolerances import DEFAULT
@@ -96,6 +96,29 @@ def _einbein_from_config(spec, tau0: float) -> tuple[particle.EinbeinFn, dict]:
     return make(*values.values(), tau0=tau0), {"type": spec["type"], "params": values}
 
 
+def _particle_state(gram: dict, mass: float, tau0: float) -> particle.ParticleState:
+    """The state of a particle config's gram, read as ``{"gram.x": x, "gram.p": p,
+    <M's field>: M}``.  A state that cannot be built, or reads back a non-finite
+    x, p or mu, is an InputError naming the first field that alone does so too."""
+    def build(values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                st = particle.build_state(*values, mass, tau=tau0)
+            except InputError:          # a spinor of x or p overflowed
+                return None
+            finite = np.isfinite([*st.x_vec(), *st.p_vec(), st.mu_charge()]).all()
+        return st if finite else None
+
+    positive_mass(mass)         # refused by its own message, not as a gram field
+    st = build(gram.values())
+    if st is None:
+        alone = ([v if i == k else 0 * v for i, v in enumerate(gram.values())]
+                 for k in range(len(gram)))
+        name = next((name for name, values in zip(gram, alone) if build(values) is None), "gram")
+        raise InputError(f"{name} is out of range: the particle state built from it is not finite")
+    return st
+
+
 def cmd_particle(args) -> int:
     cfg = fields(load(args.config), "", ("mass", "tau0", "tau_end", "steps", "gram"),
                  {"einbein": {}})
@@ -106,12 +129,12 @@ def cmd_particle(args) -> int:
     m_keys = ("mu",) if isinstance(gram["M"], dict) and "mu" in gram["M"] else ("re", "im")
     m_spec = fields(gram["M"], "gram.M", m_keys)
     if "mu" in m_spec:
-        M = complex(number(m_spec["mu"], "gram.M.mu")) * np.eye(2)
+        M, m_field = complex(number(m_spec["mu"], "gram.M.mu")) * np.eye(2), "gram.M.mu"
     else:
-        M = (real_array(m_spec["re"], (2, 2), "gram.M.re")
-             + 1j * real_array(m_spec["im"], (2, 2), "gram.M.im"))
+        M, m_field = (real_array(m_spec["re"], (2, 2), "gram.M.re")
+                      + 1j * real_array(m_spec["im"], (2, 2), "gram.M.im")), "gram.M"
     e, einbein = _einbein_from_config(cfg["einbein"], tau0)
-    st = particle.build_state(x, p, M, mass, tau=tau0)
+    st = _particle_state({"gram.x": x, "gram.p": p, m_field: M}, mass, tau0)
     # proper time is undefined wherever mu vanishes; refuse such windows
     mu0 = st.mu_charge()
     mu_min = float(np.min(mu0 + particle.mu_of_tau(e, mass, np.linspace(tau0, tau_end, 64))))

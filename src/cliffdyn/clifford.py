@@ -191,8 +191,8 @@ def validate_hermitian(H) -> np.ndarray:
     """Return H as a complex ndarray, raising InputError if not Hermitian.
 
     H may deviate from H^dagger by ``hermitian_input`` times max(1, max|H|).
-    The Hermitian part is halved before it is summed, so finite entries near
-    the float64 limit do not overflow.
+    H and H^dagger are halved before they are summed or subtracted, so finite
+    entries near the float64 limit do not overflow.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -200,10 +200,12 @@ def validate_hermitian(H) -> np.ndarray:
     if not np.all(np.isfinite(H)):
         raise InputError("matrix has non-finite entries")
     atol = DEFAULT.hermitian_input * max(1.0, float(np.abs(H).max(initial=0.0)))
-    dev = float(np.abs(H - H.conj().T).max(initial=0.0))
+    half, half_dagger = 0.5 * H, 0.5 * H.conj().T
+    # 2.0 * a Python float overflows to inf without a warning
+    dev = 2.0 * float(np.abs(half - half_dagger).max(initial=0.0))
     if dev > atol:
         raise InputError(f"matrix is not Hermitian: max deviation {dev:.3e} > {atol:.3e}")
-    return 0.5 * H + 0.5 * H.conj().T
+    return half + half_dagger
 
 
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:

@@ -16,8 +16,9 @@ basis row and column; quantum checks stay away from that corner.
 A gauge connection Gamma (stored Hermitian, the i sits in the covariant
 derivative) moves between pictures: Gamma = 0 is the Heisenberg picture,
 Gamma = -H/hbar freezes X and P and pushes all evolution into the state
-vector.  Every flow steps ``particle.rk4`` to tau_end and returns only its
-state there, ``(X, P)`` for the matrix flows.  The Heisenberg flow and the
+vector, so ``evolve_state`` takes that constant Gamma as a matrix.  Every
+flow steps ``particle.rk4`` to tau_end and returns only its state there,
+``(X, P)`` for the matrix flows.  The Heisenberg flow and the
 Schrodinger-gauge flow, frozen under the constant gauge -H(P0)/hbar of its
 initial momentum, keep H = H(P0) fixed and are stepped in its eigenbasis,
 where every commutator they take is elementwise; ``covariant_evolve``, whose
@@ -54,7 +55,7 @@ __all__ = [
 
 
 class NSystem:
-    """Kets C^A and bras D_A for N particles plus derived matrix caches.
+    """Kets C^A and bras D_A for N particles, and the matrices they give.
 
     ``kets`` and ``bras`` are (2, N, G) coefficient stacks over ``space``:
     ``kets[A, i]`` is c^A of particle i, ``bras[A, i]`` its d*_A.
@@ -70,8 +71,6 @@ class NSystem:
             raise InputError("kets and bras must be (2, N, G) coefficient stacks")
         self.n = self.kets.shape[1]
         self.mass = float(mass)
-        self._xs = None
-        self._ps = None
 
     # -- derived matrices -------------------------------------------------
     def x_spin(self) -> np.ndarray:
@@ -90,15 +89,11 @@ class NSystem:
 
     def x_matrices(self) -> np.ndarray:
         """Space-time position matrices X^mu, shape (4, N, N)."""
-        if self._xs is None:
-            self._xs = np.einsum("mab,abij->mij", DX_UP, self.x_spin())
-        return self._xs
+        return np.einsum("mab,abij->mij", DX_UP, self.x_spin())
 
     def p_matrices(self) -> np.ndarray:
         """Covariant momentum matrices P_mu, shape (4, N, N)."""
-        if self._ps is None:
-            self._ps = np.einsum("mab,abij->mij", DP_DOWN, self.p_spin())
-        return self._ps
+        return np.einsum("mab,abij->mij", DP_DOWN, self.p_spin())
 
     def constraint_matrix(self) -> np.ndarray:
         """(C^A . D_B)_{ij}, shape (2, 2, N, N); mu delta^A_B 1 when constrained."""
@@ -180,17 +175,10 @@ def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> tuple[n
     return tuple(_rk4_end(np.stack((sys.x_matrices(), sys.p_matrices())), rhs, tau_end, steps))
 
 
-def _free_hamiltonian(mass: float, n: int) -> Callable[..., np.ndarray]:
-    """(P, out=None) -> (P.P - m^2 1)/(2m) for an n x n momentum matrix P or a stack of them."""
-    mass_term = mass ** 2 * np.eye(n, dtype=complex)    # complex: H -= casts nothing
-
-    def hamiltonian(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        H = np.matmul(P, P, out=out)
-        H -= mass_term
-        H *= 0.5 / mass         # the values numpy gives for / (2.0 * mass)
-        return H
-
-    return hamiltonian
+def _free_hamiltonian(P: np.ndarray, mass: float) -> np.ndarray:
+    """H = (P.P - m^2 1)/(2m) of an n x n momentum matrix P."""
+    # * (0.5 / mass): the values numpy gives for / (2.0 * mass)
+    return (P @ P - mass ** 2 * np.eye(len(P), dtype=complex)) * (0.5 / mass)
 
 
 def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -202,9 +190,7 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     H = (P.P - m^2 1)/(2m) is a function of P, so [P, H] = 0 and P moves only
     under Gamma: its Hamiltonian commutator, pure rounding noise, is never
     formed.  The state Y is the pair itself, and ``pairs(Y)`` returns
-    ``[(X, P)]``.  ``rhs(t, Y, dY)`` works in buffers allocated once per
-    flow; its elementwise calls read and write whole contiguous buffers, since
-    numpy allocates a buffer for a strided or broadcast operand.
+    ``[(X, P)]``.
 
     X0 and P0 must be Hermitian (``validate_hermitian``, else InputError).
     X, P and H stay Hermitian, so H X = (X H)^dagger and [X, H] = A - A^dagger
@@ -216,23 +202,14 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     if not hbar > 0:
         raise PreconditionError("covariant_evolve requires hbar > 0")
     X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
-    hamiltonian = _free_hamiltonian(mass, len(X0))
     scale = -1j / hbar          # the values numpy gives for / (1j * hbar)
-    # A = X H, then B = Gamma (X, P), in one buffer: each difference
-    # A - A^dagger, B - B^dagger is one call for all three
-    work = np.empty((3, *X0.shape), dtype=complex)
-    A, B = work[0], work[1:]
-    transposed, dagger, H = work.swapaxes(-1, -2), np.empty_like(work), np.empty_like(X0)
 
     def rhs(t, Y, dY):
-        np.matmul(validate_hermitian(gamma(t, *Y)), Y, out=B)
-        np.matmul(Y[0], hamiltonian(Y[1], out=H), out=A)
-        np.copyto(dagger, transposed)
-        np.subtract(work, np.conjugate(dagger, out=dagger), out=work)
-        np.multiply(A, scale, out=dY[0])
-        np.multiply(B, 1j, out=B)
-        dY[0] += B[0]
-        dY[1] = B[1]
+        B = validate_hermitian(gamma(t, *Y)) @ Y
+        A = Y[0] @ _free_hamiltonian(Y[1], mass)
+        iB = (B - B.conj().swapaxes(-1, -2)) * 1j
+        dY[0] = (A - A.conj().T) * scale + iB[0]
+        dY[1] = iB[1]
 
     return np.stack((X0, P0)), rhs, lambda Y: [tuple(Y)]
 
@@ -266,7 +243,7 @@ def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, 
         raise PreconditionError(f"{name} requires hbar > 0")
     X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
     n = len(X0)
-    H = _free_hamiltonian(mass, n)(P0)
+    H = _free_hamiltonian(P0, mass)
     if np.isfinite(H).all():
         V, E = hermitian_eig(H)
     else:       # no eigenbasis: NaN makes step 0 non-finite, and _rk4_end names it
@@ -346,7 +323,7 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
 def schrodinger_gauge(hbar: float, mass: float):
     """The connection Gamma = -H/hbar that makes X and P stationary."""
-    return lambda t, X, P: _free_hamiltonian(mass, len(P))(P) * (-1.0 / hbar)
+    return lambda t, X, P: _free_hamiltonian(P, mass) * (-1.0 / hbar)
 
 
 def expectation(s: np.ndarray, target, which: str = "X"):
@@ -374,26 +351,16 @@ def expectation(s: np.ndarray, target, which: str = "X"):
     return np.array([complex(s.conj() @ M @ s) for M in mats])
 
 
-def evolve_state(s: np.ndarray, gamma: Callable[[float], np.ndarray],
-                 tau_end: float, steps: int) -> np.ndarray:
-    """Integrate (d/dtau - i Gamma(tau)) |s> = 0 from tau = 0 with RK4; the state at
-    tau_end.  The norm is preserved, to the integrator's order, only where Gamma
-    is Hermitian.  Gamma(0) picks the stage once per run: a real Gamma is
-    copied into a complex buffer made once, where the product would cast it
-    into a new array at every stage; a complex one goes to the product as is."""
+def evolve_state(s: np.ndarray, gamma: np.ndarray, tau_end: float, steps: int) -> np.ndarray:
+    """Integrate (d/dtau - i Gamma) |s> = 0 under the constant connection ``gamma``
+    from tau = 0 with RK4; the state at tau_end.  The norm is preserved, to the
+    integrator's order, only where Gamma is Hermitian."""
+    G = np.asarray(gamma, dtype=complex)
+
     def rhs(t, v, out):
-        np.matmul(gamma(t), v, out=out)
+        np.matmul(G, v, out=out)
         np.multiply(1j, out, out=out)
 
-    def cast_rhs(t, v, out):
-        np.copyto(cast, gamma(t))
-        np.matmul(cast, v, out=out)
-        np.multiply(1j, out, out=out)
-
-    cast = np.empty(np.shape(s)[:1] * 2, dtype=complex)
-    G0 = gamma(0.0)
-    if not np.iscomplexobj(G0) and np.shape(G0) == cast.shape:
-        rhs = cast_rhs
     return _rk4_end(s, rhs, tau_end, steps)
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import GeneratorSpace, allocate, bullet_gram, resolve_hermitian
+from .clifford import GeneratorSpace, allocate, bullet_gram, resolve_hermitian, validate_hermitian
 from .config import fields, integers, mapping, number, positive_mass, real_array
 from .errors import InputError, PreconditionError, VerificationError
 from .spinors import flip_both, minkowski_norm
@@ -101,9 +101,7 @@ class ModeSpec:
         if not (math.isfinite(mass) and np.all(np.isfinite(gram))):
             raise InputError("mass and gram entries must be finite")
         self.mass = positive_mass(mass)
-        if np.abs(gram - gram.conj().T).max() > 1e-12:
-            raise InputError("gram is not Hermitian")
-        self.gram = 0.5 * (gram + gram.conj().T)
+        self.gram = validate_hermitian(gram)
         self.on_shell = bool(on_shell)
         self._check_sparsity()
         if self.on_shell:

@@ -102,6 +102,20 @@ def test_resolve_takes_finite_entries_near_the_float_limit(tmp_path, capsys):
     assert err.startswith("resolution failed: gram_residual ") and "non-finite" not in err
 
 
+def test_resolve_refuses_a_skew_matrix_near_the_float_limit_without_a_warning(
+        tmp_path, capsys, recwarn):
+    # H - H^dagger overflows; the halves' difference does not, so the refusal
+    # reads an infinite deviation and no overflow warning precedes it
+    _write_json(tmp_path / "H.json",
+                {"n": 2, "re": [[0.0, 1.7e308], [-1.7e308, 0.0]], "im": [[0, 0], [0, 0]]})
+    code = main(["resolve", "--input", str(tmp_path / "H.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: matrix is not Hermitian: max deviation inf > 1.700e+294\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
+
 def test_resolve_names_the_gate_that_failed(tmp_path, capsys):
     # at 1e4 the gram residual passes --tol and the null residual fails gram_null
     rng = np.random.default_rng(0)
@@ -240,6 +254,29 @@ def test_particle_flow_overflow_exits_1_with_one_line(tmp_path, capsys, recwarn)
     assert "integration produced non-finite values at step" in err
     assert "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("gram.x", [1e308, 0.0, 0.2, 0.0]),
+    ("gram.x", [1.7e308, 0.0, 0.0, 1.7e308]),
+    ("gram.p", [1e308, 0.2, 0.2, 0.0]),
+    ("gram.M.mu", 1e308)], ids=["x0", "x-spinor", "p0", "mu"])
+def test_particle_gram_out_of_range_names_its_field(tmp_path, capsys, recwarn, field, value):
+    # each state reads back a non-finite x, p or mu (the x0 run used to exit 0 and
+    # write a NaN straight-line residual); none may warn or write a file
+    cfg = _particle_config()
+    if field == "gram.M.mu":
+        cfg["gram"]["M"]["mu"] = value
+    else:
+        cfg["gram"][field[-1]] = value
+    _write_json(tmp_path / "p.json", cfg)
+    code = main(["particle", "--config", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: {field} is out of range: the particle state built from it is not finite\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("steps", [10 ** 17, 10 ** 19], ids=["1e17", "1e19"])
@@ -407,6 +444,23 @@ def test_string_refuses_an_l_block_whose_norm_overflows(tmp_path, capsys, recwar
         "error: l block is out of range: its norm L.L = det(l block) overflows\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,code,message", [
+    ("k.0|k.0", 1, "verification failed: mode Gram infeasible: residual "),
+    ("l.0|l.0", 2, "error: l block is off shell: ")], ids=["k-block", "l-block"])
+def test_string_gram_entry_near_the_float_limit_gets_its_own_message(
+        tmp_path, capsys, recwarn, key, code, message):
+    # the Gram's Hermitian part of a 1e308 entry is finite: the k block cannot be
+    # resolved and the l block's finite norm is off shell, with no warning first
+    cfg = _string_config()
+    cfg["gram"][key] = [1e308, 0.0]
+    _write_json(tmp_path / "s.json", cfg)
+    assert main(["string", "--config", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "out"), "--residuals"]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_string_rejects_bad_spec(tmp_path):

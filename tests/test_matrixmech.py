@@ -475,8 +475,8 @@ def test_flow_rhs_allocates_nothing_per_stage(monkeypatch, flow):
     monkeypatch.setattr(matrixmech, "_rk4_end", lambda Y0, rhs, *_: flows.append((Y0, rhs)) or Y0)
     {"evolve_heisenberg": lambda: evolve_heisenberg(X0, P0, 1.0, MASS, 0.8, 10),
      "evolve_pictures": lambda: evolve_pictures(X0, P0, 1.0, MASS, 0.8, 10),
-     "evolve_state": lambda: evolve_state(s0, lambda t: gauge, 0.8, 10),
-     "evolve_state-real-gamma": lambda: evolve_state(s0, lambda t: real, 0.8, 10)}[flow]()
+     "evolve_state": lambda: evolve_state(s0, gauge, 0.8, 10),
+     "evolve_state-real-gamma": lambda: evolve_state(s0, real, 0.8, 10)}[flow]()
     (Y0, rhs), = flows
     Y, dY = np.array(Y0, dtype=complex), np.empty(np.shape(Y0), dtype=complex)
     rhs(0.0, Y, dY)
@@ -578,7 +578,7 @@ def _step_entry_points():
             X0, P0, 1.0, MASS, lambda t, X, P: np.zeros_like(X), 0.1, steps),
         "evolve_matrix_classical": lambda steps: evolve_matrix_classical(sys1, 0.1, steps),
         "evolve_state": lambda steps: evolve_state(
-            np.array([0.6, 0.8j]), lambda t: np.eye(2), 0.1, steps),
+            np.array([0.6, 0.8j]), np.eye(2), 0.1, steps),
         "integrate": lambda steps: integrate(states[0], constant_einbein(0.5), 0.1, steps),
     }
 
@@ -595,14 +595,15 @@ def test_step_counts_must_be_positive_integers(entry, steps):
 
 def test_matrix_flow_names_the_first_non_finite_step():
     X0, P0 = truncated_oscillator(8)
-
-    def gamma(t):
-        # NaN from tau = 0.52 on: step 5's stages at tau = 0.55 meet it first
-        return np.eye(2) if t < 0.52 else np.full((2, 2), np.nan)
-
-    with pytest.raises(ArithmeticError, match="at step 5$"):
-        evolve_state(np.array([0.6, 0.8j]), gamma, 1.0, 10)
+    # h |lambda| = 100 lies far outside RK4's stability interval: each step
+    # multiplies the state by |R(100 i)| ~ 4e6 until it overflows part-way
+    gamma, s0 = np.diag([1e4, -1e4]), np.array([0.6, 0.8j])
     with np.errstate(over="ignore", invalid="ignore"):
+        ref = _textbook_rk4(lambda t, v: 1j * (gamma @ v), s0, 0.01, 100)
+        first = int(np.argmin(np.isfinite(ref[1:]).all(axis=1)))
+        assert 0 < first < 99
+        with pytest.raises(ArithmeticError, match=f"at step {first}$"):
+            evolve_state(s0, gamma, 1.0, 100)
         with pytest.raises(ArithmeticError, match="at step 0$"):
             evolve_heisenberg(1e200 * X0, 1e200 * P0, 1.0, MASS, 0.5, 100)
         # RK4 is unstable at h |w_i - w_j| this large: X overflows part-way
@@ -629,7 +630,7 @@ def test_evolve_pictures_names_the_first_non_finite_step():
 def test_evolve_state_rejects_a_non_finite_result():
     s0 = np.array([0.6, 0.8j])
     with pytest.raises(ArithmeticError, match="non-finite"):
-        evolve_state(s0, lambda t: np.full((2, 2), np.nan), 1.0, 10)
+        evolve_state(s0, np.full((2, 2), np.nan), 1.0, 10)
 
 
 def test_gamma_gauge_transformation_law():
@@ -715,14 +716,14 @@ def test_classical_expectation_stays_on_integral_curve():
 
 def test_evolve_state_gamma_zero_constant_and_norm_preserved():
     s0 = np.array([0.6, 0.8j], dtype=complex)
-    out = evolve_state(s0, lambda t: np.zeros((2, 2)), 1.0, 100)
+    out = evolve_state(s0, np.zeros((2, 2)), 1.0, 100)
     assert np.abs(out - s0).max() == 0.0
     rng = np.random.default_rng(8)
     H = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     H = 0.5 * (H + H.conj().T)
     s0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     s0 = s0 / np.linalg.norm(s0)
-    out = evolve_state(s0, lambda t: -H, 1.0, 10000)
+    out = evolve_state(s0, -H, 1.0, 10000)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -735,7 +736,7 @@ def test_nonrelativistic_schrodinger_equation():
     s0 = np.zeros(nlev, dtype=complex)
     s0[0], s0[2] = 0.8, 0.6
     taubar, steps = 1.0, 4000
-    out = evolve_state(s0, lambda t: -H_nr / hbar, taubar, steps)
+    out = evolve_state(s0, -H_nr / hbar, taubar, steps)
     w, V = np.linalg.eigh(H_nr)
     oracle = (V * np.exp(-1j * w * taubar / hbar)) @ V.conj().T @ s0
     assert np.abs(out - oracle).max() < 1e-10
@@ -752,7 +753,7 @@ def test_picture_equivalence_expectations():
     s0[1], s0[3], s0[5] = 0.6, 0.64, 0.48
     s0 /= np.linalg.norm(s0)
     H = (P0 @ P0 - MASS ** 2 * np.eye(nlev)) / (2 * MASS)
-    sT = evolve_state(s0, lambda t: -H, taubar, steps)
+    sT = evolve_state(s0, -H, taubar, steps)
     lhs = complex(s0.conj() @ X @ s0)
     rhs = complex(sT.conj() @ X0 @ sT)
     assert abs(lhs - rhs) < 1e-8

@@ -42,7 +42,6 @@ TRACED = {f"{layer}.{name}" for layer, table in _layers().TRACED.items() for nam
 
 PAPER = "paper identity: a test checks the paper's formula with it"
 EDGE = "the GeneratorSpace public edge: its signature and block accessors"
-REFERENCE = "a reference that a test compares against"
 IMPORT = "runs at import, before the hook is set"
 BENCH = "the benchmark's workloads write their input files with it"
 COVARIANT = ("the matrix path of covariant_evolve, which the benchmark traces: a connection "
@@ -82,11 +81,8 @@ KEPT = {
     "matrixmech.born_sample": PAPER,
     "matrixmech.nonrelativistic_rate": PAPER,
     "worldsheet.arc_curve": PAPER,
-    "matrixmech.schrodinger_gauge": REFERENCE,
     "matrixmech._commutator_flows": COVARIANT,
     "matrixmech._commutator_flows.<locals>.rhs": COVARIANT,
-    "matrixmech.evolve_state.<locals>.cast_rhs": "the stage of a real Gamma, which no "
-                                                 "command passes; tests step real ones",
 }
 
 
