@@ -7,11 +7,11 @@ read their seed yet, so their rows are the same on every seed (ROADMAP item 4).
 
 :func:`run_all` runs them in two lanes of about equal CPU time where
 ``os.fork`` exists: one forked child runs the ``FORKED`` criteria
-(bracket-reduction, picture-equivalence, string-suite and algebra-suite)
-while the calling process runs the other four, each lane in CRITERIA order
-(the ``FORKED`` comment gives their CPU times).  Each result takes its
-CRITERIA slot, so the rows, the JSON payload and the exit code of
-``verify-all`` are those of a serial run.
+(c30-identity, bracket-reduction, un-covariance, picture-equivalence,
+string-suite and algebra-suite) while the calling process runs proposition
+and particle-dynamics, each lane in CRITERIA order (the ``FORKED`` comment
+gives their CPU times).  Each result takes its CRITERIA slot, so the rows,
+the JSON payload and the exit code of ``verify-all`` are those of a serial run.
 """
 
 from __future__ import annotations
@@ -226,15 +226,13 @@ def picture_equivalence(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]
     nlev, mass, hbar = 20, 1.0, 1.0
     X0, P0 = matrixmech.truncated_oscillator(nlev, hbar=hbar)
     taubar, steps = 0.8, 2000
-    (Xh, _), (Xf, Pf) = matrixmech.evolve_pictures(X0, P0, hbar, mass, taubar, steps)
     s0 = np.zeros(nlev, dtype=complex)
     # interior support, away from the corner; mixed level parity and a complex
     # amplitude, since H keeps parity and X flips it: on one parity <X> is 0
     s0[1], s0[2], s0[4] = 0.6, 0.64j, 0.48
     s0 /= np.linalg.norm(s0)
-    gauge = matrixmech.schrodinger_gauge(hbar, mass)(0.0, X0, P0)
-    sT = matrixmech.evolve_state(s0, gauge, taubar, steps)
-    equiv = abs(complex(s0.conj() @ Xh @ s0) - complex(sT.conj() @ X0 @ sT))
+    (Xh, _), (Xf, Pf), sT = matrixmech.evolve_pictures(X0, P0, hbar, mass, taubar, steps, s0)
+    equiv = abs(matrixmech.expectation(s0, Xh) - matrixmech.expectation(sT, X0))
     yield Gate("expectation_gap", equiv, "picture_equivalence")
     stationary = np.max([np.abs(Xf - X0).max(), np.abs(Pf - P0).max()])
     yield Gate("stationarity", float(stationary), "stationarity")
@@ -318,14 +316,15 @@ CRITERIA = (
 
 # The criteria run_all hands to its forked child, run there in CRITERIA order,
 # chosen so that the two lanes take about equal CPU time.  Seed 11, in-process
-# CPU medians of 5 in four rounds on a 2-vCPU host: bracket-reduction 64-73 ms,
-# picture-equivalence 90-103 (289-324 before its flows were stepped in H's
-# eigenbasis), string-suite 4-5 and algebra-suite 3-4, 164-183 in all;
-# proposition 39-41, c30-identity 25-27, particle-dynamics 80-86 and
-# un-covariance 14-15 stay in the calling process, 158-168 in all.  A criterion moved into
+# CPU medians of 5 in four rounds on a 2-vCPU host: c30-identity 25-27 ms,
+# bracket-reduction 67-74, un-covariance 13-21, picture-equivalence 5 (90-103
+# before its flows took RK4's step polynomial), string-suite 4 and
+# algebra-suite 3-5, 117-134 in all; proposition 39-47 and particle-dynamics
+# 81-88 stay in the calling process, 120-135 in all.  A criterion moved into
 # the child runs there without the warm caches of the calling process; each
 # process has its own interpreter lock, and a fork and its waitpid cost 2-3 ms.
-FORKED = ("bracket-reduction", "picture-equivalence", "string-suite", "algebra-suite")
+FORKED = ("c30-identity", "bracket-reduction", "un-covariance", "picture-equivalence",
+          "string-suite", "algebra-suite")
 
 # taken before anything can rebind the criteria: the row titles under which a
 # child that dies without a result is reported

@@ -99,7 +99,13 @@ def _einbein_from_config(spec, tau0: float) -> tuple[particle.EinbeinFn, dict]:
 def _particle_state(gram: dict, mass: float, tau0: float) -> particle.ParticleState:
     """The state of a particle config's gram, read as ``{"gram.x": x, "gram.p": p,
     <M's field>: M}``.  A state that cannot be built, or reads back a non-finite
-    x, p or mu, is an InputError naming the first field that alone does so too."""
+    x, p or mu, is an InputError naming the first field that alone does so too.
+
+    A finite state must also read back x, p and M within ``gram_residual``
+    times the gram's scale, max(1, largest entry), or it is an InputError
+    naming M's field: x and p are resolved on blocks of their own, and M
+    enters d* along null directions whose cancelling terms, of order |M|^2,
+    swamp the p block once M is large."""
     def build(values):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -116,6 +122,13 @@ def _particle_state(gram: dict, mass: float, tau0: float) -> particle.ParticleSt
                  for k in range(len(gram)))
         name = next((name for name, values in zip(gram, alone) if build(values) is None), "gram")
         raise InputError(f"{name} is out of range: the particle state built from it is not finite")
+    x, p, M = gram.values()
+    miss = max(np.abs(st.x_vec() - x).max(), np.abs(st.p_vec() - p).max(),
+               np.abs(st.cd_gram() - M).max())
+    bound = DEFAULT.gram_residual * max(1.0, *(np.abs(v).max() for v in (x, p, M)))
+    if not miss <= bound:
+        raise InputError(f"{list(gram)[2]} is out of range: the particle state built from it "
+                         f"misses its gram by {miss:.3e} > {bound:.3e}")
     return st
 
 

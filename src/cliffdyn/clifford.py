@@ -192,14 +192,19 @@ def validate_hermitian(H) -> np.ndarray:
 
     H may deviate from H^dagger by ``hermitian_input`` times max(1, max|H|).
     H and H^dagger are halved before they are summed or subtracted, so finite
-    entries near the float64 limit do not overflow.
+    entries near the float64 limit do not overflow.  An entry whose modulus
+    overflows, such as 1.7e308 + 1.7e308j, leaves no finite tolerance and is
+    refused.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"expected a square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise InputError("matrix has non-finite entries")
-    atol = DEFAULT.hermitian_input * max(1.0, float(np.abs(H).max(initial=0.0)))
+    scale = float(np.abs(H).max(initial=0.0))     # hypot: inf, without a warning
+    if scale == np.inf:
+        raise InputError("matrix is out of range: the modulus of an entry overflows")
+    atol = DEFAULT.hermitian_input * max(1.0, scale)
     half, half_dagger = 0.5 * H, 0.5 * H.conj().T
     # 2.0 * a Python float overflows to inf without a warning
     dev = 2.0 * float(np.abs(half - half_dagger).max(initial=0.0))

@@ -17,12 +17,16 @@ A gauge connection Gamma (stored Hermitian, the i sits in the covariant
 derivative) moves between pictures: Gamma = 0 is the Heisenberg picture,
 Gamma = -H/hbar freezes X and P and pushes all evolution into the state
 vector, so ``evolve_state`` takes that constant Gamma as a matrix.  Every
-flow steps ``particle.rk4`` to tau_end and returns only its state there,
+flow takes fixed RK4 steps to tau_end and returns only its state there,
 ``(X, P)`` for the matrix flows.  The Heisenberg flow and the
 Schrodinger-gauge flow, frozen under the constant gauge -H(P0)/hbar of its
 initial momentum, keep H = H(P0) fixed and are stepped in its eigenbasis,
-where every commutator they take is elementwise; ``covariant_evolve``, whose
-connection need not commute with H, steps the matrices themselves.
+where every commutator they take is elementwise, and so is the state that
+gauge moves: each entry has a constant rate, and each RK4 step is exactly
+a multiply by RK4's step polynomial R, taken as Y + Y (R - 1)
+(``_polynomial_end``).  The other flows step ``particle.rk4``;
+``covariant_evolve``, whose connection need not commute with H, steps the
+matrices themselves.
 """
 
 from __future__ import annotations
@@ -215,29 +219,32 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
 
 def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, name: str,
-                      gauge: Callable | None = None):
-    """``(Y0, rhs, pairs)`` for one RK4 of the Hermitian pair (X0, P0) in the
-    eigenbasis of H = H(P0): the Heisenberg system and, if ``gauge`` is given,
-    a frozen system under the constant connection Gamma = V diag(``gauge(E)``) V^dagger.
+                      gauge: Callable | None = None, state: np.ndarray | None = None):
+    """``(Y0, rates, unpack)`` for :func:`_polynomial_end`: the Hermitian pair
+    (X0, P0) in the eigenbasis of H = H(P0), where every entry moves at its own
+    constant rate.  The Heisenberg system comes first; if ``gauge`` is given, a
+    frozen system under the constant connection Gamma = V diag(``gauge(E)``) V^dagger
+    follows, and then, if ``state`` is given too, the state that Gamma moves.
 
     H(P0) = V diag(E) V^dagger, from ``clifford.hermitian_eig`` once per flow.
     The Heisenberg system's P stays P0, and H with it, so in that basis
-    [X, H]/(i hbar) is elementwise, X_ij (E_j - E_i)/(i hbar): a stage is one
-    multiply by a table of rates made once.  The frozen system steps X and P
-    alike, dY = i[Gamma, Y] + [Y, H]/(i hbar), under the gauge of its initial
-    momentum, which the exact flow keeps at P0.  That Gamma commutes with H,
-    so i[Gamma, Y]_ij = Y_ij i(g_i - g_j) with g = gauge(E); its rate and H's
-    stay two elementwise terms, each rounded on its own.  P~ = V^dagger P0 V
-    is diagonal only up to rounding, and [P, H] = 0 only in exact arithmetic:
-    under Gamma's rate alone, RK4 would grow that rounding wherever a step
-    leaves its stability interval, while H's rate cancels it as it does for X.
-    RK4 on a linear flow takes the same steps in any basis, up to rounding.
+    [X, H]/(i hbar) is elementwise: X~_ij moves at (E_j - E_i)/(i hbar).  The
+    frozen system steps X and P alike, dY = i[Gamma, Y] + [Y, H]/(i hbar), under
+    the gauge of its initial momentum, which the exact flow keeps at P0.  That
+    Gamma commutes with H, so i[Gamma, Y]_ij = Y_ij i(g_i - g_j) with g = gauge(E),
+    and the frozen system's rate is the sum of the two tables.  Under
+    Gamma = -H/hbar that sum is 0 wherever g_i - g_j rounds to (E_j - E_i)/hbar,
+    and at hbar = 1 it does everywhere.  P~ = V^dagger P0 V is diagonal only up
+    to rounding, so the frozen P~ is stepped too.  The state s, rotated to
+    V^dagger s, moves at i g_i, since (d/dtau - i Gamma) s = 0.  RK4 on a linear
+    flow takes the same steps in any basis, up to rounding.
 
-    The state Y holds X~ = V^dagger X V of each system, then the frozen
-    system's P~.  ``pairs(Y)`` returns each system's (X, P), the Heisenberg
-    one first with P0 itself; each matrix is rotated back as the Hermitian
-    part of V Y~ V^dagger, so it is exactly Hermitian.  X0 and P0 must be
-    Hermitian (``validate_hermitian``, else InputError).
+    Y0 holds each system's X~ = V^dagger X V, then the frozen system's P~, each
+    raveled, then the rotated state.  ``unpack(Y)`` returns each system's
+    (X, P), the Heisenberg one first with P0 itself, then the state if there
+    is one; each matrix is rotated back as the Hermitian part of
+    V Y~ V^dagger, so it is exactly Hermitian.  X0 and P0 must be Hermitian
+    (``validate_hermitian``, else InputError), and the state a vector of their size.
     """
     if not hbar > 0:
         raise PreconditionError(f"{name} requires hbar > 0")
@@ -246,34 +253,72 @@ def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, 
     H = _free_hamiltonian(P0, mass)
     if np.isfinite(H).all():
         V, E = hermitian_eig(H)
-    else:       # no eigenbasis: NaN makes step 0 non-finite, and _rk4_end names it
+    else:       # no eigenbasis: NaN makes step 0 non-finite, and _polynomial_end names it
         V, E = np.full((n, n), np.nan, dtype=complex), np.full(n, np.nan)
     Vh = V.conj().T
     # [X, H] / (i hbar), in the values numpy gives for / (1j * hbar)
     heisenberg = (E[None, :] - E[:, None]) * (-1j / hbar)
-    if gauge is None:
-        matrices, rates = (X0,), heisenberg[None]
-    else:
+    matrices, tables = (X0,), (heisenberg,)
+    if gauge is not None:
         g = gauge(E)
-        matrices, rates = (X0, X0, P0), np.stack([heisenberg] * 3)
-        connection = np.stack([1j * (g[:, None] - g[None, :])] * 2)
-        work = np.empty_like(connection)
-    Y0 = np.stack([Vh @ M @ V for M in matrices])
-
-    def rhs(t, Y, dY):
-        np.multiply(Y, rates, out=dY)
-        if gauge is not None:
-            dY[1:] += np.multiply(Y[1:], connection, out=work)
+        frozen = heisenberg + 1j * (g[:, None] - g[None, :])
+        matrices, tables = (X0, X0, P0), (heisenberg, frozen, frozen)
+    Y0 = [(Vh @ M @ V).ravel() for M in matrices]
+    rates = [table.ravel() for table in tables]
+    if gauge is not None and state is not None:
+        s = np.asarray(state, dtype=complex)
+        if s.shape != (n,):
+            raise InputError(f"state must be a vector of length {n}, got shape {s.shape}")
+        Y0.append(Vh @ s)
+        rates.append(1j * g)
+    end = len(matrices) * n * n         # where the matrices stop and the state starts
 
     def back(M):
         B = V @ M @ Vh
         return 0.5 * B + 0.5 * B.conj().T
 
-    def pairs(Y):
-        first = (back(Y[0]), P0)
-        return [first] if gauge is None else [first, (back(Y[1]), back(Y[2]))]
+    def unpack(Y):
+        X = Y[:end].reshape(len(matrices), n, n)
+        systems = [(back(X[0]), P0)]
+        if gauge is not None:
+            systems.append((back(X[1]), back(X[2])))
+        if len(Y) > end:
+            systems.append(V @ Y[end:])
+        return systems
 
-    return Y0, rhs, pairs
+    return np.concatenate(Y0), np.concatenate(rates), unpack
+
+
+def _polynomial_steps(Y: np.ndarray, D: np.ndarray, steps: int):
+    """Add Y * D to Y in place ``steps`` times, yielding Y after each step."""
+    work = np.empty_like(Y)
+    for _ in range(steps):
+        yield np.add(Y, np.multiply(Y, D, out=work), out=Y)
+
+
+def _polynomial_end(Y0, rates, tau_end: float, steps: int) -> np.ndarray:
+    """The RK4 state at tau_end of dY/dtau = ``rates`` * Y, entry by entry, from Y0 at tau = 0.
+
+    Under a constant elementwise rate one RK4 step is exactly Y <- R(h rates) Y
+    with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (Hairer, Norsett & Wanner, II.1).
+    D = R - 1 is made once and every one of the ``steps`` steps is
+    Y <- Y + Y D, with no stage.  The 1 stays exact: a multiply by R itself
+    would repeat R's own rounding at every step, an error that grows with the
+    step count, where the increment's rounding is relative to |Y D| only.
+    RK4's stages form slopes 1/h times the step's size, so they can overflow a
+    step before this form does; a run that ends non-finite is stepped again in
+    that stage form by :func:`_rk4_end`, which names its first bad step (or,
+    should the stages all stay finite, returns their end state).
+    """
+    steps = step_count(steps)
+    z = (tau_end / steps) * rates
+    D = z * (1 + z * (0.5 + z * (1 / 6 + z / 24)))
+    Y = np.array(Y0, dtype=complex)
+    for Y in _polynomial_steps(Y, D, steps):
+        pass
+    if np.isfinite(Y).all():
+        return Y
+    return _rk4_end(Y0, lambda t, Y, dY: np.multiply(Y, rates, out=dY), tau_end, steps)
 
 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -284,8 +329,8 @@ def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     H = H(P0) is fixed, so X is stepped in its eigenbasis, where the
     commutator is elementwise (:func:`_eigenbasis_flows`).
     """
-    Y0, rhs, pairs = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_heisenberg")
-    return pairs(_rk4_end(Y0, rhs, tau_end, steps))[0]
+    Y0, rates, unpack = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_heisenberg")
+    return unpack(_polynomial_end(Y0, rates, tau_end, steps))[0]
 
 
 def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -306,19 +351,21 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
 
 def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
-                    tau_end: float, steps: int) -> tuple[tuple[np.ndarray, ...], ...]:
+                    tau_end: float, steps: int, state: np.ndarray | None = None) -> tuple:
     """The end states of the Heisenberg and Schrodinger-gauge flows of one pair, stepped together.
 
-    Returns ``((X, P) heisenberg, (X, P) frozen)`` at taubar = tau_end.  Both
-    systems are stepped in the eigenbasis of H(P0) (:func:`_eigenbasis_flows`):
-    the Heisenberg pair equals :func:`evolve_heisenberg` bit for bit, and the
-    frozen pair steps under the constant gauge Gamma = -H(P0)/hbar of its
-    initial momentum, which agrees with :func:`covariant_evolve` under
-    :func:`schrodinger_gauge` up to rounding.
+    Returns ``((X, P) heisenberg, (X, P) frozen)`` at taubar = tau_end, and
+    then, if ``state`` is given, that state evolved by (d/dtau - i Gamma) s = 0.
+    Every system is stepped in the eigenbasis of H(P0), one multiply and one
+    add a step (:func:`_eigenbasis_flows`, :func:`_polynomial_end`): the Heisenberg pair
+    equals :func:`evolve_heisenberg` bit for bit; the frozen pair steps under
+    the constant gauge Gamma = -H(P0)/hbar of its initial momentum, which
+    agrees with :func:`covariant_evolve` under :func:`schrodinger_gauge` up to
+    rounding, and so does the state with :func:`evolve_state` under that Gamma.
     """
-    Y0, rhs, pairs = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_pictures",
-                                       lambda E: E * (-1.0 / hbar))
-    return tuple(pairs(_rk4_end(Y0, rhs, tau_end, steps)))
+    Y0, rates, unpack = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_pictures",
+                                          lambda E: E * (-1.0 / hbar), state)
+    return tuple(unpack(_polynomial_end(Y0, rates, tau_end, steps)))
 
 
 def schrodinger_gauge(hbar: float, mass: float):

@@ -198,7 +198,7 @@ def _shows_non_finite(result):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("criterion,owner,name", [
     (particle_dynamics, particle, "mu_of_tau"),
-    (picture_equivalence, matrixmech, "evolve_state"),
+    (picture_equivalence, matrixmech, "expectation"),
     (contraction_identity, acceptance, "flip_both"),
     (un_covariance, acceptance, "random_unitary"),       # InputError, shown under ``error``
     (string_suite, worldsheet, "_phases"),
@@ -215,17 +215,19 @@ def test_non_finite_layer_fails_its_criterion(monkeypatch, criterion, owner, nam
 
 
 # the two mistakes the picture-equivalence probe must catch: X left unevolved,
-# and the Heisenberg flow run backwards
+# and the Heisenberg flow run backwards while the state runs forwards
 _evolve_pictures = matrixmech.evolve_pictures
 
 
-def _unevolved_heisenberg(X0, P0, hbar, mass, tau_end, steps):
-    (_, P), frozen = _evolve_pictures(X0, P0, hbar, mass, tau_end, steps)
-    return (X0, P), frozen
+def _unevolved_heisenberg(X0, P0, hbar, mass, tau_end, steps, state):
+    (_, P), frozen, s = _evolve_pictures(X0, P0, hbar, mass, tau_end, steps, state)
+    return (X0, P), frozen, s
 
 
-def _reversed_flows(X0, P0, hbar, mass, tau_end, steps):
-    return _evolve_pictures(X0, P0, hbar, mass, -tau_end, steps)
+def _reversed_flows(X0, P0, hbar, mass, tau_end, steps, state):
+    heisenberg, _, _ = _evolve_pictures(X0, P0, hbar, mass, -tau_end, steps, state)
+    _, frozen, s = _evolve_pictures(X0, P0, hbar, mass, tau_end, steps, state)
+    return heisenberg, frozen, s
 
 
 @pytest.mark.parametrize("broken", [_unevolved_heisenberg, _reversed_flows],
@@ -242,15 +244,30 @@ def test_picture_equivalence_stationarity_fails_on_a_wrong_gauge(monkeypatch):
     # twice the Heisenberg rate, so X and P leave their initial values
     flows, built = matrixmech._eigenbasis_flows, []
 
-    def plus_h_gauge(X0, P0, hbar, mass, name, gauge):
+    def plus_h_gauge(X0, P0, hbar, mass, name, gauge, state):
         built.append(name)
-        return flows(X0, P0, hbar, mass, name, lambda E: -gauge(E))
+        return flows(X0, P0, hbar, mass, name, lambda E: -gauge(E), state)
 
     monkeypatch.setattr(matrixmech, "_eigenbasis_flows", plus_h_gauge)
     result = picture_equivalence(11)
     assert built == ["evolve_pictures"]         # the criterion stepped the patched flow
     assert result.line().startswith("[FAIL]")
     assert result.details["stationarity"] > DEFAULT.stationarity
+
+
+def test_picture_equivalence_takes_every_step(monkeypatch):
+    # the criterion's 2000 steps are 2000 steps of the flow's loop: neither a
+    # closed form such as R ** 2000 nor a shortened loop passes
+    polynomial_steps, taken = matrixmech._polynomial_steps, []
+
+    def counted(Y, D, steps):
+        for Y in polynomial_steps(Y, D, steps):
+            taken.append(None)
+            yield Y
+
+    monkeypatch.setattr(matrixmech, "_polynomial_steps", counted)
+    assert picture_equivalence(11).passed
+    assert len(taken) == 2000
 
 
 def test_picture_equivalence_keeps_no_trajectory():

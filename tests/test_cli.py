@@ -116,6 +116,17 @@ def test_resolve_refuses_a_skew_matrix_near_the_float_limit_without_a_warning(
     assert not (tmp_path / "out").exists()
 
 
+
+def test_resolve_refuses_an_entry_whose_modulus_overflows(tmp_path, capsys, recwarn):
+    # re and im are finite, their modulus is not: one line, no warning, no file
+    _write_json(tmp_path / "H.json", hermitian_to_json(np.diag([1.7e308 + 1.7e308j, 1.0])))
+    code = main(["resolve", "--input", str(tmp_path / "H.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: matrix is out of range: the modulus of an entry overflows\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
 def test_resolve_names_the_gate_that_failed(tmp_path, capsys):
     # at 1e4 the gram residual passes --tol and the null residual fails gram_null
     rng = np.random.default_rng(0)
@@ -278,6 +289,24 @@ def test_particle_gram_out_of_range_names_its_field(tmp_path, capsys, recwarn, f
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
 
+
+
+def test_particle_refuses_a_gram_m_whose_state_misses_its_gram(tmp_path, capsys, recwarn):
+    # M enters d* along null directions: at |M| = 1e100 their cancelling terms,
+    # of order 1e200, swamp the p block, which reads back about 4e182.  The run
+    # used to exit 0 with RuntimeWarnings and write a NaN constraint drift
+    cfg = _particle_config()
+    cfg["gram"]["M"] = {"re": [[1e100, 0.0], [0.0, 0.7]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    _write_json(tmp_path / "p.json", cfg)
+    code = main(["particle", "--config", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: gram.M is out of range: the particle state built from it "
+                          "misses its gram by ")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
 
 @pytest.mark.parametrize("steps", [10 ** 17, 10 ** 19], ids=["1e17", "1e19"])
 def test_particle_steps_too_large_to_allocate_exits_2(tmp_path, capsys, steps):

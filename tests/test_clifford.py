@@ -292,6 +292,15 @@ def test_validate_hermitian_halves_before_it_sums():
     assert np.array_equal(big, np.diag([1.7e308, 1.0]))
 
 
+
+def test_validate_hermitian_refuses_an_entry_whose_modulus_overflows(recwarn):
+    # |1.7e308 + 1.7e308j| overflows, so no tolerance is finite: the matrix used
+    # to pass and come back as diag(1.7e308, 1), its imaginary part dropped
+    with pytest.raises(InputError, match="^matrix is out of range: the modulus of an entry "
+                                         "overflows$"):
+        validate_hermitian(np.diag([1.7e308 + 1.7e308j, 1.0]))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 # -- packed paths against the per-vector references ---------------------------
 #
 # The references are the loops the coefficient-stack code replaced: one bullet

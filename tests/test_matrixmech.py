@@ -279,17 +279,25 @@ def _textbook_rk4(f, y, h, steps):
 def _commutator_slope(hbar, gamma=None):
     """Reference slope (t, Y) -> dY of one pair Y = (X, P): i[G, Y] + [Y, H]/(i hbar)
     for both X and P, each commutator from two products, with G = ``gamma(t, X, P)``
-    or 0 for None (the Heisenberg picture).  [P, H] vanishes only up to rounding."""
+    or 0 for None (the Heisenberg picture).  [P, H] vanishes only up to rounding.
+    Y may be a stack of pairs, (..., 2, N, N), and t an array that broadcasts
+    against a stack of matrices."""
     def slope(t, Y):
-        n = Y.shape[-1]
-        H = (Y[1] @ Y[1] - MASS ** 2 * np.eye(n)) / (2.0 * MASS)
+        X, P = Y[..., 0, :, :], Y[..., 1, :, :]
+        H = ((P @ P - MASS ** 2 * np.eye(Y.shape[-1])) / (2.0 * MASS))[..., None, :, :]
         commutator = (Y @ H - H @ Y) / (1j * hbar)
         if gamma is None:
             return commutator
-        G = gamma(t, *Y)
+        G = gamma(t, X, P)[..., None, :, :]
         return 1j * (G @ Y - Y @ G) + commutator
 
     return slope
+
+
+def _frozen_gauge(hbar):
+    """Reference connection Gamma = -H(P)/hbar of each P in a stack, as
+    schrodinger_gauge gives it for one P."""
+    return lambda t, X, P: (P @ P - MASS ** 2 * np.eye(P.shape[-1])) / (-2.0 * MASS * hbar)
 
 
 def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
@@ -326,45 +334,105 @@ def _step_bound(ends, hbar, connections, h):
     return 2 * R * (3 * np.sqrt(2) * (n + 2) * U + 6 * U) * max(np.linalg.norm(Y) for Y in ends)
 
 
+def _state_slope(gamma):
+    """Reference slope of a state s, set into column 0 of S and paired with P
+    as Y = (S, P): dS = i G S with G = ``gamma(t, S, P)``, and dP = 0.  Y may
+    be a stack of pairs, as in :func:`_commutator_slope`."""
+    def slope(t, Y):
+        S, P = Y[..., 0, :, :], Y[..., 1, :, :]
+        return np.stack((1j * (gamma(t, S, P) @ S), np.zeros_like(P)), axis=-3)
+
+    return slope
+
+
+def _as_pairs(systems):
+    """Each system a flow builder's reader returns, as one (2, N, N) pair: an
+    (X, P) pair is stacked; a state s becomes (S, P0), S with s as its column 0
+    and P0 the first system's P, so that :func:`_step_bound` reads H(P0) from it.
+    The pairing adds |P0| to the norm the bound scales with."""
+    P0 = systems[0][1]
+    pairs = []
+    for system in systems:
+        if isinstance(system, tuple):
+            pairs.append(np.stack(system))
+        else:
+            S = np.zeros_like(P0)
+            S[:, 0] = system
+            pairs.append(np.stack((S, P0)))
+    return pairs
+
+
+_BLOCK = 200        # steps whose references are taken at once: a stage array of
+                    # 200 (2, 20, 20) pairs takes 2.6 MB
+
+
 def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
     """``run()`` with every RK4 step of its flow set against one :func:`_textbook_rk4`
     step from the same state, system by system: (its result, the ratio of each
     step's gap to :func:`_step_bound`, step by step and system by system).
 
-    ``gammas[b]`` is system b's connection ``gamma(t, X, P)`` or None;
-    ``references[b]`` is the slope its reference steps, by default the full
-    commutators of that connection.  A reference of another flow must fail.
-    Each step is read back through the flow builder's ``pairs``, so an
-    eigenbasis flow is checked in the original basis.
+    A flow steps through ``rk4`` or, in H's eigenbasis, through
+    ``_polynomial_steps``; both are wrapped, and each step is read back through
+    the flow builder's reader (:func:`_as_pairs`), so an eigenbasis flow is
+    checked in the original basis.  The reference steps of up to ``_BLOCK``
+    steps are taken at once, on stacks of pairs: ``gammas[b]``, system b's
+    connection ``gamma(t, X, P)`` or None, and ``references[b]``, the slope its
+    reference steps, by default the full commutators of that connection, take
+    stacks.  A reference of another flow must fail.
     """
     if references is None:
         references = [_commutator_slope(hbar, gamma) for gamma in gammas]
-    ratios, flows = [], []
+    ratios, readers, sizes = [], [], []
+    polynomial_steps, polynomial_end = matrixmech._polynomial_steps, matrixmech._polynomial_end
 
     def recorder(build):
         def recorded(*args):
-            flows.append(build(*args))
-            return flows[-1]
+            flow = build(*args)
+            readers.append(flow[2])      # each system's state in a flow state
+            return flow
         return recorded
 
-    def checked(f, y, t0, h, steps):
-        pairs = flows[-1][2]         # each system's (X, P) in a flow state
-        start = np.array(y, dtype=complex)
-        for k, y in enumerate(rk4(f, y, t0, h, steps)):
-            t = t0 + k * h
-            for Y0, Y1, gamma, slope in zip(map(np.stack, pairs(start)), map(np.stack, pairs(y)),
-                                            gammas, references):
-                ref = _textbook_rk4(lambda s, Y: slope(t + s, Y), Y0, h, 1)[-1]
-                connections = [] if gamma is None else \
-                    [gamma(t + s, *Y) for s in (0.0, 0.5 * h, h) for Y in (Y0, Y1)]
-                bound = _step_bound((Y0, Y1), hbar, connections, h)
-                ratios.append(np.linalg.norm(Y1 - ref) / bound)
-            start[...] = y
+    def sized(Y0, rates, tau_end, steps):
+        sizes.append(tau_end / steps)
+        return polynomial_end(Y0, rates, tau_end, steps)
+
+    def check(t, h, block):
+        """The ratios of the steps from each pair list in ``block`` to the next,
+        the steps starting at times ``t``."""
+        t = t[:, None, None]
+        columns = []
+        for Y, gamma, slope in zip(map(np.stack, zip(*block)), gammas, references):
+            Y0, Y1 = Y[:-1], Y[1:]
+            ref = _textbook_rk4(lambda s, Z: slope(t + s, Z), Y0, h, 1)[-1]
+            connections = [] if gamma is None else \
+                [gamma(t + s, Z[:, 0], Z[:, 1]) for s in (0.0, 0.5 * h, h) for Z in (Y0, Y1)]
+            gaps = np.linalg.norm((Y1 - ref).reshape(len(Y0), -1), axis=1)
+            columns.append([gap / _step_bound((Y0[k], Y1[k]), hbar, [G[k] for G in connections], h)
+                            for k, gap in enumerate(gaps)])
+        ratios.extend(ratio for step in zip(*columns) for ratio in step)
+
+    def checked(steps, y, t0, h):
+        block, first = [_as_pairs(readers[-1](y))], 0
+        for k, y in enumerate(steps, 1):
+            block.append(_as_pairs(readers[-1](y)))
+            if len(block) > _BLOCK:
+                check(t0 + h * np.arange(first, k), h, block)
+                block, first = block[-1:], k
             yield y
+        if len(block) > 1:
+            check(t0 + h * np.arange(first, first + len(block) - 1), h, block)
+
+    def checked_rk4(f, y, t0, h, steps):
+        return checked(rk4(f, y, t0, h, steps), np.array(y, dtype=complex), t0, h)
+
+    def checked_polynomial(Y, D, steps):
+        return checked(polynomial_steps(Y, D, steps), Y, 0.0, sizes[-1])
 
     for builder in ("_commutator_flows", "_eigenbasis_flows"):
         monkeypatch.setattr(matrixmech, builder, recorder(getattr(matrixmech, builder)))
-    monkeypatch.setattr(matrixmech, "rk4", checked)
+    monkeypatch.setattr(matrixmech, "_polynomial_end", sized)
+    monkeypatch.setattr(matrixmech, "rk4", checked_rk4)
+    monkeypatch.setattr(matrixmech, "_polynomial_steps", checked_polynomial)
     return run(), ratios
 
 
@@ -403,48 +471,90 @@ def test_covariant_flow_bound_rejects_a_sign_flipped_connection(monkeypatch):
     assert min(ratios) > 1e6
 
 
+def _probe_state(n=20):
+    """The picture-equivalence criterion's state: levels 1, 2 and 4, one amplitude imaginary."""
+    s0 = np.zeros(n, dtype=complex)
+    s0[1], s0[2], s0[4] = 0.6, 0.64j, 0.48
+    return s0 / np.linalg.norm(s0)
+
+
+def _picture_references(hbar, gauge):
+    """The reference slopes of evolve_pictures' three systems: the Heisenberg
+    pair's and the frozen pair's full commutators, and the state's i G s."""
+    return [_commutator_slope(hbar), _commutator_slope(hbar, gauge), _state_slope(gauge)]
+
+
+@functools.cache
+def _separate_flows(hbar, steps):
+    """The flows evolve_pictures stacks, each run on its own from the 20-level
+    oscillator to taubar = 0.8: evolve_heisenberg's pair, covariant_evolve's
+    under the Schrodinger gauge of each stage's P, and evolve_state's state
+    under the gauge of P0."""
+    X0, P0 = truncated_oscillator(20, hbar=hbar)
+    gauge = schrodinger_gauge(hbar, MASS)
+    return (evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps),
+            covariant_evolve(X0, P0, hbar, MASS, gauge, 0.8, steps),
+            evolve_state(_probe_state(), gauge(0.0, X0, P0), 0.8, steps))
+
+
 @pytest.mark.parametrize("hbar,steps", [
     pytest.param(1.0, 1, id="1"), pytest.param(1.0, 7, id="7"), pytest.param(1.0, 400, id="400"),
     # the picture-equivalence criterion's size
     pytest.param(1.0, 2000, id="2000"), pytest.param(0.7, 2000, id="2000-hbar0.7"),
     pytest.param(0.3, 400, id="400-hbar0.3"), pytest.param(2.5, 400, id="400-hbar2.5")])
 def test_stacked_pictures_match_separate_stepped_flows(monkeypatch, hbar, steps):
-    # every step of each stacked system is one textbook RK4 step of the
-    # full-commutator slope within its rounding bound; the Heisenberg end state
-    # is evolve_heisenberg's bit for bit, signed zeros included, and the frozen
-    # one, stepped under the constant gauge of P0, is covariant_evolve's under
-    # the gauge of each stage's P up to rounding
+    # every step of each stacked system, the state included, is one textbook
+    # RK4 step of its full slope within its rounding bound; the Heisenberg end
+    # state is evolve_heisenberg's bit for bit, signed zeros included; the
+    # frozen one, stepped under the constant gauge of P0, is covariant_evolve's
+    # under the gauge of each stage's P up to rounding, and the state is
+    # evolve_state's, stepped by RK4's stages, up to a rounding per step
     X0, P0 = truncated_oscillator(20, hbar=hbar)
-    gauge = schrodinger_gauge(hbar, MASS)
-    single = evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps)
-    gauged = covariant_evolve(X0, P0, hbar, MASS, gauge, 0.8, steps)
-    (heis, frozen), ratios = _step_gap_ratios(
-        monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, steps), hbar, [None, gauge])
-    assert len(ratios) == 2 * steps and max(ratios) <= 1.0
+    gauge = _frozen_gauge(hbar)
+    single, gauged, state = _separate_flows(hbar, steps)
+    (heis, frozen, s), ratios = _step_gap_ratios(
+        monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, steps, _probe_state()),
+        hbar, [None, gauge, gauge], _picture_references(hbar, gauge))
+    assert len(ratios) == 3 * steps and max(ratios) <= 1.0
     for M, alone_M in zip(heis, single):
         assert M.shape == (20, 20)
         _assert_same_bits(M, alone_M)
     for M, ref in zip(frozen, gauged):
         assert M.shape == (20, 20)
         assert np.abs(M - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+    # RK4 amplifies each run's rounding by up to max |R(z)| a step, about 600 at
+    # the one-step case's top level and at most 1 from 7 steps on
+    z = 0.8j / steps * np.linalg.eigvalsh(gauge(0.0, X0, P0))
+    growth = max(1.0, np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max()) ** steps
+    assert s.shape == (20,)
+    assert np.abs(s - state).max() <= 1e-14 * growth
 
 
-@pytest.mark.parametrize("bad", [0, 1], ids=["time-reversed", "sign-flipped-gauge"])
+@pytest.mark.parametrize("bad", [0, 1, 2], ids=["time-reversed", "sign-flipped-gauge",
+                                                "sign-flipped-state"])
 def test_stacked_pictures_bound_rejects_a_wrong_reference(monkeypatch, bad):
-    # the bound admits reordered rounding, not a reference that steps another flow:
-    # the Heisenberg system against [X, H]/(-i hbar), or the frozen one against +H/hbar
+    # the bound admits reordered rounding, not a reference that steps another
+    # flow: the Heisenberg system against [X, H]/(-i hbar), the frozen one
+    # against +H/hbar, or the state against +H/hbar
     hbar = 0.7
     X0, P0 = truncated_oscillator(20, hbar=hbar)
-    gauge = schrodinger_gauge(hbar, MASS)
-    references = [_commutator_slope(hbar), _commutator_slope(hbar, gauge)]
+    gauge = _frozen_gauge(hbar)
+    references = _picture_references(hbar, gauge)
     references[bad] = [_commutator_slope(-hbar),
-                       _commutator_slope(hbar, lambda t, X, P: -gauge(t, X, P))][bad]
+                       _commutator_slope(hbar, lambda t, X, P: -gauge(t, X, P)),
+                       _state_slope(lambda t, X, P: -gauge(t, X, P))][bad]
     _, ratios = _step_gap_ratios(
-        monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, 40), hbar, [None, gauge],
-        references)
-    assert min(ratios[bad::2]) > 1e6         # the ratios alternate system by system
-    assert max(ratios[1 - bad::2]) <= 1.0
+        monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, 40, _probe_state()),
+        hbar, [None, gauge, gauge], references)
+    assert min(ratios[bad::3]) > 1e6         # the ratios cycle system by system
+    assert max(ratios[i] for i in range(len(ratios)) if i % 3 != bad) <= 1.0
 
+
+
+def test_evolve_pictures_rejects_a_state_of_another_size():
+    X0, P0 = truncated_oscillator(5)
+    with pytest.raises(InputError, match=r"^state must be a vector of length 5, got shape \(4,\)$"):
+        evolve_pictures(X0, P0, 1.0, MASS, 0.1, 5, np.ones(4) / 2)
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 def test_heisenberg_flow_returns_p0(hbar):
@@ -462,8 +572,9 @@ def test_heisenberg_flow_returns_p0(hbar):
 @pytest.mark.parametrize("flow", ["evolve_heisenberg", "evolve_pictures", "evolve_state",
                                   "evolve_state-real-gamma"])
 def test_flow_rhs_allocates_nothing_per_stage(monkeypatch, flow):
-    # each stage writes its slope into RK4's buffer through buffers the flow made
-    # once.  numpy reports its array data to tracemalloc, so a stage that made an
+    # an eigenbasis flow's step, one multiply and one add, and each stage of
+    # evolve_state's RK4 write through buffers the flow made once.  numpy
+    # reports its array data to tracemalloc, so a step or a stage that made an
     # array as large as the smallest one here (4 KiB, a 256-level state) would
     # show; what remains is numpy's iterators and views.  A real Gamma cast
     # anew at every stage would take 1 MB
@@ -471,19 +582,26 @@ def test_flow_rhs_allocates_nothing_per_stage(monkeypatch, flow):
     real = -np.diag(np.arange(256.0))
     gauge = real.astype(complex)
     s0 = np.full(256, 1 / 16, dtype=complex)
-    flows = []
-    monkeypatch.setattr(matrixmech, "_rk4_end", lambda Y0, rhs, *_: flows.append((Y0, rhs)) or Y0)
+    stages, loops, polynomial_steps = [], [], matrixmech._polynomial_steps
+    monkeypatch.setattr(matrixmech, "_rk4_end", lambda Y0, rhs, *_: stages.append((Y0, rhs)) or Y0)
+    monkeypatch.setattr(matrixmech, "_polynomial_steps",
+                        lambda Y, D, steps: loops.append(polynomial_steps(Y, D, 9)) or iter(()))
     {"evolve_heisenberg": lambda: evolve_heisenberg(X0, P0, 1.0, MASS, 0.8, 10),
-     "evolve_pictures": lambda: evolve_pictures(X0, P0, 1.0, MASS, 0.8, 10),
+     "evolve_pictures": lambda: evolve_pictures(X0, P0, 1.0, MASS, 0.8, 10, s0[:20]),
      "evolve_state": lambda: evolve_state(s0, gauge, 0.8, 10),
      "evolve_state-real-gamma": lambda: evolve_state(s0, real, 0.8, 10)}[flow]()
-    (Y0, rhs), = flows
-    Y, dY = np.array(Y0, dtype=complex), np.empty(np.shape(Y0), dtype=complex)
-    rhs(0.0, Y, dY)
+    if loops:
+        loop, = loops
+        step = lambda k: next(loop)
+    else:
+        (Y0, rhs), = stages
+        Y, dY = np.array(Y0, dtype=complex), np.empty(np.shape(Y0), dtype=complex)
+        step = lambda k: rhs(0.1 * k, Y, dY)
+    step(0)
     tracemalloc.start()
     try:
         for k in range(8):
-            rhs(0.1 * k, Y, dY)
+            step(k + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

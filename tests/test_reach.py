@@ -77,12 +77,14 @@ KEPT = {
     "particle.conjugate_momentum_norm": PAPER,
     "particle.hamiltonian_c5": PAPER,
     "particle.canonical_rhs": PAPER,
-    "matrixmech.expectation": PAPER,
+    "matrixmech.schrodinger_gauge": PAPER,
     "matrixmech.born_sample": PAPER,
     "matrixmech.nonrelativistic_rate": PAPER,
     "worldsheet.arc_curve": PAPER,
     "matrixmech._commutator_flows": COVARIANT,
     "matrixmech._commutator_flows.<locals>.rhs": COVARIANT,
+    "matrixmech.evolve_state.<locals>.rhs": "the stage of evolve_state, which the benchmark "
+                                            "traces: RK4 under a constant connection matrix",
 }
 
 
