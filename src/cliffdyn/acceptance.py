@@ -5,13 +5,16 @@ Each check yields :class:`Gate` rows, a payload field each with its bound, and
 of :mod:`cliffdyn.tolerances`.  Picture-equivalence and algebra-suite do not
 read their seed yet, so their rows are the same on every seed (ROADMAP item 4).
 
-:func:`run_all` runs them in two lanes of about equal CPU time where
-``os.fork`` exists: one forked child runs the ``FORKED`` criteria
-(c30-identity, bracket-reduction, un-covariance, picture-equivalence,
-string-suite and algebra-suite) while the calling process runs proposition
-and particle-dynamics, each lane in CRITERIA order (the ``FORKED`` comment
-gives their CPU times).  Each result takes its CRITERIA slot, so the rows,
-the JSON payload and the exit code of ``verify-all`` are those of a serial run.
+Proposition, c30-identity and bracket-reduction draw their items one by one,
+in the seeded stream's order, and then check them as stacks: the layers they
+call take a leading stack axis, one item being the empty stack.
+
+:func:`run_all` runs them in two lanes where ``os.fork`` exists: one forked
+child runs the ``FORKED`` criteria (every criterion but particle-dynamics)
+while the calling process runs particle-dynamics, the longest criterion, each
+lane in CRITERIA order (the ``FORKED`` comment gives their CPU times).  Each
+result takes its CRITERIA slot, so the rows, the JSON payload and the exit
+code of ``verify-all`` are those of a serial run.
 """
 
 from __future__ import annotations
@@ -112,17 +115,18 @@ def _criterion(title: str):
 
 @_criterion("proposition suite (200 random Hermitian)")
 def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
-    """200 random Hermitian matrices resolve into exact bullet Gram matrices."""
+    """200 random Hermitian matrices resolve into exact bullet Gram matrices, a stack per size."""
     rng = np.random.default_rng(seed)
-    residuals = []
+    by_size = {}
     for _ in range(200):
         n = int(rng.integers(1, 9))
         n_zero = int(rng.integers(0, n + 1)) if rng.random() < 0.35 else 0
-        H = random_hermitian(rng, n, n_zero=n_zero)
-        space = clifford.allocate(2 * n, 2 * n)
-        res = clifford.resolve_hermitian(H, space)
-        residuals.append((res.gram_residual(), res.null_residual()))
-    worst_gram, worst_null = (float(w) for w in np.max(residuals, axis=0))
+        by_size.setdefault(n, []).append(random_hermitian(rng, n, n_zero=n_zero))
+    residuals = []
+    for n, stack in sorted(by_size.items()):
+        res = clifford.resolve_hermitian(np.stack(stack), clifford.allocate(2 * n, 2 * n))
+        residuals.append(np.stack((res.gram_residual(), res.null_residual()), axis=-1))
+    worst_gram, worst_null = (float(w) for w in np.max(np.concatenate(residuals), axis=0))
     yield Gate("gram_residual", worst_gram, "gram_residual")
     yield Gate("null_residual", worst_null, "gram_null")
 
@@ -131,15 +135,12 @@ def proposition_suite(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
 def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """The two-spinor contraction identity for 1000 random complex four-vectors."""
     rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(1000):
-        v = random_fourvector(rng, complex_valued=True)
-        up = vec_to_spinor(v)
-        down = flip_both(up)
-        full = np.sum(down * up)
-        lhs = down @ up.T
-        rhs = 0.5 * full * np.eye(2)
-        errors.append(np.abs(lhs - rhs).max() / max(1.0, abs(full)))
+    up = vec_to_spinor(random_fourvector(rng, complex_valued=True, shape=(1000,)))
+    down = flip_both(up)
+    full = np.sum(down * up, axis=(-2, -1))
+    lhs = down @ np.swapaxes(up, -1, -2)
+    rhs = 0.5 * full[:, None, None] * np.eye(2)
+    errors = np.abs(lhs - rhs).max(axis=(-2, -1)) / np.maximum(1.0, np.abs(full))
     yield Gate("rel_residual", float(np.max(errors)), "c30_identity")
 
 
@@ -147,22 +148,25 @@ def contraction_identity(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate
 def bracket_reduction(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     """Generalized bracket equals mu times the Poisson bracket on constrained states."""
     rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(100):
-        mu = rng.uniform(0.2, 1.5)
-        x = rng.uniform(-1, 1, size=4)
-        p = random_timelike(rng)
-        mass = math.sqrt(max(p[0] ** 2 - p[1:] @ p[1:], 0.04))
-        st = particle.build_state(x, p, mu, mass)
-        terms_n = [(rng.normal(), rng.integers(0, 3, 4), rng.integers(0, 2, 4))
-                   for _ in range(3)]
-        terms_m = [(rng.normal(), rng.integers(0, 2, 4), rng.integers(0, 3, 4))
-                   for _ in range(3)]
-        N = particle.polynomial_observable(terms_n)
-        M = particle.polynomial_observable(terms_m)
-        cb = particle.clifford_bracket(N, M, st)
-        pb = particle.poisson_bracket(N, M, st.x_vec(), st.p_vec())
-        errors.append(abs(cb - mu * pb) / (1.0 + abs(pb)))
+    mu, x, p, terms = [], [], [], []
+    for _ in range(100):                      # each state's draws, in the stream's order
+        mu.append(rng.uniform(0.2, 1.5))
+        x.append(rng.uniform(-1, 1, size=4))
+        p.append(random_timelike(rng))
+        terms.append([(rng.normal(), rng.integers(0, 3, 4), rng.integers(0, 2, 4))
+                      for _ in range(3)]
+                     + [(rng.normal(), rng.integers(0, 2, 4), rng.integers(0, 3, 4))
+                        for _ in range(3)])
+    # term t of every state as one (c, a, b) of stacks: N's are terms 0-2, M's 3-5
+    stacked = [tuple(map(np.array, zip(*term))) for term in zip(*terms)]
+    N = particle.polynomial_observable(stacked[:3])
+    M = particle.polynomial_observable(stacked[3:])
+    mu, p = np.array(mu), np.array(p)
+    mass = np.sqrt(np.maximum(p[:, 0] ** 2 - np.vecdot(p[:, 1:], p[:, 1:]), 0.04))
+    st = particle.build_state(np.array(x), p, mu, mass)
+    cb = particle.clifford_bracket(N, M, st)
+    pb = particle.poisson_bracket(N, M, st.x_vec(), st.p_vec())
+    errors = np.abs(cb - mu * pb) / (1.0 + np.abs(pb))
     yield Gate("scaled_residual", float(np.max(errors)), "bracket_reduction")
 
 
@@ -212,7 +216,7 @@ def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
     U = random_unitary(rng, n)
     Xa, _ = matrixmech.evolve_matrix_classical(matrixmech.gauge_transform(sys0, U), 1.0, 200)
     Xb, _ = matrixmech.evolve_matrix_classical(sys0, 1.0, 200)
-    rotated = np.stack([U @ Xb[m] @ U.conj().T for m in range(4)])
+    rotated = U @ Xb @ U.conj().T
     yield Gate("evolve_gauge_commutator", float(np.abs(Xa - rotated).max()),
                "unitary_covariance")
     CD = matrixmech.gauge_transform(sys0, U).constraint_matrix()
@@ -315,16 +319,19 @@ CRITERIA = (
 )
 
 # The criteria run_all hands to its forked child, run there in CRITERIA order,
-# chosen so that the two lanes take about equal CPU time.  Seed 11, in-process
-# CPU medians of 5 in four rounds on a 2-vCPU host: c30-identity 25-27 ms,
-# bracket-reduction 67-74, un-covariance 13-21, picture-equivalence 5 (90-103
-# before its flows took RK4's step polynomial), string-suite 4 and
-# algebra-suite 3-5, 117-134 in all; proposition 39-47 and particle-dynamics
-# 81-88 stay in the calling process, 120-135 in all.  A criterion moved into
-# the child runs there without the warm caches of the calling process; each
-# process has its own interpreter lock, and a fork and its waitpid cost 2-3 ms.
-FORKED = ("c30-identity", "bracket-reduction", "un-covariance", "picture-equivalence",
-          "string-suite", "algebra-suite")
+# chosen by CPU time: particle-dynamics alone outlasts the other seven.  Seed
+# 11, in-process CPU medians of 5 in four rounds on a 2-vCPU host: proposition
+# 14.2-14.4 ms, c30-identity 1.1, bracket-reduction 11.6-12.1, un-covariance
+# 13.5-16.3, picture-equivalence 4.7-5.3, string-suite 3.4-3.7 and
+# algebra-suite 3.2-3.4, 52-56 in all; particle-dynamics 77-92 stays in the
+# calling process.  In 40 runs of run_all(11) the forked run took 96 ms wall
+# (quartiles 86-142) and a serial one 131 (125-141); keeping proposition in
+# the calling process took 110 against 100 in 30 alternating runs.  A
+# criterion moved into the child runs there without the warm caches of the
+# calling process; each process has its own interpreter lock, and a fork and
+# its waitpid cost 2-3 ms.
+FORKED = ("proposition", "c30-identity", "bracket-reduction", "un-covariance",
+          "picture-equivalence", "string-suite", "algebra-suite")
 
 # taken before anything can rebind the criteria: the row titles under which a
 # child that dies without a result is reported

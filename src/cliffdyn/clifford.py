@@ -187,49 +187,63 @@ def _only_block(space: GeneratorSpace, block: str | None) -> str:
     return block
 
 
+def _per_matrix(values: np.ndarray):
+    """A float for one matrix, else the array of values over the stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def validate_hermitian(H) -> np.ndarray:
     """Return H as a complex ndarray, raising InputError if not Hermitian.
 
-    H may deviate from H^dagger by ``hermitian_input`` times max(1, max|H|).
-    H and H^dagger are halved before they are summed or subtracted, so finite
-    entries near the float64 limit do not overflow.  An entry whose modulus
-    overflows, such as 1.7e308 + 1.7e308j, leaves no finite tolerance and is
-    refused.
+    H is one square matrix or a stack (..., n, n) of them.  Each may deviate
+    from its H^dagger by ``hermitian_input`` times max(1, max|H|) of its own
+    entries.  H and H^dagger are halved before they are summed or subtracted,
+    so finite entries near the float64 limit do not overflow.  An entry whose
+    modulus overflows, such as 1.7e308 + 1.7e308j, leaves no finite tolerance
+    and is refused.  A stack's message names its first matrix that fails.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim < 2 or H.shape[-2] != H.shape[-1]:
         raise InputError(f"expected a square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise InputError("matrix has non-finite entries")
-    scale = float(np.abs(H).max(initial=0.0))     # hypot: inf, without a warning
-    if scale == np.inf:
+    scale = np.abs(H).max(axis=(-2, -1), initial=0.0)     # hypot: inf, without a warning
+    if np.any(scale == np.inf):
         raise InputError("matrix is out of range: the modulus of an entry overflows")
-    atol = DEFAULT.hermitian_input * max(1.0, scale)
-    half, half_dagger = 0.5 * H, 0.5 * H.conj().T
-    # 2.0 * a Python float overflows to inf without a warning
-    dev = 2.0 * float(np.abs(half - half_dagger).max(initial=0.0))
-    if dev > atol:
-        raise InputError(f"matrix is not Hermitian: max deviation {dev:.3e} > {atol:.3e}")
+    atol = DEFAULT.hermitian_input * np.maximum(1.0, scale)
+    half, half_dagger = 0.5 * H, 0.5 * np.swapaxes(H, -2, -1).conj()
+    # the deviation is twice this; halving atol instead is exact and cannot overflow
+    half_dev = np.abs(half - half_dagger).max(axis=(-2, -1), initial=0.0)
+    bad = half_dev > 0.5 * atol
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise InputError(f"matrix is not Hermitian: max deviation "
+                         f"{2.0 * float(half_dev[k]):.3e} > {float(atol[k]):.3e}")
     return half + half_dagger
 
 
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
+    """Eigendecomposition of a Hermitian matrix, or of a stack, by LAPACK (``np.linalg.eigh``).
 
     Returns ``(U, lam)`` with ``U`` unitary, ``lam`` real, ``U diag(lam) U^dagger = H``.
     Eigenvalues are ordered descending, ties broken by LAPACK's ascending
     order, so resolutions downstream are reproducible.
     """
     lam, U = np.linalg.eigh(validate_hermitian(H))
-    order = np.argsort(-lam, kind="stable")
-    return U[:, order], lam[order]
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    # gathered as rows of the transpose, the columns keep LAPACK's column-major
+    # layout, which fixes the summation order, and so the bits, of later products
+    rows = np.take_along_axis(np.swapaxes(U, -1, -2), order[..., :, None], axis=-2)
+    return np.swapaxes(rows, -1, -2), np.take_along_axis(lam, order, axis=-1)
 
 
 @dataclass
 class GramResolution:
     """Vectors whose bullet Gram matrix reproduces a target Hermitian matrix.
 
-    ``coeffs`` is the (n, G) coefficient stack, one row per vector.
+    ``coeffs`` is the (..., n, G) coefficient stack, one row per vector, and
+    ``target`` the (..., n, n) matrices; the residuals are a float for one
+    matrix and an array over a stack.
     """
 
     coeffs: np.ndarray
@@ -239,48 +253,40 @@ class GramResolution:
     def realized_gram(self) -> np.ndarray:
         return bullet_gram(self.coeffs, self.coeffs.conj(), self.space.signs)
 
-    def gram_residual(self) -> float:
-        return float(np.abs(self.realized_gram() - self.target).max())
+    def gram_residual(self):
+        return _per_matrix(np.abs(self.realized_gram() - self.target).max(axis=(-2, -1)))
 
-    def null_residual(self) -> float:
+    def null_residual(self):
         """Largest same-kind product |bullet(c_i, c_j)|, zero for an exact resolution."""
-        return float(np.abs(bullet_gram(self.coeffs, self.coeffs, self.space.signs)).max())
+        same_kind = bullet_gram(self.coeffs, self.coeffs, self.space.signs)
+        return _per_matrix(np.abs(same_kind).max(axis=(-2, -1)))
 
 
 def resolve_hermitian(H, space: GeneratorSpace, block: str | None = None) -> GramResolution:
-    """Realize a Hermitian matrix H as ``H_ij = bullet(c_i, conj(c_j))``.
+    """Realize a Hermitian matrix H as ``H_ij = bullet(c_i, conj(c_j))``, or each of a stack.
 
     Eigendecompose ``H = U diag(lam) U^dagger`` and assign one basis vector per
     eigendirection: ``F_k`` for positive, ``E_k`` for negative, the null
     combination ``E_k + F_k`` (unit weight) for eigenvalues below the zero
     threshold.  Then ``c_i = sum_k U[i,k] sqrt(|lam_k|) b_k`` with the zero
     branch entering at unit scale.  Same-kind products vanish identically
-    because E.E = F.F = E.F = 0.
+    because E.E = F.F = E.F = 0.  Distinct b_k have disjoint supports, so
+    each coefficient is one product U[i,k] w_k b_k and no sum rounds.
     """
     H = validate_hermitian(H)
-    n = H.shape[0]
+    n = H.shape[-1]
     block = _only_block(space, block)
     n_pos, n_neg = space.block_signature(block)
     if n_pos < 2 * n or n_neg < 2 * n:
         raise PreconditionError(
             f"block {block!r} signature ({n_pos},{n_neg}) too small for a {n}x{n} matrix; "
             f"need at least ({2 * n},{2 * n})")
-    E, F = standard_basis(space, block)
+    E, F = (b[:n] for b in standard_basis(space, block))
     U, lam = hermitian_eig(H)
-    zero_cut = DEFAULT.eig_zero_rel * (np.abs(lam).max(initial=0.0))
-    rows = np.zeros((n, space.size), dtype=complex)
-    for k in range(n):                   # eigendirections in order, as the sum runs
-        if abs(lam[k]) <= zero_cut:
-            basis = E[k] + F[k]
-            weight = 1.0
-        elif lam[k] > 0:
-            basis = F[k]
-            weight = np.sqrt(lam[k])
-        else:
-            basis = E[k]
-            weight = np.sqrt(-lam[k])
-        rows = rows + (U[:, k] * weight)[:, None] * basis
-    return GramResolution(rows, H.copy(), space)
+    zero = np.abs(lam) <= DEFAULT.eig_zero_rel * np.abs(lam).max(axis=-1, keepdims=True, initial=0.0)
+    weight = np.where(zero, 1.0, np.sqrt(np.abs(lam)))
+    basis = np.where(zero[..., None], E + F, np.where(lam[..., None] > 0, F, E))
+    return GramResolution((U * weight[..., None, :]) @ basis, H.copy(), space)
 
 
 def pair_space() -> GeneratorSpace:
@@ -293,7 +299,9 @@ def resolve_pair(x, p, M, space: GeneratorSpace | None = None,
                  ) -> tuple[np.ndarray, np.ndarray, GeneratorSpace]:
     """Build spinor doublets c^A, d*_A with prescribed mutual Gram matrices.
 
-    Returns the (2, G) stacks of c and d* and the space they live on.
+    x, p and M are 2x2 matrices or stacks (..., 2, 2) of them, which
+    broadcast together.  Returns the (..., 2, G) stacks of c and d* and the
+    space they live on.
 
     Postconditions (all exact up to eigensolver residual):
 
@@ -311,7 +319,7 @@ def resolve_pair(x, p, M, space: GeneratorSpace | None = None,
     x = validate_hermitian(x)
     p = validate_hermitian(p)
     M = np.asarray(M, dtype=complex)
-    if x.shape != (2, 2) or p.shape != (2, 2) or M.shape != (2, 2):
+    if x.shape[-2:] != (2, 2) or p.shape[-2:] != (2, 2) or M.shape[-2:] != (2, 2):
         raise InputError("resolve_pair expects 2x2 matrices")
     if not np.all(np.isfinite(M)):
         raise InputError(f"mixed Gram M must be finite, got {M.tolist()}")
@@ -331,7 +339,7 @@ def resolve_pair(x, p, M, space: GeneratorSpace | None = None,
     hstar = (E[:2] - F[:2]).conj() * complex(-0.5)   # null partners: bullet(h_i, h_j*) = delta
     D = res_p.coeffs
     for i in range(2):
-        D = D + hstar[i] * M[i, :, None]         # d*_B += M[i, B] h_i*
+        D = D + hstar[i] * M[..., i, :, None]    # d*_B += M[i, B] h_i*
     return C, D, space
 
 

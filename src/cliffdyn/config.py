@@ -33,8 +33,18 @@ def number(value, field: str) -> float:
     return float(value)
 
 
-def positive_mass(mass: float) -> float:
-    """mass as a float if it is positive and m^2 neither overflows nor underflows."""
+def positive_mass(mass):
+    """mass as a float if it is positive and m^2 neither overflows nor underflows.
+
+    An array of masses, one per state of a stack, comes back as a float array
+    when its smallest and largest entries pass: m^2 grows with m > 0, and a
+    NaN entry makes both NaN.
+    """
+    if np.ndim(mass):
+        masses = np.asarray(mass, dtype=float)
+        positive_mass(float(masses.min()))
+        positive_mass(float(masses.max()))
+        return masses
     if not mass > 0:
         raise InputError("mass must be positive")
     square = float(mass) * float(mass)            # a Python float product neither raises nor warns

@@ -106,8 +106,10 @@ def linear_einbein(a: float, b: float, tau0: float = 0.0) -> EinbeinFn:
 class Polynomial:
     """N(x, p) = sum_t coef[t] prod_mu (x^mu)^ax[t, mu] p_mu^bp[t, mu], compared by identity.
 
-    ``coef`` is (terms,), the integer exponents ``ax`` and ``bp`` (terms, 4); ``grad_x``
-    and ``grad_p`` are the exact dN/dx^mu and dN/dp_mu, the Poisson bracket's pairing.
+    ``coef`` is (..., terms), the integer exponents ``ax`` and ``bp`` (..., terms, 4), with
+    a leading stack axis for one polynomial per state; ``grad_x`` and ``grad_p`` are the
+    exact dN/dx^mu and dN/dp_mu at the (..., 4) points x and p, the Poisson bracket's
+    pairing.
     """
 
     coef: np.ndarray
@@ -115,10 +117,10 @@ class Polynomial:
     bp: np.ndarray
 
     def grad_x(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self._grad(self.ax, x, np.prod(p ** self.bp, axis=1))
+        return self._grad(self.ax, x, np.prod(p[..., None, :] ** self.bp, axis=-1))
 
     def grad_p(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self._grad(self.bp, p, np.prod(x ** self.ax, axis=1))
+        return self._grad(self.bp, p, np.prod(x[..., None, :] ** self.ax, axis=-1))
 
     def _grad(self, exps: np.ndarray, base: np.ndarray, other: np.ndarray) -> np.ndarray:
         """d/d base_mu of sum_t coef[t] other[t] prod_nu base_nu^exps[t, nu], in term order.
@@ -126,25 +128,33 @@ class Polynomial:
         A zero exponent's entry is masked to exactly 0, not 0 * inf = NaN where a factor
         overflows; its 0^-1 and 0 * inf stay silent.  Like the tests' term loop, bit for bit,
         this takes C pow per entry (``float_power``) and ``other`` an array ``**``."""
-        lowered = exps[:, None, :] - np.eye(4, dtype=int)       # (terms, mu, nu)
+        lowered = exps[..., None, :] - np.eye(4, dtype=int)       # (..., terms, mu, nu)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rest = np.prod(np.float_power(base, lowered), axis=-1)
-            terms = self.coef[:, None] * exps * rest * other[:, None]
-        return np.sum(np.where(exps != 0, terms, 0.0), axis=0)
+            rest = np.prod(np.float_power(base[..., None, None, :], lowered), axis=-1)
+            terms = self.coef[..., None] * exps * rest * other[..., None]
+        return np.sum(np.where(exps != 0, terms, 0.0), axis=-2)
 
 
 def polynomial_observable(terms: Sequence[tuple[float, Sequence[int], Sequence[int]]]
                           ) -> Polynomial:
-    """The Polynomial of the terms (c, a, b): c prod_mu (x^mu)^a_mu p_mu^b_mu."""
+    """The Polynomial of the terms (c, a, b): c prod_mu (x^mu)^a_mu p_mu^b_mu.
+
+    For one polynomial per state of a stack, each term's c has the stack's
+    shape and its a and b the shape (..., 4).
+    """
     coef, ax, bp = zip(*terms)
-    return Polynomial(np.array(coef, dtype=float), np.array(ax, dtype=int), np.array(bp, dtype=int))
+    return Polynomial(np.moveaxis(np.array(coef, dtype=float), 0, -1),
+                      np.moveaxis(np.array(ax, dtype=int), 0, -2),
+                      np.moveaxis(np.array(bp, dtype=int), 0, -2))
 
 
 class ParticleState:
     """Canonical pair (c^A, d*_A) plus mass and parameter value.
 
     ``Y`` is the (4, G) coefficient stack over ``space`` with rows c^0, c^1,
-    d*_0, d*_1; ``packed()`` returns it read-only.
+    d*_0, d*_1; ``packed()`` returns it read-only.  A stack of states is a
+    (..., 4, G) ``Y`` with a mass array of shape (...) and one tau; the derived
+    data then carry the same leading axes.
     """
 
     __slots__ = ("_Y", "mass", "tau", "space")
@@ -152,8 +162,10 @@ class ParticleState:
     def __init__(self, Y: np.ndarray, space: GeneratorSpace, mass: float, tau: float = 0.0):
         mass = positive_mass(mass)
         self._Y = np.asarray(Y, dtype=complex).view()
-        if self._Y.shape != (4, space.size):
-            raise InputError(f"state stack must be (4, {space.size}), got {self._Y.shape}")
+        if self._Y.shape[-2:] != (4, space.size) or self._Y.shape[:-2] != np.shape(mass):
+            raise InputError(f"state stack must be (4, {space.size}), or (..., 4, {space.size}) "
+                             f"with one mass per state, got {self._Y.shape} and mass shape "
+                             f"{np.shape(mass)}")
         self._Y.setflags(write=False)
         self.mass, self.tau, self.space = mass, float(tau), space
 
@@ -162,13 +174,15 @@ class ParticleState:
 
     # -- derived space-time data ------------------------------------------
     def x_spinor(self) -> np.ndarray:
-        return bullet_gram(self._Y[:2], self._Y[:2].conj(), self.space.signs)
+        C = self._Y[..., :2, :]
+        return bullet_gram(C, C.conj(), self.space.signs)
 
     def p_spinor(self) -> np.ndarray:
-        return bullet_gram(self._Y[2:], self._Y[2:].conj(), self.space.signs)
+        D = self._Y[..., 2:, :]
+        return bullet_gram(D, D.conj(), self.space.signs)
 
     def cd_gram(self) -> np.ndarray:
-        return bullet_gram(self._Y[:2], self._Y[2:], self.space.signs)
+        return bullet_gram(self._Y[..., :2, :], self._Y[..., 2:, :], self.space.signs)
 
     def x_vec(self) -> np.ndarray:
         return spinor_to_vec(self.x_spinor()).real
@@ -178,28 +192,29 @@ class ParticleState:
         return spinor_down_to_covec(self.p_spinor()).real
 
     def mu_charge(self) -> float:
-        return 0.5 * np.trace(self.cd_gram()).real
+        return 0.5 * np.trace(self.cd_gram(), axis1=-2, axis2=-1).real
 
     def mass_shell(self) -> float:
         """p.p - m^2, zero on shell."""
         p = self.p_vec()
-        return float(minkowski_dot(p, p).real) - self.mass ** 2
+        return minkowski_dot(p, p).real - self.mass ** 2
 
 
 def build_state(x: np.ndarray, p: np.ndarray, M, mass: float,
                 tau: float = 0.0) -> ParticleState:
-    """State with prescribed four-vectors x, p and mixed Gram M.
+    """State with prescribed four-vectors x, p and mixed Gram M, or a stack of them.
 
-    ``M`` may be a scalar mu (meaning mu times the identity) or a full 2x2
-    complex matrix.
+    x and p are (..., 4).  ``M`` may be mu (meaning mu times the identity):
+    a scalar, or an array of the stack's shape; or a full 2x2 complex matrix
+    per state.  ``mass`` is one mass per state.
     """
     x_up = vec_to_spinor(np.asarray(x, dtype=float))
     p_down = covec_to_spinor_down(np.asarray(p, dtype=float))
     M = np.asarray(M, dtype=complex)
-    if M.ndim == 0:
-        M = complex(M) * np.eye(2)
+    if M.ndim <= x_up.ndim - 2:
+        M = M[..., None, None] * np.eye(2)
     C, D, space = resolve_pair(x_up, p_down, M)
-    return ParticleState(np.concatenate((C, D)), space, mass, tau)
+    return ParticleState(np.concatenate((C, D), axis=-2), space, mass, tau)
 
 
 # -- actions and Hamiltonian ------------------------------------------------
@@ -515,26 +530,32 @@ def mu_of_tau(e: EinbeinFn, mass: float, tau: float | np.ndarray) -> float | np.
                           f"with {_MU_NODES[-1]} Simpson nodes")
 
 
-def clifford_bracket(N: Polynomial, M: Polynomial, state: ParticleState) -> float:
+def clifford_bracket(N: Polynomial, M: Polynomial, state: ParticleState):
     """Generalized bracket of two observables evaluated on the actual spinor Gram.
 
     Expands both derivative chains through the spinor dictionaries and pairs
     them with the mixed Gram bullet(c^A, d*_B); no constraint is assumed.
     When the state is Noether-constrained the value collapses to mu times
-    the canonical Poisson bracket.
+    the canonical Poisson bracket.  A float for one state, else an array
+    over the stack.
     """
     x = state.x_vec()
     p = state.p_vec()
     CD = state.cd_gram()
-    GxN = np.einsum("m,mab->ab", N.grad_x(x, p).astype(complex), DX_UP)
-    GpN = np.einsum("m,mab->ab", N.grad_p(x, p).astype(complex), DP_DOWN)
-    GxM = np.einsum("m,mab->ab", M.grad_x(x, p).astype(complex), DX_UP)
-    GpM = np.einsum("m,mab->ab", M.grad_p(x, p).astype(complex), DP_DOWN)
-    t1 = np.sum((GxN.T @ GpM) * CD.conj())
-    t2 = np.sum((GxM.T @ GpN) * CD.conj())
-    return float((t1 + np.conj(t1) - t2 - np.conj(t2)).real)
+
+    def spinor(grad: np.ndarray, table: np.ndarray) -> np.ndarray:
+        return np.einsum("...m,mab->...ab", grad.astype(complex), table)
+
+    GxN, GpN = spinor(N.grad_x(x, p), DX_UP), spinor(N.grad_p(x, p), DP_DOWN)
+    GxM, GpM = spinor(M.grad_x(x, p), DX_UP), spinor(M.grad_p(x, p), DP_DOWN)
+    t1 = np.sum((np.swapaxes(GxN, -1, -2) @ GpM) * CD.conj(), axis=(-2, -1))
+    t2 = np.sum((np.swapaxes(GxM, -1, -2) @ GpN) * CD.conj(), axis=(-2, -1))
+    bracket = (t1 + np.conj(t1) - t2 - np.conj(t2)).real
+    return float(bracket) if bracket.ndim == 0 else bracket
 
 
-def poisson_bracket(N: Polynomial, M: Polynomial, x: np.ndarray, p: np.ndarray) -> float:
-    """Canonical bracket sum_mu (dN/dx^mu dM/dp_mu - dM/dx^mu dN/dp_mu)."""
-    return float(N.grad_x(x, p) @ M.grad_p(x, p) - M.grad_x(x, p) @ N.grad_p(x, p))
+def poisson_bracket(N: Polynomial, M: Polynomial, x: np.ndarray, p: np.ndarray):
+    """Canonical bracket sum_mu (dN/dx^mu dM/dp_mu - dM/dx^mu dN/dp_mu), per point of a stack."""
+    bracket = (np.vecdot(N.grad_x(x, p), M.grad_p(x, p))
+               - np.vecdot(M.grad_x(x, p), N.grad_p(x, p)))
+    return float(bracket) if bracket.ndim == 0 else bracket

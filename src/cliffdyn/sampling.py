@@ -25,11 +25,17 @@ def random_hermitian(rng: np.random.Generator, n: int, n_zero: int = 0) -> np.nd
     return 0.5 * (H + H.conj().T)
 
 
-def random_fourvector(rng: np.random.Generator, complex_valued: bool = False) -> np.ndarray:
-    v = rng.uniform(-1.0, 1.0, size=4)
-    if complex_valued:
-        v = v + 1j * rng.uniform(-1.0, 1.0, size=4)
-    return v
+def random_fourvector(rng: np.random.Generator, complex_valued: bool = False,
+                      shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Components uniform in [-1, 1], an array of ``(*shape, 4)``.
+
+    A stack takes the same stream as one call per vector: each vector's real
+    parts, then its imaginary parts.
+    """
+    if not complex_valued:
+        return rng.uniform(-1.0, 1.0, size=(*shape, 4))
+    re, im = np.moveaxis(rng.uniform(-1.0, 1.0, size=(*shape, 2, 4)), -2, 0)
+    return re + 1j * im
 
 
 def random_timelike(rng: np.random.Generator) -> np.ndarray:

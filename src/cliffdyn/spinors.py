@@ -55,9 +55,9 @@ EPS_LO = np.array([[0.0, -1.0], [1.0, 0.0]])   # eps_{AB}, eps_{21} = +1
 
 
 def vec_to_spinor(v) -> np.ndarray:
-    """V^{AB} = sigma_mu^{AB} V^mu for contravariant components V^mu."""
+    """V^{AB} = sigma_mu^{AB} V^mu for contravariant components V^mu, per vector of a stack."""
     v = np.asarray(v, dtype=complex)
-    return np.einsum("mab,m->ab", SIGMA, v)
+    return np.einsum("mab,...m->...ab", SIGMA, v)
 
 
 def spinor_to_vec(S) -> np.ndarray:

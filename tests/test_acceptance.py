@@ -24,6 +24,8 @@ from cliffdyn.acceptance import (CRITERIA, FORKED, Window, algebra_suite, bracke
                                  string_suite, un_covariance)
 from cliffdyn.cli import main
 from cliffdyn.clifford import GramResolution
+from cliffdyn.sampling import random_fourvector, random_hermitian, random_timelike
+from cliffdyn.spinors import DP_DOWN, DX_UP, flip_both, vec_to_spinor
 from cliffdyn.tolerances import DEFAULT
 
 SEED = 20260810
@@ -130,8 +132,49 @@ def _poison_on_call(monkeypatch, owner, name, call, value=float("nan")):
     monkeypatch.setattr(owner, name, patched)
 
 
+def _poison_item(monkeypatch, owner, name, item, value=float("nan")):
+    """Patch owner.name, a layer that takes stacks, so that entry ``item`` of its
+    results, counted along their leading axis over its calls in order, gets
+    ``value`` added; every other entry is unchanged.  Returns the list of the
+    stack sizes it saw."""
+    original = getattr(owner, name)
+    sizes = []
+
+    def patched(*args, **kwargs):
+        result = np.array(original(*args, **kwargs))
+        k = item - sum(sizes)
+        sizes.append(len(result))
+        if 0 <= k < len(result):
+            result[k] += value
+        return result
+
+    monkeypatch.setattr(owner, name, patched)
+    return sizes
+
+
+def _poison_drawn_matrix(monkeypatch, item, value=float("nan")):
+    """Add ``value`` to the gram_residual of the proposition suite's ``item``-th
+    drawn matrix, in the stack of its size where it is resolved; the suite keeps
+    each size's matrices in the order it draws them."""
+    draw, residual, sizes = acceptance.random_hermitian, GramResolution.gram_residual, []
+
+    def recorded(rng, n, *args, **kwargs):
+        sizes.append(n)
+        return draw(rng, n, *args, **kwargs)
+
+    def poisoned(self):
+        result = np.array(residual(self))
+        n = sizes[item]
+        if self.target.shape[-1] == n:
+            result[sizes[:item].count(n)] += value
+        return result
+
+    monkeypatch.setattr(acceptance, "random_hermitian", recorded)
+    monkeypatch.setattr(GramResolution, "gram_residual", poisoned)
+
+
 def test_nan_gram_residual_fails_proposition(monkeypatch):
-    _poison_on_call(monkeypatch, GramResolution, "gram_residual", 5)
+    _poison_drawn_matrix(monkeypatch, 4)
     result = proposition_suite(11)
     assert not result.passed
     assert math.isnan(result.details["gram_residual"])
@@ -139,14 +182,15 @@ def test_nan_gram_residual_fails_proposition(monkeypatch):
 
 
 def test_nan_clifford_bracket_fails_bracket_reduction(monkeypatch):
-    _poison_on_call(monkeypatch, particle, "clifford_bracket", 7)
+    sizes = _poison_item(monkeypatch, particle, "clifford_bracket", 6)
     result = bracket_reduction(11)
+    assert sizes == [100]
     assert not result.passed
     assert "scaled_residual=nan" in result.line()
 
 
 def test_verify_all_prints_every_row_when_a_criterion_is_nan(monkeypatch, capsys):
-    _poison_on_call(monkeypatch, GramResolution, "gram_residual", 5)
+    _poison_drawn_matrix(monkeypatch, 4)
     code = main(["verify-all", "--seed", "11"])
     rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
     assert code == 1
@@ -196,17 +240,21 @@ def _shows_non_finite(result):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize("criterion,owner,name", [
-    (particle_dynamics, particle, "mu_of_tau"),
-    (picture_equivalence, matrixmech, "expectation"),
-    (contraction_identity, acceptance, "flip_both"),
-    (un_covariance, acceptance, "random_unitary"),       # InputError, shown under ``error``
-    (string_suite, worldsheet, "_phases"),
-    (algebra_suite, current_algebra, "_node_gram"),
+@pytest.mark.parametrize("criterion,owner,name,item", [
+    (particle_dynamics, particle, "mu_of_tau", None),
+    (picture_equivalence, matrixmech, "expectation", None),
+    (contraction_identity, acceptance, "flip_both", 0),      # the first vector of the stack
+    (un_covariance, acceptance, "random_unitary", None),    # InputError, shown under ``error``
+    (string_suite, worldsheet, "_phases", None),
+    (algebra_suite, current_algebra, "_node_gram", None),
 ], ids=["particle-dynamics", "picture-equivalence", "c30-identity", "un-covariance",
         "string-suite", "algebra-suite"])
-def test_non_finite_layer_fails_its_criterion(monkeypatch, criterion, owner, name, value):
-    _poison_on_call(monkeypatch, owner, name, 1, value)
+def test_non_finite_layer_fails_its_criterion(monkeypatch, criterion, owner, name, item, value):
+    # a layer without a stack is poisoned on its first call, a stacked one in one entry
+    if item is None:
+        _poison_on_call(monkeypatch, owner, name, 1, value)
+    else:
+        _poison_item(monkeypatch, owner, name, item, value)
     with np.errstate(invalid="ignore", over="ignore"):
         result = criterion(11)
     assert not result.passed
@@ -268,6 +316,148 @@ def test_picture_equivalence_takes_every_step(monkeypatch):
     monkeypatch.setattr(matrixmech, "_polynomial_steps", counted)
     assert picture_equivalence(11).passed
     assert len(taken) == 2000
+
+
+def test_stacked_criteria_take_every_item(monkeypatch):
+    # each title's size is the number of items that reach the criterion's stacked
+    # layer: a shortened stack fails here, though every gate could still pass
+    counts = {}
+
+    def count(owner, name, key, stack_shape):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + math.prod(stack_shape(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(clifford, "resolve_hermitian", "matrices", lambda H, *_: np.shape(H)[:-2])
+    count(acceptance, "flip_both", "vectors", lambda S: np.shape(S)[:-2])
+    count(particle, "clifford_bracket", "states", lambda N, M, st: st.packed().shape[:-2])
+    for criterion, key, size in ((proposition_suite, "matrices", 200),
+                                 (contraction_identity, "vectors", 1000),
+                                 (bracket_reduction, "states", 100)):
+        counts.clear()
+        assert criterion(11).passed
+        assert counts[key] == size, criterion.title
+
+
+# -- the stacked criteria against the per-item loops they replaced -------------
+#
+# proposition's loop gives the same bits.  The other two loops take their
+# complex moduli, sums and products on other array layouts, so they may differ
+# by rounding; each returns the worst value with its rounding bound, first
+# order in the unit roundoff U: Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Lemma 3.5 (a complex product is within sqrt(5) U of
+# |a||b|, a sum of k terms within (k - 1) U of the sum of their moduli).
+
+U = np.finfo(float).eps / 2
+
+
+def _proposition_loop(seed):
+    """proposition_suite's former body: one resolution per matrix, in draw order."""
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        n_zero = int(rng.integers(0, n + 1)) if rng.random() < 0.35 else 0
+        H = random_hermitian(rng, n, n_zero=n_zero)
+        res = clifford.resolve_hermitian(H, clifford.allocate(2 * n, 2 * n))
+        residuals.append((res.gram_residual(), res.null_residual()))
+    worst_gram, worst_null = (float(w) for w in np.max(residuals, axis=0))
+    return {"gram_residual": worst_gram, "null_residual": worst_null}
+
+
+def _contraction_loop(seed, wrong=False):
+    """contraction_identity's former body, one vector at a time: the worst
+    rel_residual and the bound on its gap to another evaluation.
+
+    Per vector, lhs = D U^T sums two complex products per entry and full =
+    sum(D * U) four, so each side's lhs - full/2 is within (sqrt(5) + 3) U < 6 U
+    of ``mag`` = max(|D| |U|^T) + sum(|D| |U|)/2, and the two sides within 12 U;
+    the moduli and the quotient add 6 U relative.  ``wrong`` forgets the index
+    flip, D = U."""
+    rng = np.random.default_rng(seed)
+    errors, bounds = [], []
+    for _ in range(1000):
+        v = random_fourvector(rng, complex_valued=True)
+        up = vec_to_spinor(v)
+        down = up if wrong else flip_both(up)
+        full = np.sum(down * up)
+        lhs = down @ up.T
+        rhs = 0.5 * full * np.eye(2)
+        errors.append(np.abs(lhs - rhs).max() / max(1.0, abs(full)))
+        mag = np.max(np.abs(down) @ np.abs(up).T) + 0.5 * np.sum(np.abs(down) * np.abs(up))
+        bounds.append(12 * U * (1 + errors[-1]) * mag / max(1.0, abs(full)) + 6 * U * errors[-1])
+    return float(np.max(errors)), max(bounds)
+
+
+def _bracket_magnitudes(N, M, st):
+    """clifford_bracket and poisson_bracket with every term replaced by its modulus:
+    the polynomials' |coef| at |x| and |p|, the spinor tables' moduli and |CD|."""
+    x, p = np.abs(st.x_vec()), np.abs(st.p_vec())
+    (gxN, gpN), (gxM, gpM) = ((Q.grad_x(x, p), Q.grad_p(x, p)) for Q in (
+        particle.Polynomial(np.abs(P.coef), P.ax, P.bp) for P in (N, M)))
+
+    def spinor(grad, table):
+        return np.einsum("m,mab->ab", grad, np.abs(table))
+
+    CD = np.abs(st.cd_gram())
+    cb = 2 * np.sum((spinor(gxN, DX_UP).T @ spinor(gpM, DP_DOWN)) * CD) \
+        + 2 * np.sum((spinor(gxM, DX_UP).T @ spinor(gpN, DP_DOWN)) * CD)
+    return cb, gxN @ gpM + gxM @ gpN
+
+
+def _bracket_loop(seed, wrong=False):
+    """bracket_reduction's former body, one state at a time: the worst
+    scaled_residual and the bound on its gap to another evaluation.
+
+    A gradient term multiplies eight powers, each within 2 U, by its coefficient
+    and exponent: 25 U, and 27 U once three terms are summed.  The spinor tables
+    add U, the 2 x 2 product (sqrt(5) + 1) U, the product with CD sqrt(5) U and
+    the two sums 6 U: clifford_bracket is within 40 U of its magnitude, and
+    poisson_bracket's four-term dots and difference within 32 U.  Two sides
+    differ by twice that; ``wrong`` drops the factor mu."""
+    rng = np.random.default_rng(seed)
+    errors, bounds = [], []
+    for _ in range(100):
+        mu = rng.uniform(0.2, 1.5)
+        x = rng.uniform(-1, 1, size=4)
+        p = random_timelike(rng)
+        mass = math.sqrt(max(p[0] ** 2 - p[1:] @ p[1:], 0.04))
+        st = particle.build_state(x, p, mu, mass)
+        terms_n = [(rng.normal(), rng.integers(0, 3, 4), rng.integers(0, 2, 4))
+                   for _ in range(3)]
+        terms_m = [(rng.normal(), rng.integers(0, 2, 4), rng.integers(0, 3, 4))
+                   for _ in range(3)]
+        N = particle.polynomial_observable(terms_n)
+        M = particle.polynomial_observable(terms_m)
+        cb = particle.clifford_bracket(N, M, st)
+        pb = particle.poisson_bracket(N, M, st.x_vec(), st.p_vec())
+        errors.append(abs(cb - (1.0 if wrong else mu) * pb) / (1.0 + abs(pb)))
+        cb_mag, pb_mag = _bracket_magnitudes(N, M, st)
+        bounds.append((80 * U * cb_mag + 64 * U * (mu + errors[-1]) * pb_mag) / (1.0 + abs(pb))
+                      + 6 * U * errors[-1])
+    return float(np.max(errors)), max(bounds)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_stacked_criteria_match_their_per_item_loops(seed):
+    assert proposition_suite(seed).details == _proposition_loop(seed)       # bit for bit
+    worst, bound = _contraction_loop(seed)
+    assert abs(contraction_identity(seed).details["rel_residual"] - worst) <= bound
+    worst, bound = _bracket_loop(seed)
+    assert abs(bracket_reduction(seed).details["scaled_residual"] - worst) <= bound
+
+
+@pytest.mark.parametrize("loop,criterion,field", [
+    (_contraction_loop, contraction_identity, "rel_residual"),
+    (_bracket_loop, bracket_reduction, "scaled_residual"),
+], ids=["c30-identity", "bracket-reduction"])
+def test_loop_bounds_reject_a_wrong_reference(loop, criterion, field):
+    worst, bound = loop(11, wrong=True)
+    assert abs(criterion(11).details[field] - worst) > 1e6 * bound
 
 
 def test_picture_equivalence_keeps_no_trajectory():
@@ -363,7 +553,7 @@ def _boom(*args, **kwargs):
 
 # a layer function each criterion calls, which the lane tests stub
 _LAYER_OF = {
-    "proposition": (clifford, "resolve_hermitian"),
+    "proposition": (GramResolution, "gram_residual"),    # particle-dynamics resolves too
     "c30-identity": (acceptance, "flip_both"),
     "bracket-reduction": (particle, "clifford_bracket"),
     "particle-dynamics": (particle, "integrate"),

@@ -388,6 +388,42 @@ def test_resolve_rows_match_per_entry_accumulation(seed):
             assert_same_bits(res.coeffs[i], acc)
 
 
+@pytest.mark.parametrize("seed", [0, 11])
+def test_resolution_of_a_stack_equals_per_matrix_calls_bit_for_bit(seed):
+    # proposition resolves its matrices one stack per size, and bracket-reduction
+    # its states one stack: each matrix's eigenpairs, rows and residuals are its
+    # own call's bits, and a single matrix's residuals are floats
+    rng = np.random.default_rng(seed)
+    for n in (1, 3, 8):
+        H = np.stack([random_hermitian(rng, n, n_zero=k % (n + 1)) for k in range(9)])
+        space = allocate(2 * n, 2 * n)
+        (U, lam), res = hermitian_eig(H), resolve_hermitian(H, space)
+        for k, Hk in enumerate(H):
+            (Uk, lamk), one = hermitian_eig(Hk), resolve_hermitian(Hk, space)
+            for a, b in ((U[k], Uk), (lam[k], lamk), (res.coeffs[k], one.coeffs),
+                         (res.target[k], one.target)):
+                assert_same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b))
+            assert isinstance(one.gram_residual(), float)
+            assert (res.gram_residual()[k], res.null_residual()[k]) \
+                == (one.gram_residual(), one.null_residual())
+    x, p = (np.stack([random_hermitian(rng, 2) for _ in range(6)]) for _ in range(2))
+    M = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+    C, D, _ = resolve_pair(x, p, M)
+    for k in range(6):
+        Ck, Dk, _ = resolve_pair(x[k], p[k], M[k])
+        assert_same_bits(C[k], Ck)
+        assert_same_bits(D[k], Dk)
+
+
+def test_validate_hermitian_names_the_first_failing_matrix_of_a_stack():
+    H = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.5, 0.0]]), np.array([[0.0, 3.0], [0.0, 0.0]])])
+    with pytest.raises(InputError, match=r"^matrix is not Hermitian: max deviation 5\.000e-01 > "):
+        validate_hermitian(H)
+    with pytest.raises(InputError, match="^expected a square matrix, got shape"):
+        validate_hermitian(np.zeros((3, 2, 3)))
+    assert_same_bits(validate_hermitian(H[:1]), validate_hermitian(H[0])[None])
+
+
 def test_resolve_pair_rows_match_vector_arithmetic():
     rng = np.random.default_rng(31)
     for _ in range(10):

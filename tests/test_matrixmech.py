@@ -325,13 +325,22 @@ def _step_bound(ends, hbar, connections, h):
     at most six sums, each within u; both steps err so.  The norms are the
     larger of the step's two ends, not of its stages: the bound is first
     order in h L.
+
+    The pairs may be stacks (..., 2, N, N) of steps and the connections
+    (..., N, N); the bound is then one per step.
     """
     n = ends[0].shape[-1]
-    H = max(np.linalg.norm((Y[1] @ Y[1] - MASS ** 2 * np.eye(n)) / (2.0 * MASS)) for Y in ends)
-    G = max((np.linalg.norm(G) for G in connections), default=0.0)
+
+    def norm(A, axes=(-2, -1)):
+        return np.sqrt(np.sum(np.abs(A) ** 2, axis=axes))
+
+    H = np.maximum(*(norm((Y[..., 1, :, :] @ Y[..., 1, :, :] - MASS ** 2 * np.eye(n))
+                          / (2.0 * MASS)) for Y in ends))
+    G = np.max([norm(G) for G in connections], axis=0, initial=0.0)
     z = 2 * h * (H / hbar + G)
     R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
-    return 2 * R * (3 * np.sqrt(2) * (n + 2) * U + 6 * U) * max(np.linalg.norm(Y) for Y in ends)
+    Y = np.maximum(*(norm(Y, (-3, -2, -1)) for Y in ends))
+    return 2 * R * (3 * np.sqrt(2) * (n + 2) * U + 6 * U) * Y
 
 
 def _state_slope(gamma):
@@ -407,8 +416,7 @@ def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
             connections = [] if gamma is None else \
                 [gamma(t + s, Z[:, 0], Z[:, 1]) for s in (0.0, 0.5 * h, h) for Z in (Y0, Y1)]
             gaps = np.linalg.norm((Y1 - ref).reshape(len(Y0), -1), axis=1)
-            columns.append([gap / _step_bound((Y0[k], Y1[k]), hbar, [G[k] for G in connections], h)
-                            for k, gap in enumerate(gaps)])
+            columns.append(gaps / _step_bound((Y0, Y1), hbar, connections, h))
         ratios.extend(ratio for step in zip(*columns) for ratio in step)
 
     def checked(steps, y, t0, h):

@@ -618,6 +618,49 @@ def _momentum(mu):
     return polynomial_observable([(1.0, [0, 0, 0, 0], np.eye(4, dtype=int)[mu])])
 
 
+def test_a_stack_of_states_and_brackets_is_its_states_one_by_one():
+    # bracket-reduction builds and brackets its 100 states as one stack: each
+    # state's rows and the polynomials' gradients are the per-state calls' bits,
+    # and each bracket is the per-state call's float to rounding
+    rng = np.random.default_rng(23)
+    k = 7
+    x, p, mu = rng.uniform(-1, 1, (k, 4)), np.stack([_onshell_p(rng) for _ in range(k)]), \
+        rng.uniform(0.2, 1.5, k)
+    mass = np.sqrt(minkowski_dot(p, p).real)
+    terms = [(rng.normal(size=k), rng.integers(0, 3, (k, 4)), rng.integers(0, 3, (k, 4)))
+             for _ in range(6)]
+    N, M = polynomial_observable(terms[:3]), polynomial_observable(terms[3:])
+    st = build_state(x, p, mu, mass)
+    cb = clifford_bracket(N, M, st)
+    pb = poisson_bracket(N, M, st.x_vec(), st.p_vec())
+    assert st.packed().shape == (k, 4, st.space.size) and cb.shape == pb.shape == (k,)
+    for i in range(k):
+        one = build_state(x[i], p[i], mu[i], mass[i])
+        assert np.array_equal(st.packed()[i], one.packed()) and st.mass[i] == one.mass
+        N1, M1 = (polynomial_observable([(c[i], a[i], b[i]) for c, a, b in half])
+                  for half in (terms[:3], terms[3:]))
+        for grad in ("grad_x", "grad_p"):
+            assert np.array_equal(getattr(N, grad)(st.x_vec(), st.p_vec())[i],
+                                  getattr(N1, grad)(one.x_vec(), one.p_vec()))
+        assert cb[i] == pytest.approx(clifford_bracket(N1, M1, one), rel=1e-12, abs=1e-14)
+        assert pb[i] == pytest.approx(poisson_bracket(N1, M1, one.x_vec(), one.p_vec()),
+                                      rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("masses,message", [
+    ([1.0, -1.0], "^mass must be positive$"),
+    ([1.0, float("nan")], "^mass must be positive$"),
+    ([1.0, 1e200], "its square overflows$"),
+    ([1e-200, 1.0], "its square underflows$"),
+])
+def test_a_stack_of_states_refuses_a_bad_mass(masses, message):
+    x, p = np.zeros((2, 4)), np.stack([_onshell_p()] * 2)
+    with pytest.raises(InputError, match=message):
+        build_state(x, p, 0.5, masses)
+    with pytest.raises(InputError, match=r"\(4, 24\)"):
+        build_state(x, p, 0.5, 1.0)            # a stack takes one mass per state
+
+
 def test_bracket_canonical_pair():
     st = _state(mu=1.0)
     N = _coordinate(0)

@@ -20,6 +20,22 @@ from cliffdyn.spinors import (
 )
 
 
+def test_vec_to_spinor_stack_equals_per_vector_calls_bit_for_bit():
+    # c30-identity draws and converts its vectors as one stack; the draw takes the
+    # per-vector calls' stream, and each matrix is the per-vector call's bits,
+    # signed zeros included (x^0 + x^3 and x^0 - x^3 vanish on some rows)
+    V = random_fourvector(np.random.default_rng(8), complex_valued=True, shape=(300,))
+    rng = np.random.default_rng(8)
+    assert np.array_equal(V, [random_fourvector(rng, complex_valued=True) for _ in range(300)])
+    V[::5, 3], V[1::5, 3], V[2::7, 1:] = V[::5, 0], -V[1::5, 0], 0.0
+    S = vec_to_spinor(V)
+    assert S.shape == (300, 2, 2)
+    for v, s in zip(V, S):
+        one = vec_to_spinor(v)
+        assert np.array_equal(s, one)
+        assert np.array_equal(np.signbit(s.view(float)), np.signbit(one.view(float)))
+
+
 def test_vec_to_spinor_basis_cases():
     assert np.allclose(vec_to_spinor([1, 0, 0, 0]), np.eye(2))
     assert np.allclose(vec_to_spinor([0, 0, 0, 1]), np.diag([1, -1]))
