@@ -9,21 +9,14 @@ Proposition, c30-identity and bracket-reduction draw their items one by one,
 in the seeded stream's order, and then check them as stacks: the layers they
 call take a leading stack axis, one item being the empty stack.
 
-:func:`run_all` runs them in two lanes where ``os.fork`` exists: one forked
-child runs the ``FORKED`` criteria (every criterion but particle-dynamics)
-while the calling process runs particle-dynamics, the longest criterion, each
-lane in CRITERIA order (the ``FORKED`` comment gives their CPU times).  Each
-result takes its CRITERIA slot, so the rows, the JSON payload and the exit
-code of ``verify-all`` are those of a serial run.
+:func:`run_all` runs the criteria one after another in the calling process,
+in CRITERIA order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import pickle
-import signal
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -37,7 +30,7 @@ from .sampling import random_fourvector, random_hermitian, random_timelike, rand
 from .spinors import eta_flip, flip_both, spinor_to_vec, vec_to_spinor
 from .tolerances import DEFAULT, Tolerances
 
-__all__ = ["CriterionResult", "CRITERIA", "FORKED", "Gate", "Window", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "Gate", "Window", "run_all"]
 
 
 class Window(NamedTuple):
@@ -69,8 +62,8 @@ class Gate(NamedTuple):
 @dataclass
 class CriterionResult:
     """One criterion's row, made from the Gate ``rows`` its check yielded.
-    ``seconds`` is its wall time in the process that ran it, kept out of the
-    payload; None for a forked child that died without a result."""
+    ``seconds`` is its wall time, kept out of the payload; None for a result
+    that no criterion made."""
 
     name: str
     passed: bool
@@ -318,94 +311,10 @@ CRITERIA = (
     ("algebra-suite", algebra_suite),
 )
 
-# The criteria run_all hands to its forked child, run there in CRITERIA order,
-# chosen by CPU time: particle-dynamics alone outlasts the other seven.  Seed
-# 11, in-process CPU medians of 5 in four rounds on a 2-vCPU host: proposition
-# 14.2-14.4 ms, c30-identity 1.1, bracket-reduction 11.6-12.1, un-covariance
-# 13.5-16.3, picture-equivalence 4.7-5.3, string-suite 3.4-3.7 and
-# algebra-suite 3.2-3.4, 52-56 in all; particle-dynamics 77-92 stays in the
-# calling process.  In 40 runs of run_all(11) the forked run took 96 ms wall
-# (quartiles 86-142) and a serial one 131 (125-141); keeping proposition in
-# the calling process took 110 against 100 in 30 alternating runs.  A
-# criterion moved into the child runs there without the warm caches of the
-# calling process; each process has its own interpreter lock, and a fork and
-# its waitpid cost 2-3 ms.
-FORKED = ("proposition", "c30-identity", "bracket-reduction", "un-covariance",
-          "picture-equivalence", "string-suite", "algebra-suite")
-
-# taken before anything can rebind the criteria: the row titles under which a
-# child that dies without a result is reported
-_TITLES = [fn.title for _, fn in CRITERIA]
-
 
 def run_all(seed: int = 0, tols: Tolerances = DEFAULT) -> list[CriterionResult]:
-    """Run every criterion; the results come in the canonical CRITERIA order.
-
-    Where ``os.fork`` exists, a forked child runs the ``FORKED`` criteria
-    while this process runs the others, each lane in CRITERIA order; the
-    child's list of results comes back pickled through a pipe and each takes
-    its CRITERIA slot.  The results are those of the serial run, which is the
-    only path where ``os.fork`` does not exist.  An exception that a
-    criterion's own wrapper does not turn into a FAIL row reaches the caller
-    with its type and message; a child that exits without a result gives a
-    FAIL row with its exit status under ``error`` in every forked slot.
-    """
+    """Run every criterion, in the canonical CRITERIA order, each with its own
+    seed spawned from ``seed``.  An exception that a criterion's own wrapper
+    does not turn into a FAIL row reaches the caller."""
     rngs = np.random.default_rng(seed).spawn(len(CRITERIA))
-    seeds = [int(r.integers(0, 2 ** 63 - 1)) for r in rngs]
-    if not hasattr(os, "fork"):
-        return [fn(s, tols) for (name, fn), s in zip(CRITERIA, seeds)]
-    forked = [i for i, (name, _) in enumerate(CRITERIA) if name in FORKED]
-    pid, pipe = _fork(lambda: [CRITERIA[i][1](seeds[i], tols) for i in forked])
-    try:
-        results = [None if i in forked else fn(s, tols)
-                   for i, ((_, fn), s) in enumerate(zip(CRITERIA, seeds))]
-        data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        pipe.close()
-        status = os.waitpid(pid, 0)[1]
-    if status != 0 or not data:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-        value = [CriterionResult(_TITLES[i], False, {
-            "error": f"criterion process ended by {how} without a result"}) for i in forked]
-    else:
-        kind, value = pickle.loads(data)     # bytes the child below wrote
-        if kind == "err":
-            raise value
-    for i, result in zip(forked, value):
-        results[i] = result
-    return results
-
-
-def _fork(run):
-    """Fork a child that calls ``run()``; return its pid and the read end of its pipe.
-
-    The child pickles ``("ok", run())`` or ``("err", exception)`` into the
-    pipe and leaves through ``os._exit``: it never returns into the caller's
-    stack and never flushes the stdio buffers it shares with the parent.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = ("ok", run())
-            except Exception as exc:
-                outcome = ("err", exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    return [fn(int(r.integers(0, 2 ** 63 - 1)), tols) for (_, fn), r in zip(CRITERIA, rngs)]

@@ -197,8 +197,11 @@ def _bracket_table(sample: CurrentSample) -> np.ndarray:
 def _charge_brackets(sample: CurrentSample) -> np.ndarray:
     """{F, H} of the integrated charges: the Simpson weights applied to the table.
 
-    Not a matrix-vector product: OpenBLAS hands even this small one to worker
-    threads, which then spin on the core of verify-all's forked criterion."""
+    Summed elementwise in node order, which fixes the bits of every charge
+    algebra report.  A matrix-vector product sums in another order: on the
+    acceptance sample its charges differ by up to 1.1e-14, and charge_algebra's
+    closure residual reads 1.8e-16 for 2.8e-17.  It would save about 20 us of
+    CPU a call, with OpenBLAS running even this small product on two threads."""
     return (sample.weights[:, None, None] * _bracket_table(sample)).sum(axis=0)
 
 

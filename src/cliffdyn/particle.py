@@ -302,27 +302,21 @@ def rk4(f: Callable, y, t0: float, h: float, steps: int):
         yield y
 
 
-def _c_rate(D: np.ndarray, signs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """dc/dtau of the free flow as a function of the einbein value.
+def _c_rate(D: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The (2, G) stack K of the free flow's c-row derivative dc/dtau = e(tau) K.
 
     dd*/dtau vanishes (dH/dx = 0 for the free constraint Hamiltonian), so the
-    d* rows, and the momentum gradient built from them, never change and the
-    c-row derivative e(tau) K depends on tau alone.  ``rate(e_vals)`` maps an
-    array of einbein values to the ``(*e_vals.shape, 2, G)`` derivatives.
+    d* rows, and the momentum gradient built from them, never change: K is
+    dH/dp_mu at e = 1 contracted into conj(d*).
     """
     P = bullet_gram(D, D.conj(), signs)       # p_{AB} = bullet(d*_A, conj(d*_B))
-    eta_p = ETA @ spinor_down_to_covec(P)
-
-    def rate(e_vals: np.ndarray) -> np.ndarray:
-        grad_p = 2.0 * e_vals[..., None] * eta_p          # dH/dp_mu for H = e (p.p - m^2)
-        return np.einsum("...m,mab->...ab", grad_p, DP_DOWN) @ D.conj()
-
-    return rate
+    grad_p = 2.0 * (ETA @ spinor_down_to_covec(P))    # dH/dp_mu / e for H = e (p.p - m^2)
+    return np.einsum("m,mab->ab", grad_p, DP_DOWN) @ D.conj()
 
 
 def canonical_rhs(state: ParticleState, e: float) -> tuple[np.ndarray, np.ndarray]:
     """(dc/dtau, dd*/dtau) as (2, G) stacks for the constraint Hamiltonian H = e (p.p - m^2)."""
-    dc = _c_rate(state.packed()[2:], state.space.signs)(np.asarray(float(e)))
+    dc = float(e) * _c_rate(state.packed()[2:], state.space.signs)
     return dc, np.zeros_like(dc)
 
 
@@ -361,75 +355,28 @@ class Trajectory:
             % tuple(table.ravel().tolist())
 
 
-def _free_flow(state0: ParticleState, e: EinbeinFn, tau_end: float, steps: int):
-    """RK4 steps of size h = (tau_end - tau0) / steps on the free flow, by blocks.
-
-    Yields ``(lo, rows, taubar)`` for each block of up to ``_COLUMN_BLOCK``
-    steps: ``rows`` is the (k + 1, 4, G) coefficient stack of samples lo to
-    lo + k and ``taubar`` their proper times, which start at 0.  Both are
-    views of one reused buffer: the d* rows are written once, and the next
-    block overwrites them, keeping this block's last row as its row 0.
-
-    The c-row derivative e(tau) K does not read the state (see
-    :func:`_c_rate`), so RK4's k2 and k3 coincide and every step's increment
-    (h/6)(k1 + 2 k2 + 2 k3 + k4) is known from the einbein alone.  Each block
-    evaluates e at all its stage times in one call and sums the increments in
-    step order with ``np.add.accumulate``.  taubar accumulates dtaubar/dtau =
-    2 m mu e the same way, with mu read from the four RK4 stage states of the
-    c rows.  Every row equals, bit for bit, stepping :func:`rk4` on the flow
-    state (c rows, taubar).  A block with a non-finite step raises
-    ArithmeticError naming the first such step before it is yielded.
-    """
-    signs, mass, tau0 = state0.space.signs, state0.mass, state0.tau
-    h = (tau_end - tau0) / steps
-    Y0 = state0.packed()
-    rate = _c_rate(Y0[2:], signs)
-    signed_D_T = (Y0[2:] * signs).T
-
-    def taubar_rate(c_rows: np.ndarray, e_vals: np.ndarray) -> np.ndarray:
-        cd = c_rows @ signed_D_T              # bullet(c_A, d*_B)
-        return 2.0 * mass * (0.5 * (cd[..., 0, 0] + cd[..., 1, 1]).real) * e_vals
-
-    rows = np.empty((min(_COLUMN_BLOCK, steps) + 1, *Y0.shape), dtype=complex)
-    rows[:] = Y0                              # dd*/dtau = 0: the d* rows stay
-    taubar = np.zeros(len(rows))
-    for lo in range(0, steps, _COLUMN_BLOCK):
-        n = min(_COLUMN_BLOCK, steps - lo)
-        c, tb = rows[:n + 1, :2], taubar[:n + 1]
-        with np.errstate(over="ignore", invalid="ignore"):    # named below
-            t = tau0 + np.arange(lo, lo + n) * h
-            e1, e2, e4 = e.values(np.stack((t, t + 0.5 * h, t + h), axis=1)).T
-            k1, k2, k4 = rate(e1), rate(e2), rate(e4)                       # k3 = k2
-            np.add.accumulate(
-                np.concatenate((c[:1], (h / 6.0) * (k1 + 2 * k2 + 2 * k2 + k4))), axis=0, out=c)
-            y = c[:-1]
-            r1 = taubar_rate(y, e1)
-            r2 = taubar_rate(y + 0.5 * h * k1, e2)
-            r3 = taubar_rate(y + 0.5 * h * k2, e2)
-            r4 = taubar_rate(y + h * k2, e4)
-            np.add.accumulate(
-                np.concatenate((tb[:1], (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4))), out=tb)
-        finite = np.isfinite(c[1:]).all(axis=(1, 2)) & np.isfinite(tb[1:])
-        if not finite.all():
-            raise ArithmeticError(
-                f"integration produced non-finite values at step {lo + int(np.argmin(finite))}")
-        yield lo, rows[:n + 1], tb
-        c[0], tb[0] = c[n], tb[n]
-
-
 def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
               steps: int) -> Trajectory:
-    """Classic fixed-step RK4 on the coefficient flow, tracking taubar.
+    """Classic fixed-step RK4 on the free flow, tracking taubar, in closed form.
 
-    taubar accumulates dtaubar/dtau = 2 m mu(tau) e(tau) through the same RK4
-    stages as c (see :func:`_free_flow`), so the reparametrized columns are
-    consistent to integrator order.  Each block of coefficient rows is turned
-    into its columns and dropped, so memory grows with the columns alone; a
-    step count whose columns cannot be allocated is an InputError.
+    The c-row derivative e(tau) K does not read the state (see
+    :func:`_c_rate`), so RK4's k2 and k3 coincide and step k adds w_k K to the
+    c rows, w_k = (h/6)(e1 + 2 e2 + 2 e2 + e4) from the einbein at the step's
+    three stage times: after k steps the c rows are c0 + W_k K, with W_k the
+    running sum of the w's in step order.  taubar takes RK4's four stages of
+    dtaubar/dtau = 2 m mu e as scalars, since mu is affine in the c rows:
+    mu(c0 + a K) = mu0 + a mu_K.  The columns are polynomials in W, built from
+    the 2x2 bullet Grams of c0, K and d*: x is quadratic, J, j and mu are
+    affine and p is constant.
+
+    They are written a block of ``_COLUMN_BLOCK`` steps at a time, the
+    einbein evaluated at all of a block's stage times in one call, so memory
+    grows with the columns alone; a step count whose columns cannot be
+    allocated is an InputError.  A block with a non-finite row raises
+    ArithmeticError naming the first step that produced one.
     """
     steps = step_count(steps)
-    signs = state0.space.signs
-    tau0 = state0.tau
+    signs, mass, tau0 = state0.space.signs, state0.mass, state0.tau
     n = steps + 1
     try:
         tau = tau0 + np.arange(n) * ((tau_end - tau0) / steps)
@@ -439,28 +386,50 @@ def integrate(state0: ParticleState, e: EinbeinFn, tau_end: float,
         raise InputError(f"steps = {steps} is too large: its {n} trajectory rows "
                          f"cannot be allocated") from exc
     tau[0] = tau0
-    for lo, rows, tb in _free_flow(state0, e, tau_end, steps):
-        block = slice(lo, lo + len(rows))
-        taubar[block] = tb
-        x[block], p[block], J[block], jq[block], mu[block] = _derived_columns(rows, signs)
-    return Trajectory(state0.mass, tau, taubar, x, p, J, jq, mu)
+    h = (tau_end - tau0) / steps
+    Y0 = state0.packed()
+    D = Y0[2:]
+    CK = np.stack((Y0[:2], _c_rate(D, signs)))                      # c0 and K
+    grams = bullet_gram(CK[:, None], CK[None].conj(), signs)        # bullet(c0|K, conj(c0|K))
+    x_coef = spinor_to_vec(np.stack((grams[0, 0], grams[0, 1] + grams[1, 0], grams[1, 1]))).real
+    J_coef, trace_cd = pair_charges(CK, D, signs)
+    j_coef = (1j * (trace_cd - np.conj(trace_cd))).real
+    mu0, mu_K = 0.5 * trace_cd.real
+    p[:] = state0.p_vec()
+    W = np.empty(_COLUMN_BLOCK + 1)           # a block's W, from the previous block's last
+    W[0] = taubar[0] = 0.0
+    for lo in range(0, steps, _COLUMN_BLOCK):
+        k = min(_COLUMN_BLOCK, steps - lo)
+        rows, w = slice(lo, lo + k + 1), W[:k + 1]
+        with np.errstate(over="ignore", invalid="ignore"):    # named below
+            t = tau0 + np.arange(lo, lo + k) * h
+            e1, e2, e4 = e.values(np.stack((t, t + 0.5 * h, t + h), axis=1)).T
+            w[1:] = (h / 6.0) * (e1 + 2 * e2 + 2 * e2 + e4)
+            np.add.accumulate(w, out=w)
+            a = w[:-1] + np.stack((np.zeros(k), 0.5 * h * e1, 0.5 * h * e2, h * e2))
+            r1, r2, r3, r4 = 2.0 * mass * (mu0 + a * mu_K) * np.stack((e1, e2, e2, e4))
+            tb = taubar[rows]
+            tb[1:] = (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
+            np.add.accumulate(tb, out=tb)
+            x[rows] = x_coef[0] + w[:, None] * (x_coef[1] + w[:, None] * x_coef[2])
+            J[rows] = J_coef[0] + w[:, None, None] * J_coef[1]
+            jq[rows] = j_coef[0] + w * j_coef[1]
+            mu[rows] = mu0 + w * mu_K
+        finite = (np.isfinite(tb) & np.isfinite(x[rows]).all(axis=1)
+                  & np.isfinite(J[rows]).all(axis=(1, 2)) & np.isfinite(jq[rows])
+                  & np.isfinite(mu[rows]))[1:]
+        if not finite.all():
+            raise ArithmeticError(
+                f"integration produced non-finite values at step {lo + int(np.argmin(finite))}")
+        w[0] = w[k]
+    return Trajectory(mass, tau, taubar, x, p, J, jq, mu)
 
 
-# Steps per block of the flow, and so rows per batch of derived columns; bounds
-# the (rows, 2, G) stage and (rows, 2, 2, G) column temporaries.  Measured with
-# tracemalloc at G = 24: a block's rows and temporaries peak at 2.16 MB beyond
-# the columns (8.4 KB a step; 1024-step blocks took 8.19 MB).
+# Steps per block of columns; bounds the block's einbein, weight and stage
+# temporaries, about 0.3 KB a step.  Measured with tracemalloc at G = 24: a
+# run of 256 steps or more peaks 79 KB beyond its columns with a constant
+# einbein and 85 KB with a linear one.
 _COLUMN_BLOCK = 256
-
-
-def _derived_columns(Y: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """x, p, J, j and mu of a (rows, 4, G) stack, row by row as ParticleState
-    and :func:`noether_charges` compute them."""
-    C, D = Y[:, :2], Y[:, 2:]
-    x = spinor_to_vec(bullet_gram(C, C.conj(), signs)).real
-    p = spinor_down_to_covec(bullet_gram(D, D.conj(), signs)).real
-    J, trace_cd = pair_charges(C, D, signs)
-    return x, p, J, (1j * (trace_cd - np.conj(trace_cd))).real, 0.5 * trace_cd.real
 
 
 def pair_charges(C: np.ndarray, D: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:

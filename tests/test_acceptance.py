@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per
 criterion; the same checks back the ``cliffdyn verify-all`` command.
 """
 
-import contextlib
 import dataclasses
 import functools
 import json
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 from cliffdyn import acceptance, clifford, current_algebra, matrixmech, particle, worldsheet
-from cliffdyn.acceptance import (CRITERIA, FORKED, Window, algebra_suite, bracket_reduction,
+from cliffdyn.acceptance import (CRITERIA, Window, algebra_suite, bracket_reduction,
                                  contraction_identity, particle_dynamics,
                                  picture_equivalence, proposition_suite, run_all,
                                  string_suite, un_covariance)
@@ -474,7 +473,7 @@ def test_picture_equivalence_keeps_no_trajectory():
 
 def test_particle_dynamics_keeps_no_coefficient_rows():
     # 10^4 stored (4, 24) complex rows would take 15.4 MB; the columns take
-    # 1.6 MB and one block of rows and temporaries about 2.2 MB
+    # 1.6 MB and one block's temporaries about 80 KB
     tracemalloc.start()
     try:
         assert particle_dynamics(11).passed
@@ -504,27 +503,7 @@ def test_verify_all_prints_every_row_when_a_criterion_raises(monkeypatch, capsys
     assert entry["details"]["error"] == "integration produced non-finite values at step 0"
 
 
-# -- run_all's two lanes: FORKED in a forked child, the others here ------------
-
-forking = pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")),
-                             reason="the lane tests need os.fork and /proc/self/fd")
-
-_FORKED_SLOTS = [i for i, (key, _) in enumerate(CRITERIA) if key in FORKED]
-
-
-def test_both_lanes_run_criteria():
-    assert set(FORKED) < {key for key, _ in CRITERIA} and len(set(FORKED)) == len(FORKED)
-    assert 0 < len(_FORKED_SLOTS) < len(CRITERIA)
-
-
-@contextlib.contextmanager
-def _no_child_or_fd_left():
-    before = sorted(os.listdir("/proc/self/fd"))
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir("/proc/self/fd")) == before
-
+# -- run_all ------------------------------------------------------------------
 
 @functools.cache
 def _one_by_one(seed):
@@ -538,82 +517,38 @@ def _same_results(a, b):
     return [(r.name, r.passed, r.details) for r in a] == [(r.name, r.passed, r.details) for r in b]
 
 
-@forking
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_run_all_equals_the_criteria_one_by_one(seed):
-    with _no_child_or_fd_left():
-        results = run_all(seed)
+    results = run_all(seed)
     assert _same_results(results, _one_by_one(seed))
     assert all(r.passed for r in results)
+
+
+def test_run_all_without_fork_runs_serially(monkeypatch):
+    # run_all needs no fork: where the platform has none it gives the same rows
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _same_results(run_all(3), _one_by_one(3))
 
 
 def _boom(*args, **kwargs):
     raise RuntimeError("boom")
 
 
-# a layer function each criterion calls, which the lane tests stub
-_LAYER_OF = {
-    "proposition": (GramResolution, "gram_residual"),    # particle-dynamics resolves too
-    "c30-identity": (acceptance, "flip_both"),
-    "bracket-reduction": (particle, "clifford_bracket"),
-    "particle-dynamics": (particle, "integrate"),
-    "un-covariance": (matrixmech, "evolve_matrix_classical"),
-    "picture-equivalence": (matrixmech, "evolve_pictures"),
-    "string-suite": (worldsheet, "residual_suite"),
-    "algebra-suite": (current_algebra, "sample_currents"),
-}
+def test_run_all_raises_an_uncaught_exception(monkeypatch):
+    # an exception that the criterion's wrapper does not turn into a FAIL row
+    # reaches the caller with its type and message
+    monkeypatch.setattr(particle, "integrate", _boom)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_all(11)
 
 
-@forking
-@pytest.mark.parametrize("child", [True, False], ids=["child-lane", "parent-lane"])
-def test_run_all_raises_an_uncaught_exception_of_either_lane(child):
-    # a parent-lane criterion raises while the child still runs: the child is
-    # killed and reaped; a child-lane one comes back pickled and is raised here
-    for key, _ in CRITERIA:
-        if (key in FORKED) == child:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(*_LAYER_OF[key], _boom)
-                with _no_child_or_fd_left(), pytest.raises(RuntimeError, match="^boom$"):
-                    run_all(11)
-
-
-@forking
-def test_a_child_that_dies_gives_a_fail_row(capsys):
-    # the child dies in one of its criteria: every forked slot gets a FAIL row
-    # under its own title, and the parent lane's rows are unchanged
-    for key in FORKED:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(*_LAYER_OF[key], lambda *args, **kwargs: os._exit(3))
-            with _no_child_or_fd_left():
-                code = main(["verify-all", "--seed", "11"])
-        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
-        assert code == 1
-        assert len(rows) == len(CRITERIA)
-        for i, (_, fn) in enumerate(CRITERIA):
-            if i in _FORKED_SLOTS:
-                assert rows[i] == (f"[FAIL] {fn.title}: error=criterion process ended by "
-                                   "exit status 3 without a result")
-            else:
-                assert rows[i].startswith(f"[PASS] {fn.title}: ")
-
-
-def test_run_all_without_fork_runs_serially(monkeypatch):
-    seed = 3
-    expected = _one_by_one(seed)
-    monkeypatch.delattr(os, "fork", raising=False)
-    assert _same_results(run_all(seed), expected)
-
-
-@forking
 def test_every_result_carries_its_own_wall_time():
-    # the forked child's seconds come back with its pickled results, one per
-    # criterion; timing stays out of details, and so out of the payload
-    with _no_child_or_fd_left():
-        start = time.perf_counter()
-        results = run_all(11)
-        wall = time.perf_counter() - start
+    # timing stays out of details, and so out of the payload
+    start = time.perf_counter()
+    results = run_all(11)
+    wall = time.perf_counter() - start
     assert all(r.seconds > 0 and "seconds" not in r.details for r in results)
-    # each forked result times its own criterion, not the fork or the whole
-    # lane: no two read the same, and together they fit in the run's wall time
-    forked = [results[i].seconds for i in _FORKED_SLOTS]
-    assert len(set(forked)) == len(forked) and sum(forked) <= wall
+    # each result times its own criterion, not the whole run: no two read the
+    # same, and together they fit in the run's wall time
+    seconds = [r.seconds for r in results]
+    assert len(set(seconds)) == len(seconds) and sum(seconds) <= wall

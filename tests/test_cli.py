@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from cliffdyn import clifford, worldsheet
 from cliffdyn.acceptance import _acceptance_mode_spec, string_suite
 from cliffdyn.cli import _json_dumps, main
-from cliffdyn.clifford import allocate, bullet_gram, hermitian_to_json, resolve_hermitian
+from cliffdyn.clifford import (GramResolution, allocate, bullet_gram, hermitian_to_json,
+                               resolve_hermitian)
 from cliffdyn.sampling import random_hermitian
 from cliffdyn.spinors import spinor_to_vec
 from cliffdyn.tolerances import DEFAULT
@@ -91,15 +92,16 @@ def test_resolve_rejects_non_finite(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
-def test_resolve_takes_finite_entries_near_the_float_limit(tmp_path, capsys):
-    # the input's Hermitian part is finite, so resolve runs and its absolute
-    # gates fail with their values; no warning escapes and no entry is called
-    # non-finite
+def test_resolve_takes_finite_entries_near_the_float_limit(tmp_path, capsys, recwarn):
+    # the input's Hermitian part is finite, so resolve runs; its residuals
+    # (gram 2.0e292) are rounding against gates scaled by max|H| = 1.7e308, so
+    # it passes, no warning escapes and no entry is called non-finite
     _write_json(tmp_path / "H.json", hermitian_to_json(np.diag([1.7e308, 1.0])))
     code = main(["resolve", "--input", str(tmp_path / "H.json"), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("resolution failed: gram_residual ") and "non-finite" not in err
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("resolved 2x2 matrix: residual ") and captured.err == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_resolve_refuses_a_skew_matrix_near_the_float_limit_without_a_warning(
@@ -127,21 +129,49 @@ def test_resolve_refuses_an_entry_whose_modulus_overflows(tmp_path, capsys, recw
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
 
-def test_resolve_names_the_gate_that_failed(tmp_path, capsys):
-    # at 1e4 the gram residual passes --tol and the null residual fails gram_null
+def _seed0_hermitian(scale):
     rng = np.random.default_rng(0)
     A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    _write_json(tmp_path / "H.json", hermitian_to_json(1e4 * (A + A.conj().T)))
+    return scale * (A + A.conj().T)
+
+
+def test_resolve_names_the_gate_that_failed(tmp_path, capsys, monkeypatch):
+    # c_i + d conj(c_i) leaves the Gram bullet(c, conj(c)) alone to first order,
+    # since the same-kind products vanish, and moves those by d (H + H^T): at
+    # d = 1e-6 the null residual fails gram_null times the matrix's scale while
+    # the gram residual passes --tol; at --tol 0 both fail
+    from cliffdyn import cli
+    original = cli.resolve_hermitian
+
+    def perturbed(H, space):
+        res = original(H, space)
+        return GramResolution(res.coeffs + 1e-6 * res.coeffs.conj(), res.target, space)
+
+    monkeypatch.setattr(cli, "resolve_hermitian", perturbed)
+    H = _seed0_hermitian(1e4)
+    _write_json(tmp_path / "H.json", hermitian_to_json(H))
+    scale = f"{np.abs(H).max():.3e}"
     for tol, failed in ((DEFAULT.gram_residual, ["null_residual"]),
                         (0.0, ["gram_residual", "null_residual"])):
         code = main(["resolve", "--input", str(tmp_path / "H.json"), "--out", str(tmp_path),
                      "--tol", str(tol)])
         payload = json.loads((tmp_path / "resolution.json").read_text())
-        gates = {"gram_residual": f"--tol {tol:.1e}", "null_residual": "gram_null 1.0e-12"}
+        gates = {"gram_residual": f"--tol {tol:.1e} x {scale}",
+                 "null_residual": f"gram_null 1.0e-12 x {scale}"}
         assert code == 1
-        assert payload["gram_residual"] > 0.0 and payload["null_residual"] > DEFAULT.gram_null
+        assert payload["gram_residual"] > 0.0
+        assert payload["null_residual"] > DEFAULT.gram_null * np.abs(H).max()
         assert capsys.readouterr().err == "resolution failed: " + "; ".join(
             f"{name} {payload[name]:.3e} exceeds {gates[name]}" for name in failed) + "\n"
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+def test_resolve_gates_scale_with_the_matrix(tmp_path, capsys, scale):
+    # the residuals of an exact resolution are rounding of products of H's
+    # size: at 1e6 they exceed the unscaled gates (gram 3.3e-9, null 1.6e-10)
+    _write_json(tmp_path / "H.json", hermitian_to_json(_seed0_hermitian(scale)))
+    assert main(["resolve", "--input", str(tmp_path / "H.json"), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _resolve_with_off_diagonal():

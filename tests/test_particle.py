@@ -1,10 +1,12 @@
 """Canonical particle dynamics: actions, flow, charges, brackets."""
 
 import csv
+import functools
 import io
 import math
 import time
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from cliffdyn.clifford import bullet, bullet_gram
 from cliffdyn.errors import InputError, PreconditionError
 from cliffdyn.particle import (
     _COLUMN_BLOCK,
-    _derived_columns,
-    _free_flow,
     EinbeinFn,
     ParticleState,
     build_state,
@@ -234,30 +234,32 @@ def test_integrate_rejects_bad_steps():
 @pytest.mark.parametrize("e", [constant_einbein(0.5), linear_einbein(0.6, 0.3)],
                          ids=["const", "linear"])
 def test_integrate_columns_match_per_state_path(e):
-    # 2501 rows span several blocks of the batched derived columns; a mixed
-    # Gram off the identity, with a complex trace, keeps J and j away from zero
-    M = np.array([[0.7 + 0.02j, 0.05 + 0.01j], [0.05 - 0.01j, 0.6]])
-    st = build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), M, MASS)
-    traj = integrate(st, e, 1.5, 2500)
-    states = [ParticleState(Y, st.space, MASS, tau)
-              for Y, tau in zip(_flow_rows(st, e, 1.5, 2500), traj.tau)]
+    # 2501 rows span several blocks of columns; a mixed Gram off the identity,
+    # with a complex trace, keeps J and j away from zero.  Each row of the
+    # stepped reference is read back as a ParticleState
+    st = _mixed_state(tau=0.4)
+    traj = integrate(st, e, 2.4, 2500)
+    ref = _reference(e, 2500)
+    states = [ParticleState(Y, st.space, MASS, tau) for Y, tau in zip(ref.Y, ref.tau)]
     charges = [noether_charges(s) for s in states]
-    assert np.array_equal(traj.x, np.array([s.x_vec() for s in states]))
-    assert np.array_equal(traj.p, np.array([s.p_vec() for s in states]))
-    assert np.array_equal(traj.J, np.array([J for J, _ in charges]))
-    assert np.array_equal(traj.j, np.array([j for _, j in charges]))
-    assert np.array_equal(traj.mu, np.array([s.mu_charge() for s in states]))
+    per_state = {"x": [s.x_vec() for s in states], "p": [s.p_vec() for s in states],
+                 "J": [J for J, _ in charges], "j": [j for _, j in charges],
+                 "mu": [s.mu_charge() for s in states]}
+    bounds = _column_bounds(st, e, 2.4, ref)
+    for name, column in per_state.items():
+        assert _worst_ratio(getattr(traj, name), np.array(column), bounds[name]) <= 1.0, name
     shell = np.array([s.mass_shell() for s in states])
     assert traj.constraint_drift() == np.abs(shell - shell[0]).max()
 
 
-def _flow_rows(state0, e, tau_end, steps):
-    """The (steps + 1, 4, G) coefficient rows of ``integrate``'s run, gathered
-    from the blocks its flow generator yields."""
-    Y = np.empty((steps + 1, *state0.packed().shape), dtype=complex)
-    for lo, rows, _ in _free_flow(state0, e, tau_end, steps):
-        Y[lo:lo + len(rows)] = rows
-    return Y
+def _derived_columns(Y: np.ndarray, signs: np.ndarray) -> dict[str, np.ndarray]:
+    """Oracle: x, p, J, j and mu of a (rows, 4, G) stack of coefficient rows,
+    computed from the rows as ParticleState and noether_charges compute them."""
+    C, D = Y[:, :2], Y[:, 2:]
+    J, trace_cd = pair_charges(C, D, signs)
+    return {"x": spinor_to_vec(bullet_gram(C, C.conj(), signs)).real,
+            "p": spinor_down_to_covec(bullet_gram(D, D.conj(), signs)).real,
+            "J": J, "j": (1j * (trace_cd - np.conj(trace_cd))).real, "mu": 0.5 * trace_cd.real}
 
 
 def _textbook_rk4(f, y, t0, h, steps):
@@ -274,12 +276,32 @@ def _textbook_rk4(f, y, t0, h, steps):
         yield y
 
 
-def _stepped_integrate(state0, e, tau_end, steps):
-    """Reference: the stepped loop the block flow replaced.
+def _wrong_rk4(f, y, t0, h, steps, weights=(1, 2, 2, 1), half=0.5):
+    """A wrong reference: :func:`_textbook_rk4` with other stage ``weights``
+    or with its two middle stages at t + ``half`` h."""
+    w1, w2, w3, w4 = weights
+    for k in range(steps):
+        t = t0 + k * h
+        k1 = f(t, y)
+        k2 = f(t + half * h, y + 0.5 * h * k1)
+        k3 = f(t + half * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / sum(weights)) * (w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4)
+        yield y
 
-    One :func:`_textbook_rk4` step at a time on the flow state (c rows plus
-    a taubar column), each stage calling the einbein once; returns (tau,
-    taubar, Y).
+
+# Simpson's weights, which give the c rows (e1 + 2 e2 + e4)/4 a step, and the
+# middle stages' einbein taken at the step's start
+_SIMPSON_WEIGHTS = functools.partial(_wrong_rk4, weights=(1, 1, 1, 1))
+_EARLY_MIDDLE = functools.partial(_wrong_rk4, half=0.0)
+
+
+def _stepped_integrate(state0, e, tau_end, steps, stepper=_textbook_rk4):
+    """Reference: the free flow stepped by RK4 on its full flow state.
+
+    One step of ``stepper``, by default :func:`_textbook_rk4`, at a time on
+    the flow state (c rows plus a taubar column), each stage calling the
+    einbein once; returns (tau, taubar, Y).
     """
     signs, mass, tau0 = state0.space.signs, state0.mass, state0.tau
     Y0 = state0.packed().astype(complex)
@@ -305,7 +327,7 @@ def _stepped_integrate(state0, e, tau_end, steps):
     Y[1:, 2:] = D
     taubar = np.zeros(steps + 1)
     y0 = np.concatenate((C, np.zeros((2, 1))), axis=1)
-    for k, y in enumerate(_textbook_rk4(flow, y0, tau0, h, steps)):
+    for k, y in enumerate(stepper(flow, y0, tau0, h, steps)):
         if not np.all(np.isfinite(y)):
             raise ArithmeticError(f"integration produced non-finite values at step {k}")
         Y[k + 1, :2] = y[:, :-1]
@@ -344,6 +366,103 @@ def _mixed_state(tau=0.0):
     return build_state(np.array([0.3, -0.2, 0.1, 0.4]), _onshell_p(), M, MASS, tau=tau)
 
 
+class _Reference(NamedTuple):
+    tau: np.ndarray
+    taubar: np.ndarray
+    Y: np.ndarray
+    columns: dict
+
+
+@functools.cache
+def _reference(e, steps, stepper=_textbook_rk4):
+    """The stepped run of ``_mixed_state(tau=0.4)`` to tau = 2.4 and its oracle
+    columns, once per (einbein, steps, stepper): the 10^4-step runs take seconds."""
+    st = _mixed_state(tau=0.4)
+    tau, taubar, Y = _stepped_integrate(st, e, 2.4, steps, stepper)
+    return _Reference(tau, taubar, Y, _derived_columns(Y, st.space.signs))
+
+
+U = np.finfo(float).eps / 2         # unit roundoff
+
+
+def _column_bounds(state0, e, tau_end, ref):
+    """Float64 bounds, row by row, on the gap between ``integrate``'s columns and
+    the oracle columns of the stepped reference ``ref`` of the same run.
+
+    Both take the same RK4 steps of dc/dtau = e(tau) K, in different orders:
+    the reference adds each step's four stage slopes, each e K formed anew, to
+    its c rows y; integrate sums the scalar weights w_i = (h/6)(e1 + 4 e2 + e4)
+    into W and evaluates its columns as polynomials in W.  To first order in
+    the unit roundoff u, with |.| the largest modulus of an array's entries and
+    kappa the largest entry of K's envelope |grad_p| |DP_DOWN| |d*| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.5; complex
+    inner products of n terms within sqrt(2) (n + 2) u, Lemma 3.5 and
+    sec. 3.6), the two runs' c rows after k steps differ by at most
+
+        delta_k = u (sum_{i <= k} (|y_i| + W_i kappa) + 44 W_k kappa):
+
+    one rounding per step in the reference's row sum and in integrate's running
+    W; at most 24 roundings of w_i kappa per reference increment (the slope's
+    products, the stage sum and h/6) and 20 in integrate's K and weights, whose
+    sums over the steps are W_k kappa.  Each column is bilinear in the rows: x
+    in c and conj(c), J and the trace tr bullet(c, d*) behind j and mu in c and
+    d*.  A row gap delta_k moves them by at most 2 delta_k times the largest
+    row sum n1 of the envelope M_k = max(|y_k|, |c0| + W_k |K|) (x) or of |d*|
+    (J and the trace); each side's own products of G generator terms, with
+    their sums, add at most (3 G + 15) u n1 |M_k| (x) and (6 G + 16) u |M_k| n1
+    (J and the trace).  taubar sums 2 m w_i times mu at the step's stages,
+    whose gap is half the trace's at the stage rows (within 2 u and h max(e)
+    kappa of the step's envelope), plus 12 roundings of its magnitude and one
+    add per step on each side.  p reads the fixed d* rows alone on both sides.
+    """
+    G = state0.space.size
+    Y0 = state0.packed()
+    c0, D = Y0[:2], Y0[2:]
+    h = (tau_end - state0.tau) / (len(ref.tau) - 1)
+    t = ref.tau[:-1]
+    e1, e2, e4 = (e.values(t + s) for s in (0.0, 0.5 * h, h))
+    w = (h / 6.0) * (e1 + 4 * e2 + e4)
+    W = np.concatenate(([0.0], np.cumsum(w)))
+    grad_p = 2.0 * (ETA @ state0.p_vec())
+    K_env = np.einsum("m,mab->ab", np.abs(grad_p), np.abs(DP_DOWN)) @ np.abs(D)
+    kappa = K_env.max()
+    c_rows = np.abs(ref.Y[:, :2])
+    ny = c_rows.max(axis=(1, 2))
+    delta = U * (np.cumsum(ny) - ny[0] + np.cumsum(W * kappa) + 44 * W * kappa)
+    M = np.maximum(c_rows, np.abs(c0) + W[:, None, None] * K_env)
+    n1M, mM = M.sum(axis=2).max(axis=1), M.max(axis=(1, 2))
+    n1D = np.abs(D).sum(axis=1).max()
+    trace = 2 * delta * n1D + (6 * G + 16) * U * mM * n1D
+    stage = np.maximum(mM[:-1], mM[1:]) + h * np.maximum(np.maximum(e1, e2), e4) * kappa
+    d_mu = (delta[1:] + 2 * U * stage) * n1D + 0.5 * (6 * G + 16) * U * stage * n1D
+    per_step = (2 * state0.mass * w * (d_mu + 12 * U * stage * n1D)
+                + 2 * U * np.abs(ref.taubar[1:]))
+    return {"x": 2 * delta * n1M + (3 * G + 15) * U * n1M * mM,
+            "p": np.full(len(W), (3 * G + 15) * U * n1D * np.abs(D).max()),
+            "J": trace, "j": 2 * trace, "mu": 0.5 * trace,
+            "taubar": np.concatenate(([0.0], np.cumsum(per_step)))}
+
+
+def _worst_ratio(column, ref_column, bound):
+    """The largest ratio of a row's gap, its largest modulus, to the row's bound."""
+    gap = np.abs(column - ref_column).reshape(len(bound), -1).max(axis=1)
+    return float(np.max(np.divide(gap, bound, out=np.where(gap > 0, np.inf, 0.0),
+                                  where=bound > 0)))
+
+
+def _bound_ratios(e, steps, stepper=_textbook_rk4):
+    """The worst ratio of each column of integrate's run to its bound against
+    the cached reference of this stepper."""
+    st = _mixed_state(tau=0.4)
+    traj = integrate(st, e, 2.4, steps)
+    ref = _reference(e, steps, stepper)
+    assert np.array_equal(traj.tau, ref.tau)
+    bounds = _column_bounds(st, e, 2.4, ref)
+    columns = {"taubar": ref.taubar, **ref.columns}
+    return {name: _worst_ratio(getattr(traj, name), column, bounds[name])
+            for name, column in columns.items()}
+
+
 # 2 * _COLUMN_BLOCK + 1 carries a row across two block boundaries; 1023-1025
 # straddle a later one (the blocks of 256 steps end at 1024)
 @pytest.mark.parametrize("steps", [1, 7, _COLUMN_BLOCK - 1, _COLUMN_BLOCK, _COLUMN_BLOCK + 1,
@@ -351,14 +470,22 @@ def _mixed_state(tau=0.0):
 @pytest.mark.parametrize("e", [constant_einbein(0.5), linear_einbein(0.6, 0.3)],
                          ids=["const", "linear"])
 def test_integrate_matches_stepped_rk4_bit_for_bit(e, steps):
-    st = _mixed_state(tau=0.4)
-    traj = integrate(st, e, 2.4, steps)
-    tau, taubar, Y = _stepped_integrate(st, e, 2.4, steps)
-    assert np.array_equal(traj.tau, tau)
-    assert np.array_equal(traj.taubar, taubar)
-    assert np.array_equal(_flow_rows(st, e, 2.4, steps), Y)
-    for name, column in zip(("x", "p", "J", "j", "mu"), _derived_columns(Y, st.space.signs)):
-        assert np.array_equal(getattr(traj, name), column), name
+    # the name is kept for its test ids; since integrate takes the run in
+    # closed form, every column of every row stays within its derived bound of
+    # the stepped reference, and tau is still equal bit for bit
+    ratios = _bound_ratios(e, steps)
+    assert max(ratios.values()) <= 1.0, ratios
+
+
+@pytest.mark.parametrize("steps", [7, 257])
+@pytest.mark.parametrize("stepper,column", [(_SIMPSON_WEIGHTS, "taubar"), (_EARLY_MIDDLE, "x")],
+                         ids=["simpson-weights", "early-middle-stages"])
+def test_integrate_bound_rejects_a_wrong_reference(stepper, column, steps):
+    # for this linear einbein Simpson's weights take the same c rows, but
+    # taubar's rate is quadratic in tau, where they are not exact; middle
+    # stages at the step's start move the c rows themselves
+    ratios = _bound_ratios(linear_einbein(0.6, 0.3), steps, stepper)
+    assert ratios[column] > 1e6, ratios
 
 
 def _raised(fn, *args):
@@ -414,7 +541,7 @@ def test_constraint_drift_matches_per_state_shell():
         np.concatenate([getattr(r, col) for r in runs])
         for col in ("tau", "taubar", "x", "p", "J", "j", "mu")))
     shell = np.array([ParticleState(Y, st.space, MASS, st.tau).mass_shell()
-                      for st in starts for Y in _flow_rows(st, e, 0.1, 1)])
+                      for st in starts for Y in _stepped_integrate(st, e, 0.1, 1)[2]])
     drift = np.abs(shell - shell[0]).max()
     assert drift > 0.1
     assert traj.constraint_drift() == drift

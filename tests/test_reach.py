@@ -13,7 +13,6 @@ import importlib
 import importlib.util
 import inspect
 import json
-import os
 import pkgutil
 import sys
 from pathlib import Path
@@ -56,8 +55,6 @@ KEPT = {
     "current_algebra._pairing_table": IMPORT,
     "current_algebra._jj_pattern_constants": IMPORT,
     "current_algebra._poincare_constants": IMPORT,
-    "acceptance._fork": "verify-all's forked lane; the hook runs the serial lane instead, "
-                        "since a forked child's calls never reach it",
     "cli._json_dumps.<locals>.default": "JSON for numpy scalars and complex values, such as "
                                         "a complex closure_constant in a FAIL row's details",
     "errors.VerificationError.__init__": "raised only when a check fails; tests raise it "
@@ -122,15 +119,13 @@ def _write_inputs(work: Path) -> None:
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname (3.11+)")
-def test_every_function_is_reached_or_kept(tmp_path, monkeypatch, capsys):
+def test_every_function_is_reached_or_kept(tmp_path, capsys):
     _write_inputs(tmp_path)
     # a cached function's body runs only on a miss, so earlier tests' hits are cleared
     for module in MODULES:
         for obj in vars(importlib.import_module(module)).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
-    # without os.fork, run_all runs all eight criteria in this process, where the hook sees them
-    monkeypatch.delattr(os, "fork", raising=False)
     calls = set()
 
     def record(frame, event, arg):
