@@ -18,15 +18,16 @@ derivative) moves between pictures: Gamma = 0 is the Heisenberg picture,
 Gamma = -H/hbar freezes X and P and pushes all evolution into the state
 vector, so ``evolve_state`` takes that constant Gamma as a matrix.  Every
 flow takes fixed RK4 steps to tau_end and returns only its state there,
-``(X, P)`` for the matrix flows.  The Heisenberg flow and the
-Schrodinger-gauge flow, frozen under the constant gauge -H(P0)/hbar of its
-initial momentum, keep H = H(P0) fixed and are stepped in its eigenbasis,
-where every commutator they take is elementwise, and so is the state that
-gauge moves: each entry has a constant rate, and each RK4 step is exactly
-a multiply by RK4's step polynomial R, taken as Y + Y (R - 1)
-(``_polynomial_end``).  The other flows step ``particle.rk4``;
-``covariant_evolve``, whose connection need not commute with H, steps the
-matrices themselves.
+``(X, P)`` for the matrix flows.  RK4 is exact on the classical flow, which
+is affine in tau: its end state is taken in closed form.  The Heisenberg flow
+and the Schrodinger-gauge flow, frozen under the constant gauge -H(P0)/hbar
+of its initial momentum, keep H = H(P0) fixed and are stepped in its
+eigenbasis, where every commutator they take is elementwise, and so is the
+state that gauge moves: each entry has a constant rate, and each RK4 step is
+exactly a multiply by RK4's step polynomial R, taken as Y + Y (R - 1)
+(``_polynomial_end``).  Only ``covariant_evolve``, whose connection need not
+commute with H, and ``evolve_state`` step ``particle.rk4``; no command runs
+either.
 """
 
 from __future__ import annotations
@@ -151,32 +152,39 @@ def _rotate(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_end(Y0, rhs, tau_end: float, steps: int) -> np.ndarray:
-    """The RK4 state at tau_end of dY/dtau = ``rhs(tau, Y, out)`` from Y0 at tau = 0.
-
-    A NaN or Inf entry stays non-finite, so the end state decides, and only a
-    failed run is stepped again to name its first bad step in an ArithmeticError.
-    """
-    steps = step_count(steps)
-    h = tau_end / steps
-    for Y in rk4(rhs, Y0, 0.0, h, steps):
+def _end_state(run) -> np.ndarray:
+    """The last of the states ``run()`` yields, one per step.  A NaN or Inf entry
+    stays non-finite, so the end state decides, and only a failed run is run
+    again to name its first bad step in an ArithmeticError."""
+    for Y in run():
         pass
     if not np.isfinite(Y).all():
-        bad = next(k for k, Y in enumerate(rk4(rhs, Y0, 0.0, h, steps)) if not np.isfinite(Y).all())
+        bad = next(k for k, Y in enumerate(run()) if not np.isfinite(Y).all())
         raise ArithmeticError(f"matrix flow produced non-finite values at step {bad}")
     return Y
 
 
+def _rk4_end(Y0, rhs, tau_end: float, steps: int) -> np.ndarray:
+    """The RK4 state at tau_end of dY/dtau = ``rhs(tau, Y, out)`` from Y0 at tau = 0."""
+    steps = step_count(steps)
+    return _end_state(lambda: rk4(rhs, Y0, 0.0, tau_end / steps, steps))
+
+
 def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
     """Proper-time flow dX^mu = P^mu/m, dP = 0 of Tr H with H = (P.P - m^2 1)/(2m);
-    the (4, N, N) stacks ``(X, P)`` at tau_end."""
-    m = sys.mass
+    the (4, N, N) stacks ``(X, P)`` at tau_end.
 
-    def rhs(t, Y, dY):
-        dY[...] = 0
-        dY[0] = np.einsum("mn,nij->mij", ETA, Y[1]) / m     # P^mu / m
-
-    return tuple(_rk4_end(np.stack((sys.x_matrices(), sys.p_matrices())), rhs, tau_end, steps))
+    RK4 is exact here: k steps of h = tau_end/steps take X to X0 + (k h) P^mu/m,
+    whose modulus is convex in k, so only a non-finite end is stepped through.
+    """
+    steps = step_count(steps)
+    h = tau_end / steps
+    X0, P = sys.x_matrices(), sys.p_matrices()
+    V = np.einsum("mn,nij->mij", ETA, P) / sys.mass     # P^mu / m, non-finite where P is
+    X = X0 + (steps * h) * V
+    if not np.isfinite(X).all():        # raises, naming the first non-finite step
+        _end_state(lambda: (X0 + (k * h) * V for k in range(1, steps + 1)))
+    return X, P
 
 
 def _free_hamiltonian(P: np.ndarray, mass: float) -> np.ndarray:
@@ -305,20 +313,12 @@ def _polynomial_end(Y0, rates, tau_end: float, steps: int) -> np.ndarray:
     Y <- Y + Y D, with no stage.  The 1 stays exact: a multiply by R itself
     would repeat R's own rounding at every step, an error that grows with the
     step count, where the increment's rounding is relative to |Y D| only.
-    RK4's stages form slopes 1/h times the step's size, so they can overflow a
-    step before this form does; a run that ends non-finite is stepped again in
-    that stage form by :func:`_rk4_end`, which names its first bad step (or,
-    should the stages all stay finite, returns their end state).
+    A failed run is stepped again to name its first non-finite step (:func:`_end_state`).
     """
     steps = step_count(steps)
     z = (tau_end / steps) * rates
     D = z * (1 + z * (0.5 + z * (1 / 6 + z / 24)))
-    Y = np.array(Y0, dtype=complex)
-    for Y in _polynomial_steps(Y, D, steps):
-        pass
-    if np.isfinite(Y).all():
-        return Y
-    return _rk4_end(Y0, lambda t, Y, dY: np.multiply(Y, rates, out=dY), tau_end, steps)
+    return _end_state(lambda: _polynomial_steps(np.array(Y0, dtype=complex), D, steps))
 
 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -356,12 +356,12 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
     Returns ``((X, P) heisenberg, (X, P) frozen)`` at taubar = tau_end, and
     then, if ``state`` is given, that state evolved by (d/dtau - i Gamma) s = 0.
-    Every system is stepped in the eigenbasis of H(P0), one multiply and one
-    add a step (:func:`_eigenbasis_flows`, :func:`_polynomial_end`): the Heisenberg pair
-    equals :func:`evolve_heisenberg` bit for bit; the frozen pair steps under
-    the constant gauge Gamma = -H(P0)/hbar of its initial momentum, which
-    agrees with :func:`covariant_evolve` under :func:`schrodinger_gauge` up to
-    rounding, and so does the state with :func:`evolve_state` under that Gamma.
+    Every system is stepped in the eigenbasis of H(P0), and a failed run names
+    that loop's first non-finite step (:func:`_eigenbasis_flows`, :func:`_polynomial_end`).
+    The Heisenberg pair equals :func:`evolve_heisenberg` bit for bit; the frozen
+    pair, under the gauge -H(P0)/hbar of its initial momentum, agrees up to rounding
+    with the stage-form :func:`covariant_evolve` under :func:`schrodinger_gauge`, and
+    so does the state with the stage-form :func:`evolve_state` under that Gamma.
     """
     Y0, rates, unpack = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_pictures",
                                           lambda E: E * (-1.0 / hbar), state)

@@ -302,6 +302,19 @@ def test_picture_equivalence_stationarity_fails_on_a_wrong_gauge(monkeypatch):
     assert result.details["stationarity"] > DEFAULT.stationarity
 
 
+def test_un_covariance_fails_when_the_bras_turn_by_u(monkeypatch):
+    # P moves by the similarity U P U^dagger only if the bras turn by U*; turned
+    # by U, the flows' X no longer commute with the gauge transformation
+    def bras_by_u(sys, U):
+        return matrixmech.NSystem(sys.space, matrixmech._rotate(sys.kets, U),
+                                  matrixmech._rotate(sys.bras, U), sys.mass)
+
+    monkeypatch.setattr(matrixmech, "gauge_transform", bras_by_u)
+    result = un_covariance(11)
+    assert result.line().startswith("[FAIL]")
+    assert result.details["evolve_gauge_commutator"] > 1e6 * DEFAULT.unitary_covariance
+
+
 def test_picture_equivalence_takes_every_step(monkeypatch):
     # the criterion's 2000 steps are 2000 steps of the flow's loop: neither a
     # closed form such as R ** 2000 nor a shortened loop passes

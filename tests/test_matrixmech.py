@@ -26,6 +26,7 @@ from cliffdyn.matrixmech import (
 from cliffdyn.particle import ParticleState, constant_einbein, integrate, rk4
 from cliffdyn.sampling import random_hermitian, random_unitary
 from cliffdyn.spinors import ETA, covec_to_spinor_down, vec_to_spinor
+from reference_rk4 import textbook_rk4
 
 MASS = 1.0
 
@@ -153,13 +154,76 @@ def test_gauge_transform_rejects_nan_unitary():
 
 # -- classical evolution ---------------------------------------------------------
 
-def test_classical_flow_affine_in_taubar():
+U = np.finfo(float).eps / 2         # unit roundoff
+
+
+def _eta_slope(P):
+    """The classical flow's slope eta P/m, as the flow forms it."""
+    return np.einsum("mn,nij->mij", ETA, P) / MASS
+
+
+def _classical_gap_ratio(system, tau_end, steps, slope):
+    """The worst ratio of the gap between evolve_matrix_classical's X and the
+    reference X0 + tau_end ``slope(P0)``, over the real and imaginary parts of
+    every entry, to its rounding bound.
+
+    Both sides form x0 + t v part by part, with v = eta P/m: numpy divides a
+    complex array by m through 1/m, two roundings; the einsum with eta's
+    entries 0 and +-1 is exact.  The flow rounds v twice, its t = steps
+    (tau_end/steps) twice, and the product and the sum once each; the
+    reference rounds v twice, t v and the sum once each.  To first order in
+    the unit roundoff u the two differ by at most u (2 |x0| + 10 |t v|); one
+    more u |t v| covers the second-order terms.
+    """
+    X0, P0 = system.x_matrices(), system.p_matrices()
+    X, P = evolve_matrix_classical(system, tau_end, steps)
+    assert np.array_equal(P, P0)
+    tv = _eta_slope(P0) * tau_end
+    gap = np.abs((X - (X0 + slope(P0) * tau_end)).view(float))
+    bound = U * (2 * np.abs(X0.view(float)) + 11 * np.abs(tv.view(float)))
+    return float(np.max(np.divide(gap, bound, out=np.where(gap > 0, np.inf, 0.0),
+                                  where=bound > 0)))
+
+
+def _rotated_system(seed=9):
+    """The three-particle system under a random U(3): dense complex X and P."""
     sys3, _ = _system(n=3)
-    X_end, P_end = evolve_matrix_classical(sys3, 1.5, 300)
-    X, P = sys3.x_matrices(), sys3.p_matrices()
-    pred = X + np.einsum("mn,nij->mij", ETA, P) / MASS * 1.5
-    assert np.abs(X_end - pred).max() < 1e-9
-    assert np.abs(P_end - P).max() == 0.0
+    return gauge_transform(sys3, random_unitary(np.random.default_rng(seed), 3))
+
+
+def test_classical_flow_affine_in_taubar():
+    # at 0.1 / 11 and -2.9 / 300, steps (tau_end/steps) is not tau_end; the
+    # worst ratio reads about 0.6 there, and 0 where both sides round alike
+    for system in (_system(n=3)[0], _rotated_system()):
+        for tau_end, steps in ((1.5, 300), (0.1, 11), (-2.9, 300)):
+            assert _classical_gap_ratio(system, tau_end, steps, _eta_slope) <= 1.0
+
+
+@pytest.mark.parametrize("slope", [lambda P: P / MASS, lambda P: _eta_slope(P) / 2],
+                         ids=["eta-dropped", "half-rate"])
+def test_classical_flow_bound_rejects_a_wrong_slope(slope):
+    assert _classical_gap_ratio(_rotated_system(), 1.5, 300, slope) > 1e6
+
+
+def test_classical_flow_names_the_first_non_finite_step():
+    sys3, _ = _system(n=3)
+    bras = sys3.bras.copy()
+    bras[0, 1, np.flatnonzero(bras[0, 1])[0]] = np.nan
+    poisoned = matrixmech.NSystem(sys3.space, sys3.kets, bras, MASS)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="at step 0$"):
+            evolve_matrix_classical(poisoned, 1.0, 10)
+    # bras scaled by 1e153 give |P| ~ 1e306: X crosses the float limit part-way
+    # through 400 unit steps, while RK4's stage sum, 6 |P|/m, stays finite
+    heavy = matrixmech.NSystem(sys3.space, sys3.kets, 1e153 * sys3.bras, MASS)
+    X0, P0 = heavy.x_matrices(), heavy.p_matrices()
+    V = _eta_slope(P0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.stack(list(textbook_rk4(lambda t, X: V, X0, 0.0, 1.0, 400)))
+        first = int(np.argmin(np.isfinite(rows).reshape(400, -1).all(axis=1)))
+        assert 0 < first < 399
+        with pytest.raises(ArithmeticError, match=f"at step {first}$"):
+            evolve_matrix_classical(heavy, 400.0, 400)
 
 
 def test_classical_eigenvalues_are_particle_trajectories():
@@ -260,22 +324,6 @@ def test_schrodinger_gauge_freezes_matrices():
     assert np.abs(P - P0).max() < 1e-9
 
 
-def _textbook_rk4(f, y, h, steps):
-    """Reference RK4 for dy/dt = f(t, y) from t = 0, written out with a new
-    array per operation, independent of the package's buffered integrator;
-    returns the (steps + 1, ...) run."""
-    rows = [y]
-    for k in range(steps):
-        t = k * h
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rows.append(y)
-    return np.stack(rows)
-
-
 def _commutator_slope(hbar, gamma=None):
     """Reference slope (t, Y) -> dY of one pair Y = (X, P): i[G, Y] + [Y, H]/(i hbar)
     for both X and P, each commutator from two products, with G = ``gamma(t, X, P)``
@@ -303,11 +351,9 @@ def _frozen_gauge(hbar):
 def _stepped_commutator_flow(X0, P0, hbar, gamma, tau_end, steps):
     """Reference: one system's flow, RK4 on the (2, N, N) pair with its own H per
     stage.  Returns the (steps + 1, 2, N, N) run."""
-    return _textbook_rk4(_commutator_slope(hbar, gamma), np.stack((X0, P0)).astype(complex),
-                         tau_end / steps, steps)
-
-
-U = np.finfo(float).eps / 2         # unit roundoff
+    Y0 = np.stack((X0, P0)).astype(complex)
+    return np.stack([Y0, *textbook_rk4(_commutator_slope(hbar, gamma), Y0, 0.0,
+                                       tau_end / steps, steps)])
 
 
 def _step_bound(ends, hbar, connections, h):
@@ -376,7 +422,7 @@ _BLOCK = 200        # steps whose references are taken at once: a stage array of
 
 
 def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
-    """``run()`` with every RK4 step of its flow set against one :func:`_textbook_rk4`
+    """``run()`` with every RK4 step of its flow set against one :func:`textbook_rk4`
     step from the same state, system by system: (its result, the ratio of each
     step's gap to :func:`_step_bound`, step by step and system by system).
 
@@ -412,7 +458,7 @@ def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
         columns = []
         for Y, gamma, slope in zip(map(np.stack, zip(*block)), gammas, references):
             Y0, Y1 = Y[:-1], Y[1:]
-            ref = _textbook_rk4(lambda s, Z: slope(t + s, Z), Y0, h, 1)[-1]
+            ref = next(textbook_rk4(slope, Y0, t, h, 1))
             connections = [] if gamma is None else \
                 [gamma(t + s, Z[:, 0], Z[:, 1]) for s in (0.0, 0.5 * h, h) for Z in (Y0, Y1)]
             gaps = np.linalg.norm((Y1 - ref).reshape(len(Y0), -1), axis=1)
@@ -593,7 +639,7 @@ def test_flow_rhs_allocates_nothing_per_stage(monkeypatch, flow):
     stages, loops, polynomial_steps = [], [], matrixmech._polynomial_steps
     monkeypatch.setattr(matrixmech, "_rk4_end", lambda Y0, rhs, *_: stages.append((Y0, rhs)) or Y0)
     monkeypatch.setattr(matrixmech, "_polynomial_steps",
-                        lambda Y, D, steps: loops.append(polynomial_steps(Y, D, 9)) or iter(()))
+                        lambda Y, D, steps: loops.append(polynomial_steps(Y, D, 9)) or iter((Y,)))
     {"evolve_heisenberg": lambda: evolve_heisenberg(X0, P0, 1.0, MASS, 0.8, 10),
      "evolve_pictures": lambda: evolve_pictures(X0, P0, 1.0, MASS, 0.8, 10, s0[:20]),
      "evolve_state": lambda: evolve_state(s0, gauge, 0.8, 10),
@@ -719,35 +765,52 @@ def test_step_counts_must_be_positive_integers(entry, steps):
     run(np.int64(2))        # a numpy integer is a step count
 
 
+def _first_overflow_step(X0, P0, hbar, tau_end, steps):
+    """Reference: the first step at which the Heisenberg X~ = V^dagger X0 V, in
+    the eigenbasis of H(P0) from numpy's eigh, turns non-finite in an
+    allocating loop Y <- Y R(h lambda), with lambda_ij = (E_j - E_i)/(i hbar)
+    and R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; None if it stays finite."""
+    E, V = np.linalg.eigh((P0 @ P0 - MASS ** 2 * np.eye(len(P0))) / (2.0 * MASS))
+    z = (tau_end / steps) * (E[None, :] - E[:, None]) / (1j * hbar)
+    R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    Y = V.conj().T @ X0 @ V
+    for k in range(steps):
+        Y = Y * R
+        if not np.isfinite(Y).all():
+            return k
+    return None
+
+
 def test_matrix_flow_names_the_first_non_finite_step():
     X0, P0 = truncated_oscillator(8)
     # h |lambda| = 100 lies far outside RK4's stability interval: each step
     # multiplies the state by |R(100 i)| ~ 4e6 until it overflows part-way
     gamma, s0 = np.diag([1e4, -1e4]), np.array([0.6, 0.8j])
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = _textbook_rk4(lambda t, v: 1j * (gamma @ v), s0, 0.01, 100)
-        first = int(np.argmin(np.isfinite(ref[1:]).all(axis=1)))
+        ref = np.stack(list(textbook_rk4(lambda t, v: 1j * (gamma @ v), s0, 0.0, 0.01, 100)))
+        first = int(np.argmin(np.isfinite(ref).all(axis=1)))
         assert 0 < first < 99
         with pytest.raises(ArithmeticError, match=f"at step {first}$"):
             evolve_state(s0, gamma, 1.0, 100)
         with pytest.raises(ArithmeticError, match="at step 0$"):
             evolve_heisenberg(1e200 * X0, 1e200 * P0, 1.0, MASS, 0.5, 100)
-        # RK4 is unstable at h |w_i - w_j| this large: X overflows part-way
-        ref = _stepped_commutator_flow(X0, 30 * P0, 1.0, None, 0.5, 100)
-        first = int(np.argmin(np.isfinite(ref[1:]).reshape(100, -1).all(axis=1)))
+        # RK4 is unstable at h |w_i - w_j| this large: X overflows part-way.  The
+        # flow multiplies by R itself, so its step is the step-polynomial loop's
+        # (82), not that of RK4's stage form, whose stages overflow a step sooner
+        first = _first_overflow_step(X0, 30 * P0, 1.0, 0.5, 100)
         assert 0 < first < 99
         with pytest.raises(ArithmeticError, match=f"at step {first}$"):
             evolve_heisenberg(X0, 30 * P0, 1.0, MASS, 0.5, 100)
 
 
 def test_evolve_pictures_names_the_first_non_finite_step():
-    # no rows are stored, so a failed run is stepped again to find the step
+    # no rows are stored, so a failed run is stepped again to find the step; the
+    # frozen systems' rates cancel to rounding, so the Heisenberg X~ fails first
     X0, P0 = truncated_oscillator(8)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match="at step 0$"):
             evolve_pictures(1e200 * X0, 1e200 * P0, 1.0, MASS, 0.5, 100)
-        ref = _stepped_commutator_flow(X0, 30 * P0, 1.0, None, 0.5, 100)
-        first = int(np.argmin(np.isfinite(ref[1:]).reshape(100, -1).all(axis=1)))
+        first = _first_overflow_step(X0, 30 * P0, 1.0, 0.5, 100)
         assert 0 < first < 99
         with pytest.raises(ArithmeticError, match=f"at step {first}$"):
             evolve_pictures(X0, 30 * P0, 1.0, MASS, 0.5, 100)

@@ -37,6 +37,7 @@ from cliffdyn.particle import (
 )
 from cliffdyn.spinors import (DP_DOWN, EPS_LO, ETA, eta_flip, flip_both, minkowski_dot,
                               spinor_down_to_covec, spinor_to_vec, vec_to_spinor)
+from reference_rk4 import textbook_rk4
 
 MASS = 1.3
 
@@ -262,22 +263,8 @@ def _derived_columns(Y: np.ndarray, signs: np.ndarray) -> dict[str, np.ndarray]:
             "J": J, "j": (1j * (trace_cd - np.conj(trace_cd))).real, "mu": 0.5 * trace_cd.real}
 
 
-def _textbook_rk4(f, y, t0, h, steps):
-    """Reference RK4 for dy/dt = f(t, y), written out with a new array per
-    operation, independent of the package's buffered :func:`rk4`; yields y
-    after each step."""
-    for k in range(steps):
-        t = t0 + k * h
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        yield y
-
-
 def _wrong_rk4(f, y, t0, h, steps, weights=(1, 2, 2, 1), half=0.5):
-    """A wrong reference: :func:`_textbook_rk4` with other stage ``weights``
+    """A wrong reference: :func:`textbook_rk4` with other stage ``weights``
     or with its two middle stages at t + ``half`` h."""
     w1, w2, w3, w4 = weights
     for k in range(steps):
@@ -296,10 +283,10 @@ _SIMPSON_WEIGHTS = functools.partial(_wrong_rk4, weights=(1, 1, 1, 1))
 _EARLY_MIDDLE = functools.partial(_wrong_rk4, half=0.0)
 
 
-def _stepped_integrate(state0, e, tau_end, steps, stepper=_textbook_rk4):
+def _stepped_integrate(state0, e, tau_end, steps, stepper=textbook_rk4):
     """Reference: the free flow stepped by RK4 on its full flow state.
 
-    One step of ``stepper``, by default :func:`_textbook_rk4`, at a time on
+    One step of ``stepper``, by default :func:`textbook_rk4`, at a time on
     the flow state (c rows plus a taubar column), each stage calling the
     einbein once; returns (tau, taubar, Y).
     """
@@ -348,8 +335,8 @@ def test_rk4_matches_the_allocating_loop_bit_for_bit():
     h, steps = 0.05, 40
     # the negation leaves slopes with a real -0.0 beside a negative imaginary
     # part, where 2 k and k + k differ in the sign of zero
-    expected = list(_textbook_rk4(lambda t, y: -(np.cos(t) * (M @ y) + 0.5j * y),
-                                  y0, 0.3, h, steps))
+    expected = list(textbook_rk4(lambda t, y: -(np.cos(t) * (M @ y) + 0.5j * y),
+                                 y0, 0.3, h, steps))
     before = y0.copy()
     stepped = rk4(lambda t, y, out: np.negative(np.cos(t) * (M @ y) + 0.5j * y, out=out),
                   y0, 0.3, h, steps)
@@ -374,7 +361,7 @@ class _Reference(NamedTuple):
 
 
 @functools.cache
-def _reference(e, steps, stepper=_textbook_rk4):
+def _reference(e, steps, stepper=textbook_rk4):
     """The stepped run of ``_mixed_state(tau=0.4)`` to tau = 2.4 and its oracle
     columns, once per (einbein, steps, stepper): the 10^4-step runs take seconds."""
     st = _mixed_state(tau=0.4)
@@ -450,7 +437,7 @@ def _worst_ratio(column, ref_column, bound):
                                   where=bound > 0)))
 
 
-def _bound_ratios(e, steps, stepper=_textbook_rk4):
+def _bound_ratios(e, steps, stepper=textbook_rk4):
     """The worst ratio of each column of integrate's run to its bound against
     the cached reference of this stepper."""
     st = _mixed_state(tau=0.4)

@@ -43,6 +43,8 @@ PAPER = "paper identity: a test checks the paper's formula with it"
 EDGE = "the GeneratorSpace public edge: its signature and block accessors"
 IMPORT = "runs at import, before the hook is set"
 BENCH = "the benchmark's workloads write their input files with it"
+STAGES = ("the stage-form RK4 of covariant_evolve and evolve_state, which the benchmark "
+          "traces; it leaves the package with them")
 COVARIANT = ("the matrix path of covariant_evolve, which the benchmark traces: a connection "
              "that need not commute with H cannot be stepped in H's eigenbasis")
 
@@ -82,6 +84,8 @@ KEPT = {
     "matrixmech._commutator_flows.<locals>.rhs": COVARIANT,
     "matrixmech.evolve_state.<locals>.rhs": "the stage of evolve_state, which the benchmark "
                                             "traces: RK4 under a constant connection matrix",
+    "particle.rk4": STAGES,
+    "matrixmech._rk4_end": STAGES,
 }
 
 
