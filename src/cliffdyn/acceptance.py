@@ -207,12 +207,13 @@ def un_covariance(seed: int, tols: Tolerances = DEFAULT) -> Iterator[Gate]:
         states.append(particle.ParticleState(np.concatenate((C, D)), space, mass))
     sys0 = matrixmech.assemble(states)
     U = random_unitary(rng, n)
-    Xa, _ = matrixmech.evolve_matrix_classical(matrixmech.gauge_transform(sys0, U), 1.0, 200)
+    sys_u = matrixmech.gauge_transform(sys0, U)
+    Xa, _ = matrixmech.evolve_matrix_classical(sys_u, 1.0, 200)
     Xb, _ = matrixmech.evolve_matrix_classical(sys0, 1.0, 200)
     rotated = U @ Xb @ U.conj().T
     yield Gate("evolve_gauge_commutator", float(np.abs(Xa - rotated).max()),
                "unitary_covariance")
-    CD = matrixmech.gauge_transform(sys0, U).constraint_matrix()
+    CD = sys_u.constraint_matrix()
     target = mu * np.einsum("ab,ij->abij", np.eye(2), np.eye(n))
     yield Gate("constraint_invariance", float(np.abs(CD - target).max()), "constraint_invariance")
 

@@ -19,15 +19,15 @@ Gamma = -H/hbar freezes X and P and pushes all evolution into the state
 vector, so ``evolve_state`` takes that constant Gamma as a matrix.  Every
 flow takes fixed RK4 steps to tau_end and returns only its state there,
 ``(X, P)`` for the matrix flows.  RK4 is exact on the classical flow, which
-is affine in tau: its end state is taken in closed form.  The Heisenberg flow
+is affine in tau: its end state is taken in closed form.  The state under a
+constant Gamma moves at the constant rate i Gamma, and the Heisenberg flow
 and the Schrodinger-gauge flow, frozen under the constant gauge -H(P0)/hbar
-of its initial momentum, keep H = H(P0) fixed and are stepped in its
-eigenbasis, where every commutator they take is elementwise, and so is the
-state that gauge moves: each entry has a constant rate, and each RK4 step is
-exactly a multiply by RK4's step polynomial R, taken as Y + Y (R - 1)
-(``_polynomial_end``).  Only ``covariant_evolve``, whose connection need not
-commute with H, and ``evolve_state`` step ``particle.rk4``; no command runs
-either.
+of its initial momentum, keep H = H(P0) fixed: in its eigenbasis every entry
+of X, of P and of the state that gauge moves has its own constant rate.  A
+step then multiplies by RK4's step polynomial R, and the end state is one
+power of R, taken by repeated squaring (``_polynomial_end``).  Only
+``covariant_evolve``, whose connection need not commute with H, steps
+``particle.rk4``; no command runs it.
 """
 
 from __future__ import annotations
@@ -152,22 +152,14 @@ def _rotate(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _end_state(run) -> np.ndarray:
-    """The last of the states ``run()`` yields, one per step.  A NaN or Inf entry
-    stays non-finite, so the end state decides, and only a failed run is run
-    again to name its first bad step in an ArithmeticError."""
-    for Y in run():
-        pass
+def _finite_end(Y: np.ndarray, states: Callable) -> np.ndarray:
+    """Y, the end state of a flow whose steps' states ``states()`` yields, if it is
+    finite.  A NaN or Inf entry stays non-finite, so the end decides, and only a
+    non-finite end is searched for the first non-finite step, named in an ArithmeticError."""
     if not np.isfinite(Y).all():
-        bad = next(k for k, Y in enumerate(run()) if not np.isfinite(Y).all())
+        bad = next(k for k, Z in enumerate(states()) if not np.isfinite(Z).all())
         raise ArithmeticError(f"matrix flow produced non-finite values at step {bad}")
     return Y
-
-
-def _rk4_end(Y0, rhs, tau_end: float, steps: int) -> np.ndarray:
-    """The RK4 state at tau_end of dY/dtau = ``rhs(tau, Y, out)`` from Y0 at tau = 0."""
-    steps = step_count(steps)
-    return _end_state(lambda: rk4(rhs, Y0, 0.0, tau_end / steps, steps))
 
 
 def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
@@ -182,9 +174,7 @@ def evolve_matrix_classical(sys: NSystem, tau_end: float, steps: int) -> tuple[n
     X0, P = sys.x_matrices(), sys.p_matrices()
     V = np.einsum("mn,nij->mij", ETA, P) / sys.mass     # P^mu / m, non-finite where P is
     X = X0 + (steps * h) * V
-    if not np.isfinite(X).all():        # raises, naming the first non-finite step
-        _end_state(lambda: (X0 + (k * h) * V for k in range(1, steps + 1)))
-    return X, P
+    return _finite_end(X, lambda: (X0 + (k * h) * V for k in range(1, steps + 1))), P
 
 
 def _free_hamiltonian(P: np.ndarray, mass: float) -> np.ndarray:
@@ -195,14 +185,13 @@ def _free_hamiltonian(P: np.ndarray, mass: float) -> np.ndarray:
 
 def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                       gamma: Callable):
-    """``(Y0, rhs, pairs)`` for one RK4 of the Hermitian pair (X0, P0) under the
+    """``(Y0, rhs)`` for one RK4 of the Hermitian pair (X0, P0) under the
     connection ``gamma(t, X, P)``, checked Hermitian at every stage.
 
     The pair follows dX = i[Gamma, X] + [X, H]/(i hbar) and dP = i[Gamma, P].
     H = (P.P - m^2 1)/(2m) is a function of P, so [P, H] = 0 and P moves only
     under Gamma: its Hamiltonian commutator, pure rounding noise, is never
-    formed.  The state Y is the pair itself, and ``pairs(Y)`` returns
-    ``[(X, P)]``.
+    formed.  The state Y is the pair itself, stacked.
 
     X0 and P0 must be Hermitian (``validate_hermitian``, else InputError).
     X, P and H stay Hermitian, so H X = (X H)^dagger and [X, H] = A - A^dagger
@@ -223,7 +212,7 @@ def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
         dY[0] = (A - A.conj().T) * scale + iB[0]
         dY[1] = iB[1]
 
-    return np.stack((X0, P0)), rhs, lambda Y: [tuple(Y)]
+    return np.stack((X0, P0)), rhs
 
 
 def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, name: str,
@@ -297,28 +286,32 @@ def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, 
     return np.concatenate(Y0), np.concatenate(rates), unpack
 
 
-def _polynomial_steps(Y: np.ndarray, D: np.ndarray, steps: int):
-    """Add Y * D to Y in place ``steps`` times, yielding Y after each step."""
-    work = np.empty_like(Y)
-    for _ in range(steps):
-        yield np.add(Y, np.multiply(Y, D, out=work), out=Y)
+def _polynomial_power(D, k: int, mul: Callable):
+    """R^k - 1 for R = 1 + D by repeated squaring in the product ``mul``, the 1
+    kept exact: (1 + A)(1 + B) - 1 = A + B + A B rounds relative to |A B|, not
+    to 1, in each of at most 2 (k.bit_length() - 1) products."""
+    P = None
+    while True:
+        if k & 1:
+            P = D if P is None else P + D + mul(P, D)
+        k >>= 1
+        if not k:
+            return P
+        D = D + D + mul(D, D)
 
 
-def _polynomial_end(Y0, rates, tau_end: float, steps: int) -> np.ndarray:
-    """The RK4 state at tau_end of dY/dtau = ``rates`` * Y, entry by entry, from Y0 at tau = 0.
-
-    Under a constant elementwise rate one RK4 step is exactly Y <- R(h rates) Y
-    with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (Hairer, Norsett & Wanner, II.1).
-    D = R - 1 is made once and every one of the ``steps`` steps is
-    Y <- Y + Y D, with no stage.  The 1 stays exact: a multiply by R itself
-    would repeat R's own rounding at every step, an error that grows with the
-    step count, where the increment's rounding is relative to |Y D| only.
-    A failed run is stepped again to name its first non-finite step (:func:`_end_state`).
-    """
+def _polynomial_end(Y0, rate, tau_end: float, steps: int, mul=np.multiply, one=1.0):
+    """The RK4 state at tau_end of dY/dtau = ``rate`` Y from Y0 at tau = 0: ``rate``
+    holds each entry's own rate, or is a matrix, with ``mul=np.matmul`` and its
+    identity as ``one``.  One RK4 step is then exactly Y <- R(h rate) Y with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (Hairer, Norsett & Wanner, II.1), so
+    k steps give Y0 + (R^k - 1) Y0, which a non-finite end evaluates at each k
+    (:func:`_finite_end`)."""
     steps = step_count(steps)
-    z = (tau_end / steps) * rates
-    D = z * (1 + z * (0.5 + z * (1 / 6 + z / 24)))
-    return _end_state(lambda: _polynomial_steps(np.array(Y0, dtype=complex), D, steps))
+    z = (tau_end / steps) * rate
+    D = mul(z, one + mul(z, 0.5 * one + mul(z, one / 6 + z / 24)))
+    state = lambda k: Y0 + mul(_polynomial_power(D, k, mul), Y0)
+    return _finite_end(state(steps), lambda: map(state, range(1, steps + 1)))
 
 
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -346,8 +339,11 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     up to rounding; Gamma = -H/hbar cancels the commutators and freezes X and
     P (the Schrodinger picture).
     """
-    Y0, rhs, pairs = _commutator_flows(X0, P0, hbar, mass, gamma)
-    return pairs(_rk4_end(Y0, rhs, tau_end, steps))[0]
+    Y0, rhs = _commutator_flows(X0, P0, hbar, mass, gamma)
+    steps = step_count(steps)
+    run = lambda: rk4(rhs, Y0, 0.0, tau_end / steps, steps)
+    *_, Y = run()
+    return tuple(_finite_end(Y, run))
 
 
 def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -356,12 +352,11 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
     Returns ``((X, P) heisenberg, (X, P) frozen)`` at taubar = tau_end, and
     then, if ``state`` is given, that state evolved by (d/dtau - i Gamma) s = 0.
-    Every system is stepped in the eigenbasis of H(P0), and a failed run names
-    that loop's first non-finite step (:func:`_eigenbasis_flows`, :func:`_polynomial_end`).
+    Every system is taken in H(P0)'s eigenbasis as one flat state, so a failed
+    run names the first step at which any is non-finite (:func:`_polynomial_end`).
     The Heisenberg pair equals :func:`evolve_heisenberg` bit for bit; the frozen
-    pair, under the gauge -H(P0)/hbar of its initial momentum, agrees up to rounding
-    with the stage-form :func:`covariant_evolve` under :func:`schrodinger_gauge`, and
-    so does the state with the stage-form :func:`evolve_state` under that Gamma.
+    pair, under the gauge -H(P0)/hbar of its initial momentum, agrees up to
+    rounding with the stage-form :func:`covariant_evolve` under :func:`schrodinger_gauge`.
     """
     Y0, rates, unpack = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_pictures",
                                           lambda E: E * (-1.0 / hbar), state)
@@ -376,18 +371,21 @@ def schrodinger_gauge(hbar: float, mass: float):
 def expectation(s: np.ndarray, target, which: str = "X"):
     """Unitarily covariant expectation value through a state vector.
 
-    which = "X" or "P": <s|M|s> per component of an NSystem (or a bare
-    matrix / stack of matrices).  which = "C": the Clifford coordinate
-    <s| C^A as a (2, G) coefficient stack.  Any other ``which`` is an InputError.
+    which = "X" or "P": <s|M|s> per component of an NSystem or of a bare N x N
+    matrix or stack of them; "C": the Clifford coordinate <s| C^A as a (2, G)
+    coefficient stack.  Any other ``which``, or an s not of shape (N,), is an InputError.
     """
     if which not in ("X", "P", "C"):
         raise InputError(f"which must be 'X', 'P' or 'C', got {which!r}")
+    if which == "C" and not isinstance(target, NSystem):
+        raise InputError("expectation of C needs an NSystem")
     s = np.asarray(s, dtype=complex)
+    n = target.n if isinstance(target, NSystem) else np.shape(target)[-1]
+    if s.shape != (n,):
+        raise InputError(f"state must be a vector of length {n}, got shape {s.shape}")
     if not abs(s @ s.conj() - 1.0) <= DEFAULT.state_norm:
         raise InputError("state vector must have unit norm")
     if which == "C":
-        if not isinstance(target, NSystem):
-            raise InputError("expectation of C needs an NSystem")
         return _rotate(target.kets, s.conj()[None])[:, 0]
     if isinstance(target, NSystem):
         mats = target.x_matrices() if which == "X" else target.p_matrices()
@@ -399,16 +397,14 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 
 
 def evolve_state(s: np.ndarray, gamma: np.ndarray, tau_end: float, steps: int) -> np.ndarray:
-    """Integrate (d/dtau - i Gamma) |s> = 0 under the constant connection ``gamma``
-    from tau = 0 with RK4; the state at tau_end.  The norm is preserved, to the
-    integrator's order, only where Gamma is Hermitian."""
-    G = np.asarray(gamma, dtype=complex)
-
-    def rhs(t, v, out):
-        np.matmul(G, v, out=out)
-        np.multiply(1j, out, out=out)
-
-    return _rk4_end(s, rhs, tau_end, steps)
+    """Integrate (d/dtau - i Gamma) |s> = 0 under a constant n x n connection ``gamma``
+    from tau = 0 with RK4 (:func:`_polynomial_end`); the n-vector s at tau_end.  The
+    norm is preserved, to the integrator's order, only where Gamma is Hermitian."""
+    s, G = np.asarray(s, dtype=complex), np.asarray(gamma, dtype=complex)
+    if s.ndim != 1 or G.shape != (len(s), len(s)):
+        raise InputError(f"gamma must be n x n for a state vector of length n, "
+                         f"got shapes {G.shape} and {s.shape}")
+    return _polynomial_end(s, 1j * G, tau_end, steps, np.matmul, np.eye(len(s)))
 
 
 def truncated_oscillator(nlev: int, mass: float = 1.0, omega: float = 1.0,

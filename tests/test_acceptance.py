@@ -316,18 +316,17 @@ def test_un_covariance_fails_when_the_bras_turn_by_u(monkeypatch):
 
 
 def test_picture_equivalence_takes_every_step(monkeypatch):
-    # the criterion's 2000 steps are 2000 steps of the flow's loop: neither a
-    # closed form such as R ** 2000 nor a shortened loop passes
-    polynomial_steps, taken = matrixmech._polynomial_steps, []
+    # the criterion's 2000 steps reach the closed form R^2000 - 1: a run that
+    # took fewer, longer steps fails here, though its gates could still pass
+    power, taken = matrixmech._polynomial_power, []
 
-    def counted(Y, D, steps):
-        for Y in polynomial_steps(Y, D, steps):
-            taken.append(None)
-            yield Y
+    def counted(D, k, mul):
+        taken.append(k)
+        return power(D, k, mul)
 
-    monkeypatch.setattr(matrixmech, "_polynomial_steps", counted)
+    monkeypatch.setattr(matrixmech, "_polynomial_power", counted)
     assert picture_equivalence(11).passed
-    assert len(taken) == 2000
+    assert taken == [2000]
 
 
 def test_stacked_criteria_take_every_item(monkeypatch):

@@ -1,13 +1,15 @@
 """N-particle assembly, gauge covariance, and quantum matrix evolution."""
 
 import functools
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cliffdyn import matrixmech
-from cliffdyn.clifford import allocate_blocks, resolve_pair
+from cliffdyn.clifford import allocate_blocks, hermitian_eig, resolve_pair
 from cliffdyn.errors import InputError, PreconditionError
 from cliffdyn.matrixmech import (
     assemble,
@@ -400,75 +402,38 @@ def _state_slope(gamma):
     return slope
 
 
-def _as_pairs(systems):
-    """Each system a flow builder's reader returns, as one (2, N, N) pair: an
-    (X, P) pair is stacked; a state s becomes (S, P0), S with s as its column 0
-    and P0 the first system's P, so that :func:`_step_bound` reads H(P0) from it.
-    The pairing adds |P0| to the norm the bound scales with."""
-    P0 = systems[0][1]
-    pairs = []
-    for system in systems:
-        if isinstance(system, tuple):
-            pairs.append(np.stack(system))
-        else:
-            S = np.zeros_like(P0)
-            S[:, 0] = system
-            pairs.append(np.stack((S, P0)))
-    return pairs
-
-
 _BLOCK = 200        # steps whose references are taken at once: a stage array of
                     # 200 (2, 20, 20) pairs takes 2.6 MB
 
 
-def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
-    """``run()`` with every RK4 step of its flow set against one :func:`textbook_rk4`
-    step from the same state, system by system: (its result, the ratio of each
-    step's gap to :func:`_step_bound`, step by step and system by system).
+def _step_gap_ratios(monkeypatch, run, hbar, gamma, reference=None):
+    """``run()`` with every step of its ``rk4`` set against one :func:`textbook_rk4`
+    step from the same pair: (its result, the ratio of each step's gap to
+    :func:`_step_bound`, step by step).
 
-    A flow steps through ``rk4`` or, in H's eigenbasis, through
-    ``_polynomial_steps``; both are wrapped, and each step is read back through
-    the flow builder's reader (:func:`_as_pairs`), so an eigenbasis flow is
-    checked in the original basis.  The reference steps of up to ``_BLOCK``
-    steps are taken at once, on stacks of pairs: ``gammas[b]``, system b's
-    connection ``gamma(t, X, P)`` or None, and ``references[b]``, the slope its
-    reference steps, by default the full commutators of that connection, take
-    stacks.  A reference of another flow must fail.
+    The reference steps of up to ``_BLOCK`` steps are taken at once, on a
+    stack of pairs: ``reference``, the slope they step, by default the full
+    commutators of the connection ``gamma(t, X, P)``, takes stacks.  A
+    reference of another flow must fail.
     """
-    if references is None:
-        references = [_commutator_slope(hbar, gamma) for gamma in gammas]
-    ratios, readers, sizes = [], [], []
-    polynomial_steps, polynomial_end = matrixmech._polynomial_steps, matrixmech._polynomial_end
-
-    def recorder(build):
-        def recorded(*args):
-            flow = build(*args)
-            readers.append(flow[2])      # each system's state in a flow state
-            return flow
-        return recorded
-
-    def sized(Y0, rates, tau_end, steps):
-        sizes.append(tau_end / steps)
-        return polynomial_end(Y0, rates, tau_end, steps)
+    if reference is None:
+        reference = _commutator_slope(hbar, gamma)
+    ratios = []
 
     def check(t, h, block):
-        """The ratios of the steps from each pair list in ``block`` to the next,
-        the steps starting at times ``t``."""
-        t = t[:, None, None]
-        columns = []
-        for Y, gamma, slope in zip(map(np.stack, zip(*block)), gammas, references):
-            Y0, Y1 = Y[:-1], Y[1:]
-            ref = next(textbook_rk4(slope, Y0, t, h, 1))
-            connections = [] if gamma is None else \
-                [gamma(t + s, Z[:, 0], Z[:, 1]) for s in (0.0, 0.5 * h, h) for Z in (Y0, Y1)]
-            gaps = np.linalg.norm((Y1 - ref).reshape(len(Y0), -1), axis=1)
-            columns.append(gaps / _step_bound((Y0, Y1), hbar, connections, h))
-        ratios.extend(ratio for step in zip(*columns) for ratio in step)
+        """The ratios of the steps from each pair in ``block`` to the next, the
+        steps starting at times ``t``."""
+        Y = np.stack(block)
+        Y0, Y1, t = Y[:-1], Y[1:], t[:, None, None]
+        ref = next(textbook_rk4(reference, Y0, t, h, 1))
+        connections = [gamma(t + s, Z[:, 0], Z[:, 1]) for s in (0.0, 0.5 * h, h) for Z in (Y0, Y1)]
+        gaps = np.linalg.norm((Y1 - ref).reshape(len(Y0), -1), axis=1)
+        ratios.extend(gaps / _step_bound((Y0, Y1), hbar, connections, h))
 
-    def checked(steps, y, t0, h):
-        block, first = [_as_pairs(readers[-1](y))], 0
-        for k, y in enumerate(steps, 1):
-            block.append(_as_pairs(readers[-1](y)))
+    def checked_rk4(f, y, t0, h, steps):
+        block, first = [np.array(y, dtype=complex)], 0
+        for k, y in enumerate(rk4(f, y, t0, h, steps), 1):
+            block.append(y.copy())
             if len(block) > _BLOCK:
                 check(t0 + h * np.arange(first, k), h, block)
                 block, first = block[-1:], k
@@ -476,17 +441,7 @@ def _step_gap_ratios(monkeypatch, run, hbar, gammas, references=None):
         if len(block) > 1:
             check(t0 + h * np.arange(first, first + len(block) - 1), h, block)
 
-    def checked_rk4(f, y, t0, h, steps):
-        return checked(rk4(f, y, t0, h, steps), np.array(y, dtype=complex), t0, h)
-
-    def checked_polynomial(Y, D, steps):
-        return checked(polynomial_steps(Y, D, steps), Y, 0.0, sizes[-1])
-
-    for builder in ("_commutator_flows", "_eigenbasis_flows"):
-        monkeypatch.setattr(matrixmech, builder, recorder(getattr(matrixmech, builder)))
-    monkeypatch.setattr(matrixmech, "_polynomial_end", sized)
     monkeypatch.setattr(matrixmech, "rk4", checked_rk4)
-    monkeypatch.setattr(matrixmech, "_polynomial_steps", checked_polynomial)
     return run(), ratios
 
 
@@ -511,7 +466,7 @@ def test_covariant_flow_matches_reference_rk4_loop(monkeypatch):
     plain = covariant_evolve(X0, P0, hbar, MASS, gamma, tau_end, steps)
     end, ratios = _step_gap_ratios(
         monkeypatch, lambda: covariant_evolve(X0, P0, hbar, MASS, gamma, tau_end, steps),
-        hbar, [gamma])
+        hbar, gamma)
     assert len(ratios) == steps and max(ratios) <= 1.0
     for M, plain_M in zip(end, plain):
         _assert_same_bits(M, plain_M)
@@ -520,8 +475,8 @@ def test_covariant_flow_matches_reference_rk4_loop(monkeypatch):
 def test_covariant_flow_bound_rejects_a_sign_flipped_connection(monkeypatch):
     X0, P0, hbar, gamma = _covariant_case()
     _, ratios = _step_gap_ratios(
-        monkeypatch, lambda: covariant_evolve(X0, P0, hbar, MASS, gamma, 0.9, 60), hbar, [gamma],
-        [_commutator_slope(hbar, lambda t, X, P: -gamma(t, X, P))])
+        monkeypatch, lambda: covariant_evolve(X0, P0, hbar, MASS, gamma, 0.9, 60), hbar, gamma,
+        _commutator_slope(hbar, lambda t, X, P: -gamma(t, X, P)))
     assert min(ratios) > 1e6
 
 
@@ -532,23 +487,130 @@ def _probe_state(n=20):
     return s0 / np.linalg.norm(s0)
 
 
-def _picture_references(hbar, gauge):
-    """The reference slopes of evolve_pictures' three systems: the Heisenberg
-    pair's and the frozen pair's full commutators, and the state's i G s."""
-    return [_commutator_slope(hbar), _commutator_slope(hbar, gauge), _state_slope(gauge)]
+def _picture_systems(hbar, wrong=None):
+    """The reference (slope, connection) of each of evolve_pictures' three
+    systems: the Heisenberg pair's full commutators, the frozen pair's under
+    the gauge -H(P)/hbar of each stage's P, and the state's i G s under that
+    gauge.  ``wrong`` picks one to replace by another flow: the Heisenberg
+    system's [X, H]/(-i hbar), or the frozen system or the state under +H/hbar."""
+    gauge = _frozen_gauge(hbar)
+    flipped = lambda t, X, P: -gauge(t, X, P)
+    systems = [(_commutator_slope(hbar), None), (_commutator_slope(hbar, gauge), gauge),
+               (_state_slope(gauge), gauge)]
+    if wrong is not None:
+        systems[wrong] = [(_commutator_slope(-hbar), None),
+                          (_commutator_slope(hbar, flipped), flipped),
+                          (_state_slope(flipped), flipped)][wrong]
+    return systems
 
 
-@functools.cache
-def _separate_flows(hbar, steps):
-    """The flows evolve_pictures stacks, each run on its own from the 20-level
-    oscillator to taubar = 0.8: evolve_heisenberg's pair, covariant_evolve's
-    under the Schrodinger gauge of each stage's P, and evolve_state's state
-    under the gauge of P0."""
+def _step_derivative(z):
+    """R'(z) = 1 + z + z^2/2 + z^3/6 for R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24:
+    moving the linear map L of norm at most z / h by dL moves the RK4 step
+    R(h L) by at most h R'(z) |dL|."""
+    return 1 + z + z ** 2 / 2 + z ** 3 / 6
+
+
+def _stepped_end(Y0, slope, gamma, hbar, tau_end, steps, g):
+    """Reference: the end pair of a :func:`textbook_rk4` run of ``slope`` from
+    the (2, N, N) pair Y0, and a float64 bound on its gap to the exact RK4
+    run of the linear flow of H0 = H(P0), to first order in u.
+
+    Each step's own rounding is at most half :func:`_step_bound`; the Heisenberg
+    reference's P drifts by the rounding of its [P, H], and the step then takes
+    H(P) for H0, which moves it by at most h R'(z) 2 |X| |H(P) - H0| / hbar
+    (:func:`_step_derivative`, z = 2 h |H0| / hbar).  The frozen flow's slope vanishes
+    for any P and the state's P is fixed, so there this term over-covers.  An
+    error made at step k grows by at most ``g``, the norm of an exact step, at
+    each later step.  The run is taken ``_BLOCK`` steps at a time.
+    """
+    n, h = Y0.shape[-1], tau_end / steps
+    H = lambda P: (P @ P - MASS ** 2 * np.eye(n)) / (2.0 * MASS)
+    H0 = H(Y0[1])
+    dR = _step_derivative(2 * h * np.linalg.norm(H0) / hbar)
+    run, end, first, err = textbook_rk4(slope, Y0, 0.0, h, steps), Y0, 0, 0.0
+    while first < steps:
+        block = np.stack([end, *itertools.islice(run, _BLOCK)])
+        Y0b, Y1b = block[:-1], block[1:]
+        t = h * np.arange(first, first + len(Y0b))[:, None, None]
+        connections = [] if gamma is None else \
+            [gamma(t + s, Z[:, 0], Z[:, 1]) for s in (0.0, 0.5 * h, h) for Z in (Y0b, Y1b)]
+        drift = np.linalg.norm(H(Y0b[:, 1]) - H0, axis=(1, 2))
+        coupling = h * dR * 2 * np.linalg.norm(Y0b[:, 0], axis=(1, 2)) * drift / hbar
+        for rho in 0.5 * _step_bound((Y0b, Y1b), hbar, connections, h) + coupling:
+            err = g * err + rho
+        end, first = block[-1], first + len(Y0b)
+    return end, err
+
+
+def _closed_form_bound(P0, hbar, tau_end, steps, g):
+    """Float64 bound, per unit norm of a system's start, on the gap between
+    evolve_pictures' end of that system and the exact RK4 run of its linear
+    flow under H0 = H(P0), to first order in u.
+
+    The flow takes H0 = V diag(E) V^dagger from ``clifford.hermitian_eig``; the
+    residual beta = |H0 - V diag(E) V^dagger| and omega = |V^dagger V - 1| are
+    measured, beta with the 2 gamma_n |H0| its own products may miss (gamma_n
+    = sqrt(2) (n + 2) u, as in :func:`_step_bound`; Frobenius norms).  With g
+    the norm of an exact step, N = ``steps`` and z = h Lambda, where
+    Lambda = 2 max|E| / hbar bounds every rate:
+    - the rotations in and out take two products and a Hermitian part, within
+      (4 gamma_n + u) g^N, and a V that is not unitary moves the end by at
+      most 4 omega g^N;
+    - H0's error moves the flow's map by at most 2 (beta + omega |E|) / hbar
+      (half that for the state), which N steps amplify by at most
+      tau R'(z) g^(N-1) (:func:`_step_derivative`);
+    - the rates are within 12 u max|E| / hbar: the frozen pair's two tables
+      cancel only to that.  With the 9 roundings of h and of D's Horner form,
+      relative to |z|, D is within R'(z) (h 12 u max|E| / hbar + 9 u z), and N
+      steps amplify that by N g^(N-1);
+    - each of the p = bit_length(N) - 1 + popcount(N) - 1 products
+      A + B + A B of the repeated squaring, its operands of modulus at most
+      g^N + 1, rounds within 3 u (g^N + 1)^2, which later products amplify by
+      at most g^N, and Y0 + (R^N - 1) Y0 adds 2 u (g^N + 2).
+    """
+    H0 = matrixmech._free_hamiltonian(P0, MASS)
+    V, E = hermitian_eig(H0)
+    n, h, Emax = len(P0), tau_end / steps, np.abs(E).max()
+    gamma_n = np.sqrt(2) * (n + 2) * U
+    beta = np.linalg.norm(H0 - (V * E) @ V.conj().T) + 2 * gamma_n * np.linalg.norm(H0)
+    omega = np.linalg.norm(V.conj().T @ V - np.eye(n))
+    z = h * 2 * Emax / hbar
+    dR = _step_derivative(z)
+    gN = g ** steps
+    products = steps.bit_length() + bin(steps).count("1") - 2
+    return (gN * (4 * gamma_n + U + 4 * omega + products * 3 * U * (gN + 1) ** 2)
+            + 2 * U * (gN + 2)
+            + tau_end * dR * g ** (steps - 1) * 2 * (beta + omega * np.linalg.norm(E)) / hbar
+            + steps * g ** (steps - 1) * dR * (h * 12 * U * Emax / hbar + 9 * U * z))
+
+
+def _picture_ratios(hbar, steps, wrong=None):
+    """evolve_pictures' end systems from the 20-level oscillator to taubar = 0.8,
+    and for each, the ratio of its gap to the end of a :func:`textbook_rk4`
+    run of its reference (:func:`_picture_systems`) to the sum of the two
+    bounds (:func:`_stepped_end`, :func:`_closed_form_bound`).  The state is
+    stepped as the column 0 of S in the pair (S, P0)."""
     X0, P0 = truncated_oscillator(20, hbar=hbar)
-    gauge = schrodinger_gauge(hbar, MASS)
-    return (evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps),
-            covariant_evolve(X0, P0, hbar, MASS, gauge, 0.8, steps),
-            evolve_state(_probe_state(), gauge(0.0, X0, P0), 0.8, steps))
+    s0 = _probe_state()
+    ends = evolve_pictures(X0, P0, hbar, MASS, 0.8, steps, s0)
+    S0 = np.zeros((20, 20), dtype=complex)
+    S0[:, 0] = s0
+    E = np.linalg.eigvalsh((P0 @ P0 - MASS ** 2 * np.eye(20)) / (2.0 * MASS))
+    # the norm of an exact step: the largest |R(z)| over the flows' rates
+    z = 1j * np.concatenate(((E[None, :] - E[:, None]).ravel(), E)) * (0.8 / steps / hbar)
+    g = max(1.0, np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max())
+    cf = _closed_form_bound(P0, hbar, 0.8, steps, g)
+    ratios = []
+    for end, Y0, (slope, gamma) in zip(ends, (np.stack((X0, P0)),) * 2 + (np.stack((S0, P0)),),
+                                       _picture_systems(hbar, wrong)):
+        ref, err = _stepped_end(Y0.astype(complex), slope, gamma, hbar, 0.8, steps, g)
+        if isinstance(end, tuple):
+            gap, size = np.linalg.norm(np.stack(end) - ref), np.linalg.norm(Y0)
+        else:
+            gap, size = np.linalg.norm(end - ref[0, :, 0]), np.linalg.norm(s0)
+        ratios.append(gap / (err + cf * size))
+    return ends, ratios
 
 
 @pytest.mark.parametrize("hbar,steps", [
@@ -556,53 +618,27 @@ def _separate_flows(hbar, steps):
     # the picture-equivalence criterion's size
     pytest.param(1.0, 2000, id="2000"), pytest.param(0.7, 2000, id="2000-hbar0.7"),
     pytest.param(0.3, 400, id="400-hbar0.3"), pytest.param(2.5, 400, id="400-hbar2.5")])
-def test_stacked_pictures_match_separate_stepped_flows(monkeypatch, hbar, steps):
-    # every step of each stacked system, the state included, is one textbook
-    # RK4 step of its full slope within its rounding bound; the Heisenberg end
-    # state is evolve_heisenberg's bit for bit, signed zeros included; the
-    # frozen one, stepped under the constant gauge of P0, is covariant_evolve's
-    # under the gauge of each stage's P up to rounding, and the state is
-    # evolve_state's, stepped by RK4's stages, up to a rounding per step
+def test_stacked_pictures_match_separate_stepped_flows(hbar, steps):
+    # each stacked system's end, the state included, is within its derived
+    # rounding bound of a textbook RK4 run of its full slope, and the
+    # Heisenberg pair is evolve_heisenberg's bit for bit, signed zeros included
     X0, P0 = truncated_oscillator(20, hbar=hbar)
-    gauge = _frozen_gauge(hbar)
-    single, gauged, state = _separate_flows(hbar, steps)
-    (heis, frozen, s), ratios = _step_gap_ratios(
-        monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, steps, _probe_state()),
-        hbar, [None, gauge, gauge], _picture_references(hbar, gauge))
-    assert len(ratios) == 3 * steps and max(ratios) <= 1.0
-    for M, alone_M in zip(heis, single):
-        assert M.shape == (20, 20)
+    (heis, frozen, s), ratios = _picture_ratios(hbar, steps)
+    assert max(ratios) <= 1.0, ratios
+    assert [M.shape for M in (*heis, *frozen, s)] == [(20, 20)] * 4 + [(20,)]
+    for M, alone_M in zip(heis, evolve_heisenberg(X0, P0, hbar, MASS, 0.8, steps)):
         _assert_same_bits(M, alone_M)
-    for M, ref in zip(frozen, gauged):
-        assert M.shape == (20, 20)
-        assert np.abs(M - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
-    # RK4 amplifies each run's rounding by up to max |R(z)| a step, about 600 at
-    # the one-step case's top level and at most 1 from 7 steps on
-    z = 0.8j / steps * np.linalg.eigvalsh(gauge(0.0, X0, P0))
-    growth = max(1.0, np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max()) ** steps
-    assert s.shape == (20,)
-    assert np.abs(s - state).max() <= 1e-14 * growth
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2], ids=["time-reversed", "sign-flipped-gauge",
                                                 "sign-flipped-state"])
-def test_stacked_pictures_bound_rejects_a_wrong_reference(monkeypatch, bad):
-    # the bound admits reordered rounding, not a reference that steps another
-    # flow: the Heisenberg system against [X, H]/(-i hbar), the frozen one
-    # against +H/hbar, or the state against +H/hbar
-    hbar = 0.7
-    X0, P0 = truncated_oscillator(20, hbar=hbar)
-    gauge = _frozen_gauge(hbar)
-    references = _picture_references(hbar, gauge)
-    references[bad] = [_commutator_slope(-hbar),
-                       _commutator_slope(hbar, lambda t, X, P: -gauge(t, X, P)),
-                       _state_slope(lambda t, X, P: -gauge(t, X, P))][bad]
-    _, ratios = _step_gap_ratios(
-        monkeypatch, lambda: evolve_pictures(X0, P0, hbar, MASS, 0.8, 40, _probe_state()),
-        hbar, [None, gauge, gauge], references)
-    assert min(ratios[bad::3]) > 1e6         # the ratios cycle system by system
-    assert max(ratios[i] for i in range(len(ratios)) if i % 3 != bad) <= 1.0
-
+def test_stacked_pictures_bound_rejects_a_wrong_reference(bad):
+    # the bound admits rounding, not a reference that runs another flow: the
+    # Heisenberg system against [X, H]/(-i hbar), the frozen one against
+    # +H/hbar, or the state against +H/hbar
+    _, ratios = _picture_ratios(0.7, 40, bad)
+    assert ratios[bad] > 1e6
+    assert max(ratios[i] for i in range(3) if i != bad) <= 1.0
 
 
 def test_evolve_pictures_rejects_a_state_of_another_size():
@@ -623,45 +659,6 @@ def test_heisenberg_flow_returns_p0(hbar):
         assert np.array_equal(P, P0)
 
 
-@pytest.mark.parametrize("flow", ["evolve_heisenberg", "evolve_pictures", "evolve_state",
-                                  "evolve_state-real-gamma"])
-def test_flow_rhs_allocates_nothing_per_stage(monkeypatch, flow):
-    # an eigenbasis flow's step, one multiply and one add, and each stage of
-    # evolve_state's RK4 write through buffers the flow made once.  numpy
-    # reports its array data to tracemalloc, so a step or a stage that made an
-    # array as large as the smallest one here (4 KiB, a 256-level state) would
-    # show; what remains is numpy's iterators and views.  A real Gamma cast
-    # anew at every stage would take 1 MB
-    X0, P0 = truncated_oscillator(20)
-    real = -np.diag(np.arange(256.0))
-    gauge = real.astype(complex)
-    s0 = np.full(256, 1 / 16, dtype=complex)
-    stages, loops, polynomial_steps = [], [], matrixmech._polynomial_steps
-    monkeypatch.setattr(matrixmech, "_rk4_end", lambda Y0, rhs, *_: stages.append((Y0, rhs)) or Y0)
-    monkeypatch.setattr(matrixmech, "_polynomial_steps",
-                        lambda Y, D, steps: loops.append(polynomial_steps(Y, D, 9)) or iter((Y,)))
-    {"evolve_heisenberg": lambda: evolve_heisenberg(X0, P0, 1.0, MASS, 0.8, 10),
-     "evolve_pictures": lambda: evolve_pictures(X0, P0, 1.0, MASS, 0.8, 10, s0[:20]),
-     "evolve_state": lambda: evolve_state(s0, gauge, 0.8, 10),
-     "evolve_state-real-gamma": lambda: evolve_state(s0, real, 0.8, 10)}[flow]()
-    if loops:
-        loop, = loops
-        step = lambda k: next(loop)
-    else:
-        (Y0, rhs), = stages
-        Y, dY = np.array(Y0, dtype=complex), np.empty(np.shape(Y0), dtype=complex)
-        step = lambda k: rhs(0.1 * k, Y, dY)
-    step(0)
-    tracemalloc.start()
-    try:
-        for k in range(8):
-            step(k + 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4096
-
-
 def test_heisenberg_rk4_matches_stability_polynomial_oracle():
     # with H = H(P0) held fixed, one RK4 step multiplies X's entries in H's
     # eigenbasis by R(z_ij), z_ij = -i h (w_j - w_i) / hbar and
@@ -674,6 +671,21 @@ def test_heisenberg_rk4_matches_stability_polynomial_oracle():
     oracle = V @ (R ** steps * (V.conj().T @ X0 @ V)) @ V.conj().T
     X, _ = evolve_heisenberg(X0, P0, hbar, MASS, taubar, steps)
     assert np.abs(X - oracle).max() <= 1e-11
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 2000, 2 ** 20 - 1, 10 ** 17])
+def test_polynomial_power_takes_bit_length_products(steps):
+    # R^steps - 1 by repeated squaring takes bit_length - 1 squarings and
+    # popcount - 1 further products: 10^17 steps take 75, not 10^17
+    products = []
+
+    def mul(a, b):
+        products.append(None)
+        return a * b
+
+    matrixmech._polynomial_power(np.array([1e-20j]), steps, mul)
+    assert len(products) == steps.bit_length() + bin(steps).count("1") - 2
+    assert len(products) <= 2 * steps.bit_length()
 
 
 def _random_flows(flow, X0, P0, hbar, G0, tau_end, steps):
@@ -886,6 +898,21 @@ def test_expectation_rejects_an_unknown_which(target, which):
         expectation(s, mats, which)
 
 
+@pytest.mark.parametrize("length,which,target", [(4, "C", "system"), (2, "C", "system"),
+                                                (2, "X", "system"), (4, "P", "system"),
+                                                (2, "X", "stack")])
+def test_expectation_rejects_a_state_of_another_length(length, which, target):
+    # a unit state of 3 particles' system must have 3 entries: a longer one
+    # is not cut down to size, nor a shorter one read past its end
+    sys3, _ = _system(n=3)
+    s = np.zeros(length, dtype=complex)
+    s[0] = 1.0
+    mats = sys3 if target == "system" else sys3.x_matrices()
+    with pytest.raises(InputError,
+                       match=rf"^state must be a vector of length 3, got shape \({length},\)$"):
+        expectation(s, mats, which)
+
+
 def test_expectation_rejects_nan_state():
     sys3, _ = _system(n=2)
     with pytest.raises(InputError):
@@ -914,6 +941,14 @@ def test_evolve_state_gamma_zero_constant_and_norm_preserved():
     s0 = s0 / np.linalg.norm(s0)
     out = evolve_state(s0, -H, 1.0, 10000)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,), (1, 2, 2)],
+                         ids=["3x3", "2x3", "vector", "stack"])
+def test_evolve_state_rejects_a_gamma_of_another_shape(shape):
+    with pytest.raises(InputError, match=rf"^gamma must be n x n for a state vector of length n, "
+                                         rf"got shapes {re.escape(str(shape))} and \(2,\)$"):
+        evolve_state(np.array([0.6, 0.8j]), np.zeros(shape), 1.0, 10)
 
 
 def test_nonrelativistic_schrodinger_equation():

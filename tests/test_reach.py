@@ -43,8 +43,8 @@ PAPER = "paper identity: a test checks the paper's formula with it"
 EDGE = "the GeneratorSpace public edge: its signature and block accessors"
 IMPORT = "runs at import, before the hook is set"
 BENCH = "the benchmark's workloads write their input files with it"
-STAGES = ("the stage-form RK4 of covariant_evolve and evolve_state, which the benchmark "
-          "traces; it leaves the package with them")
+STAGES = ("the stage-form RK4 of covariant_evolve only, which the benchmark traces; it "
+          "leaves the package with it")
 COVARIANT = ("the matrix path of covariant_evolve, which the benchmark traces: a connection "
              "that need not commute with H cannot be stepped in H's eigenbasis")
 
@@ -82,10 +82,7 @@ KEPT = {
     "worldsheet.arc_curve": PAPER,
     "matrixmech._commutator_flows": COVARIANT,
     "matrixmech._commutator_flows.<locals>.rhs": COVARIANT,
-    "matrixmech.evolve_state.<locals>.rhs": "the stage of evolve_state, which the benchmark "
-                                            "traces: RK4 under a constant connection matrix",
     "particle.rk4": STAGES,
-    "matrixmech._rk4_end": STAGES,
 }
 
 
