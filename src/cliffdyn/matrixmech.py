@@ -20,14 +20,16 @@ vector, so ``evolve_state`` takes that constant Gamma as a matrix.  Every
 flow takes fixed RK4 steps to tau_end and returns only its state there,
 ``(X, P)`` for the matrix flows.  RK4 is exact on the classical flow, which
 is affine in tau: its end state is taken in closed form.  The state under a
-constant Gamma moves at the constant rate i Gamma, and the Heisenberg flow
-and the Schrodinger-gauge flow, frozen under the constant gauge -H(P0)/hbar
-of its initial momentum, keep H = H(P0) fixed: in its eigenbasis every entry
-of X, of P and of the state that gauge moves has its own constant rate.  A
-step then multiplies by RK4's step polynomial R, and the end state is one
-power of R, taken by repeated squaring (``_polynomial_end``).  Only
-``covariant_evolve``, whose connection need not commute with H, steps
-``particle.rk4``; no command runs it.
+constant Gamma moves at the constant rate i Gamma.  The Heisenberg flow and
+the Schrodinger-gauge flow, frozen under the constant gauge -H(P0)/hbar of
+its initial momentum, are two views of one flow, ``evolve_pictures``, whose
+Heisenberg pair ``evolve_heisenberg`` returns: both keep H = H(P0) fixed, and
+in its eigenbasis every entry of X, of P and of the state that gauge moves
+has its own constant rate.  A step then multiplies by RK4's step polynomial
+R, and the end state is one power of R, taken by repeated squaring
+(``_polynomial_end``).  Only ``covariant_evolve``, whose connection need not
+commute with H, steps ``particle.rk4``; no command runs it.  Every matrix
+flow and ``NSystem`` take a mass through ``config.positive_mass``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clifford import GeneratorSpace, hermitian_eig, validate_hermitian
+from .config import positive_mass
 from .errors import InputError, PreconditionError
 from .particle import ParticleState, rk4, step_count
 from .spinors import DP_DOWN, DX_UP, ETA
@@ -75,7 +78,7 @@ class NSystem:
                 or self.bras.shape != self.kets.shape:
             raise InputError("kets and bras must be (2, N, G) coefficient stacks")
         self.n = self.kets.shape[1]
-        self.mass = float(mass)
+        self.mass = positive_mass(mass)
 
     # -- derived matrices -------------------------------------------------
     def x_spin(self) -> np.ndarray:
@@ -183,109 +186,6 @@ def _free_hamiltonian(P: np.ndarray, mass: float) -> np.ndarray:
     return (P @ P - mass ** 2 * np.eye(len(P), dtype=complex)) * (0.5 / mass)
 
 
-def _commutator_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
-                      gamma: Callable):
-    """``(Y0, rhs)`` for one RK4 of the Hermitian pair (X0, P0) under the
-    connection ``gamma(t, X, P)``, checked Hermitian at every stage.
-
-    The pair follows dX = i[Gamma, X] + [X, H]/(i hbar) and dP = i[Gamma, P].
-    H = (P.P - m^2 1)/(2m) is a function of P, so [P, H] = 0 and P moves only
-    under Gamma: its Hamiltonian commutator, pure rounding noise, is never
-    formed.  The state Y is the pair itself, stacked.
-
-    X0 and P0 must be Hermitian (``validate_hermitian``, else InputError).
-    X, P and H stay Hermitian, so H X = (X H)^dagger and [X, H] = A - A^dagger
-    with A = X H: one product per commutator; likewise Gamma Y - Y Gamma =
-    B - B^dagger with B = Gamma Y for Y = X, P.  Either difference is
-    anti-Hermitian entry by entry, however A and B were rounded, so the flow
-    keeps X and P exactly Hermitian.
-    """
-    if not hbar > 0:
-        raise PreconditionError("covariant_evolve requires hbar > 0")
-    X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
-    scale = -1j / hbar          # the values numpy gives for / (1j * hbar)
-
-    def rhs(t, Y, dY):
-        B = validate_hermitian(gamma(t, *Y)) @ Y
-        A = Y[0] @ _free_hamiltonian(Y[1], mass)
-        iB = (B - B.conj().swapaxes(-1, -2)) * 1j
-        dY[0] = (A - A.conj().T) * scale + iB[0]
-        dY[1] = iB[1]
-
-    return np.stack((X0, P0)), rhs
-
-
-def _eigenbasis_flows(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float, name: str,
-                      gauge: Callable | None = None, state: np.ndarray | None = None):
-    """``(Y0, rates, unpack)`` for :func:`_polynomial_end`: the Hermitian pair
-    (X0, P0) in the eigenbasis of H = H(P0), where every entry moves at its own
-    constant rate.  The Heisenberg system comes first; if ``gauge`` is given, a
-    frozen system under the constant connection Gamma = V diag(``gauge(E)``) V^dagger
-    follows, and then, if ``state`` is given too, the state that Gamma moves.
-
-    H(P0) = V diag(E) V^dagger, from ``clifford.hermitian_eig`` once per flow.
-    The Heisenberg system's P stays P0, and H with it, so in that basis
-    [X, H]/(i hbar) is elementwise: X~_ij moves at (E_j - E_i)/(i hbar).  The
-    frozen system steps X and P alike, dY = i[Gamma, Y] + [Y, H]/(i hbar), under
-    the gauge of its initial momentum, which the exact flow keeps at P0.  That
-    Gamma commutes with H, so i[Gamma, Y]_ij = Y_ij i(g_i - g_j) with g = gauge(E),
-    and the frozen system's rate is the sum of the two tables.  Under
-    Gamma = -H/hbar that sum is 0 wherever g_i - g_j rounds to (E_j - E_i)/hbar,
-    and at hbar = 1 it does everywhere.  P~ = V^dagger P0 V is diagonal only up
-    to rounding, so the frozen P~ is stepped too.  The state s, rotated to
-    V^dagger s, moves at i g_i, since (d/dtau - i Gamma) s = 0.  RK4 on a linear
-    flow takes the same steps in any basis, up to rounding.
-
-    Y0 holds each system's X~ = V^dagger X V, then the frozen system's P~, each
-    raveled, then the rotated state.  ``unpack(Y)`` returns each system's
-    (X, P), the Heisenberg one first with P0 itself, then the state if there
-    is one; each matrix is rotated back as the Hermitian part of
-    V Y~ V^dagger, so it is exactly Hermitian.  X0 and P0 must be Hermitian
-    (``validate_hermitian``, else InputError), and the state a vector of their size.
-    """
-    if not hbar > 0:
-        raise PreconditionError(f"{name} requires hbar > 0")
-    X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
-    n = len(X0)
-    H = _free_hamiltonian(P0, mass)
-    if np.isfinite(H).all():
-        V, E = hermitian_eig(H)
-    else:       # no eigenbasis: NaN makes step 0 non-finite, and _polynomial_end names it
-        V, E = np.full((n, n), np.nan, dtype=complex), np.full(n, np.nan)
-    Vh = V.conj().T
-    # [X, H] / (i hbar), in the values numpy gives for / (1j * hbar)
-    heisenberg = (E[None, :] - E[:, None]) * (-1j / hbar)
-    matrices, tables = (X0,), (heisenberg,)
-    if gauge is not None:
-        g = gauge(E)
-        frozen = heisenberg + 1j * (g[:, None] - g[None, :])
-        matrices, tables = (X0, X0, P0), (heisenberg, frozen, frozen)
-    Y0 = [(Vh @ M @ V).ravel() for M in matrices]
-    rates = [table.ravel() for table in tables]
-    if gauge is not None and state is not None:
-        s = np.asarray(state, dtype=complex)
-        if s.shape != (n,):
-            raise InputError(f"state must be a vector of length {n}, got shape {s.shape}")
-        Y0.append(Vh @ s)
-        rates.append(1j * g)
-    end = len(matrices) * n * n         # where the matrices stop and the state starts
-
-    def back(M):
-        B = V @ M @ Vh
-        return 0.5 * B + 0.5 * B.conj().T
-
-    def unpack(Y):
-        X = Y[:end].reshape(len(matrices), n, n)
-        systems = [(back(X[0]), P0)]
-        if gauge is not None:
-            systems.append((back(X[1]), back(X[2])))
-        if len(Y) > end:
-            systems.append(V @ Y[end:])
-        return systems
-
-    return np.concatenate(Y0), np.concatenate(rates), unpack
-
-
 def _polynomial_power(D, k: int, mul: Callable):
     """R^k - 1 for R = 1 + D by repeated squaring in the product ``mul``, the 1
     kept exact: (1 + A)(1 + B) - 1 = A + B + A B rounds relative to |A B|, not
@@ -317,13 +217,8 @@ def _polynomial_end(Y0, rate, tau_end: float, steps: int, mul=np.multiply, one=1
 def evolve_heisenberg(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
                       tau_end: float, steps: int) -> tuple[np.ndarray, ...]:
     """Heisenberg flow dX = [X,H]/(i hbar), dP = [P,H]/(i hbar) = 0; ``(X, P)`` at tau_end,
-    with P returned equal to P0.
-
-    H = H(P0) is fixed, so X is stepped in its eigenbasis, where the
-    commutator is elementwise (:func:`_eigenbasis_flows`).
-    """
-    Y0, rates, unpack = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_heisenberg")
-    return unpack(_polynomial_end(Y0, rates, tau_end, steps))[0]
+    with P returned equal to P0: the Heisenberg pair of :func:`evolve_pictures`."""
+    return evolve_pictures(X0, P0, hbar, mass, tau_end, steps)[0]
 
 
 def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
@@ -335,13 +230,34 @@ def covariant_evolve(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
     ``gamma(taubar, X, P)`` returns the Hermitian connection, checked by
     ``validate_hermitian`` at every stage; X and P are views of a reused
     buffer.  An arbitrary Gamma need not commute with H, so this flow steps
-    the matrices themselves.  Gamma = 0 reproduces :func:`evolve_heisenberg`
-    up to rounding; Gamma = -H/hbar cancels the commutators and freezes X and
-    P (the Schrodinger picture).
+    the matrices themselves with ``particle.rk4``.  Gamma = 0 reproduces
+    :func:`evolve_heisenberg` up to rounding; Gamma = -H/hbar cancels the
+    commutators and freezes X and P (the Schrodinger picture).
+
+    H = (P.P - m^2 1)/(2m) is a function of P, so [P, H] = 0 and P moves only
+    under Gamma: its Hamiltonian commutator, pure rounding noise, is never
+    formed.  X0 and P0 must be Hermitian (``validate_hermitian``, else
+    InputError).  X, P and H stay Hermitian, so H X = (X H)^dagger and
+    [X, H] = A - A^dagger with A = X H: one product per commutator; likewise
+    Gamma Y - Y Gamma = B - B^dagger with B = Gamma Y for Y = X, P.  Either
+    difference is anti-Hermitian entry by entry, however A and B were
+    rounded, so the flow keeps X and P exactly Hermitian.
     """
-    Y0, rhs = _commutator_flows(X0, P0, hbar, mass, gamma)
+    if not hbar > 0:
+        raise PreconditionError("covariant_evolve requires hbar > 0")
+    mass = positive_mass(mass)
+    X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
     steps = step_count(steps)
-    run = lambda: rk4(rhs, Y0, 0.0, tau_end / steps, steps)
+    scale = -1j / hbar          # the values numpy gives for / (1j * hbar)
+
+    def rhs(t, Y, dY):
+        B = validate_hermitian(gamma(t, *Y)) @ Y
+        A = Y[0] @ _free_hamiltonian(Y[1], mass)
+        iB = (B - B.conj().swapaxes(-1, -2)) * 1j
+        dY[0] = (A - A.conj().T) * scale + iB[0]
+        dY[1] = iB[1]
+
+    run = lambda: rk4(rhs, np.stack((X0, P0)), 0.0, tau_end / steps, steps)
     *_, Y = run()
     return tuple(_finite_end(Y, run))
 
@@ -352,15 +268,56 @@ def evolve_pictures(X0: np.ndarray, P0: np.ndarray, hbar: float, mass: float,
 
     Returns ``((X, P) heisenberg, (X, P) frozen)`` at taubar = tau_end, and
     then, if ``state`` is given, that state evolved by (d/dtau - i Gamma) s = 0.
-    Every system is taken in H(P0)'s eigenbasis as one flat state, so a failed
-    run names the first step at which any is non-finite (:func:`_polynomial_end`).
-    The Heisenberg pair equals :func:`evolve_heisenberg` bit for bit; the frozen
-    pair, under the gauge -H(P0)/hbar of its initial momentum, agrees up to
-    rounding with the stage-form :func:`covariant_evolve` under :func:`schrodinger_gauge`.
+
+    H(P0) = V diag(E) V^dagger, from ``clifford.hermitian_eig`` once per run.
+    The Heisenberg pair's P stays P0, and H with it, so in that basis
+    [X, H]/(i hbar) is elementwise: X~_ij moves at (E_j - E_i)/(i hbar).  The
+    frozen pair steps X and P alike, dY = i[Gamma, Y] + [Y, H]/(i hbar), under
+    the gauge Gamma = -H(P0)/hbar of its initial momentum, which the exact
+    flow keeps at P0.  That Gamma commutes with H, so i[Gamma, Y]_ij =
+    Y_ij i(g_i - g_j) with g = -E/hbar, and the frozen pair's rate is the sum
+    of the two tables: 0 wherever g_i - g_j rounds to (E_j - E_i)/hbar, and at
+    hbar = 1 everywhere.  P~ = V^dagger P0 V is diagonal only up to rounding,
+    so the frozen P~ is stepped too.  The state s, rotated to V^dagger s,
+    moves at i g_i.  RK4 on a linear flow takes the same steps in any basis,
+    up to rounding.
+
+    Every system is one flat state (:func:`_polynomial_end`), so a failed run
+    names the first step at which any is non-finite.  The matrices are
+    rotated back as the Hermitian part of V Y~ V^dagger, so they are exactly
+    Hermitian, and the Heisenberg P is P0 itself.  X0 and P0 must be Hermitian
+    (``validate_hermitian``, else InputError), and the state a vector of their
+    size.  The frozen pair agrees up to rounding with the stage-form
+    :func:`covariant_evolve` under :func:`schrodinger_gauge`.
     """
-    Y0, rates, unpack = _eigenbasis_flows(X0, P0, hbar, mass, "evolve_pictures",
-                                          lambda E: E * (-1.0 / hbar), state)
-    return tuple(unpack(_polynomial_end(Y0, rates, tau_end, steps)))
+    if not hbar > 0:
+        raise PreconditionError("the matrix flows require hbar > 0")
+    mass = positive_mass(mass)
+    X0, P0 = validate_hermitian(X0), validate_hermitian(P0)
+    n = len(X0)
+    H = _free_hamiltonian(P0, mass)
+    if np.isfinite(H).all():
+        V, E = hermitian_eig(H)
+    else:       # no eigenbasis: NaN makes step 0 non-finite, and _polynomial_end names it
+        V, E = np.full((n, n), np.nan, dtype=complex), np.full(n, np.nan)
+    Vh = V.conj().T
+    # [X, H] / (i hbar), in the values numpy gives for / (1j * hbar)
+    heisenberg = (E[None, :] - E[:, None]) * (-1j / hbar)
+    g = E * (-1.0 / hbar)
+    frozen = heisenberg + 1j * (g[:, None] - g[None, :])
+    Y0 = [(Vh @ np.stack((X0, X0, P0)) @ V).ravel()]
+    rates = [heisenberg.ravel(), frozen.ravel(), frozen.ravel()]
+    if state is not None:
+        s = np.asarray(state, dtype=complex)
+        if s.shape != (n,):
+            raise InputError(f"state must be a vector of length {n}, got shape {s.shape}")
+        Y0.append(Vh @ s)
+        rates.append(1j * g)
+    Y = _polynomial_end(np.concatenate(Y0), np.concatenate(rates), tau_end, steps)
+    B = V @ Y[:3 * n * n].reshape(3, n, n) @ Vh
+    X, Xf, Pf = 0.5 * B + 0.5 * B.conj().swapaxes(-1, -2)
+    ends = (X, P0), (Xf, Pf)
+    return ends if state is None else (*ends, V @ Y[3 * n * n:])
 
 
 def schrodinger_gauge(hbar: float, mass: float):
@@ -373,14 +330,20 @@ def expectation(s: np.ndarray, target, which: str = "X"):
 
     which = "X" or "P": <s|M|s> per component of an NSystem or of a bare N x N
     matrix or stack of them; "C": the Clifford coordinate <s| C^A as a (2, G)
-    coefficient stack.  Any other ``which``, or an s not of shape (N,), is an InputError.
+    coefficient stack.  Any other ``which``, a bare target that is not an N x N matrix
+    or a stack of them, or an s not of shape (N,), is an InputError.
     """
     if which not in ("X", "P", "C"):
         raise InputError(f"which must be 'X', 'P' or 'C', got {which!r}")
     if which == "C" and not isinstance(target, NSystem):
         raise InputError("expectation of C needs an NSystem")
+    if not isinstance(target, NSystem):
+        mats = np.asarray(target, dtype=complex)
+        if mats.ndim not in (2, 3) or mats.shape[-2] != mats.shape[-1]:
+            raise InputError(f"target must be an N x N matrix or a stack of them, "
+                             f"got shape {mats.shape}")
     s = np.asarray(s, dtype=complex)
-    n = target.n if isinstance(target, NSystem) else np.shape(target)[-1]
+    n = target.n if isinstance(target, NSystem) else mats.shape[-1]
     if s.shape != (n,):
         raise InputError(f"state must be a vector of length {n}, got shape {s.shape}")
     if not abs(s @ s.conj() - 1.0) <= DEFAULT.state_norm:
@@ -389,8 +352,6 @@ def expectation(s: np.ndarray, target, which: str = "X"):
         return _rotate(target.kets, s.conj()[None])[:, 0]
     if isinstance(target, NSystem):
         mats = target.x_matrices() if which == "X" else target.p_matrices()
-    else:
-        mats = np.asarray(target, dtype=complex)
     if mats.ndim == 2:
         return complex(s.conj() @ mats @ s)
     return np.array([complex(s.conj() @ M @ s) for M in mats])

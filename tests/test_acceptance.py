@@ -289,15 +289,20 @@ def test_picture_equivalence_fails_on_a_wrong_heisenberg_flow(monkeypatch, broke
 def test_picture_equivalence_stationarity_fails_on_a_wrong_gauge(monkeypatch):
     # Gamma = +H/hbar instead of -H/hbar: the frozen system then turns at
     # twice the Heisenberg rate, so X and P leave their initial values
-    flows, built = matrixmech._eigenbasis_flows, []
+    built = []
 
-    def plus_h_gauge(X0, P0, hbar, mass, name, gauge, state):
-        built.append(name)
-        return flows(X0, P0, hbar, mass, name, lambda E: -gauge(E), state)
+    def plus_h_gauge(X0, P0, hbar, mass, tau_end, steps, state):
+        built.append(steps)
+        heisenberg, _, _ = _evolve_pictures(X0, P0, hbar, mass, tau_end, steps, state)
+        gauge = matrixmech.schrodinger_gauge(hbar, mass)
+        plus = lambda t, X, P: -gauge(t, X, P)
+        frozen = matrixmech.covariant_evolve(X0, P0, hbar, mass, plus, tau_end, steps)
+        return heisenberg, frozen, matrixmech.evolve_state(state, plus(0.0, X0, P0),
+                                                           tau_end, steps)
 
-    monkeypatch.setattr(matrixmech, "_eigenbasis_flows", plus_h_gauge)
+    monkeypatch.setattr(matrixmech, "evolve_pictures", plus_h_gauge)
     result = picture_equivalence(11)
-    assert built == ["evolve_pictures"]         # the criterion stepped the patched flow
+    assert built == [2000]                      # the criterion stepped the patched flow
     assert result.line().startswith("[FAIL]")
     assert result.details["stationarity"] > DEFAULT.stationarity
 

@@ -621,7 +621,8 @@ def _picture_ratios(hbar, steps, wrong=None):
 def test_stacked_pictures_match_separate_stepped_flows(hbar, steps):
     # each stacked system's end, the state included, is within its derived
     # rounding bound of a textbook RK4 run of its full slope, and the
-    # Heisenberg pair is evolve_heisenberg's bit for bit, signed zeros included
+    # Heisenberg pair is evolve_heisenberg's bit for bit, signed zeros included:
+    # evolve_heisenberg returns that pair, and this guards against a second path
     X0, P0 = truncated_oscillator(20, hbar=hbar)
     (heis, frozen, s), ratios = _picture_ratios(hbar, steps)
     assert max(ratios) <= 1.0, ratios
@@ -750,6 +751,23 @@ def test_matrix_flows_require_positive_hbar(flow, hbar):
            "pictures": lambda: evolve_pictures(X0, P0, hbar, MASS, 0.1, 5)}[flow]
     with pytest.raises(PreconditionError, match="hbar > 0"):
         run()
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), 1e-200],
+                         ids=["zero", "negative", "nan", "underflowing-square"])
+@pytest.mark.parametrize("entry", ["NSystem", "evolve_pictures", "evolve_heisenberg",
+                                   "covariant_evolve"])
+def test_matrix_flows_require_a_positive_mass(entry, mass):
+    # H = (P.P - m^2 1)/(2m) needs m > 0 with m^2 in range (config.positive_mass)
+    X0, P0 = truncated_oscillator(4)
+    sys1, _ = _system(n=1)
+    run = {"NSystem": lambda: matrixmech.NSystem(sys1.space, sys1.kets, sys1.bras, mass),
+           "evolve_pictures": lambda: evolve_pictures(X0, P0, 1.0, mass, 0.1, 5),
+           "evolve_heisenberg": lambda: evolve_heisenberg(X0, P0, 1.0, mass, 0.1, 5),
+           "covariant_evolve": lambda: covariant_evolve(X0, P0, 1.0, mass,
+                                                        lambda t, X, P: np.zeros_like(X), 0.1, 5)}
+    with pytest.raises(InputError, match=r"^mass (must be positive|= 1e-200 is out of range)"):
+        run[entry]()
 
 
 def _step_entry_points():
@@ -911,6 +929,17 @@ def test_expectation_rejects_a_state_of_another_length(length, which, target):
     with pytest.raises(InputError,
                        match=rf"^state must be a vector of length 3, got shape \({length},\)$"):
         expectation(s, mats, which)
+
+
+@pytest.mark.parametrize("target", [np.float64(2.0), np.ones(3), np.ones((3, 2)),
+                                    np.ones((2, 3, 3, 3))],
+                         ids=["scalar", "vector", "non-square", "four-axes"])
+def test_expectation_rejects_a_bare_target_that_is_not_a_matrix(target):
+    # the target's shape is refused before the state's length is read against it
+    shape = re.escape(str(np.shape(target)))
+    with pytest.raises(InputError, match=rf"^target must be an N x N matrix or a stack of "
+                                         rf"them, got shape {shape}$"):
+        expectation(np.array([1.0, 0.0, 0.0]), target, "X")
 
 
 def test_expectation_rejects_nan_state():

@@ -45,7 +45,7 @@ IMPORT = "runs at import, before the hook is set"
 BENCH = "the benchmark's workloads write their input files with it"
 STAGES = ("the stage-form RK4 of covariant_evolve only, which the benchmark traces; it "
           "leaves the package with it")
-COVARIANT = ("the matrix path of covariant_evolve, which the benchmark traces: a connection "
+COVARIANT = ("the stage slope of covariant_evolve, which the benchmark traces: a connection "
              "that need not commute with H cannot be stepped in H's eigenbasis")
 
 # Functions that no command reaches and the benchmark does not trace, each
@@ -80,8 +80,7 @@ KEPT = {
     "matrixmech.born_sample": PAPER,
     "matrixmech.nonrelativistic_rate": PAPER,
     "worldsheet.arc_curve": PAPER,
-    "matrixmech._commutator_flows": COVARIANT,
-    "matrixmech._commutator_flows.<locals>.rhs": COVARIANT,
+    "matrixmech.covariant_evolve.<locals>.rhs": COVARIANT,
     "particle.rk4": STAGES,
 }
 
